@@ -65,7 +65,6 @@ from .metrics import (
     compute_pair_features,
     default_configs,
     gaussian_kernel,
-    metric_value,
     overlap_matrix,
     overlap_ratio,
     tanh_kernel,

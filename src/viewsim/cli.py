@@ -116,18 +116,12 @@ def cmd_overlap(args) -> int:
 
 def cmd_metrics(args) -> int:
     metrics = [_parse_metric(m) for m in args.metric] if args.metric else list(PROXY_METRICS)
+    need_geo = any(m.needs_geodesic for m in metrics)
     for pc in _contents(args):
         frames = _parse_frames(args.frames, pc.dataset.n_frames)
-        need_geo = any(m.needs_geodesic for m in metrics)
+        # one feature pass serves every requested metric
         features = feature_tables(pc, need_geodesic=need_geo, frames=frames, threads=args.threads)
-        mats = []
-        for metric in metrics:
-            if metric.is_overlap:
-                mats.extend(overlap_matrices(pc, frames=frames, threads=args.threads))
-            else:
-                mats.extend(
-                    metric_matrices(pc, metric, frames=frames, threads=args.threads, features=features)
-                )
+        mats = [m for metric in metrics for m in metric_matrices(pc, metric, frames=frames, threads=args.threads)]
         path = _out_path(args, f"metrics_{_safe(pc.content_id)}.csv")
         write_matrices_csv(path, mats)
         print(f"{pc.content_id}: wrote {path} ({len(metrics)} metrics x {len(features)} frames)")

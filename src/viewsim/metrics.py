@@ -31,8 +31,6 @@ from .geometry import (
     SurfaceGraph,
     build_frustum,
     contains_points,
-    euclidean_distance,
-    geodesic_distance,
     geodesic_rows,
 )
 
@@ -168,57 +166,6 @@ def overlap_ratio(set_i, set_j) -> float:
     if union == 0:
         raise PreconditionError("overlap ratio of two empty viewport sets is undefined")
     return inter / union
-
-
-def metric_value(metric: MetricId, reg: RegulatorSet, si, sj, graph: SurfaceGraph | None = None) -> float:
-    """One proxy similarity for a pair of aligned samples.
-
-    Returns NaN when the pair is invalid for this metric (a user is
-    off-content, or a required p/r is missing).  Geodesic metrics require a
-    surface graph.
-    """
-    if metric.is_overlap:
-        raise InvalidParamsError("overlap is computed from viewport sets, not metric_value")
-    if si.off_content or sj.off_content:
-        return math.nan
-    pos_kernel = gaussian_kernel(reg.alpha, euclidean_distance(si.x, sj.x))
-    if metric is MetricId.W1:
-        return pos_kernel
-    if metric.needs_geodesic and graph is None:
-        raise MissingGraphError(f"{metric.value} needs a surface graph")
-    if si.p is None or sj.p is None:
-        return math.nan
-    if metric is MetricId.W2:
-        return gaussian_kernel(reg.alpha, abs(si.r - sj.r))
-    if metric is MetricId.W3:
-        return gaussian_kernel(reg.alpha, geodesic_distance(graph, si.p, sj.p))
-    if metric is MetricId.W4:
-        return gaussian_kernel(reg.alpha, euclidean_distance(si.p, sj.p))
-    if metric is MetricId.W5:
-        return (
-            pos_kernel
-            * gaussian_kernel(reg.beta, abs(si.r - sj.r))
-            * gaussian_kernel(reg.gamma, geodesic_distance(graph, si.p, sj.p))
-        )
-    if metric is MetricId.W6:
-        return (
-            pos_kernel
-            * gaussian_kernel(reg.beta, abs(si.r - sj.r))
-            * gaussian_kernel(reg.gamma, euclidean_distance(si.p, sj.p))
-        )
-    if metric is MetricId.W7:
-        return (
-            pos_kernel
-            * (reg.beta * (tanh_kernel(si.r) + tanh_kernel(sj.r)))
-            * gaussian_kernel(reg.gamma, geodesic_distance(graph, si.p, sj.p))
-        )
-    if metric is MetricId.W8:
-        return (
-            pos_kernel
-            * (reg.beta * (tanh_kernel(si.r) + tanh_kernel(sj.r)))
-            * gaussian_kernel(reg.gamma, euclidean_distance(si.p, sj.p))
-        )
-    raise InvalidParamsError(f"unknown metric {metric}")
 
 
 @dataclass

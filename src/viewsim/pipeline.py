@@ -19,6 +19,7 @@ from .calibration import (
     FPR_ADVISORY_CEILING,
     ablate,
     calibrate_threshold,
+    pair_samples,
 )
 from .clustering import (
     ChunkSpec,
@@ -29,7 +30,7 @@ from .clustering import (
     mean_matrix,
     persistence_scores,
 )
-from .errors import InvalidParamsError
+from .errors import DegenerateLabelsError, InvalidParamsError
 from .evaluation import evaluate_result, summarize_performance, aggregate
 from .geometry import FrustumParams, build_surface_graph
 from .manifest import ContentManifest
@@ -47,7 +48,13 @@ from .trajectories import SessionDataset, align_to_frames, derive_pr, load_traje
 
 @dataclass
 class PreparedContent:
-    """One content item ready for batch processing."""
+    """One content item ready for batch processing.
+
+    ``tables`` is the per-content store: each overlap matrix, feature table
+    and surface graph is computed on first request and shared afterwards by
+    every metric, every command and every ``with_thresholds`` copy.  It is
+    filled only from the calling thread; worker threads only compute.
+    """
 
     content_id: str
     dataset: SessionDataset
@@ -57,9 +64,7 @@ class PreparedContent:
     min_size: int = 3
     chunk: ChunkSpec = field(default_factory=ChunkSpec)
     reference: bool = True
-
-    def __post_init__(self):
-        self._graphs: dict = {}
+    tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def config(self, metric: MetricId):
         return self.configs[metric]
@@ -69,27 +74,16 @@ class PreparedContent:
         configs = dict(self.configs)
         for metric, th in thresholds.items():
             configs[metric] = replace(configs[metric], threshold=float(th))
-        clone = PreparedContent(
-            content_id=self.content_id,
-            dataset=self.dataset,
-            configs=configs,
-            knn=self.knn,
-            o_th=self.o_th,
-            min_size=self.min_size,
-            chunk=self.chunk,
-            reference=self.reference,
-        )
-        clone._graphs = self._graphs
-        return clone
+        return replace(self, configs=configs)
 
     def surface_graph(self, frame: int):
         """Graph for one frame; identical point arrays share one graph."""
         cloud = self.dataset.clouds[frame]
-        key = id(cloud.points)
-        hit = self._graphs.get(key)
+        key = ("graph", id(cloud.points))
+        hit = self.tables.get(key)
         if hit is None:
             hit = (cloud.points, build_surface_graph(cloud, k=self.knn))
-            self._graphs[key] = hit
+            self.tables[key] = hit
         return hit[1]
 
 
@@ -150,49 +144,52 @@ def prepare_scenario(scenario: SynthScenario, **overrides) -> PreparedContent:
     return PreparedContent(content_id=scenario.content_id, dataset=dataset, **pc_kwargs)
 
 
-def _map_frames(fn, frames, threads: int):
-    items = list(frames)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(k) for k in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
-def _frame_iter(pc: PreparedContent, frames):
-    if frames is None:
-        return range(pc.dataset.n_frames)
-    return frames
-
-
 def _frame_samples(pc: PreparedContent, k: int):
     users = pc.dataset.users
     samples = [tr.samples[k] for tr in pc.dataset.trajectories]
     return users, samples
 
 
+def _store(pc: PreparedContent, kind: str, frames: list, todo: list, task, threads: int) -> list:
+    """Compute the ``todo`` frames on the pool, store them from this thread, return ``frames``."""
+    if threads <= 1 or len(todo) <= 1:
+        computed = [task(k) for k in todo]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            computed = list(ex.map(task, todo))
+    pc.tables.update(((kind, k), table) for k, table in zip(todo, computed))
+    return [pc.tables[(kind, k)] for k in frames]
+
+
 def overlap_matrices(pc: PreparedContent, frames=None, threads: int = 1) -> list:
     """Exact ground-truth matrices, one per requested frame."""
+    frames = list(range(pc.dataset.n_frames) if frames is None else frames)
 
     def task(k: int) -> SimilarityMatrix:
         users, samples = _frame_samples(pc, k)
         return overlap_matrix(k, users, samples, pc.dataset.clouds[k], pc.dataset.frustum)
 
-    return _map_frames(task, _frame_iter(pc, frames), threads)
+    todo = [k for k in frames if ("overlap", k) not in pc.tables]
+    return _store(pc, "overlap", frames, todo, task, threads)
 
 
 def feature_tables(pc: PreparedContent, need_geodesic: bool = True, frames=None, threads: int = 1) -> list:
-    """Per-frame pair features (graphs built once per distinct cloud)."""
-    frame_list = list(_frame_iter(pc, frames))
-    graphs = {}
-    if need_geodesic:
-        for k in frame_list:  # sequential: populates the shared cache safely
-            graphs[k] = pc.surface_graph(k)
+    """Per-frame pair features; geodesic distances only when asked for.
+
+    A stored geodesic table also serves non-geodesic requests; a stored
+    non-geodesic one is rebuilt once, when geodesics are first asked for.
+    """
+    frames = list(range(pc.dataset.n_frames) if frames is None else frames)
+    stored = [pc.tables.get(("features", k)) for k in frames]
+    todo = [k for k, f in zip(frames, stored) if f is None or (need_geodesic and f.gaze_geo is None)]
+    # sequential: populates the shared store safely
+    graphs = {k: pc.surface_graph(k) for k in todo} if need_geodesic else {}
 
     def task(k: int):
         users, samples = _frame_samples(pc, k)
         return compute_pair_features(k, users, samples, graph=graphs.get(k))
 
-    return _map_frames(task, frame_list, threads)
+    return _store(pc, "features", frames, todo, task, threads)
 
 
 def metric_matrices(
@@ -200,16 +197,12 @@ def metric_matrices(
     metric: MetricId,
     frames=None,
     threads: int = 1,
-    regulators=None,
-    features: list | None = None,
 ) -> list:
     """Per-frame matrices for one proxy metric (or the exact ground truth)."""
     if metric.is_overlap:
         return overlap_matrices(pc, frames=frames, threads=threads)
-    reg = regulators if regulators is not None else pc.config(metric).regulators
-    if features is None:
-        features = feature_tables(pc, need_geodesic=metric.needs_geodesic, frames=frames, threads=threads)
-    return [f.metric_matrix(metric, reg) for f in features]
+    features = feature_tables(pc, need_geodesic=metric.needs_geodesic, frames=frames, threads=threads)
+    return [f.metric_matrix(metric, pc.config(metric).regulators) for f in features]
 
 
 def cluster_content(
@@ -217,13 +210,12 @@ def cluster_content(
     metric: MetricId,
     mode: str = "frame",
     threads: int = 1,
-    matrices: list | None = None,
 ) -> list:
     """ClusteringResults per frame, or per chunk when mode='chunk'."""
     if mode not in ("frame", "chunk"):
         raise InvalidParamsError(f"mode must be frame|chunk, got '{mode}'")
     config = pc.config(metric)
-    mats = matrices if matrices is not None else metric_matrices(pc, metric, threads=threads)
+    mats = metric_matrices(pc, metric, threads=threads)
     if mode == "frame":
         return [clique_clustering(build_adjacency(m, config), tie_matrix=m) for m in mats]
     ranges = chunk_frame_ranges(len(mats), pc.chunk.frames_per_chunk(pc.dataset.fps))
@@ -248,14 +240,8 @@ def evaluate_content(
     are persistence scores thresholded exactly like chunk adjacency, so an
     OVERLAP-driven clustering scores precision 1.0 identically.
     """
-    if mode not in ("frame", "chunk"):
-        raise InvalidParamsError(f"mode must be frame|chunk, got '{mode}'")
-    mats = metric_matrices(pc, metric, threads=threads)
-    if metric.is_overlap:
-        ovs = mats
-    else:
-        ovs = overlap_matrices(pc, threads=threads)
-    results = cluster_content(pc, metric, mode=mode, threads=threads, matrices=mats)
+    results = cluster_content(pc, metric, mode=mode, threads=threads)
+    ovs = overlap_matrices(pc, threads=threads)
     perfs = []
     if mode == "frame":
         for result, ov in zip(results, ovs):
@@ -263,7 +249,7 @@ def evaluate_content(
                 evaluate_result(result, ov, label_threshold=pc.o_th, min_size=pc.min_size)
             )
     else:
-        ranges = chunk_frame_ranges(len(mats), pc.chunk.frames_per_chunk(pc.dataset.fps))
+        ranges = chunk_frame_ranges(len(ovs), pc.chunk.frames_per_chunk(pc.dataset.fps))
         for result, rng in zip(results, ranges):
             window = [ovs[k] for k in rng]
             perfs.append(
@@ -286,24 +272,25 @@ def calibrate_contents(
 ) -> dict:
     """ROC-select a threshold per metric over all given contents' pairs.
 
-    Returns {metric: {"threshold", "tpr", "fpr", "fpr_ok", "roc"}}; the FPR
-    ceiling (0.4) is advisory and only reported.
+    Label balance is checked on the exact overlaps before any surface graph
+    or feature table is built.  Returns {metric: {"threshold", "tpr",
+    "fpr", "fpr_ok", "roc"}}; the FPR ceiling (0.4) is advisory and only
+    reported.
     """
     if metrics is None:
         metrics = [m for m in MetricId if not m.is_overlap]
+    o_th = pcs[0].o_th
+    ovs = [ov for pc in pcs for ov in overlap_matrices(pc, threads=threads)]
+    _, labels = pair_samples(ovs, ovs, o_th)
+    for kind, count in (("positive", labels.sum()), ("negative", labels.size - labels.sum())):
+        if count == 0:
+            raise DegenerateLabelsError(f"0 {kind} labels out of {labels.size} valid pair-frames at o_th={o_th}")
     need_geo = any(m.needs_geodesic for m in metrics)
-    per_metric: dict = {m: ([], []) for m in metrics}
-    for pc in pcs:
-        features = feature_tables(pc, need_geodesic=need_geo, threads=threads)
-        ovs = overlap_matrices(pc, threads=threads)
-        for metric in metrics:
-            mats = [f.metric_matrix(metric, pc.config(metric).regulators) for f in features]
-            per_metric[metric][0].extend(mats)
-            per_metric[metric][1].extend(ovs)
+    features = [(pc, f) for pc in pcs for f in feature_tables(pc, need_geodesic=need_geo, threads=threads)]
     out = {}
     for metric in metrics:
-        mats, ovs = per_metric[metric]
-        roc, point = calibrate_threshold(mats, ovs, target_tpr=target_tpr, o_th=pcs[0].o_th)
+        mats = [f.metric_matrix(metric, pc.config(metric).regulators) for pc, f in features]
+        roc, point = calibrate_threshold(mats, ovs, target_tpr=target_tpr, o_th=o_th)
         out[metric] = {
             "threshold": point.threshold,
             "tpr": point.tpr,
@@ -312,19 +299,6 @@ def calibrate_contents(
             "roc": roc,
         }
     return out
-
-
-def ablation_tables(pcs: list, need_geodesic: bool = True, threads: int = 1) -> dict:
-    """content id -> per-frame (features, overlap) pairs for the sweep."""
-    return {
-        pc.content_id: list(
-            zip(
-                feature_tables(pc, need_geodesic=need_geodesic, threads=threads),
-                overlap_matrices(pc, threads=threads),
-            )
-        )
-        for pc in pcs
-    }
 
 
 def run_ablation(
@@ -341,7 +315,10 @@ def run_ablation(
     if not chosen:
         chosen = list(pcs)
     th = threshold if threshold is not None else chosen[0].config(metric).threshold
-    tables = ablation_tables(chosen, need_geodesic=metric.needs_geodesic, threads=threads)
+    tables = {}
+    for pc in chosen:
+        features = feature_tables(pc, need_geodesic=metric.needs_geodesic, threads=threads)
+        tables[pc.content_id] = list(zip(features, overlap_matrices(pc, threads=threads)))
     return ablate(
         tables,
         metric,

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way (pure Python
 loops, Fractions, exhaustive enumeration) and shares no code with the
-package beyond reading its public data structures.
+package beyond reading its public data structures.  The one exception is
+``metric_value``, which measures graph distances with the package's
+``geodesic_distance`` (checked against closed forms by criterion 4).
 """
 
 import heapq
@@ -11,6 +13,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from viewsim.errors import MissingGraphError
+from viewsim.geometry import geodesic_distance
+from viewsim.metrics import MetricId
 
 
 def viewport_set_oracle(frustum, points):
@@ -150,3 +156,42 @@ def ari_oracle(labels_a, labels_b):
 def orbit_position(radius, angular_speed, phase, height, t):
     a = phase + angular_speed * t
     return np.array([radius * math.cos(a), height, radius * math.sin(a)])
+
+
+def _kernel(alpha, d):
+    """exp(-alpha * d), with d = +inf mapped to 0 so a zero alpha cannot bridge it."""
+    return 0.0 if math.isinf(d) else math.exp(-alpha * d)
+
+
+def _euclid(a, b):
+    return float(np.linalg.norm(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)))
+
+
+def metric_value(metric, reg, si, sj, graph=None):
+    """One proxy similarity for a pair of samples, one scalar at a time.
+
+    The scalar twin of ``PairFeatures.metric_matrix``.  NaN when the pair is
+    invalid for the metric (a user off-content, or a required p/r missing).
+    """
+    if si.off_content or sj.off_content:
+        return math.nan
+    pos_kernel = _kernel(reg.alpha, _euclid(si.x, sj.x))
+    if metric is MetricId.W1:
+        return pos_kernel
+    if metric.needs_geodesic and graph is None:
+        raise MissingGraphError(f"{metric.value} needs a surface graph")
+    if si.p is None or sj.p is None:
+        return math.nan
+    if metric is MetricId.W2:
+        return _kernel(reg.alpha, abs(si.r - sj.r))
+    if metric.needs_geodesic:
+        gaze = geodesic_distance(graph, si.p, sj.p)
+    else:
+        gaze = _euclid(si.p, sj.p)
+    if metric in (MetricId.W3, MetricId.W4):
+        return _kernel(reg.alpha, gaze)
+    if metric in (MetricId.W5, MetricId.W6):
+        return pos_kernel * _kernel(reg.beta, abs(si.r - sj.r)) * _kernel(reg.gamma, gaze)
+    if metric in (MetricId.W7, MetricId.W8):
+        return pos_kernel * (reg.beta * (math.tanh(si.r) + math.tanh(sj.r))) * _kernel(reg.gamma, gaze)
+    raise ValueError(f"no scalar form for {metric}")

@@ -8,6 +8,7 @@ the whole file stays in CI budgets while still hitting the stated scales.
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from viewsim.metrics import (
     PROXY_METRICS,
     compute_pair_features,
     default_configs,
-    metric_value,
     overlap_matrix,
     overlap_ratio,
 )
@@ -36,7 +36,13 @@ from viewsim.pipeline import evaluate_content, prepare, prepare_scenario, run_ab
 from viewsim.synth import _fibonacci_sphere, planted_labels, three_orbit_groups
 
 from conftest import make_sample, random_pose, record_criterion, square_matrix
-from oracles import jaccard_fraction, max_cliques_oracle, pick_clique_oracle, viewport_set_oracle
+from oracles import (
+    jaccard_fraction,
+    max_cliques_oracle,
+    metric_value,
+    pick_clique_oracle,
+    viewport_set_oracle,
+)
 
 
 def _sample_cloud(rng, n):
@@ -337,9 +343,10 @@ def test_criterion_8_ablation_grid_deterministic():
     scenario = three_orbit_groups(seed=23, users_per_group=2, n_frames=6, points_per_frame=700)
     pc = prepare_scenario(scenario)
 
+    # each run gets an empty table store, so every run recomputes its tables
     records = run_ablation([pc], MetricId.W7, grid=DEFAULT_GRID, threads=1)
-    again = run_ablation([pc], MetricId.W7, grid=DEFAULT_GRID, threads=1)
-    threaded = run_ablation([pc], MetricId.W7, grid=DEFAULT_GRID, threads=3)
+    again = run_ablation([replace(pc, tables={})], MetricId.W7, grid=DEFAULT_GRID, threads=1)
+    threaded = run_ablation([replace(pc, tables={})], MetricId.W7, grid=DEFAULT_GRID, threads=3)
     count_ok = len(records) == 729
     det_ok = repr(records) == repr(again) == repr(threaded)
 

@@ -28,7 +28,7 @@ from viewsim.errors import (
     UnattainableTargetError,
 )
 from viewsim.metrics import MetricId, RegulatorSet
-from viewsim.pipeline import ablation_tables, calibrate_contents, overlap_matrices
+from viewsim.pipeline import calibrate_contents, feature_tables, overlap_matrices
 
 from conftest import assert_close, square_matrix
 from oracles import roc_oracle
@@ -200,8 +200,6 @@ def test_pair_samples_empty():
 
 
 def test_calibrate_threshold_meets_target_on_content(narrow_content):
-    from viewsim.pipeline import feature_tables
-
     pc = narrow_content
     features = feature_tables(pc, need_geodesic=False)
     mats = [f.metric_matrix(MetricId.W1, pc.config(MetricId.W1).regulators) for f in features]
@@ -261,7 +259,8 @@ def test_grid_empty_rejected():
 
 @pytest.fixture(scope="module")
 def narrow_tables(narrow_content):
-    return ablation_tables([narrow_content], need_geodesic=True)
+    pc = narrow_content
+    return {pc.content_id: list(zip(feature_tables(pc, need_geodesic=True), overlap_matrices(pc)))}
 
 
 def test_ablate_records_in_grid_order(narrow_tables):

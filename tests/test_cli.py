@@ -174,6 +174,28 @@ def test_calibrate_degenerate_labels_exit_4(tmp_path):
     assert "compute error" in proc.stderr
 
 
+def test_calibrate_checks_label_balance_before_graphs(dataset, tmp_path, monkeypatch, capsys):
+    # the default 90-degree frustum sees the whole small sphere from every
+    # orbit, so no valid pair overlaps below o_th
+    import viewsim.pipeline
+    from viewsim.cli import main
+
+    manifest = str(dataset / "manifest.json")
+    assert main(["--manifest", manifest, "--out", str(tmp_path), "overlap"]) == 0
+    rows = read_csv(tmp_path / "overlap_synth-sphere-11.csv")[1:]
+    valid = [float(r[4]) for r in rows if r[5] == "1"]
+    assert valid and min(valid) >= 0.75
+    capsys.readouterr()
+
+    built = []
+    for name in ("build_surface_graph", "compute_pair_features"):
+        monkeypatch.setattr(viewsim.pipeline, name, lambda *a, name=name, **k: built.append(name))
+    assert main(["--manifest", manifest, "--out", str(tmp_path), "calibrate"]) == 4
+    err = capsys.readouterr().err
+    assert f"0 negative labels out of {len(valid)} valid pair-frames" in err
+    assert built == []
+
+
 # --------------------------------------------------------------- ablate
 
 

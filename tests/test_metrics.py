@@ -15,7 +15,6 @@ from viewsim import (
     compute_pair_features,
     default_configs,
     gaussian_kernel,
-    metric_value,
     overlap_matrix,
     overlap_ratio,
     tanh_kernel,
@@ -25,6 +24,7 @@ from viewsim.metrics import PROXY_METRICS, read_matrices_csv, write_matrices_csv
 from viewsim.synth import _fibonacci_sphere
 
 from conftest import assert_close, make_sample
+from oracles import metric_value
 
 TABLE = {
     MetricId.W1: ((1.0, 0.0, 0.0), 0.64),

@@ -1,14 +1,18 @@
 """Batch orchestration: loading, matrices, clustering, sweeps, threading."""
 
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import viewsim.pipeline
 from viewsim.errors import InvalidParamsError
 from viewsim.evaluation import adjusted_rand_index
 from viewsim.manifest import load_manifest
 from viewsim.metrics import MetricId
 from viewsim.pipeline import (
-    ablation_tables,
     cluster_content,
     evaluate_content,
     feature_tables,
@@ -94,15 +98,18 @@ def test_matrix_shapes_and_frame_indexing(narrow_content):
 
 
 def test_threading_changes_nothing(narrow_content):
-    pc = narrow_content
-    _matrices_equal(overlap_matrices(pc, threads=1), overlap_matrices(pc, threads=3))
+    def fresh():
+        # an empty table store: the call below computes, not reads back
+        return replace(narrow_content, tables={})
+
+    _matrices_equal(overlap_matrices(fresh(), threads=1), overlap_matrices(fresh(), threads=3))
     _matrices_equal(
-        metric_matrices(pc, MetricId.W7, threads=1),
-        metric_matrices(pc, MetricId.W7, threads=3),
+        metric_matrices(fresh(), MetricId.W7, threads=1),
+        metric_matrices(fresh(), MetricId.W7, threads=3),
     )
     _matrices_equal(
-        metric_matrices(pc, MetricId.W5, threads=1),
-        metric_matrices(pc, MetricId.W5, threads=4),
+        metric_matrices(fresh(), MetricId.W5, threads=1),
+        metric_matrices(fresh(), MetricId.W5, threads=4),
     )
 
 
@@ -112,12 +119,26 @@ def test_frame_subset_selects_frames(narrow_content):
 
 
 def test_geodesic_graphs_cached_per_distinct_cloud(narrow_content):
-    pc = narrow_content
+    pc = replace(narrow_content, tables={})
     feature_tables(pc, need_geodesic=True)
-    # rigid content: one shared coordinate array, one cached graph
-    assert len(pc._graphs) == 1
+    # rigid content: one shared coordinate array, one stored graph
+    assert sum(key[0] == "graph" for key in pc.tables) == 1
     g = pc.surface_graph(0)
     assert g is pc.surface_graph(5)
+
+
+def test_feature_tables_add_geodesics_only_when_asked(narrow_content):
+    pc = replace(narrow_content, tables={})
+    plain = feature_tables(pc, need_geodesic=False)
+    assert all(f.gaze_geo is None for f in plain)
+    assert not any(key[0] == "graph" for key in pc.tables)
+    geo = feature_tables(pc, need_geodesic=True)
+    assert all(f.gaze_geo is not None for f in geo)
+    # the geodesic tables now serve plain requests as well
+    assert all(a is b for a, b in zip(geo, feature_tables(pc, need_geodesic=False)))
+    for a, b in zip(plain, geo):
+        np.testing.assert_array_equal(a.pos_dist, b.pos_dist)
+        np.testing.assert_array_equal(a.eta_sum, b.eta_sum)
 
 
 def test_overlap_route_via_metric_matrices(narrow_content):
@@ -199,14 +220,17 @@ def test_run_ablation_default_threshold_comes_from_config(narrow_content):
     assert repr(records) == repr(explicit)
 
 
-def test_ablation_tables_reuse_matches_direct_run(narrow_content):
-    tables = ablation_tables([narrow_content], need_geodesic=False)
-    assert set(tables) == {narrow_content.content_id}
-    assert len(tables[narrow_content.content_id]) == 6
-    features, overlap = tables[narrow_content.content_id][0]
+def test_stored_tables_match_direct_run(narrow_content):
+    pc = replace(narrow_content, tables={})
+    features = feature_tables(pc, need_geodesic=False)
+    overlaps = overlap_matrices(pc)
+    assert len(features) == len(overlaps) == 6
+    # later requests, whole or partial, get the stored objects back
+    assert all(a is b for a, b in zip(features, feature_tables(pc, need_geodesic=False)))
+    assert overlap_matrices(pc, frames=[4])[0] is overlaps[4]
     np.testing.assert_array_equal(
-        features.metric_matrix(MetricId.W1, narrow_content.config(MetricId.W1).regulators).values,
-        metric_matrices(narrow_content, MetricId.W1, frames=[0])[0].values,
+        features[0].metric_matrix(MetricId.W1, pc.config(MetricId.W1).regulators).values,
+        metric_matrices(replace(pc, tables={}), MetricId.W1, frames=[0])[0].values,
     )
 
 
@@ -215,5 +239,45 @@ def test_with_thresholds_clones_configs(narrow_content):
     assert clone.config(MetricId.W1).threshold == 0.5
     assert narrow_content.config(MetricId.W1).threshold != 0.5
     assert clone.config(MetricId.W2) == narrow_content.config(MetricId.W2)
-    # graph cache is shared, not rebuilt
-    assert clone._graphs is narrow_content._graphs
+    # the table store (graphs included) is shared, not rebuilt
+    assert clone.tables is narrow_content.tables
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(viewsim.pipeline, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(viewsim.pipeline, name, counted)
+    return calls
+
+
+def test_each_table_computed_once_across_metrics(narrow_content, monkeypatch):
+    pc = replace(narrow_content, tables={})
+    overlaps = _count_calls(monkeypatch, "overlap_matrix")
+    graphs = _count_calls(monkeypatch, "build_surface_graph")
+    features = _count_calls(monkeypatch, "compute_pair_features")
+    for metric in MetricId:
+        evaluate_content(pc, metric, mode="chunk", threads=2)
+    n_frames = pc.dataset.n_frames
+    clouds = {id(pc.dataset.clouds[k].points) for k in range(n_frames)}
+    assert sorted(args[0] for args in overlaps) == list(range(n_frames))
+    assert len(graphs) == len(clouds)
+    assert len(features) <= 2 * n_frames
+    # a calibrated copy shares the store: evaluating again computes nothing
+    done = (len(overlaps), len(graphs), len(features))
+    clone = pc.with_thresholds({MetricId.W7: 0.5})
+    for metric in MetricId:
+        evaluate_content(clone, metric, mode="frame")
+    assert (len(overlaps), len(graphs), len(features)) == done
+
+
+def test_readme_library_snippet_runs_verbatim(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Library use"):]
+    snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert float(capsys.readouterr().out.strip()) == 1.0

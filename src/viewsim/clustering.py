@@ -3,10 +3,11 @@
 Per frame (or per chunk) the similarity matrix becomes an undirected graph:
 an edge joins two users whose similarity is valid and at least the metric's
 threshold.  Clustering repeatedly extracts an exact maximum clique until no
-edges remain; leftover users become singletons.  Ties between maximum
-cliques are broken by higher mean pairwise similarity, then by the
-lexicographically smallest member list, so results are reproducible across
-runs and platforms.
+edges remain; leftover users become singletons.  The search runs on 64-bit
+neighbour bitsets built once per graph (San Segundo et al., 2011); each
+extraction clears the chosen clique's bits.  Ties between maximum cliques are
+broken by higher mean pairwise similarity, then by the lexicographically
+smallest member list, so results are reproducible across runs and platforms.
 
 Chunk mode aggregates a window of frames first: a pair is connected iff its
 per-frame condition holds in at least a persistence fraction of the frames
@@ -15,6 +16,7 @@ where the pair is valid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -182,9 +184,24 @@ def chunk_adjacency(
     return SimilarityGraph(ident=chunk_id, users=scores.users, adjacency=adj)
 
 
+def check_clique_size(n: int) -> None:
+    """Raise SizeLimitError when n users exceed the exact search's bitset width."""
+    if n > MAX_CLIQUE_USERS:
+        raise SizeLimitError(f"exact clique search supports up to {MAX_CLIQUE_USERS} users, got {n}")
+
+
+@functools.lru_cache(maxsize=MAX_CLIQUE_USERS + 1)
+def pair_indices(k: int) -> tuple:
+    """Read-only index arrays (a, b) of the pairs a < b of k items, in row-major order."""
+    a, b = np.triu_indices(k, 1)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
 def _neighbor_masks(adj: np.ndarray) -> list:
-    n = adj.shape[0]
-    return [int(sum(1 << int(j) for j in np.flatnonzero(adj[i]))) for i in range(n)]
+    """Row i as a Python int with bit j set iff users i and j are adjacent."""
+    bits = np.left_shift(np.uint64(1), np.arange(adj.shape[0], dtype=np.uint64))
+    return np.bitwise_or.reduce(np.where(adj, bits, np.uint64(0)), axis=1).tolist()
 
 
 def _mask_members(mask: int) -> list:
@@ -196,8 +213,8 @@ def _mask_members(mask: int) -> list:
     return out
 
 
-def _maximum_clique_masks(nbr: list, n: int) -> list:
-    """All maximum cliques as bitmasks (Bron-Kerbosch, pivoting, pruned)."""
+def _maximum_clique_masks(nbr: list, p_mask: int) -> list:
+    """All maximum cliques among the users of ``p_mask`` (Bron-Kerbosch, pivoting, pruned)."""
     best_size = 0
     best: list = []
 
@@ -234,8 +251,26 @@ def _maximum_clique_masks(nbr: list, n: int) -> list:
             if r_size + p_mask.bit_count() < best_size:
                 return
 
-    expand(0, 0, (1 << n) - 1, 0)
+    expand(0, 0, p_mask, 0)
     return best
+
+
+def _rank_cliques(users: tuple, masks: list, tie_matrix: SimilarityMatrix | None) -> list:
+    """Maximum cliques best first: highest mean tie value, then smallest member ids."""
+    if len(masks) == 1:
+        return masks
+
+    def key(mask: int):
+        idx = _mask_members(mask)
+        if tie_matrix is not None and len(idx) >= 2:
+            a, b = pair_indices(len(idx))
+            members = np.array(idx)
+            mean = float(np.mean(tie_matrix.values[members[a], members[b]]))
+        else:
+            mean = 0.0
+        return (-mean, tuple(users[i] for i in idx))
+
+    return sorted(masks, key=key)
 
 
 def max_clique(graph: SimilarityGraph, tie_matrix: SimilarityMatrix | None = None) -> Cluster:
@@ -248,60 +283,29 @@ def max_clique(graph: SimilarityGraph, tie_matrix: SimilarityMatrix | None = Non
     n = graph.n
     if n == 0:
         raise PreconditionError("maximum clique of an empty graph is undefined")
-    if n > MAX_CLIQUE_USERS:
-        raise SizeLimitError(f"exact clique search supports up to {MAX_CLIQUE_USERS} users, got {n}")
-    masks = _maximum_clique_masks(_neighbor_masks(graph.adjacency), n)
-
-    def key(mask: int):
-        idx = _mask_members(mask)
-        if tie_matrix is not None and len(idx) >= 2:
-            vals = [tie_matrix.values[a, b] for ai, a in enumerate(idx) for b in idx[ai + 1:]]
-            mean = float(np.mean(vals))
-        else:
-            mean = 0.0
-        return (-mean, tuple(graph.users[i] for i in idx))
-
-    chosen = min(masks, key=key)
+    check_clique_size(n)
+    masks = _maximum_clique_masks(_neighbor_masks(graph.adjacency), (1 << n) - 1)
+    chosen = _rank_cliques(graph.users, masks, tie_matrix)[0]
     return Cluster(members=tuple(graph.users[i] for i in _mask_members(chosen)))
 
 
 def clique_clustering(
     graph: SimilarityGraph, tie_matrix: SimilarityMatrix | None = None
 ) -> ClusteringResult:
-    """Partition by repeated maximum-clique extraction.
-
-    Extraction stops when the remaining graph has no edges; remaining users
-    become singletons (in id order).
-    """
-    if graph.n > MAX_CLIQUE_USERS:
-        raise SizeLimitError(
-            f"exact clique search supports up to {MAX_CLIQUE_USERS} users, got {graph.n}"
-        )
+    """Partition by repeated maximum-clique extraction; users left without an edge become singletons."""
+    check_clique_size(graph.n)
     users = graph.users
-    index = {u: i for i, u in enumerate(users)}
-    remaining = list(range(len(users)))
-    clusters = []
-    while remaining:
-        sub_adj = graph.adjacency[np.ix_(remaining, remaining)]
-        if not sub_adj.any():
-            break
-        sub_users = tuple(users[i] for i in remaining)
-        sub_graph = SimilarityGraph(ident=graph.ident, users=sub_users, adjacency=sub_adj)
-        sub_tie = None
-        if tie_matrix is not None:
-            sub_tie = SimilarityMatrix(
-                frame=tie_matrix.frame,
-                users=sub_users,
-                metric=tie_matrix.metric,
-                values=tie_matrix.values[np.ix_(remaining, remaining)],
-                valid=tie_matrix.valid[np.ix_(remaining, remaining)],
-            )
-        clique = max_clique(sub_graph, sub_tie)
-        clusters.append(clique)
-        taken = {index[u] for u in clique.members}
-        remaining = [i for i in remaining if i not in taken]
-    for i in remaining:
-        clusters.append(Cluster(members=(users[i],)))
+    nbr = _neighbor_masks(graph.adjacency)
+    remaining = (1 << graph.n) - 1
+    clusters, ranked = [], []
+    while ranked or any(nbr[i] & remaining for i in _mask_members(remaining)):
+        # maximum cliques the last extraction left intact are still maximum
+        ranked = ranked or _rank_cliques(users, _maximum_clique_masks(nbr, remaining), tie_matrix)
+        chosen = ranked.pop(0)
+        clusters.append(Cluster(members=tuple(users[i] for i in _mask_members(chosen))))
+        remaining &= ~chosen
+        ranked = [m for m in ranked if not m & chosen]
+    clusters.extend(Cluster(members=(users[i],)) for i in _mask_members(remaining))
     return ClusteringResult(ident=graph.ident, users=users, clusters=clusters)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import DEFAULT_RELEVANT_MIN_SIZE, Cluster, ClusteringResult
+from .clustering import DEFAULT_RELEVANT_MIN_SIZE, Cluster, ClusteringResult, pair_indices
 from .errors import EmptySeriesError, PreconditionError
 from .metrics import SimilarityMatrix
 
@@ -54,16 +54,13 @@ def overlap_per_cluster(cluster: Cluster, overlap: SimilarityMatrix) -> float:
         raise PreconditionError("per-cluster overlap needs at least two members")
     index = {u: i for i, u in enumerate(overlap.users)}
     try:
-        idx = [index[u] for u in cluster.members]
+        idx = np.array([index[u] for u in cluster.members])
     except KeyError as e:
         raise PreconditionError(f"cluster member {e} missing from overlap matrix")
-    vals = []
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            i, j = idx[a], idx[b]
-            if overlap.valid[i, j]:
-                vals.append(float(overlap.values[i, j]))
-    return float(np.mean(vals)) if vals else math.nan
+    a, b = pair_indices(len(idx))  # row-major a < b, as a pair loop
+    i, j = idx[a], idx[b]
+    vals = overlap.values[i, j][overlap.valid[i, j]]
+    return float(np.mean(vals)) if vals.size else math.nan
 
 
 def relevant_population(
@@ -82,21 +79,14 @@ def precision(result: ClusteringResult, reference: SimilarityMatrix, threshold: 
     Pairs invalid in the reference matrix are excluded.  NaN when no valid
     same-cluster pair exists.
     """
-    index = {u: i for i, u in enumerate(reference.users)}
-    tp = 0
-    total = 0
-    for cluster in result.clusters:
-        idx = [index[u] for u in cluster.members if u in index]
-        if len(idx) != cluster.size:
-            raise PreconditionError("cluster members missing from reference matrix")
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                i, j = idx[a], idx[b]
-                if not reference.valid[i, j]:
-                    continue
-                total += 1
-                if reference.values[i, j] >= threshold:
-                    tp += 1
+    owner = result.labels()
+    if not owner.keys() <= set(reference.users):
+        raise PreconditionError("cluster members missing from reference matrix")
+    label = np.array([owner.get(u, -1) for u in reference.users])
+    a, b = pair_indices(len(label))
+    same = (label[a] == label[b]) & (label[a] >= 0) & reference.valid[a, b]
+    total = int(np.count_nonzero(same))
+    tp = int(np.count_nonzero(reference.values[a[same], b[same]] >= threshold))
     return tp / total if total else math.nan
 
 

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-from scipy.spatial import cKDTree
 
 from .errors import InvalidParamsError, MissingGraphError
+
+if TYPE_CHECKING:  # scipy loads only when a surface graph is built or searched
+    from scipy.sparse import csr_matrix
+    from scipy.spatial import cKDTree
 
 DEFAULT_HFOV = 1.5708
 DEFAULT_VFOV = 1.5708
@@ -283,10 +285,6 @@ class SurfaceGraph:
         _, idx = self._tree.query(as_vec3(point))
         return int(idx)
 
-    def neighbors(self, i: int):
-        row = self.adjacency.getrow(int(i))
-        return list(zip(row.indices.tolist(), row.data.tolist()))
-
 
 def build_surface_graph(cloud: PointCloudFrame, k: int = DEFAULT_SURFACE_KNN) -> SurfaceGraph:
     """Union-symmetrized k-nearest-neighbour graph with Euclidean weights.
@@ -294,6 +292,9 @@ def build_surface_graph(cloud: PointCloudFrame, k: int = DEFAULT_SURFACE_KNN) ->
     Duplicate points produce explicit zero-weight edges, which the sparse
     shortest-path backend honours as true zero-length links.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.spatial import cKDTree
+
     if k < 1:
         raise InvalidParamsError(f"k must be >= 1, got {k}")
     pts = cloud.points
@@ -339,16 +340,17 @@ def geodesic_distance(graph: SurfaceGraph, a, b) -> float:
     ia, ib = graph.nearest_index(a), graph.nearest_index(b)
     if ia == ib:
         return 0.0
-    d = _csgraph_dijkstra(graph.adjacency, directed=False, indices=ia, min_only=False)
-    return float(d[ib])
+    return float(geodesic_rows(graph, np.array([ia]))[0, ib])
 
 
 def geodesic_rows(graph: SurfaceGraph, sources: np.ndarray) -> np.ndarray:
     """Shortest-path distances from each source vertex to every vertex."""
     if graph is None:
         raise MissingGraphError("geodesic distance requested without a surface graph")
+    from scipy.sparse.csgraph import dijkstra
+
     src = np.asarray(sources, dtype=np.int64)
     if src.size == 0:
         return np.empty((0, graph.n_points))
-    out = _csgraph_dijkstra(graph.adjacency, directed=False, indices=src)
+    out = dijkstra(graph.adjacency, directed=False, indices=src)
     return np.atleast_2d(out)

@@ -24,6 +24,7 @@ from .calibration import (
 from .clustering import (
     ChunkSpec,
     build_adjacency,
+    check_clique_size,
     chunk_adjacency,
     chunk_frame_ranges,
     clique_clustering,
@@ -214,6 +215,7 @@ def cluster_content(
     """ClusteringResults per frame, or per chunk when mode='chunk'."""
     if mode not in ("frame", "chunk"):
         raise InvalidParamsError(f"mode must be frame|chunk, got '{mode}'")
+    check_clique_size(len(pc.dataset.users))
     config = pc.config(metric)
     mats = metric_matrices(pc, metric, threads=threads)
     if mode == "frame":
@@ -314,6 +316,7 @@ def run_ablation(
     chosen = [pc for pc in pcs if pc.reference] if reference_only else list(pcs)
     if not chosen:
         chosen = list(pcs)
+    check_clique_size(max(len(pc.dataset.users) for pc in chosen))
     th = threshold if threshold is not None else chosen[0].config(metric).threshold
     tables = {}
     for pc in chosen:

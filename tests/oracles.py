@@ -2,9 +2,11 @@
 
 Everything here is deliberately written the slow, obvious way (pure Python
 loops, Fractions, exhaustive enumeration) and shares no code with the
-package beyond reading its public data structures.  The one exception is
-``metric_value``, which measures graph distances with the package's
-``geodesic_distance`` (checked against closed forms by criterion 4).
+package beyond reading its public data structures.  Two exceptions:
+``metric_value`` measures graph distances with the package's
+``geodesic_distance`` (checked against closed forms by criterion 4), and
+``clique_clustering_oracle`` searches each sub-graph with the package's
+``max_clique`` (checked against exhaustive enumeration by criterion 5).
 """
 
 import heapq
@@ -14,9 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from viewsim.clustering import Cluster, ClusteringResult, SimilarityGraph, max_clique
 from viewsim.errors import MissingGraphError
 from viewsim.geometry import geodesic_distance
-from viewsim.metrics import MetricId
+from viewsim.metrics import MetricId, SimilarityMatrix
 
 
 def viewport_set_oracle(frustum, points):
@@ -112,6 +115,67 @@ def pick_clique_oracle(cliques, tie_values, users):
             mean = -math.inf
         return (-mean, tuple(users[i] for i in members))
     return min(cliques, key=key)
+
+
+def clique_clustering_oracle(graph, tie_matrix=None):
+    """Repeated extraction on rebuilt sub-graphs, one max_clique per step."""
+    users = graph.users
+    index = {u: i for i, u in enumerate(users)}
+    remaining = list(range(len(users)))
+    clusters = []
+    while remaining:
+        sub_adj = graph.adjacency[np.ix_(remaining, remaining)]
+        if not sub_adj.any():
+            break
+        sub_users = tuple(users[i] for i in remaining)
+        sub_graph = SimilarityGraph(ident=graph.ident, users=sub_users, adjacency=sub_adj)
+        sub_tie = None
+        if tie_matrix is not None:
+            sub_tie = SimilarityMatrix(
+                frame=tie_matrix.frame,
+                users=sub_users,
+                metric=tie_matrix.metric,
+                values=tie_matrix.values[np.ix_(remaining, remaining)],
+                valid=tie_matrix.valid[np.ix_(remaining, remaining)],
+            )
+        clique = max_clique(sub_graph, sub_tie)
+        clusters.append(clique)
+        taken = {index[u] for u in clique.members}
+        remaining = [i for i in remaining if i not in taken]
+    for i in remaining:
+        clusters.append(Cluster(members=(users[i],)))
+    return ClusteringResult(ident=graph.ident, users=users, clusters=clusters)
+
+
+def overlap_per_cluster_oracle(cluster, overlap):
+    """Mean over the valid member pairs, visited a < b in member order."""
+    index = {u: i for i, u in enumerate(overlap.users)}
+    idx = [index[u] for u in cluster.members]
+    vals = []
+    for a in range(len(idx)):
+        for b in range(a + 1, len(idx)):
+            i, j = idx[a], idx[b]
+            if overlap.valid[i, j]:
+                vals.append(float(overlap.values[i, j]))
+    return float(np.mean(vals)) if vals else math.nan
+
+
+def precision_oracle(result, reference, threshold):
+    """Hits over valid same-cluster pairs, counted pair by pair."""
+    index = {u: i for i, u in enumerate(reference.users)}
+    tp = 0
+    total = 0
+    for cluster in result.clusters:
+        idx = [index[u] for u in cluster.members]
+        for a in range(len(idx)):
+            for b in range(a + 1, len(idx)):
+                i, j = idx[a], idx[b]
+                if not reference.valid[i, j]:
+                    continue
+                total += 1
+                if reference.values[i, j] >= threshold:
+                    tp += 1
+    return tp / total if total else math.nan
 
 
 def roc_oracle(values, labels):

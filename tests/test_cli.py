@@ -196,6 +196,37 @@ def test_calibrate_checks_label_balance_before_graphs(dataset, tmp_path, monkeyp
     assert built == []
 
 
+def test_clique_limit_checked_before_tables(tmp_path, monkeypatch, capsys):
+    # 3 groups x 22 = 66 users, over the 64-user bitset search
+    import viewsim.pipeline
+    from viewsim.cli import main
+
+    data = tmp_path / "data"
+    assert main(["--seed", "5", "--out", str(data), "synth",
+                 "--users-per-group", "22", "--frames", "2", "--points", "100"]) == 0
+    built = []
+    for name in ("overlap_matrix", "compute_pair_features", "build_surface_graph"):
+        monkeypatch.setattr(viewsim.pipeline, name, lambda *a, name=name, **k: built.append(name))
+    capsys.readouterr()
+    manifest = str(data / "manifest.json")
+    for command in (["cluster", "--metric", "w7"], ["ablate", "--metric", "w7", "--fix", "beta=0.5"]):
+        assert main(["--manifest", manifest, "--out", str(tmp_path), *command]) == 4
+        assert "up to 64 users, got 66" in capsys.readouterr().err
+    assert built == []
+
+
+def test_overlap_run_never_imports_scipy(dataset, tmp_path):
+    code = (
+        "import sys, viewsim.cli\n"
+        f"assert viewsim.cli.main(['--manifest', {str(dataset / 'manifest.json')!r}, "
+        f"'--out', {str(tmp_path)!r}, 'overlap']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 # --------------------------------------------------------------- ablate
 
 

@@ -20,7 +20,7 @@ from viewsim.clustering import chunk_frame_ranges
 from viewsim.errors import InvalidParamsError, PreconditionError, SizeLimitError
 
 from conftest import square_matrix
-from oracles import max_cliques_oracle, pick_clique_oracle
+from oracles import clique_clustering_oracle, max_cliques_oracle, pick_clique_oracle
 
 
 def _config(threshold, metric=MetricId.W1):
@@ -180,6 +180,32 @@ def test_clique_clustering_clusters_are_cliques():
                     assert c.size <= prev_size  # extraction can only shrink
                 prev_size = c.size
         assert sorted(seen) == list(range(n))
+
+
+def test_clique_clustering_matches_subgraph_oracle():
+    # planted equal-size cliques and tie values drawn from a few levels make
+    # maximum cliques tie on size and on mean, so both tie-break keys decide
+    rng = np.random.default_rng(3)
+    for trial in range(150):
+        n = int(rng.integers(1, 25))
+        adj = np.triu(rng.random((n, n)) < rng.choice([0.1, 0.3, 0.6]), 1)
+        size = int(rng.integers(2, 5))
+        order = rng.permutation(n)
+        for g in range(min(int(rng.integers(0, 4)), n // size)):
+            members = order[g * size:(g + 1) * size]
+            adj[np.ix_(members, members)] = True
+        adj = np.triu(adj, 1)
+        adj = adj | adj.T
+        tie = rng.integers(0, 3, (n, n)) / 4.0
+        tie = np.triu(tie, 1) + np.triu(tie, 1).T
+        np.fill_diagonal(tie, np.nan)
+        ids = rng.permutation(n) if trial % 2 else np.arange(n)  # index order != id order
+        users = tuple(f"u{k:02d}" for k in ids)
+        graph = _graph(adj, users)
+        tie_m = square_matrix(tie, users=users) if trial % 3 else None
+        want = clique_clustering_oracle(graph, tie_m)
+        got = clique_clustering(graph, tie_matrix=tie_m)
+        assert [c.members for c in got.clusters] == [c.members for c in want.clusters], trial
 
 
 def test_singletons_come_last_in_id_order():

@@ -22,7 +22,7 @@ from viewsim.metrics import MetricId
 from viewsim.pipeline import evaluate_content
 
 from conftest import assert_close, square_matrix
-from oracles import ari_oracle
+from oracles import ari_oracle, overlap_per_cluster_oracle, precision_oracle
 
 NAN = float("nan")
 
@@ -132,6 +132,29 @@ def test_precision_missing_member_rejected():
     ref = square_matrix([[NAN, 0.9], [0.9, NAN]], users=("a", "b"), metric=MetricId.OVERLAP)
     with pytest.raises(PreconditionError):
         precision(_result([("a", "b", "c")]), ref, threshold=0.5)
+
+
+def test_scoring_matches_pair_loop_oracles():
+    # exact equality: the array versions sum the same values in the same order
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        n = int(rng.integers(1, 30))
+        vals = rng.random((n, n))
+        vals = np.triu(vals, 1) + np.triu(vals, 1).T
+        vals[np.triu(rng.random((n, n)) < 0.2, 1)] = NAN
+        vals = np.minimum(vals, vals.T)  # keep invalid pairs symmetric
+        users = tuple(f"u{k:02d}" for k in rng.permutation(n))  # index order != id order
+        ref = square_matrix(vals, users=users, metric=MetricId.OVERLAP)
+        labels = rng.integers(-1 if trial % 2 else 0, max(1, n // 3), n)  # -1: not clustered
+        groups = [[u for u, g in zip(users, labels) if g == k] for k in sorted(set(labels) - {-1})]
+        result = _result(groups, ident=trial)
+        th = float(rng.choice([0.25, 0.5, 0.75]))
+        got, want = precision(result, ref, th), precision_oracle(result, ref, th)
+        assert got == want or (math.isnan(got) and math.isnan(want)), trial
+        for c in result.clusters:
+            if c.size >= 2:
+                got, want = overlap_per_cluster(c, ref), overlap_per_cluster_oracle(c, ref)
+                assert got == want or (math.isnan(got) and math.isnan(want)), trial
 
 
 # ------------------------------------------------------------ evaluate_result

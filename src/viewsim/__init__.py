@@ -90,8 +90,6 @@ from .synth import (
 )
 from .trajectories import (
     SessionDataset,
-    Trajectory,
-    TrajectorySample,
     align_to_frames,
     derive_pr,
     load_trajectories,

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .geometry import FrustumParams, build_frustum, build_surface_graph
+from .geometry import FrustumParams, build_frustum, build_surface_graph, pose_from_view
 from .metrics import MetricId, compute_pair_features, overlap_matrix
 from .synth import (
     AtCentroidGaze,
@@ -28,7 +28,7 @@ from .synth import (
     generate_cloud,
     generate_trajectories,
 )
-from .trajectories import derive_pr
+from .trajectories import COLUMNS, derive_pr
 
 
 def _naive_planes(pose, params: FrustumParams):
@@ -111,9 +111,9 @@ def run_bench(
     scenario = _bench_scenario(n_users, n_points, seed)
     clouds = generate_cloud(scenario)
     cloud = clouds[0]
-    trajs = [derive_pr(tr, clouds, params) for tr in generate_trajectories(scenario, clouds)]
-    users = tuple(tr.user_id for tr in trajs)
-    samples = [tr.samples[0] for tr in trajs]
+    ds = derive_pr(generate_trajectories(scenario, clouds))
+    users = ds.users
+    x, view, p, r, off = (getattr(ds, name)[:, 0] for name in COLUMNS)
     n = len(users)
     n_pairs = n * (n - 1) // 2
     report: dict = {
@@ -139,14 +139,14 @@ def run_bench(
     points_list = [tuple(map(float, p)) for p in cloud.points]
 
     # Exact reference values for the sanity check below.
-    exact = overlap_matrix(0, users, samples, cloud, params)
+    exact = overlap_matrix(0, users, x, view, off, cloud, params)
 
     naive_means = []
     if timed_pairs:
         for _ in range(repeats):
             t0 = time.perf_counter()
             for i, j in timed_pairs:
-                got = naive_pair_overlap(points_list, samples[i].pose(), samples[j].pose(), params)
+                got = naive_pair_overlap(points_list, pose_from_view(x[i], view[i]), pose_from_view(x[j], view[j]), params)
                 ref = exact.pair(i, j)
                 if not (math.isnan(got) and math.isnan(ref)) and abs(got - ref) > 1e-9:
                     raise AssertionError(f"naive oracle disagrees with production path: {got} vs {ref}")
@@ -159,7 +159,7 @@ def run_bench(
     vec = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        overlap_matrix(0, users, samples, cloud, params)
+        overlap_matrix(0, users, x, view, off, cloud, params)
         vec.append((time.perf_counter() - t0) / n_pairs)
     m, cv = _stats(vec)
     report["rows"].append({"label": "overlap_vectorized", "per_pair_s": m, "cv": cv})
@@ -175,7 +175,7 @@ def run_bench(
         times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            feats = compute_pair_features(0, users, samples, graph=graph if needs_geo else None)
+            feats = compute_pair_features(0, users, x, p, r, off, graph=graph if needs_geo else None)
             feats.metric_matrix(metric, _default_reg(metric))
             times.append((time.perf_counter() - t0) / n_pairs + (graph_share if needs_geo else 0.0))
         m, cv = _stats(times)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import build_adjacency, clique_clustering
+from .clustering import build_adjacency, clique_clustering, pair_indices
 from .errors import (
     DegenerateLabelsError,
     InvalidParamsError,
@@ -120,8 +120,7 @@ def pair_samples(matrices: list, overlaps: list, o_th: float = DEFAULT_OVERLAP_L
         if m.users != o.users:
             raise InvalidParamsError("metric and overlap matrices must share users")
         both = m.valid & o.valid
-        n = m.n
-        iu = np.triu_indices(n, k=1)
+        iu = pair_indices(m.n)
         keep = both[iu]
         values.append(m.values[iu][keep])
         labels.append(o.values[iu][keep] >= o_th)

@@ -49,7 +49,7 @@ class MissingFrameError(DataError):
 
 
 class EmptyTrajectoryError(DataError):
-    """Trajectory has no samples or spans less than one frame interval."""
+    """A user's trace has no samples or spans less than one frame interval."""
 
 
 class ComputeError(ToolError):

@@ -52,6 +52,16 @@ def unit(v) -> np.ndarray:
     return a / n
 
 
+def unit_rows(v: np.ndarray) -> np.ndarray:
+    """``unit`` of every 3-vector along the last axis, one row at a time.
+
+    Deliberately not ``v / np.linalg.norm(v, axis=-1)``: the batched norm
+    rounds differently from the per-vector one in the last bit.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    return np.array([unit(row) for row in v.reshape(-1, 3)]).reshape(v.shape)
+
+
 def quat_to_matrix(q) -> np.ndarray:
     """Rotation matrix of a unit quaternion (w, x, y, z)."""
     w, x, y, z = (float(c) for c in np.asarray(q, dtype=np.float64).reshape(4))

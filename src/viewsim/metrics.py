@@ -32,6 +32,7 @@ from .geometry import (
     build_frustum,
     contains_points,
     geodesic_rows,
+    pose_from_view,
 )
 
 
@@ -260,24 +261,25 @@ class PairFeatures:
         return SimilarityMatrix(frame=self.frame, users=self.users, metric=metric, values=values, valid=valid)
 
 
-def compute_pair_features(frame_index: int, users: tuple, samples: list, graph: SurfaceGraph | None = None) -> PairFeatures:
+def compute_pair_features(frame_index: int, users: tuple, x, p, r, off, graph: SurfaceGraph | None = None) -> PairFeatures:
     """Build the feature matrices for one aligned frame.
 
-    Geodesic gaze distances are taken between graph vertices nearest each
-    p, one shortest-path sweep per distinct source vertex; the row of the
-    smaller vertex index is used for both orientations so the matrix is
-    symmetric by construction.
+    ``x`` and ``p`` are n×3, ``r`` and ``off`` length n, one row per user;
+    p and r are NaN for a user without a gaze target.  Geodesic gaze
+    distances are taken between graph vertices nearest each p, one
+    shortest-path sweep per distinct source vertex; the row of the smaller
+    vertex index is used for both orientations so the matrix is symmetric
+    by construction.
     """
     n = len(users)
-    if len(samples) != n:
-        raise ValueError("one sample per user required")
-    xs = np.stack([s.x for s in samples])
+    # contiguous, like stacked rows: numpy may pick another (SIMD) loop, with other rounding, for strided input
+    xs, ps, rs = (np.ascontiguousarray(a, dtype=np.float64) for a in (x, p, r))
+    present = ~np.asarray(off, dtype=bool)
+    if xs.shape != (n, 3) or ps.shape != (n, 3) or rs.shape != (n,) or present.shape != (n,):
+        raise ValueError("one row per user required")
     diff = xs[:, None, :] - xs[None, :, :]
     pos_dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    present = np.array([not s.off_content for s in samples])
-    on = np.array([s.p is not None for s in samples])
-    rs = np.array([s.r if s.p is not None else np.nan for s in samples])
-    ps = np.stack([s.p if s.p is not None else np.full(3, np.nan) for s in samples])
+    on = ~np.isnan(rs)
     range_diff = np.abs(rs[:, None] - rs[None, :])
     pdiff = ps[:, None, :] - ps[None, :, :]
     gaze_euc = np.sqrt(np.einsum("ijk,ijk->ij", pdiff, pdiff))
@@ -290,7 +292,7 @@ def compute_pair_features(frame_index: int, users: tuple, samples: list, graph: 
         gaze_geo = np.full((n, n), np.nan)
         on_idx = np.flatnonzero(on)
         if on_idx.size:
-            snapped = np.array([graph.nearest_index(samples[i].p) for i in on_idx])
+            snapped = np.array([graph.nearest_index(ps[i]) for i in on_idx])
             uniq, inv = np.unique(snapped, return_inverse=True)
             rows = geodesic_rows(graph, uniq)
             for a in range(on_idx.size):
@@ -319,21 +321,21 @@ def compute_pair_features(frame_index: int, users: tuple, samples: list, graph: 
     )
 
 
-def overlap_matrix(frame_index: int, users: tuple, samples: list, cloud, params: FrustumParams) -> SimilarityMatrix:
+def overlap_matrix(frame_index: int, users: tuple, x, view, off, cloud, params: FrustumParams) -> SimilarityMatrix:
     """Exact pairwise viewport overlap for one frame.
 
-    Each user's viewport set is computed once; intersection counts come
-    from one integer-exact matrix product.  A pair is invalid when its
-    union is empty or either user is off-content for the frame.
+    ``x`` and ``view`` are n×3 and ``off`` length n, one row per user.  Each
+    user's viewport set is computed once; intersection counts come from one
+    integer-exact matrix product.  A pair is invalid when its union is
+    empty or either user is off-content for the frame.
     """
     n = len(users)
-    if len(samples) != n:
-        raise ValueError("one sample per user required")
-    present = np.array([not s.off_content for s in samples])
+    present = ~np.asarray(off, dtype=bool)
+    if np.shape(x) != (n, 3) or np.shape(view) != (n, 3) or present.shape != (n,):
+        raise ValueError("one row per user required")
     masks = np.zeros((n, cloud.points.shape[0]), dtype=np.float64)
-    for k, s in enumerate(samples):
-        if present[k]:
-            masks[k] = contains_points(build_frustum(s.pose(), params), cloud.points)
+    for k in np.flatnonzero(present):
+        masks[k] = contains_points(build_frustum(pose_from_view(x[k], view[k]), params), cloud.points)
     inter = masks @ masks.T  # exact: counts < 2**53
     sizes = np.diag(inter).copy()
     union = sizes[:, None] + sizes[None, :] - inter

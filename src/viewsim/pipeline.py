@@ -33,7 +33,7 @@ from .clustering import (
 )
 from .errors import DegenerateLabelsError, InvalidParamsError
 from .evaluation import evaluate_result, summarize_performance, aggregate
-from .geometry import FrustumParams, build_surface_graph
+from .geometry import DEFAULT_CONE_HALF_ANGLE, FrustumParams, build_surface_graph
 from .manifest import ContentManifest
 from .metrics import (
     MetricId,
@@ -44,7 +44,7 @@ from .metrics import (
 )
 from .ply import DirectoryCloudSequence
 from .synth import SynthScenario, generate_cloud, generate_trajectories
-from .trajectories import SessionDataset, align_to_frames, derive_pr, load_trajectories
+from .trajectories import COLUMNS, SessionDataset, align_to_frames, derive_pr, load_trajectories
 
 
 @dataclass
@@ -91,20 +91,17 @@ class PreparedContent:
 def prepare(cm: ContentManifest) -> PreparedContent:
     """Load, align, and derive one manifest entry."""
     clouds = DirectoryCloudSequence(cm.cloud_dir)
-    raw = load_trajectories(cm.trajectory_csv)
-    span = min(int(round(tr.samples[-1].t * cm.fps)) + 1 for tr in raw)
-    aligned = align_to_frames(raw, cm.fps, n_frames=min(span, len(clouds)))
-    derived = [
-        tr if tr.has_pr else derive_pr(tr, clouds, cm.frustum, cm.cone_half_angle, cm.r_mode)
-        for tr in aligned
-    ]
-    dataset = SessionDataset(
+    aligned = align_to_frames(load_trajectories(cm.trajectory_csv), cm.fps)
+    n = min(aligned.n_frames, len(clouds))  # frame k's row does not depend on the frame count
+    dataset = replace(
+        aligned,
         content_id=cm.content_id,
-        fps=cm.fps,
-        trajectories=derived,
         clouds=clouds,
         frustum=cm.frustum,
+        **{name: getattr(aligned, name)[:, :n] for name in COLUMNS},
     )
+    if np.isnan(dataset.r).all():  # the CSV supplied no p/r
+        dataset = derive_pr(dataset, cm.cone_half_angle, cm.r_mode)
     return PreparedContent(
         content_id=cm.content_id,
         dataset=dataset,
@@ -119,36 +116,19 @@ def prepare(cm: ContentManifest) -> PreparedContent:
 
 def prepare_scenario(scenario: SynthScenario, **overrides) -> PreparedContent:
     """In-memory PreparedContent from a synthetic scenario."""
-    clouds = generate_cloud(scenario)
-    trajs = generate_trajectories(scenario, clouds)
+    dataset = generate_trajectories(scenario, generate_cloud(scenario))
     pc_kwargs = {
         k: overrides.pop(k)
         for k in ("configs", "knn", "o_th", "min_size", "chunk", "reference")
         if k in overrides
     }
-    frustum = overrides.pop("frustum", None)
-    cone = overrides.pop("cone_half_angle", None)
+    frustum = overrides.pop("frustum", FrustumParams())
+    cone = overrides.pop("cone_half_angle", DEFAULT_CONE_HALF_ANGLE)
     r_mode = overrides.pop("r_mode", "viewport")
     if overrides:
         raise InvalidParamsError(f"unknown overrides {sorted(overrides)}")
-    if frustum is None:
-        frustum = FrustumParams()
-    derive_kwargs = {} if cone is None else {"cone": cone}
-    derived = [derive_pr(tr, clouds, frustum, r_mode=r_mode, **derive_kwargs) for tr in trajs]
-    dataset = SessionDataset(
-        content_id=scenario.content_id,
-        fps=scenario.fps,
-        trajectories=derived,
-        clouds=clouds,
-        frustum=frustum,
-    )
+    dataset = derive_pr(replace(dataset, frustum=frustum), cone, r_mode)
     return PreparedContent(content_id=scenario.content_id, dataset=dataset, **pc_kwargs)
-
-
-def _frame_samples(pc: PreparedContent, k: int):
-    users = pc.dataset.users
-    samples = [tr.samples[k] for tr in pc.dataset.trajectories]
-    return users, samples
 
 
 def _store(pc: PreparedContent, kind: str, frames: list, todo: list, task, threads: int) -> list:
@@ -164,11 +144,11 @@ def _store(pc: PreparedContent, kind: str, frames: list, todo: list, task, threa
 
 def overlap_matrices(pc: PreparedContent, frames=None, threads: int = 1) -> list:
     """Exact ground-truth matrices, one per requested frame."""
-    frames = list(range(pc.dataset.n_frames) if frames is None else frames)
+    ds = pc.dataset
+    frames = list(range(ds.n_frames) if frames is None else frames)
 
     def task(k: int) -> SimilarityMatrix:
-        users, samples = _frame_samples(pc, k)
-        return overlap_matrix(k, users, samples, pc.dataset.clouds[k], pc.dataset.frustum)
+        return overlap_matrix(k, ds.users, ds.x[:, k], ds.view[:, k], ds.off[:, k], ds.clouds[k], ds.frustum)
 
     todo = [k for k in frames if ("overlap", k) not in pc.tables]
     return _store(pc, "overlap", frames, todo, task, threads)
@@ -185,10 +165,10 @@ def feature_tables(pc: PreparedContent, need_geodesic: bool = True, frames=None,
     todo = [k for k, f in zip(frames, stored) if f is None or (need_geodesic and f.gaze_geo is None)]
     # sequential: populates the shared store safely
     graphs = {k: pc.surface_graph(k) for k in todo} if need_geodesic else {}
+    ds = pc.dataset
 
     def task(k: int):
-        users, samples = _frame_samples(pc, k)
-        return compute_pair_features(k, users, samples, graph=graphs.get(k))
+        return compute_pair_features(k, ds.users, ds.x[:, k], ds.p[:, k], ds.r[:, k], ds.off[:, k], graph=graphs.get(k))
 
     return _store(pc, "features", frames, todo, task, threads)
 

@@ -10,7 +10,6 @@ datasets and by :mod:`viewsim.synth`.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,8 +215,8 @@ def write_ply(path, points, binary: bool = True) -> None:
 class DirectoryCloudSequence:
     """Lazy frame-indexed view over the sorted .ply files in a directory.
 
-    Keeps a one-frame cache: sequential oracle passes touch each frame many
-    times in a row but rarely revisit old ones.
+    Each access reads its file; nothing is cached.  Every pass over a
+    session (ray casting, overlap, surface graphs) requests each frame once.
     """
 
     def __init__(self, directory):
@@ -231,9 +230,6 @@ class DirectoryCloudSequence:
         )
         if not self.paths:
             raise DataError(f"no .ply files in {self.directory}")
-        self._lock = threading.Lock()
-        self._cache_idx = -1
-        self._cache_frame = None
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -241,8 +237,4 @@ class DirectoryCloudSequence:
     def __getitem__(self, i: int) -> PointCloudFrame:
         if not 0 <= i < len(self.paths):
             raise IndexError(i)
-        with self._lock:
-            if i != self._cache_idx:
-                self._cache_frame = PointCloudFrame(frame_index=i, points=read_ply(self.paths[i]))
-                self._cache_idx = i
-            return self._cache_frame
+        return PointCloudFrame(frame_index=i, points=read_ply(self.paths[i]))

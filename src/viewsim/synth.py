@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, InvalidParamsError
-from .geometry import PointCloudFrame, unit
+from .geometry import PointCloudFrame, unit, unit_rows
 from .ply import write_ply
-from .trajectories import Trajectory, TrajectorySample, write_trajectories
+from .trajectories import SessionDataset, write_trajectories
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -292,29 +292,32 @@ def _gaze_direction(gaze, x: np.ndarray, centroid: np.ndarray, rng: SplitMix64 |
     return unit(aim)
 
 
-def generate_trajectories(scenario: SynthScenario, clouds: list | None = None) -> list:
-    """Aligned trajectories (one sample per frame); p/r left underived."""
+def generate_trajectories(scenario: SynthScenario, clouds: list | None = None) -> SessionDataset:
+    """Aligned session over the clouds (one sample per frame); p/r left underived."""
     if clouds is None:
         clouds = generate_cloud(scenario)
     if len(clouds) < scenario.n_frames:
         raise InvalidParamsError("cloud sequence shorter than the scenario")
-    width = max(2, len(str(scenario.n_users - 1)))
-    trajs = []
-    uid = 0
+    x = np.concatenate([np.stack(_member_positions(scenario, gi, g)) for gi, g in enumerate(scenario.groups)])
+    view = np.empty_like(x)
+    i = 0
     for gi, group in enumerate(scenario.groups):
-        positions = _member_positions(scenario, gi, group)
         for mi in range(group.size):
             rng = derive_stream(scenario.seed, "gaze", gi, mi)
-            samples = []
             for k in range(scenario.n_frames):
-                x = positions[mi][k]
-                view = _gaze_direction(group.gaze, x, clouds[k].centroid, rng)
-                samples.append(
-                    TrajectorySample(t=k / scenario.fps, frame=k, x=x, view=view)
-                )
-            trajs.append(Trajectory(user_id=f"u{uid:0{width}d}", samples=samples))
-            uid += 1
-    return trajs
+                view[i, k] = _gaze_direction(group.gaze, x[i, k], clouds[k].centroid, rng)
+            i += 1
+    return SessionDataset(
+        content_id=scenario.content_id,
+        fps=scenario.fps,
+        users=tuple(planted_labels(scenario)),
+        x=x,
+        view=unit_rows(view),
+        p=np.full_like(x, np.nan),
+        r=np.full(x.shape[:2], np.nan),
+        off=np.zeros(x.shape[:2], dtype=bool),
+        clouds=clouds,
+    )
 
 
 def planted_labels(scenario: SynthScenario) -> dict:
@@ -479,9 +482,8 @@ def write_scenario(scenario: SynthScenario, out_dir) -> dict:
     clouds = generate_cloud(scenario)
     for c in clouds:
         write_ply(os.path.join(cloud_dir, f"frame_{c.frame_index:06d}.ply"), c.points)
-    trajs = generate_trajectories(scenario, clouds)
     traj_path = os.path.join(out_dir, "trajectories.csv")
-    write_trajectories(traj_path, trajs)
+    write_trajectories(traj_path, generate_trajectories(scenario, clouds))
     with open(os.path.join(out_dir, "labels.json"), "w") as fh:
         json.dump({"groups": planted_labels(scenario)}, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -493,6 +495,8 @@ def write_scenario(scenario: SynthScenario, out_dir) -> dict:
         "cloud_dir": "clouds",
         "trajectory_csv": "trajectories.csv",
         "fps": scenario.fps,
+        # narrower than the default 90 degrees so the preset's overlaps span o_th
+        "frustum": {"hfov": 0.5, "vfov": 0.5},
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

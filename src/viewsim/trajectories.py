@@ -1,17 +1,18 @@
 """User navigation traces and their alignment to the content frame clock.
 
-A trajectory is a time series of samples ``(t, x, view)`` per user, with
-two derived quantities filled in later: ``p`` (the viewport centre, a point
-on the content surface) and ``r`` (viewing distance).  A sample whose gaze
-misses the content, or that falls in a capture gap after alignment, is
-marked ``off_content`` and keeps ``p = r = None``.
+A session is a users × frames table.  For user i at frame k (time k / fps)
+it holds the position ``x[i, k]``, the unit viewing direction
+``view[i, k]``, the viewport centre ``p[i, k]`` (a point on the content
+surface) and the viewing distance ``r[i, k]``.  ``off[i, k]`` marks a frame
+whose gaze misses the content or that falls in a capture gap after
+alignment; p and r are NaN there, and wherever they are not derived yet.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,12 +27,10 @@ from .errors import (
 from .geometry import (
     DEFAULT_CONE_HALF_ANGLE,
     FrustumParams,
-    Pose,
-    as_vec3,
     pose_from_view,
     quat_to_matrix,
     ray_cast_center,
-    unit,
+    unit_rows,
 )
 
 _BASE_COLUMNS = [
@@ -46,73 +45,60 @@ _BASE_COLUMNS = [
     "quat_z",
 ]
 _PR_COLUMNS = ["p_x", "p_y", "p_z", "r"]
+COLUMNS = ("x", "view", "p", "r", "off")
+_NO_PR = (np.full(3, np.nan), np.nan)
 
 
-@dataclass
-class TrajectorySample:
-    t: float
-    frame: int
+class Trace(NamedTuple):
+    """One user's raw samples in time order, as arrays of n rows."""
+
+    t: np.ndarray
     x: np.ndarray
     view: np.ndarray
-    p: np.ndarray | None = None
-    r: float | None = None
-    off_content: bool = False
-
-    def __post_init__(self):
-        self.x = as_vec3(self.x)
-        self.view = unit(self.view)
-        if self.p is not None:
-            self.p = as_vec3(self.p)
-        if (self.p is None) != (self.r is None):
-            raise ValueError("p and r must be set together")
-        if self.off_content and self.p is not None:
-            raise ValueError("off-content sample cannot carry p/r")
-
-    def pose(self) -> Pose:
-        """Viewer pose; roll is fixed by the world-up convention."""
-        return pose_from_view(self.x, self.view)
-
-
-@dataclass
-class Trajectory:
-    user_id: str
-    samples: list
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def has_pr(self) -> bool:
-        """True when some sample already carries derived p/r."""
-        return any(s.p is not None for s in self.samples)
+    p: np.ndarray
+    r: np.ndarray
+    off: np.ndarray
 
 
 @dataclass
 class SessionDataset:
-    """Aligned trajectories of one content item plus its cloud sequence."""
+    """One content's aligned session as users × frames arrays, plus its clouds.
+
+    ``x``, ``view`` and ``p`` are U×F×3, ``r`` and ``off`` are U×F; row i
+    belongs to ``users[i]``, which are kept sorted.
+    """
 
     content_id: str
     fps: float
-    trajectories: list
+    users: tuple
+    x: np.ndarray
+    view: np.ndarray
+    p: np.ndarray
+    r: np.ndarray
+    off: np.ndarray
     clouds: object = None
     frustum: FrustumParams = field(default_factory=FrustumParams)
 
     def __post_init__(self):
-        ids = [t.user_id for t in self.trajectories]
-        if len(set(ids)) != len(ids):
+        users = tuple(self.users)
+        if len(set(users)) != len(users):
             raise DataError(f"duplicate user ids in dataset '{self.content_id}'")
-        self.trajectories = sorted(self.trajectories, key=lambda t: t.user_id)
-
-    @property
-    def users(self) -> tuple:
-        return tuple(t.user_id for t in self.trajectories)
+        order = sorted(range(len(users)), key=users.__getitem__)
+        self.users = tuple(users[i] for i in order)
+        n_frames = np.shape(self.r)[1] if np.ndim(self.r) == 2 else -1
+        for name in COLUMNS:
+            a = np.asarray(getattr(self, name), dtype=bool if name == "off" else np.float64)
+            shape = (len(users), n_frames) + ((3,) if name in ("x", "view", "p") else ())
+            if a.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+            setattr(self, name, a[order])
+        absent = np.isnan(self.r)
+        if np.any(absent != np.isnan(self.p).any(axis=2)) or np.any(self.off & ~absent):
+            raise ValueError("p and r must be set together, and never on an off-content frame")
 
     @property
     def n_frames(self) -> int:
-        lengths = {len(t) for t in self.trajectories}
-        if len(lengths) != 1:
-            raise DataError("trajectories are not aligned to a common frame clock")
-        return lengths.pop()
+        return self.r.shape[1]
 
 
 def _parse_float(tok, path, line, col):
@@ -125,8 +111,8 @@ def _parse_float(tok, path, line, col):
     return v
 
 
-def load_trajectories(path) -> list:
-    """Read per-user traces from CSV.
+def load_trajectories(path) -> dict:
+    """Read per-user traces from CSV into ``{user_id: Trace}``, users sorted.
 
     Columns: ``user_id,t,pos_x,pos_y,pos_z,quat_w,quat_x,quat_y,quat_z`` with
     optional trailing ``p_x,p_y,p_z,r``.  Rows are grouped by user and sorted
@@ -151,7 +137,7 @@ def load_trajectories(path) -> list:
             raise ParseError(
                 f"optional columns must be exactly {','.join(_PR_COLUMNS)}", path=path, line=1
             )
-        has_pr = bool(extra)
+        with_pr = bool(extra)
         ncols = len(header)
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
@@ -170,10 +156,9 @@ def load_trajectories(path) -> list:
             if qn == 0.0:
                 raise ParseError("zero-norm quaternion", path=path, line=lineno)
             q = q / qn
-            p = None
-            r = None
+            p, r = _NO_PR
             off = False
-            if has_pr:
+            if with_pr:
                 pr = [row[i].strip() for i in range(9, 13)]
                 if all(pr):
                     p = np.array([_parse_float(v, path, lineno, c) for v, c in zip(pr[:3], _PR_COLUMNS)])
@@ -188,130 +173,107 @@ def load_trajectories(path) -> list:
             rows_by_user.setdefault(uid, []).append((t, x, view, p, r, off))
     if not rows_by_user:
         raise ParseError("trajectory file has no data rows", path=path)
-    trajs = []
+    traces = {}
     for uid in sorted(rows_by_user):
         rows = sorted(rows_by_user[uid], key=lambda r: r[0])
-        times = [r[0] for r in rows]
-        if len(set(times)) != len(times):
+        t, x, view, p, r, off = (np.array(col) for col in zip(*rows))
+        if np.unique(t).size != t.size:
             raise ParseError(f"duplicate timestamps for user '{uid}'", path=path)
-        samples = [
-            TrajectorySample(t=t, frame=-1, x=x, view=v, p=p, r=r, off_content=off)
-            for (t, x, v, p, r, off) in rows
-        ]
-        trajs.append(Trajectory(user_id=uid, samples=samples))
-    return trajs
+        traces[uid] = Trace(t=t, x=x, view=unit_rows(view), p=p, r=r, off=off)
+    return traces
 
 
-def align_to_frames(trajs: list, fps: float, n_frames: int | None = None) -> list:
-    """Resample every trajectory onto the shared frame clock k / fps.
+def align_to_frames(traces: dict, fps: float, n_frames: int | None = None) -> SessionDataset:
+    """Resample every user's trace onto the shared frame clock k / fps.
 
-    Nearest-sample-in-time selection, no interpolation.  A frame farther
-    than half a frame period from every raw sample is marked off-content.
-    The frame count defaults to the shortest trajectory's span.  Aligning an
-    already aligned trajectory at the same fps is the identity.
+    Nearest-sample-in-time selection, no interpolation; on an exact tie the
+    earlier sample wins.  A frame farther than half a frame period from
+    every raw sample is marked off-content.  The frame count defaults to
+    the shortest trace's span; frame k's row never depends on it.  Returns
+    a dataset with no content id and no clouds yet.
     """
     if fps <= 0.0 or not np.isfinite(fps):
         raise InvalidParamsError(f"fps must be positive, got {fps}")
-    for tr in trajs:
-        if not tr.samples:
-            raise EmptyTrajectoryError(f"user '{tr.user_id}' has no samples")
+    for uid, tr in traces.items():
+        if not tr.t.size:
+            raise EmptyTrajectoryError(f"user '{uid}' has no samples")
     if n_frames is None:
-        n_frames = min(int(round(tr.samples[-1].t * fps)) + 1 for tr in trajs)
+        n_frames = min(int(round(float(tr.t[-1]) * fps)) + 1 for tr in traces.values())
     if n_frames < 1:
         raise EmptyTrajectoryError("trajectories span less than one frame interval")
+    tk = np.arange(n_frames) / fps
     half = 0.5 / fps
-    out = []
-    for tr in trajs:
-        times = np.array([s.t for s in tr.samples])
-        aligned = []
-        for k in range(n_frames):
-            tk = k / fps
-            j = int(np.searchsorted(times, tk))
-            if j == len(times):
-                j -= 1
-            elif j > 0 and tk - times[j - 1] <= times[j] - tk:
-                j -= 1  # earlier sample on exact ties
-            src = tr.samples[j]
-            gap = abs(src.t - tk) > half + 1e-12
-            off = gap or src.off_content
-            aligned.append(
-                TrajectorySample(
-                    t=tk,
-                    frame=k,
-                    x=src.x.copy(),
-                    view=src.view.copy(),
-                    p=None if off or src.p is None else src.p.copy(),
-                    r=None if off or src.p is None else src.r,
-                    off_content=off,
-                )
-            )
-        out.append(Trajectory(user_id=tr.user_id, samples=aligned))
-    return out
+    cols = {name: [] for name in COLUMNS}
+    for tr in traces.values():
+        j = np.searchsorted(tr.t, tk)
+        prev = np.maximum(j - 1, 0)
+        nearer_prev = tk - tr.t[prev] <= tr.t[np.minimum(j, tr.t.size - 1)] - tk
+        j = np.where((j == tr.t.size) | ((j > 0) & nearer_prev), prev, j)
+        off = (np.abs(tr.t[j] - tk) > half + 1e-12) | tr.off[j]
+        cols["x"].append(tr.x[j])
+        cols["view"].append(unit_rows(tr.view[j]))
+        cols["p"].append(np.where(off[:, None], np.nan, tr.p[j]))
+        cols["r"].append(np.where(off, np.nan, tr.r[j]))
+        cols["off"].append(off)
+    arrays = {name: np.stack(col) for name, col in cols.items()}
+    return SessionDataset(content_id="", fps=fps, users=tuple(traces), **arrays)
 
 
 def derive_pr(
-    traj: Trajectory,
-    clouds,
-    params: FrustumParams | None = None,
+    ds: SessionDataset,
     cone: float = DEFAULT_CONE_HALF_ANGLE,
     r_mode: str = "viewport",
-) -> Trajectory:
-    """Fill p and r by casting the gaze ray into each frame's cloud.
+) -> SessionDataset:
+    """Fill p and r by casting every on-content gaze ray into its frame's cloud.
 
-    ``r_mode='viewport'`` sets r = |x - p|; ``'centroid'`` measures to the
-    cloud centroid instead (p is still the ray hit).  Samples whose ray
-    misses the cone are marked off-content.  Rejects trajectories that
-    already carry p/r.
+    Works one frame at a time: ``ds.clouds[k]`` is read once, for all users
+    on content at frame k.  ``r_mode='viewport'`` sets r = |x - p|;
+    ``'centroid'`` measures to the cloud centroid instead (p is still the
+    ray hit).  A ray that misses the cone marks its frame off-content.
+    Rejects a dataset that already carries p/r.
     """
     if r_mode not in ("viewport", "centroid"):
         raise InvalidParamsError(f"unknown r_mode '{r_mode}'")
-    if traj.has_pr:
-        raise PreconditionError(f"user '{traj.user_id}' already carries p/r")
-    if params is None:
-        params = FrustumParams()
-    max_frame = max((s.frame for s in traj.samples), default=-1)
-    if max_frame >= len(clouds):
+    if not np.isnan(ds.r).all():
+        raise PreconditionError(f"dataset '{ds.content_id}' already carries p/r")
+    if ds.n_frames > len(ds.clouds):
         raise MissingFrameError(
-            f"trajectory needs frame {max_frame} but cloud sequence has {len(clouds)}"
+            f"session needs frame {ds.n_frames - 1} but cloud sequence has {len(ds.clouds)}"
         )
-    out = []
-    for s in traj.samples:
-        if s.off_content:
-            out.append(dataclasses.replace(s))
+    p, r, off = ds.p.copy(), ds.r.copy(), ds.off.copy()
+    for k in range(ds.n_frames):
+        on = np.flatnonzero(~ds.off[:, k])
+        if not on.size:
             continue
-        cloud = clouds[s.frame]
-        hit = ray_cast_center(s.pose(), cloud, cone_half_angle=cone)
-        if hit is None:
-            out.append(
-                TrajectorySample(t=s.t, frame=s.frame, x=s.x.copy(), view=s.view.copy(), off_content=True)
-            )
-            continue
-        p, r = hit
-        if r_mode == "centroid":
-            r = float(np.linalg.norm(s.x - cloud.centroid))
-        out.append(
-            TrajectorySample(t=s.t, frame=s.frame, x=s.x.copy(), view=s.view.copy(), p=p, r=r)
-        )
-    return Trajectory(user_id=traj.user_id, samples=out)
+        cloud = ds.clouds[k]
+        for i in on:
+            hit = ray_cast_center(pose_from_view(ds.x[i, k], ds.view[i, k]), cloud, cone_half_angle=cone)
+            if hit is None:
+                off[i, k] = True
+                continue
+            p[i, k], r[i, k] = hit
+            if r_mode == "centroid":
+                r[i, k] = float(np.linalg.norm(ds.x[i, k] - cloud.centroid))
+    return replace(ds, view=unit_rows(ds.view), p=p, r=r, off=off)
 
 
 def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def write_trajectories(path, trajs: list, with_pr: bool = False) -> None:
-    """Write traces back to CSV (inverse of load, quaternions roll-free)."""
+def write_trajectories(path, ds: SessionDataset, with_pr: bool = False) -> None:
+    """Write a session back to CSV (inverse of load, quaternions roll-free)."""
     cols = _BASE_COLUMNS + (_PR_COLUMNS if with_pr else [])
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(cols)
-        for tr in trajs:
-            for s in tr.samples:
-                q = s.pose().orientation
-                row = [tr.user_id, _fmt(s.t)] + [_fmt(v) for v in s.x] + [_fmt(v) for v in q]
+        for i, uid in enumerate(ds.users):
+            for k in range(ds.n_frames):
+                q = pose_from_view(ds.x[i, k], ds.view[i, k]).orientation
+                row = [uid, _fmt(k / ds.fps)] + [_fmt(v) for v in ds.x[i, k]] + [_fmt(v) for v in q]
                 if with_pr:
-                    if s.p is None:
+                    if np.isnan(ds.r[i, k]):
                         row += ["", "", "", ""]
                     else:
-                        row += [_fmt(v) for v in s.p] + [_fmt(s.r)]
+                        row += [_fmt(v) for v in ds.p[i, k]] + [_fmt(ds.r[i, k])]
                 w.writerow(row)

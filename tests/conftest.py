@@ -1,5 +1,6 @@
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,9 +12,8 @@ from viewsim import (
     MetricId,
     PointCloudFrame,
     SimilarityMatrix,
-    TrajectorySample,
 )
-from viewsim.geometry import pose_from_view
+from viewsim.geometry import pose_from_view, unit
 
 # One line per acceptance criterion, printed after the run.
 ACCEPTANCE_LINES: list = []
@@ -47,11 +47,40 @@ def random_pose(rng):
     return pose_from_view(position, view)
 
 
-def make_sample(x, view=None, p=None, r=None, t=0.0, frame=0, off_content=False):
+class Sample(NamedTuple):
+    """One user at one frame, built by hand; p and r are None when absent."""
+
+    x: np.ndarray
+    view: np.ndarray
+    p: np.ndarray | None
+    r: float | None
+    off_content: bool
+
+    def pose(self):
+        return pose_from_view(self.x, self.view)
+
+
+def make_sample(x, view=None, p=None, r=None, off_content=False):
     x = np.asarray(x, dtype=np.float64)
     if view is None:
         view = -x if np.linalg.norm(x) > 1e-9 else np.array([0.0, 0.0, -1.0])
-    return TrajectorySample(t=t, frame=frame, x=x, view=view, p=p, r=r, off_content=off_content)
+    if (p is None) != (r is None) or (off_content and p is not None):
+        raise ValueError("p and r go together, and never on an off-content sample")
+    p = None if p is None else np.asarray(p, dtype=np.float64)
+    return Sample(x=x, view=unit(view), p=p, r=r, off_content=off_content)
+
+
+def feature_columns(samples):
+    """(x, p, r, off) frame arrays for compute_pair_features, NaN where p/r is absent."""
+    x = np.stack([s.x for s in samples])
+    p = np.stack([np.full(3, np.nan) if s.p is None else s.p for s in samples])
+    r = np.array([np.nan if s.r is None else s.r for s in samples])
+    return x, p, r, np.array([s.off_content for s in samples])
+
+
+def overlap_columns(samples):
+    """(x, view, off) frame arrays for overlap_matrix."""
+    return np.stack([s.x for s in samples]), np.stack([s.view for s in samples]), np.array([s.off_content for s in samples])
 
 
 def square_matrix(values, users=None, metric=MetricId.W1, frame=0):

@@ -7,6 +7,8 @@ package beyond reading its public data structures.  Two exceptions:
 ``geodesic_distance`` (checked against closed forms by criterion 4), and
 ``clique_clustering_oracle`` searches each sub-graph with the package's
 ``max_clique`` (checked against exhaustive enumeration by criterion 5).
+``align_to_frames_oracle`` normalises views with the package's ``unit``,
+once per aligned sample, as a per-sample loader did.
 """
 
 import heapq
@@ -18,8 +20,38 @@ import numpy as np
 
 from viewsim.clustering import Cluster, ClusteringResult, SimilarityGraph, max_clique
 from viewsim.errors import MissingGraphError
-from viewsim.geometry import geodesic_distance
+from viewsim.geometry import geodesic_distance, unit
 from viewsim.metrics import MetricId, SimilarityMatrix
+
+
+def align_to_frames_oracle(traces, fps, n_frames=None):
+    """Nearest raw sample per user and frame, one frame at a time.
+
+    Returns {name: U×F array} for x, view, p, r and off, users in dict order.
+    """
+    if n_frames is None:
+        n_frames = min(int(round(float(tr.t[-1]) * fps)) + 1 for tr in traces.values())
+    half = 0.5 / fps
+    out = {name: [] for name in ("x", "view", "p", "r", "off")}
+    for tr in traces.values():
+        times = tr.t
+        rows = {name: [] for name in out}
+        for k in range(n_frames):
+            tk = k / fps
+            j = int(np.searchsorted(times, tk))
+            if j == len(times):
+                j -= 1
+            elif j > 0 and tk - times[j - 1] <= times[j] - tk:
+                j -= 1  # earlier sample on exact ties
+            off = bool(abs(times[j] - tk) > half + 1e-12 or tr.off[j])
+            rows["x"].append(tr.x[j].copy())
+            rows["view"].append(unit(tr.view[j]))
+            rows["p"].append(np.full(3, np.nan) if off else tr.p[j].copy())
+            rows["r"].append(math.nan if off else float(tr.r[j]))
+            rows["off"].append(off)
+        for name, col in rows.items():
+            out[name].append(col)
+    return {name: np.array(col) for name, col in out.items()}
 
 
 def viewport_set_oracle(frustum, points):

@@ -35,7 +35,7 @@ from viewsim.metrics import (
 from viewsim.pipeline import evaluate_content, prepare, prepare_scenario, run_ablation
 from viewsim.synth import _fibonacci_sphere, planted_labels, three_orbit_groups
 
-from conftest import make_sample, random_pose, record_criterion, square_matrix
+from conftest import feature_columns, make_sample, overlap_columns, random_pose, record_criterion, square_matrix
 from oracles import (
     jaccard_fraction,
     max_cliques_oracle,
@@ -103,7 +103,7 @@ def test_criterion_2_overlap_is_exact_rational_jaccard():
     assert ok
 
 
-def _posed_samples(rng, n, frame=0):
+def _posed_samples(rng, n):
     samples = []
     for _ in range(n):
         x = rng.normal(size=3)
@@ -113,7 +113,7 @@ def _posed_samples(rng, n, frame=0):
             view[0] += 0.1
         p = _fibonacci_sphere(1000, 0.9)[rng.integers(0, 1000)]
         samples.append(
-            make_sample(x, view=view, p=p, r=float(np.linalg.norm(x - p)), frame=frame)
+            make_sample(x, view=view, p=p, r=float(np.linalg.norm(x - p)))
         )
     return samples
 
@@ -137,14 +137,14 @@ def test_criterion_3_kernel_identities_and_symmetry():
     # full src/dst swap of every metric over 10^4 unordered pairs
     users = tuple(f"u{k:03d}" for k in range(142))
     samples = _posed_samples(rng, 142)
-    features = compute_pair_features(0, users, samples, graph=graph)
+    features = compute_pair_features(0, users, *feature_columns(samples), graph=graph)
     worst_sym = 0.0
     for metric in PROXY_METRICS:
         m = features.metric_matrix(metric, configs[metric].regulators)
         assert np.array_equal(m.valid, m.valid.T)
         diff = np.abs(np.where(m.valid, m.values, 0.0) - np.where(m.valid, m.values, 0.0).T)
         worst_sym = max(worst_sym, float(diff.max()))
-    ov = overlap_matrix(0, users, samples, cloud, FrustumParams())
+    ov = overlap_matrix(0, users, *overlap_columns(samples), cloud, FrustumParams())
     worst_sym = max(
         worst_sym,
         float(np.abs(np.where(ov.valid, ov.values, 0.0) - np.where(ov.valid, ov.values, 0.0).T).max()),

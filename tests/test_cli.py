@@ -2,8 +2,10 @@
 
 import csv
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +44,38 @@ def narrow_manifest(dataset):
     path = dataset / "narrow.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+# ----------------------------------------------------------- README flow
+
+# The only edits to the README's lines: smaller sizes, so the flow runs in seconds.
+SMALLER = {
+    "synth": {"--frames": "30", "--points": "1000"},
+    "bench": {"--n-points": "2000", "--n-users": "6", "--pairs": "1", "--repeats": "1"},
+}
+
+
+def readme_cli_lines():
+    """Every ``viewsim`` line of the README's CLI block, continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("then run the pipeline on it:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.startswith("viewsim ")]
+
+
+def test_readme_cli_flow_runs_in_order(tmp_path, monkeypatch, capsys):
+    from viewsim.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    lines = readme_cli_lines()
+    commands = ("synth", "overlap", "metrics", "calibrate", "cluster", "evaluate", "ablate", "bench")
+    assert [arg for argv in lines for arg in argv if arg in commands] == list(commands)
+    for argv in lines:
+        args = argv[1:]
+        sizes = next((v for command, v in SMALLER.items() if command in args), {})
+        for i, arg in enumerate(args[:-1]):
+            if arg in sizes:
+                args[i + 1] = sizes[arg]
+        assert main(args) == 0, f"{shlex.join(argv)}: {capsys.readouterr().err}"
 
 
 # ---------------------------------------------------------------- synth
@@ -180,7 +214,10 @@ def test_calibrate_checks_label_balance_before_graphs(dataset, tmp_path, monkeyp
     import viewsim.pipeline
     from viewsim.cli import main
 
-    manifest = str(dataset / "manifest.json")
+    doc = json.loads((dataset / "manifest.json").read_text())
+    doc["frustum"] = {"hfov": 1.5708, "vfov": 1.5708}
+    (dataset / "wide.json").write_text(json.dumps(doc))
+    manifest = str(dataset / "wide.json")
     assert main(["--manifest", manifest, "--out", str(tmp_path), "overlap"]) == 0
     rows = read_csv(tmp_path / "overlap_synth-sphere-11.csv")[1:]
     valid = [float(r[4]) for r in rows if r[5] == "1"]

@@ -23,7 +23,7 @@ from viewsim.errors import MissingGraphError, PreconditionError
 from viewsim.metrics import PROXY_METRICS, read_matrices_csv, write_matrices_csv
 from viewsim.synth import _fibonacci_sphere
 
-from conftest import assert_close, make_sample
+from conftest import assert_close, feature_columns, make_sample, overlap_columns
 from oracles import metric_value
 
 TABLE = {
@@ -143,7 +143,7 @@ def test_symmetry_scalar_route():
 
 def test_matrix_route_matches_scalar_route():
     users, samples, graph = _scene(seed=5)
-    feats = compute_pair_features(0, users, samples, graph=graph)
+    feats = compute_pair_features(0, users, *feature_columns(samples), graph=graph)
     for metric in PROXY_METRICS:
         reg = RegulatorSet(*TABLE[metric][0])
         mat = feats.metric_matrix(metric, reg)
@@ -158,7 +158,7 @@ def test_matrix_route_matches_scalar_route():
 
 def test_product_metric_factorizes():
     users, samples, graph = _scene(seed=6)
-    feats = compute_pair_features(0, users, samples, graph=graph)
+    feats = compute_pair_features(0, users, *feature_columns(samples), graph=graph)
     reg = RegulatorSet(0.3, 0.7, 1.1)
     w5 = feats.metric_matrix(MetricId.W5, reg)
     w1 = feats.metric_matrix(MetricId.W1, RegulatorSet(0.3, 0.0, 0.0))
@@ -175,7 +175,7 @@ def test_product_metric_factorizes():
 
 def test_zero_regulators_degenerate_to_one():
     users, samples, graph = _scene(seed=7)
-    feats = compute_pair_features(0, users, samples, graph=graph)
+    feats = compute_pair_features(0, users, *feature_columns(samples), graph=graph)
     for metric in (MetricId.W5, MetricId.W6):
         mat = feats.metric_matrix(metric, RegulatorSet(0.0, 0.0, 0.0))
         assert np.all(mat.values[mat.valid] == 1.0)
@@ -183,7 +183,7 @@ def test_zero_regulators_degenerate_to_one():
 
 def test_tanh_metric_range_bound():
     users, samples, graph = _scene(seed=8, r_span=(0.1, 40.0))
-    feats = compute_pair_features(0, users, samples, graph=graph)
+    feats = compute_pair_features(0, users, *feature_columns(samples), graph=graph)
     for beta in (0.25, 0.5, 2.0):
         mat = feats.metric_matrix(MetricId.W7, RegulatorSet(0.5, beta, 0.5))
         vals = mat.values[mat.valid]
@@ -193,7 +193,7 @@ def test_tanh_metric_range_bound():
 
 def test_geodesic_metrics_need_graph():
     users, samples, _ = _scene(seed=9)
-    feats = compute_pair_features(0, users, samples, graph=None)
+    feats = compute_pair_features(0, users, *feature_columns(samples), graph=None)
     with pytest.raises(MissingGraphError):
         feats.metric_matrix(MetricId.W3, RegulatorSet(1.0, 0.0, 0.0))
     # euclidean variants work without one
@@ -204,7 +204,7 @@ def test_missing_pr_invalidates_pr_metrics_only():
     users, samples, graph = _scene(seed=10, n_users=4)
     bare = make_sample([0.0, 0.0, 2.2], view=[0, 0, -1])  # no p, no r
     samples[2] = bare
-    feats = compute_pair_features(0, users, samples, graph=graph)
+    feats = compute_pair_features(0, users, *feature_columns(samples), graph=graph)
     w1 = feats.metric_matrix(MetricId.W1, RegulatorSet(1.0, 0.0, 0.0))
     w2 = feats.metric_matrix(MetricId.W2, RegulatorSet(1.0, 0.0, 0.0))
     assert w1.valid[0, 2] and w1.valid[2, 3]
@@ -216,7 +216,7 @@ def test_missing_pr_invalidates_pr_metrics_only():
 def test_off_content_user_invalid_everywhere():
     users, samples, graph = _scene(seed=11, n_users=4)
     samples[1] = make_sample([5.0, 0.0, 0.0], view=[0, 0, -1], off_content=True)
-    feats = compute_pair_features(0, users, samples, graph=graph)
+    feats = compute_pair_features(0, users, *feature_columns(samples), graph=graph)
     w1 = feats.metric_matrix(MetricId.W1, RegulatorSet(1.0, 0.0, 0.0))
     assert not w1.valid[0, 1] and not w1.valid[1, 2]
 
@@ -241,7 +241,7 @@ def test_overlap_matrix_against_sets(default_params):
     cloud = PointCloudFrame(0.0, rng.uniform(-1, 1, (800, 3)))
     users = ("a", "b", "c", "d")
     samples = [make_sample(pos) for pos in ([0, 0, 2.5], [0.2, 0, 2.5], [2.5, 0, 0], [0, 0, -2.5])]
-    mat = overlap_matrix(0, users, samples, cloud, default_params)
+    mat = overlap_matrix(0, users, *overlap_columns(samples), cloud, default_params)
     from viewsim import build_frustum, viewport_set
 
     sets = [set(viewport_set(build_frustum(s.pose(), default_params), cloud).tolist()) for s in samples]
@@ -261,7 +261,7 @@ def test_overlap_matrix_empty_pair_invalid(default_params):
     users = ("a", "b")
     # both users look away from the only point
     samples = [make_sample([0, 0, z], view=[0, 0, 1]) for z in (0.5, 0.7)]
-    mat = overlap_matrix(0, users, samples, cloud, default_params)
+    mat = overlap_matrix(0, users, *overlap_columns(samples), cloud, default_params)
     assert not mat.valid[0, 1]
     assert math.isnan(mat.values[0, 1])
 
@@ -274,14 +274,14 @@ def test_overlap_matrix_off_content_user_invalid(default_params):
         make_sample([0, 0, 2.5], off_content=True),
         make_sample([2.5, 0, 0]),
     ]
-    mat = overlap_matrix(0, users, samples, cloud, default_params)
+    mat = overlap_matrix(0, users, *overlap_columns(samples), cloud, default_params)
     assert not mat.valid[0, 1] and not mat.valid[1, 2]
     assert mat.valid[0, 2]
 
 
 def test_pairs_iterator_covers_upper_triangle():
     users, samples, graph = _scene(seed=14, n_users=5)
-    feats = compute_pair_features(0, users, samples, graph=graph)
+    feats = compute_pair_features(0, users, *feature_columns(samples), graph=graph)
     mat = feats.metric_matrix(MetricId.W1, RegulatorSet(1.0, 0, 0))
     pairs = list(mat.pairs())
     assert len(pairs) == 10
@@ -291,7 +291,7 @@ def test_pairs_iterator_covers_upper_triangle():
 def test_matrices_csv_round_trip(tmp_path):
     users, samples, graph = _scene(seed=15, n_users=4)
     samples[3] = make_sample([1.0, 0.5, 2.0], view=[0, 0, -1])  # invalid p/r pairs
-    feats = compute_pair_features(0, users, samples, graph=graph)
+    feats = compute_pair_features(0, users, *feature_columns(samples), graph=graph)
     mats = [feats.metric_matrix(m, RegulatorSet(*TABLE[m][0])) for m in (MetricId.W2, MetricId.W7)]
     path = tmp_path / "m.csv"
     write_matrices_csv(path, mats)

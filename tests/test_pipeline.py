@@ -53,15 +53,29 @@ def test_prepare_from_disk_round_trips_scenario(disk_content):
     assert ds.n_frames == 4
     assert ds.fps == 30.0
     # p and r were derived during preparation
-    s = ds.trajectories[0].samples[0]
-    assert s.p is not None and s.r is not None and s.r > 0
+    assert not np.isnan(ds.p[0, 0]).any() and ds.r[0, 0] > 0
+
+
+def test_prepare_reads_each_cloud_once(tmp_path, monkeypatch):
+    import viewsim.ply
+
+    sc = three_orbit_groups(seed=5, users_per_group=2, n_frames=4, points_per_frame=300)
+    write_scenario(sc, tmp_path)
+    (cm,) = load_manifest(tmp_path / "manifest.json")
+    calls = []
+    read_ply = viewsim.ply.read_ply
+    monkeypatch.setattr(viewsim.ply, "read_ply", lambda *a, **k: calls.append(a) or read_ply(*a, **k))
+    pc = prepare(cm)
+    # 6 users cast their rays into each frame's cloud, read once per frame
+    assert (~pc.dataset.off).sum() > 2 * pc.dataset.n_frames
+    assert len(calls) == pc.dataset.n_frames == 4
 
 
 def test_disk_and_memory_preparation_agree(disk_content):
     # cloud files store float32 coordinates, so agreement is to storage
     # precision: identical validity, near-identical values
     sc = three_orbit_groups(seed=5, users_per_group=2, n_frames=4, points_per_frame=300)
-    mem = prepare_scenario(sc)
+    mem = prepare_scenario(sc, frustum=disk_content.dataset.frustum)  # the manifest's
     for route in (overlap_matrices, lambda pc: metric_matrices(pc, MetricId.W7)):
         for ma, mb in zip(route(disk_content), route(mem)):
             assert ma.users == mb.users and ma.frame == mb.frame
@@ -278,6 +292,11 @@ def test_each_table_computed_once_across_metrics(narrow_content, monkeypatch):
 def test_readme_library_snippet_runs_verbatim(capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme[readme.index("## Library use"):]
-    snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    exec(compile(snippet, "README.md", "exec"), {})
+    namespace = {}
+    for snippet in re.findall(r"```python\n(.*?)```", section, re.S):
+        exec(compile(snippet, "README.md", "exec"), namespace)
     assert float(capsys.readouterr().out.strip()) == 1.0
+    # the frame-function snippet reproduces the stored frame-0 tables
+    stored_ov, stored_feats = namespace["pc"].tables[("overlap", 0)], namespace["pc"].tables[("features", 0)]
+    np.testing.assert_array_equal(namespace["ov"].values, stored_ov.values)
+    np.testing.assert_array_equal(namespace["feats"].pos_dist, stored_feats.pos_dist)

@@ -145,7 +145,7 @@ def test_directory_sequence_sorted_order(tmp_path):
     assert len(seq) == 3
     t0 = seq[0]
     assert t0.points.shape == (20, 3)
-    # repeated access hits the one-frame cache and returns identical data
+    # repeated access returns identical data
     again = seq[0]
     np.testing.assert_array_equal(again.points, t0.points)
 

@@ -144,7 +144,7 @@ def test_random_walk_deterministic_and_seed_sensitive():
             fps=10.0,
             groups=(GroupSpec(size=2, motion=RandomWalkMotion(step_sigma=0.1), gaze=AtCentroidGaze()),),
         )
-        return np.stack([[s.x for s in tr.samples] for tr in generate_trajectories(sc)])
+        return generate_trajectories(sc).x
 
     a, b = positions(4), positions(4)
     np.testing.assert_array_equal(a, b)
@@ -169,18 +169,19 @@ def test_three_orbit_group_phases_and_labels():
 
 def test_trajectories_follow_motion_anchor_within_jitter():
     sc = three_orbit_groups(seed=7, users_per_group=2, n_frames=8, points_per_frame=100)
-    trajs = generate_trajectories(sc)
-    assert len(trajs) == 6
+    ds = generate_trajectories(sc)
+    assert ds.users == tuple(f"u{k:02d}" for k in range(6))
+    assert ds.n_frames == 8
     for gi, group in enumerate(sc.groups):
         for mi in range(2):
-            tr = trajs[gi * 2 + mi]
-            assert len(tr.samples) == 8
-            for s in tr.samples:
-                anchor = group.motion.position(s.t, None)
-                assert np.linalg.norm(s.x - anchor) <= group.jitter + 1e-12
+            i = gi * 2 + mi
+            for k in range(8):
+                x, view = ds.x[i, k], ds.view[i, k]
+                anchor = group.motion.position(k / sc.fps, None)
+                assert np.linalg.norm(x - anchor) <= group.jitter + 1e-12
                 # gaze aims at the centroid (origin for the rigid sphere)
-                aim = s.view / np.linalg.norm(s.view)
-                expect = -s.x / np.linalg.norm(s.x)
+                aim = view / np.linalg.norm(view)
+                expect = -x / np.linalg.norm(x)
                 offset_cos = float(aim @ expect)
                 assert offset_cos > 0.999
 
@@ -200,19 +201,17 @@ def test_fixed_direction_gaze_is_normalized():
             ),
         ),
     )
-    (tr,) = generate_trajectories(sc)
-    np.testing.assert_allclose(tr.samples[0].view, [0.0, 0.0, -1.0], atol=1e-15)
+    ds = generate_trajectories(sc)
+    np.testing.assert_allclose(ds.view[0, 0], [0.0, 0.0, -1.0], atol=1e-15)
 
 
 def test_trajectory_generation_is_reproducible():
     sc = three_orbit_groups(seed=13, users_per_group=2, n_frames=5, points_per_frame=60)
     a = generate_trajectories(sc)
     b = generate_trajectories(sc)
-    for ta, tb in zip(a, b):
-        assert ta.user_id == tb.user_id
-        for sa, sb in zip(ta.samples, tb.samples):
-            np.testing.assert_array_equal(sa.x, sb.x)
-            np.testing.assert_array_equal(sa.view, sb.view)
+    assert a.users == b.users
+    np.testing.assert_array_equal(a.x, b.x)
+    np.testing.assert_array_equal(a.view, b.view)
 
 
 # ------------------------------------------------------------- serialization

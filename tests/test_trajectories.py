@@ -1,12 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from viewsim import (
-    FrustumParams,
     PointCloudFrame,
-    Trajectory,
+    SessionDataset,
     align_to_frames,
     derive_pr,
     load_trajectories,
@@ -18,9 +18,9 @@ from viewsim.errors import (
     PreconditionError,
 )
 from viewsim.synth import _fibonacci_sphere
-from viewsim.trajectories import write_trajectories
+from viewsim.trajectories import Trace, write_trajectories
 
-from conftest import make_sample
+from oracles import align_to_frames_oracle
 
 HEADER = "user_id,t,pos_x,pos_y,pos_z,quat_w,quat_x,quat_y,quat_z"
 
@@ -34,42 +34,40 @@ def _write(tmp_path, body, header=HEADER):
 def test_load_identity_quaternion_faces_minus_z(tmp_path):
     path = _write(tmp_path, "alice,0.0,1,2,3,1,0,0,0\n")
     trajs = load_trajectories(path)
-    assert [t.user_id for t in trajs] == ["alice"]
-    s = trajs[0].samples[0]
-    np.testing.assert_array_equal(s.x, [1, 2, 3])
-    np.testing.assert_allclose(s.view, [0, 0, -1], atol=1e-15)
-    assert s.p is None and not s.off_content
+    assert list(trajs) == ["alice"]
+    tr = trajs["alice"]
+    np.testing.assert_array_equal(tr.x[0], [1, 2, 3])
+    np.testing.assert_allclose(tr.view[0], [0, 0, -1], atol=1e-15)
+    assert np.isnan(tr.p[0]).all() and np.isnan(tr.r[0]) and not tr.off[0]
 
 
 def test_load_normalizes_quaternion(tmp_path):
     # 2*(identity) must behave like the identity
     path = _write(tmp_path, "a,0.0,0,0,0,2,0,0,0\n")
-    s = load_trajectories(path)[0].samples[0]
-    np.testing.assert_allclose(s.view, [0, 0, -1], atol=1e-15)
+    tr = load_trajectories(path)["a"]
+    np.testing.assert_allclose(tr.view[0], [0, 0, -1], atol=1e-15)
 
 
 def test_load_yaw_quaternion(tmp_path):
     path = _write(tmp_path, "a,0.0,0,0,0,0,0,1,0\n")
-    s = load_trajectories(path)[0].samples[0]
-    np.testing.assert_allclose(s.view, [0, 0, 1], atol=1e-15)
+    tr = load_trajectories(path)["a"]
+    np.testing.assert_allclose(tr.view[0], [0, 0, 1], atol=1e-15)
 
 
 def test_users_sorted_and_times_sorted(tmp_path):
     body = "bob,0.5,0,0,0,1,0,0,0\nalice,0.0,0,0,0,1,0,0,0\nbob,0.1,0,0,0,1,0,0,0\n"
     trajs = load_trajectories(_write(tmp_path, body))
-    assert [t.user_id for t in trajs] == ["alice", "bob"]
-    assert [s.t for s in trajs[1].samples] == [0.1, 0.5]
+    assert list(trajs) == ["alice", "bob"]
+    assert trajs["bob"].t.tolist() == [0.1, 0.5]
 
 
 def test_pr_columns_parsed(tmp_path):
     header = HEADER + ",p_x,p_y,p_z,r"
     body = "a,0.0,0,0,2,1,0,0,0,0,0,1,1.0\na,0.1,0,0,2,1,0,0,0,,,,\n"
-    tr = load_trajectories(_write(tmp_path, body, header))[0]
-    assert tr.has_pr
-    s0, s1 = tr.samples
-    np.testing.assert_array_equal(s0.p, [0, 0, 1])
-    assert s0.r == 1.0
-    assert s1.p is None and s1.off_content
+    tr = load_trajectories(_write(tmp_path, body, header))["a"]
+    np.testing.assert_array_equal(tr.p[0], [0, 0, 1])
+    assert tr.r[0] == 1.0 and not tr.off[0]
+    assert np.isnan(tr.p[1]).all() and np.isnan(tr.r[1]) and tr.off[1]
 
 
 @pytest.mark.parametrize(
@@ -108,39 +106,42 @@ def test_duplicate_timestamps_rejected(tmp_path):
         load_trajectories(_write(tmp_path, body))
 
 
-def _traj(times, xs=None):
-    samples = []
-    for k, t in enumerate(times):
-        x = [k, 0.0, 0.0] if xs is None else xs[k]
-        samples.append(make_sample(x, view=[0, 0, -1], t=t, frame=-1))
-    return Trajectory(user_id="u", samples=samples)
+def _trace(times, xs=None, off=None):
+    n = len(times)
+    x = np.array([[k, 0.0, 0.0] for k in range(n)] if xs is None else xs, dtype=np.float64)
+    return Trace(
+        t=np.asarray(times, dtype=np.float64),
+        x=x,
+        view=np.tile([0.0, 0.0, -1.0], (n, 1)),
+        p=np.full((n, 3), np.nan),
+        r=np.full(n, np.nan),
+        off=np.zeros(n, dtype=bool) if off is None else np.asarray(off),
+    )
 
 
 def test_align_picks_nearest_sample():
     # 90 Hz source onto a 30 Hz clock: every third sample wins
     times = [k / 90 for k in range(28)]
-    out = align_to_frames([_traj(times)], fps=30.0)[0]
-    assert len(out) == 10
-    for k, s in enumerate(out.samples):
-        assert s.t == k / 30
-        assert s.x[0] == 3 * k
-        assert not s.off_content
+    out = align_to_frames({"u": _trace(times)}, fps=30.0)
+    assert out.n_frames == 10
+    np.testing.assert_array_equal(out.x[0, :, 0], 3 * np.arange(10))
+    assert not out.off.any()
 
 
 def test_align_exact_tie_prefers_earlier():
     # samples straddle the tick at equal distance
-    out = align_to_frames([_traj([0.0, 1 / 30, 0.05, 1 / 15])], fps=15.0)[0]
+    out = align_to_frames({"u": _trace([0.0, 1 / 30, 0.05, 1 / 15])}, fps=15.0)
     # tick 1/15 has an exact sample; tick 0 exact; middle samples unused
-    assert out.samples[1].x[0] == 3
+    assert out.x[0, 1, 0] == 3
     # binary-exact tie: tick at 0.5, samples 0.25 away on both sides
-    tie = align_to_frames([_traj([0.25, 0.75])], fps=2.0, n_frames=2)[0]
-    assert tie.samples[1].x[0] == 0
+    tie = align_to_frames({"u": _trace([0.25, 0.75])}, fps=2.0, n_frames=2)
+    assert tie.x[0, 1, 0] == 0
 
 
 def test_align_gap_marks_off_content():
     times = [0.0, 1 / 30, 2 / 30, 10 / 30, 11 / 30]
-    out = align_to_frames([_traj(times)], fps=30.0)[0]
-    flags = [s.off_content for s in out.samples]
+    out = align_to_frames({"u": _trace(times)}, fps=30.0)
+    flags = out.off[0].tolist()
     assert flags[:3] == [False, False, False]
     assert flags[3] and flags[6]  # inside the hole
     assert not flags[10]
@@ -148,89 +149,137 @@ def test_align_gap_marks_off_content():
 
 def test_align_is_idempotent():
     times = [k / 90 + 0.001 for k in range(50)]
-    once = align_to_frames([_traj(times)], fps=30.0)
-    twice = align_to_frames(once, fps=30.0)
-    for a, b in zip(once[0].samples, twice[0].samples):
-        assert a.t == b.t and a.frame == b.frame
-        np.testing.assert_array_equal(a.x, b.x)
-        assert a.off_content == b.off_content
+    once = align_to_frames({"u": _trace(times)}, fps=30.0)
+    frame_times = np.arange(once.n_frames) / 30.0
+    again = Trace(frame_times, once.x[0], once.view[0], once.p[0], once.r[0], once.off[0])
+    twice = align_to_frames({"u": again}, fps=30.0)
+    assert twice.n_frames == once.n_frames
+    np.testing.assert_array_equal(twice.x, once.x)
+    np.testing.assert_array_equal(twice.off, once.off)
 
 
 def test_align_default_frame_count_is_shortest_span():
-    a = _traj([k / 30 for k in range(10)])
-    b = Trajectory(user_id="v", samples=_traj([k / 30 for k in range(7)]).samples)
-    out = align_to_frames([a, b], fps=30.0)
-    assert {len(t) for t in out} == {7}
+    a = _trace([k / 30 for k in range(10)])
+    b = _trace([k / 30 for k in range(7)])
+    out = align_to_frames({"u": a, "v": b}, fps=30.0)
+    assert out.users == ("u", "v") and out.n_frames == 7
 
 
 def test_align_rejects_empty():
     with pytest.raises(EmptyTrajectoryError):
-        align_to_frames([Trajectory(user_id="u", samples=[])], fps=30.0)
+        align_to_frames({"u": _trace([])}, fps=30.0)
 
 
-def _orbit_traj(n, radius=2.0):
-    samples = []
-    for k in range(n):
-        a = 2 * math.pi * k / n
-        x = np.array([radius * math.cos(a), 0.0, radius * math.sin(a)])
-        samples.append(make_sample(x, view=-x / np.linalg.norm(x), t=k / 30, frame=k))
-    return Trajectory(user_id="u", samples=samples)
+def _random_traces(rng, n_users):
+    """Irregular, gappy traces with off-content rows; some on a dyadic grid with exact ties."""
+    traces = {}
+    for u in range(n_users):
+        n = int(rng.integers(1, 40))
+        if u % 2:
+            # dyadic times: every frame midpoint (fps 4) is an exact tie
+            t = np.unique(rng.integers(0, 60, n)) / 8.0
+        else:
+            t = np.unique(np.round(rng.uniform(0.0, 6.0, n), 3))
+        if t.size > 4 and rng.uniform() < 0.5:
+            cut = int(rng.integers(1, t.size - 1))
+            t = np.concatenate([t[:cut], t[cut:] + rng.uniform(0.5, 2.0)])  # a wide gap
+        n = t.size
+        off = rng.uniform(size=n) < 0.25
+        p = rng.normal(size=(n, 3))
+        r = rng.uniform(0.1, 5.0, n)
+        p[off] = np.nan
+        r[off] = np.nan
+        view = rng.normal(size=(n, 3))
+        traces[f"u{u:02d}"] = Trace(t=t, x=rng.normal(size=(n, 3)), view=view, p=p, r=r, off=off)
+    return traces
+
+
+def test_align_matches_per_frame_oracle():
+    rng = np.random.default_rng(2024)
+    cases = 0
+    for _ in range(60):
+        traces = _random_traces(rng, int(rng.integers(1, 6)))
+        fps = float(rng.choice([4.0, 7.5, 30.0]))
+        for n_frames in (None, 1, int(rng.integers(2, 60))):
+            got = align_to_frames(traces, fps, n_frames=n_frames)
+            want = align_to_frames_oracle(traces, fps, n_frames=n_frames)
+            assert got.users == tuple(traces)
+            for name, arr in want.items():
+                a = getattr(got, name)
+                assert a.dtype == arr.dtype and a.shape == arr.shape, name
+                assert a.tobytes() == arr.tobytes(), name
+            cases += 1
+    assert cases == 180
+
+
+def _orbit_session(n, radius=2.0, clouds=None):
+    a = 2 * math.pi * np.arange(n) / n
+    x = np.stack([radius * np.cos(a), np.zeros(n), radius * np.sin(a)], axis=1)
+    return SessionDataset(
+        content_id="orbit",
+        fps=30.0,
+        users=("u",),
+        x=x[None],
+        view=-x[None] / radius,
+        p=np.full((1, n, 3), np.nan),
+        r=np.full((1, n), np.nan),
+        off=np.zeros((1, n), dtype=bool),
+        clouds=clouds,
+    )
 
 
 def test_derive_pr_unit_sphere_orbit():
     cloud = PointCloudFrame(0.0, _fibonacci_sphere(4000, 1.0))
-    tr = derive_pr(_orbit_traj(12), [cloud] * 12)
-    assert tr.has_pr
-    for s in tr.samples:
-        assert abs(s.r - 1.0) < 0.01
-        assert abs(np.linalg.norm(s.p) - 1.0) < 0.01
+    ds = derive_pr(_orbit_session(12, clouds=[cloud] * 12))
+    assert not ds.off.any()
+    np.testing.assert_array_less(np.abs(ds.r - 1.0), 0.01)
+    np.testing.assert_array_less(np.abs(np.linalg.norm(ds.p, axis=2) - 1.0), 0.01)
 
 
 def test_derive_pr_centroid_mode():
     cloud = PointCloudFrame(0.0, _fibonacci_sphere(4000, 1.0))
-    tr = derive_pr(_orbit_traj(6), [cloud] * 6, r_mode="centroid")
-    for s in tr.samples:
-        # distance to the cloud centroid, not to the hit point
-        assert abs(s.r - 2.0) < 0.01
+    ds = derive_pr(_orbit_session(6, clouds=[cloud] * 6), r_mode="centroid")
+    # distance to the cloud centroid, not to the hit point
+    np.testing.assert_array_less(np.abs(ds.r - 2.0), 0.01)
 
 
 def test_derive_pr_miss_marks_off_content():
     cloud = PointCloudFrame(0.0, _fibonacci_sphere(500, 1.0))
-    samples = [make_sample([0.0, 0.0, 3.0], view=[0, 0, 1], t=0.0, frame=0)]
-    tr = derive_pr(Trajectory(user_id="u", samples=samples), [cloud])
-    assert tr.samples[0].off_content and tr.samples[0].p is None
+    ds = _orbit_session(1, radius=3.0, clouds=[cloud])
+    ds = derive_pr(replace(ds, view=-ds.view))  # looking away
+    assert ds.off[0, 0] and np.isnan(ds.p[0, 0]).all() and np.isnan(ds.r[0, 0])
 
 
 def test_derive_pr_rejects_existing_pr():
     cloud = PointCloudFrame(0.0, _fibonacci_sphere(100, 1.0))
-    s = make_sample([0, 0, 2], view=[0, 0, -1], p=[0, 0, 1], r=1.0)
+    ds = _orbit_session(1, clouds=[cloud])
+    ds.p[0, 0], ds.r[0, 0] = [0.0, 0.0, 1.0], 1.0
     with pytest.raises(PreconditionError):
-        derive_pr(Trajectory(user_id="u", samples=[s]), [cloud])
+        derive_pr(ds)
 
 
 def test_derive_pr_needs_a_cloud_per_frame():
     cloud = PointCloudFrame(0.0, _fibonacci_sphere(100, 1.0))
     with pytest.raises(MissingFrameError):
-        derive_pr(_orbit_traj(4), [cloud] * 3)
+        derive_pr(_orbit_session(4, clouds=[cloud] * 3))
 
 
 def test_write_then_load_round_trip(tmp_path):
     cloud = PointCloudFrame(0.0, _fibonacci_sphere(3000, 1.0))
-    tr = derive_pr(_orbit_traj(8), [cloud] * 8)
+    ds = derive_pr(_orbit_session(8, clouds=[cloud] * 8))
     path = tmp_path / "out.csv"
-    write_trajectories(path, [tr], with_pr=True)
-    back = load_trajectories(path)[0]
-    assert len(back) == 8
-    for a, b in zip(tr.samples, back.samples):
-        assert a.t == b.t
-        np.testing.assert_array_equal(a.x, b.x)
-        np.testing.assert_allclose(a.view, b.view, atol=1e-12)
-        np.testing.assert_array_equal(a.p, b.p)
-        assert a.r == b.r
+    write_trajectories(path, ds, with_pr=True)
+    back = load_trajectories(path)["u"]
+    assert back.t.size == 8
+    np.testing.assert_array_equal(back.t, np.arange(8) / 30.0)
+    np.testing.assert_array_equal(back.x, ds.x[0])
+    np.testing.assert_allclose(back.view, ds.view[0], atol=1e-12)
+    np.testing.assert_array_equal(back.p, ds.p[0])
+    np.testing.assert_array_equal(back.r, ds.r[0])
 
 
 def test_write_is_deterministic(tmp_path):
-    tr = _orbit_traj(5)
-    write_trajectories(tmp_path / "a.csv", [tr])
-    write_trajectories(tmp_path / "b.csv", [tr])
+    ds = _orbit_session(5)
+    write_trajectories(tmp_path / "a.csv", ds)
+    write_trajectories(tmp_path / "b.csv", ds)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

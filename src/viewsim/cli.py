@@ -18,6 +18,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import replace
 
 from .bench import run_bench
 from .calibration import DEFAULT_GRID, DEFAULT_TARGET_TPR, select_parameter_sets
@@ -36,15 +37,12 @@ from .pipeline import (
     run_ablation,
     summarize_across_contents,
 )
+from .store import safe_name
 from .synth import scenario_from_json, three_orbit_groups, write_scenario
 
 
 def _fmt(v: float) -> str:
     return repr(float(v))
-
-
-def _safe(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]+", "-", name)
 
 
 def _out_path(args, name: str) -> str:
@@ -61,7 +59,8 @@ def _write_json(path: str, payload) -> None:
 def _contents(args) -> list:
     if not args.manifest:
         raise UsageError("this command requires --manifest PATH")
-    return [prepare(cm) for cm in load_manifest(args.manifest)]
+    # per-frame tables persist in --out and serve later commands there
+    return [replace(prepare(cm), store_dir=args.out) for cm in load_manifest(args.manifest)]
 
 
 def _parse_metric(name: str) -> MetricId:
@@ -107,7 +106,7 @@ def cmd_overlap(args) -> int:
     for pc in _contents(args):
         frames = _parse_frames(args.frames, pc.dataset.n_frames)
         mats = overlap_matrices(pc, frames=frames, threads=args.threads)
-        path = _out_path(args, f"overlap_{_safe(pc.content_id)}.csv")
+        path = _out_path(args, f"overlap_{safe_name(pc.content_id)}.csv")
         write_matrices_csv(path, mats)
         pairs = sum(m.n * (m.n - 1) // 2 for m in mats)
         print(f"{pc.content_id}: wrote {path} ({len(mats)} frames, {pairs} pair rows)")
@@ -122,7 +121,7 @@ def cmd_metrics(args) -> int:
         # one feature pass serves every requested metric
         features = feature_tables(pc, need_geodesic=need_geo, frames=frames, threads=args.threads)
         mats = [m for metric in metrics for m in metric_matrices(pc, metric, frames=frames, threads=args.threads)]
-        path = _out_path(args, f"metrics_{_safe(pc.content_id)}.csv")
+        path = _out_path(args, f"metrics_{safe_name(pc.content_id)}.csv")
         write_matrices_csv(path, mats)
         print(f"{pc.content_id}: wrote {path} ({len(metrics)} metrics x {len(features)} frames)")
     return 0
@@ -217,7 +216,7 @@ def cmd_ablate(args) -> int:
 
 
 def _write_clusters(args, pc: PreparedContent, results: list, mode: str) -> tuple:
-    csv_path = _out_path(args, f"clusters_{_safe(pc.content_id)}.csv")
+    csv_path = _out_path(args, f"clusters_{safe_name(pc.content_id)}.csv")
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["chunk_or_frame", "user_id", "cluster_id", "cluster_size"])
@@ -225,7 +224,7 @@ def _write_clusters(args, pc: PreparedContent, results: list, mode: str) -> tupl
             for cid, cluster in enumerate(res.clusters):
                 for user in cluster.members:
                     w.writerow([res.ident, user, cid, cluster.size])
-    json_path = _out_path(args, f"clusters_{_safe(pc.content_id)}.json")
+    json_path = _out_path(args, f"clusters_{safe_name(pc.content_id)}.json")
     payload = {
         "content_id": pc.content_id,
         "mode": mode,

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import store
 from .calibration import (
     DEFAULT_OVERLAP_LABEL_THRESHOLD,
     DEFAULT_TARGET_TPR,
@@ -55,6 +56,10 @@ class PreparedContent:
     and surface graph is computed on first request and shared afterwards by
     every metric, every command and every ``with_thresholds`` copy.  It is
     filled only from the calling thread; worker threads only compute.
+
+    With a ``store_dir``, overlap matrices and feature tables also persist
+    on disk (``viewsim.store``), so later processes read them back instead
+    of recomputing; ``None`` keeps everything in memory.
     """
 
     content_id: str
@@ -66,6 +71,7 @@ class PreparedContent:
     chunk: ChunkSpec = field(default_factory=ChunkSpec)
     reference: bool = True
     tables: dict = field(default_factory=dict, repr=False, compare=False)
+    store_dir: str | None = None
 
     def config(self, metric: MetricId):
         return self.configs[metric]
@@ -77,15 +83,19 @@ class PreparedContent:
             configs[metric] = replace(configs[metric], threshold=float(th))
         return replace(self, configs=configs)
 
+    def cloud_digest(self, frame: int) -> str:
+        """Digest of one frame's cloud points, computed once per frame."""
+        key = ("cloud", frame)
+        if key not in self.tables:
+            self.tables[key] = store.digest(self.dataset.clouds[frame].points)
+        return self.tables[key]
+
     def surface_graph(self, frame: int):
-        """Graph for one frame; identical point arrays share one graph."""
-        cloud = self.dataset.clouds[frame]
-        key = ("graph", id(cloud.points))
-        hit = self.tables.get(key)
-        if hit is None:
-            hit = (cloud.points, build_surface_graph(cloud, k=self.knn))
-            self.tables[key] = hit
-        return hit[1]
+        """Graph for one frame; frames whose clouds hold equal points share one graph."""
+        key = ("graph", self.cloud_digest(frame), self.knn)
+        if key not in self.tables:
+            self.tables[key] = build_surface_graph(self.dataset.clouds[frame], k=self.knn)
+        return self.tables[key]
 
 
 def prepare(cm: ContentManifest) -> PreparedContent:
@@ -131,14 +141,42 @@ def prepare_scenario(scenario: SynthScenario, **overrides) -> PreparedContent:
     return PreparedContent(content_id=scenario.content_id, dataset=dataset, **pc_kwargs)
 
 
+def _disk(pc: PreparedContent, kind: str, k: int) -> tuple:
+    """Store file of frame k's table and its key: exactly what its frame function reads."""
+    ds = pc.dataset
+    if kind == "overlap":
+        inputs = (ds.x[:, k], ds.view[:, k], ds.off[:, k], ds.frustum)
+    else:
+        inputs = (ds.x[:, k], ds.p[:, k], ds.r[:, k], ds.off[:, k], pc.knn)
+    path = store.table_path(pc.store_dir, pc.content_id, kind, k)
+    return path, store.table_key(kind, ds.users, pc.cloud_digest(k), *inputs)
+
+
+def _missing(pc: PreparedContent, kind: str, frames: list, usable) -> list:
+    """Frames with no usable table in memory or on disk; disk hits move into memory."""
+    todo = []
+    for k in frames:
+        table = pc.tables.get((kind, k))
+        if not usable(table) and pc.store_dir is not None:
+            table = store.load(*_disk(pc, kind, k), kind, k, pc.dataset.users)
+            if usable(table):
+                pc.tables[(kind, k)] = table
+        if not usable(table):
+            todo.append(k)
+    return todo
+
+
 def _store(pc: PreparedContent, kind: str, frames: list, todo: list, task, threads: int) -> list:
-    """Compute the ``todo`` frames on the pool, store them from this thread, return ``frames``."""
+    """Compute the ``todo`` frames on the pool, store them (and save them) from this thread, return ``frames``."""
     if threads <= 1 or len(todo) <= 1:
         computed = [task(k) for k in todo]
     else:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             computed = list(ex.map(task, todo))
-    pc.tables.update(((kind, k), table) for k, table in zip(todo, computed))
+    for k, table in zip(todo, computed):
+        pc.tables[(kind, k)] = table
+        if pc.store_dir is not None:
+            store.save(*_disk(pc, kind, k), kind, table)
     return [pc.tables[(kind, k)] for k in frames]
 
 
@@ -150,7 +188,7 @@ def overlap_matrices(pc: PreparedContent, frames=None, threads: int = 1) -> list
     def task(k: int) -> SimilarityMatrix:
         return overlap_matrix(k, ds.users, ds.x[:, k], ds.view[:, k], ds.off[:, k], ds.clouds[k], ds.frustum)
 
-    todo = [k for k in frames if ("overlap", k) not in pc.tables]
+    todo = _missing(pc, "overlap", frames, lambda table: table is not None)
     return _store(pc, "overlap", frames, todo, task, threads)
 
 
@@ -161,8 +199,7 @@ def feature_tables(pc: PreparedContent, need_geodesic: bool = True, frames=None,
     non-geodesic one is rebuilt once, when geodesics are first asked for.
     """
     frames = list(range(pc.dataset.n_frames) if frames is None else frames)
-    stored = [pc.tables.get(("features", k)) for k in frames]
-    todo = [k for k, f in zip(frames, stored) if f is None or (need_geodesic and f.gaze_geo is None)]
+    todo = _missing(pc, "features", frames, lambda f: f is not None and (f.gaze_geo is not None or not need_geodesic))
     # sequential: populates the shared store safely
     graphs = {k: pc.surface_graph(k) for k in todo} if need_geodesic else {}
     ds = pc.dataset

@@ -1,0 +1,137 @@
+"""Disk tier of the per-content table store: one ``.npz`` file per table.
+
+A ``PreparedContent`` with a ``store_dir`` (the CLI sets it to ``--out``)
+keeps each exact overlap matrix and pair-feature table in
+``<store_dir>/.viewsim-store/<content>/<kind>-<frame>.npz``.  Each file holds
+the table's arrays and a sha256 key over everything the table was computed
+from: the frame's inputs, viewsim's own sources and the numpy and scipy
+versions.  A file that is missing, unreadable, malformed or keyed
+differently is a miss, never an error, and the next write replaces it.
+Files are written whole under a temporary name, then renamed into place.
+"""
+
+from __future__ import annotations
+
+import functools
+import hashlib
+import importlib.util
+import os
+import re
+import threading
+import zipfile
+
+import numpy as np
+
+from .metrics import MetricId, PairFeatures, SimilarityMatrix
+
+_DIRNAME = ".viewsim-store"
+_KEY = "key"
+
+_F8, _BOOL = np.dtype(np.float64), np.dtype(bool)
+# every table array is n_users x n_users; gaze_geo only in geodesic feature tables
+_FIELDS = {
+    "overlap": {"values": _F8, "valid": _BOOL},
+    "features": {
+        "pos_dist": _F8,
+        "range_diff": _F8,
+        "gaze_euc": _F8,
+        "eta_sum": _F8,
+        "pos_valid": _BOOL,
+        "pr_valid": _BOOL,
+        "gaze_geo": _F8,
+    },
+}
+_OPTIONAL = {"gaze_geo"}
+# what np.load and reading an npz member raise on a missing, truncated or foreign file
+_MISS = (OSError, ValueError, EOFError, zipfile.BadZipFile)
+
+
+def safe_name(name: str) -> str:
+    """``name`` with every run of characters unsafe in a file name replaced by '-'."""
+    return re.sub(r"[^A-Za-z0-9._-]+", "-", name)
+
+
+def digest(*parts) -> str:
+    """sha256 hex over ``parts``: arrays by dtype, shape and bytes, anything else by repr."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            body = np.ascontiguousarray(part)
+            h.update(f"array {body.dtype.str} {body.shape}\n".encode())
+        else:
+            body = repr(part).encode()
+            h.update(f"repr {len(body)}\n".encode())
+        h.update(body)
+    return h.hexdigest()
+
+
+@functools.cache
+def environment_digest() -> str:
+    """Digest of viewsim's ``.py`` sources and the numpy and scipy versions.
+
+    scipy's version is read from its ``version.py`` (version and git
+    revision) without importing scipy.
+    """
+    package = os.path.dirname(os.path.abspath(__file__))
+    sources = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                sources.append((name, fh.read()))
+    scipy_version = b""
+    spec = importlib.util.find_spec("scipy")
+    if spec is not None and spec.origin:
+        try:
+            with open(os.path.join(os.path.dirname(spec.origin), "version.py"), "rb") as fh:
+                scipy_version = fh.read()
+        except OSError:
+            pass
+    return digest(tuple(sources), np.__version__, scipy_version)
+
+
+def table_key(kind: str, *inputs) -> str:
+    """Key of one table: its kind, what its frame function reads, and the environment."""
+    return digest(environment_digest(), kind, *inputs)
+
+
+def table_path(store_dir, content_id: str, kind: str, frame: int) -> str:
+    return os.path.join(store_dir, _DIRNAME, safe_name(content_id), f"{kind}-{frame:06d}.npz")
+
+
+def load(path: str, key: str, kind: str, frame: int, users: tuple):
+    """The ``kind`` table stored at ``path`` under ``key``, or None on a miss."""
+    fields = _FIELDS[kind]
+    try:
+        npz = np.load(path, allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):  # a bare .npy array
+            return None
+        with npz:
+            names = set(npz.files) - {_KEY}
+            if _KEY not in npz.files or not set(fields) - _OPTIONAL <= names <= set(fields):
+                return None
+            stored = npz[_KEY]
+            if stored.dtype.kind != "U" or stored.shape != () or str(stored) != key:
+                return None
+            arrays = {name: npz[name] for name in names}
+    except _MISS:
+        return None
+    n = len(users)
+    if any(a.shape != (n, n) or a.dtype != fields[name] for name, a in arrays.items()):
+        return None
+    if kind == "overlap":
+        return SimilarityMatrix(frame=frame, users=users, metric=MetricId.OVERLAP, **arrays)
+    return PairFeatures(frame=frame, users=users, **arrays)
+
+
+def save(path: str, key: str, kind: str, table) -> None:
+    """Write ``table`` with its key to a temporary file, then rename it to ``path``."""
+    arrays = {name: getattr(table, name) for name in _FIELDS[kind] if getattr(table, name) is not None}
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"  # one writer per name
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **{_KEY: np.array(key)}, **arrays)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)

@@ -264,6 +264,204 @@ def test_overlap_run_never_imports_scipy(dataset, tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+# ----------------------------------------------------------- table store
+
+# The README flow; "{cal}" is the calibration.json that calibrate wrote.
+SESSION = [
+    ["overlap"],
+    ["metrics", "--metric", "w7", "--frames", "0:2"],
+    ["metrics"],
+    ["calibrate"],
+    ["cluster", "--metric", "w7", "--calibration", "{cal}"],
+    ["evaluate", "--mode", "chunk", "--calibration", "{cal}"],
+    ["ablate", "--metric", "w7", "--fix", "beta=0.5"],
+]
+
+
+def run_in(capsys, manifest, out, argv, threads=2, cal=None):
+    """One in-process command; its stdout with the --out path normalised."""
+    from viewsim.cli import main
+
+    argv = [str(cal) if a == "{cal}" else a for a in argv]
+    code = main(["--manifest", str(manifest), "--out", str(out), "--threads", str(threads), *argv])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return captured.out.replace(str(out), "<OUT>")
+
+
+def outputs(out):
+    """Every output file in ``out`` (the store's directory aside) by name."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.is_file()}
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_warm_session_matches_cold_commands(narrow_manifest, tmp_path, capsys, threads):
+    warm = tmp_path / "warm"
+    cal = warm / "calibration.json"
+    for i, argv in enumerate(SESSION):
+        said = run_in(capsys, narrow_manifest, warm, argv, threads, cal)
+        after = outputs(warm)
+        cold = tmp_path / f"cold{i}"
+        assert run_in(capsys, narrow_manifest, cold, argv, threads, cal) == said, argv
+        written = outputs(cold)
+        assert written and {name: after[name] for name in written} == written, argv
+    assert sorted(p.name for p in (warm / ".viewsim-store" / "synth-sphere-11").iterdir()) == [
+        f"{kind}-{k:06d}.npz" for kind in ("features", "overlap") for k in range(4)
+    ]
+
+
+@pytest.fixture
+def own_dataset(dataset, tmp_path):
+    """A private copy of the narrow-frustum dataset that a test may edit."""
+    import shutil
+
+    root = tmp_path / "data"
+    shutil.copytree(dataset, root, ignore=shutil.ignore_patterns("*.json"))
+    doc = json.loads((dataset / "manifest.json").read_text())
+    doc["frustum"] = {"hfov": 0.5, "vfov": 0.5}
+    (root / "manifest.json").write_text(json.dumps(doc))
+    return root
+
+
+def _warm_then_edit(capsys, data, tmp_path, edit):
+    """Outputs of overlap+metrics in an --out warmed before ``edit``, and in a fresh one."""
+    manifest = data / "manifest.json"
+    warm = tmp_path / "warm"
+    for argv in (["overlap"], ["metrics"]):
+        run_in(capsys, manifest, warm, argv)
+    before = outputs(warm)
+    edit()
+    runs = {}
+    for name in ("warm", "fresh"):
+        said = [run_in(capsys, manifest, tmp_path / name, argv) for argv in (["overlap"], ["metrics"])]
+        runs[name] = (said, outputs(tmp_path / name))
+    return before, runs["warm"], runs["fresh"]
+
+
+def test_store_misses_when_inputs_change(own_dataset, tmp_path, capsys):
+    from viewsim.ply import read_ply, write_ply
+
+    manifest = own_dataset / "manifest.json"
+    trajectories = own_dataset / "trajectories.csv"
+
+    def narrow_frustum():
+        doc = json.loads(manifest.read_text())
+        doc["frustum"] = {"hfov": 0.4, "vfov": 0.4}
+        manifest.write_text(json.dumps(doc))
+
+    def rewrite_ply():
+        path = own_dataset / "clouds" / "frame_000002.ply"
+        write_ply(path, read_ply(path) * 1.25)
+
+    def move_row():
+        rows = read_csv(trajectories)
+        col = rows[0].index("pos_x")
+        rows[5][col] = repr(float(rows[5][col]) + 0.5)
+        with open(trajectories, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+
+    backup = {p: p.read_bytes() for p in (manifest, trajectories, own_dataset / "clouds" / "frame_000002.ply")}
+    for i, edit in enumerate((narrow_frustum, rewrite_ply, move_row)):
+        for path, data in backup.items():
+            path.write_bytes(data)
+        before, warm, fresh = _warm_then_edit(capsys, own_dataset, tmp_path / str(i), edit)
+        assert warm == fresh, edit.__name__
+        assert warm[1] != before, edit.__name__  # the edit changed the outputs
+
+
+def test_store_misses_when_sources_change(narrow_manifest, tmp_path, capsys, monkeypatch):
+    import viewsim.pipeline
+    import viewsim.store
+
+    warm = tmp_path / "warm"
+    for argv in (["overlap"], ["metrics"]):
+        run_in(capsys, narrow_manifest, warm, argv)
+    before = outputs(warm)
+    calls = []
+    for name in ("overlap_matrix", "compute_pair_features"):
+        real = getattr(viewsim.pipeline, name)
+        counted = lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)  # noqa: E731
+        monkeypatch.setattr(viewsim.pipeline, name, counted)
+    monkeypatch.setattr(viewsim.store, "environment_digest", lambda: "edited sources")
+    for argv in (["overlap"], ["metrics"]):
+        run_in(capsys, narrow_manifest, warm, argv)
+    assert sorted(calls) == ["compute_pair_features"] * 4 + ["overlap_matrix"] * 4
+    assert outputs(warm) == before
+    calls.clear()
+    run_in(capsys, narrow_manifest, warm, ["calibrate"])  # the rewritten files now hit
+    assert calls == []
+
+
+def test_damaged_store_files_are_misses(narrow_manifest, tmp_path, capsys):
+    import numpy as np
+
+    warm, fresh = tmp_path / "warm", tmp_path / "fresh"
+    for argv in (["overlap"], ["metrics"]):
+        run_in(capsys, narrow_manifest, warm, argv)
+    store = warm / ".viewsim-store" / "synth-sphere-11"
+    truncated = store / "features-000000.npz"
+    truncated.write_bytes(truncated.read_bytes()[: truncated.stat().st_size // 2])
+    (store / "features-000001.npz").write_bytes(b"\x93NUMPY garbage" * 40)
+    (store / "overlap-000002.npz").write_bytes(b"")
+
+    def rekeyed(path, **members):
+        """Rewrite a store file under its own key with some members replaced."""
+        with np.load(path) as npz:
+            arrays = dict(npz)
+        np.savez(path, **dict(arrays, **members))
+        return arrays
+
+    # right key, wrong shape or dtype
+    values = rekeyed(store / "overlap-000000.npz", values=np.zeros((3, 3)))["values"]
+    rekeyed(store / "features-000002.npz", pos_dist=np.zeros(values.shape, dtype=np.float32))
+    # a member saved as an object array: loading it must not run its unpickling
+    marker = tmp_path / "unpickled"
+    payload = np.empty(1, dtype=object)
+    payload[0] = _Unpickles(str(marker))
+    poisoned = store / "overlap-000003.npz"
+    rekeyed(poisoned, values=payload)
+
+    said = [run_in(capsys, narrow_manifest, d, ["calibrate"]) for d in (warm, fresh)]
+    assert said[0] == said[1]
+    for name in ("roc.csv", "calibration.json"):
+        assert (warm / name).read_bytes() == (fresh / name).read_bytes()
+    assert not marker.exists()
+    with np.load(poisoned, allow_pickle=False) as npz:
+        assert npz["values"].dtype == np.float64  # rewritten by the calibrate run
+
+
+class _Unpickles:
+    """Unpickling this creates a file: the proof that a load ran pickle."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def test_warm_commands_compute_no_tables_and_never_import_scipy(narrow_manifest, tmp_path, capsys):
+    for argv in (["overlap"], ["metrics"]):
+        run_in(capsys, narrow_manifest, tmp_path, argv)
+    code = (
+        "import sys, viewsim.cli, viewsim.pipeline\n"
+        "called = []\n"
+        "for name in ('overlap_matrix', 'compute_pair_features', 'build_surface_graph'):\n"
+        "    setattr(viewsim.pipeline, name, lambda *a, name=name, **k: called.append(name))\n"
+        "base = ['--manifest', sys.argv[1], '--out', sys.argv[2]]\n"
+        "for argv in (['calibrate'], ['evaluate', '--mode', 'chunk'],\n"
+        "             ['ablate', '--metric', 'w7', '--fix', 'beta=0.5']):\n"
+        "    assert viewsim.cli.main(base + argv) == 0, argv\n"
+        "print(called)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(narrow_manifest), str(tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
+
+
 # --------------------------------------------------------------- ablate
 
 

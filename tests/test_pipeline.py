@@ -10,6 +10,7 @@ import pytest
 import viewsim.pipeline
 from viewsim.errors import InvalidParamsError
 from viewsim.evaluation import adjusted_rand_index
+from viewsim.geometry import PointCloudFrame
 from viewsim.manifest import load_manifest
 from viewsim.metrics import MetricId
 from viewsim.pipeline import (
@@ -139,6 +140,14 @@ def test_geodesic_graphs_cached_per_distinct_cloud(narrow_content):
     assert sum(key[0] == "graph" for key in pc.tables) == 1
     g = pc.surface_graph(0)
     assert g is pc.surface_graph(5)
+    # keyed by the points, not the array: equal copies share a graph, moved points get their own
+    ds = narrow_content.dataset
+    clouds = [PointCloudFrame(k, c.points.copy()) for k, c in enumerate(ds.clouds)]
+    clouds[3] = PointCloudFrame(3, clouds[3].points * 1.01)
+    pc = replace(narrow_content, tables={}, dataset=replace(ds, clouds=clouds))
+    feature_tables(pc, need_geodesic=True)
+    assert sum(key[0] == "graph" for key in pc.tables) == 2
+    assert pc.surface_graph(0) is pc.surface_graph(5) is not pc.surface_graph(3)
 
 
 def test_feature_tables_add_geodesics_only_when_asked(narrow_content):
@@ -153,6 +162,38 @@ def test_feature_tables_add_geodesics_only_when_asked(narrow_content):
     for a, b in zip(plain, geo):
         np.testing.assert_array_equal(a.pos_dist, b.pos_dist)
         np.testing.assert_array_equal(a.eta_sum, b.eta_sum)
+
+
+def _same_bytes(a, b):
+    for name, value in vars(a).items():
+        if isinstance(value, np.ndarray):
+            assert value.dtype == getattr(b, name).dtype and value.tobytes() == getattr(b, name).tobytes(), name
+        else:
+            assert value == getattr(b, name), name
+
+
+def test_disk_store_round_trips_and_upgrades_to_geodesics(narrow_content, tmp_path):
+    def fresh(store_dir=str(tmp_path)):
+        return replace(narrow_content, tables={}, store_dir=store_dir)
+
+    memory = fresh(None)
+    assert feature_tables(fresh(), need_geodesic=False) and overlap_matrices(fresh())
+    # a later process reads the tables back byte for byte and builds no graph
+    pc = fresh()
+    for a, b in zip(overlap_matrices(pc), overlap_matrices(memory)):
+        _same_bytes(a, b)
+    plain = feature_tables(pc, need_geodesic=False)
+    for a, b in zip(plain, feature_tables(memory, need_geodesic=False)):
+        _same_bytes(a, b)
+    assert not any(key[0] == "graph" for key in pc.tables)
+    # the first geodesic request rebuilds the tables and replaces the files ...
+    assert all(f.gaze_geo is not None for f in feature_tables(pc, need_geodesic=True))
+    # ... which then serve plain requests too
+    pc = fresh()
+    for a, b in zip(feature_tables(pc, need_geodesic=False), feature_tables(memory, need_geodesic=True)):
+        _same_bytes(a, b)
+    assert not any(key[0] == "graph" for key in pc.tables)
+    assert not list(tmp_path.glob("**/*.tmp"))
 
 
 def test_overlap_route_via_metric_matrices(narrow_content):

@@ -41,19 +41,15 @@ from .evaluation import (
     relevant_population,
 )
 from .geometry import (
-    Frustum,
     FrustumParams,
     PointCloudFrame,
-    Pose,
     SurfaceGraph,
-    build_frustum,
     build_surface_graph,
-    contains,
-    euclidean_distance,
+    contains_points,
+    frustum_planes,
     geodesic_distance,
-    look_at,
     ray_cast_center,
-    viewport_set,
+    view_basis,
 )
 from .manifest import ContentManifest, load_manifest
 from .metrics import (
@@ -64,16 +60,14 @@ from .metrics import (
     SimilarityMatrix,
     compute_pair_features,
     default_configs,
-    gaussian_kernel,
     overlap_matrix,
-    overlap_ratio,
-    tanh_kernel,
 )
 from .pipeline import (
     PreparedContent,
     calibrate_contents,
     cluster_content,
     evaluate_content,
+    metric_matrices,
     overlap_matrices,
     prepare,
     prepare_scenario,

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .geometry import FrustumParams, build_frustum, build_surface_graph, pose_from_view
+from .geometry import FrustumParams, build_surface_graph, frustum_planes
 from .metrics import MetricId, compute_pair_features, overlap_matrix
 from .synth import (
     AtCentroidGaze,
@@ -31,11 +31,10 @@ from .synth import (
 from .trajectories import COLUMNS, derive_pr
 
 
-def _naive_planes(pose, params: FrustumParams):
-    fr = build_frustum(pose, params)
+def _naive_planes(position, view, params: FrustumParams):
     return [
         (float(n[0]), float(n[1]), float(n[2]), float(d))
-        for n, d in zip(fr.normals, fr.offsets)
+        for n, d in zip(*frustum_planes(position, view, params))
     ]
 
 
@@ -53,10 +52,13 @@ def _naive_viewport(points, planes) -> set:
     return out
 
 
-def naive_pair_overlap(points, pose_i, pose_j, params: FrustumParams) -> float:
-    """Exact overlap of one pair the slow way (fresh work per pair)."""
-    si = _naive_viewport(points, _naive_planes(pose_i, params))
-    sj = _naive_viewport(points, _naive_planes(pose_j, params))
+def naive_pair_overlap(points, viewer_i, viewer_j, params: FrustumParams) -> float:
+    """Exact overlap of one pair the slow way (fresh work per pair).
+
+    Each viewer is a ``(position, view)`` pair.
+    """
+    si = _naive_viewport(points, _naive_planes(*viewer_i, params))
+    sj = _naive_viewport(points, _naive_planes(*viewer_j, params))
     union = len(si | sj)
     if union == 0:
         return math.nan
@@ -146,7 +148,7 @@ def run_bench(
         for _ in range(repeats):
             t0 = time.perf_counter()
             for i, j in timed_pairs:
-                got = naive_pair_overlap(points_list, pose_from_view(x[i], view[i]), pose_from_view(x[j], view[j]), params)
+                got = naive_pair_overlap(points_list, (x[i], view[i]), (x[j], view[j]), params)
                 ref = exact.pair(i, j)
                 if not (math.isnan(got) and math.isnan(ref)) and abs(got - ref) > 1e-9:
                     raise AssertionError(f"naive oracle disagrees with production path: {got} vs {ref}")

@@ -22,11 +22,13 @@ from dataclasses import replace
 
 from .bench import run_bench
 from .calibration import DEFAULT_GRID, DEFAULT_TARGET_TPR, select_parameter_sets
+from .clustering import check_clique_size
 from .errors import DataError, ToolError, UsageError
 from .manifest import load_manifest
 from .metrics import MetricId, PROXY_METRICS, write_matrices_csv
 from .pipeline import (
     PreparedContent,
+    align_content,
     calibrate_contents,
     cluster_content,
     evaluate_content,
@@ -36,6 +38,7 @@ from .pipeline import (
     prepare,
     run_ablation,
     summarize_across_contents,
+    swept_contents,
 )
 from .store import safe_name
 from .synth import scenario_from_json, three_orbit_groups, write_scenario
@@ -56,11 +59,16 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _contents(args) -> list:
+def _contents(args, clique_searched=lambda cms: []) -> list:
     if not args.manifest:
         raise UsageError("this command requires --manifest PATH")
+    cms = load_manifest(args.manifest)
+    aligned = [align_content(cm) for cm in cms]
+    # refuse a content too large for the clique search before any cloud is read
+    searched = {cm.content_id for cm in clique_searched(cms)}
+    check_clique_size(max((len(ds.users) for ds in aligned if ds.content_id in searched), default=0))
     # per-frame tables persist in --out and serve later commands there
-    return [replace(prepare(cm), store_dir=args.out) for cm in load_manifest(args.manifest)]
+    return [replace(prepare(cm, ds), store_dir=args.out) for cm, ds in zip(cms, aligned)]
 
 
 def _parse_metric(name: str) -> MetricId:
@@ -165,7 +173,7 @@ def cmd_ablate(args) -> int:
     metric = _parse_metric(args.metric)
     if metric.is_overlap:
         raise UsageError("ablate applies to proxy metrics only")
-    pcs = _contents(args)
+    pcs = _contents(args, lambda cms: swept_contents(cms, not args.all_contents))
     grid = [float(g) for g in args.grid.split(",")] if args.grid else list(DEFAULT_GRID)
     fixed = {}
     for item in args.fix or []:
@@ -246,7 +254,7 @@ def _write_clusters(args, pc: PreparedContent, results: list, mode: str) -> tupl
 def cmd_cluster(args) -> int:
     metric = _parse_metric(args.metric)
     thresholds = _load_calibration(args.calibration) if args.calibration else None
-    for pc in _contents(args):
+    for pc in _contents(args, list):
         if thresholds:
             pc = pc.with_thresholds(thresholds)
         results = cluster_content(pc, metric, mode=args.mode, threads=args.threads)
@@ -263,7 +271,7 @@ def cmd_evaluate(args) -> int:
     thresholds = _load_calibration(args.calibration) if args.calibration else None
     rows = []
     per_metric_contents: dict = {m: {} for m in requested}
-    for pc in _contents(args):
+    for pc in _contents(args, list):
         if thresholds:
             pc = pc.with_thresholds(thresholds)
         for metric in requested:

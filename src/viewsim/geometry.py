@@ -1,9 +1,12 @@
-"""Rigid poses, view frusta, gaze ray casting, and point-cloud distances.
+"""View frusta, gaze ray casting, and point-cloud surface distances.
 
 Conventions used throughout the package:
 
-* quaternions are scalar-first ``(w, x, y, z)`` and unit length;
-* the viewing direction is the local −Z axis of the orientation;
+* a viewer is a position plus a viewing direction, nothing else: frusta
+  are roll-free, their right axis horizontal under world up +Y (+Z when
+  the view is vertical);
+* quaternions are scalar-first ``(w, x, y, z)`` and unit length; the
+  viewing direction is their local −Z axis and their roll is discarded;
 * the frustum boundary is closed: a point exactly on a plane is inside;
 * geodesic distances live on a k-nearest-neighbour surface graph and are
   ``+inf`` between disconnected components.
@@ -97,63 +100,23 @@ def quat_from_matrix(rot: np.ndarray) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Viewer position plus unit orientation quaternion (w, x, y, z)."""
+def view_basis(view) -> tuple:
+    """Roll-free camera axes ``(forward, right, up)`` of a viewing direction.
 
-    position: np.ndarray
-    orientation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", as_vec3(self.position))
-        q = np.asarray(self.orientation, dtype=np.float64).reshape(-1)
-        if q.shape != (4,):
-            raise ValueError("orientation must be a quaternion (w, x, y, z)")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("non-finite quaternion")
-        n = float(np.linalg.norm(q))
-        if abs(n - 1.0) > 1e-6:
-            raise ValueError(f"quaternion norm {n} is not 1 within 1e-6")
-        object.__setattr__(self, "orientation", q / n)
-
-    def rotation(self) -> np.ndarray:
-        return quat_to_matrix(self.orientation)
-
-    def forward(self) -> np.ndarray:
-        """Viewing direction: local −Z in world coordinates."""
-        return self.rotation() @ np.array([0.0, 0.0, -1.0])
-
-    def up(self) -> np.ndarray:
-        return self.rotation() @ np.array([0.0, 1.0, 0.0])
-
-    def right(self) -> np.ndarray:
-        return self.rotation() @ np.array([1.0, 0.0, 0.0])
-
-
-def look_at(position, target, up=None) -> Pose:
-    """Pose at ``position`` whose −Z axis points at ``target``.
-
-    Falls back to an alternate up hint when the view direction is parallel
-    to the requested up vector.
+    ``forward`` is ``unit(view)``.  ``right`` is horizontal under world up
+    +Y; +Z stands in for world up when the view is parallel to +Y.
     """
-    pos = as_vec3(position)
-    f = unit(as_vec3(target) - pos)
-    hint = _WORLD_UP if up is None else unit(up)
-    if abs(float(np.dot(f, hint))) > 1.0 - 1e-9:
-        hint = _WORLD_UP_FALLBACK if up is None else _WORLD_UP
-        if abs(float(np.dot(f, hint))) > 1.0 - 1e-9:
-            hint = np.array([1.0, 0.0, 0.0])
+    f = unit(view)
+    hint = _WORLD_UP if abs(float(np.dot(f, _WORLD_UP))) <= 1.0 - 1e-9 else _WORLD_UP_FALLBACK
     r = unit(np.cross(f, hint))
-    u = np.cross(r, f)
+    return f, r, np.cross(r, f)
+
+
+def view_quaternion(view) -> np.ndarray:
+    """Unit quaternion whose local −Z axis is ``view``, roll-free."""
+    f, r, u = view_basis(view)
     # Columns are the world images of camera right (+X), up (+Y), back (+Z).
-    rot = np.column_stack([r, u, -f])
-    return Pose(pos, quat_from_matrix(rot))
-
-
-def pose_from_view(position, view, up=None) -> Pose:
-    """Pose looking along a given direction; roll fixed by the up hint."""
-    pos = as_vec3(position)
-    return look_at(pos, pos + unit(view), up=up)
+    return quat_from_matrix(np.column_stack([r, u, -f]))
 
 
 @dataclass(frozen=True)
@@ -174,25 +137,13 @@ class FrustumParams:
             raise InvalidParamsError(f"need 0 < near < far, got near={self.near} far={self.far}")
 
 
-@dataclass(frozen=True)
-class Frustum:
-    """Six inward-facing planes; x is inside iff normals @ x + offsets >= 0."""
+def frustum_planes(position, view, params: FrustumParams = FrustumParams()) -> tuple:
+    """Six inward planes ``(normals, offsets)``: apex at ``position``, opening along ``view``.
 
-    apex: np.ndarray
-    normals: np.ndarray
-    offsets: np.ndarray
-
-    def signed_distances(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.normals.T + self.offsets
-
-
-def build_frustum(pose: Pose, params: FrustumParams | None = None) -> Frustum:
-    """Frustum with apex at the pose position, opening along −Z of the pose."""
-    if params is None:
-        params = FrustumParams()
-    a = pose.position
-    f, u, r = pose.forward(), pose.up(), pose.right()
+    x is inside iff ``normals @ x + offsets >= 0`` for every plane.
+    """
+    a = as_vec3(position)
+    f, r, u = view_basis(view)
     ch, sh = math.cos(params.hfov / 2.0), math.sin(params.hfov / 2.0)
     cv, sv = math.cos(params.vfov / 2.0), math.sin(params.vfov / 2.0)
     normals = np.array(
@@ -207,18 +158,13 @@ def build_frustum(pose: Pose, params: FrustumParams | None = None) -> Frustum:
     )
     anchors = np.array([a + params.near * f, a + params.far * f, a, a, a, a])
     offsets = -np.einsum("ij,ij->i", normals, anchors)
-    return Frustum(apex=a.copy(), normals=normals, offsets=offsets)
+    return normals, offsets
 
 
-def contains(frustum: Frustum, point) -> bool:
-    """Closed-boundary containment test for a single point."""
-    d = frustum.signed_distances(as_vec3(point)[None, :])
-    return bool(np.all(d >= 0.0))
-
-
-def contains_points(frustum: Frustum, points: np.ndarray) -> np.ndarray:
-    """Boolean mask over an (N, 3) array."""
-    return np.all(frustum.signed_distances(points) >= 0.0, axis=1)
+def contains_points(planes: tuple, points: np.ndarray) -> np.ndarray:
+    """Closed-boundary containment mask of an (N, 3) array in ``(normals, offsets)``."""
+    normals, offsets = planes
+    return np.all(np.asarray(points, dtype=np.float64) @ normals.T + offsets >= 0.0, axis=1)
 
 
 @dataclass(frozen=True)
@@ -243,24 +189,21 @@ class PointCloudFrame:
         return self.points.shape[0]
 
 
-def viewport_set(frustum: Frustum, cloud: PointCloudFrame) -> np.ndarray:
-    """Sorted indices of cloud points inside the frustum."""
-    return np.flatnonzero(contains_points(frustum, cloud.points)).astype(np.int64)
-
-
 def ray_cast_center(
-    pose: Pose, cloud: PointCloudFrame, cone_half_angle: float = DEFAULT_CONE_HALF_ANGLE
+    position, view, cloud: PointCloudFrame, cone_half_angle: float = DEFAULT_CONE_HALF_ANGLE
 ):
     """Viewport centre on the content, or None when the gaze misses it.
 
     Among cloud points lying within ``cone_half_angle`` of the forward ray,
     picks the one with the smallest depth along the ray (first index on
-    exact ties) and returns ``(p, r)`` with ``r = |p - position|``.
+    exact ties) and returns ``(p, r)`` with ``r = |p - position|``.  The
+    ray starts at ``position`` and runs along ``unit(view)``.
     """
     if not (0.0 < cone_half_angle <= math.pi / 4.0):
         raise InvalidParamsError(f"cone_half_angle must lie in (0, pi/4], got {cone_half_angle}")
-    f = pose.forward()
-    rel = cloud.points - pose.position
+    pos = as_vec3(position)
+    f = unit(view)
+    rel = cloud.points - pos
     depth = rel @ f
     norm = np.linalg.norm(rel, axis=1)
     # angle <= half_angle  <=>  depth >= |rel| * cos(half_angle), depth > 0
@@ -270,11 +213,7 @@ def ray_cast_center(
     hits = np.flatnonzero(mask)
     best = hits[int(np.argmin(depth[hits]))]
     p = cloud.points[best].copy()
-    return p, float(np.linalg.norm(p - pose.position))
-
-
-def euclidean_distance(a, b) -> float:
-    return float(np.linalg.norm(as_vec3(a) - as_vec3(b)))
+    return p, float(np.linalg.norm(p - pos))
 
 
 @dataclass

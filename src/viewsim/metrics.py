@@ -25,15 +25,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParamsError, MissingGraphError, ParseError, PreconditionError
-from .geometry import (
-    FrustumParams,
-    SurfaceGraph,
-    build_frustum,
-    contains_points,
-    geodesic_rows,
-    pose_from_view,
-)
+from .errors import InvalidParamsError, MissingGraphError, ParseError
+from .geometry import FrustumParams, SurfaceGraph, contains_points, frustum_planes, geodesic_rows
 
 
 class MetricId(str, Enum):
@@ -62,11 +55,6 @@ class MetricId(str, Enum):
     @property
     def uses_tanh(self) -> bool:
         return self in (MetricId.W7, MetricId.W8)
-
-    @property
-    def needs_pr(self) -> bool:
-        """True when the metric reads p or r (every proxy except w1)."""
-        return self not in (MetricId.W1, MetricId.OVERLAP)
 
 
 PROXY_METRICS = tuple(m for m in MetricId if m is not MetricId.OVERLAP)
@@ -124,49 +112,17 @@ def default_configs() -> dict:
     }
 
 
-def gaussian_kernel(alpha: float, d: float) -> float:
-    """exp(-alpha * d) for d >= 0, with d = +inf mapped to 0.
+def exp_kernel(alpha: float, d: np.ndarray) -> np.ndarray:
+    """exp(-alpha * d) elementwise for d >= 0, with d = +inf mapped to 0.
 
     The infinity rule comes first so a zero regulator still kills
-    unreachable pairs instead of producing 0 * inf = nan.
+    unreachable pairs instead of producing 0 * inf = nan.  NaN entries
+    (invalid pairs) propagate.
     """
-    if not (math.isfinite(alpha) and alpha >= 0.0):
-        raise InvalidParamsError(f"alpha must be finite and >= 0, got {alpha}")
-    if math.isnan(d) or d < 0.0:
-        raise ValueError(f"distance must be >= 0 or +inf, got {d}")
-    if math.isinf(d):
-        return 0.0
-    return math.exp(-alpha * d)
-
-
-def _kernel_arr(alpha: float, d: np.ndarray) -> np.ndarray:
-    """Vectorized gaussian_kernel; NaN entries (invalid pairs) propagate."""
     inf = np.isinf(d)
     out = np.exp(-alpha * np.where(inf, 0.0, d))
     out[inf] = 0.0
     return out
-
-
-def tanh_kernel(r: float) -> float:
-    """Saturating weight of a viewing distance."""
-    if not (r >= 0.0):
-        raise ValueError(f"viewing distance must be >= 0, got {r}")
-    return math.tanh(r)
-
-
-def overlap_ratio(set_i, set_j) -> float:
-    """Jaccard index of two viewport index sets.
-
-    Undefined (raises) when both sets are empty; the pairwise driver marks
-    such pairs invalid instead of calling this.
-    """
-    a = np.unique(np.array(list(set_i), dtype=np.int64))
-    b = np.unique(np.array(list(set_j), dtype=np.int64))
-    inter = np.intersect1d(a, b, assume_unique=True).size
-    union = a.size + b.size - inter
-    if union == 0:
-        raise PreconditionError("overlap ratio of two empty viewport sets is undefined")
-    return inter / union
 
 
 @dataclass
@@ -233,25 +189,25 @@ class PairFeatures:
         if metric.needs_geodesic and self.gaze_geo is None:
             raise MissingGraphError(f"{metric.value} needs a surface graph")
         if metric is MetricId.W1:
-            values = _kernel_arr(reg.alpha, self.pos_dist)
+            values = exp_kernel(reg.alpha, self.pos_dist)
             valid = self.pos_valid & ~np.eye(n, dtype=bool)
         else:
             gaze = self.gaze_geo if metric.needs_geodesic else self.gaze_euc
             if metric is MetricId.W2:
-                values = _kernel_arr(reg.alpha, self.range_diff)
+                values = exp_kernel(reg.alpha, self.range_diff)
             elif metric in (MetricId.W3, MetricId.W4):
-                values = _kernel_arr(reg.alpha, gaze)
+                values = exp_kernel(reg.alpha, gaze)
             elif metric in (MetricId.W5, MetricId.W6):
                 values = (
-                    _kernel_arr(reg.alpha, self.pos_dist)
-                    * _kernel_arr(reg.beta, self.range_diff)
-                    * _kernel_arr(reg.gamma, gaze)
+                    exp_kernel(reg.alpha, self.pos_dist)
+                    * exp_kernel(reg.beta, self.range_diff)
+                    * exp_kernel(reg.gamma, gaze)
                 )
             elif metric in (MetricId.W7, MetricId.W8):
                 values = (
-                    _kernel_arr(reg.alpha, self.pos_dist)
+                    exp_kernel(reg.alpha, self.pos_dist)
                     * (reg.beta * self.eta_sum)
-                    * _kernel_arr(reg.gamma, gaze)
+                    * exp_kernel(reg.gamma, gaze)
                 )
             else:
                 raise InvalidParamsError(f"unknown metric {metric}")
@@ -335,7 +291,7 @@ def overlap_matrix(frame_index: int, users: tuple, x, view, off, cloud, params: 
         raise ValueError("one row per user required")
     masks = np.zeros((n, cloud.points.shape[0]), dtype=np.float64)
     for k in np.flatnonzero(present):
-        masks[k] = contains_points(build_frustum(pose_from_view(x[k], view[k]), params), cloud.points)
+        masks[k] = contains_points(frustum_planes(x[k], view[k], params), cloud.points)
     inter = masks @ masks.T  # exact: counts < 2**53
     sizes = np.diag(inter).copy()
     union = sizes[:, None] + sizes[None, :] - inter

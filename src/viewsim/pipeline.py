@@ -98,18 +98,26 @@ class PreparedContent:
         return self.tables[key]
 
 
-def prepare(cm: ContentManifest) -> PreparedContent:
-    """Load, align, and derive one manifest entry."""
+def align_content(cm: ContentManifest) -> SessionDataset:
+    """Load and align one manifest entry's trajectories; reads no cloud."""
     clouds = DirectoryCloudSequence(cm.cloud_dir)
     aligned = align_to_frames(load_trajectories(cm.trajectory_csv), cm.fps)
     n = min(aligned.n_frames, len(clouds))  # frame k's row does not depend on the frame count
-    dataset = replace(
+    return replace(
         aligned,
         content_id=cm.content_id,
         clouds=clouds,
         frustum=cm.frustum,
         **{name: getattr(aligned, name)[:, :n] for name in COLUMNS},
     )
+
+
+def prepare(cm: ContentManifest, aligned: SessionDataset | None = None) -> PreparedContent:
+    """Load, align, and derive one manifest entry.
+
+    ``aligned`` is ``align_content(cm)`` when the caller already has it.
+    """
+    dataset = align_content(cm) if aligned is None else aligned
     if np.isnan(dataset.r).all():  # the CSV supplied no p/r
         dataset = derive_pr(dataset, cm.cone_half_angle, cm.r_mode)
     return PreparedContent(
@@ -320,6 +328,12 @@ def calibrate_contents(
     return out
 
 
+def swept_contents(contents: list, reference_only: bool = True) -> list:
+    """Contents an ablation sweeps: the reference ones (all, if none is marked or asked)."""
+    chosen = [c for c in contents if c.reference] if reference_only else []
+    return chosen or list(contents)
+
+
 def run_ablation(
     pcs: list,
     metric: MetricId,
@@ -330,9 +344,7 @@ def run_ablation(
     reference_only: bool = True,
 ) -> list:
     """Regulator sweep over the reference contents (all, if none is marked)."""
-    chosen = [pc for pc in pcs if pc.reference] if reference_only else list(pcs)
-    if not chosen:
-        chosen = list(pcs)
+    chosen = swept_contents(pcs, reference_only)
     check_clique_size(max(len(pc.dataset.users) for pc in chosen))
     th = threshold if threshold is not None else chosen[0].config(metric).threshold
     tables = {}

@@ -27,10 +27,10 @@ from .errors import (
 from .geometry import (
     DEFAULT_CONE_HALF_ANGLE,
     FrustumParams,
-    pose_from_view,
     quat_to_matrix,
     ray_cast_center,
     unit_rows,
+    view_quaternion,
 )
 
 _BASE_COLUMNS = [
@@ -247,7 +247,7 @@ def derive_pr(
             continue
         cloud = ds.clouds[k]
         for i in on:
-            hit = ray_cast_center(pose_from_view(ds.x[i, k], ds.view[i, k]), cloud, cone_half_angle=cone)
+            hit = ray_cast_center(ds.x[i, k], ds.view[i, k], cloud, cone_half_angle=cone)
             if hit is None:
                 off[i, k] = True
                 continue
@@ -269,7 +269,7 @@ def write_trajectories(path, ds: SessionDataset, with_pr: bool = False) -> None:
         w.writerow(cols)
         for i, uid in enumerate(ds.users):
             for k in range(ds.n_frames):
-                q = pose_from_view(ds.x[i, k], ds.view[i, k]).orientation
+                q = view_quaternion(ds.view[i, k])
                 row = [uid, _fmt(k / ds.fps)] + [_fmt(v) for v in ds.x[i, k]] + [_fmt(v) for v in q]
                 if with_pr:
                     if np.isnan(ds.r[i, k]):

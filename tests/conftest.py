@@ -13,7 +13,7 @@ from viewsim import (
     PointCloudFrame,
     SimilarityMatrix,
 )
-from viewsim.geometry import pose_from_view, unit
+from viewsim.geometry import unit
 
 # One line per acceptance criterion, printed after the run.
 ACCEPTANCE_LINES: list = []
@@ -36,7 +36,8 @@ def record_criterion(number, name, ok, detail=""):
     print(ACCEPTANCE_LINES[-1])
 
 
-def random_pose(rng):
+def random_viewer(rng):
+    """A random (position, view) pair."""
     position = rng.uniform(-3.0, 3.0, 3)
     view = rng.normal(size=3)
     while np.linalg.norm(view) < 1e-6:
@@ -44,7 +45,7 @@ def random_pose(rng):
     # avoid the world-up singularity; the loader never produces it either
     if abs(view[1]) / np.linalg.norm(view) > 0.999:
         view[0] += 0.1
-    return pose_from_view(position, view)
+    return position, view
 
 
 class Sample(NamedTuple):
@@ -55,9 +56,6 @@ class Sample(NamedTuple):
     p: np.ndarray | None
     r: float | None
     off_content: bool
-
-    def pose(self):
-        return pose_from_view(self.x, self.view)
 
 
 def make_sample(x, view=None, p=None, r=None, off_content=False):

@@ -54,12 +54,12 @@ def align_to_frames_oracle(traces, fps, n_frames=None):
     return {name: np.array(col) for name, col in out.items()}
 
 
-def viewport_set_oracle(frustum, points):
-    """Per-point six-plane containment, one plane inequality at a time."""
-    planes = [
-        (float(n[0]), float(n[1]), float(n[2]), float(d))
-        for n, d in zip(frustum.normals, frustum.offsets)
-    ]
+def viewport_set_oracle(planes, points):
+    """Per-point six-plane containment, one plane inequality at a time.
+
+    ``planes`` is a ``(normals, offsets)`` pair as ``frustum_planes`` returns.
+    """
+    planes = [(float(n[0]), float(n[1]), float(n[2]), float(d)) for n, d in zip(*planes)]
     out = set()
     for idx in range(len(points)):
         x, y, z = (float(points[idx][0]), float(points[idx][1]), float(points[idx][2]))

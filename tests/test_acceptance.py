@@ -19,10 +19,10 @@ from viewsim.evaluation import adjusted_rand_index
 from viewsim.geometry import (
     FrustumParams,
     PointCloudFrame,
-    build_frustum,
     build_surface_graph,
+    contains_points,
+    frustum_planes,
     geodesic_distance,
-    viewport_set,
 )
 from viewsim.metrics import (
     MetricId,
@@ -30,12 +30,11 @@ from viewsim.metrics import (
     compute_pair_features,
     default_configs,
     overlap_matrix,
-    overlap_ratio,
 )
 from viewsim.pipeline import evaluate_content, prepare, prepare_scenario, run_ablation
 from viewsim.synth import _fibonacci_sphere, planted_labels, three_orbit_groups
 
-from conftest import feature_columns, make_sample, overlap_columns, random_pose, record_criterion, square_matrix
+from conftest import feature_columns, make_sample, overlap_columns, random_viewer, record_criterion, square_matrix
 from oracles import (
     jaccard_fraction,
     max_cliques_oracle,
@@ -63,16 +62,16 @@ def test_criterion_1_viewport_matches_bruteforce_oracle():
     for trial in range(200):
         n = int(rng.integers(500, 10_001))
         cloud = _sample_cloud(rng, n)
-        pose = random_pose(rng)
+        position, view = random_viewer(rng)
         params = FrustumParams(
             hfov=float(rng.uniform(0.3, 1.2)),
             vfov=float(rng.uniform(0.3, 1.2)),
             near=0.05,
             far=float(rng.uniform(5.0, 100.0)),
         )
-        frustum = build_frustum(pose, params)
-        got = set(viewport_set(frustum, cloud).tolist())
-        want = viewport_set_oracle(frustum, cloud.points)
+        planes = frustum_planes(position, view, params)
+        got = set(np.flatnonzero(contains_points(planes, cloud.points)).tolist())
+        want = viewport_set_oracle(planes, cloud.points)
         if got != want:
             mismatches += 1
     elapsed = time.perf_counter() - t0
@@ -84,21 +83,30 @@ def test_criterion_1_viewport_matches_bruteforce_oracle():
 
 
 def test_criterion_2_overlap_is_exact_rational_jaccard():
+    # every valid overlap_matrix value equals the rational Jaccard of the
+    # oracle's viewport sets, and a pair with an empty union is invalid
     rng = np.random.default_rng(102)
     t0 = time.perf_counter()
-    bad = 0
-    for trial in range(1000):
-        universe = int(rng.integers(1, 400))
-        a = set(rng.choice(universe, size=int(rng.integers(0, universe)), replace=False).tolist())
-        b = set(rng.choice(universe, size=int(rng.integers(0, universe)), replace=False).tolist())
-        if not (a | b):
-            a = {0}
-        got = overlap_ratio(a, b)
-        if got != float(jaccard_fraction(a, b)):
-            bad += 1
+    checked = bad = 0
+    n = 8
+    users = tuple(f"u{k}" for k in range(n))
+    while checked < 1000:
+        cloud = _sample_cloud(rng, int(rng.integers(200, 1500)))
+        x = rng.normal(size=(n, 3))
+        x *= rng.uniform(1.5, 3.0, (n, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+        view = -x + rng.normal(0.0, 0.5, (n, 3))
+        params = FrustumParams(hfov=float(rng.uniform(0.3, 1.2)), vfov=float(rng.uniform(0.3, 1.2)))
+        mat = overlap_matrix(0, users, x, view, np.zeros(n, dtype=bool), cloud, params)
+        sets = [viewport_set_oracle(frustum_planes(x[k], view[k], params), cloud.points) for k in range(n)]
+        for i, j, value, ok in mat.pairs():
+            if not (sets[i] | sets[j]):
+                bad += ok
+            elif checked < 1000:
+                checked += 1
+                bad += not ok or value != float(jaccard_fraction(sets[i], sets[j]))
     ok = bad == 0
     record_criterion(
-        2, "exact-overlap-formula", ok, f"1000 pairs, {time.perf_counter() - t0:.1f}s, {bad} wrong"
+        2, "exact-overlap-formula", ok, f"{checked} pairs, {time.perf_counter() - t0:.1f}s, {bad} wrong"
     )
     assert ok
 

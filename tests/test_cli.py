@@ -236,20 +236,45 @@ def test_calibrate_checks_label_balance_before_graphs(dataset, tmp_path, monkeyp
 def test_clique_limit_checked_before_tables(tmp_path, monkeypatch, capsys):
     # 3 groups x 22 = 66 users, over the 64-user bitset search
     import viewsim.pipeline
+    import viewsim.ply
+    import viewsim.trajectories
     from viewsim.cli import main
 
     data = tmp_path / "data"
     assert main(["--seed", "5", "--out", str(data), "synth",
                  "--users-per-group", "22", "--frames", "2", "--points", "100"]) == 0
     built = []
-    for name in ("overlap_matrix", "compute_pair_features", "build_surface_graph"):
-        monkeypatch.setattr(viewsim.pipeline, name, lambda *a, name=name, **k: built.append(name))
+    for module, name in ((viewsim.pipeline, "overlap_matrix"), (viewsim.pipeline, "compute_pair_features"),
+                         (viewsim.pipeline, "build_surface_graph"), (viewsim.ply, "read_ply"),
+                         (viewsim.trajectories, "ray_cast_center")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: built.append(name))
     capsys.readouterr()
     manifest = str(data / "manifest.json")
-    for command in (["cluster", "--metric", "w7"], ["ablate", "--metric", "w7", "--fix", "beta=0.5"]):
+    for command in (["cluster", "--metric", "w7"], ["evaluate", "--metric", "w7"],
+                    ["ablate", "--metric", "w7", "--fix", "beta=0.5"]):
         assert main(["--manifest", manifest, "--out", str(tmp_path), *command]) == 4
         assert "up to 64 users, got 66" in capsys.readouterr().err
     assert built == []
+
+
+def test_ablate_checks_only_swept_contents(tmp_path):
+    # a 66-user content outside the sweep does not stop ablate
+    from viewsim.cli import main
+
+    for name, per_group in (("big", 22), ("small", 3)):
+        assert main(["--seed", "5", "--out", str(tmp_path / name), "synth",
+                     "--users-per-group", str(per_group), "--frames", "2", "--points", "100"]) == 0
+    docs = []
+    for name, reference in (("big", False), ("small", True)):
+        doc = json.loads((tmp_path / name / "manifest.json").read_text())
+        docs.append(dict(doc, content_id=name, reference=reference,
+                         cloud_dir=str(tmp_path / name / doc["cloud_dir"]),
+                         trajectory_csv=str(tmp_path / name / doc["trajectory_csv"])))
+    combo = tmp_path / "combo.json"
+    combo.write_text(json.dumps({"contents": docs}))
+    args = ["--manifest", str(combo), "--out", str(tmp_path / "out"), "ablate", "--metric", "w1", "--grid", "1"]
+    assert main(args) == 0
+    assert main(args + ["--all-contents"]) == 4
 
 
 def test_overlap_run_never_imports_scipy(dataset, tmp_path):

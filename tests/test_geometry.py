@@ -6,64 +6,67 @@ import pytest
 from viewsim import (
     FrustumParams,
     PointCloudFrame,
-    Pose,
-    build_frustum,
     build_surface_graph,
-    contains,
+    contains_points,
+    frustum_planes,
     geodesic_distance,
-    look_at,
     ray_cast_center,
-    viewport_set,
+    view_basis,
 )
 from viewsim.errors import InvalidParamsError
 from viewsim.geometry import (
     geodesic_rows,
-    pose_from_view,
     quat_from_matrix,
     quat_to_matrix,
     unit,
+    view_quaternion,
 )
 
-from conftest import assert_close, random_pose
+from conftest import assert_close, random_viewer
 from oracles import dijkstra_oracle, graph_edges, viewport_set_oracle
+
+MINUS_Z = np.array([0.0, 0.0, -1.0])
 
 
 def test_identity_pose_faces_minus_z():
-    pose = Pose(position=np.zeros(3), orientation=np.array([1.0, 0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(pose.forward(), [0.0, 0.0, -1.0], atol=1e-15)
+    view = quat_to_matrix(np.array([1.0, 0.0, 0.0, 0.0])) @ MINUS_Z
+    np.testing.assert_allclose(view, [0.0, 0.0, -1.0], atol=1e-15)
 
 
 def test_yaw_half_turn_faces_plus_z():
-    pose = Pose(position=np.zeros(3), orientation=np.array([0.0, 0.0, 1.0, 0.0]))
-    np.testing.assert_allclose(pose.forward(), [0.0, 0.0, 1.0], atol=1e-15)
+    view = quat_to_matrix(np.array([0.0, 0.0, 1.0, 0.0])) @ MINUS_Z
+    np.testing.assert_allclose(view, [0.0, 0.0, 1.0], atol=1e-15)
 
 
-def test_look_at_forward_hits_target():
+def test_view_basis_forward_is_unit_view():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        position = rng.uniform(-5, 5, 3)
-        target = rng.uniform(-5, 5, 3)
-        if np.linalg.norm(target - position) < 1e-3:
-            continue
-        d = unit(target - position)
-        if abs(d[1]) > 0.999:
-            continue
-        pose = look_at(position, target)
-        np.testing.assert_allclose(pose.forward(), d, atol=1e-12)
+        view = rng.normal(size=3) * rng.uniform(0.1, 10.0)
+        f, r, u = view_basis(view)
+        np.testing.assert_array_equal(f, unit(view))
+        # right axis stays horizontal under the world-up convention
+        assert abs(r[1]) < 1e-12
+        np.testing.assert_allclose(np.stack([r, u, -f]) @ np.stack([r, u, -f]).T, np.eye(3), atol=1e-12)
+        assert np.linalg.det(np.column_stack([r, u, -f])) > 0
 
 
-def test_pose_from_view_is_roll_free():
+def test_vertical_view_falls_back_to_z_up():
+    for view in ([0.0, 2.0, 0.0], [0.0, -1.0, 0.0]):
+        f, r, u = view_basis(view)
+        assert abs(r[2]) < 1e-12
+        np.testing.assert_allclose(np.cross(r, u), -f, atol=1e-12)
+
+
+def test_view_quaternion_is_roll_free():
     rng = np.random.default_rng(2)
     for _ in range(50):
         view = unit(rng.normal(size=3))
         if abs(view[1]) > 0.99:
             continue
-        pose = pose_from_view(np.zeros(3), view)
-        rot = quat_to_matrix(pose.orientation)
-        right = rot[:, 0]
+        rot = quat_to_matrix(view_quaternion(view))
         # right axis stays horizontal under the world-up convention
-        assert abs(right[1]) < 1e-12
-        np.testing.assert_allclose(-rot[:, 2], view, atol=1e-12)
+        assert abs(rot[1, 0]) < 1e-12
+        np.testing.assert_allclose(rot[:, 2], -view, atol=1e-12)
 
 
 def test_quaternion_matrix_round_trip():
@@ -81,66 +84,70 @@ def test_quaternion_matrix_round_trip():
         assert np.linalg.det(rot) > 0
 
 
-def _origin_pose():
-    return pose_from_view(np.zeros(3), np.array([0.0, 0.0, -1.0]))
+def _origin_planes(params=FrustumParams()):
+    return frustum_planes(np.zeros(3), MINUS_Z, params)
+
+
+def _inside(planes, point) -> bool:
+    return bool(contains_points(planes, np.array([point], dtype=np.float64))[0])
 
 
 def test_frustum_boundary_is_closed():
-    fr = build_frustum(_origin_pose(), FrustumParams())
+    fr = _origin_planes()
     near, far = 0.05, 100.0
-    assert contains(fr, [0.0, 0.0, -near])
-    assert contains(fr, [0.0, 0.0, -far])
-    assert not contains(fr, [0.0, 0.0, -near * 0.98])
-    assert not contains(fr, [0.0, 0.0, -far * 1.0001])
+    assert _inside(fr, [0.0, 0.0, -near])
+    assert _inside(fr, [0.0, 0.0, -far])
+    assert not _inside(fr, [0.0, 0.0, -near * 0.98])
+    assert not _inside(fr, [0.0, 0.0, -far * 1.0001])
     # 90 degree fov: the side planes pass through |x| == depth
-    assert contains(fr, [0.5, 0.0, -0.5])
-    assert contains(fr, [-0.5, 0.0, -0.5])
-    assert contains(fr, [0.0, 0.5, -0.5])
-    assert not contains(fr, [0.5001, 0.0, -0.5])
-    assert not contains(fr, [0.0, -0.5001, -0.5])
-    assert not contains(fr, [0.3, 0.0, 0.2])  # behind the viewer
+    assert _inside(fr, [0.5, 0.0, -0.5])
+    assert _inside(fr, [-0.5, 0.0, -0.5])
+    assert _inside(fr, [0.0, 0.5, -0.5])
+    assert not _inside(fr, [0.5001, 0.0, -0.5])
+    assert not _inside(fr, [0.0, -0.5001, -0.5])
+    assert not _inside(fr, [0.3, 0.0, 0.2])  # behind the viewer
 
 
 def test_asymmetric_fov():
-    fr = build_frustum(_origin_pose(), FrustumParams(hfov=1.0, vfov=0.4))
+    fr = _origin_planes(FrustumParams(hfov=1.0, vfov=0.4))
     th, tv = math.tan(0.5), math.tan(0.2)
     z = 2.0
-    assert contains(fr, [th * z * 0.999, 0.0, -z])
-    assert not contains(fr, [th * z * 1.001, 0.0, -z])
-    assert contains(fr, [0.0, tv * z * 0.999, -z])
-    assert not contains(fr, [0.0, tv * z * 1.001, -z])
+    assert _inside(fr, [th * z * 0.999, 0.0, -z])
+    assert not _inside(fr, [th * z * 1.001, 0.0, -z])
+    assert _inside(fr, [0.0, tv * z * 0.999, -z])
+    assert not _inside(fr, [0.0, tv * z * 1.001, -z])
+
+
+def _viewport(planes, cloud) -> set:
+    return set(np.flatnonzero(contains_points(planes, cloud.points)).tolist())
 
 
 def test_viewport_set_matches_per_point_oracle():
     rng = np.random.default_rng(7)
     for _ in range(40):
         cloud = PointCloudFrame(0.0, rng.uniform(-4, 4, (rng.integers(50, 400), 3)))
-        fr = build_frustum(random_pose(rng), FrustumParams())
-        got = set(viewport_set(fr, cloud).tolist())
-        want = viewport_set_oracle(fr, cloud.points)
-        assert got == want
+        fr = frustum_planes(*random_viewer(rng))
+        assert _viewport(fr, cloud) == viewport_set_oracle(fr, cloud.points)
 
 
 def test_viewport_set_rigid_invariance():
     rng = np.random.default_rng(8)
     cloud = PointCloudFrame(0.0, rng.uniform(-2, 2, (500, 3)))
-    pose = random_pose(rng)
-    base = set(viewport_set(build_frustum(pose, FrustumParams()), cloud).tolist())
-    # rotate the whole scene by a quaternion and translate it
-    q = rng.normal(size=4)
-    rot = quat_to_matrix(q / np.linalg.norm(q))
+    position, view = random_viewer(rng)
+    fr = frustum_planes(position, view)
+    base = _viewport(fr, cloud)
+    # yaw the whole scene about +Y and translate it; frusta are roll-free,
+    # so only rotations that keep world up map one frustum onto another
+    c, s = math.cos(1.1), math.sin(1.1)
+    rot = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
     shift = rng.uniform(-10, 10, 3)
     moved_cloud = PointCloudFrame(0.0, cloud.points @ rot.T + shift)
-    moved_pose = Pose(
-        position=rot @ pose.position + shift,
-        orientation=quat_from_matrix(rot @ quat_to_matrix(pose.orientation)),
-    )
-    moved = set(viewport_set(build_frustum(moved_pose, FrustumParams()), moved_cloud).tolist())
+    moved = _viewport(frustum_planes(rot @ position + shift, rot @ view), moved_cloud)
     # boundary points may flip under rotation round-off; interior must agree
     sym = base ^ moved
     if sym:
-        fr = build_frustum(pose, FrustumParams())
-        dists = cloud.points[sorted(sym)] @ fr.normals.T + fr.offsets
+        normals, offsets = fr
+        dists = cloud.points[sorted(sym)] @ normals.T + offsets
         assert np.abs(dists).min() < 1e-9
     assert len(sym) <= 2
 
@@ -157,8 +164,7 @@ def test_invalid_frustum_params_rejected():
 
 
 def test_ray_cast_dense_sphere(unit_sphere_cloud):
-    pose = pose_from_view(np.array([0.0, 0.0, 2.0]), np.array([0.0, 0.0, -1.0]))
-    hit = ray_cast_center(pose, unit_sphere_cloud)
+    hit = ray_cast_center(np.array([0.0, 0.0, 2.0]), MINUS_Z, unit_sphere_cloud)
     assert hit is not None
     p, r = hit
     np.testing.assert_allclose(p, [0.0, 0.0, 1.0], atol=0.03)
@@ -167,24 +173,23 @@ def test_ray_cast_dense_sphere(unit_sphere_cloud):
 
 def test_ray_cast_picks_nearest_on_ray():
     cloud = PointCloudFrame(0.0, np.array([[0.0, 0.0, -3.0], [0.0, 0.0, -1.0], [0.0, 0.0, -2.0]]))
-    p, r = ray_cast_center(_origin_pose(), cloud)
+    p, r = ray_cast_center(np.zeros(3), MINUS_Z, cloud)
     np.testing.assert_allclose(p, [0.0, 0.0, -1.0])
     assert_close(r, 1.0)
 
 
 def test_ray_cast_miss_is_none():
     cloud = PointCloudFrame(0.0, np.array([[0.0, 0.0, -1.0]]))
-    pose = pose_from_view(np.zeros(3), np.array([0.0, 0.0, 1.0]))
-    assert ray_cast_center(pose, cloud) is None
+    assert ray_cast_center(np.zeros(3), -MINUS_Z, cloud) is None
 
 
 def test_ray_cast_cone_bounds():
     cloud = PointCloudFrame(0.0, np.array([[0.0, 0.0, -1.0]]))
     with pytest.raises(InvalidParamsError):
-        ray_cast_center(_origin_pose(), cloud, cone_half_angle=0.0)
+        ray_cast_center(np.zeros(3), MINUS_Z, cloud, cone_half_angle=0.0)
     with pytest.raises(InvalidParamsError):
-        ray_cast_center(_origin_pose(), cloud, cone_half_angle=math.pi / 4 + 0.01)
-    assert ray_cast_center(_origin_pose(), cloud, cone_half_angle=math.pi / 4) is not None
+        ray_cast_center(np.zeros(3), MINUS_Z, cloud, cone_half_angle=math.pi / 4 + 0.01)
+    assert ray_cast_center(np.zeros(3), MINUS_Z, cloud, cone_half_angle=math.pi / 4) is not None
 
 
 def test_cone_boundary_inclusive():
@@ -192,9 +197,9 @@ def test_cone_boundary_inclusive():
     # one point exactly on the cone, one just outside
     on = np.array([math.sin(half), 0.0, -math.cos(half)])
     out = np.array([math.sin(half + 1e-3), 0.0, -math.cos(half + 1e-3)])
-    got = ray_cast_center(_origin_pose(), PointCloudFrame(0.0, on[None, :] * 2.0), cone_half_angle=half)
+    got = ray_cast_center(np.zeros(3), MINUS_Z, PointCloudFrame(0.0, on[None, :] * 2.0), cone_half_angle=half)
     assert got is not None
-    assert ray_cast_center(_origin_pose(), PointCloudFrame(0.0, out[None, :] * 2.0), cone_half_angle=half) is None
+    assert ray_cast_center(np.zeros(3), MINUS_Z, PointCloudFrame(0.0, out[None, :] * 2.0), cone_half_angle=half) is None
 
 
 def test_surface_graph_edges_are_symmetric(small_cloud):

@@ -14,13 +14,10 @@ from viewsim import (
     build_surface_graph,
     compute_pair_features,
     default_configs,
-    gaussian_kernel,
     overlap_matrix,
-    overlap_ratio,
-    tanh_kernel,
 )
-from viewsim.errors import MissingGraphError, PreconditionError
-from viewsim.metrics import PROXY_METRICS, read_matrices_csv, write_matrices_csv
+from viewsim.errors import MissingGraphError
+from viewsim.metrics import PROXY_METRICS, exp_kernel, read_matrices_csv, write_matrices_csv
 from viewsim.synth import _fibonacci_sphere
 
 from conftest import assert_close, feature_columns, make_sample, overlap_columns
@@ -47,35 +44,53 @@ def test_default_configs_frozen_table():
     assert configs[MetricId.OVERLAP].threshold == 0.75
 
 
+def _kernel(alpha, d) -> float:
+    return float(exp_kernel(alpha, np.array([d]))[0])
+
+
 def test_kernel_basics():
-    assert gaussian_kernel(0.0, 5.0) == 1.0
-    assert gaussian_kernel(2.0, 0.0) == 1.0
-    assert_close(gaussian_kernel(1.0, 1.0), math.exp(-1.0))
-    assert gaussian_kernel(0.0, math.inf) == 0.0  # unreachable stays dissimilar
-    assert gaussian_kernel(3.0, math.inf) == 0.0
-    assert tanh_kernel(0.0) == 0.0
-    assert_close(tanh_kernel(1.5), math.tanh(1.5))
+    assert _kernel(0.0, 5.0) == 1.0
+    assert _kernel(2.0, 0.0) == 1.0
+    assert_close(_kernel(1.0, 1.0), math.exp(-1.0))
+    assert _kernel(0.0, math.inf) == 0.0  # unreachable stays dissimilar
+    assert _kernel(3.0, math.inf) == 0.0
+    assert math.isnan(_kernel(1.0, math.nan))  # invalid pairs stay invalid
 
 
 @given(st.floats(0, 50), st.floats(0, 1e6))
 def test_kernel_range(alpha, d):
-    v = gaussian_kernel(alpha, d)
+    v = _kernel(alpha, d)
     assert 0.0 <= v <= 1.0
 
 
 @given(st.floats(0.01, 10), st.floats(0, 100), st.floats(0, 100))
 def test_kernel_monotone_in_distance(alpha, d1, d2):
     lo, hi = sorted([d1, d2])
-    assert gaussian_kernel(alpha, hi) <= gaussian_kernel(alpha, lo)
+    assert _kernel(alpha, hi) <= _kernel(alpha, lo)
+
+
+def _set_overlap(si, sj) -> float:
+    """overlap_matrix of two viewers whose viewport sets are exactly si and sj.
+
+    Viewer a at the origin and viewer b at x = 10 both look along -Z; each
+    index becomes one cloud point placed where the viewers it belongs to
+    see it: (5, 0, -10) for both, (0, 0, -1) for a only, (10, 0, -1) for b
+    only.  One extra point behind both viewers keeps the cloud non-empty.
+    """
+    where = {(True, True): [5.0, 0.0, -10.0], (True, False): [0.0, 0.0, -1.0], (False, True): [10.0, 0.0, -1.0]}
+    pts = [where[(k in si, k in sj)] for k in sorted(set(si) | set(sj))] + [[0.0, 0.0, 5.0]]
+    x = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
+    view = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, -1.0]])
+    mat = overlap_matrix(0, ("a", "b"), x, view, np.zeros(2, dtype=bool), PointCloudFrame(0.0, np.array(pts)), FrustumParams())
+    return mat.values[0, 1] if mat.valid[0, 1] else None
 
 
 def test_overlap_ratio_examples():
-    assert overlap_ratio([1, 2, 3], [2, 3, 4]) == 0.5
-    assert overlap_ratio([1, 2], [3, 4]) == 0.0
-    assert overlap_ratio([7], [7]) == 1.0
-    assert overlap_ratio([], [1, 2]) == 0.0
-    with pytest.raises(PreconditionError):
-        overlap_ratio([], [])
+    assert _set_overlap([1, 2, 3], [2, 3, 4]) == 0.5
+    assert _set_overlap([1, 2], [3, 4]) == 0.0
+    assert _set_overlap([7], [7]) == 1.0
+    assert _set_overlap([], [1, 2]) == 0.0
+    assert _set_overlap([], []) is None  # empty union: invalid, not 0
 
 
 def test_overlap_ratio_matches_rational_arithmetic():
@@ -87,7 +102,7 @@ def test_overlap_ratio_matches_rational_arithmetic():
         if not (si | sj):
             continue
         frac = Fraction(len(si & sj), len(si | sj))
-        assert overlap_ratio(si, sj) == frac.numerator / frac.denominator
+        assert _set_overlap(si, sj) == frac.numerator / frac.denominator
 
 
 @given(
@@ -97,9 +112,9 @@ def test_overlap_ratio_matches_rational_arithmetic():
 def test_overlap_ratio_bounds_and_symmetry(si, sj):
     if not (si | sj):
         return
-    v = overlap_ratio(si, sj)
+    v = _set_overlap(si, sj)
     assert 0.0 <= v <= 1.0
-    assert v == overlap_ratio(sj, si)
+    assert v == _set_overlap(sj, si)
     assert (v == 1.0) == (si == sj)
 
 
@@ -242,9 +257,9 @@ def test_overlap_matrix_against_sets(default_params):
     users = ("a", "b", "c", "d")
     samples = [make_sample(pos) for pos in ([0, 0, 2.5], [0.2, 0, 2.5], [2.5, 0, 0], [0, 0, -2.5])]
     mat = overlap_matrix(0, users, *overlap_columns(samples), cloud, default_params)
-    from viewsim import build_frustum, viewport_set
+    from viewsim import contains_points, frustum_planes
 
-    sets = [set(viewport_set(build_frustum(s.pose(), default_params), cloud).tolist()) for s in samples]
+    sets = [set(np.flatnonzero(contains_points(frustum_planes(s.x, s.view, default_params), cloud.points)).tolist()) for s in samples]
     for i in range(4):
         for j in range(i + 1, 4):
             union = sets[i] | sets[j]

@@ -341,3 +341,11 @@ def test_readme_library_snippet_runs_verbatim(capsys):
     stored_ov, stored_feats = namespace["pc"].tables[("overlap", 0)], namespace["pc"].tables[("features", 0)]
     np.testing.assert_array_equal(namespace["ov"].values, stored_ov.values)
     np.testing.assert_array_equal(namespace["feats"].pos_dist, stored_feats.pos_dist)
+
+
+def test_readme_entry_points_import_from_package():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = re.search(r"Lower\s+level entry points \(([^)]*)\)", readme).group(1)
+    names = re.findall(r"`(\w+)`", listed)
+    assert len(names) >= 5
+    assert [n for n in names if not hasattr(viewsim, n)] == []

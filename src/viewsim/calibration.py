@@ -83,7 +83,9 @@ def roc_curve(values, labels) -> list:
         raise DegenerateLabelsError("no positive labels: every overlap is below the threshold")
     if n_neg == 0:
         raise DegenerateLabelsError("no negative labels: every overlap reaches the threshold")
-    candidates = np.unique(np.concatenate([v, [0.0, 1.0]]))
+    # np.unique's sort-and-compare on finite values, without importing numpy.ma
+    candidates = np.sort(np.concatenate([v, [0.0, 1.0]]))
+    candidates = candidates[np.concatenate([[True], candidates[1:] != candidates[:-1]])]
     pos_sorted = np.sort(v[y])
     neg_sorted = np.sort(v[~y])
     # predictions at threshold t are "value >= t"

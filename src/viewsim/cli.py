@@ -127,7 +127,7 @@ def cmd_metrics(args) -> int:
     for pc in _contents(args):
         frames = _parse_frames(args.frames, pc.dataset.n_frames)
         # one feature pass serves every requested metric
-        features = feature_tables(pc, need_geodesic=need_geo, frames=frames, threads=args.threads)
+        features = feature_tables(pc, need_geodesic=need_geo, frames=frames)
         mats = [m for metric in metrics for m in metric_matrices(pc, metric, frames=frames, threads=args.threads)]
         path = _out_path(args, f"metrics_{safe_name(pc.content_id)}.csv")
         write_matrices_csv(path, mats)

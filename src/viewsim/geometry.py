@@ -249,32 +249,18 @@ def build_surface_graph(cloud: PointCloudFrame, k: int = DEFAULT_SURFACE_KNN) ->
     pts = cloud.points
     n = pts.shape[0]
     tree = cKDTree(pts)
-    kq = min(k + 1, n)
-    dist, idx = tree.query(pts, k=kq)
-    if kq == 1:
-        dist = dist[:, None]
-        idx = idx[:, None]
-    src = np.repeat(np.arange(n), kq - 1) if kq > 1 else np.empty(0, dtype=np.int64)
-    dst = idx[:, 1:].reshape(-1) if kq > 1 else np.empty(0, dtype=np.int64)
-    w = dist[:, 1:].reshape(-1) if kq > 1 else np.empty(0)
+    dist, idx = tree.query(pts, k=min(k + 1, n))
+    dist, idx = dist.reshape(n, -1)[:, 1:], idx.reshape(n, -1)[:, 1:]
     # Drop self pairs that sneak in when duplicates outnumber k.
-    keep = src != dst
-    src, dst, w = src[keep], dst[keep], w[keep]
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    order = np.lexsort((hi, lo))
-    lo, hi, w = lo[order], hi[order], w[order]
-    if lo.size:
-        first = np.ones(lo.size, dtype=bool)
-        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        lo, hi, w = lo[first], hi[first], w[first]
-    rows = np.concatenate([lo, hi])
-    cols = np.concatenate([hi, lo])
-    data = np.concatenate([w, w])
-    adj = csr_matrix((data, (rows, cols)), shape=(n, n))
-    # csr_matrix construction drops nothing here, but make the zero-weight
-    # duplicate edges explicit so csgraph keeps them as edges.
-    adj.sort_indices()
+    keep = idx != np.arange(n)[:, None]
+    w = dist[keep]
+    # Directed edges carry ids 1..E; the union keeps either id of a pair (both name bit-equal
+    # weights), and no id is zero, so no edge is pruned, zero-weight ones included.
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    ids = csr_matrix((np.arange(1, w.size + 1), idx[keep], indptr), shape=(n, n))
+    union = ids.maximum(ids.T.tocsr())
+    union.sort_indices()
+    adj = csr_matrix((w[union.data - 1], union.indices, union.indptr), shape=(n, n))
     return SurfaceGraph(points=pts, k=k, adjacency=adj, _tree=tree)
 
 
@@ -301,5 +287,5 @@ def geodesic_rows(graph: SurfaceGraph, sources: np.ndarray) -> np.ndarray:
     src = np.asarray(sources, dtype=np.int64)
     if src.size == 0:
         return np.empty((0, graph.n_points))
-    out = dijkstra(graph.adjacency, directed=False, indices=src)
+    out = dijkstra(graph.adjacency, directed=True, indices=src)  # the adjacency is symmetric
     return np.atleast_2d(out)

@@ -223,9 +223,9 @@ def compute_pair_features(frame_index: int, users: tuple, x, p, r, off, graph: S
     ``x`` and ``p`` are n×3, ``r`` and ``off`` length n, one row per user;
     p and r are NaN for a user without a gaze target.  Geodesic gaze
     distances are taken between graph vertices nearest each p, one
-    shortest-path sweep per distinct source vertex; the row of the smaller
-    vertex index is used for both orientations so the matrix is symmetric
-    by construction.
+    shortest-path sweep per distinct source vertex but the largest; the row
+    of the smaller vertex index is used for both orientations so the matrix
+    is symmetric by construction.
     """
     n = len(users)
     # contiguous, like stacked rows: numpy may pick another (SIMD) loop, with other rounding, for strided input
@@ -250,7 +250,7 @@ def compute_pair_features(frame_index: int, users: tuple, x, p, r, off, graph: S
         if on_idx.size:
             snapped = np.array([graph.nearest_index(ps[i]) for i in on_idx])
             uniq, inv = np.unique(snapped, return_inverse=True)
-            rows = geodesic_rows(graph, uniq)
+            rows = geodesic_rows(graph, uniq[:-1])  # the largest vertex's row is never read
             for a in range(on_idx.size):
                 for b in range(a + 1, on_idx.size):
                     va, vb = snapped[a], snapped[b]

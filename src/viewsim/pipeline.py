@@ -1,9 +1,10 @@
 """Dataset-level drivers tying ingestion, metrics, clustering and scoring.
 
 Everything here operates on PreparedContent: one content item's aligned
-dataset plus its processing parameters.  Frame-level work is independent
-across frames, so the drivers fan out over a thread pool and reassemble in
-frame order; results are identical for any --threads value.
+dataset plus its processing parameters.  Overlap matrices are independent
+across frames, so they fan out over a thread pool and reassemble in frame
+order; results are identical for any --threads value.  Pair features run
+on the calling thread, one surface graph alive at a time.
 """
 
 from __future__ import annotations
@@ -52,10 +53,11 @@ from .trajectories import COLUMNS, SessionDataset, align_to_frames, derive_pr, l
 class PreparedContent:
     """One content item ready for batch processing.
 
-    ``tables`` is the per-content store: each overlap matrix, feature table
-    and surface graph is computed on first request and shared afterwards by
-    every metric, every command and every ``with_thresholds`` copy.  It is
-    filled only from the calling thread; worker threads only compute.
+    ``tables`` is the per-content store: each overlap matrix and feature
+    table is computed on first request and shared afterwards by every
+    metric, every command and every ``with_thresholds`` copy; it holds one
+    surface graph at most, and only during a geodesic pass.  It is filled
+    only from the calling thread; worker threads only compute.
 
     With a ``store_dir``, overlap matrices and feature tables also persist
     on disk (``viewsim.store``), so later processes read them back instead
@@ -91,11 +93,12 @@ class PreparedContent:
         return self.tables[key]
 
     def surface_graph(self, frame: int):
-        """Graph for one frame; frames whose clouds hold equal points share one graph."""
-        key = ("graph", self.cloud_digest(frame), self.knn)
-        if key not in self.tables:
-            self.tables[key] = build_surface_graph(self.dataset.clouds[frame], k=self.knn)
-        return self.tables[key]
+        """Graph for one frame; only the latest is kept, and it is dropped before the next is built."""
+        key = (self.cloud_digest(frame), self.knn)
+        if self.tables.get("graph", (None,))[0] != key:
+            self.tables.pop("graph", None)
+            self.tables["graph"] = (key, build_surface_graph(self.dataset.clouds[frame], k=self.knn))
+        return self.tables["graph"][1]
 
 
 def align_content(cm: ContentManifest) -> SessionDataset:
@@ -176,11 +179,11 @@ def _missing(pc: PreparedContent, kind: str, frames: list, usable) -> list:
 
 def _store(pc: PreparedContent, kind: str, frames: list, todo: list, task, threads: int) -> list:
     """Compute the ``todo`` frames on the pool, store them (and save them) from this thread, return ``frames``."""
-    if threads <= 1 or len(todo) <= 1:
-        computed = [task(k) for k in todo]
-    else:
+    if threads > 1 and len(todo) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             computed = list(ex.map(task, todo))
+    else:
+        computed = map(task, todo)  # each frame stored before the next is computed
     for k, table in zip(todo, computed):
         pc.tables[(kind, k)] = table
         if pc.store_dir is not None:
@@ -200,22 +203,27 @@ def overlap_matrices(pc: PreparedContent, frames=None, threads: int = 1) -> list
     return _store(pc, "overlap", frames, todo, task, threads)
 
 
-def feature_tables(pc: PreparedContent, need_geodesic: bool = True, frames=None, threads: int = 1) -> list:
+def feature_tables(pc: PreparedContent, need_geodesic: bool = True, frames=None) -> list:
     """Per-frame pair features; geodesic distances only when asked for.
 
     A stored geodesic table also serves non-geodesic requests; a stored
     non-geodesic one is rebuilt once, when geodesics are first asked for.
+    Runs on the calling thread, one graph alive at a time: sweeps hold the GIL.
     """
     frames = list(range(pc.dataset.n_frames) if frames is None else frames)
     todo = _missing(pc, "features", frames, lambda f: f is not None and (f.gaze_geo is not None or not need_geodesic))
-    # sequential: populates the shared store safely
-    graphs = {k: pc.surface_graph(k) for k in todo} if need_geodesic else {}
+    if need_geodesic:  # frames grouped by cloud, in first-seen order: one build per distinct cloud
+        first = {}
+        todo = sorted(todo, key=lambda k: first.setdefault(pc.cloud_digest(k), len(first)))
     ds = pc.dataset
 
     def task(k: int):
-        return compute_pair_features(k, ds.users, ds.x[:, k], ds.p[:, k], ds.r[:, k], ds.off[:, k], graph=graphs.get(k))
+        graph = pc.surface_graph(k) if need_geodesic else None
+        return compute_pair_features(k, ds.users, ds.x[:, k], ds.p[:, k], ds.r[:, k], ds.off[:, k], graph=graph)
 
-    return _store(pc, "features", frames, todo, task, threads)
+    tables = _store(pc, "features", frames, todo, task, threads=1)
+    pc.tables.pop("graph", None)  # no content keeps a graph past its pass
+    return tables
 
 
 def metric_matrices(
@@ -227,7 +235,7 @@ def metric_matrices(
     """Per-frame matrices for one proxy metric (or the exact ground truth)."""
     if metric.is_overlap:
         return overlap_matrices(pc, frames=frames, threads=threads)
-    features = feature_tables(pc, need_geodesic=metric.needs_geodesic, frames=frames, threads=threads)
+    features = feature_tables(pc, need_geodesic=metric.needs_geodesic, frames=frames)
     return [f.metric_matrix(metric, pc.config(metric).regulators) for f in features]
 
 
@@ -313,7 +321,7 @@ def calibrate_contents(
         if count == 0:
             raise DegenerateLabelsError(f"0 {kind} labels out of {labels.size} valid pair-frames at o_th={o_th}")
     need_geo = any(m.needs_geodesic for m in metrics)
-    features = [(pc, f) for pc in pcs for f in feature_tables(pc, need_geodesic=need_geo, threads=threads)]
+    features = [(pc, f) for pc in pcs for f in feature_tables(pc, need_geodesic=need_geo)]
     out = {}
     for metric in metrics:
         mats = [f.metric_matrix(metric, pc.config(metric).regulators) for pc, f in features]
@@ -349,7 +357,7 @@ def run_ablation(
     th = threshold if threshold is not None else chosen[0].config(metric).threshold
     tables = {}
     for pc in chosen:
-        features = feature_tables(pc, need_geodesic=metric.needs_geodesic, threads=threads)
+        features = feature_tables(pc, need_geodesic=metric.needs_geodesic)
         tables[pc.content_id] = list(zip(features, overlap_matrices(pc, threads=threads)))
     return ablate(
         tables,

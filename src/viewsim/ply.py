@@ -215,8 +215,10 @@ def write_ply(path, points, binary: bool = True) -> None:
 class DirectoryCloudSequence:
     """Lazy frame-indexed view over the sorted .ply files in a directory.
 
-    Each access reads its file; nothing is cached.  Every pass over a
-    session (ray casting, overlap, surface graphs) requests each frame once.
+    Each access parses its file; nothing is cached, so a frame asked for
+    twice is read twice.  Ray casting reads each frame once, but digesting
+    a cloud for a table-store or graph key reads it once more than the
+    table or graph then computed from it.
     """
 
     def __init__(self, directory):

@@ -177,7 +177,7 @@ def load_trajectories(path) -> dict:
     for uid in sorted(rows_by_user):
         rows = sorted(rows_by_user[uid], key=lambda r: r[0])
         t, x, view, p, r, off = (np.array(col) for col in zip(*rows))
-        if np.unique(t).size != t.size:
+        if np.any(t[1:] == t[:-1]):  # t is sorted
             raise ParseError(f"duplicate timestamps for user '{uid}'", path=path)
         traces[uid] = Trace(t=t, x=x, view=unit_rows(view), p=p, r=r, off=off)
     return traces

@@ -91,6 +91,41 @@ def graph_edges(graph):
     return [(i, j, w) for (i, j), w in sorted(seen.items())]
 
 
+def surface_adjacency_oracle(points, k):
+    """Union-symmetrized kNN adjacency by sorting and deduplicating edge pairs.
+
+    Each undirected pair keeps the weight its lower-index endpoint measured;
+    self pairs (duplicates outnumbering k) are dropped, zero weights kept.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.spatial import cKDTree
+
+    n = points.shape[0]
+    kq = min(k + 1, n)
+    dist, idx = cKDTree(points).query(points, k=kq)
+    if kq == 1:
+        dist = dist[:, None]
+        idx = idx[:, None]
+    src = np.repeat(np.arange(n), kq - 1) if kq > 1 else np.empty(0, dtype=np.int64)
+    dst = idx[:, 1:].reshape(-1) if kq > 1 else np.empty(0, dtype=np.int64)
+    w = dist[:, 1:].reshape(-1) if kq > 1 else np.empty(0)
+    keep = src != dst
+    src, dst, w = src[keep], dst[keep], w[keep]
+    lo = np.minimum(src, dst)
+    hi = np.maximum(src, dst)
+    order = np.lexsort((hi, lo))
+    lo, hi, w = lo[order], hi[order], w[order]
+    if lo.size:
+        first = np.ones(lo.size, dtype=bool)
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        lo, hi, w = lo[first], hi[first], w[first]
+    rows = np.concatenate([lo, hi])
+    cols = np.concatenate([hi, lo])
+    adj = csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n))
+    adj.sort_indices()
+    return adj
+
+
 def dijkstra_oracle(n_vertices, edges, source):
     """Binary-heap Dijkstra over an undirected weighted edge list."""
     adj = [[] for _ in range(n_vertices)]

@@ -487,6 +487,24 @@ def test_warm_commands_compute_no_tables_and_never_import_scipy(narrow_manifest,
     assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
+def test_warm_commands_never_import_numpy_ma(narrow_manifest, tmp_path, capsys):
+    for argv in (["overlap"], ["metrics"]):
+        run_in(capsys, narrow_manifest, tmp_path, argv)
+    code = (
+        "import sys, viewsim.cli\n"
+        "base = ['--manifest', sys.argv[1], '--out', sys.argv[2]]\n"
+        "for argv in (['overlap'], ['calibrate'], ['evaluate', '--mode', 'chunk'],\n"
+        "             ['ablate', '--metric', 'w7', '--fix', 'beta=0.5']):\n"
+        "    assert viewsim.cli.main(base + argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(narrow_manifest), str(tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 # --------------------------------------------------------------- ablate
 
 

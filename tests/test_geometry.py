@@ -23,7 +23,7 @@ from viewsim.geometry import (
 )
 
 from conftest import assert_close, random_viewer
-from oracles import dijkstra_oracle, graph_edges, viewport_set_oracle
+from oracles import dijkstra_oracle, graph_edges, surface_adjacency_oracle, viewport_set_oracle
 
 MINUS_Z = np.array([0.0, 0.0, -1.0])
 
@@ -206,6 +206,37 @@ def test_surface_graph_edges_are_symmetric(small_cloud):
     graph = build_surface_graph(small_cloud)
     a = graph.adjacency
     assert (a != a.T).nnz == 0
+
+
+def _oracle_clouds():
+    rng = np.random.default_rng(21)
+    base = rng.uniform(-1.0, 1.0, (300, 3))
+    return {
+        "random": rng.normal(size=(2000, 3)),
+        # 12 copies of each point: duplicates outnumber k, so self pairs and zero-weight edges appear
+        "duplicates": rng.permutation(np.repeat(base, 12, axis=0)),
+        # coordinates on a coarse grid: many exactly tied distances
+        "grid": np.round(rng.uniform(-1.0, 1.0, (2000, 3)) * 6.0) / 6.0,
+        "single": np.zeros((1, 3)),
+    }
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 20])
+@pytest.mark.parametrize("name", ["random", "duplicates", "grid", "single"])
+def test_surface_graph_matches_sorted_dedupe_oracle(name, k):
+    from scipy.sparse.csgraph import dijkstra
+
+    points = _oracle_clouds()[name]
+    graph = build_surface_graph(PointCloudFrame(0, points), k=k)
+    got, want = graph.adjacency, surface_adjacency_oracle(points, k)
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+    if name == "duplicates":
+        assert (got.data == 0.0).any()
+    sources = np.arange(0, points.shape[0], max(1, points.shape[0] // 7))
+    directed = geodesic_rows(graph, sources)
+    assert directed.tobytes() == np.atleast_2d(dijkstra(want, directed=False, indices=sources)).tobytes()
 
 
 def test_geodesic_matches_heap_dijkstra(small_cloud):

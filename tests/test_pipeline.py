@@ -1,6 +1,7 @@
 """Batch orchestration: loading, matrices, clustering, sweeps, threading."""
 
 import re
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from viewsim.errors import InvalidParamsError
 from viewsim.evaluation import adjusted_rand_index
 from viewsim.geometry import PointCloudFrame
 from viewsim.manifest import load_manifest
-from viewsim.metrics import MetricId
+from viewsim.metrics import MetricId, compute_pair_features
 from viewsim.pipeline import (
     cluster_content,
     evaluate_content,
@@ -133,28 +134,57 @@ def test_frame_subset_selects_frames(narrow_content):
     assert [m.frame for m in mats] == [2, 4]
 
 
-def test_geodesic_graphs_cached_per_distinct_cloud(narrow_content):
+def test_geodesic_graphs_cached_per_distinct_cloud(narrow_content, monkeypatch):
+    builds = _count_calls(monkeypatch, "build_surface_graph")
     pc = replace(narrow_content, tables={})
     feature_tables(pc, need_geodesic=True)
-    # rigid content: one shared coordinate array, one stored graph
-    assert sum(key[0] == "graph" for key in pc.tables) == 1
+    # rigid content: one shared coordinate array, one build
+    assert len(builds) == 1
     g = pc.surface_graph(0)
     assert g is pc.surface_graph(5)
-    # keyed by the points, not the array: equal copies share a graph, moved points get their own
+    # keyed by the points, not the array: equal copies share a build, moved points get their own
     ds = narrow_content.dataset
     clouds = [PointCloudFrame(k, c.points.copy()) for k, c in enumerate(ds.clouds)]
     clouds[3] = PointCloudFrame(3, clouds[3].points * 1.01)
     pc = replace(narrow_content, tables={}, dataset=replace(ds, clouds=clouds))
+    builds.clear()
     feature_tables(pc, need_geodesic=True)
-    assert sum(key[0] == "graph" for key in pc.tables) == 2
+    assert len(builds) == 2
     assert pc.surface_graph(0) is pc.surface_graph(5) is not pc.surface_graph(3)
 
 
-def test_feature_tables_add_geodesics_only_when_asked(narrow_content):
+def test_one_surface_graph_alive_at_a_time(narrow_content, monkeypatch):
+    alive = []
+    real = viewsim.pipeline.build_surface_graph
+
+    def watched(cloud, k):
+        assert [ref for ref in alive if ref() is not None] == [], "an earlier graph is still alive"
+        graph = real(cloud, k)
+        alive.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(viewsim.pipeline, "build_surface_graph", watched)
+    ds = narrow_content.dataset
+    # four distinct clouds over six frames, equal ones not adjacent: A B A C B D
+    scale = [1.0, 1.01, 1.0, 1.02, 1.01, 1.03]
+    clouds = [PointCloudFrame(k, ds.clouds[k].points * s) for k, s in enumerate(scale)]
+    pc = replace(narrow_content, tables={}, dataset=replace(ds, clouds=clouds))
+    metric_matrices(pc, MetricId.W7, threads=2)
+    assert len(alive) == 4
+    assert [ref for ref in alive if ref() is not None] == [], "the pass kept its last graph"
+    # the same values as one graph per frame, built afresh
+    for k, cloud in enumerate(clouds):
+        graph = real(cloud, pc.knn)
+        want = compute_pair_features(k, ds.users, ds.x[:, k], ds.p[:, k], ds.r[:, k], ds.off[:, k], graph=graph)
+        assert want.gaze_geo.tobytes() == pc.tables[("features", k)].gaze_geo.tobytes()
+
+
+def test_feature_tables_add_geodesics_only_when_asked(narrow_content, monkeypatch):
+    builds = _count_calls(monkeypatch, "build_surface_graph")
     pc = replace(narrow_content, tables={})
     plain = feature_tables(pc, need_geodesic=False)
     assert all(f.gaze_geo is None for f in plain)
-    assert not any(key[0] == "graph" for key in pc.tables)
+    assert builds == []
     geo = feature_tables(pc, need_geodesic=True)
     assert all(f.gaze_geo is not None for f in geo)
     # the geodesic tables now serve plain requests as well
@@ -172,9 +202,11 @@ def _same_bytes(a, b):
             assert value == getattr(b, name), name
 
 
-def test_disk_store_round_trips_and_upgrades_to_geodesics(narrow_content, tmp_path):
+def test_disk_store_round_trips_and_upgrades_to_geodesics(narrow_content, tmp_path, monkeypatch):
     def fresh(store_dir=str(tmp_path)):
         return replace(narrow_content, tables={}, store_dir=store_dir)
+
+    builds = _count_calls(monkeypatch, "build_surface_graph")
 
     memory = fresh(None)
     assert feature_tables(fresh(), need_geodesic=False) and overlap_matrices(fresh())
@@ -185,14 +217,16 @@ def test_disk_store_round_trips_and_upgrades_to_geodesics(narrow_content, tmp_pa
     plain = feature_tables(pc, need_geodesic=False)
     for a, b in zip(plain, feature_tables(memory, need_geodesic=False)):
         _same_bytes(a, b)
-    assert not any(key[0] == "graph" for key in pc.tables)
+    assert builds == []
     # the first geodesic request rebuilds the tables and replaces the files ...
     assert all(f.gaze_geo is not None for f in feature_tables(pc, need_geodesic=True))
     # ... which then serve plain requests too
     pc = fresh()
-    for a, b in zip(feature_tables(pc, need_geodesic=False), feature_tables(memory, need_geodesic=True)):
+    builds.clear()
+    served = feature_tables(pc, need_geodesic=False)
+    assert builds == []
+    for a, b in zip(served, feature_tables(memory, need_geodesic=True)):
         _same_bytes(a, b)
-    assert not any(key[0] == "graph" for key in pc.tables)
     assert not list(tmp_path.glob("**/*.tmp"))
 
 

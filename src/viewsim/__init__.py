@@ -12,7 +12,6 @@ from .calibration import (
     DEFAULT_GRID,
     ParameterSets,
     RocPoint,
-    ablate,
     roc_curve,
     select_parameter_sets,
     select_threshold,

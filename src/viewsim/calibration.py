@@ -7,10 +7,8 @@ threshold", and candidate thresholds are every distinct observed value plus
 the target: among thresholds meeting the TPR floor, the largest has the
 lowest FPR.
 
-The regulator sweep (ablation) keeps each metric's decision threshold fixed
-and re-scores frame-based clustering over a grid of regulator values,
-averaging overlap ratio, relevant population, and precision over frames and
-then across contents.  Three named selections come out of the records:
+The regulator sweep (``pipeline.run_ablation``) yields one AblationRecord
+per regulator combination.  Three named selections come out of the records:
 set 1 maximizes overlap ratio, set 2 relevant population, set 3 precision.
 """
 
@@ -22,15 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import build_adjacency, clique_clustering, pair_indices
+from .clustering import pair_indices
 from .errors import (
     DegenerateLabelsError,
     InvalidParamsError,
     PreconditionError,
     UnattainableTargetError,
 )
-from .evaluation import aggregate, evaluate_result
-from .metrics import MetricConfig, MetricId, RegulatorSet
+from .metrics import MetricId, RegulatorSet
 
 DEFAULT_GRID = (0.0, 0.05, 0.1, 0.125, 0.2, 0.25, 0.5, 1.0, 2.0)
 DEFAULT_TARGET_TPR = 0.75
@@ -164,62 +161,6 @@ def regulator_grid(metric: MetricId, grid, fixed: dict | None = None) -> list:
         kwargs = dict(zip(names, combo))
         out.append(RegulatorSet(**kwargs))
     return out
-
-
-def ablate(
-    content_tables: dict,
-    metric: MetricId,
-    grid=DEFAULT_GRID,
-    fixed: dict | None = None,
-    *,
-    threshold: float,
-    o_th: float = DEFAULT_OVERLAP_LABEL_THRESHOLD,
-    min_size: int = 3,
-) -> list:
-    """One AblationRecord per regulator combination.
-
-    ``content_tables`` maps content id to a list of per-frame pairs
-    ``(features, overlap_matrix)``; features are reused across the whole
-    grid since regulators factor out of them.  Each combination runs
-    frame-based clustering at the metric's fixed ``threshold``; the three
-    performance figures are averaged over frames per content, then across
-    contents.  Records come out in grid order.
-    """
-    if metric.is_overlap:
-        raise InvalidParamsError("the ground-truth metric is not subject to ablation")
-    combos = regulator_grid(metric, grid, fixed)
-    records = []
-    for reg in combos:
-        config = MetricConfig(metric=metric, regulators=reg, threshold=threshold)
-        content_means: dict = {"overlap_ratio": [], "relevant_population": [], "precision": []}
-        for cid in sorted(content_tables):
-            perfs = []
-            for features, overlap in content_tables[cid]:
-                matrix = features.metric_matrix(metric, reg)
-                graph = build_adjacency(matrix, config)
-                result = clique_clustering(graph, tie_matrix=matrix)
-                perfs.append(
-                    evaluate_result(
-                        result, overlap, label_threshold=o_th, min_size=min_size
-                    )
-                )
-            for field in content_means:
-                stats = aggregate([getattr(p, field) for p in perfs], allow_empty=True)
-                content_means[field].append(stats.mean)
-        finals = {
-            field: aggregate(vals, allow_empty=True).mean
-            for field, vals in content_means.items()
-        }
-        records.append(
-            AblationRecord(
-                metric=metric,
-                regulators=reg,
-                overlap_ratio=finals["overlap_ratio"],
-                relevant_population=finals["relevant_population"],
-                precision=finals["precision"],
-            )
-        )
-    return records
 
 
 def _argmax_record(records: list, field: str) -> AblationRecord:

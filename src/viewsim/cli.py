@@ -21,11 +21,12 @@ import sys
 from dataclasses import replace
 
 from .bench import run_bench
-from .calibration import DEFAULT_GRID, DEFAULT_TARGET_TPR, select_parameter_sets
+from .calibration import DEFAULT_GRID, DEFAULT_TARGET_TPR, regulator_grid, select_parameter_sets
 from .clustering import check_clique_size
 from .errors import DataError, ToolError, UsageError
+from .evaluation import FIGURES
 from .manifest import load_manifest
-from .metrics import MetricId, PROXY_METRICS, write_matrices_csv
+from .metrics import MetricId, PROXY_METRICS, _fmt, write_matrices_csv
 from .pipeline import (
     PreparedContent,
     align_content,
@@ -42,10 +43,6 @@ from .pipeline import (
 )
 from .store import safe_name
 from .synth import scenario_from_json, three_orbit_groups, write_scenario
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 def _out_path(args, name: str) -> str:
@@ -88,7 +85,16 @@ def _parse_frames(spec: str | None, n_frames: int):
     hi = int(m.group(2)) if m.group(2) else n_frames
     if lo >= hi:
         raise UsageError(f"empty frame range '{spec}'")
+    if lo >= n_frames:
+        raise UsageError(f"frame range '{spec}' holds no frame of the {n_frames}-frame session")
     return range(lo, min(hi, n_frames))
+
+
+def _number(text: str, flag: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise UsageError(f"{flag} takes numbers, got '{text}'")
 
 
 def _load_calibration(path: str) -> dict:
@@ -111,8 +117,9 @@ def _load_calibration(path: str) -> dict:
 
 
 def cmd_overlap(args) -> int:
-    for pc in _contents(args):
-        frames = _parse_frames(args.frames, pc.dataset.n_frames)
+    pcs = _contents(args)
+    # every content's range is checked before any output is written
+    for pc, frames in zip(pcs, [_parse_frames(args.frames, pc.dataset.n_frames) for pc in pcs]):
         mats = overlap_matrices(pc, frames=frames, threads=args.threads)
         path = _out_path(args, f"overlap_{safe_name(pc.content_id)}.csv")
         write_matrices_csv(path, mats)
@@ -124,8 +131,8 @@ def cmd_overlap(args) -> int:
 def cmd_metrics(args) -> int:
     metrics = [_parse_metric(m) for m in args.metric] if args.metric else list(PROXY_METRICS)
     need_geo = any(m.needs_geodesic for m in metrics)
-    for pc in _contents(args):
-        frames = _parse_frames(args.frames, pc.dataset.n_frames)
+    pcs = _contents(args)
+    for pc, frames in zip(pcs, [_parse_frames(args.frames, pc.dataset.n_frames) for pc in pcs]):
         # one feature pass serves every requested metric
         features = feature_tables(pc, need_geodesic=need_geo, frames=frames)
         mats = [m for metric in metrics for m in metric_matrices(pc, metric, frames=frames, threads=args.threads)]
@@ -173,14 +180,15 @@ def cmd_ablate(args) -> int:
     metric = _parse_metric(args.metric)
     if metric.is_overlap:
         raise UsageError("ablate applies to proxy metrics only")
-    pcs = _contents(args, lambda cms: swept_contents(cms, not args.all_contents))
-    grid = [float(g) for g in args.grid.split(",")] if args.grid else list(DEFAULT_GRID)
+    grid = [_number(g, "--grid") for g in args.grid.split(",")] if args.grid else list(DEFAULT_GRID)
     fixed = {}
     for item in args.fix or []:
         if "=" not in item:
             raise UsageError(f"--fix expects name=value, got '{item}'")
         name, _, value = item.partition("=")
-        fixed[name.strip()] = float(value)
+        fixed[name.strip()] = _number(value, "--fix")
+    regulator_grid(metric, grid, fixed)  # refuse a bad sweep before any content is loaded
+    pcs = _contents(args, lambda cms: swept_contents(cms, not args.all_contents))
     records = run_ablation(
         pcs,
         metric,
@@ -193,25 +201,16 @@ def cmd_ablate(args) -> int:
     csv_path = _out_path(args, f"ablation_{metric.value}.csv")
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["metric", "alpha", "beta", "gamma", "overlap_ratio", "relevant_population", "precision"])
+        w.writerow(["metric", "alpha", "beta", "gamma", *FIGURES])
         for r in records:
-            w.writerow(
-                [metric.value]
-                + [_fmt(v) for v in r.regulators.as_tuple()]
-                + [_fmt(r.overlap_ratio), _fmt(r.relevant_population), _fmt(r.precision)]
-            )
+            w.writerow([metric.value, *map(_fmt, r.regulators.as_tuple()), *(_fmt(getattr(r, f)) for f in FIGURES)])
     sets = select_parameter_sets(records)
     payload = {
         "metric": metric.value,
         "grid": grid,
         "sets": {
-            name: {
-                "regulators": list(getattr(sets, name).regulators.as_tuple()),
-                "overlap_ratio": getattr(sets, name).overlap_ratio,
-                "relevant_population": getattr(sets, name).relevant_population,
-                "precision": getattr(sets, name).precision,
-            }
-            for name in ("set1", "set2", "set3")
+            name: {"regulators": list(rec.regulators.as_tuple()), **{f: getattr(rec, f) for f in FIGURES}}
+            for name, rec in vars(sets).items()
         },
     }
     json_path = _out_path(args, f"parameter_sets_{metric.value}.json")
@@ -266,6 +265,11 @@ def cmd_cluster(args) -> int:
     return 0
 
 
+def _summary_cells(summary: dict) -> list:
+    """Mean and std of each of the FIGURES, as evaluation.csv writes them."""
+    return [_fmt(getattr(summary[f], stat)) for f in FIGURES for stat in ("mean", "std")]
+
+
 def cmd_evaluate(args) -> int:
     requested = [_parse_metric(m) for m in args.metric] if args.metric else list(MetricId)
     thresholds = _load_calibration(args.calibration) if args.calibration else None
@@ -283,39 +287,15 @@ def cmd_evaluate(args) -> int:
     path = _out_path(args, "evaluation.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(
-            [
-                "content_id",
-                "metric",
-                "mode",
-                "overlap_mean",
-                "overlap_std",
-                "relevant_population_mean",
-                "relevant_population_std",
-                "precision_mean",
-                "precision_std",
-                "n_windows",
-            ]
-        )
+        w.writerow(["content_id", "metric", "mode", "overlap_mean", "overlap_std", "relevant_population_mean",
+                    "relevant_population_std", "precision_mean", "precision_std", "n_windows"])
         for content_id, metric, summary, n_windows in rows:
-            w.writerow(
-                [content_id, metric.value, args.mode]
-                + [_fmt(summary["overlap_ratio"].mean), _fmt(summary["overlap_ratio"].std)]
-                + [_fmt(summary["relevant_population"].mean), _fmt(summary["relevant_population"].std)]
-                + [_fmt(summary["precision"].mean), _fmt(summary["precision"].std)]
-                + [n_windows]
-            )
-        for metric in requested:
-            if len(per_metric_contents[metric]) < 2:
-                continue
-            overall = summarize_across_contents(per_metric_contents[metric])
-            w.writerow(
-                ["ALL", metric.value, args.mode]
-                + [_fmt(overall["overlap_ratio"].mean), _fmt(overall["overlap_ratio"].std)]
-                + [_fmt(overall["relevant_population"].mean), _fmt(overall["relevant_population"].std)]
-                + [_fmt(overall["precision"].mean), _fmt(overall["precision"].std)]
-                + [len(per_metric_contents[metric])]
-            )
+            w.writerow([content_id, metric.value, args.mode] + _summary_cells(summary) + [n_windows])
+        for metric in requested:  # a metric asked for twice gets two rows, like its content rows
+            per_content = per_metric_contents[metric]
+            if len(per_content) >= 2:
+                overall = summarize_across_contents(per_content)
+                w.writerow(["ALL", metric.value, args.mode] + _summary_cells(overall) + [len(per_content)])
     for content_id, metric, summary, _ in rows:
         print(
             f"{content_id} {metric.value}: "
@@ -452,6 +432,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        if args.threads < 1:
+            raise UsageError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

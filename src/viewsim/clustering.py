@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,38 +128,15 @@ def build_adjacency(matrix: SimilarityMatrix, config: MetricConfig) -> Similarit
     return SimilarityGraph(ident=matrix.frame, users=matrix.users, adjacency=adj)
 
 
-def persistence_scores(matrices: list, threshold: float) -> SimilarityMatrix:
-    """Fraction of a pair's valid frames whose value is >= threshold.
-
-    NaN (invalid) for pairs valid in no frame of the window.
-    """
-    if not matrices:
-        raise PreconditionError("persistence over an empty frame window")
-    users = matrices[0].users
-    metric = matrices[0].metric
-    for m in matrices:
-        if m.users != users or m.metric is not metric:
-            raise InvalidParamsError("all matrices in a chunk must share users and metric")
-    vals = np.stack([m.values for m in matrices])
-    valid = np.stack([m.valid for m in matrices])
-    with np.errstate(invalid="ignore"):
-        hits = ((vals >= threshold) & valid).sum(axis=0)
-    count = valid.sum(axis=0)
-    n = len(users)
-    out = np.full((n, n), np.nan)
-    ok = count > 0
-    out[ok] = hits[ok] / count[ok]
-    return SimilarityMatrix(
-        frame=matrices[0].frame, users=users, metric=metric, values=out, valid=ok
-    )
-
-
 def mean_matrix(matrices: list) -> SimilarityMatrix:
-    """Per-pair mean over the frames where the pair is valid."""
+    """Per-pair mean over the frames where the pair is valid; invalid where none is."""
     if not matrices:
         raise PreconditionError("mean over an empty frame window")
     users = matrices[0].users
     metric = matrices[0].metric
+    for m in matrices:
+        if m.users != users or m.metric is not metric:
+            raise InvalidParamsError("all matrices in a window must share users and metric")
     vals = np.stack([m.values for m in matrices])
     valid = np.stack([m.valid for m in matrices])
     count = valid.sum(axis=0)
@@ -173,15 +150,17 @@ def mean_matrix(matrices: list) -> SimilarityMatrix:
     )
 
 
+def persistence_scores(matrices: list, threshold: float) -> SimilarityMatrix:
+    """Fraction of a pair's valid frames whose value is >= threshold: the mean of 0/1 indicators."""
+    return mean_matrix([replace(m, values=(m.values >= threshold).astype(np.float64)) for m in matrices])
+
+
 def chunk_adjacency(
     matrices: list, config: MetricConfig, spec: ChunkSpec, chunk_id: int
 ) -> SimilarityGraph:
     """Persistence-filtered adjacency over one window of frame matrices."""
-    scores = persistence_scores(matrices, config.threshold)
-    with np.errstate(invalid="ignore"):
-        adj = scores.valid & (scores.values >= spec.persistence)
-    adj &= ~np.eye(scores.n, dtype=bool)
-    return SimilarityGraph(ident=chunk_id, users=scores.users, adjacency=adj)
+    scores = replace(persistence_scores(matrices, config.threshold), frame=chunk_id)
+    return build_adjacency(scores, replace(config, threshold=spec.persistence))
 
 
 def check_clique_size(n: int) -> None:

@@ -23,6 +23,8 @@ from .clustering import DEFAULT_RELEVANT_MIN_SIZE, Cluster, ClusteringResult, pa
 from .errors import EmptySeriesError, PreconditionError
 from .metrics import SimilarityMatrix
 
+FIGURES = ("overlap_ratio", "relevant_population", "precision")
+
 
 @dataclass(frozen=True)
 class AggregateStats:
@@ -134,12 +136,8 @@ def aggregate(values, allow_empty: bool = False) -> AggregateStats:
 
 
 def summarize_performance(perfs: list) -> dict:
-    """AggregateStats for each performance field across frames or chunks."""
-    return {
-        "overlap_ratio": aggregate([p.overlap_ratio for p in perfs], allow_empty=True),
-        "relevant_population": aggregate([p.relevant_population for p in perfs], allow_empty=True),
-        "precision": aggregate([p.precision for p in perfs], allow_empty=True),
-    }
+    """AggregateStats for each of the FIGURES across frames or chunks."""
+    return {f: aggregate([getattr(p, f) for p in perfs], allow_empty=True) for f in FIGURES}
 
 
 def adjusted_rand_index(labels_a: dict, labels_b: dict) -> float:

@@ -35,6 +35,7 @@ DEFAULT_SURFACE_KNN = 8
 
 _WORLD_UP = np.array([0.0, 1.0, 0.0])
 _WORLD_UP_FALLBACK = np.array([0.0, 0.0, 1.0])
+_SWEEP_CELLS = 1 << 20  # distances one batch of shortest-path sweeps may hold
 
 
 def as_vec3(v) -> np.ndarray:
@@ -275,17 +276,26 @@ def geodesic_distance(graph: SurfaceGraph, a, b) -> float:
     ia, ib = graph.nearest_index(a), graph.nearest_index(b)
     if ia == ib:
         return 0.0
-    return float(geodesic_rows(graph, np.array([ia]))[0, ib])
+    return float(geodesic_rows(graph, [ia], [ib])[0, 0])
 
 
-def geodesic_rows(graph: SurfaceGraph, sources: np.ndarray) -> np.ndarray:
-    """Shortest-path distances from each source vertex to every vertex."""
+def geodesic_rows(graph: SurfaceGraph, sources, targets) -> np.ndarray:
+    """Shortest-path distances from each source vertex (rows) to each target vertex (columns).
+
+    Sources are swept in batches whose full rows hold at most _SWEEP_CELLS
+    distances; only the target columns of each batch are kept.
+    """
     if graph is None:
         raise MissingGraphError("geodesic distance requested without a surface graph")
     from scipy.sparse.csgraph import dijkstra
 
     src = np.asarray(sources, dtype=np.int64)
-    if src.size == 0:
-        return np.empty((0, graph.n_points))
-    out = dijkstra(graph.adjacency, directed=True, indices=src)  # the adjacency is symmetric
-    return np.atleast_2d(out)
+    cols = np.asarray(targets, dtype=np.int64)
+    out = np.empty((src.size, cols.size))
+    step = max(1, _SWEEP_CELLS // graph.n_points)
+    for lo in range(0, src.size, step):
+        # one expression, so a batch's full rows are freed before the next batch is swept
+        out[lo:lo + step] = np.atleast_2d(
+            dijkstra(graph.adjacency, directed=True, indices=src[lo:lo + step])  # the adjacency is symmetric
+        )[:, cols]
+    return out

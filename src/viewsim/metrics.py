@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParamsError, MissingGraphError, ParseError
+from .errors import InvalidParamsError, MissingGraphError
 from .geometry import FrustumParams, SurfaceGraph, contains_points, frustum_planes, geodesic_rows
 
 
@@ -250,20 +250,9 @@ def compute_pair_features(frame_index: int, users: tuple, x, p, r, off, graph: S
         if on_idx.size:
             snapped = np.array([graph.nearest_index(ps[i]) for i in on_idx])
             uniq, inv = np.unique(snapped, return_inverse=True)
-            rows = geodesic_rows(graph, uniq[:-1])  # the largest vertex's row is never read
-            for a in range(on_idx.size):
-                for b in range(a + 1, on_idx.size):
-                    va, vb = snapped[a], snapped[b]
-                    if va == vb:
-                        d = 0.0
-                    elif va < vb:
-                        d = float(rows[inv[a], vb])
-                    else:
-                        d = float(rows[inv[b], va])
-                    i, j = on_idx[a], on_idx[b]
-                    gaze_geo[i, j] = d
-                    gaze_geo[j, i] = d
-            gaze_geo[on_idx, on_idx] = 0.0
+            dist = np.zeros((uniq.size, uniq.size))
+            dist[:-1] = geodesic_rows(graph, uniq[:-1], uniq)  # the largest vertex's row is never read
+            gaze_geo[np.ix_(on_idx, on_idx)] = dist[np.minimum.outer(inv, inv), np.maximum.outer(inv, inv)]
     return PairFeatures(
         frame=frame_index,
         users=users,
@@ -304,6 +293,7 @@ def overlap_matrix(frame_index: int, users: tuple, x, view, off, cloud, params: 
 
 
 def _fmt(v: float) -> str:
+    """A number as every CSV writes it: the shortest repr that reads back to the same float."""
     return repr(float(v))
 
 
@@ -315,46 +305,3 @@ def write_matrices_csv(path, matrices: list) -> None:
         for m in matrices:
             for i, j, value, ok in m.pairs():
                 w.writerow([m.frame, m.users[i], m.users[j], m.metric.value, _fmt(value), int(ok)])
-
-
-def read_matrices_csv(path) -> list:
-    """Inverse of write_matrices_csv; requires full pair coverage per frame."""
-    groups: dict = {}
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["frame", "user_i", "user_j", "metric", "value", "valid"]:
-            raise ParseError("bad matrices header", path=path, line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise ParseError(f"expected 6 fields, got {len(row)}", path=path, line=lineno)
-            try:
-                frame = int(row[0])
-                metric = MetricId(row[3])
-                value = float(row[4])
-                ok = bool(int(row[5]))
-            except ValueError as e:
-                raise ParseError(f"bad row: {e}", path=path, line=lineno)
-            groups.setdefault((frame, metric), {})[(row[1], row[2])] = (value, ok)
-    out = []
-    for (frame, metric), pairs in sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-        users = tuple(sorted({u for pair in pairs for u in pair}))
-        n = len(users)
-        index = {u: i for i, u in enumerate(users)}
-        if len(pairs) != n * (n - 1) // 2:
-            raise ParseError(
-                f"frame {frame}/{metric.value}: {len(pairs)} pairs for {n} users", path=path
-            )
-        values = np.full((n, n), np.nan)
-        valid = np.zeros((n, n), dtype=bool)
-        for (ua, ub), (value, ok) in pairs.items():
-            if ua == ub:
-                raise ParseError(f"self pair for user '{ua}'", path=path)
-            i, j = index[ua], index[ub]
-            values[i, j] = values[j, i] = value
-            valid[i, j] = valid[j, i] = ok
-        values[~valid] = np.nan
-        out.append(SimilarityMatrix(frame=frame, users=users, metric=metric, values=values, valid=valid))
-    return out

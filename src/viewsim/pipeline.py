@@ -19,9 +19,10 @@ from .calibration import (
     DEFAULT_OVERLAP_LABEL_THRESHOLD,
     DEFAULT_TARGET_TPR,
     FPR_ADVISORY_CEILING,
-    ablate,
+    AblationRecord,
     calibrate_threshold,
     pair_samples,
+    regulator_grid,
 )
 from .clustering import (
     ChunkSpec,
@@ -34,10 +35,11 @@ from .clustering import (
     persistence_scores,
 )
 from .errors import DegenerateLabelsError, InvalidParamsError
-from .evaluation import evaluate_result, summarize_performance, aggregate
+from .evaluation import FIGURES, aggregate, evaluate_result, summarize_performance
 from .geometry import DEFAULT_CONE_HALF_ANGLE, FrustumParams, build_surface_graph
 from .manifest import ContentManifest
 from .metrics import (
+    MetricConfig,
     MetricId,
     SimilarityMatrix,
     compute_pair_features,
@@ -351,29 +353,39 @@ def run_ablation(
     threshold: float | None = None,
     reference_only: bool = True,
 ) -> list:
-    """Regulator sweep over the reference contents (all, if none is marked)."""
+    """Regulator sweep: frame-mode evaluation at a fixed threshold, one AblationRecord per grid combination.
+
+    Sweeps the reference contents (all, if none is marked).  The threshold
+    (unless given), o_th and min_size come from the first swept content in
+    manifest order; per-content summaries are averaged in content-id order.
+    Records come out in grid order.
+    """
+    if metric.is_overlap:
+        raise InvalidParamsError("the ground-truth metric is not subject to ablation")
+    combos = regulator_grid(metric, grid, fixed)
     chosen = swept_contents(pcs, reference_only)
     check_clique_size(max(len(pc.dataset.users) for pc in chosen))
-    th = threshold if threshold is not None else chosen[0].config(metric).threshold
-    tables = {}
-    for pc in chosen:
-        features = feature_tables(pc, need_geodesic=metric.needs_geodesic)
-        tables[pc.content_id] = list(zip(features, overlap_matrices(pc, threads=threads)))
-    return ablate(
-        tables,
-        metric,
-        grid=grid,
-        fixed=fixed,
-        threshold=th,
-        o_th=chosen[0].o_th,
-        min_size=chosen[0].min_size,
-    )
+    first = chosen[0]
+    th = threshold if threshold is not None else first.config(metric).threshold
+    by_id = sorted(chosen, key=lambda pc: pc.content_id)
+    records = []
+    for reg in combos:
+        config = MetricConfig(metric, reg, th)
+        summaries = {
+            pc.content_id: evaluate_content(
+                replace(pc, configs={**pc.configs, metric: config}, o_th=first.o_th, min_size=first.min_size),
+                metric, mode="frame", threads=threads,
+            )[2]
+            for pc in by_id
+        }
+        overall = summarize_across_contents(summaries)
+        records.append(AblationRecord(metric, reg, **{f: overall[f].mean for f in FIGURES}))
+    return records
 
 
 def summarize_across_contents(per_content: dict) -> dict:
-    """All-content row: aggregate of per-content means, field by field."""
-    fields = ("overlap_ratio", "relevant_population", "precision")
+    """All-content row: aggregate of per-content means, for each of the FIGURES."""
     return {
         f: aggregate([summary[f].mean for summary in per_content.values()], allow_empty=True)
-        for f in fields
+        for f in FIGURES
     }

@@ -32,6 +32,7 @@ from .geometry import (
     unit_rows,
     view_quaternion,
 )
+from .metrics import _fmt
 
 _BASE_COLUMNS = [
     "user_id",
@@ -255,10 +256,6 @@ def derive_pr(
             if r_mode == "centroid":
                 r[i, k] = float(np.linalg.norm(ds.x[i, k] - cloud.centroid))
     return replace(ds, view=unit_rows(ds.view), p=p, r=r, off=off)
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 def write_trajectories(path, ds: SessionDataset, with_pr: bool = False) -> None:

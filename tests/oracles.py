@@ -8,7 +8,10 @@ package beyond reading its public data structures.  Two exceptions:
 ``clique_clustering_oracle`` searches each sub-graph with the package's
 ``max_clique`` (checked against exhaustive enumeration by criterion 5).
 ``align_to_frames_oracle`` normalises views with the package's ``unit``,
-once per aligned sample, as a per-sample loader did.
+once per aligned sample, as a per-sample loader did.  ``ablate_oracle`` is
+the regulator sweep's former separate loop: it checks what the sweep
+averages, in which order and with which parameters, and clusters and scores
+with the package's functions (checked by criteria 5 and 6 and their oracles).
 """
 
 import heapq
@@ -18,10 +21,24 @@ from fractions import Fraction
 
 import numpy as np
 
-from viewsim.clustering import Cluster, ClusteringResult, SimilarityGraph, max_clique
-from viewsim.errors import MissingGraphError
+from viewsim.calibration import (
+    DEFAULT_GRID,
+    DEFAULT_OVERLAP_LABEL_THRESHOLD,
+    AblationRecord,
+    regulator_grid,
+)
+from viewsim.clustering import (
+    Cluster,
+    ClusteringResult,
+    SimilarityGraph,
+    build_adjacency,
+    clique_clustering,
+    max_clique,
+)
+from viewsim.errors import InvalidParamsError, MissingGraphError, PreconditionError
+from viewsim.evaluation import aggregate, evaluate_result
 from viewsim.geometry import geodesic_distance, unit
-from viewsim.metrics import MetricId, SimilarityMatrix
+from viewsim.metrics import MetricConfig, MetricId, SimilarityMatrix
 
 
 def align_to_frames_oracle(traces, fps, n_frames=None):
@@ -326,3 +343,94 @@ def metric_value(metric, reg, si, sj, graph=None):
     if metric in (MetricId.W7, MetricId.W8):
         return pos_kernel * (reg.beta * (math.tanh(si.r) + math.tanh(sj.r))) * _kernel(reg.gamma, gaze)
     raise ValueError(f"no scalar form for {metric}")
+
+
+def persistence_scores_oracle(matrices: list, threshold: float) -> SimilarityMatrix:
+    """Fraction of a pair's valid frames whose value is >= threshold, counted as hits over valid frames.
+
+    NaN (invalid) for pairs valid in no frame of the window.
+    """
+    if not matrices:
+        raise PreconditionError("persistence over an empty frame window")
+    users = matrices[0].users
+    metric = matrices[0].metric
+    for m in matrices:
+        if m.users != users or m.metric is not metric:
+            raise InvalidParamsError("all matrices in a chunk must share users and metric")
+    vals = np.stack([m.values for m in matrices])
+    valid = np.stack([m.valid for m in matrices])
+    with np.errstate(invalid="ignore"):
+        hits = ((vals >= threshold) & valid).sum(axis=0)
+    count = valid.sum(axis=0)
+    n = len(users)
+    out = np.full((n, n), np.nan)
+    ok = count > 0
+    out[ok] = hits[ok] / count[ok]
+    return SimilarityMatrix(
+        frame=matrices[0].frame, users=users, metric=metric, values=out, valid=ok
+    )
+
+
+def chunk_adjacency_oracle(matrices: list, config, spec, chunk_id: int) -> SimilarityGraph:
+    """Persistence-filtered adjacency over one window of frame matrices."""
+    scores = persistence_scores_oracle(matrices, config.threshold)
+    with np.errstate(invalid="ignore"):
+        adj = scores.valid & (scores.values >= spec.persistence)
+    adj &= ~np.eye(scores.n, dtype=bool)
+    return SimilarityGraph(ident=chunk_id, users=scores.users, adjacency=adj)
+
+
+def ablate_oracle(
+    content_tables: dict,
+    metric: MetricId,
+    grid=DEFAULT_GRID,
+    fixed: dict | None = None,
+    *,
+    threshold: float,
+    o_th: float = DEFAULT_OVERLAP_LABEL_THRESHOLD,
+    min_size: int = 3,
+) -> list:
+    """One AblationRecord per regulator combination.
+
+    ``content_tables`` maps content id to a list of per-frame pairs
+    ``(features, overlap_matrix)``; features are reused across the whole
+    grid since regulators factor out of them.  Each combination runs
+    frame-based clustering at the metric's fixed ``threshold``; the three
+    performance figures are averaged over frames per content, then across
+    contents.  Records come out in grid order.
+    """
+    if metric.is_overlap:
+        raise InvalidParamsError("the ground-truth metric is not subject to ablation")
+    combos = regulator_grid(metric, grid, fixed)
+    records = []
+    for reg in combos:
+        config = MetricConfig(metric=metric, regulators=reg, threshold=threshold)
+        content_means: dict = {"overlap_ratio": [], "relevant_population": [], "precision": []}
+        for cid in sorted(content_tables):
+            perfs = []
+            for features, overlap in content_tables[cid]:
+                matrix = features.metric_matrix(metric, reg)
+                graph = build_adjacency(matrix, config)
+                result = clique_clustering(graph, tie_matrix=matrix)
+                perfs.append(
+                    evaluate_result(
+                        result, overlap, label_threshold=o_th, min_size=min_size
+                    )
+                )
+            for field in content_means:
+                stats = aggregate([getattr(p, field) for p in perfs], allow_empty=True)
+                content_means[field].append(stats.mean)
+        finals = {
+            field: aggregate(vals, allow_empty=True).mean
+            for field, vals in content_means.items()
+        }
+        records.append(
+            AblationRecord(
+                metric=metric,
+                regulators=reg,
+                overlap_ratio=finals["overlap_ratio"],
+                relevant_population=finals["relevant_population"],
+                precision=finals["precision"],
+            )
+        )
+    return records

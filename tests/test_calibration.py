@@ -1,4 +1,4 @@
-"""ROC construction, threshold selection, and the regulator sweep."""
+"""ROC construction, threshold selection, and the regulator sweep (``run_ablation``)."""
 
 import itertools
 import math
@@ -13,7 +13,6 @@ from viewsim.calibration import (
     AblationRecord,
     ParameterSets,
     RocPoint,
-    ablate,
     calibrate_threshold,
     pair_samples,
     regulator_grid,
@@ -28,7 +27,7 @@ from viewsim.errors import (
     UnattainableTargetError,
 )
 from viewsim.metrics import MetricId, RegulatorSet
-from viewsim.pipeline import calibrate_contents, feature_tables, overlap_matrices
+from viewsim.pipeline import calibrate_contents, feature_tables, overlap_matrices, run_ablation
 
 from conftest import assert_close, square_matrix
 from oracles import roc_oracle
@@ -257,37 +256,31 @@ def test_grid_empty_rejected():
 # ------------------------------------------------------------------- ablate
 
 
-@pytest.fixture(scope="module")
-def narrow_tables(narrow_content):
-    pc = narrow_content
-    return {pc.content_id: list(zip(feature_tables(pc, need_geodesic=True), overlap_matrices(pc)))}
-
-
-def test_ablate_records_in_grid_order(narrow_tables):
+def test_ablate_records_in_grid_order(narrow_content):
     grid = (0.1, 0.5)
-    records = ablate(narrow_tables, MetricId.W2, grid=grid, threshold=0.8)
+    records = run_ablation([narrow_content], MetricId.W2, grid=grid, threshold=0.8)
     assert [r.regulators.alpha for r in records] == [0.1, 0.5]
     assert all(r.metric is MetricId.W2 for r in records)
 
 
-def test_ablate_deterministic(narrow_tables):
+def test_ablate_deterministic(narrow_content):
     grid = (0.1, 0.5)
-    a = ablate(narrow_tables, MetricId.W7, grid=grid, threshold=0.6)
-    b = ablate(narrow_tables, MetricId.W7, grid=grid, threshold=0.6)
+    a = run_ablation([narrow_content], MetricId.W7, grid=grid, threshold=0.6)
+    b = run_ablation([narrow_content], MetricId.W7, grid=grid, threshold=0.6)
     assert len(a) == 8
     assert repr(a) == repr(b)
 
 
-def test_ablate_fields_in_unit_range(narrow_tables):
-    for r in ablate(narrow_tables, MetricId.W4, grid=(0.0, 1.0), threshold=0.84):
+def test_ablate_fields_in_unit_range(narrow_content):
+    for r in run_ablation([narrow_content], MetricId.W4, grid=(0.0, 1.0), threshold=0.84):
         for field in ("overlap_ratio", "relevant_population", "precision"):
             v = getattr(r, field)
             assert math.isnan(v) or 0.0 <= v <= 1.0
 
 
-def test_ablate_refuses_ground_truth_metric(narrow_tables):
+def test_ablate_refuses_ground_truth_metric(narrow_content):
     with pytest.raises(InvalidParamsError):
-        ablate(narrow_tables, MetricId.OVERLAP, grid=(0.1,), threshold=0.75)
+        run_ablation([narrow_content], MetricId.OVERLAP, grid=(0.1,), threshold=0.75)
 
 
 # ------------------------------------------------------ select_parameter_sets
@@ -346,9 +339,9 @@ def test_sets_empty_rejected():
         select_parameter_sets([])
 
 
-def test_superset_grid_never_selects_worse(narrow_tables):
-    small = ablate(narrow_tables, MetricId.W3, grid=(0.1, 1.0), threshold=0.63)
-    big = ablate(narrow_tables, MetricId.W3, grid=(0.1, 0.5, 1.0), threshold=0.63)
+def test_superset_grid_never_selects_worse(narrow_content):
+    small = run_ablation([narrow_content], MetricId.W3, grid=(0.1, 1.0), threshold=0.63)
+    big = run_ablation([narrow_content], MetricId.W3, grid=(0.1, 0.5, 1.0), threshold=0.63)
     s, b = select_parameter_sets(small), select_parameter_sets(big)
     assert b.set1.overlap_ratio >= s.set1.overlap_ratio
     assert b.set2.relevant_population >= s.set2.relevant_population

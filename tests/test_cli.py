@@ -693,6 +693,53 @@ def test_bad_frames_spec_exits_2(dataset):
     assert "usage error" in proc.stderr
 
 
+def test_frames_range_past_a_session_exits_2_before_any_output(dataset, tmp_path):
+    from viewsim.cli import main
+
+    proc = run_cli("--manifest", dataset / "manifest.json", "--out", tmp_path / "out", "overlap", "--frames", "10:20")
+    assert proc.returncode == 2
+    assert "holds no frame of the 4-frame session" in proc.stderr
+    # a range the first content holds but the second, 2-frame content does not
+    assert main(["--seed", "5", "--out", str(tmp_path / "short"), "synth",
+                 "--users-per-group", "2", "--frames", "2", "--points", "100"]) == 0
+    docs = []
+    for root, cid in ((dataset, "long"), (tmp_path / "short", "short")):
+        doc = json.loads((root / "manifest.json").read_text())
+        docs.append(dict(doc, content_id=cid, cloud_dir=str(root / doc["cloud_dir"]),
+                         trajectory_csv=str(root / doc["trajectory_csv"])))
+    (tmp_path / "both.json").write_text(json.dumps({"contents": docs}))
+    for command in ("overlap", "metrics"):
+        proc = run_cli("--manifest", tmp_path / "both.json", "--out", tmp_path / "out", command, "--frames", "2:4")
+        assert proc.returncode == 2
+        assert "holds no frame of the 2-frame session" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_threads_exits_2(dataset, tmp_path):
+    proc = run_cli("--manifest", dataset / "manifest.json", "--threads", 0, "--out", tmp_path, "overlap")
+    assert proc.returncode == 2
+    assert "--threads must be at least 1" in proc.stderr
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--grid", "0.1,x"], 2),
+    (["--grid", "0.1,,1"], 2),
+    (["--fix", "beta=abc"], 2),
+    (["--fix", "beta"], 2),
+    (["--fix", "delta=0.5"], 4),  # w7 sweeps no delta
+    (["--grid", "0.1,-1"], 4),  # regulators are non-negative
+])
+def test_bad_sweep_refused_before_any_content_is_loaded(dataset, tmp_path, monkeypatch, capsys, flags, code):
+    import viewsim.cli
+
+    loaded = []
+    monkeypatch.setattr(viewsim.cli, "prepare", lambda *a, **k: loaded.append(a))
+    argv = ["--manifest", str(dataset / "manifest.json"), "--out", str(tmp_path), "ablate", "--metric", "w7", *flags]
+    assert viewsim.cli.main(argv) == code
+    assert ("usage error" if code == 2 else "compute error") in capsys.readouterr().err
+    assert loaded == []
+
+
 def test_unknown_metric_exits_2(dataset):
     proc = run_cli("--manifest", dataset / "manifest.json", "metrics", "--metric", "w99")
     assert proc.returncode == 2

@@ -20,7 +20,13 @@ from viewsim.clustering import chunk_frame_ranges
 from viewsim.errors import InvalidParamsError, PreconditionError, SizeLimitError
 
 from conftest import square_matrix
-from oracles import clique_clustering_oracle, max_cliques_oracle, pick_clique_oracle
+from oracles import (
+    chunk_adjacency_oracle,
+    clique_clustering_oracle,
+    max_cliques_oracle,
+    persistence_scores_oracle,
+    pick_clique_oracle,
+)
 
 
 def _config(threshold, metric=MetricId.W1):
@@ -253,6 +259,40 @@ def test_persistence_fraction_counts_valid_frames_only():
     mats = [frame(0.0, valid=False)] * 5
     scores = persistence_scores(mats, threshold=0.8)
     assert not scores.valid[0, 1]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_persistence_and_chunk_adjacency_match_oracle(seed):
+    # values on a coarse grid, so some sit exactly at the threshold and some
+    # fractions exactly at the persistence; NaN pairs and a pair invalid in every frame
+    rng = np.random.default_rng(seed)
+    n, frames = int(rng.integers(2, 8)), int(rng.integers(1, 9))
+    mats = []
+    for k in range(frames):
+        vals = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], (n, n))
+        vals = np.triu(vals, 1) + np.triu(vals, 1).T
+        drop = rng.random((n, n)) < 0.3
+        drop |= drop.T
+        drop[0, 1] = drop[1, 0] = True
+        vals[drop] = np.nan
+        mats.append(square_matrix(vals, frame=10 + k))
+    config, spec = _config(0.5), ChunkSpec(persistence=float(rng.choice([0.5, 0.75, 1.0])))
+    got, want = persistence_scores(mats, 0.5), persistence_scores_oracle(mats, 0.5)
+    assert (got.frame, got.users, got.metric) == (want.frame, want.users, want.metric)
+    assert got.values.tobytes() == want.values.tobytes() and got.valid.tobytes() == want.valid.tobytes()
+    assert not got.valid[0, 1] and np.isnan(got.values[0, 1])
+    g, w = chunk_adjacency(mats, config, spec, chunk_id=3), chunk_adjacency_oracle(mats, config, spec, 3)
+    assert g.ident == w.ident == 3 and g.users == w.users
+    np.testing.assert_array_equal(g.adjacency, w.adjacency)
+
+
+def test_window_mean_rejects_mixed_users_or_metrics():
+    a = square_matrix(np.full((2, 2), 0.5))
+    for other in (square_matrix(np.full((2, 2), 0.5), users=("x", "y")),
+                  square_matrix(np.full((2, 2), 0.5), metric=MetricId.W2)):
+        for fn in (mean_matrix, lambda ms: persistence_scores(ms, 0.5)):
+            with pytest.raises(InvalidParamsError):
+                fn([a, other])
 
 
 def test_persistence_empty_window_rejected():

@@ -235,8 +235,35 @@ def test_surface_graph_matches_sorted_dedupe_oracle(name, k):
     if name == "duplicates":
         assert (got.data == 0.0).any()
     sources = np.arange(0, points.shape[0], max(1, points.shape[0] // 7))
-    directed = geodesic_rows(graph, sources)
+    directed = geodesic_rows(graph, sources, np.arange(graph.n_points))
     assert directed.tobytes() == np.atleast_2d(dijkstra(want, directed=False, indices=sources)).tobytes()
+
+
+def test_geodesic_rows_sweep_in_batches_within_one_full_row_sweep(monkeypatch):
+    import tracemalloc
+
+    from scipy.sparse.csgraph import dijkstra
+
+    import viewsim.geometry
+
+    rng = np.random.default_rng(21)
+    # two far-apart blobs: every cross-blob distance is inf
+    points = np.vstack([rng.uniform(-1.0, 1.0, (1500, 3)), rng.uniform(-1.0, 1.0, (1500, 3)) + 50.0])
+    graph = build_surface_graph(PointCloudFrame(0, points))
+    sources = rng.choice(graph.n_points, 100, replace=False)
+    targets = rng.choice(graph.n_points, 25, replace=False)
+    full = dijkstra(graph.adjacency, directed=False, indices=sources)
+    assert np.isinf(full[:, targets]).any() and np.isfinite(full[:, targets]).any()
+    monkeypatch.setattr(viewsim.geometry, "_SWEEP_CELLS", 3 * graph.n_points)  # 34 batches, the last of one source
+    tracemalloc.start()
+    try:
+        got = geodesic_rows(graph, sources, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (100, 25) and got.tobytes() == full[:, targets].tobytes()
+    assert peak < full.nbytes, (peak, full.nbytes)
+    assert geodesic_rows(graph, sources[:0], targets).shape == (0, 25)
 
 
 def test_geodesic_matches_heap_dijkstra(small_cloud):
@@ -283,7 +310,7 @@ def test_geodesic_never_below_euclidean(small_cloud):
     graph = build_surface_graph(small_cloud)
     rng = np.random.default_rng(11)
     idx = rng.integers(0, graph.n_points, (200, 2))
-    rows = geodesic_rows(graph, np.unique(idx[:, 0]))
+    rows = geodesic_rows(graph, np.unique(idx[:, 0]), np.arange(graph.n_points))
     srcs = {int(s): k for k, s in enumerate(np.unique(idx[:, 0]))}
     for i, j in idx:
         g = rows[srcs[int(i)], int(j)]

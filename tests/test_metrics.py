@@ -17,7 +17,7 @@ from viewsim import (
     overlap_matrix,
 )
 from viewsim.errors import MissingGraphError
-from viewsim.metrics import PROXY_METRICS, exp_kernel, read_matrices_csv, write_matrices_csv
+from viewsim.metrics import PROXY_METRICS, exp_kernel, write_matrices_csv
 from viewsim.synth import _fibonacci_sphere
 
 from conftest import assert_close, feature_columns, make_sample, overlap_columns
@@ -171,6 +171,30 @@ def test_matrix_route_matches_scalar_route():
                 assert_close(mat.values[i, j], want, tol=1e-12, rel=True)
 
 
+def test_geodesic_features_bit_equal_to_a_pair_loop_and_skip_the_largest_vertex(monkeypatch):
+    from scipy.sparse.csgraph import dijkstra
+
+    import viewsim.metrics
+
+    users, samples, graph = _scene(seed=16, n_users=9)
+    samples[3] = make_sample([0.0, 2.2, 0.3], p=samples[1].p, r=1.5)  # shares user 1's gaze vertex
+    samples[4] = make_sample([1.0, 0.5, 2.0], view=[0, 0, -1])  # no gaze target
+    sweeps = []
+    real = viewsim.metrics.geodesic_rows
+    monkeypatch.setattr(viewsim.metrics, "geodesic_rows",
+                        lambda g, sources, targets: sweeps.append(list(sources)) or real(g, sources, targets))
+    gaze = compute_pair_features(0, users, *feature_columns(samples), graph=graph).gaze_geo
+    snapped = [None if s.p is None else graph.nearest_index(s.p) for s in samples]
+    distinct = sorted({v for v in snapped if v is not None})
+    assert sweeps == [distinct[:-1]]
+    want = np.full(gaze.shape, np.nan)
+    for i, vi in enumerate(snapped):
+        for j, vj in enumerate(snapped):
+            if vi is not None and vj is not None:  # the smaller vertex's sweep serves both orientations
+                want[i, j] = dijkstra(graph.adjacency, indices=min(vi, vj))[max(vi, vj)]
+    assert gaze.tobytes() == want.tobytes()
+
+
 def test_product_metric_factorizes():
     users, samples, graph = _scene(seed=6)
     feats = compute_pair_features(0, users, *feature_columns(samples), graph=graph)
@@ -310,11 +334,15 @@ def test_matrices_csv_round_trip(tmp_path):
     mats = [feats.metric_matrix(m, RegulatorSet(*TABLE[m][0])) for m in (MetricId.W2, MetricId.W7)]
     path = tmp_path / "m.csv"
     write_matrices_csv(path, mats)
-    back = read_matrices_csv(path)
-    assert len(back) == 2
-    for orig, got in zip(mats, back):
-        assert got.users == orig.users and got.metric is orig.metric
-        np.testing.assert_array_equal(got.valid, orig.valid)
-        np.testing.assert_array_equal(got.values[got.valid], orig.values[orig.valid])
+    rows = path.read_text().splitlines()
+    assert rows[0] == "frame,user_i,user_j,metric,value,valid"
+    body = iter(row.split(",") for row in rows[1:])
+    for m in mats:
+        assert not m.valid[0, 3] and m.valid[0, 1]  # both kinds of row are written
+        for i, j in zip(*np.triu_indices(m.n, 1)):
+            frame, ui, uj, metric, value, ok = next(body)
+            assert (int(frame), ui, uj, metric, ok) == (m.frame, m.users[i], m.users[j], m.metric.value, str(int(m.valid[i, j])))
+            np.testing.assert_array_equal(float(value), m.values[i, j])  # exact, NaN where invalid
+    assert next(body, None) is None
     write_matrices_csv(tmp_path / "m2.csv", mats)
     assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "m2.csv").read_bytes()

@@ -309,6 +309,76 @@ def test_run_ablation_default_threshold_comes_from_config(narrow_content):
     assert repr(records) == repr(explicit)
 
 
+@pytest.fixture(scope="module")
+def sweep_contents(narrow_content):
+    """Three contents in manifest order zeta, mid, alpha: ids out of order, o_th, min_size and thresholds differ."""
+    from viewsim.geometry import FrustumParams
+
+    narrow = FrustumParams(hfov=0.5, vfov=0.5)
+    mid = prepare_scenario(three_orbit_groups(seed=41, users_per_group=3, n_frames=5, points_per_frame=1500),
+                           frustum=narrow, o_th=0.6, min_size=2, reference=False)
+    alpha = prepare_scenario(three_orbit_groups(seed=42, users_per_group=3, n_frames=4, points_per_frame=1500),
+                             frustum=FrustumParams(hfov=0.7, vfov=0.6), o_th=0.7, min_size=3)
+    zeta = replace(narrow_content, content_id="zeta", o_th=0.2, min_size=2)
+    thresholds = {MetricId.W2: 0.7, MetricId.W3: 0.5, MetricId.W7: 0.45}
+    return [zeta.with_thresholds(thresholds), replace(mid, content_id="mid"), replace(alpha, content_id="alpha")]
+
+
+SWEEPS = [
+    (MetricId.W7, (0.0, 0.25, 1.0), {"beta": 0.5}, None, True),
+    (MetricId.W7, (0.0, 0.1, 0.5, 2.0), {"beta": 0.5}, None, False),
+    (MetricId.W2, (0.0, 0.05, 0.5, 2.0), None, None, False),
+    (MetricId.W3, (0.0, 0.5, 1.0), None, 0.3, True),
+    (MetricId.W3, (0.0, 0.2, 1.0), None, None, False),
+    (MetricId.W5, (0.0, 1.0), {"gamma": 0.5}, 0.4, False),
+]
+
+
+@pytest.mark.parametrize("metric, grid, fixed, threshold, reference_only", SWEEPS)
+def test_run_ablation_matches_ablate_oracle(sweep_contents, metric, grid, fixed, threshold, reference_only):
+    from oracles import ablate_oracle
+
+    swept = [pc for pc in sweep_contents if pc.reference or not reference_only]
+    first = swept[0]  # manifest order: zeta, whose id sorts last
+    tables = {
+        pc.content_id: list(zip(feature_tables(pc, need_geodesic=metric.needs_geodesic), overlap_matrices(pc)))
+        for pc in swept
+    }
+    want = ablate_oracle(tables, metric, grid=grid, fixed=fixed,
+                         threshold=first.config(metric).threshold if threshold is None else threshold,
+                         o_th=first.o_th, min_size=first.min_size)
+    got = run_ablation(sweep_contents, metric, grid=grid, fixed=fixed, threshold=threshold,
+                       reference_only=reference_only)
+    assert repr(got) == repr(want)
+
+
+def test_run_ablation_averages_in_content_id_order(sweep_contents, monkeypatch):
+    from viewsim.evaluation import FIGURES, AggregateStats
+
+    # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 round apart, so the summation order shows
+    figures = {"alpha": 0.1, "mid": 0.2, "zeta": 0.3}
+    seen = []
+
+    def evaluate(pc, metric, mode, threads):
+        seen.append((pc.content_id, pc.o_th, pc.min_size, pc.config(metric).threshold, mode))
+        return [], [], {f: AggregateStats(figures[pc.content_id], 0.0, 1, 0) for f in FIGURES}
+
+    monkeypatch.setattr(viewsim.pipeline, "evaluate_content", evaluate)
+    (record,) = run_ablation(sweep_contents, MetricId.W2, grid=(0.5,), reference_only=False)
+    assert record.overlap_ratio == record.precision == np.mean([0.1, 0.2, 0.3]) != np.mean([0.3, 0.2, 0.1])
+    # threshold, o_th and min_size of zeta, the first content in manifest order
+    assert seen == [(cid, 0.2, 2, 0.7, "frame") for cid in ("alpha", "mid", "zeta")]
+
+
+def test_run_ablation_refuses_before_any_table_work(narrow_content):
+    pc = replace(narrow_content, tables={})
+    with pytest.raises(InvalidParamsError):
+        run_ablation([pc], MetricId.OVERLAP, grid=(0.1,))
+    with pytest.raises(InvalidParamsError):
+        run_ablation([pc], MetricId.W2, grid=(0.1,), fixed={"beta": 0.5})
+    assert pc.tables == {}
+
+
 def test_stored_tables_match_direct_run(narrow_content):
     pc = replace(narrow_content, tables={})
     features = feature_tables(pc, need_geodesic=False)

@@ -7,9 +7,11 @@ threshold", and candidate thresholds are every distinct observed value plus
 the target: among thresholds meeting the TPR floor, the largest has the
 lowest FPR.
 
-The regulator sweep (``pipeline.run_ablation``) yields one AblationRecord
-per regulator combination.  Three named selections come out of the records:
-set 1 maximizes overlap ratio, set 2 relevant population, set 3 precision.
+The regulator sweep (``ablate``) yields one AblationRecord per regulator
+combination; ``pipeline.run_ablation`` scores each one by frame-mode
+evaluation at a fixed threshold.  Three named selections come out of the
+records: set 1 maximizes overlap ratio, set 2 relevant population, set 3
+precision.
 """
 
 from __future__ import annotations
@@ -161,6 +163,18 @@ def regulator_grid(metric: MetricId, grid, fixed: dict | None = None) -> list:
         kwargs = dict(zip(names, combo))
         out.append(RegulatorSet(**kwargs))
     return out
+
+
+def ablate(metric: MetricId, grid, score, fixed: dict | None = None) -> list:
+    """One AblationRecord per regulator combination, in grid order.
+
+    ``score(regulators)`` returns the averaged figures of one combination
+    as a mapping of ``evaluation.FIGURES`` to floats.  The ground-truth
+    metric and an invalid grid are refused before anything is scored.
+    """
+    if metric.is_overlap:
+        raise InvalidParamsError("the ground-truth metric is not subject to ablation")
+    return [AblationRecord(metric, reg, **score(reg)) for reg in regulator_grid(metric, grid, fixed)]
 
 
 def _argmax_record(records: list, field: str) -> AblationRecord:

@@ -203,14 +203,21 @@ def cmd_ablate(args) -> int:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["metric", "alpha", "beta", "gamma", *FIGURES])
         for r in records:
-            w.writerow([metric.value, *map(_fmt, r.regulators.as_tuple()), *(_fmt(getattr(r, f)) for f in FIGURES)])
+            w.writerow(
+                [metric.value]
+                + [_fmt(v) for v in r.regulators.as_tuple()]
+                + [_fmt(getattr(r, f)) for f in FIGURES]
+            )
     sets = select_parameter_sets(records)
     payload = {
         "metric": metric.value,
         "grid": grid,
         "sets": {
-            name: {"regulators": list(rec.regulators.as_tuple()), **{f: getattr(rec, f) for f in FIGURES}}
-            for name, rec in vars(sets).items()
+            name: {
+                "regulators": list(getattr(sets, name).regulators.as_tuple()),
+                **{f: getattr(getattr(sets, name), f) for f in FIGURES},
+            }
+            for name in ("set1", "set2", "set3")
         },
     }
     json_path = _out_path(args, f"parameter_sets_{metric.value}.json")
@@ -287,8 +294,20 @@ def cmd_evaluate(args) -> int:
     path = _out_path(args, "evaluation.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["content_id", "metric", "mode", "overlap_mean", "overlap_std", "relevant_population_mean",
-                    "relevant_population_std", "precision_mean", "precision_std", "n_windows"])
+        w.writerow(
+            [
+                "content_id",
+                "metric",
+                "mode",
+                "overlap_mean",
+                "overlap_std",
+                "relevant_population_mean",
+                "relevant_population_std",
+                "precision_mean",
+                "precision_std",
+                "n_windows",
+            ]
+        )
         for content_id, metric, summary, n_windows in rows:
             w.writerow([content_id, metric.value, args.mode] + _summary_cells(summary) + [n_windows])
         for metric in requested:  # a metric asked for twice gets two rows, like its content rows

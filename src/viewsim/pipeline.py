@@ -19,10 +19,9 @@ from .calibration import (
     DEFAULT_OVERLAP_LABEL_THRESHOLD,
     DEFAULT_TARGET_TPR,
     FPR_ADVISORY_CEILING,
-    AblationRecord,
+    ablate,
     calibrate_threshold,
     pair_samples,
-    regulator_grid,
 )
 from .clustering import (
     ChunkSpec,
@@ -360,27 +359,25 @@ def run_ablation(
     manifest order; per-content summaries are averaged in content-id order.
     Records come out in grid order.
     """
-    if metric.is_overlap:
-        raise InvalidParamsError("the ground-truth metric is not subject to ablation")
-    combos = regulator_grid(metric, grid, fixed)
     chosen = swept_contents(pcs, reference_only)
     check_clique_size(max(len(pc.dataset.users) for pc in chosen))
     first = chosen[0]
-    th = threshold if threshold is not None else first.config(metric).threshold
-    by_id = sorted(chosen, key=lambda pc: pc.content_id)
-    records = []
-    for reg in combos:
-        config = MetricConfig(metric, reg, th)
-        summaries = {
-            pc.content_id: evaluate_content(
-                replace(pc, configs={**pc.configs, metric: config}, o_th=first.o_th, min_size=first.min_size),
-                metric, mode="frame", threads=threads,
-            )[2]
-            for pc in by_id
-        }
+    # private copies sharing each content's tables; a combination swaps only the metric's config
+    swept = [
+        replace(pc, configs=dict(pc.configs), o_th=first.o_th, min_size=first.min_size)
+        for pc in sorted(chosen, key=lambda pc: pc.content_id)
+    ]
+
+    def score(reg) -> dict:
+        th = threshold if threshold is not None else first.config(metric).threshold
+        summaries = {}
+        for pc in swept:
+            pc.configs[metric] = MetricConfig(metric, reg, th)
+            summaries[pc.content_id] = evaluate_content(pc, metric, mode="frame", threads=threads)[2]
         overall = summarize_across_contents(summaries)
-        records.append(AblationRecord(metric, reg, **{f: overall[f].mean for f in FIGURES}))
-    return records
+        return {f: overall[f].mean for f in FIGURES}
+
+    return ablate(metric, grid, score, fixed)
 
 
 def summarize_across_contents(per_content: dict) -> dict:

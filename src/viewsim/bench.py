@@ -153,7 +153,7 @@ def run_bench(
                 if not (math.isnan(got) and math.isnan(ref)) and abs(got - ref) > 1e-9:
                     raise AssertionError(f"naive oracle disagrees with production path: {got} vs {ref}")
             naive_means.append((time.perf_counter() - t0) / len(timed_pairs))
-    naive_per_pair, naive_cv = _stats(naive_means) if naive_means else (math.nan, 0.0)
+    naive_per_pair, naive_cv = _stats(naive_means) if naive_means else (None, None)  # null in JSON, never NaN
     report["rows"].append(
         {"label": "overlap_naive", "per_pair_s": naive_per_pair, "cv": naive_cv, "pairs_timed": len(timed_pairs)}
     )
@@ -183,7 +183,7 @@ def run_bench(
         m, cv = _stats(times)
         row = {"label": metric.value, "per_pair_s": m, "cv": cv}
         report["rows"].append(row)
-        if not math.isnan(naive_per_pair) and m > 0:
+        if naive_per_pair is not None and m > 0:
             report["speedups"][metric.value] = naive_per_pair / m
     if report["speedups"]:
         report["min_speedup"] = min(report["speedups"].values())

@@ -4,9 +4,9 @@ Subcommands: overlap, metrics, calibrate, ablate, cluster, evaluate,
 synth, bench.  Global flags: --manifest, --seed, --threads, --out.
 Exit codes: 0 success, 2 usage, 3 data error, 4 compute error.
 
-All outputs are deterministic given the same manifest, inputs, and seed;
-results never depend on --threads.  Randomness (synth, bench scenarios)
-flows exclusively from --seed.
+All outputs are deterministic given the same manifest, inputs, and seed.
+Every command runs on one thread; --threads is accepted and has no effect.
+Randomness (synth, bench scenarios) flows exclusively from --seed.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def cmd_overlap(args) -> int:
     pcs = _contents(args)
     # every content's range is checked before any output is written
     for pc, frames in zip(pcs, [_parse_frames(args.frames, pc.dataset.n_frames) for pc in pcs]):
-        mats = overlap_matrices(pc, frames=frames, threads=args.threads)
+        mats = overlap_matrices(pc, frames=frames)
         path = _out_path(args, f"overlap_{safe_name(pc.content_id)}.csv")
         write_matrices_csv(path, mats)
         pairs = sum(m.n * (m.n - 1) // 2 for m in mats)
@@ -135,7 +135,7 @@ def cmd_metrics(args) -> int:
     for pc, frames in zip(pcs, [_parse_frames(args.frames, pc.dataset.n_frames) for pc in pcs]):
         # one feature pass serves every requested metric
         features = feature_tables(pc, need_geodesic=need_geo, frames=frames)
-        mats = [m for metric in metrics for m in metric_matrices(pc, metric, frames=frames, threads=args.threads)]
+        mats = [m for metric in metrics for m in metric_matrices(pc, metric, frames=frames)]
         path = _out_path(args, f"metrics_{safe_name(pc.content_id)}.csv")
         write_matrices_csv(path, mats)
         print(f"{pc.content_id}: wrote {path} ({len(metrics)} metrics x {len(features)} frames)")
@@ -143,9 +143,13 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    pcs = _contents(args)
     metrics = [_parse_metric(m) for m in args.metric] if args.metric else list(PROXY_METRICS)
-    report = calibrate_contents(pcs, metrics, target_tpr=args.target_tpr, threads=args.threads)
+    if any(m.is_overlap for m in metrics):
+        raise UsageError("calibrate applies to proxy metrics only")
+    if not 0 < args.target_tpr <= 1:
+        raise UsageError(f"--target-tpr must be in (0, 1], got {args.target_tpr}")
+    pcs = _contents(args)
+    report = calibrate_contents(pcs, metrics, target_tpr=args.target_tpr)
     roc_path = _out_path(args, "roc.csv")
     with open(roc_path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -187,6 +191,8 @@ def cmd_ablate(args) -> int:
             raise UsageError(f"--fix expects name=value, got '{item}'")
         name, _, value = item.partition("=")
         fixed[name.strip()] = _number(value, "--fix")
+    if args.threshold is not None and not math.isfinite(args.threshold):
+        raise UsageError(f"--threshold must be finite, got {args.threshold}")
     regulator_grid(metric, grid, fixed)  # refuse a bad sweep before any content is loaded
     pcs = _contents(args, lambda cms: swept_contents(cms, not args.all_contents))
     records = run_ablation(
@@ -194,7 +200,6 @@ def cmd_ablate(args) -> int:
         metric,
         grid=grid,
         fixed=fixed or None,
-        threads=args.threads,
         threshold=args.threshold,
         reference_only=not args.all_contents,
     )
@@ -263,7 +268,7 @@ def cmd_cluster(args) -> int:
     for pc in _contents(args, list):
         if thresholds:
             pc = pc.with_thresholds(thresholds)
-        results = cluster_content(pc, metric, mode=args.mode, threads=args.threads)
+        results = cluster_content(pc, metric, mode=args.mode)
         csv_path, _ = _write_clusters(args, pc, results, args.mode)
         n_rel = sum(len(r.relevant_clusters(pc.min_size)) for r in results)
         print(
@@ -286,7 +291,7 @@ def cmd_evaluate(args) -> int:
         if thresholds:
             pc = pc.with_thresholds(thresholds)
         for metric in requested:
-            results, perfs, summary = evaluate_content(pc, metric, mode=args.mode, threads=args.threads)
+            results, perfs, summary = evaluate_content(pc, metric, mode=args.mode)
             per_metric_contents[metric][pc.content_id] = summary
             rows.append((pc.content_id, metric, summary, len(perfs)))
             if args.clusters:
@@ -355,6 +360,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise UsageError(f"--repeats must be at least 1, got {args.repeats}")
     report = run_bench(
         n_users=args.n_users,
         n_points=args.n_points,
@@ -372,7 +379,7 @@ def cmd_bench(args) -> int:
     for row in report["rows"]:
         cv = f" cv={row['cv']:.3f}" if row.get("cv") is not None else ""
         per = row["per_pair_s"]
-        per_txt = "n/a" if per is None or (isinstance(per, float) and math.isnan(per)) else f"{per:.6f}s"
+        per_txt = "n/a" if per is None else f"{per:.6f}s"
         print(f"  {row['label']:<20} per-pair {per_txt}{cv}")
     if "min_speedup" in report:
         print(f"minimum proxy speedup vs naive oracle: {report['min_speedup']:.1f}x")
@@ -388,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--manifest", help="run manifest (JSON)")
     p.add_argument("--seed", type=int, default=0, help="seed for synthetic generation")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="worker threads")
+    p.add_argument("--threads", type=int, default=1, help="accepted and ignored: every command runs on one thread")
     p.add_argument("--out", default=".", help="output directory")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -1,15 +1,13 @@
 """Dataset-level drivers tying ingestion, metrics, clustering and scoring.
 
 Everything here operates on PreparedContent: one content item's aligned
-dataset plus its processing parameters.  Overlap matrices are independent
-across frames, so they fan out over a thread pool and reassemble in frame
-order; results are identical for any --threads value.  Pair features run
-on the calling thread, one surface graph alive at a time.
+dataset plus its processing parameters.  Every per-frame table is looked up
+or computed on the calling thread, one frame at a time: one cloud and at
+most one surface graph are alive at once.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,9 +54,10 @@ class PreparedContent:
 
     ``tables`` is the per-content store: each overlap matrix and feature
     table is computed on first request and shared afterwards by every
-    metric, every command and every ``with_thresholds`` copy; it holds one
-    surface graph at most, and only during a geodesic pass.  It is filled
-    only from the calling thread; worker threads only compute.
+    metric, every command and every ``with_thresholds`` copy, and so is each
+    frame's cloud digest.  During a pass it also holds the latest cloud read
+    and the latest surface graph built, one of each; the pass drops both
+    when it ends.
 
     With a ``store_dir``, overlap matrices and feature tables also persist
     on disk (``viewsim.store``), so later processes read them back instead
@@ -86,11 +85,18 @@ class PreparedContent:
             configs[metric] = replace(configs[metric], threshold=float(th))
         return replace(self, configs=configs)
 
+    def cloud(self, frame: int):
+        """One frame's cloud; only the latest is kept, and it is dropped before the next is read."""
+        if self.tables.get("cloud", (None,))[0] != frame:
+            self.tables.pop("cloud", None)
+            self.tables["cloud"] = (frame, self.dataset.clouds[frame])
+        return self.tables["cloud"][1]
+
     def cloud_digest(self, frame: int) -> str:
         """Digest of one frame's cloud points, computed once per frame."""
-        key = ("cloud", frame)
+        key = ("digest", frame)
         if key not in self.tables:
-            self.tables[key] = store.digest(self.dataset.clouds[frame].points)
+            self.tables[key] = store.digest(self.cloud(frame).points)
         return self.tables[key]
 
     def surface_graph(self, frame: int):
@@ -98,7 +104,7 @@ class PreparedContent:
         key = (self.cloud_digest(frame), self.knn)
         if self.tables.get("graph", (None,))[0] != key:
             self.tables.pop("graph", None)
-            self.tables["graph"] = (key, build_surface_graph(self.dataset.clouds[frame], k=self.knn))
+            self.tables["graph"] = (key, build_surface_graph(self.cloud(frame), k=self.knn))
         return self.tables["graph"][1]
 
 
@@ -164,44 +170,41 @@ def _disk(pc: PreparedContent, kind: str, k: int) -> tuple:
     return path, store.table_key(kind, ds.users, pc.cloud_digest(k), *inputs)
 
 
-def _missing(pc: PreparedContent, kind: str, frames: list, usable) -> list:
-    """Frames with no usable table in memory or on disk; disk hits move into memory."""
-    todo = []
-    for k in frames:
-        table = pc.tables.get((kind, k))
-        if not usable(table) and pc.store_dir is not None:
-            table = store.load(*_disk(pc, kind, k), kind, k, pc.dataset.users)
-            if usable(table):
-                pc.tables[(kind, k)] = table
-        if not usable(table):
-            todo.append(k)
-    return todo
+def _tables(pc: PreparedContent, kind: str, frames, usable, compute, by_cloud: bool = False) -> list:
+    """Each requested frame's table from memory, else from the disk tier, else computed and saved.
 
-
-def _store(pc: PreparedContent, kind: str, frames: list, todo: list, task, threads: int) -> list:
-    """Compute the ``todo`` frames on the pool, store them (and save them) from this thread, return ``frames``."""
-    if threads > 1 and len(todo) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            computed = list(ex.map(task, todo))
-    else:
-        computed = map(task, todo)  # each frame stored before the next is computed
-    for k, table in zip(todo, computed):
-        pc.tables[(kind, k)] = table
+    Frames missing from memory are visited one at a time, grouped by cloud
+    digest in first-seen order when ``by_cloud``.  The pass ends by dropping
+    the cloud and the graph it used last.
+    """
+    frames = list(range(pc.dataset.n_frames) if frames is None else frames)
+    missing = [k for k in frames if not usable(pc.tables.get((kind, k)))]
+    if by_cloud:  # one graph build per distinct cloud
+        first = {}
+        missing.sort(key=lambda k: first.setdefault(pc.cloud_digest(k), len(first)))
+    for k in missing:
+        table = None
         if pc.store_dir is not None:
-            store.save(*_disk(pc, kind, k), kind, table)
+            path, key = _disk(pc, kind, k)
+            table = store.load(path, key, kind, k, pc.dataset.users)
+        if not usable(table):
+            table = compute(k)
+            if pc.store_dir is not None:
+                store.save(path, key, kind, table)
+        pc.tables[(kind, k)] = table
+    pc.tables.pop("cloud", None)
+    pc.tables.pop("graph", None)
     return [pc.tables[(kind, k)] for k in frames]
 
 
-def overlap_matrices(pc: PreparedContent, frames=None, threads: int = 1) -> list:
+def overlap_matrices(pc: PreparedContent, frames=None) -> list:
     """Exact ground-truth matrices, one per requested frame."""
     ds = pc.dataset
-    frames = list(range(ds.n_frames) if frames is None else frames)
 
-    def task(k: int) -> SimilarityMatrix:
-        return overlap_matrix(k, ds.users, ds.x[:, k], ds.view[:, k], ds.off[:, k], ds.clouds[k], ds.frustum)
+    def compute(k: int) -> SimilarityMatrix:
+        return overlap_matrix(k, ds.users, ds.x[:, k], ds.view[:, k], ds.off[:, k], pc.cloud(k), ds.frustum)
 
-    todo = _missing(pc, "overlap", frames, lambda table: table is not None)
-    return _store(pc, "overlap", frames, todo, task, threads)
+    return _tables(pc, "overlap", frames, lambda table: table is not None, compute)
 
 
 def feature_tables(pc: PreparedContent, need_geodesic: bool = True, frames=None) -> list:
@@ -209,33 +212,27 @@ def feature_tables(pc: PreparedContent, need_geodesic: bool = True, frames=None)
 
     A stored geodesic table also serves non-geodesic requests; a stored
     non-geodesic one is rebuilt once, when geodesics are first asked for.
-    Runs on the calling thread, one graph alive at a time: sweeps hold the GIL.
     """
-    frames = list(range(pc.dataset.n_frames) if frames is None else frames)
-    todo = _missing(pc, "features", frames, lambda f: f is not None and (f.gaze_geo is not None or not need_geodesic))
-    if need_geodesic:  # frames grouped by cloud, in first-seen order: one build per distinct cloud
-        first = {}
-        todo = sorted(todo, key=lambda k: first.setdefault(pc.cloud_digest(k), len(first)))
     ds = pc.dataset
 
-    def task(k: int):
+    def compute(k: int):
         graph = pc.surface_graph(k) if need_geodesic else None
         return compute_pair_features(k, ds.users, ds.x[:, k], ds.p[:, k], ds.r[:, k], ds.off[:, k], graph=graph)
 
-    tables = _store(pc, "features", frames, todo, task, threads=1)
-    pc.tables.pop("graph", None)  # no content keeps a graph past its pass
-    return tables
+    def usable(table) -> bool:
+        return table is not None and (table.gaze_geo is not None or not need_geodesic)
+
+    return _tables(pc, "features", frames, usable, compute, by_cloud=need_geodesic)
 
 
 def metric_matrices(
     pc: PreparedContent,
     metric: MetricId,
     frames=None,
-    threads: int = 1,
 ) -> list:
     """Per-frame matrices for one proxy metric (or the exact ground truth)."""
     if metric.is_overlap:
-        return overlap_matrices(pc, frames=frames, threads=threads)
+        return overlap_matrices(pc, frames=frames)
     features = feature_tables(pc, need_geodesic=metric.needs_geodesic, frames=frames)
     return [f.metric_matrix(metric, pc.config(metric).regulators) for f in features]
 
@@ -244,14 +241,13 @@ def cluster_content(
     pc: PreparedContent,
     metric: MetricId,
     mode: str = "frame",
-    threads: int = 1,
 ) -> list:
     """ClusteringResults per frame, or per chunk when mode='chunk'."""
     if mode not in ("frame", "chunk"):
         raise InvalidParamsError(f"mode must be frame|chunk, got '{mode}'")
     check_clique_size(len(pc.dataset.users))
     config = pc.config(metric)
-    mats = metric_matrices(pc, metric, threads=threads)
+    mats = metric_matrices(pc, metric)
     if mode == "frame":
         return [clique_clustering(build_adjacency(m, config), tie_matrix=m) for m in mats]
     ranges = chunk_frame_ranges(len(mats), pc.chunk.frames_per_chunk(pc.dataset.fps))
@@ -267,7 +263,6 @@ def evaluate_content(
     pc: PreparedContent,
     metric: MetricId,
     mode: str = "chunk",
-    threads: int = 1,
 ):
     """Cluster with a metric and score against the exact ground truth.
 
@@ -276,8 +271,8 @@ def evaluate_content(
     are persistence scores thresholded exactly like chunk adjacency, so an
     OVERLAP-driven clustering scores precision 1.0 identically.
     """
-    results = cluster_content(pc, metric, mode=mode, threads=threads)
-    ovs = overlap_matrices(pc, threads=threads)
+    results = cluster_content(pc, metric, mode=mode)
+    ovs = overlap_matrices(pc)
     perfs = []
     if mode == "frame":
         for result, ov in zip(results, ovs):
@@ -304,7 +299,6 @@ def calibrate_contents(
     pcs: list,
     metrics=None,
     target_tpr: float = DEFAULT_TARGET_TPR,
-    threads: int = 1,
 ) -> dict:
     """ROC-select a threshold per metric over all given contents' pairs.
 
@@ -316,7 +310,7 @@ def calibrate_contents(
     if metrics is None:
         metrics = [m for m in MetricId if not m.is_overlap]
     o_th = pcs[0].o_th
-    ovs = [ov for pc in pcs for ov in overlap_matrices(pc, threads=threads)]
+    ovs = [ov for pc in pcs for ov in overlap_matrices(pc)]
     _, labels = pair_samples(ovs, ovs, o_th)
     for kind, count in (("positive", labels.sum()), ("negative", labels.size - labels.sum())):
         if count == 0:
@@ -348,7 +342,6 @@ def run_ablation(
     metric: MetricId,
     grid,
     fixed: dict | None = None,
-    threads: int = 1,
     threshold: float | None = None,
     reference_only: bool = True,
 ) -> list:
@@ -373,7 +366,7 @@ def run_ablation(
         summaries = {}
         for pc in swept:
             pc.configs[metric] = MetricConfig(metric, reg, th)
-            summaries[pc.content_id] = evaluate_content(pc, metric, mode="frame", threads=threads)[2]
+            summaries[pc.content_id] = evaluate_content(pc, metric, mode="frame")[2]
         overall = summarize_across_contents(summaries)
         return {f: overall[f].mean for f in FIGURES}
 

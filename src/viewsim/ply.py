@@ -215,10 +215,12 @@ def write_ply(path, points, binary: bool = True) -> None:
 class DirectoryCloudSequence:
     """Lazy frame-indexed view over the sorted .ply files in a directory.
 
-    Each access parses its file; nothing is cached, so a frame asked for
-    twice is read twice.  Ray casting reads each frame once, but digesting
-    a cloud for a table-store or graph key reads it once more than the
-    table or graph then computed from it.
+    Each access parses its file; nothing is cached here, so a frame asked
+    for twice is read twice.  Ray casting reads each frame once.  A table
+    pass holds the latest frame it read (``PreparedContent.cloud``), so a
+    cloud's digest and the table computed from it share one read; only a
+    geodesic pass, which digests its frames first to group them by cloud,
+    reads a cloud again to build its graph.
     """
 
     def __init__(self, directory):

@@ -17,7 +17,6 @@ import hashlib
 import importlib.util
 import os
 import re
-import threading
 import zipfile
 
 import numpy as np
@@ -127,7 +126,7 @@ def save(path: str, key: str, kind: str, table) -> None:
     """Write ``table`` with its key to a temporary file, then rename it to ``path``."""
     arrays = {name: getattr(table, name) for name in _FIELDS[kind] if getattr(table, name) is not None}
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"  # one writer per name
+    tmp = f"{path}.{os.getpid()}.tmp"  # one writer per name: each process writes on one thread
     try:
         with open(tmp, "wb") as fh:
             np.savez(fh, **{_KEY: np.array(key)}, **arrays)

@@ -352,11 +352,10 @@ def test_criterion_8_ablation_grid_deterministic():
     pc = prepare_scenario(scenario)
 
     # each run gets an empty table store, so every run recomputes its tables
-    records = run_ablation([pc], MetricId.W7, grid=DEFAULT_GRID, threads=1)
-    again = run_ablation([replace(pc, tables={})], MetricId.W7, grid=DEFAULT_GRID, threads=1)
-    threaded = run_ablation([replace(pc, tables={})], MetricId.W7, grid=DEFAULT_GRID, threads=3)
+    records = run_ablation([pc], MetricId.W7, grid=DEFAULT_GRID)
+    again = run_ablation([replace(pc, tables={})], MetricId.W7, grid=DEFAULT_GRID)
     count_ok = len(records) == 729
-    det_ok = repr(records) == repr(again) == repr(threaded)
+    det_ok = repr(records) == repr(again)
 
     sets = select_parameter_sets(records)
     argmax_ok = True

@@ -141,6 +141,24 @@ def test_overlap_threads_do_not_change_output(dataset, tmp_path):
     assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_overlap_runs_on_the_main_thread(dataset, tmp_path, monkeypatch, capsys):
+    import threading
+
+    import viewsim.pipeline
+    from viewsim.cli import main
+
+    on_main = []
+    real = viewsim.pipeline.overlap_matrix
+
+    def watched(*args, **kwargs):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(viewsim.pipeline, "overlap_matrix", watched)
+    assert main(["--manifest", str(dataset / "manifest.json"), "--threads", "3", "--out", str(tmp_path), "overlap"]) == 0
+    assert on_main == [True] * 4
+
+
 def test_overlap_frame_range(dataset, tmp_path):
     proc = run_cli(
         "--manifest", dataset / "manifest.json", "--out", tmp_path, "overlap", "--frames", "1:3"
@@ -667,6 +685,25 @@ def test_bench_writes_report(tmp_path):
     assert doc["min_speedup"] > 0
 
 
+def _no_constants(name):
+    raise AssertionError(f"bench.json holds {name}, which is not JSON")
+
+
+def test_bench_json_is_strict_json(tmp_path):
+    from viewsim.cli import main
+
+    argv = ["--seed", "3", "--out", str(tmp_path), "bench", "--n-points", "500", "--n-users", "4"]
+    assert main([*argv, "--repeats", "0"]) == 2
+    assert not (tmp_path / "bench.json").exists()
+    # no naive pair timed: the naive row is null, and no speedup is claimed
+    assert main([*argv, "--repeats", "1", "--pairs", "0"]) == 0
+    with open(tmp_path / "bench.json") as fh:
+        doc = json.load(fh, parse_constant=_no_constants)
+    (naive,) = [row for row in doc["rows"] if row["label"] == "overlap_naive"]
+    assert naive["per_pair_s"] is None and naive["pairs_timed"] == 0
+    assert doc["speedups"] == {} and "min_speedup" not in doc
+
+
 # ------------------------------------------------------------ exit codes
 
 
@@ -728,6 +765,7 @@ def test_zero_threads_exits_2(dataset, tmp_path):
     (["--fix", "beta"], 2),
     (["--fix", "delta=0.5"], 4),  # w7 sweeps no delta
     (["--grid", "0.1,-1"], 4),  # regulators are non-negative
+    (["--threshold", "nan"], 2),
 ])
 def test_bad_sweep_refused_before_any_content_is_loaded(dataset, tmp_path, monkeypatch, capsys, flags, code):
     import viewsim.cli
@@ -737,6 +775,22 @@ def test_bad_sweep_refused_before_any_content_is_loaded(dataset, tmp_path, monke
     argv = ["--manifest", str(dataset / "manifest.json"), "--out", str(tmp_path), "ablate", "--metric", "w7", *flags]
     assert viewsim.cli.main(argv) == code
     assert ("usage error" if code == 2 else "compute error") in capsys.readouterr().err
+    assert loaded == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--metric", "overlap"], "proxy metrics only"),
+    (["--target-tpr", "-0.5"], "--target-tpr must be in (0, 1]"),
+    (["--target-tpr", "1.5"], "--target-tpr must be in (0, 1]"),
+])
+def test_bad_calibration_refused_before_any_content_is_loaded(dataset, tmp_path, monkeypatch, capsys, flags, message):
+    import viewsim.cli
+
+    loaded = []
+    monkeypatch.setattr(viewsim.cli, "prepare", lambda *a, **k: loaded.append(a))
+    argv = ["--manifest", str(dataset / "manifest.json"), "--out", str(tmp_path), "calibrate", *flags]
+    assert viewsim.cli.main(argv) == 2
+    assert message in capsys.readouterr().err
     assert loaded == []
 
 

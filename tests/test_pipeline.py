@@ -1,6 +1,7 @@
-"""Batch orchestration: loading, matrices, clustering, sweeps, threading."""
+"""Batch orchestration: loading, matrices, clustering, sweeps."""
 
 import re
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -9,12 +10,14 @@ import numpy as np
 import pytest
 
 import viewsim.pipeline
+import viewsim.ply
 from viewsim.errors import InvalidParamsError
 from viewsim.evaluation import adjusted_rand_index
 from viewsim.geometry import PointCloudFrame
 from viewsim.manifest import load_manifest
 from viewsim.metrics import MetricId, compute_pair_features
 from viewsim.pipeline import (
+    calibrate_contents,
     cluster_content,
     evaluate_content,
     feature_tables,
@@ -113,22 +116,6 @@ def test_matrix_shapes_and_frame_indexing(narrow_content):
         assert m.users == narrow_content.dataset.users
 
 
-def test_threading_changes_nothing(narrow_content):
-    def fresh():
-        # an empty table store: the call below computes, not reads back
-        return replace(narrow_content, tables={})
-
-    _matrices_equal(overlap_matrices(fresh(), threads=1), overlap_matrices(fresh(), threads=3))
-    _matrices_equal(
-        metric_matrices(fresh(), MetricId.W7, threads=1),
-        metric_matrices(fresh(), MetricId.W7, threads=3),
-    )
-    _matrices_equal(
-        metric_matrices(fresh(), MetricId.W5, threads=1),
-        metric_matrices(fresh(), MetricId.W5, threads=4),
-    )
-
-
 def test_frame_subset_selects_frames(narrow_content):
     mats = metric_matrices(narrow_content, MetricId.W1, frames=[2, 4])
     assert [m.frame for m in mats] == [2, 4]
@@ -169,7 +156,7 @@ def test_one_surface_graph_alive_at_a_time(narrow_content, monkeypatch):
     scale = [1.0, 1.01, 1.0, 1.02, 1.01, 1.03]
     clouds = [PointCloudFrame(k, ds.clouds[k].points * s) for k, s in enumerate(scale)]
     pc = replace(narrow_content, tables={}, dataset=replace(ds, clouds=clouds))
-    metric_matrices(pc, MetricId.W7, threads=2)
+    metric_matrices(pc, MetricId.W7)
     assert len(alive) == 4
     assert [ref for ref in alive if ref() is not None] == [], "the pass kept its last graph"
     # the same values as one graph per frame, built afresh
@@ -228,6 +215,53 @@ def test_disk_store_round_trips_and_upgrades_to_geodesics(narrow_content, tmp_pa
     for a, b in zip(served, feature_tables(memory, need_geodesic=True)):
         _same_bytes(a, b)
     assert not list(tmp_path.glob("**/*.tmp"))
+
+
+def test_cold_overlap_pass_reads_each_cloud_once(disk_content, tmp_path, monkeypatch):
+    reads = []
+    real = viewsim.ply.read_ply
+    monkeypatch.setattr(viewsim.ply, "read_ply", lambda path: reads.append(path) or real(path))
+    # one read serves the frame's store key and its matrix
+    overlap_matrices(replace(disk_content, tables={}, store_dir=str(tmp_path)))
+    assert sorted(reads) == disk_content.dataset.clouds.paths
+
+
+@pytest.mark.parametrize("run", [
+    lambda pc: overlap_matrices(pc),
+    lambda pc: overlap_matrices(pc, frames=[2]),
+    lambda pc: feature_tables(pc, need_geodesic=False),
+    lambda pc: feature_tables(pc, need_geodesic=True),
+    lambda pc: metric_matrices(pc, MetricId.W7),
+    lambda pc: evaluate_content(pc, MetricId.W5, mode="chunk"),
+    lambda pc: calibrate_contents([pc]),
+], ids=["overlap", "overlap-frame", "features", "geodesic", "w7", "evaluate", "calibrate"])
+def test_no_pass_keeps_a_cloud_or_graph(disk_content, tmp_path, run):
+    for store_dir in (None, str(tmp_path)):
+        pc = replace(disk_content, tables={}, store_dir=store_dir)
+        run(pc)
+        assert "cloud" not in pc.tables and "graph" not in pc.tables
+
+
+@pytest.fixture(scope="module")
+def large_disk_content(tmp_path_factory):
+    root = tmp_path_factory.mktemp("large-disk")
+    write_scenario(three_orbit_groups(seed=6, users_per_group=2, n_frames=4, points_per_frame=20000), root)
+    (cm,) = load_manifest(root / "manifest.json")
+    return prepare(cm)
+
+
+def test_overlap_pass_memory_is_one_frame_deep(large_disk_content):
+    def peak(frames) -> int:
+        pc = replace(large_disk_content, tables={})
+        tracemalloc.start()
+        try:
+            overlap_matrices(pc, frames=frames)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak([0])
+    assert peak(range(4)) <= 1.25 * one
 
 
 def test_overlap_route_via_metric_matrices(narrow_content):
@@ -359,7 +393,7 @@ def test_run_ablation_averages_in_content_id_order(sweep_contents, monkeypatch):
     figures = {"alpha": 0.1, "mid": 0.2, "zeta": 0.3}
     seen = []
 
-    def evaluate(pc, metric, mode, threads):
+    def evaluate(pc, metric, mode):
         seen.append((pc.content_id, pc.o_th, pc.min_size, pc.config(metric).threshold, mode))
         return [], [], {f: AggregateStats(figures[pc.content_id], 0.0, 1, 0) for f in FIGURES}
 
@@ -420,7 +454,7 @@ def test_each_table_computed_once_across_metrics(narrow_content, monkeypatch):
     graphs = _count_calls(monkeypatch, "build_surface_graph")
     features = _count_calls(monkeypatch, "compute_pair_features")
     for metric in MetricId:
-        evaluate_content(pc, metric, mode="chunk", threads=2)
+        evaluate_content(pc, metric, mode="chunk")
     n_frames = pc.dataset.n_frames
     clouds = {id(pc.dataset.clouds[k].points) for k in range(n_frames)}
     assert sorted(args[0] for args in overlaps) == list(range(n_frames))

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .geometry import FrustumParams, build_surface_graph, frustum_planes
-from .metrics import MetricId, compute_pair_features, overlap_matrix
+from .metrics import MetricId, compute_pair_features, default_configs, overlap_matrix
 from .synth import (
     AtCentroidGaze,
     GroupSpec,
@@ -172,13 +172,15 @@ def run_bench(
     report["graph_build_s"] = graph_build_s
     graph_share = graph_build_s / max(1, amortize_frames) / n_pairs
 
+    configs = default_configs()
     for metric in (m for m in MetricId if not m.is_overlap):
         needs_geo = metric.needs_geodesic
+        reg = configs[metric].regulators
         times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
             feats = compute_pair_features(0, users, x, p, r, off, graph=graph if needs_geo else None)
-            feats.metric_matrix(metric, _default_reg(metric))
+            feats.metric_matrix(metric, reg)
             times.append((time.perf_counter() - t0) / n_pairs + (graph_share if needs_geo else 0.0))
         m, cv = _stats(times)
         row = {"label": metric.value, "per_pair_s": m, "cv": cv}
@@ -188,9 +190,3 @@ def run_bench(
     if report["speedups"]:
         report["min_speedup"] = min(report["speedups"].values())
     return report
-
-
-def _default_reg(metric: MetricId):
-    from .metrics import default_configs
-
-    return default_configs()[metric].regulators

@@ -98,6 +98,8 @@ def roc_curve(values, labels) -> list:
 
 def select_threshold(roc: list, target_tpr: float = DEFAULT_TARGET_TPR) -> RocPoint:
     """Largest-threshold ROC point whose TPR is at least the target."""
+    if not target_tpr > 0:
+        raise InvalidParamsError(f"target_tpr must be > 0, got {target_tpr}")
     if not roc:
         raise PreconditionError("cannot select a threshold from an empty ROC")
     eligible = [pt for pt in roc if pt.tpr >= target_tpr]

@@ -33,7 +33,6 @@ from .pipeline import (
     calibrate_contents,
     cluster_content,
     evaluate_content,
-    feature_tables,
     metric_matrices,
     overlap_matrices,
     prepare,
@@ -130,15 +129,12 @@ def cmd_overlap(args) -> int:
 
 def cmd_metrics(args) -> int:
     metrics = [_parse_metric(m) for m in args.metric] if args.metric else list(PROXY_METRICS)
-    need_geo = any(m.needs_geodesic for m in metrics)
     pcs = _contents(args)
     for pc, frames in zip(pcs, [_parse_frames(args.frames, pc.dataset.n_frames) for pc in pcs]):
-        # one feature pass serves every requested metric
-        features = feature_tables(pc, need_geodesic=need_geo, frames=frames)
         mats = [m for metric in metrics for m in metric_matrices(pc, metric, frames=frames)]
         path = _out_path(args, f"metrics_{safe_name(pc.content_id)}.csv")
         write_matrices_csv(path, mats)
-        print(f"{pc.content_id}: wrote {path} ({len(metrics)} metrics x {len(features)} frames)")
+        print(f"{pc.content_id}: wrote {path} ({len(metrics)} metrics x {len(mats) // len(metrics)} frames)")
     return 0
 
 

@@ -136,6 +136,8 @@ def _parse_content(d: dict, base_dir: str, where: str) -> ContentManifest:
     _require(r_mode in ("viewport", "centroid"), f"{where}.r_mode must be viewport|centroid")
     reference = d.get("reference", True)
     _require(isinstance(reference, bool), f"{where}.reference must be a boolean")
+    surface_knn = _int(d, "surface_knn", DEFAULT_SURFACE_KNN, where)
+    _require(surface_knn >= 1, f"{where}.surface_knn must be >= 1, got {surface_knn}")
     return ContentManifest(
         content_id=d["content_id"],
         cloud_dir=cloud_dir,
@@ -147,7 +149,7 @@ def _parse_content(d: dict, base_dir: str, where: str) -> ContentManifest:
         r_mode=r_mode,
         relevant_min_size=_int(d, "relevant_min_size", 3, where),
         overlap_threshold=_float(d, "overlap_threshold", 0.75, where),
-        surface_knn=_int(d, "surface_knn", DEFAULT_SURFACE_KNN, where),
+        surface_knn=surface_knn,
         chunk=chunk,
         metrics=_parse_metrics(d.get("metrics", {}), f"{where}.metrics"),
     )

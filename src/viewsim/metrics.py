@@ -221,11 +221,8 @@ def compute_pair_features(frame_index: int, users: tuple, x, p, r, off, graph: S
     """Build the feature matrices for one aligned frame.
 
     ``x`` and ``p`` are n×3, ``r`` and ``off`` length n, one row per user;
-    p and r are NaN for a user without a gaze target.  Geodesic gaze
-    distances are taken between graph vertices nearest each p, one
-    shortest-path sweep per distinct source vertex but the largest; the row
-    of the smaller vertex index is used for both orientations so the matrix
-    is symmetric by construction.
+    p and r are NaN for a user without a gaze target.  With a ``graph``,
+    ``gaze_geo`` is ``geodesic_gaze(p, r, graph)``.
     """
     n = len(users)
     # contiguous, like stacked rows: numpy may pick another (SIMD) loop, with other rounding, for strided input
@@ -243,16 +240,6 @@ def compute_pair_features(frame_index: int, users: tuple, x, p, r, off, graph: S
     eta_sum = eta[:, None] + eta[None, :]
     pos_valid = present[:, None] & present[None, :]
     pr_valid = pos_valid & on[:, None] & on[None, :]
-    gaze_geo = None
-    if graph is not None:
-        gaze_geo = np.full((n, n), np.nan)
-        on_idx = np.flatnonzero(on)
-        if on_idx.size:
-            snapped = np.array([graph.nearest_index(ps[i]) for i in on_idx])
-            uniq, inv = np.unique(snapped, return_inverse=True)
-            dist = np.zeros((uniq.size, uniq.size))
-            dist[:-1] = geodesic_rows(graph, uniq[:-1], uniq)  # the largest vertex's row is never read
-            gaze_geo[np.ix_(on_idx, on_idx)] = dist[np.minimum.outer(inv, inv), np.maximum.outer(inv, inv)]
     return PairFeatures(
         frame=frame_index,
         users=users,
@@ -262,8 +249,31 @@ def compute_pair_features(frame_index: int, users: tuple, x, p, r, off, graph: S
         eta_sum=eta_sum,
         pos_valid=pos_valid,
         pr_valid=pr_valid,
-        gaze_geo=gaze_geo,
+        gaze_geo=None if graph is None else geodesic_gaze(ps, rs, graph),
     )
+
+
+def geodesic_gaze(p, r, graph: SurfaceGraph) -> np.ndarray:
+    """Geodesic distances between users' gaze targets on the content surface.
+
+    ``p`` is n×3 and ``r`` length n, one row per user; a user whose r is
+    NaN has no gaze target, and its row and column are NaN.  Distances are
+    taken between graph vertices nearest each p, one shortest-path sweep
+    per distinct source vertex but the largest; the row of the smaller
+    vertex index is used for both orientations so the matrix is symmetric
+    by construction.
+    """
+    ps, rs = (np.ascontiguousarray(a, dtype=np.float64) for a in (p, r))
+    n = len(rs)
+    gaze_geo = np.full((n, n), np.nan)
+    on_idx = np.flatnonzero(~np.isnan(rs))
+    if on_idx.size:
+        snapped = np.array([graph.nearest_index(ps[i]) for i in on_idx])
+        uniq, inv = np.unique(snapped, return_inverse=True)
+        dist = np.zeros((uniq.size, uniq.size))
+        dist[:-1] = geodesic_rows(graph, uniq[:-1], uniq)  # the largest vertex's row is never read
+        gaze_geo[np.ix_(on_idx, on_idx)] = dist[np.minimum.outer(inv, inv), np.maximum.outer(inv, inv)]
+    return gaze_geo
 
 
 def overlap_matrix(frame_index: int, users: tuple, x, view, off, cloud, params: FrustumParams) -> SimilarityMatrix:

@@ -1,9 +1,11 @@
 """Dataset-level drivers tying ingestion, metrics, clustering and scoring.
 
 Everything here operates on PreparedContent: one content item's aligned
-dataset plus its processing parameters.  Every per-frame table is looked up
-or computed on the calling thread, one frame at a time: one cloud and at
-most one surface graph are alive at once.
+dataset plus its processing parameters.  Every per-frame table (exact
+overlap, pair features, geodesic gaze distances) is looked up or computed
+on the calling thread, one frame at a time in the order asked: one cloud
+and at most one surface graph are alive at once, and no pass reads a cloud
+twice.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from .manifest import ContentManifest
 from .metrics import (
     MetricConfig,
     MetricId,
-    SimilarityMatrix,
     compute_pair_features,
     default_configs,
+    geodesic_gaze,
     overlap_matrix,
 )
 from .ply import DirectoryCloudSequence
@@ -52,16 +54,17 @@ from .trajectories import COLUMNS, SessionDataset, align_to_frames, derive_pr, l
 class PreparedContent:
     """One content item ready for batch processing.
 
-    ``tables`` is the per-content store: each overlap matrix and feature
-    table is computed on first request and shared afterwards by every
-    metric, every command and every ``with_thresholds`` copy, and so is each
-    frame's cloud digest.  During a pass it also holds the latest cloud read
-    and the latest surface graph built, one of each; the pass drops both
-    when it ends.
+    ``tables`` is the per-content store: each overlap matrix, feature
+    table and geodesic gaze distance matrix is computed on first request
+    and shared afterwards by every metric, every command and every
+    ``with_thresholds`` copy, and so is each frame's cloud digest.  During a
+    pass it also holds the latest cloud read and the latest surface graph
+    built, one of each, so consecutive frames with equal points share one
+    graph; the pass drops both when it ends.
 
-    With a ``store_dir``, overlap matrices and feature tables also persist
-    on disk (``viewsim.store``), so later processes read them back instead
-    of recomputing; ``None`` keeps everything in memory.
+    With a ``store_dir``, every table also persists on disk
+    (``viewsim.store``), so later processes read it back instead of
+    recomputing; ``None`` keeps everything in memory.
     """
 
     content_id: str
@@ -159,35 +162,23 @@ def prepare_scenario(scenario: SynthScenario, **overrides) -> PreparedContent:
     return PreparedContent(content_id=scenario.content_id, dataset=dataset, **pc_kwargs)
 
 
-def _disk(pc: PreparedContent, kind: str, k: int) -> tuple:
-    """Store file of frame k's table and its key: exactly what its frame function reads."""
-    ds = pc.dataset
-    if kind == "overlap":
-        inputs = (ds.x[:, k], ds.view[:, k], ds.off[:, k], ds.frustum)
-    else:
-        inputs = (ds.x[:, k], ds.p[:, k], ds.r[:, k], ds.off[:, k], pc.knn)
-    path = store.table_path(pc.store_dir, pc.content_id, kind, k)
-    return path, store.table_key(kind, ds.users, pc.cloud_digest(k), *inputs)
-
-
-def _tables(pc: PreparedContent, kind: str, frames, usable, compute, by_cloud: bool = False) -> list:
+def _tables(pc: PreparedContent, kind: str, frames, compute, reads) -> list:
     """Each requested frame's table from memory, else from the disk tier, else computed and saved.
 
-    Frames missing from memory are visited one at a time, grouped by cloud
-    digest in first-seen order when ``by_cloud``.  The pass ends by dropping
-    the cloud and the graph it used last.
+    ``reads(k)`` is what ``compute(k)`` reads beside the user ids: the
+    table's store key.  Frames are visited in the order asked, and the pass
+    ends by dropping the cloud and the graph it used last.
     """
     frames = list(range(pc.dataset.n_frames) if frames is None else frames)
-    missing = [k for k in frames if not usable(pc.tables.get((kind, k)))]
-    if by_cloud:  # one graph build per distinct cloud
-        first = {}
-        missing.sort(key=lambda k: first.setdefault(pc.cloud_digest(k), len(first)))
-    for k in missing:
+    for k in frames:
+        if (kind, k) in pc.tables:
+            continue
         table = None
         if pc.store_dir is not None:
-            path, key = _disk(pc, kind, k)
+            path = store.table_path(pc.store_dir, pc.content_id, kind, k)
+            key = store.table_key(kind, pc.dataset.users, *reads(k))
             table = store.load(path, key, kind, k, pc.dataset.users)
-        if not usable(table):
+        if table is None:
             table = compute(k)
             if pc.store_dir is not None:
                 store.save(path, key, kind, table)
@@ -200,29 +191,29 @@ def _tables(pc: PreparedContent, kind: str, frames, usable, compute, by_cloud: b
 def overlap_matrices(pc: PreparedContent, frames=None) -> list:
     """Exact ground-truth matrices, one per requested frame."""
     ds = pc.dataset
-
-    def compute(k: int) -> SimilarityMatrix:
-        return overlap_matrix(k, ds.users, ds.x[:, k], ds.view[:, k], ds.off[:, k], pc.cloud(k), ds.frustum)
-
-    return _tables(pc, "overlap", frames, lambda table: table is not None, compute)
+    return _tables(
+        pc, "overlap", frames,
+        lambda k: overlap_matrix(k, ds.users, ds.x[:, k], ds.view[:, k], ds.off[:, k], pc.cloud(k), ds.frustum),
+        lambda k: (pc.cloud_digest(k), ds.x[:, k], ds.view[:, k], ds.off[:, k], ds.frustum),
+    )
 
 
 def feature_tables(pc: PreparedContent, need_geodesic: bool = True, frames=None) -> list:
-    """Per-frame pair features; geodesic distances only when asked for.
-
-    A stored geodesic table also serves non-geodesic requests; a stored
-    non-geodesic one is rebuilt once, when geodesics are first asked for.
-    """
+    """Per-frame pair features, each with its frame's geodesic gaze distances when asked for."""
     ds = pc.dataset
-
-    def compute(k: int):
-        graph = pc.surface_graph(k) if need_geodesic else None
-        return compute_pair_features(k, ds.users, ds.x[:, k], ds.p[:, k], ds.r[:, k], ds.off[:, k], graph=graph)
-
-    def usable(table) -> bool:
-        return table is not None and (table.gaze_geo is not None or not need_geodesic)
-
-    return _tables(pc, "features", frames, usable, compute, by_cloud=need_geodesic)
+    plain = _tables(
+        pc, "features", frames,
+        lambda k: compute_pair_features(k, ds.users, ds.x[:, k], ds.p[:, k], ds.r[:, k], ds.off[:, k]),
+        lambda k: (ds.x[:, k], ds.p[:, k], ds.r[:, k], ds.off[:, k]),
+    )
+    if not need_geodesic:
+        return plain
+    geo = _tables(
+        pc, "geodesic", frames,
+        lambda k: geodesic_gaze(ds.p[:, k], ds.r[:, k], pc.surface_graph(k)),
+        lambda k: (pc.cloud_digest(k), ds.p[:, k], ds.r[:, k], pc.knn),
+    )
+    return [replace(f, gaze_geo=g) for f, g in zip(plain, geo)]
 
 
 def metric_matrices(
@@ -302,11 +293,13 @@ def calibrate_contents(
 ) -> dict:
     """ROC-select a threshold per metric over all given contents' pairs.
 
-    Label balance is checked on the exact overlaps before any surface graph
-    or feature table is built.  Returns {metric: {"threshold", "tpr",
-    "fpr", "fpr_ok", "roc"}}; the FPR ceiling (0.4) is advisory and only
-    reported.
+    ``target_tpr`` and label balance are checked, the latter on the exact
+    overlaps, before any surface graph or feature table is built.  Returns
+    {metric: {"threshold", "tpr", "fpr", "fpr_ok", "roc"}}; the FPR ceiling
+    (0.4) is advisory and only reported.
     """
+    if not target_tpr > 0:
+        raise InvalidParamsError(f"target_tpr must be > 0, got {target_tpr}")
     if metrics is None:
         metrics = [m for m in MetricId if not m.is_overlap]
     o_th = pcs[0].o_th
@@ -315,11 +308,9 @@ def calibrate_contents(
     for kind, count in (("positive", labels.sum()), ("negative", labels.size - labels.sum())):
         if count == 0:
             raise DegenerateLabelsError(f"0 {kind} labels out of {labels.size} valid pair-frames at o_th={o_th}")
-    need_geo = any(m.needs_geodesic for m in metrics)
-    features = [(pc, f) for pc in pcs for f in feature_tables(pc, need_geodesic=need_geo)]
     out = {}
     for metric in metrics:
-        mats = [f.metric_matrix(metric, pc.config(metric).regulators) for pc, f in features]
+        mats = [m for pc in pcs for m in metric_matrices(pc, metric)]
         roc, point = calibrate_threshold(mats, ovs, target_tpr=target_tpr, o_th=o_th)
         out[metric] = {
             "threshold": point.threshold,

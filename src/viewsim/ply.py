@@ -218,9 +218,8 @@ class DirectoryCloudSequence:
     Each access parses its file; nothing is cached here, so a frame asked
     for twice is read twice.  Ray casting reads each frame once.  A table
     pass holds the latest frame it read (``PreparedContent.cloud``), so a
-    cloud's digest and the table computed from it share one read; only a
-    geodesic pass, which digests its frames first to group them by cloud,
-    reads a cloud again to build its graph.
+    cloud's digest and the table or graph computed from it share one read,
+    and no pass reads a cloud twice.
     """
 
     def __init__(self, directory):

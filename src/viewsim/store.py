@@ -1,13 +1,14 @@
 """Disk tier of the per-content table store: one ``.npz`` file per table.
 
 A ``PreparedContent`` with a ``store_dir`` (the CLI sets it to ``--out``)
-keeps each exact overlap matrix and pair-feature table in
-``<store_dir>/.viewsim-store/<content>/<kind>-<frame>.npz``.  Each file holds
-the table's arrays and a sha256 key over everything the table was computed
-from: the frame's inputs, viewsim's own sources and the numpy and scipy
-versions.  A file that is missing, unreadable, malformed or keyed
-differently is a miss, never an error, and the next write replaces it.
-Files are written whole under a temporary name, then renamed into place.
+keeps each exact overlap matrix, pair-feature table and geodesic gaze
+distance matrix in ``<store_dir>/.viewsim-store/<content>/<kind>-<frame>.npz``.
+Each file holds exactly its kind's arrays and a sha256 key over everything
+the table was computed from: the frame's inputs, viewsim's own sources and
+the numpy and scipy versions.  A file that is missing, unreadable,
+malformed, keyed differently or holding other members is a miss, never an
+error, and the next write replaces it.  Files are written whole under a
+temporary name, then renamed into place.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ _DIRNAME = ".viewsim-store"
 _KEY = "key"
 
 _F8, _BOOL = np.dtype(np.float64), np.dtype(bool)
-# every table array is n_users x n_users; gaze_geo only in geodesic feature tables
+# every table array is n_users x n_users
 _FIELDS = {
     "overlap": {"values": _F8, "valid": _BOOL},
     "features": {
@@ -37,10 +38,9 @@ _FIELDS = {
         "eta_sum": _F8,
         "pos_valid": _BOOL,
         "pr_valid": _BOOL,
-        "gaze_geo": _F8,
     },
+    "geodesic": {"gaze_geo": _F8},
 }
-_OPTIONAL = {"gaze_geo"}
 # what np.load and reading an npz member raise on a missing, truncated or foreign file
 _MISS = (OSError, ValueError, EOFError, zipfile.BadZipFile)
 
@@ -98,20 +98,22 @@ def table_path(store_dir, content_id: str, kind: str, frame: int) -> str:
 
 
 def load(path: str, key: str, kind: str, frame: int, users: tuple):
-    """The ``kind`` table stored at ``path`` under ``key``, or None on a miss."""
+    """The ``kind`` table stored at ``path`` under ``key``, or None on a miss.
+
+    A geodesic table is its ``gaze_geo`` array.
+    """
     fields = _FIELDS[kind]
     try:
         npz = np.load(path, allow_pickle=False)
         if not isinstance(npz, np.lib.npyio.NpzFile):  # a bare .npy array
             return None
         with npz:
-            names = set(npz.files) - {_KEY}
-            if _KEY not in npz.files or not set(fields) - _OPTIONAL <= names <= set(fields):
+            if set(npz.files) != {_KEY, *fields}:
                 return None
             stored = npz[_KEY]
             if stored.dtype.kind != "U" or stored.shape != () or str(stored) != key:
                 return None
-            arrays = {name: npz[name] for name in names}
+            arrays = {name: npz[name] for name in fields}
     except _MISS:
         return None
     n = len(users)
@@ -119,12 +121,14 @@ def load(path: str, key: str, kind: str, frame: int, users: tuple):
         return None
     if kind == "overlap":
         return SimilarityMatrix(frame=frame, users=users, metric=MetricId.OVERLAP, **arrays)
-    return PairFeatures(frame=frame, users=users, **arrays)
+    if kind == "features":
+        return PairFeatures(frame=frame, users=users, **arrays)
+    return arrays["gaze_geo"]
 
 
 def save(path: str, key: str, kind: str, table) -> None:
     """Write ``table`` with its key to a temporary file, then rename it to ``path``."""
-    arrays = {name: getattr(table, name) for name in _FIELDS[kind] if getattr(table, name) is not None}
+    arrays = {"gaze_geo": table} if kind == "geodesic" else {name: getattr(table, name) for name in _FIELDS[kind]}
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"  # one writer per name: each process writes on one thread
     try:

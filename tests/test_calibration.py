@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,6 +133,16 @@ def test_select_unattainable_target():
     pts = [RocPoint(threshold=0.5, tpr=0.7, fpr=0.1)]
     with pytest.raises(UnattainableTargetError):
         select_threshold(pts, target_tpr=1.1)
+
+
+@pytest.mark.parametrize("target", [-0.5, 0.0, math.nan])
+def test_non_positive_target_tpr_refused_before_any_table(narrow_content, target):
+    with pytest.raises(InvalidParamsError, match="target_tpr"):
+        select_threshold([RocPoint(threshold=0.5, tpr=0.7, fpr=0.1)], target_tpr=target)
+    pc = replace(narrow_content, tables={})
+    with pytest.raises(InvalidParamsError, match="target_tpr"):
+        calibrate_contents([pc], target_tpr=target)
+    assert pc.tables == {}
 
 
 def test_select_empty_roc():

@@ -349,7 +349,7 @@ def test_warm_session_matches_cold_commands(narrow_manifest, tmp_path, capsys, t
         written = outputs(cold)
         assert written and {name: after[name] for name in written} == written, argv
     assert sorted(p.name for p in (warm / ".viewsim-store" / "synth-sphere-11").iterdir()) == [
-        f"{kind}-{k:06d}.npz" for kind in ("features", "overlap") for k in range(4)
+        f"{kind}-{k:06d}.npz" for kind in ("features", "geodesic", "overlap") for k in range(4)
     ]
 
 
@@ -381,11 +381,15 @@ def _warm_then_edit(capsys, data, tmp_path, edit):
     return before, runs["warm"], runs["fresh"]
 
 
-def test_store_misses_when_inputs_change(own_dataset, tmp_path, capsys):
+def test_store_misses_when_inputs_change(own_dataset, tmp_path, capsys, monkeypatch):
+    import viewsim.store
     from viewsim.ply import read_ply, write_ply
 
     manifest = own_dataset / "manifest.json"
     trajectories = own_dataset / "trajectories.csv"
+    saved = []
+    real_save = viewsim.store.save
+    monkeypatch.setattr(viewsim.store, "save", lambda path, *a: saved.append(Path(path)) or real_save(path, *a))
 
     def narrow_frustum():
         doc = json.loads(manifest.read_text())
@@ -403,13 +407,48 @@ def test_store_misses_when_inputs_change(own_dataset, tmp_path, capsys):
         with open(trajectories, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
 
+    def fewer_neighbours():
+        doc = json.loads(manifest.read_text())
+        doc["surface_knn"] = 5
+        manifest.write_text(json.dumps(doc))
+        saved.clear()
+
     backup = {p: p.read_bytes() for p in (manifest, trajectories, own_dataset / "clouds" / "frame_000002.ply")}
-    for i, edit in enumerate((narrow_frustum, rewrite_ply, move_row)):
+    edits = (narrow_frustum, rewrite_ply, move_row, fewer_neighbours)
+    for i, edit in enumerate(edits):
         for path, data in backup.items():
             path.write_bytes(data)
         before, warm, fresh = _warm_then_edit(capsys, own_dataset, tmp_path / str(i), edit)
         assert warm == fresh, edit.__name__
         assert warm[1] != before, edit.__name__  # the edit changed the outputs
+    # the graph's k keys only the geodesic tables: the warm store rewrote those and no other file
+    warm_store = tmp_path / str(edits.index(fewer_neighbours)) / "warm"
+    assert sorted(p.name for p in saved if warm_store in p.parents) == [f"geodesic-{k:06d}.npz" for k in range(4)]
+
+
+def test_cold_evaluate_computes_and_writes_each_table_once(narrow_manifest, tmp_path, capsys, monkeypatch):
+    import viewsim.pipeline
+    import viewsim.store
+
+    computed, saved = [], []
+    real_features, real_save = viewsim.pipeline.compute_pair_features, viewsim.store.save
+    monkeypatch.setattr(viewsim.pipeline, "compute_pair_features",
+                        lambda k, *a, **kw: computed.append(k) or real_features(k, *a, **kw))
+    monkeypatch.setattr(viewsim.store, "save", lambda path, *a: saved.append(Path(path).name) or real_save(path, *a))
+    run_in(capsys, narrow_manifest, tmp_path, ["evaluate", "--mode", "chunk"])
+    assert sorted(computed) == list(range(4))
+    assert sorted(saved) == [f"{kind}-{k:06d}.npz" for kind in ("features", "geodesic", "overlap") for k in range(4)]
+
+
+def test_cold_plain_metric_reads_each_cloud_once(narrow_manifest, tmp_path, capsys, monkeypatch):
+    import viewsim.ply
+
+    reads = []
+    real = viewsim.ply.read_ply
+    monkeypatch.setattr(viewsim.ply, "read_ply", lambda path: reads.append(Path(path).name) or real(path))
+    run_in(capsys, narrow_manifest, tmp_path, ["cluster", "--metric", "w1"])
+    # ray casting reads each cloud once; the store key of a plain feature table reads none
+    assert sorted(reads) == sorted(p.name for p in (narrow_manifest.parent / "clouds").glob("*.ply"))
 
 
 def test_store_misses_when_sources_change(narrow_manifest, tmp_path, capsys, monkeypatch):

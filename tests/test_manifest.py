@@ -168,8 +168,9 @@ def test_type_errors_rejected(dataset):
         load_manifest(_minimal(dataset, fps=True))
     with pytest.raises(ManifestError, match="reference"):
         load_manifest(_minimal(dataset, reference=1))
-    with pytest.raises(ManifestError, match="surface_knn"):
-        load_manifest(_minimal(dataset, surface_knn=8.5))
+    for knn in (8.5, 0, -1):
+        with pytest.raises(ManifestError, match="surface_knn"):
+            load_manifest(_minimal(dataset, surface_knn=knn))
     with pytest.raises(ManifestError, match="r_mode"):
         load_manifest(_minimal(dataset, r_mode="auto"))
 

@@ -129,14 +129,15 @@ def test_geodesic_graphs_cached_per_distinct_cloud(narrow_content, monkeypatch):
     assert len(builds) == 1
     g = pc.surface_graph(0)
     assert g is pc.surface_graph(5)
-    # keyed by the points, not the array: equal copies share a build, moved points get their own
+    # keyed by the points, not the array: consecutive equal copies share a build, moved points
+    # get their own, and a cloud that comes back after another is built again (A A A B A A)
     ds = narrow_content.dataset
     clouds = [PointCloudFrame(k, c.points.copy()) for k, c in enumerate(ds.clouds)]
     clouds[3] = PointCloudFrame(3, clouds[3].points * 1.01)
     pc = replace(narrow_content, tables={}, dataset=replace(ds, clouds=clouds))
     builds.clear()
     feature_tables(pc, need_geodesic=True)
-    assert len(builds) == 2
+    assert len(builds) == 3
     assert pc.surface_graph(0) is pc.surface_graph(5) is not pc.surface_graph(3)
 
 
@@ -152,30 +153,32 @@ def test_one_surface_graph_alive_at_a_time(narrow_content, monkeypatch):
 
     monkeypatch.setattr(viewsim.pipeline, "build_surface_graph", watched)
     ds = narrow_content.dataset
-    # four distinct clouds over six frames, equal ones not adjacent: A B A C B D
+    # four distinct clouds over six frames, equal ones not adjacent: A B A C B D, one build per frame
     scale = [1.0, 1.01, 1.0, 1.02, 1.01, 1.03]
     clouds = [PointCloudFrame(k, ds.clouds[k].points * s) for k, s in enumerate(scale)]
     pc = replace(narrow_content, tables={}, dataset=replace(ds, clouds=clouds))
     metric_matrices(pc, MetricId.W7)
-    assert len(alive) == 4
+    assert len(alive) == 6
     assert [ref for ref in alive if ref() is not None] == [], "the pass kept its last graph"
     # the same values as one graph per frame, built afresh
     for k, cloud in enumerate(clouds):
         graph = real(cloud, pc.knn)
         want = compute_pair_features(k, ds.users, ds.x[:, k], ds.p[:, k], ds.r[:, k], ds.off[:, k], graph=graph)
-        assert want.gaze_geo.tobytes() == pc.tables[("features", k)].gaze_geo.tobytes()
+        assert want.gaze_geo.tobytes() == pc.tables[("geodesic", k)].tobytes()
 
 
 def test_feature_tables_add_geodesics_only_when_asked(narrow_content, monkeypatch):
     builds = _count_calls(monkeypatch, "build_surface_graph")
+    computed = _count_calls(monkeypatch, "compute_pair_features")
     pc = replace(narrow_content, tables={})
     plain = feature_tables(pc, need_geodesic=False)
     assert all(f.gaze_geo is None for f in plain)
-    assert builds == []
+    assert builds == [] and len(computed) == 6
     geo = feature_tables(pc, need_geodesic=True)
     assert all(f.gaze_geo is not None for f in geo)
-    # the geodesic tables now serve plain requests as well
-    assert all(a is b for a, b in zip(geo, feature_tables(pc, need_geodesic=False)))
+    # the geodesic request reuses the plain tables: no feature table is computed again
+    assert len(computed) == 6
+    assert all(a is b for a, b in zip(plain, feature_tables(pc, need_geodesic=False)))
     for a, b in zip(plain, geo):
         np.testing.assert_array_equal(a.pos_dist, b.pos_dist)
         np.testing.assert_array_equal(a.eta_sum, b.eta_sum)
@@ -205,13 +208,20 @@ def test_disk_store_round_trips_and_upgrades_to_geodesics(narrow_content, tmp_pa
     for a, b in zip(plain, feature_tables(memory, need_geodesic=False)):
         _same_bytes(a, b)
     assert builds == []
-    # the first geodesic request rebuilds the tables and replaces the files ...
+    # the first geodesic request writes geodesic files and leaves every features file as it was
+    features_files = {p: p.read_bytes() for p in tmp_path.glob("**/features-*.npz")}
+    assert len(features_files) == 6 and not list(tmp_path.glob("**/geodesic-*.npz"))
     assert all(f.gaze_geo is not None for f in feature_tables(pc, need_geodesic=True))
-    # ... which then serve plain requests too
+    assert len(list(tmp_path.glob("**/geodesic-*.npz"))) == 6
+    assert {p: p.read_bytes() for p in tmp_path.glob("**/features-*.npz")} == features_files
+    # a later process serves both kinds without building a graph
     pc = fresh()
     builds.clear()
-    served = feature_tables(pc, need_geodesic=False)
+    plain = feature_tables(pc, need_geodesic=False)
+    served = feature_tables(pc, need_geodesic=True)
     assert builds == []
+    for a, b in zip(plain, feature_tables(memory, need_geodesic=False)):
+        _same_bytes(a, b)
     for a, b in zip(served, feature_tables(memory, need_geodesic=True)):
         _same_bytes(a, b)
     assert not list(tmp_path.glob("**/*.tmp"))
@@ -224,6 +234,27 @@ def test_cold_overlap_pass_reads_each_cloud_once(disk_content, tmp_path, monkeyp
     # one read serves the frame's store key and its matrix
     overlap_matrices(replace(disk_content, tables={}, store_dir=str(tmp_path)))
     assert sorted(reads) == disk_content.dataset.clouds.paths
+
+
+def test_geodesic_pass_reads_each_distinct_cloud_once(tmp_path, monkeypatch):
+    from viewsim.ply import read_ply, write_ply
+
+    write_scenario(three_orbit_groups(seed=5, users_per_group=2, n_frames=4, points_per_frame=300), tmp_path)
+    (cm,) = load_manifest(tmp_path / "manifest.json")
+    for k, path in enumerate(sorted((tmp_path / "clouds").glob("*.ply"))):  # every frame's points differ
+        write_ply(path, read_ply(path) * (1 + 0.01 * k))
+    pc = prepare(cm)
+    reads = []
+    real = viewsim.ply.read_ply
+    monkeypatch.setattr(viewsim.ply, "read_ply", lambda path: reads.append(path) or real(path))
+    builds = _count_calls(monkeypatch, "build_surface_graph")
+    for store_dir in (None, str(tmp_path / "out")):
+        reads.clear()
+        builds.clear()
+        # one read serves the frame's digest, its store key and its graph
+        feature_tables(replace(pc, tables={}, store_dir=store_dir), need_geodesic=True)
+        assert sorted(reads) == pc.dataset.clouds.paths
+        assert len(builds) == 4
 
 
 @pytest.mark.parametrize("run", [
@@ -459,7 +490,7 @@ def test_each_table_computed_once_across_metrics(narrow_content, monkeypatch):
     clouds = {id(pc.dataset.clouds[k].points) for k in range(n_frames)}
     assert sorted(args[0] for args in overlaps) == list(range(n_frames))
     assert len(graphs) == len(clouds)
-    assert len(features) <= 2 * n_frames
+    assert sorted(args[0] for args in features) == list(range(n_frames))
     # a calibrated copy shares the store: evaluating again computes nothing
     done = (len(overlaps), len(graphs), len(features))
     clone = pc.with_thresholds({MetricId.W7: 0.5})

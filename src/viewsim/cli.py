@@ -25,7 +25,7 @@ from .calibration import DEFAULT_GRID, DEFAULT_TARGET_TPR, regulator_grid, selec
 from .clustering import check_clique_size
 from .errors import DataError, ToolError, UsageError
 from .evaluation import FIGURES
-from .manifest import load_manifest
+from .manifest import load_manifest, load_thresholds, read_json
 from .metrics import MetricId, PROXY_METRICS, _fmt, write_matrices_csv
 from .pipeline import (
     PreparedContent,
@@ -94,25 +94,6 @@ def _number(text: str, flag: str) -> float:
         return float(text)
     except ValueError:
         raise UsageError(f"{flag} takes numbers, got '{text}'")
-
-
-def _load_calibration(path: str) -> dict:
-    if not os.path.isfile(path):
-        raise DataError(f"calibration file not found: {path}")
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise DataError(f"calibration file is not valid JSON: {e}")
-    if not isinstance(doc, dict) or "metrics" not in doc:
-        raise DataError("calibration JSON must contain a 'metrics' object")
-    out = {}
-    for name, entry in doc["metrics"].items():
-        metric = _parse_metric(name)
-        if not isinstance(entry, dict) or "threshold" not in entry:
-            raise DataError(f"calibration entry for {name} lacks 'threshold'")
-        out[metric] = float(entry["threshold"])
-    return out
 
 
 def cmd_overlap(args) -> int:
@@ -260,7 +241,7 @@ def _write_clusters(args, pc: PreparedContent, results: list, mode: str) -> tupl
 
 def cmd_cluster(args) -> int:
     metric = _parse_metric(args.metric)
-    thresholds = _load_calibration(args.calibration) if args.calibration else None
+    thresholds = load_thresholds(args.calibration) if args.calibration else None
     for pc in _contents(args, list):
         if thresholds:
             pc = pc.with_thresholds(thresholds)
@@ -280,7 +261,7 @@ def _summary_cells(summary: dict) -> list:
 
 def cmd_evaluate(args) -> int:
     requested = [_parse_metric(m) for m in args.metric] if args.metric else list(MetricId)
-    thresholds = _load_calibration(args.calibration) if args.calibration else None
+    thresholds = load_thresholds(args.calibration) if args.calibration else None
     rows = []
     per_metric_contents: dict = {m: {} for m in requested}
     for pc in _contents(args, list):
@@ -329,14 +310,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.scenario:
-        if not os.path.isfile(args.scenario):
-            raise DataError(f"scenario file not found: {args.scenario}")
-        with open(args.scenario) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise DataError(f"scenario file is not valid JSON: {e}")
-        scenario = scenario_from_json(doc)
+        scenario = scenario_from_json(read_json(args.scenario, "scenario file"))
     else:
         scenario = three_orbit_groups(
             seed=args.seed,

@@ -41,7 +41,7 @@ class ParseError(DataError):
 
 
 class ManifestError(DataError):
-    """Run manifest is missing keys, has unknown keys, or bad values."""
+    """A JSON input (manifest, scenario or calibration file) is missing keys, has unknown keys, or bad values."""
 
 
 class MissingFrameError(DataError):

@@ -1,9 +1,11 @@
-"""Run manifests: JSON descriptions of content plus processing parameters.
+"""JSON inputs: run manifests, calibration thresholds, and their checkers.
 
 A manifest is either one content object or ``{"contents": [...]}``.  Keys
 are validated strictly (unknown keys are rejected, referenced paths must
 exist) so a typo cannot silently fall back to a default.  Relative paths
-resolve against the manifest file's directory.
+resolve against the manifest file's directory.  The checkers below also
+read ``synth --scenario`` files; every malformed value is a ManifestError
+that names its key.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .clustering import ChunkSpec
-from .errors import ManifestError
+from .errors import InvalidParamsError, ManifestError
 from .geometry import DEFAULT_CONE_HALF_ANGLE, DEFAULT_SURFACE_KNN, FrustumParams
 from .metrics import MetricConfig, MetricId, RegulatorSet, default_configs
 
@@ -63,55 +66,84 @@ def _require(cond: bool, msg: str):
         raise ManifestError(msg)
 
 
-def _float(d, key, default, where):
+def read_json(path, what: str):
+    """The JSON document at ``path``; ``what`` names the file in errors."""
+    path = os.fspath(path)
+    if not os.path.isfile(path):
+        raise ManifestError(f"{what} not found: {path}")
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+            raise ManifestError(f"{what} is not valid JSON: {e}")
+
+
+def _number(v) -> bool:
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+
+
+def read_float(d, key, default, where):
     v = d.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(float(v)):
-        raise ManifestError(f"{where}.{key} must be a finite number, got {v!r}")
+    _require(_number(v), f"{where}.{key} must be a finite number, got {v!r}")
     return float(v)
 
 
-def _int(d, key, default, where):
+def read_int(d, key, default, where):
     v = d.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ManifestError(f"{where}.{key} must be an integer, got {v!r}")
+    _require(not isinstance(v, bool) and isinstance(v, int), f"{where}.{key} must be an integer, got {v!r}")
     return v
 
 
-def _check_keys(d, allowed, where):
-    if not isinstance(d, dict):
-        raise ManifestError(f"{where} must be an object")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ManifestError(f"unknown keys {sorted(unknown)} in {where}")
+def read_vec3(d, key, default, where):
+    v = d.get(key, default)
+    ok = isinstance(v, (list, tuple)) and len(v) == 3 and all(_number(c) for c in v)
+    _require(ok, f"{where}.{key} must be a list of 3 finite numbers, got {v!r}")
+    return tuple(float(c) for c in v)
+
+
+def check_keys(d, allowed, where):
+    _require(isinstance(d, dict), f"{where} must be an object")
+    unknown = set(d) - set(allowed)
+    _require(not unknown, f"unknown keys {sorted(unknown)} in {where}")
+
+
+def require_keys(d, required, where):
+    _require(isinstance(d, dict), f"{where} must be an object")
+    missing = [k for k in required if k not in d]
+    _require(not missing, f"missing keys {missing} in {where}")
+
+
+@contextmanager
+def valid_params(where: str):
+    """Report a value object's InvalidParamsError as a ManifestError at ``where``."""
+    try:
+        yield
+    except InvalidParamsError as e:
+        raise ManifestError(f"{where}: {e}") from None
 
 
 def _parse_metrics(d: dict, where: str) -> dict:
     configs = default_configs()
-    if not d:
-        return configs
-    _check_keys(d, {m.value for m in MetricId}, where)
+    check_keys(d, {m.value for m in MetricId}, where)
     for name, override in d.items():
-        metric = MetricId(name)
-        _check_keys(override, _METRIC_KEYS, f"{where}.{name}")
+        metric, at = MetricId(name), f"{where}.{name}"
+        check_keys(override, {"threshold"} if metric.is_overlap else _METRIC_KEYS, at)
         base = configs[metric]
-        threshold = _float(override, "threshold", base.threshold, f"{where}.{name}")
-        if metric.is_overlap:
-            if set(override) - {"threshold"}:
-                raise ManifestError(f"{where}.{name} accepts only 'threshold'")
-            configs[metric] = MetricConfig(metric, None, threshold)
-            continue
-        reg = base.regulators
-        regulators = RegulatorSet(
-            alpha=_float(override, "alpha", reg.alpha, f"{where}.{name}"),
-            beta=_float(override, "beta", reg.beta, f"{where}.{name}"),
-            gamma=_float(override, "gamma", reg.gamma, f"{where}.{name}"),
-        )
-        configs[metric] = MetricConfig(metric, regulators, threshold)
+        regulators = None
+        if not metric.is_overlap:
+            reg = base.regulators
+            with valid_params(at):
+                regulators = RegulatorSet(
+                    alpha=read_float(override, "alpha", reg.alpha, at),
+                    beta=read_float(override, "beta", reg.beta, at),
+                    gamma=read_float(override, "gamma", reg.gamma, at),
+                )
+        configs[metric] = MetricConfig(metric, regulators, read_float(override, "threshold", base.threshold, at))
     return configs
 
 
 def _parse_content(d: dict, base_dir: str, where: str) -> ContentManifest:
-    _check_keys(d, _CONTENT_KEYS, where)
+    check_keys(d, _CONTENT_KEYS, where)
     for key in ("content_id", "cloud_dir", "trajectory_csv"):
         _require(isinstance(d.get(key), str) and d[key], f"{where}.{key} is required")
     cloud_dir = os.path.join(base_dir, d["cloud_dir"])
@@ -119,36 +151,46 @@ def _parse_content(d: dict, base_dir: str, where: str) -> ContentManifest:
     _require(os.path.isdir(cloud_dir), f"{where}: cloud_dir not found: {cloud_dir}")
     _require(os.path.isfile(trajectory_csv), f"{where}: trajectory_csv not found: {trajectory_csv}")
     fr = d.get("frustum", {})
-    _check_keys(fr, _FRUSTUM_KEYS, f"{where}.frustum")
-    frustum = FrustumParams(
-        hfov=_float(fr, "hfov", FrustumParams().hfov, f"{where}.frustum"),
-        vfov=_float(fr, "vfov", FrustumParams().vfov, f"{where}.frustum"),
-        near=_float(fr, "near", FrustumParams().near, f"{where}.frustum"),
-        far=_float(fr, "far", FrustumParams().far, f"{where}.frustum"),
-    )
+    check_keys(fr, _FRUSTUM_KEYS, f"{where}.frustum")
+    with valid_params(f"{where}.frustum"):
+        frustum = FrustumParams(
+            hfov=read_float(fr, "hfov", FrustumParams().hfov, f"{where}.frustum"),
+            vfov=read_float(fr, "vfov", FrustumParams().vfov, f"{where}.frustum"),
+            near=read_float(fr, "near", FrustumParams().near, f"{where}.frustum"),
+            far=read_float(fr, "far", FrustumParams().far, f"{where}.frustum"),
+        )
     ch = d.get("chunk", {})
-    _check_keys(ch, _CHUNK_KEYS, f"{where}.chunk")
-    chunk = ChunkSpec(
-        window=_float(ch, "window", 1.0, f"{where}.chunk"),
-        persistence=_float(ch, "persistence", 0.8, f"{where}.chunk"),
-    )
+    check_keys(ch, _CHUNK_KEYS, f"{where}.chunk")
+    with valid_params(f"{where}.chunk"):
+        chunk = ChunkSpec(
+            window=read_float(ch, "window", 1.0, f"{where}.chunk"),
+            persistence=read_float(ch, "persistence", 0.8, f"{where}.chunk"),
+        )
     r_mode = d.get("r_mode", "viewport")
     _require(r_mode in ("viewport", "centroid"), f"{where}.r_mode must be viewport|centroid")
     reference = d.get("reference", True)
     _require(isinstance(reference, bool), f"{where}.reference must be a boolean")
-    surface_knn = _int(d, "surface_knn", DEFAULT_SURFACE_KNN, where)
+    surface_knn = read_int(d, "surface_knn", DEFAULT_SURFACE_KNN, where)
     _require(surface_knn >= 1, f"{where}.surface_knn must be >= 1, got {surface_knn}")
+    fps = read_float(d, "fps", 30.0, where)
+    _require(fps > 0.0, f"{where}.fps must be > 0, got {fps}")
+    cone = read_float(d, "cone_half_angle", DEFAULT_CONE_HALF_ANGLE, where)
+    _require(0.0 < cone <= math.pi / 4.0, f"{where}.cone_half_angle must lie in (0, pi/4], got {cone}")
+    min_size = read_int(d, "relevant_min_size", 3, where)
+    _require(min_size >= 2, f"{where}.relevant_min_size must be >= 2, got {min_size}")
+    o_th = read_float(d, "overlap_threshold", 0.75, where)
+    _require(0.0 <= o_th <= 1.0, f"{where}.overlap_threshold must lie in [0, 1], got {o_th}")
     return ContentManifest(
         content_id=d["content_id"],
         cloud_dir=cloud_dir,
         trajectory_csv=trajectory_csv,
-        fps=_float(d, "fps", 30.0, where),
+        fps=fps,
         reference=reference,
         frustum=frustum,
-        cone_half_angle=_float(d, "cone_half_angle", DEFAULT_CONE_HALF_ANGLE, where),
+        cone_half_angle=cone,
         r_mode=r_mode,
-        relevant_min_size=_int(d, "relevant_min_size", 3, where),
-        overlap_threshold=_float(d, "overlap_threshold", 0.75, where),
+        relevant_min_size=min_size,
+        overlap_threshold=o_th,
         surface_knn=surface_knn,
         chunk=chunk,
         metrics=_parse_metrics(d.get("metrics", {}), f"{where}.metrics"),
@@ -157,17 +199,10 @@ def _parse_content(d: dict, base_dir: str, where: str) -> ContentManifest:
 
 def load_manifest(path) -> list:
     """Parse a manifest file into one ContentManifest per content."""
-    path = os.fspath(path)
-    if not os.path.isfile(path):
-        raise ManifestError(f"manifest not found: {path}")
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ManifestError(f"manifest is not valid JSON: {e}")
+    doc = read_json(path, "manifest")
     base_dir = os.path.dirname(os.path.abspath(path))
     if isinstance(doc, dict) and "contents" in doc:
-        _check_keys(doc, {"contents"}, "manifest")
+        check_keys(doc, {"contents"}, "manifest")
         contents = doc["contents"]
         _require(isinstance(contents, list) and contents, "manifest.contents must be a non-empty list")
         parsed = [
@@ -180,3 +215,15 @@ def load_manifest(path) -> list:
     ids = [c.content_id for c in parsed]
     _require(len(set(ids)) == len(ids), "duplicate content_id in manifest")
     return parsed
+
+
+def load_thresholds(path) -> dict:
+    """Per-metric thresholds from a calibration file (``calibrate``'s calibration.json)."""
+    doc = read_json(path, "calibration file")
+    require_keys(doc, ("metrics",), "calibration")
+    check_keys(doc["metrics"], {m.value for m in MetricId}, "calibration.metrics")
+    thresholds = {}
+    for name, entry in doc["metrics"].items():
+        require_keys(entry, ("threshold",), f"calibration.metrics.{name}")
+        thresholds[MetricId(name)] = read_float(entry, "threshold", None, f"calibration.metrics.{name}")
+    return thresholds

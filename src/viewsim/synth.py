@@ -6,8 +6,10 @@ never from platform RNGs, so outputs are stable across machines and runs.
 Groups of users share a motion anchor (orbit, static point, or a seeded
 random walk) with an optional per-member offset inside a small ball; gaze
 models aim at the content centroid, a fixed direction, or a jittered
-centroid aim.  The planted partition is the generator's own group split,
-used to score recovered clusters.
+centroid aim.  Each motion and gaze model is one frozen dataclass registered
+under its scenario-JSON ``kind``, with its fields as its JSON keys.  The
+planted partition is the generator's own group split, used to score
+recovered clusters.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .errors import DataError, InvalidParamsError
+from .errors import InvalidParamsError, ManifestError
 from .geometry import PointCloudFrame, unit, unit_rows
+from .manifest import check_keys, read_float, read_int, read_vec3, require_keys, valid_params
 from .ply import write_ply
 from .trajectories import SessionDataset, write_trajectories
 
@@ -76,6 +79,26 @@ def derive_stream(seed: int, *tags) -> SplitMix64:
     return SplitMix64((seed & _MASK64) ^ _fnv1a64("/".join(str(t) for t in tags)))
 
 
+MOTIONS: dict = {}  # JSON kind -> motion class; a motion's path(times, offset, rng) is F x 3
+GAZES: dict = {}  # JSON kind -> gaze class; a gaze's aim(x, centroid, rng) is one direction
+
+
+def _register(registry: dict, kind: str):
+    """Class decorator: the class is the primitive that ``{"kind": kind, ...}`` describes."""
+
+    def register(cls):
+        cls.kind = kind
+        registry[kind] = cls
+        return cls
+
+    return register
+
+
+def _nonzero(v: np.ndarray) -> np.ndarray:
+    return v if float(v @ v) != 0.0 else np.array([0.0, 0.0, -1.0])
+
+
+@_register(MOTIONS, "orbit")
 @dataclass(frozen=True)
 class OrbitMotion:
     """Circular path in the horizontal plane around the content centre."""
@@ -85,27 +108,28 @@ class OrbitMotion:
     phase: float = 0.0
     height: float = 0.0
 
-    kind = "orbit"
-
     def __post_init__(self):
         if not self.radius > 0.0:
             raise InvalidParamsError(f"orbit radius must be > 0, got {self.radius}")
 
-    def position(self, t: float, rng: SplitMix64 | None) -> np.ndarray:
-        a = self.phase + self.angular_speed * t
-        return np.array([self.radius * math.cos(a), self.height, self.radius * math.sin(a)])
+    def path(self, times, offset: np.ndarray, rng: SplitMix64) -> np.ndarray:
+        rows = []
+        for t in times:
+            a = self.phase + self.angular_speed * t
+            rows.append(np.array([self.radius * math.cos(a), self.height, self.radius * math.sin(a)]) + offset)
+        return np.stack(rows)
 
 
+@_register(MOTIONS, "static")
 @dataclass(frozen=True)
 class StaticMotion:
-    position_xyz: tuple
+    position: tuple
 
-    kind = "static"
-
-    def position(self, t: float, rng: SplitMix64 | None) -> np.ndarray:
-        return np.asarray(self.position_xyz, dtype=np.float64).copy()
+    def path(self, times, offset: np.ndarray, rng: SplitMix64) -> np.ndarray:
+        return np.tile(np.asarray(self.position, dtype=np.float64) + offset, (len(times), 1))
 
 
+@_register(MOTIONS, "random_walk")
 @dataclass(frozen=True)
 class RandomWalkMotion:
     """Gaussian steps per frame from a fixed start (per-member stream)."""
@@ -113,31 +137,55 @@ class RandomWalkMotion:
     step_sigma: float
     start: tuple = (0.0, 0.0, 2.5)
 
-    kind = "random_walk"
+    def __post_init__(self):
+        if not self.step_sigma >= 0.0:
+            raise InvalidParamsError(f"step_sigma must be >= 0, got {self.step_sigma}")
 
-    def position(self, t: float, rng: SplitMix64 | None) -> np.ndarray:
-        raise NotImplementedError("random walks are generated sequentially")
+    def path(self, times, offset: np.ndarray, rng: SplitMix64) -> np.ndarray:
+        pos = np.empty((len(times), 3))
+        cur = np.asarray(self.start, dtype=np.float64) + offset
+        for k in range(len(times)):
+            pos[k] = cur
+            cur = cur + rng.gauss_vec3(self.step_sigma)
+        return pos
 
 
+@_register(GAZES, "at-centroid")
 @dataclass(frozen=True)
 class AtCentroidGaze:
-    kind = "at-centroid"
+    def aim(self, x: np.ndarray, centroid: np.ndarray, rng: SplitMix64) -> np.ndarray:
+        return unit(_nonzero(centroid - x))
 
 
+@_register(GAZES, "fixed-direction")
 @dataclass(frozen=True)
 class FixedDirectionGaze:
     direction: tuple
 
-    kind = "fixed-direction"
+    def __post_init__(self):
+        if not np.linalg.norm(self.direction) > 0.0:
+            raise InvalidParamsError(f"direction must be a non-zero vector, got {self.direction}")
+
+    def aim(self, x: np.ndarray, centroid: np.ndarray, rng: SplitMix64) -> np.ndarray:
+        return unit(np.asarray(self.direction, dtype=np.float64))
 
 
+@_register(GAZES, "jittered")
 @dataclass(frozen=True)
 class JitteredGaze:
     """Centroid aim plus a per-frame Gaussian offset of given sigma."""
 
     sigma: float
 
-    kind = "jittered"
+    def __post_init__(self):
+        if not self.sigma >= 0.0:
+            raise InvalidParamsError(f"sigma must be >= 0, got {self.sigma}")
+
+    def aim(self, x: np.ndarray, centroid: np.ndarray, rng: SplitMix64) -> np.ndarray:
+        aim = unit(_nonzero(centroid - x))
+        if self.sigma > 0.0:
+            aim = unit(_nonzero(aim + rng.gauss_vec3(self.sigma)))
+        return aim
 
 
 @dataclass(frozen=True)
@@ -258,61 +306,30 @@ def generate_cloud(scenario: SynthScenario) -> list:
     return [PointCloudFrame(frame_index=k, points=pts) for k in range(scenario.n_frames)]
 
 
-def _member_positions(scenario: SynthScenario, gi: int, group: GroupSpec) -> list:
-    """(n_frames, 3) positions per member of one group."""
-    times = np.arange(scenario.n_frames) / scenario.fps
-    out = []
-    for mi in range(group.size):
-        offset = np.zeros(3)
-        if group.jitter > 0.0:
-            offset = derive_stream(scenario.seed, "offset", gi, mi).uniform_ball(group.jitter)
-        if isinstance(group.motion, RandomWalkMotion):
-            rng = derive_stream(scenario.seed, "walk", gi, mi)
-            pos = np.empty((scenario.n_frames, 3))
-            cur = np.asarray(group.motion.start, dtype=np.float64) + offset
-            for k in range(scenario.n_frames):
-                pos[k] = cur
-                cur = cur + rng.gauss_vec3(group.motion.step_sigma)
-        else:
-            pos = np.stack([group.motion.position(t, None) + offset for t in times])
-        out.append(pos)
-    return out
-
-
-def _gaze_direction(gaze, x: np.ndarray, centroid: np.ndarray, rng: SplitMix64 | None) -> np.ndarray:
-    if isinstance(gaze, FixedDirectionGaze):
-        return unit(np.asarray(gaze.direction, dtype=np.float64))
-    aim = centroid - x
-    if float(aim @ aim) == 0.0:
-        aim = np.array([0.0, 0.0, -1.0])
-    if isinstance(gaze, JitteredGaze) and gaze.sigma > 0.0:
-        aim = unit(aim) + rng.gauss_vec3(gaze.sigma)
-        if float(aim @ aim) == 0.0:
-            aim = np.array([0.0, 0.0, -1.0])
-    return unit(aim)
-
-
 def generate_trajectories(scenario: SynthScenario, clouds: list | None = None) -> SessionDataset:
     """Aligned session over the clouds (one sample per frame); p/r left underived."""
     if clouds is None:
         clouds = generate_cloud(scenario)
     if len(clouds) < scenario.n_frames:
         raise InvalidParamsError("cloud sequence shorter than the scenario")
-    x = np.concatenate([np.stack(_member_positions(scenario, gi, g)) for gi, g in enumerate(scenario.groups)])
-    view = np.empty_like(x)
-    i = 0
+    times = np.arange(scenario.n_frames) / scenario.fps
+    x, view = [], []
     for gi, group in enumerate(scenario.groups):
         for mi in range(group.size):
+            offset = np.zeros(3)
+            if group.jitter > 0.0:
+                offset = derive_stream(scenario.seed, "offset", gi, mi).uniform_ball(group.jitter)
+            path = group.motion.path(times, offset, derive_stream(scenario.seed, "walk", gi, mi))
             rng = derive_stream(scenario.seed, "gaze", gi, mi)
-            for k in range(scenario.n_frames):
-                view[i, k] = _gaze_direction(group.gaze, x[i, k], clouds[k].centroid, rng)
-            i += 1
+            x.append(path)
+            view.append([group.gaze.aim(xk, cloud.centroid, rng) for xk, cloud in zip(path, clouds)])
+    x = np.stack(x)
     return SessionDataset(
         content_id=scenario.content_id,
         fps=scenario.fps,
         users=tuple(planted_labels(scenario)),
         x=x,
-        view=unit_rows(view),
+        view=unit_rows(np.array(view)),
         p=np.full_like(x, np.nan),
         r=np.full(x.shape[:2], np.nan),
         off=np.zeros(x.shape[:2], dtype=bool),
@@ -332,111 +349,63 @@ def planted_labels(scenario: SynthScenario) -> dict:
     return labels
 
 
-def _motion_to_json(m) -> dict:
-    if isinstance(m, OrbitMotion):
-        return {"kind": m.kind, "radius": m.radius, "angular_speed": m.angular_speed, "phase": m.phase, "height": m.height}
-    if isinstance(m, StaticMotion):
-        return {"kind": m.kind, "position": list(m.position_xyz)}
-    if isinstance(m, RandomWalkMotion):
-        return {"kind": m.kind, "step_sigma": m.step_sigma, "start": list(m.start)}
-    raise InvalidParamsError(f"unknown motion {m!r}")
+def scenario_to_json(value):
+    """A scenario as JSON data, field by field: each dataclass an object (a
+    motion or gaze with its ``kind`` too), each tuple a list."""
+    if is_dataclass(value):
+        doc = {"kind": value.kind} if hasattr(value, "kind") else {}
+        return doc | {f.name: scenario_to_json(getattr(value, f.name)) for f in fields(value)}
+    return [scenario_to_json(v) for v in value] if isinstance(value, tuple) else value
 
 
-def _gaze_to_json(g) -> dict:
-    if isinstance(g, AtCentroidGaze):
-        return {"kind": g.kind}
-    if isinstance(g, FixedDirectionGaze):
-        return {"kind": g.kind, "direction": list(g.direction)}
-    if isinstance(g, JitteredGaze):
-        return {"kind": g.kind, "sigma": g.sigma}
-    raise InvalidParamsError(f"unknown gaze {g!r}")
+_READERS = {"float": read_float, "tuple": read_vec3}
 
 
-def scenario_to_json(scenario: SynthScenario) -> dict:
-    return {
-        "seed": scenario.seed,
-        "cloud_kind": scenario.cloud_kind,
-        "points_per_frame": scenario.points_per_frame,
-        "n_frames": scenario.n_frames,
-        "fps": scenario.fps,
-        "groups": [
-            {
-                "size": g.size,
-                "motion": _motion_to_json(g.motion),
-                "gaze": _gaze_to_json(g.gaze),
-                "jitter": g.jitter,
-            }
-            for g in scenario.groups
-        ],
-    }
+def _primitive_from_json(registry: dict, d, where: str):
+    """The registered primitive ``d`` names by kind, each field read under its own key."""
+    require_keys(d, ("kind",), where)
+    cls = registry.get(str(d["kind"]))
+    if cls is None:
+        raise ManifestError(f"{where}.kind must be one of {sorted(registry)}, got {d['kind']!r}")
+    params = fields(cls)
+    check_keys(d, {"kind", *(f.name for f in params)}, where)
+    require_keys(d, [f.name for f in params if f.default is MISSING], where)
+    with valid_params(where):
+        return cls(**{f.name: _READERS[f.type](d, f.name, f.default, where) for f in params})
 
 
-def _take(d: dict, required: tuple, optional: dict, where: str) -> dict:
-    unknown = set(d) - set(required) - set(optional)
-    if unknown:
-        raise DataError(f"unknown keys {sorted(unknown)} in {where}")
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise DataError(f"missing keys {missing} in {where}")
-    out = dict(optional)
-    out.update(d)
-    return out
-
-
-def _motion_from_json(d: dict):
-    kind = d.get("kind")
-    if kind == "orbit":
-        v = _take(d, ("kind", "radius", "angular_speed"), {"phase": 0.0, "height": 0.0}, "orbit motion")
-        return OrbitMotion(radius=float(v["radius"]), angular_speed=float(v["angular_speed"]), phase=float(v["phase"]), height=float(v["height"]))
-    if kind == "static":
-        v = _take(d, ("kind", "position"), {}, "static motion")
-        return StaticMotion(position_xyz=tuple(float(c) for c in v["position"]))
-    if kind == "random_walk":
-        v = _take(d, ("kind", "step_sigma"), {"start": [0.0, 0.0, 2.5]}, "random_walk motion")
-        return RandomWalkMotion(step_sigma=float(v["step_sigma"]), start=tuple(float(c) for c in v["start"]))
-    raise DataError(f"unknown motion kind '{kind}'")
-
-
-def _gaze_from_json(d: dict):
-    kind = d.get("kind")
-    if kind == "at-centroid":
-        _take(d, ("kind",), {}, "gaze")
-        return AtCentroidGaze()
-    if kind == "fixed-direction":
-        v = _take(d, ("kind", "direction"), {}, "gaze")
-        return FixedDirectionGaze(direction=tuple(float(c) for c in v["direction"]))
-    if kind == "jittered":
-        v = _take(d, ("kind", "sigma"), {}, "gaze")
-        return JitteredGaze(sigma=float(v["sigma"]))
-    raise DataError(f"unknown gaze kind '{kind}'")
-
-
-def scenario_from_json(d: dict) -> SynthScenario:
-    v = _take(
-        d,
-        ("seed", "cloud_kind", "points_per_frame", "n_frames", "fps", "groups"),
-        {},
-        "scenario",
-    )
+def scenario_from_json(d) -> SynthScenario:
+    """The scenario a JSON document describes; a malformed value is a ManifestError naming its key."""
+    keys = ("seed", "cloud_kind", "points_per_frame", "n_frames", "fps", "groups")
+    check_keys(d, set(keys), "scenario")
+    require_keys(d, keys, "scenario")
+    if not (isinstance(d["groups"], list) and d["groups"]):
+        raise ManifestError(f"scenario.groups must be a non-empty list, got {d['groups']!r}")
     groups = []
-    for g in v["groups"]:
-        gv = _take(g, ("size", "motion", "gaze"), {"jitter": 0.0}, "group")
-        groups.append(
-            GroupSpec(
-                size=int(gv["size"]),
-                motion=_motion_from_json(gv["motion"]),
-                gaze=_gaze_from_json(gv["gaze"]),
-                jitter=float(gv["jitter"]),
+    for i, g in enumerate(d["groups"]):
+        where = f"scenario.groups[{i}]"
+        check_keys(g, {"size", "motion", "gaze", "jitter"}, where)
+        require_keys(g, ("size", "motion", "gaze"), where)
+        motion = _primitive_from_json(MOTIONS, g["motion"], f"{where}.motion")
+        gaze = _primitive_from_json(GAZES, g["gaze"], f"{where}.gaze")
+        with valid_params(where):
+            groups.append(
+                GroupSpec(
+                    size=read_int(g, "size", None, where),
+                    motion=motion,
+                    gaze=gaze,
+                    jitter=read_float(g, "jitter", 0.0, where),
+                )
             )
+    with valid_params("scenario"):
+        return SynthScenario(
+            seed=read_int(d, "seed", None, "scenario"),
+            cloud_kind=d["cloud_kind"],
+            points_per_frame=read_int(d, "points_per_frame", None, "scenario"),
+            n_frames=read_int(d, "n_frames", None, "scenario"),
+            fps=read_float(d, "fps", None, "scenario"),
+            groups=tuple(groups),
         )
-    return SynthScenario(
-        seed=int(v["seed"]),
-        cloud_kind=str(v["cloud_kind"]),
-        points_per_frame=int(v["points_per_frame"]),
-        n_frames=int(v["n_frames"]),
-        fps=float(v["fps"]),
-        groups=tuple(groups),
-    )
 
 
 def three_orbit_groups(

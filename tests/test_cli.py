@@ -2,12 +2,14 @@
 
 import csv
 import json
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from test_synth import MALFORMED_SCENARIOS, mutated_scenario
 
 
 def run_cli(*argv):
@@ -112,6 +114,33 @@ def test_synth_from_scenario_file(tmp_path):
     assert proc.returncode == 0
     labels = json.loads((tmp_path / "ds" / "labels.json").read_text())
     assert labels["groups"] == {"u00": 0, "u01": 0}
+
+
+def test_readme_scenario_example_runs(tmp_path, capsys):
+    from viewsim.cli import main
+
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = text.split("## Scenario files", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "scenario.json").write_text(example)
+    assert main(["--out", str(tmp_path / "data"), "synth", "--scenario", str(tmp_path / "scenario.json")]) == 0
+    written = json.loads((tmp_path / "data" / "scenario.json").read_text())
+    assert written["groups"][0]["motion"] == dict(json.loads(example)["groups"][0]["motion"], phase=0.0, height=0.0)
+    assert main(["--manifest", str(tmp_path / "data" / "manifest.json"), "--out", str(tmp_path / "results"), "overlap"]) == 0
+    rows = read_csv(tmp_path / "results" / "overlap_synth-humanoid-blocks-7.csv")[1:]
+    assert len(rows) == 10 * 36  # frames x unordered pairs of the 9 users
+    assert any(r[5] == "1" and float(r[4]) > 0.5 for r in rows)
+
+
+@pytest.mark.parametrize("path, value, message", MALFORMED_SCENARIOS)
+def test_malformed_scenario_file_exits_3(tmp_path, capsys, path, value, message):
+    from viewsim.cli import main
+
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(mutated_scenario(path, value)))
+    assert main(["--out", str(tmp_path / "ds"), "synth", "--scenario", str(scen)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and re.search(message, err), err
+    assert not (tmp_path / "ds").exists()
 
 
 # -------------------------------------------------------------- overlap
@@ -831,6 +860,59 @@ def test_bad_calibration_refused_before_any_content_is_loaded(dataset, tmp_path,
     assert viewsim.cli.main(argv) == 2
     assert message in capsys.readouterr().err
     assert loaded == []
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "calibration must be an object"),
+    ({"o_th": 0.75}, r"missing keys \['metrics'\] in calibration"),
+    ({"metrics": []}, "calibration.metrics must be an object"),
+    ({"metrics": "w1"}, "calibration.metrics must be an object"),
+    ({"metrics": {"w99": {"threshold": 0.5}}}, r"unknown keys \['w99'\] in calibration.metrics"),
+    ({"metrics": {"w1": 0.5}}, "calibration.metrics.w1 must be an object"),
+    ({"metrics": {"w1": {"tpr": 0.5}}}, r"missing keys \['threshold'\] in calibration.metrics.w1"),
+    ({"metrics": {"w1": {"threshold": "0.5"}}}, "calibration.metrics.w1.threshold"),
+    ({"metrics": {"w1": {"threshold": True}}}, "calibration.metrics.w1.threshold"),
+    ({"metrics": {"w1": {"threshold": float("nan")}}}, "calibration.metrics.w1.threshold"),
+])
+def test_malformed_calibration_file_exits_3_before_any_content_is_loaded(dataset, tmp_path, monkeypatch, capsys, doc, message):
+    import viewsim.cli
+
+    loaded = []
+    monkeypatch.setattr(viewsim.cli, "prepare", lambda *a, **k: loaded.append(a))
+    cal = tmp_path / "calibration.json"
+    cal.write_text(json.dumps(doc))
+    for command in (["cluster", "--metric", "w1"], ["evaluate"]):
+        argv = ["--manifest", str(dataset / "manifest.json"), "--out", str(tmp_path), *command, "--calibration", str(cal)]
+        assert viewsim.cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and re.search(message, err), err
+    assert loaded == []
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"relevant_min_size": 1}, "relevant_min_size"),
+    ({"overlap_threshold": 1.5}, "overlap_threshold"),
+    ({"fps": -1}, "fps"),
+    ({"cone_half_angle": 2}, "cone_half_angle"),
+    ({"frustum": {"hfov": 4}}, "hfov"),
+    ({"metrics": {"w7": {"alpha": -1}}}, "metrics.w7: alpha"),
+    ({"chunk": {"window": 0}}, "chunk: window"),
+])
+def test_meaningless_manifest_value_exits_3_before_any_cloud_is_read(dataset, tmp_path, monkeypatch, capsys, extra, message):
+    import viewsim.cli
+    import viewsim.ply
+
+    reads = []
+    monkeypatch.setattr(viewsim.ply, "read_ply", reads.append)
+    doc = json.loads((dataset / "manifest.json").read_text())
+    doc = dict(doc, cloud_dir=str(dataset / "clouds"), trajectory_csv=str(dataset / "trajectories.csv"), **extra)
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    for command in (["evaluate", "--metric", "w1"], ["overlap"]):
+        assert viewsim.cli.main(["--manifest", str(tmp_path / "bad.json"), "--out", str(tmp_path / "out"), *command]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err, err
+    assert reads == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_metric_exits_2(dataset):

@@ -1,6 +1,7 @@
 """Strict manifest parsing: defaults, overrides, and path checks."""
 
 import json
+import math
 
 import pytest
 
@@ -156,6 +157,9 @@ def test_bad_json_and_bad_shape(dataset):
     path.write_text("{not json")
     with pytest.raises(ManifestError, match="JSON"):
         load_manifest(path)
+    path.write_bytes(b'{"content_id": "\xff"}')
+    with pytest.raises(ManifestError, match="JSON"):
+        load_manifest(path)
     path.write_text(json.dumps([1, 2]))
     with pytest.raises(ManifestError, match="object"):
         load_manifest(path)
@@ -173,6 +177,43 @@ def test_type_errors_rejected(dataset):
             load_manifest(_minimal(dataset, surface_knn=knn))
     with pytest.raises(ManifestError, match="r_mode"):
         load_manifest(_minimal(dataset, r_mode="auto"))
+
+
+@pytest.mark.parametrize("extra, key", [
+    ({"relevant_min_size": 1}, "relevant_min_size"),
+    ({"relevant_min_size": 0}, "relevant_min_size"),
+    ({"relevant_min_size": -1}, "relevant_min_size"),
+    ({"relevant_min_size": 2.5}, "relevant_min_size"),
+    ({"overlap_threshold": -0.5}, "overlap_threshold"),
+    ({"overlap_threshold": 1.5}, "overlap_threshold"),
+    ({"fps": 0}, "fps"),
+    ({"fps": -1}, "fps"),
+    ({"cone_half_angle": 0.0}, "cone_half_angle"),
+    ({"cone_half_angle": 2.0}, "cone_half_angle"),
+    ({"cone_half_angle": -0.1}, "cone_half_angle"),
+    ({"frustum": {"hfov": 4.0}}, r"manifest.frustum: .*hfov=4.0"),
+    ({"frustum": {"vfov": 0}}, r"manifest.frustum: .*vfov=0"),
+    ({"frustum": {"near": 5.0, "far": 1.0}}, r"manifest.frustum: .*near"),
+    ({"frustum": {"far": "far"}}, r"manifest.frustum.far"),
+    ({"chunk": {"window": 0}}, r"manifest.chunk: window"),
+    ({"chunk": {"persistence": 0}}, r"manifest.chunk: persistence"),
+    ({"chunk": {"persistence": 1.5}}, r"manifest.chunk: persistence"),
+    ({"metrics": {"w7": {"alpha": -1}}}, r"manifest.metrics.w7: alpha"),
+    ({"metrics": {"w1": {"beta": -0.5}}}, r"manifest.metrics.w1: beta"),
+    ({"metrics": {"w1": {"threshold": "high"}}}, r"manifest.metrics.w1.threshold"),
+    ({"metrics": {"w1": 0.5}}, r"manifest.metrics.w1 must be an object"),
+    ({"metrics": []}, r"manifest.metrics must be an object"),
+])
+def test_meaningless_values_rejected(dataset, extra, key):
+    with pytest.raises(ManifestError, match=key):
+        load_manifest(_minimal(dataset, **extra))
+
+
+def test_range_boundaries_accepted(dataset):
+    (cm,) = load_manifest(_minimal(dataset, relevant_min_size=2, overlap_threshold=1.0, cone_half_angle=math.pi / 4))
+    assert (cm.relevant_min_size, cm.overlap_threshold, cm.cone_half_angle) == (2, 1.0, math.pi / 4)
+    (cm,) = load_manifest(_minimal(dataset, overlap_threshold=0, metrics={}))
+    assert cm.overlap_threshold == 0.0 and cm.metrics == default_configs()
 
 
 # ----------------------------------------------------------------- multi-item

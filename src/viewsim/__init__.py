@@ -66,6 +66,7 @@ from .pipeline import (
     calibrate_contents,
     cluster_content,
     evaluate_content,
+    gaze_targets,
     metric_matrices,
     overlap_matrices,
     prepare,

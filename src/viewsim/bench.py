@@ -28,7 +28,8 @@ from .synth import (
     generate_cloud,
     generate_trajectories,
 )
-from .trajectories import COLUMNS, derive_pr
+from .errors import InvalidParamsError
+from .trajectories import derive_pr
 
 
 def _naive_planes(position, view, params: FrustumParams):
@@ -109,13 +110,15 @@ def run_bench(
     amortize_frames: int = 300,
 ) -> dict:
     """Time the oracle and each proxy; returns a JSON-ready report."""
+    if min(n_users, n_points, repeats, amortize_frames) < 1 or naive_pairs < 0:
+        raise InvalidParamsError("bench sizes must be at least 1, and naive_pairs at least 0")
     params = FrustumParams()
     scenario = _bench_scenario(n_users, n_points, seed)
     clouds = generate_cloud(scenario)
     cloud = clouds[0]
-    ds = derive_pr(generate_trajectories(scenario, clouds))
-    users = ds.users
-    x, view, p, r, off = (getattr(ds, name)[:, 0] for name in COLUMNS)
+    ds = generate_trajectories(scenario, clouds)
+    users, x = ds.users, ds.x[:, 0]
+    view, p, r, off = derive_pr(x, ds.view[:, 0], ds.off[:, 0], cloud)
     n = len(users)
     n_pairs = n * (n - 1) // 2
     report: dict = {
@@ -137,7 +140,7 @@ def run_bench(
         return report
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    timed_pairs = pairs[: max(0, min(naive_pairs, n_pairs))]
+    timed_pairs = pairs[:naive_pairs]
     points_list = [tuple(map(float, p)) for p in cloud.points]
 
     # Exact reference values for the sanity check below.
@@ -170,7 +173,7 @@ def run_bench(
     graph = build_surface_graph(cloud, k=knn)
     graph_build_s = time.perf_counter() - t0
     report["graph_build_s"] = graph_build_s
-    graph_share = graph_build_s / max(1, amortize_frames) / n_pairs
+    graph_share = graph_build_s / amortize_frames / n_pairs
 
     configs = default_configs()
     for metric in (m for m in MetricId if not m.is_overlap):

@@ -23,13 +23,12 @@ from dataclasses import replace
 from .bench import run_bench
 from .calibration import DEFAULT_GRID, DEFAULT_TARGET_TPR, regulator_grid, select_parameter_sets
 from .clustering import check_clique_size
-from .errors import DataError, ToolError, UsageError
+from .errors import ToolError, UsageError
 from .evaluation import FIGURES
 from .manifest import load_manifest, load_thresholds, read_json
 from .metrics import MetricId, PROXY_METRICS, _fmt, write_matrices_csv
 from .pipeline import (
     PreparedContent,
-    align_content,
     calibrate_contents,
     cluster_content,
     evaluate_content,
@@ -38,7 +37,6 @@ from .pipeline import (
     prepare,
     run_ablation,
     summarize_across_contents,
-    swept_contents,
 )
 from .store import safe_name
 from .synth import scenario_from_json, three_orbit_groups, write_scenario
@@ -55,16 +53,14 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
-def _contents(args, clique_searched=lambda cms: []) -> list:
+def _contents(args, clique_searched: bool = False) -> list:
     if not args.manifest:
         raise UsageError("this command requires --manifest PATH")
-    cms = load_manifest(args.manifest)
-    aligned = [align_content(cm) for cm in cms]
-    # refuse a content too large for the clique search before any cloud is read
-    searched = {cm.content_id for cm in clique_searched(cms)}
-    check_clique_size(max((len(ds.users) for ds in aligned if ds.content_id in searched), default=0))
     # per-frame tables persist in --out and serve later commands there
-    return [replace(prepare(cm, ds), store_dir=args.out) for cm, ds in zip(cms, aligned)]
+    pcs = [replace(prepare(cm), store_dir=args.out) for cm in load_manifest(args.manifest)]
+    if clique_searched:  # refuse a content too large for the clique search before any cloud is read
+        check_clique_size(max(len(pc.dataset.users) for pc in pcs))
+    return pcs
 
 
 def _parse_metric(name: str) -> MetricId:
@@ -171,7 +167,7 @@ def cmd_ablate(args) -> int:
     if args.threshold is not None and not math.isfinite(args.threshold):
         raise UsageError(f"--threshold must be finite, got {args.threshold}")
     regulator_grid(metric, grid, fixed)  # refuse a bad sweep before any content is loaded
-    pcs = _contents(args, lambda cms: swept_contents(cms, not args.all_contents))
+    pcs = _contents(args)
     records = run_ablation(
         pcs,
         metric,
@@ -242,7 +238,7 @@ def _write_clusters(args, pc: PreparedContent, results: list, mode: str) -> tupl
 def cmd_cluster(args) -> int:
     metric = _parse_metric(args.metric)
     thresholds = load_thresholds(args.calibration) if args.calibration else None
-    for pc in _contents(args, list):
+    for pc in _contents(args, clique_searched=True):
         if thresholds:
             pc = pc.with_thresholds(thresholds)
         results = cluster_content(pc, metric, mode=args.mode)
@@ -264,7 +260,7 @@ def cmd_evaluate(args) -> int:
     thresholds = load_thresholds(args.calibration) if args.calibration else None
     rows = []
     per_metric_contents: dict = {m: {} for m in requested}
-    for pc in _contents(args, list):
+    for pc in _contents(args, clique_searched=True):
         if thresholds:
             pc = pc.with_thresholds(thresholds)
         for metric in requested:
@@ -330,8 +326,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.repeats < 1:
-        raise UsageError(f"--repeats must be at least 1, got {args.repeats}")
     report = run_bench(
         n_users=args.n_users,
         n_points=args.n_points,
@@ -421,6 +415,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the least value of each integer flag, checked before any command runs
+_AT_LEAST = {
+    "threads": 1, "users_per_group": 1, "frames": 1, "points": 1,
+    "n_points": 1, "n_users": 1, "pairs": 0, "repeats": 1, "amortize_frames": 1,
+}
+_PREFIX = {2: "usage error", 3: "data error", 4: "compute error"}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -428,18 +430,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        if args.threads < 1:
-            raise UsageError(f"--threads must be at least 1, got {args.threads}")
+        for name, low in _AT_LEAST.items():  # a --frames A:B range is a string, checked by its command
+            value = getattr(args, name, low)
+            if isinstance(value, int) and value < low:
+                raise UsageError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
         return args.func(args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 2
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 3
     except ToolError as e:
-        print(f"compute error: {e}", file=sys.stderr)
-        return 4
+        print(f"{_PREFIX[e.exit_code]}: {e}", file=sys.stderr)
+        return e.exit_code
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 4

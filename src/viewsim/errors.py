@@ -44,10 +44,6 @@ class ManifestError(DataError):
     """A JSON input (manifest, scenario or calibration file) is missing keys, has unknown keys, or bad values."""
 
 
-class MissingFrameError(DataError):
-    """Cloud sequence is shorter than the trajectory that indexes it."""
-
-
 class EmptyTrajectoryError(DataError):
     """A user's trace has no samples or spans less than one frame interval."""
 
@@ -76,10 +72,6 @@ class DegenerateLabelsError(ComputeError):
 
 class UnattainableTargetError(ComputeError):
     """No candidate threshold reaches the requested true-positive rate."""
-
-
-class EmptySeriesError(ComputeError):
-    """Aggregation over an empty (or all-invalid) series is undefined."""
 
 
 class PreconditionError(ComputeError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import DEFAULT_RELEVANT_MIN_SIZE, Cluster, ClusteringResult, pair_indices
-from .errors import EmptySeriesError, PreconditionError
+from .errors import PreconditionError
 from .metrics import SimilarityMatrix
 
 FIGURES = ("overlap_ratio", "relevant_population", "precision")
@@ -121,23 +121,21 @@ def evaluate_result(
     )
 
 
-def aggregate(values, allow_empty: bool = False) -> AggregateStats:
-    """Mean +- population std over the non-NaN entries of a series."""
+def aggregate(values) -> AggregateStats:
+    """Mean +- population std over the non-NaN entries of a series; NaN when there is none."""
     arr = np.asarray(list(values), dtype=np.float64)
     ok = ~np.isnan(arr)
     n_valid = int(ok.sum())
     n_invalid = int(arr.size - n_valid)
     if n_valid == 0:
-        if allow_empty:
-            return AggregateStats(math.nan, math.nan, 0, n_invalid)
-        raise EmptySeriesError("aggregation over an empty or all-invalid series")
+        return AggregateStats(math.nan, math.nan, 0, n_invalid)
     kept = arr[ok]
     return AggregateStats(float(kept.mean()), float(kept.std(ddof=0)), n_valid, n_invalid)
 
 
 def summarize_performance(perfs: list) -> dict:
     """AggregateStats for each of the FIGURES across frames or chunks."""
-    return {f: aggregate([getattr(p, f) for p in perfs], allow_empty=True) for f in FIGURES}
+    return {f: aggregate([getattr(p, f) for p in perfs]) for f in FIGURES}
 
 
 def adjusted_rand_index(labels_a: dict, labels_b: dict) -> float:

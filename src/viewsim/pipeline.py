@@ -1,18 +1,16 @@
 """Dataset-level drivers tying ingestion, metrics, clustering and scoring.
 
 Everything here operates on PreparedContent: one content item's aligned
-dataset plus its processing parameters.  Every per-frame table (exact
-overlap, pair features, geodesic gaze distances) is looked up or computed
-on the calling thread, one frame at a time in the order asked: one cloud
-and at most one surface graph are alive at once, and no pass reads a cloud
-twice.
+dataset plus its processing parameters.  Every per-frame table (gaze
+targets, exact overlap, pair features, geodesic gaze distances) is looked
+up or computed on the calling thread, one frame at a time in the order
+asked: one cloud and at most one surface graph are alive at once, and no
+pass reads a cloud twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from . import store
 from .calibration import (
@@ -54,13 +52,15 @@ from .trajectories import COLUMNS, SessionDataset, align_to_frames, derive_pr, l
 class PreparedContent:
     """One content item ready for batch processing.
 
-    ``tables`` is the per-content store: each overlap matrix, feature
-    table and geodesic gaze distance matrix is computed on first request
-    and shared afterwards by every metric, every command and every
-    ``with_thresholds`` copy, and so is each frame's cloud digest.  During a
-    pass it also holds the latest cloud read and the latest surface graph
-    built, one of each, so consecutive frames with equal points share one
-    graph; the pass drops both when it ends.
+    ``dataset`` holds the aligned poses; a frame's gaze targets come from
+    ``gaze_targets``.  ``tables`` is the per-content store: each frame's
+    gaze targets, overlap matrix, feature table and geodesic gaze distance
+    matrix is computed on first request and shared afterwards by every
+    metric, every command and every ``with_thresholds`` copy, and so is
+    each frame's cloud digest.  During a pass it also holds the latest
+    cloud read and the latest surface graph built, one of each, so
+    consecutive frames with equal points share one graph; the pass drops
+    both when it ends.
 
     With a ``store_dir``, every table also persists on disk
     (``viewsim.store``), so later processes read it back instead of
@@ -75,6 +75,8 @@ class PreparedContent:
     min_size: int = 3
     chunk: ChunkSpec = field(default_factory=ChunkSpec)
     reference: bool = True
+    cone_half_angle: float = DEFAULT_CONE_HALF_ANGLE
+    r_mode: str = "viewport"
     tables: dict = field(default_factory=dict, repr=False, compare=False)
     store_dir: str | None = None
 
@@ -111,28 +113,18 @@ class PreparedContent:
         return self.tables["graph"][1]
 
 
-def align_content(cm: ContentManifest) -> SessionDataset:
-    """Load and align one manifest entry's trajectories; reads no cloud."""
+def prepare(cm: ContentManifest) -> PreparedContent:
+    """Load and align one manifest entry; reads no cloud."""
     clouds = DirectoryCloudSequence(cm.cloud_dir)
     aligned = align_to_frames(load_trajectories(cm.trajectory_csv), cm.fps)
     n = min(aligned.n_frames, len(clouds))  # frame k's row does not depend on the frame count
-    return replace(
+    dataset = replace(
         aligned,
         content_id=cm.content_id,
         clouds=clouds,
         frustum=cm.frustum,
         **{name: getattr(aligned, name)[:, :n] for name in COLUMNS},
     )
-
-
-def prepare(cm: ContentManifest, aligned: SessionDataset | None = None) -> PreparedContent:
-    """Load, align, and derive one manifest entry.
-
-    ``aligned`` is ``align_content(cm)`` when the caller already has it.
-    """
-    dataset = align_content(cm) if aligned is None else aligned
-    if np.isnan(dataset.r).all():  # the CSV supplied no p/r
-        dataset = derive_pr(dataset, cm.cone_half_angle, cm.r_mode)
     return PreparedContent(
         content_id=cm.content_id,
         dataset=dataset,
@@ -142,78 +134,109 @@ def prepare(cm: ContentManifest, aligned: SessionDataset | None = None) -> Prepa
         min_size=cm.relevant_min_size,
         chunk=cm.chunk,
         reference=cm.reference,
+        cone_half_angle=cm.cone_half_angle,
+        r_mode=cm.r_mode,
     )
 
 
 def prepare_scenario(scenario: SynthScenario, **overrides) -> PreparedContent:
     """In-memory PreparedContent from a synthetic scenario."""
     dataset = generate_trajectories(scenario, generate_cloud(scenario))
+    frustum = overrides.pop("frustum", FrustumParams())
     pc_kwargs = {
         k: overrides.pop(k)
-        for k in ("configs", "knn", "o_th", "min_size", "chunk", "reference")
+        for k in ("configs", "knn", "o_th", "min_size", "chunk", "reference", "cone_half_angle", "r_mode")
         if k in overrides
     }
-    frustum = overrides.pop("frustum", FrustumParams())
-    cone = overrides.pop("cone_half_angle", DEFAULT_CONE_HALF_ANGLE)
-    r_mode = overrides.pop("r_mode", "viewport")
     if overrides:
         raise InvalidParamsError(f"unknown overrides {sorted(overrides)}")
-    dataset = derive_pr(replace(dataset, frustum=frustum), cone, r_mode)
-    return PreparedContent(content_id=scenario.content_id, dataset=dataset, **pc_kwargs)
+    return PreparedContent(content_id=scenario.content_id, dataset=replace(dataset, frustum=frustum), **pc_kwargs)
 
 
-def _tables(pc: PreparedContent, kind: str, frames, compute, reads) -> list:
-    """Each requested frame's table from memory, else from the disk tier, else computed and saved.
+def _table(pc: PreparedContent, kind: str, k: int, compute, reads):
+    """Frame ``k``'s table from memory, else from the disk tier, else ``compute()`` and saved.
 
-    ``reads(k)`` is what ``compute(k)`` reads beside the user ids: the
-    table's store key.  Frames are visited in the order asked, and the pass
-    ends by dropping the cloud and the graph it used last.
+    ``reads()`` is what ``compute()`` reads beside the user ids: the
+    table's store key.
     """
-    frames = list(range(pc.dataset.n_frames) if frames is None else frames)
-    for k in frames:
-        if (kind, k) in pc.tables:
-            continue
+    if (kind, k) not in pc.tables:
         table = None
         if pc.store_dir is not None:
             path = store.table_path(pc.store_dir, pc.content_id, kind, k)
-            key = store.table_key(kind, pc.dataset.users, *reads(k))
+            key = store.table_key(kind, pc.dataset.users, *reads())
             table = store.load(path, key, kind, k, pc.dataset.users)
         if table is None:
-            table = compute(k)
+            table = compute()
             if pc.store_dir is not None:
                 store.save(path, key, kind, table)
         pc.tables[(kind, k)] = table
+    return pc.tables[(kind, k)]
+
+
+def _pass(pc: PreparedContent, frames, frame_tables) -> list:
+    """``frame_tables(k)`` for each requested frame in the order asked; then drops the last cloud and graph."""
+    frames = range(pc.dataset.n_frames) if frames is None else frames
+    out = [frame_tables(k) for k in frames]
     pc.tables.pop("cloud", None)
     pc.tables.pop("graph", None)
-    return [pc.tables[(kind, k)] for k in frames]
+    return out
+
+
+def gaze_targets(pc: PreparedContent, k: int) -> tuple:
+    """Frame ``k``'s ``(view, p, r, off)``, one row per user.
+
+    A trajectory CSV that supplies p/r is used as given; otherwise the
+    targets are ray cast (``derive_pr``) and kept as the frame's "pr" table.
+    """
+    ds = pc.dataset
+    if ds.pr_given:
+        return ds.view[:, k], ds.p[:, k], ds.r[:, k], ds.off[:, k]
+    return _table(
+        pc, "pr", k,
+        lambda: derive_pr(ds.x[:, k], ds.view[:, k], ds.off[:, k], pc.cloud(k), pc.cone_half_angle, pc.r_mode),
+        lambda: (pc.cloud_digest(k), ds.x[:, k], ds.view[:, k], ds.off[:, k], pc.cone_half_angle, pc.r_mode),
+    )
 
 
 def overlap_matrices(pc: PreparedContent, frames=None) -> list:
     """Exact ground-truth matrices, one per requested frame."""
     ds = pc.dataset
-    return _tables(
-        pc, "overlap", frames,
-        lambda k: overlap_matrix(k, ds.users, ds.x[:, k], ds.view[:, k], ds.off[:, k], pc.cloud(k), ds.frustum),
-        lambda k: (pc.cloud_digest(k), ds.x[:, k], ds.view[:, k], ds.off[:, k], ds.frustum),
-    )
+
+    def matrix(k):
+        view, _, _, off = gaze_targets(pc, k)
+        return _table(
+            pc, "overlap", k,
+            lambda: overlap_matrix(k, ds.users, ds.x[:, k], view, off, pc.cloud(k), ds.frustum),
+            lambda: (pc.cloud_digest(k), ds.x[:, k], view, off, ds.frustum),
+        )
+
+    return _pass(pc, frames, matrix)
 
 
 def feature_tables(pc: PreparedContent, need_geodesic: bool = True, frames=None) -> list:
-    """Per-frame pair features, each with its frame's geodesic gaze distances when asked for."""
+    """Per-frame pair features, each with its frame's geodesic gaze distances when asked for.
+
+    Both tables of a frame are looked up before the next frame's, so they share one cloud read.
+    """
     ds = pc.dataset
-    plain = _tables(
-        pc, "features", frames,
-        lambda k: compute_pair_features(k, ds.users, ds.x[:, k], ds.p[:, k], ds.r[:, k], ds.off[:, k]),
-        lambda k: (ds.x[:, k], ds.p[:, k], ds.r[:, k], ds.off[:, k]),
-    )
-    if not need_geodesic:
-        return plain
-    geo = _tables(
-        pc, "geodesic", frames,
-        lambda k: geodesic_gaze(ds.p[:, k], ds.r[:, k], pc.surface_graph(k)),
-        lambda k: (pc.cloud_digest(k), ds.p[:, k], ds.r[:, k], pc.knn),
-    )
-    return [replace(f, gaze_geo=g) for f, g in zip(plain, geo)]
+
+    def features(k):
+        _, p, r, off = gaze_targets(pc, k)
+        plain = _table(
+            pc, "features", k,
+            lambda: compute_pair_features(k, ds.users, ds.x[:, k], p, r, off),
+            lambda: (ds.x[:, k], p, r, off),
+        )
+        if not need_geodesic:
+            return plain
+        geo = _table(
+            pc, "geodesic", k,
+            lambda: geodesic_gaze(p, r, pc.surface_graph(k)),
+            lambda: (pc.cloud_digest(k), p, r, pc.knn),
+        )
+        return replace(plain, gaze_geo=geo)
+
+    return _pass(pc, frames, features)
 
 
 def metric_matrices(
@@ -322,12 +345,6 @@ def calibrate_contents(
     return out
 
 
-def swept_contents(contents: list, reference_only: bool = True) -> list:
-    """Contents an ablation sweeps: the reference ones (all, if none is marked or asked)."""
-    chosen = [c for c in contents if c.reference] if reference_only else []
-    return chosen or list(contents)
-
-
 def run_ablation(
     pcs: list,
     metric: MetricId,
@@ -343,7 +360,7 @@ def run_ablation(
     manifest order; per-content summaries are averaged in content-id order.
     Records come out in grid order.
     """
-    chosen = swept_contents(pcs, reference_only)
+    chosen = ([pc for pc in pcs if pc.reference] if reference_only else []) or list(pcs)
     check_clique_size(max(len(pc.dataset.users) for pc in chosen))
     first = chosen[0]
     # private copies sharing each content's tables; a combination swaps only the metric's config
@@ -367,6 +384,6 @@ def run_ablation(
 def summarize_across_contents(per_content: dict) -> dict:
     """All-content row: aggregate of per-content means, for each of the FIGURES."""
     return {
-        f: aggregate([summary[f].mean for summary in per_content.values()], allow_empty=True)
+        f: aggregate([summary[f].mean for summary in per_content.values()])
         for f in FIGURES
     }

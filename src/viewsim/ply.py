@@ -216,10 +216,10 @@ class DirectoryCloudSequence:
     """Lazy frame-indexed view over the sorted .ply files in a directory.
 
     Each access parses its file; nothing is cached here, so a frame asked
-    for twice is read twice.  Ray casting reads each frame once.  A table
-    pass holds the latest frame it read (``PreparedContent.cloud``), so a
-    cloud's digest and the table or graph computed from it share one read,
-    and no pass reads a cloud twice.
+    for twice is read twice.  A table pass holds the latest frame it read
+    (``PreparedContent.cloud``), so a cloud's digest, its gaze rays and the
+    table or graph computed from it share one read, and no pass reads a
+    cloud twice.
     """
 
     def __init__(self, directory):

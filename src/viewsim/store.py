@@ -1,8 +1,9 @@
 """Disk tier of the per-content table store: one ``.npz`` file per table.
 
 A ``PreparedContent`` with a ``store_dir`` (the CLI sets it to ``--out``)
-keeps each exact overlap matrix, pair-feature table and geodesic gaze
-distance matrix in ``<store_dir>/.viewsim-store/<content>/<kind>-<frame>.npz``.
+keeps each frame's ray-cast gaze targets, exact overlap matrix, pair-feature
+table and geodesic gaze distance matrix in
+``<store_dir>/.viewsim-store/<content>/<kind>-<frame>.npz``.
 Each file holds exactly its kind's arrays and a sha256 key over everything
 the table was computed from: the frame's inputs, viewsim's own sources and
 the numpy and scipy versions.  A file that is missing, unreadable,
@@ -28,7 +29,6 @@ _DIRNAME = ".viewsim-store"
 _KEY = "key"
 
 _F8, _BOOL = np.dtype(np.float64), np.dtype(bool)
-# every table array is n_users x n_users
 _FIELDS = {
     "overlap": {"values": _F8, "valid": _BOOL},
     "features": {
@@ -40,7 +40,10 @@ _FIELDS = {
         "pr_valid": _BOOL,
     },
     "geodesic": {"gaze_geo": _F8},
+    "pr": {"view": _F8, "p": _F8, "r": _F8, "off": _BOOL},
 }
+# each array is n_users x the trailing shape named here, else n_users x n_users
+_TRAILING = {"view": (3,), "p": (3,), "r": (), "off": ()}
 # what np.load and reading an npz member raise on a missing, truncated or foreign file
 _MISS = (OSError, ValueError, EOFError, zipfile.BadZipFile)
 
@@ -100,7 +103,7 @@ def table_path(store_dir, content_id: str, kind: str, frame: int) -> str:
 def load(path: str, key: str, kind: str, frame: int, users: tuple):
     """The ``kind`` table stored at ``path`` under ``key``, or None on a miss.
 
-    A geodesic table is its ``gaze_geo`` array.
+    A geodesic table is its ``gaze_geo`` array, a "pr" table the tuple of its arrays.
     """
     fields = _FIELDS[kind]
     try:
@@ -117,18 +120,20 @@ def load(path: str, key: str, kind: str, frame: int, users: tuple):
     except _MISS:
         return None
     n = len(users)
-    if any(a.shape != (n, n) or a.dtype != fields[name] for name, a in arrays.items()):
+    if any(a.shape != (n, *_TRAILING.get(name, (n,))) or a.dtype != fields[name] for name, a in arrays.items()):
         return None
     if kind == "overlap":
         return SimilarityMatrix(frame=frame, users=users, metric=MetricId.OVERLAP, **arrays)
     if kind == "features":
         return PairFeatures(frame=frame, users=users, **arrays)
-    return arrays["gaze_geo"]
+    return arrays["gaze_geo"] if kind == "geodesic" else tuple(arrays.values())
 
 
 def save(path: str, key: str, kind: str, table) -> None:
     """Write ``table`` with its key to a temporary file, then rename it to ``path``."""
-    arrays = {"gaze_geo": table} if kind == "geodesic" else {name: getattr(table, name) for name in _FIELDS[kind]}
+    fields = _FIELDS[kind]
+    values = (table,) if kind == "geodesic" else table if kind == "pr" else [getattr(table, name) for name in fields]
+    arrays = dict(zip(fields, values))
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"  # one writer per name: each process writes on one thread
     try:

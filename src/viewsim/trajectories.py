@@ -5,25 +5,20 @@ it holds the position ``x[i, k]``, the unit viewing direction
 ``view[i, k]``, the viewport centre ``p[i, k]`` (a point on the content
 surface) and the viewing distance ``r[i, k]``.  ``off[i, k]`` marks a frame
 whose gaze misses the content or that falls in a capture gap after
-alignment; p and r are NaN there, and wherever they are not derived yet.
+alignment; p and r are NaN there, and wherever the trajectory CSV did not
+supply them (``derive_pr`` casts them for one frame).
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    EmptyTrajectoryError,
-    InvalidParamsError,
-    MissingFrameError,
-    ParseError,
-    PreconditionError,
-)
+from .errors import DataError, EmptyTrajectoryError, InvalidParamsError, ParseError
 from .geometry import (
     DEFAULT_CONE_HALF_ANGLE,
     FrustumParams,
@@ -100,6 +95,11 @@ class SessionDataset:
     @property
     def n_frames(self) -> int:
         return self.r.shape[1]
+
+    @cached_property
+    def pr_given(self) -> bool:
+        """Whether the trajectory CSV supplied p/r: then they are used as given, else cast per frame."""
+        return not np.isnan(self.r).all()
 
 
 def _parse_float(tok, path, line, col):
@@ -220,42 +220,26 @@ def align_to_frames(traces: dict, fps: float, n_frames: int | None = None) -> Se
     return SessionDataset(content_id="", fps=fps, users=tuple(traces), **arrays)
 
 
-def derive_pr(
-    ds: SessionDataset,
-    cone: float = DEFAULT_CONE_HALF_ANGLE,
-    r_mode: str = "viewport",
-) -> SessionDataset:
-    """Fill p and r by casting every on-content gaze ray into its frame's cloud.
+def derive_pr(x, view, off, cloud, cone: float = DEFAULT_CONE_HALF_ANGLE, r_mode: str = "viewport") -> tuple:
+    """One frame's gaze targets ``(view, p, r, off)``, casting every on-content user's gaze ray into ``cloud``.
 
-    Works one frame at a time: ``ds.clouds[k]`` is read once, for all users
-    on content at frame k.  ``r_mode='viewport'`` sets r = |x - p|;
-    ``'centroid'`` measures to the cloud centroid instead (p is still the
-    ray hit).  A ray that misses the cone marks its frame off-content.
-    Rejects a dataset that already carries p/r.
+    ``x``, ``view`` and ``off`` hold one row per user.  ``r_mode='viewport'``
+    sets r = |x - p|; ``'centroid'`` measures to the cloud centroid instead
+    (p is still the ray hit).  A ray that misses the cone marks the user
+    off-content.  The returned view is ``unit_rows(view)``.
     """
     if r_mode not in ("viewport", "centroid"):
         raise InvalidParamsError(f"unknown r_mode '{r_mode}'")
-    if not np.isnan(ds.r).all():
-        raise PreconditionError(f"dataset '{ds.content_id}' already carries p/r")
-    if ds.n_frames > len(ds.clouds):
-        raise MissingFrameError(
-            f"session needs frame {ds.n_frames - 1} but cloud sequence has {len(ds.clouds)}"
-        )
-    p, r, off = ds.p.copy(), ds.r.copy(), ds.off.copy()
-    for k in range(ds.n_frames):
-        on = np.flatnonzero(~ds.off[:, k])
-        if not on.size:
+    p, r, off = np.full(np.shape(x), np.nan), np.full(len(off), np.nan), off.copy()
+    for i in np.flatnonzero(~off):
+        hit = ray_cast_center(x[i], view[i], cloud, cone_half_angle=cone)
+        if hit is None:
+            off[i] = True
             continue
-        cloud = ds.clouds[k]
-        for i in on:
-            hit = ray_cast_center(ds.x[i, k], ds.view[i, k], cloud, cone_half_angle=cone)
-            if hit is None:
-                off[i, k] = True
-                continue
-            p[i, k], r[i, k] = hit
-            if r_mode == "centroid":
-                r[i, k] = float(np.linalg.norm(ds.x[i, k] - cloud.centroid))
-    return replace(ds, view=unit_rows(ds.view), p=p, r=r, off=off)
+        p[i], r[i] = hit
+        if r_mode == "centroid":
+            r[i] = float(np.linalg.norm(x[i] - cloud.centroid))
+    return unit_rows(view), p, r, off
 
 
 def write_trajectories(path, ds: SessionDataset, with_pr: bool = False) -> None:

@@ -418,10 +418,10 @@ def ablate_oracle(
                     )
                 )
             for field in content_means:
-                stats = aggregate([getattr(p, field) for p in perfs], allow_empty=True)
+                stats = aggregate([getattr(p, field) for p in perfs])
                 content_means[field].append(stats.mean)
         finals = {
-            field: aggregate(vals, allow_empty=True).mean
+            field: aggregate(vals).mean
             for field, vals in content_means.items()
         }
         records.append(

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import viewsim.bench
@@ -31,3 +32,18 @@ def test_perfbench_trace_targets_resolve():
             unresolved.add(name)
     # pose_from_view no longer exists; the benchmark's next change traces frustum_planes instead
     assert unresolved <= {"geometry.pose_from_view"}
+    # a work counter reads its layer's arguments by name, and a renamed one only counts a work error
+    read = {}
+    for name, (module, attr, work) in child.TARGETS.items():
+        if work is None or name in unresolved:
+            continue
+        try:
+            work({}, ())  # no arguments bound: the first one the counter reads is missing
+            continue  # it counts the result alone
+        except KeyError as missing:
+            read[name] = missing.args[0]
+        fn = importlib.import_module(module)
+        for part in attr.split("."):
+            fn = getattr(fn, part)
+        assert read[name] in inspect.signature(fn).parameters, name
+    assert set(read.values()) == {"path", "points", "cloud", "sources", "users", "matrices", "labels"}

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -378,7 +379,7 @@ def test_warm_session_matches_cold_commands(narrow_manifest, tmp_path, capsys, t
         written = outputs(cold)
         assert written and {name: after[name] for name in written} == written, argv
     assert sorted(p.name for p in (warm / ".viewsim-store" / "synth-sphere-11").iterdir()) == [
-        f"{kind}-{k:06d}.npz" for kind in ("features", "geodesic", "overlap") for k in range(4)
+        f"{kind}-{k:06d}.npz" for kind in ("features", "geodesic", "overlap", "pr") for k in range(4)
     ]
 
 
@@ -442,8 +443,18 @@ def test_store_misses_when_inputs_change(own_dataset, tmp_path, capsys, monkeypa
         manifest.write_text(json.dumps(doc))
         saved.clear()
 
+    def wider_cone():
+        doc = json.loads(manifest.read_text())
+        doc["cone_half_angle"] = 0.3
+        manifest.write_text(json.dumps(doc))
+
+    def centroid_range():
+        doc = json.loads(manifest.read_text())
+        doc["r_mode"] = "centroid"
+        manifest.write_text(json.dumps(doc))
+
     backup = {p: p.read_bytes() for p in (manifest, trajectories, own_dataset / "clouds" / "frame_000002.ply")}
-    edits = (narrow_frustum, rewrite_ply, move_row, fewer_neighbours)
+    edits = (narrow_frustum, rewrite_ply, move_row, wider_cone, centroid_range, fewer_neighbours)
     for i, edit in enumerate(edits):
         for path, data in backup.items():
             path.write_bytes(data)
@@ -466,7 +477,7 @@ def test_cold_evaluate_computes_and_writes_each_table_once(narrow_manifest, tmp_
     monkeypatch.setattr(viewsim.store, "save", lambda path, *a: saved.append(Path(path).name) or real_save(path, *a))
     run_in(capsys, narrow_manifest, tmp_path, ["evaluate", "--mode", "chunk"])
     assert sorted(computed) == list(range(4))
-    assert sorted(saved) == [f"{kind}-{k:06d}.npz" for kind in ("features", "geodesic", "overlap") for k in range(4)]
+    assert sorted(saved) == [f"{kind}-{k:06d}.npz" for kind in ("features", "geodesic", "overlap", "pr") for k in range(4)]
 
 
 def test_cold_plain_metric_reads_each_cloud_once(narrow_manifest, tmp_path, capsys, monkeypatch):
@@ -478,6 +489,83 @@ def test_cold_plain_metric_reads_each_cloud_once(narrow_manifest, tmp_path, caps
     run_in(capsys, narrow_manifest, tmp_path, ["cluster", "--metric", "w1"])
     # ray casting reads each cloud once; the store key of a plain feature table reads none
     assert sorted(reads) == sorted(p.name for p in (narrow_manifest.parent / "clouds").glob("*.ply"))
+
+
+def _count_geometry(monkeypatch):
+    """Names of the PLY files read, and frames of the gaze rays cast, in this process from now on."""
+    import viewsim.ply
+    import viewsim.trajectories
+
+    reads, casts = [], []
+    real_read, real_cast = viewsim.ply.read_ply, viewsim.trajectories.ray_cast_center
+    monkeypatch.setattr(viewsim.ply, "read_ply", lambda path: reads.append(Path(path).name) or real_read(path))
+    monkeypatch.setattr(viewsim.trajectories, "ray_cast_center",
+                        lambda x, view, cloud, **k: casts.append(cloud.frame_index) or real_cast(x, view, cloud, **k))
+    return reads, casts
+
+
+def test_cold_overlap_reads_each_cloud_once(narrow_manifest, tmp_path, capsys, monkeypatch):
+    reads, casts = _count_geometry(monkeypatch)
+    run_in(capsys, narrow_manifest, tmp_path, ["overlap"])
+    # one read serves the frame's digest, its gaze rays and its matrix
+    assert sorted(reads) == [f"frame_{k:06d}.ply" for k in range(4)]
+    assert sorted(set(casts)) == [0, 1, 2, 3]
+
+
+def test_frame_range_casts_only_its_frames(narrow_manifest, tmp_path, capsys, monkeypatch):
+    reads, casts = _count_geometry(monkeypatch)
+    run_in(capsys, narrow_manifest, tmp_path, ["overlap", "--frames", "1:3"])
+    assert sorted(set(casts)) == [1, 2] and len(casts) <= 2 * 9
+    assert sorted(reads) == ["frame_000001.ply", "frame_000002.ply"]
+    assert sorted(p.name for p in (tmp_path / ".viewsim-store" / "synth-sphere-11").iterdir()) == [
+        "overlap-000001.npz", "overlap-000002.npz", "pr-000001.npz", "pr-000002.npz"
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate"],
+    ["evaluate", "--mode", "chunk"],
+    ["ablate", "--metric", "w7", "--fix", "beta=0.5"],
+    ["cluster", "--metric", "w7"],
+], ids=["calibrate", "evaluate", "ablate", "cluster"])
+def test_warm_commands_cast_no_ray_and_read_each_cloud_at_most_once(narrow_manifest, tmp_path, capsys, monkeypatch, argv):
+    for warm_up in (["overlap"], ["metrics"]):
+        run_in(capsys, narrow_manifest, tmp_path, warm_up)
+    reads, casts = _count_geometry(monkeypatch)
+    run_in(capsys, narrow_manifest, tmp_path, argv)
+    assert casts == []
+    assert len(reads) == len(set(reads)) <= 4
+
+
+def test_trajectories_with_pr_are_used_as_given(narrow_manifest, tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    from viewsim.manifest import load_manifest
+    from viewsim.pipeline import gaze_targets, prepare
+    from viewsim.trajectories import write_trajectories
+
+    (cm,) = load_manifest(narrow_manifest)
+    pc = prepare(cm)
+    targets = [gaze_targets(pc, k) for k in range(pc.dataset.n_frames)]
+    view, p, r, off = (np.stack(column, axis=1) for column in zip(*targets))
+    ds = replace(pc.dataset, view=view, p=p, r=r, off=off)
+    write_trajectories(tmp_path / "with_pr.csv", ds, with_pr=True)
+    doc = json.loads(narrow_manifest.read_text())
+    doc.update(trajectory_csv=str(tmp_path / "with_pr.csv"), cloud_dir=str(narrow_manifest.parent / doc["cloud_dir"]))
+    manifest = tmp_path / "with_pr.json"
+    manifest.write_text(json.dumps(doc))
+    reads, casts = _count_geometry(monkeypatch)
+    out = tmp_path / "out"
+    for argv in (["overlap"], ["metrics"]):
+        run_in(capsys, manifest, out, argv)
+    assert casts == []
+    stored = sorted(p.name for p in (out / ".viewsim-store" / "synth-sphere-11").iterdir())
+    assert stored and not [name for name in stored if name.startswith("pr-")]
+    # the frame functions get the CSV's own p
+    (cm,) = load_manifest(manifest)
+    given = prepare(cm)
+    assert gaze_targets(given, 0)[1].tobytes() == given.dataset.p[:, 0].tobytes()
+    np.testing.assert_array_equal(given.dataset.p[:, 0][~off[:, 0]], p[:, 0][~off[:, 0]])
 
 
 def test_store_misses_when_sources_change(narrow_manifest, tmp_path, capsys, monkeypatch):
@@ -514,6 +602,7 @@ def test_damaged_store_files_are_misses(narrow_manifest, tmp_path, capsys):
     truncated.write_bytes(truncated.read_bytes()[: truncated.stat().st_size // 2])
     (store / "features-000001.npz").write_bytes(b"\x93NUMPY garbage" * 40)
     (store / "overlap-000002.npz").write_bytes(b"")
+    (store / "pr-000003.npz").write_bytes(b"")
 
     def rekeyed(path, **members):
         """Rewrite a store file under its own key with some members replaced."""
@@ -525,6 +614,8 @@ def test_damaged_store_files_are_misses(narrow_manifest, tmp_path, capsys):
     # right key, wrong shape or dtype
     values = rekeyed(store / "overlap-000000.npz", values=np.zeros((3, 3)))["values"]
     rekeyed(store / "features-000002.npz", pos_dist=np.zeros(values.shape, dtype=np.float32))
+    rekeyed(store / "pr-000000.npz", p=np.zeros((9, 2)))
+    rekeyed(store / "pr-000001.npz", off=np.zeros(9))
     # a member saved as an object array: loading it must not run its unpickling
     marker = tmp_path / "unpickled"
     payload = np.empty(1, dtype=object)
@@ -818,6 +909,36 @@ def test_frames_range_past_a_session_exits_2_before_any_output(dataset, tmp_path
         assert proc.returncode == 2
         assert "holds no frame of the 2-frame session" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--frames", "0"], "--frames must be at least 1, got 0"),
+    (["synth", "--points", "0"], "--points must be at least 1, got 0"),
+    (["synth", "--users-per-group", "0"], "--users-per-group must be at least 1, got 0"),
+    (["bench", "--n-points", "0"], "--n-points must be at least 1, got 0"),
+    (["bench", "--n-users", "0"], "--n-users must be at least 1, got 0"),
+    (["bench", "--amortize-frames", "0"], "--amortize-frames must be at least 1, got 0"),
+    (["bench", "--pairs", "-1"], "--pairs must be at least 0, got -1"),
+    (["bench", "--repeats", "0"], "--repeats must be at least 1, got 0"),
+])
+def test_out_of_range_size_flag_exits_2_before_any_work(tmp_path, monkeypatch, capsys, argv, message):
+    import viewsim.cli
+    from viewsim.cli import main
+
+    for name in ("run_bench", "write_scenario"):
+        monkeypatch.setattr(viewsim.cli, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    assert main(["--out", str(tmp_path / "out"), *argv]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_bench_refuses_out_of_range_sizes():
+    from viewsim.bench import run_bench
+    from viewsim.errors import InvalidParamsError
+
+    for bad in ({"amortize_frames": 0}, {"naive_pairs": -1}, {"n_users": 0}, {"n_points": 0}, {"repeats": 0}):
+        with pytest.raises(InvalidParamsError):
+            run_bench(**{"n_users": 2, "n_points": 50, **bad})
 
 
 def test_zero_threads_exits_2(dataset, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viewsim.clustering import Cluster, ClusteringResult
-from viewsim.errors import EmptySeriesError, PreconditionError
+from viewsim.errors import PreconditionError
 from viewsim.evaluation import (
     adjusted_rand_index,
     aggregate,
@@ -228,14 +228,11 @@ def test_aggregate_excludes_but_counts_nan():
     assert stats.n_valid == 2 and stats.n_invalid == 2
 
 
-def test_aggregate_empty_raises_unless_allowed():
-    with pytest.raises(EmptySeriesError):
-        aggregate([])
-    with pytest.raises(EmptySeriesError):
-        aggregate([NAN, NAN])
-    stats = aggregate([NAN], allow_empty=True)
-    assert math.isnan(stats.mean) and math.isnan(stats.std)
-    assert stats.n_valid == 0 and stats.n_invalid == 1
+def test_aggregate_of_no_valid_entry_is_nan():
+    for values, n_invalid in (([], 0), ([NAN], 1), ([NAN, NAN], 2)):
+        stats = aggregate(values)
+        assert math.isnan(stats.mean) and math.isnan(stats.std)
+        assert stats.n_valid == 0 and stats.n_invalid == n_invalid
 
 
 def test_summarize_performance_fields():

@@ -21,6 +21,7 @@ from viewsim.pipeline import (
     cluster_content,
     evaluate_content,
     feature_tables,
+    gaze_targets,
     metric_matrices,
     overlap_matrices,
     prepare,
@@ -57,23 +58,23 @@ def test_prepare_from_disk_round_trips_scenario(disk_content):
     assert ds.users == tuple(f"u{k:02d}" for k in range(6))
     assert ds.n_frames == 4
     assert ds.fps == 30.0
-    # p and r were derived during preparation
-    assert not np.isnan(ds.p[0, 0]).any() and ds.r[0, 0] > 0
+    # the CSV supplies no p/r: a frame's targets are cast when first asked for
+    assert np.isnan(ds.r).all()
+    _, p, r, _ = gaze_targets(replace(disk_content, tables={}), 0)
+    assert not np.isnan(p[0]).any() and r[0] > 0
 
 
-def test_prepare_reads_each_cloud_once(tmp_path, monkeypatch):
-    import viewsim.ply
+def test_prepare_reads_no_cloud_and_casts_no_ray(tmp_path, monkeypatch):
+    import viewsim.trajectories
 
     sc = three_orbit_groups(seed=5, users_per_group=2, n_frames=4, points_per_frame=300)
     write_scenario(sc, tmp_path)
     (cm,) = load_manifest(tmp_path / "manifest.json")
     calls = []
-    read_ply = viewsim.ply.read_ply
-    monkeypatch.setattr(viewsim.ply, "read_ply", lambda *a, **k: calls.append(a) or read_ply(*a, **k))
+    for module, name in ((viewsim.ply, "read_ply"), (viewsim.trajectories, "ray_cast_center")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
     pc = prepare(cm)
-    # 6 users cast their rays into each frame's cloud, read once per frame
-    assert (~pc.dataset.off).sum() > 2 * pc.dataset.n_frames
-    assert len(calls) == pc.dataset.n_frames == 4
+    assert calls == [] and pc.dataset.n_frames == 4 and pc.tables == {}
 
 
 def test_disk_and_memory_preparation_agree(disk_content):
@@ -163,7 +164,8 @@ def test_one_surface_graph_alive_at_a_time(narrow_content, monkeypatch):
     # the same values as one graph per frame, built afresh
     for k, cloud in enumerate(clouds):
         graph = real(cloud, pc.knn)
-        want = compute_pair_features(k, ds.users, ds.x[:, k], ds.p[:, k], ds.r[:, k], ds.off[:, k], graph=graph)
+        _, p, r, off = gaze_targets(pc, k)
+        want = compute_pair_features(k, ds.users, ds.x[:, k], p, r, off, graph=graph)
         assert want.gaze_geo.tobytes() == pc.tables[("geodesic", k)].tobytes()
 
 

@@ -152,7 +152,7 @@ def run_bench(
             t0 = time.perf_counter()
             for i, j in timed_pairs:
                 got = naive_pair_overlap(points_list, (x[i], view[i]), (x[j], view[j]), params)
-                ref = exact.pair(i, j)
+                ref = float(exact.values[i, j])
                 if not (math.isnan(got) and math.isnan(ref)) and abs(got - ref) > 1e-9:
                     raise AssertionError(f"naive oracle disagrees with production path: {got} vs {ref}")
             naive_means.append((time.perf_counter() - t0) / len(timed_pairs))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import re
@@ -23,15 +22,15 @@ from dataclasses import replace
 from .bench import run_bench
 from .calibration import DEFAULT_GRID, DEFAULT_TARGET_TPR, regulator_grid, select_parameter_sets
 from .clustering import check_clique_size
-from .errors import ToolError, UsageError
+from .errors import InvalidParamsError, ToolError, UsageError
 from .evaluation import FIGURES
-from .manifest import load_manifest, load_thresholds, read_json
+from .manifest import load_manifest, load_thresholds, read_json, write_json
 from .metrics import MetricId, PROXY_METRICS, _fmt, write_matrices_csv
 from .pipeline import (
-    PreparedContent,
     calibrate_contents,
     cluster_content,
     evaluate_content,
+    feature_tables,
     metric_matrices,
     overlap_matrices,
     prepare,
@@ -45,12 +44,6 @@ from .synth import scenario_from_json, three_orbit_groups, write_scenario
 def _out_path(args, name: str) -> str:
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
-
-
-def _write_json(path: str, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _contents(args, clique_searched: bool = False) -> list:
@@ -108,6 +101,8 @@ def cmd_metrics(args) -> int:
     metrics = [_parse_metric(m) for m in args.metric] if args.metric else list(PROXY_METRICS)
     pcs = _contents(args)
     for pc, frames in zip(pcs, [_parse_frames(args.frames, pc.dataset.n_frames) for pc in pcs]):
+        if not all(m.is_overlap for m in metrics):  # one pass reads each cloud for every proxy's tables
+            feature_tables(pc, need_geodesic=any(m.needs_geodesic for m in metrics), frames=frames)
         mats = [m for metric in metrics for m in metric_matrices(pc, metric, frames=frames)]
         path = _out_path(args, f"metrics_{safe_name(pc.content_id)}.csv")
         write_matrices_csv(path, mats)
@@ -144,7 +139,7 @@ def cmd_calibrate(args) -> int:
         },
     }
     json_path = _out_path(args, "calibration.json")
-    _write_json(json_path, payload)
+    write_json(json_path, payload)
     for m in metrics:
         e = report[m]
         flag = "" if e["fpr_ok"] else "  [fpr above 0.4]"
@@ -157,16 +152,21 @@ def cmd_ablate(args) -> int:
     metric = _parse_metric(args.metric)
     if metric.is_overlap:
         raise UsageError("ablate applies to proxy metrics only")
-    grid = [_number(g, "--grid") for g in args.grid.split(",")] if args.grid else list(DEFAULT_GRID)
+    grid = list(DEFAULT_GRID) if args.grid is None else [_number(g, "--grid") for g in args.grid.split(",")]
     fixed = {}
     for item in args.fix or []:
         if "=" not in item:
             raise UsageError(f"--fix expects name=value, got '{item}'")
         name, _, value = item.partition("=")
+        if name.strip() in fixed:
+            raise UsageError(f"--fix {name.strip()} given twice")
         fixed[name.strip()] = _number(value, "--fix")
     if args.threshold is not None and not math.isfinite(args.threshold):
         raise UsageError(f"--threshold must be finite, got {args.threshold}")
-    regulator_grid(metric, grid, fixed)  # refuse a bad sweep before any content is loaded
+    try:  # refuse a bad sweep before any content is loaded
+        regulator_grid(metric, grid, fixed)
+    except InvalidParamsError as e:
+        raise UsageError(str(e)) from None
     pcs = _contents(args)
     records = run_ablation(
         pcs,
@@ -199,40 +199,12 @@ def cmd_ablate(args) -> int:
         },
     }
     json_path = _out_path(args, f"parameter_sets_{metric.value}.json")
-    _write_json(json_path, payload)
+    write_json(json_path, payload)
     print(f"{metric.value}: {len(records)} records -> {csv_path}")
     for name in ("set1", "set2", "set3"):
         rec = getattr(sets, name)
         print(f"  {name}: regulators={list(rec.regulators.as_tuple())}")
     return 0
-
-
-def _write_clusters(args, pc: PreparedContent, results: list, mode: str) -> tuple:
-    csv_path = _out_path(args, f"clusters_{safe_name(pc.content_id)}.csv")
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["chunk_or_frame", "user_id", "cluster_id", "cluster_size"])
-        for res in results:
-            for cid, cluster in enumerate(res.clusters):
-                for user in cluster.members:
-                    w.writerow([res.ident, user, cid, cluster.size])
-    json_path = _out_path(args, f"clusters_{safe_name(pc.content_id)}.json")
-    payload = {
-        "content_id": pc.content_id,
-        "mode": mode,
-        "results": [
-            {
-                "id": res.ident,
-                "clusters": [
-                    {"cluster_id": cid, "members": list(c.members)}
-                    for cid, c in enumerate(res.clusters)
-                ],
-            }
-            for res in results
-        ],
-    }
-    _write_json(json_path, payload)
-    return csv_path, json_path
 
 
 def cmd_cluster(args) -> int:
@@ -242,7 +214,29 @@ def cmd_cluster(args) -> int:
         if thresholds:
             pc = pc.with_thresholds(thresholds)
         results = cluster_content(pc, metric, mode=args.mode)
-        csv_path, _ = _write_clusters(args, pc, results, args.mode)
+        csv_path = _out_path(args, f"clusters_{safe_name(pc.content_id)}.csv")
+        with open(csv_path, "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["chunk_or_frame", "user_id", "cluster_id", "cluster_size"])
+            for res in results:
+                for cid, cluster in enumerate(res.clusters):
+                    for user in cluster.members:
+                        w.writerow([res.ident, user, cid, cluster.size])
+        payload = {
+            "content_id": pc.content_id,
+            "mode": args.mode,
+            "results": [
+                {
+                    "id": res.ident,
+                    "clusters": [
+                        {"cluster_id": cid, "members": list(c.members)}
+                        for cid, c in enumerate(res.clusters)
+                    ],
+                }
+                for res in results
+            ],
+        }
+        write_json(_out_path(args, f"clusters_{safe_name(pc.content_id)}.json"), payload)
         n_rel = sum(len(r.relevant_clusters(pc.min_size)) for r in results)
         print(
             f"{pc.content_id}: {len(results)} {args.mode}s, {n_rel} relevant clusters -> {csv_path}"
@@ -264,11 +258,9 @@ def cmd_evaluate(args) -> int:
         if thresholds:
             pc = pc.with_thresholds(thresholds)
         for metric in requested:
-            results, perfs, summary = evaluate_content(pc, metric, mode=args.mode)
+            _, perfs, summary = evaluate_content(pc, metric, mode=args.mode)
             per_metric_contents[metric][pc.content_id] = summary
             rows.append((pc.content_id, metric, summary, len(perfs)))
-            if args.clusters:
-                _write_clusters(args, pc, results, args.mode)
     path = _out_path(args, "evaluation.csv")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -335,7 +327,7 @@ def cmd_bench(args) -> int:
         amortize_frames=args.amortize_frames,
     )
     path = _out_path(args, "bench.json")
-    _write_json(path, report)
+    write_json(path, report)
     print(
         f"{report['n_users']} users, {report['n_points']} points, "
         f"{report['n_pairs_per_frame']} pairs/frame"
@@ -395,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--metric", action="append", help="metric id (repeatable; default all)")
     s.add_argument("--mode", choices=("frame", "chunk"), default="chunk")
     s.add_argument("--calibration", help="calibration.json with thresholds to apply")
-    s.add_argument("--clusters", action="store_true", help="also write per-content cluster files")
     s.set_defaults(func=cmd_evaluate)
 
     s = sub.add_parser("synth", help="generate a synthetic dataset + manifest")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParamsError, PreconditionError, SizeLimitError
-from .metrics import MetricConfig, MetricId, SimilarityMatrix
+from .metrics import MetricConfig, SimilarityMatrix
 
 MAX_CLIQUE_USERS = 64
 DEFAULT_RELEVANT_MIN_SIZE = 3
@@ -51,10 +51,6 @@ class SimilarityGraph:
     @property
     def n(self) -> int:
         return len(self.users)
-
-    @property
-    def n_edges(self) -> int:
-        return int(np.count_nonzero(self.adjacency)) // 2
 
 
 @dataclass(frozen=True)

@@ -57,9 +57,6 @@ class ContentManifest:
     chunk: ChunkSpec = field(default_factory=ChunkSpec)
     metrics: dict = field(default_factory=default_configs)
 
-    def config(self, metric: MetricId) -> MetricConfig:
-        return self.metrics[metric]
-
 
 def _require(cond: bool, msg: str):
     if not cond:
@@ -76,6 +73,13 @@ def read_json(path, what: str):
             return json.load(fh)
         except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
             raise ManifestError(f"{what} is not valid JSON: {e}")
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _number(v) -> bool:

@@ -52,10 +52,6 @@ class MetricId(str, Enum):
     def needs_geodesic(self) -> bool:
         return self in (MetricId.W3, MetricId.W5, MetricId.W7)
 
-    @property
-    def uses_tanh(self) -> bool:
-        return self in (MetricId.W7, MetricId.W8)
-
 
 PROXY_METRICS = tuple(m for m in MetricId if m is not MetricId.OVERLAP)
 
@@ -146,9 +142,6 @@ class SimilarityMatrix:
     @property
     def n(self) -> int:
         return len(self.users)
-
-    def pair(self, i: int, j: int) -> float:
-        return float(self.values[i, j])
 
     def pairs(self):
         """Upper-triangle iterator: (i, j, value, valid)."""

@@ -52,15 +52,16 @@ from .trajectories import COLUMNS, SessionDataset, align_to_frames, derive_pr, l
 class PreparedContent:
     """One content item ready for batch processing.
 
-    ``dataset`` holds the aligned poses; a frame's gaze targets come from
-    ``gaze_targets``.  ``tables`` is the per-content store: each frame's
-    gaze targets, overlap matrix, feature table and geodesic gaze distance
-    matrix is computed on first request and shared afterwards by every
-    metric, every command and every ``with_thresholds`` copy, and so is
-    each frame's cloud digest.  During a pass it also holds the latest
-    cloud read and the latest surface graph built, one of each, so
-    consecutive frames with equal points share one graph; the pass drops
-    both when it ends.
+    ``dataset`` holds the aligned poses and ``clouds`` the frames' clouds;
+    with the viewing model (``frustum``, ``cone_half_angle``, ``r_mode``)
+    they are all a frame's tables are computed from.  ``tables`` is the
+    per-content store: each frame's gaze targets (``gaze_targets``), overlap
+    matrix, feature table and geodesic gaze distance matrix is computed on
+    first request and shared afterwards by every metric, every command and
+    every ``with_thresholds`` copy, and so is each frame's cloud digest.
+    During a pass it also holds the latest cloud read and the latest surface
+    graph built, one of each, so consecutive frames with equal points share
+    one graph; the pass drops both when it ends.
 
     With a ``store_dir``, every table also persists on disk
     (``viewsim.store``), so later processes read it back instead of
@@ -69,19 +70,18 @@ class PreparedContent:
 
     content_id: str
     dataset: SessionDataset
+    clouds: object
     configs: dict = field(default_factory=default_configs)
     knn: int = 8
     o_th: float = DEFAULT_OVERLAP_LABEL_THRESHOLD
     min_size: int = 3
     chunk: ChunkSpec = field(default_factory=ChunkSpec)
     reference: bool = True
+    frustum: FrustumParams = field(default_factory=FrustumParams)
     cone_half_angle: float = DEFAULT_CONE_HALF_ANGLE
     r_mode: str = "viewport"
     tables: dict = field(default_factory=dict, repr=False, compare=False)
     store_dir: str | None = None
-
-    def config(self, metric: MetricId):
-        return self.configs[metric]
 
     def with_thresholds(self, thresholds: dict) -> "PreparedContent":
         """Copy with per-metric thresholds replaced (calibration output)."""
@@ -94,7 +94,7 @@ class PreparedContent:
         """One frame's cloud; only the latest is kept, and it is dropped before the next is read."""
         if self.tables.get("cloud", (None,))[0] != frame:
             self.tables.pop("cloud", None)
-            self.tables["cloud"] = (frame, self.dataset.clouds[frame])
+            self.tables["cloud"] = (frame, self.clouds[frame])
         return self.tables["cloud"][1]
 
     def cloud_digest(self, frame: int) -> str:
@@ -118,39 +118,26 @@ def prepare(cm: ContentManifest) -> PreparedContent:
     clouds = DirectoryCloudSequence(cm.cloud_dir)
     aligned = align_to_frames(load_trajectories(cm.trajectory_csv), cm.fps)
     n = min(aligned.n_frames, len(clouds))  # frame k's row does not depend on the frame count
-    dataset = replace(
-        aligned,
-        content_id=cm.content_id,
-        clouds=clouds,
-        frustum=cm.frustum,
-        **{name: getattr(aligned, name)[:, :n] for name in COLUMNS},
-    )
     return PreparedContent(
         content_id=cm.content_id,
-        dataset=dataset,
+        dataset=replace(aligned, **{name: getattr(aligned, name)[:, :n] for name in COLUMNS}),
+        clouds=clouds,
         configs=dict(cm.metrics),
         knn=cm.surface_knn,
         o_th=cm.overlap_threshold,
         min_size=cm.relevant_min_size,
         chunk=cm.chunk,
         reference=cm.reference,
+        frustum=cm.frustum,
         cone_half_angle=cm.cone_half_angle,
         r_mode=cm.r_mode,
     )
 
 
-def prepare_scenario(scenario: SynthScenario, **overrides) -> PreparedContent:
-    """In-memory PreparedContent from a synthetic scenario."""
-    dataset = generate_trajectories(scenario, generate_cloud(scenario))
-    frustum = overrides.pop("frustum", FrustumParams())
-    pc_kwargs = {
-        k: overrides.pop(k)
-        for k in ("configs", "knn", "o_th", "min_size", "chunk", "reference", "cone_half_angle", "r_mode")
-        if k in overrides
-    }
-    if overrides:
-        raise InvalidParamsError(f"unknown overrides {sorted(overrides)}")
-    return PreparedContent(content_id=scenario.content_id, dataset=replace(dataset, frustum=frustum), **pc_kwargs)
+def prepare_scenario(scenario: SynthScenario, **settings) -> PreparedContent:
+    """In-memory PreparedContent from a synthetic scenario; ``settings`` set any other of its fields."""
+    clouds = generate_cloud(scenario)
+    return PreparedContent(scenario.content_id, generate_trajectories(scenario, clouds), clouds, **settings)
 
 
 def _table(pc: PreparedContent, kind: str, k: int, compute, reads):
@@ -206,8 +193,8 @@ def overlap_matrices(pc: PreparedContent, frames=None) -> list:
         view, _, _, off = gaze_targets(pc, k)
         return _table(
             pc, "overlap", k,
-            lambda: overlap_matrix(k, ds.users, ds.x[:, k], view, off, pc.cloud(k), ds.frustum),
-            lambda: (pc.cloud_digest(k), ds.x[:, k], view, off, ds.frustum),
+            lambda: overlap_matrix(k, ds.users, ds.x[:, k], view, off, pc.cloud(k), pc.frustum),
+            lambda: (pc.cloud_digest(k), ds.x[:, k], view, off, pc.frustum),
         )
 
     return _pass(pc, frames, matrix)
@@ -248,7 +235,7 @@ def metric_matrices(
     if metric.is_overlap:
         return overlap_matrices(pc, frames=frames)
     features = feature_tables(pc, need_geodesic=metric.needs_geodesic, frames=frames)
-    return [f.metric_matrix(metric, pc.config(metric).regulators) for f in features]
+    return [f.metric_matrix(metric, pc.configs[metric].regulators) for f in features]
 
 
 def cluster_content(
@@ -260,7 +247,7 @@ def cluster_content(
     if mode not in ("frame", "chunk"):
         raise InvalidParamsError(f"mode must be frame|chunk, got '{mode}'")
     check_clique_size(len(pc.dataset.users))
-    config = pc.config(metric)
+    config = pc.configs[metric]
     mats = metric_matrices(pc, metric)
     if mode == "frame":
         return [clique_clustering(build_adjacency(m, config), tie_matrix=m) for m in mats]
@@ -370,7 +357,7 @@ def run_ablation(
     ]
 
     def score(reg) -> dict:
-        th = threshold if threshold is not None else first.config(metric).threshold
+        th = threshold if threshold is not None else first.configs[metric].threshold
         summaries = {}
         for pc in swept:
             pc.configs[metric] = MetricConfig(metric, reg, th)

@@ -14,7 +14,6 @@ recovered clusters.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import MISSING, dataclass, fields, is_dataclass
@@ -23,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidParamsError, ManifestError
 from .geometry import PointCloudFrame, unit, unit_rows
-from .manifest import check_keys, read_float, read_int, read_vec3, require_keys, valid_params
+from .manifest import check_keys, read_float, read_int, read_vec3, require_keys, valid_params, write_json
 from .ply import write_ply
 from .trajectories import SessionDataset, write_trajectories
 
@@ -325,7 +324,6 @@ def generate_trajectories(scenario: SynthScenario, clouds: list | None = None) -
             view.append([group.gaze.aim(xk, cloud.centroid, rng) for xk, cloud in zip(path, clouds)])
     x = np.stack(x)
     return SessionDataset(
-        content_id=scenario.content_id,
         fps=scenario.fps,
         users=tuple(planted_labels(scenario)),
         x=x,
@@ -333,7 +331,6 @@ def generate_trajectories(scenario: SynthScenario, clouds: list | None = None) -
         p=np.full_like(x, np.nan),
         r=np.full(x.shape[:2], np.nan),
         off=np.zeros(x.shape[:2], dtype=bool),
-        clouds=clouds,
     )
 
 
@@ -449,12 +446,8 @@ def write_scenario(scenario: SynthScenario, out_dir) -> dict:
         write_ply(os.path.join(cloud_dir, f"frame_{c.frame_index:06d}.ply"), c.points)
     traj_path = os.path.join(out_dir, "trajectories.csv")
     write_trajectories(traj_path, generate_trajectories(scenario, clouds))
-    with open(os.path.join(out_dir, "labels.json"), "w") as fh:
-        json.dump({"groups": planted_labels(scenario)}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "scenario.json"), "w") as fh:
-        json.dump(scenario_to_json(scenario), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "labels.json"), {"groups": planted_labels(scenario)})
+    write_json(os.path.join(out_dir, "scenario.json"), scenario_to_json(scenario))
     manifest = {
         "content_id": scenario.content_id,
         "cloud_dir": "clouds",
@@ -463,7 +456,5 @@ def write_scenario(scenario: SynthScenario, out_dir) -> dict:
         # narrower than the default 90 degrees so the preset's overlaps span o_th
         "frustum": {"hfov": 0.5, "vfov": 0.5},
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest

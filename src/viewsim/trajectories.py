@@ -12,7 +12,7 @@ supply them (``derive_pr`` casts them for one frame).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -21,7 +21,6 @@ import numpy as np
 from .errors import DataError, EmptyTrajectoryError, InvalidParamsError, ParseError
 from .geometry import (
     DEFAULT_CONE_HALF_ANGLE,
-    FrustumParams,
     quat_to_matrix,
     ray_cast_center,
     unit_rows,
@@ -58,13 +57,12 @@ class Trace(NamedTuple):
 
 @dataclass
 class SessionDataset:
-    """One content's aligned session as users × frames arrays, plus its clouds.
+    """One content's aligned session as users × frames arrays.
 
     ``x``, ``view`` and ``p`` are U×F×3, ``r`` and ``off`` are U×F; row i
     belongs to ``users[i]``, which are kept sorted.
     """
 
-    content_id: str
     fps: float
     users: tuple
     x: np.ndarray
@@ -72,13 +70,11 @@ class SessionDataset:
     p: np.ndarray
     r: np.ndarray
     off: np.ndarray
-    clouds: object = None
-    frustum: FrustumParams = field(default_factory=FrustumParams)
 
     def __post_init__(self):
         users = tuple(self.users)
         if len(set(users)) != len(users):
-            raise DataError(f"duplicate user ids in dataset '{self.content_id}'")
+            raise DataError("duplicate user ids in dataset")
         order = sorted(range(len(users)), key=users.__getitem__)
         self.users = tuple(users[i] for i in order)
         n_frames = np.shape(self.r)[1] if np.ndim(self.r) == 2 else -1
@@ -190,8 +186,7 @@ def align_to_frames(traces: dict, fps: float, n_frames: int | None = None) -> Se
     Nearest-sample-in-time selection, no interpolation; on an exact tie the
     earlier sample wins.  A frame farther than half a frame period from
     every raw sample is marked off-content.  The frame count defaults to
-    the shortest trace's span; frame k's row never depends on it.  Returns
-    a dataset with no content id and no clouds yet.
+    the shortest trace's span; frame k's row never depends on it.
     """
     if fps <= 0.0 or not np.isfinite(fps):
         raise InvalidParamsError(f"fps must be positive, got {fps}")
@@ -217,7 +212,7 @@ def align_to_frames(traces: dict, fps: float, n_frames: int | None = None) -> Se
         cols["r"].append(np.where(off, np.nan, tr.r[j]))
         cols["off"].append(off)
     arrays = {name: np.stack(col) for name, col in cols.items()}
-    return SessionDataset(content_id="", fps=fps, users=tuple(traces), **arrays)
+    return SessionDataset(fps=fps, users=tuple(traces), **arrays)
 
 
 def derive_pr(x, view, off, cloud, cone: float = DEFAULT_CONE_HALF_ANGLE, r_mode: str = "viewport") -> tuple:

@@ -212,7 +212,7 @@ def test_pair_samples_empty():
 def test_calibrate_threshold_meets_target_on_content(narrow_content):
     pc = narrow_content
     features = feature_tables(pc, need_geodesic=False)
-    mats = [f.metric_matrix(MetricId.W1, pc.config(MetricId.W1).regulators) for f in features]
+    mats = [f.metric_matrix(MetricId.W1, pc.configs[MetricId.W1].regulators) for f in features]
     ovs = overlap_matrices(pc)
     roc, point = calibrate_threshold(mats, ovs, target_tpr=0.75)
     assert point.tpr >= 0.75

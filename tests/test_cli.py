@@ -441,7 +441,6 @@ def test_store_misses_when_inputs_change(own_dataset, tmp_path, capsys, monkeypa
         doc = json.loads(manifest.read_text())
         doc["surface_knn"] = 5
         manifest.write_text(json.dumps(doc))
-        saved.clear()
 
     def wider_cone():
         doc = json.loads(manifest.read_text())
@@ -455,15 +454,18 @@ def test_store_misses_when_inputs_change(own_dataset, tmp_path, capsys, monkeypa
 
     backup = {p: p.read_bytes() for p in (manifest, trajectories, own_dataset / "clouds" / "frame_000002.ply")}
     edits = (narrow_frustum, rewrite_ply, move_row, wider_cone, centroid_range, fewer_neighbours)
+    rewritten = {}
     for i, edit in enumerate(edits):
         for path, data in backup.items():
             path.write_bytes(data)
-        before, warm, fresh = _warm_then_edit(capsys, own_dataset, tmp_path / str(i), edit)
+        before, warm, fresh = _warm_then_edit(capsys, own_dataset, tmp_path / str(i), lambda: saved.clear() or edit())
         assert warm == fresh, edit.__name__
         assert warm[1] != before, edit.__name__  # the edit changed the outputs
-    # the graph's k keys only the geodesic tables: the warm store rewrote those and no other file
-    warm_store = tmp_path / str(edits.index(fewer_neighbours)) / "warm"
-    assert sorted(p.name for p in saved if warm_store in p.parents) == [f"geodesic-{k:06d}.npz" for k in range(4)]
+        rewritten[edit.__name__] = sorted(p.name for p in saved if tmp_path / str(i) / "warm" in p.parents)
+    # the frustum keys only the overlap tables and the graph's k only the geodesic ones:
+    # the warm store rewrote those and no other file
+    assert rewritten["narrow_frustum"] == [f"overlap-{k:06d}.npz" for k in range(4)]
+    assert rewritten["fewer_neighbours"] == [f"geodesic-{k:06d}.npz" for k in range(4)]
 
 
 def test_cold_evaluate_computes_and_writes_each_table_once(narrow_manifest, tmp_path, capsys, monkeypatch):
@@ -489,6 +491,36 @@ def test_cold_plain_metric_reads_each_cloud_once(narrow_manifest, tmp_path, caps
     run_in(capsys, narrow_manifest, tmp_path, ["cluster", "--metric", "w1"])
     # ray casting reads each cloud once; the store key of a plain feature table reads none
     assert sorted(reads) == sorted(p.name for p in (narrow_manifest.parent / "clouds").glob("*.ply"))
+
+
+@pytest.fixture
+def deforming_manifest(own_dataset):
+    """The private narrow-frustum copy with every frame's points moved: no two frames share a cloud."""
+    from viewsim.ply import read_ply, write_ply
+
+    for k, path in enumerate(sorted((own_dataset / "clouds").glob("*.ply"))):
+        write_ply(path, read_ply(path) * (1 + 0.01 * k))
+    return own_dataset / "manifest.json"
+
+
+def test_cold_metrics_reads_each_cloud_once(deforming_manifest, tmp_path, capsys, monkeypatch):
+    reads, _ = _count_geometry(monkeypatch)
+    run_in(capsys, deforming_manifest, tmp_path, ["metrics"])
+    # one feature pass serves every proxy: a frame's read feeds its rays, its digest and its graph
+    assert sorted(reads) == [f"frame_{k:06d}.ply" for k in range(4)]
+
+
+@pytest.mark.parametrize("metrics, kinds, n_reads", [
+    (["overlap"], ["overlap", "pr"], 4),
+    (["w1", "overlap"], ["features", "overlap", "pr"], 8),  # the feature pass, then the overlap pass
+    (["w1", "w3"], ["features", "geodesic", "pr"], 4),
+], ids=["overlap", "plain", "geodesic"])
+def test_metrics_computes_only_the_tables_its_metrics_read(deforming_manifest, tmp_path, capsys, monkeypatch,
+                                                           metrics, kinds, n_reads):
+    reads, _ = _count_geometry(monkeypatch)
+    run_in(capsys, deforming_manifest, tmp_path, ["metrics", *(a for m in metrics for a in ("--metric", m))])
+    assert sorted({p.name.split("-")[0] for p in (tmp_path / ".viewsim-store").glob("*/*.npz")}) == kinds
+    assert len(reads) == n_reads
 
 
 def _count_geometry(monkeypatch):
@@ -871,6 +903,13 @@ def test_unknown_flag_exits_2(dataset):
     assert proc.returncode == 2
 
 
+def test_evaluate_clusters_flag_exits_2_before_any_output(dataset, tmp_path):
+    # cluster files come from `cluster --metric M`, one metric per file
+    proc = run_cli("--manifest", dataset / "manifest.json", "--out", tmp_path, "evaluate", "--clusters")
+    assert proc.returncode == 2 and "--clusters" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_manifest_flag_exits_2():
     proc = run_cli("overlap")
     assert proc.returncode == 2
@@ -952,9 +991,16 @@ def test_zero_threads_exits_2(dataset, tmp_path):
     (["--grid", "0.1,,1"], 2),
     (["--fix", "beta=abc"], 2),
     (["--fix", "beta"], 2),
-    (["--fix", "delta=0.5"], 4),  # w7 sweeps no delta
-    (["--grid", "0.1,-1"], 4),  # regulators are non-negative
+    (["--fix", "delta=0.5"], 2),  # w7 sweeps no delta
+    (["--grid", "0.1,-1"], 2),  # regulators are non-negative
     (["--threshold", "nan"], 2),
+    (["--fix", "alpha=1", "--fix", "alpha=2"], 2),  # one value per regulator
+    (["--grid", "nan"], 2),
+    (["--grid=-1,0.5"], 2),
+    (["--fix", "beta=-1"], 2),
+    (["--fix", "beta=inf"], 2),
+    (["--metric", "w1", "--fix", "beta=1"], 2),  # w1 sweeps alpha only
+    (["--grid", ""], 2),  # an empty grid is not the default one
 ])
 def test_bad_sweep_refused_before_any_content_is_loaded(dataset, tmp_path, monkeypatch, capsys, flags, code):
     import viewsim.cli

@@ -66,7 +66,7 @@ def test_adjacency_thresholding_inclusive():
 def test_adjacency_invalid_pairs_never_edge():
     mat = square_matrix([[np.nan, np.nan], [np.nan, np.nan]])
     g = build_adjacency(mat, _config(0.0))
-    assert g.n_edges == 0
+    assert not g.adjacency.any()
 
 
 def test_adjacency_monotone_in_threshold():

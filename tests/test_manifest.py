@@ -77,18 +77,18 @@ def test_metric_override_changes_one_config(dataset):
     path = _minimal(dataset, metrics={"w7": {"alpha": 0.1, "threshold": 0.5}})
     (cm,) = load_manifest(path)
     base = default_configs()
-    w7 = cm.config(MetricId.W7)
+    w7 = cm.metrics[MetricId.W7]
     assert w7.regulators.alpha == 0.1
     assert w7.regulators.beta == base[MetricId.W7].regulators.beta
     assert w7.threshold == 0.5
     for m in MetricId:
         if m is not MetricId.W7:
-            assert cm.config(m) == base[m]
+            assert cm.metrics[m] == base[m]
 
 
 def test_overlap_override_accepts_threshold_only(dataset):
     (cm,) = load_manifest(_minimal(dataset, metrics={"overlap": {"threshold": 0.6}}))
-    assert cm.config(MetricId.OVERLAP).threshold == 0.6
+    assert cm.metrics[MetricId.OVERLAP].threshold == 0.6
     with pytest.raises(ManifestError):
         load_manifest(_minimal(dataset, metrics={"overlap": {"alpha": 1.0}}))
 

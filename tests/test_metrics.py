@@ -139,7 +139,7 @@ def test_self_similarity_identities():
         for metric in PROXY_METRICS:
             reg = RegulatorSet(*TABLE[metric][0])
             v = metric_value(metric, reg, s, s, graph=graph)
-            if metric.uses_tanh:
+            if metric in (MetricId.W7, MetricId.W8):  # the tanh kernels
                 assert_close(v, 2 * reg.beta * math.tanh(s.r), tol=1e-12)
             else:
                 assert_close(v, 1.0, tol=1e-12)

@@ -81,7 +81,7 @@ def test_disk_and_memory_preparation_agree(disk_content):
     # cloud files store float32 coordinates, so agreement is to storage
     # precision: identical validity, near-identical values
     sc = three_orbit_groups(seed=5, users_per_group=2, n_frames=4, points_per_frame=300)
-    mem = prepare_scenario(sc, frustum=disk_content.dataset.frustum)  # the manifest's
+    mem = prepare_scenario(sc, frustum=disk_content.frustum)  # the manifest's
     for route in (overlap_matrices, lambda pc: metric_matrices(pc, MetricId.W7)):
         for ma, mb in zip(route(disk_content), route(mem)):
             assert ma.users == mb.users and ma.frame == mb.frame
@@ -93,16 +93,41 @@ def test_disk_and_memory_preparation_agree(disk_content):
             )
 
 
+def test_session_dataset_is_only_the_aligned_table():
+    from dataclasses import fields
+
+    from viewsim.trajectories import SessionDataset
+
+    assert [f.name for f in fields(SessionDataset)] == ["fps", "users", "x", "view", "p", "r", "off"]
+
+
 def test_prepare_scenario_rejects_unknown_override():
     sc = three_orbit_groups(n_frames=1, points_per_frame=50)
-    with pytest.raises(InvalidParamsError, match="fov"):
+    with pytest.raises(TypeError, match="'fov'"):
         prepare_scenario(sc, fov=1.0)
 
 
 def test_prepare_scenario_overrides_take_effect():
-    sc = three_orbit_groups(n_frames=1, points_per_frame=50)
-    pc = prepare_scenario(sc, o_th=0.5, min_size=4, knn=6)
-    assert pc.o_th == 0.5 and pc.min_size == 4 and pc.knn == 6
+    from viewsim.clustering import ChunkSpec
+    from viewsim.geometry import FrustumParams
+    from viewsim.metrics import default_configs
+
+    sc = three_orbit_groups(n_frames=2, points_per_frame=300)
+    configs = default_configs()
+    settings = {
+        "frustum": FrustumParams(hfov=0.4, vfov=0.3), "o_th": 0.5, "min_size": 4, "knn": 6,
+        "cone_half_angle": 0.2, "r_mode": "centroid", "chunk": ChunkSpec(window=0.5, persistence=0.6),
+        "configs": configs, "reference": False,
+    }
+    pc = prepare_scenario(sc, **settings)
+    assert {name: getattr(pc, name) for name in settings} == settings and pc.configs is configs
+    # the viewing model reaches the tables: each setting alone changes what it feeds
+    default = prepare_scenario(sc)
+    narrow = prepare_scenario(sc, frustum=settings["frustum"])
+    assert not np.array_equal(overlap_matrices(narrow)[0].values, overlap_matrices(default)[0].values)
+    for name in ("cone_half_angle", "r_mode"):
+        one = prepare_scenario(sc, **{name: settings[name]})
+        assert gaze_targets(one, 0)[2].tobytes() != gaze_targets(default, 0)[2].tobytes(), name
 
 
 # ------------------------------------------------------------------ matrices
@@ -132,10 +157,9 @@ def test_geodesic_graphs_cached_per_distinct_cloud(narrow_content, monkeypatch):
     assert g is pc.surface_graph(5)
     # keyed by the points, not the array: consecutive equal copies share a build, moved points
     # get their own, and a cloud that comes back after another is built again (A A A B A A)
-    ds = narrow_content.dataset
-    clouds = [PointCloudFrame(k, c.points.copy()) for k, c in enumerate(ds.clouds)]
+    clouds = [PointCloudFrame(k, c.points.copy()) for k, c in enumerate(narrow_content.clouds)]
     clouds[3] = PointCloudFrame(3, clouds[3].points * 1.01)
-    pc = replace(narrow_content, tables={}, dataset=replace(ds, clouds=clouds))
+    pc = replace(narrow_content, tables={}, clouds=clouds)
     builds.clear()
     feature_tables(pc, need_geodesic=True)
     assert len(builds) == 3
@@ -156,8 +180,8 @@ def test_one_surface_graph_alive_at_a_time(narrow_content, monkeypatch):
     ds = narrow_content.dataset
     # four distinct clouds over six frames, equal ones not adjacent: A B A C B D, one build per frame
     scale = [1.0, 1.01, 1.0, 1.02, 1.01, 1.03]
-    clouds = [PointCloudFrame(k, ds.clouds[k].points * s) for k, s in enumerate(scale)]
-    pc = replace(narrow_content, tables={}, dataset=replace(ds, clouds=clouds))
+    clouds = [PointCloudFrame(k, narrow_content.clouds[k].points * s) for k, s in enumerate(scale)]
+    pc = replace(narrow_content, tables={}, clouds=clouds)
     metric_matrices(pc, MetricId.W7)
     assert len(alive) == 6
     assert [ref for ref in alive if ref() is not None] == [], "the pass kept its last graph"
@@ -235,7 +259,7 @@ def test_cold_overlap_pass_reads_each_cloud_once(disk_content, tmp_path, monkeyp
     monkeypatch.setattr(viewsim.ply, "read_ply", lambda path: reads.append(path) or real(path))
     # one read serves the frame's store key and its matrix
     overlap_matrices(replace(disk_content, tables={}, store_dir=str(tmp_path)))
-    assert sorted(reads) == disk_content.dataset.clouds.paths
+    assert sorted(reads) == disk_content.clouds.paths
 
 
 def test_geodesic_pass_reads_each_distinct_cloud_once(tmp_path, monkeypatch):
@@ -255,7 +279,7 @@ def test_geodesic_pass_reads_each_distinct_cloud_once(tmp_path, monkeypatch):
         builds.clear()
         # one read serves the frame's digest, its store key and its graph
         feature_tables(replace(pc, tables={}, store_dir=store_dir), need_geodesic=True)
-        assert sorted(reads) == pc.dataset.clouds.paths
+        assert sorted(reads) == pc.clouds.paths
         assert len(builds) == 4
 
 
@@ -412,7 +436,7 @@ def test_run_ablation_matches_ablate_oracle(sweep_contents, metric, grid, fixed,
         for pc in swept
     }
     want = ablate_oracle(tables, metric, grid=grid, fixed=fixed,
-                         threshold=first.config(metric).threshold if threshold is None else threshold,
+                         threshold=first.configs[metric].threshold if threshold is None else threshold,
                          o_th=first.o_th, min_size=first.min_size)
     got = run_ablation(sweep_contents, metric, grid=grid, fixed=fixed, threshold=threshold,
                        reference_only=reference_only)
@@ -427,7 +451,7 @@ def test_run_ablation_averages_in_content_id_order(sweep_contents, monkeypatch):
     seen = []
 
     def evaluate(pc, metric, mode):
-        seen.append((pc.content_id, pc.o_th, pc.min_size, pc.config(metric).threshold, mode))
+        seen.append((pc.content_id, pc.o_th, pc.min_size, pc.configs[metric].threshold, mode))
         return [], [], {f: AggregateStats(figures[pc.content_id], 0.0, 1, 0) for f in FIGURES}
 
     monkeypatch.setattr(viewsim.pipeline, "evaluate_content", evaluate)
@@ -455,16 +479,16 @@ def test_stored_tables_match_direct_run(narrow_content):
     assert all(a is b for a, b in zip(features, feature_tables(pc, need_geodesic=False)))
     assert overlap_matrices(pc, frames=[4])[0] is overlaps[4]
     np.testing.assert_array_equal(
-        features[0].metric_matrix(MetricId.W1, pc.config(MetricId.W1).regulators).values,
+        features[0].metric_matrix(MetricId.W1, pc.configs[MetricId.W1].regulators).values,
         metric_matrices(replace(pc, tables={}), MetricId.W1, frames=[0])[0].values,
     )
 
 
 def test_with_thresholds_clones_configs(narrow_content):
     clone = narrow_content.with_thresholds({MetricId.W1: 0.5})
-    assert clone.config(MetricId.W1).threshold == 0.5
-    assert narrow_content.config(MetricId.W1).threshold != 0.5
-    assert clone.config(MetricId.W2) == narrow_content.config(MetricId.W2)
+    assert clone.configs[MetricId.W1].threshold == 0.5
+    assert narrow_content.configs[MetricId.W1].threshold != 0.5
+    assert clone.configs[MetricId.W2] == narrow_content.configs[MetricId.W2]
     # the table store (graphs included) is shared, not rebuilt
     assert clone.tables is narrow_content.tables
 
@@ -489,7 +513,7 @@ def test_each_table_computed_once_across_metrics(narrow_content, monkeypatch):
     for metric in MetricId:
         evaluate_content(pc, metric, mode="chunk")
     n_frames = pc.dataset.n_frames
-    clouds = {id(pc.dataset.clouds[k].points) for k in range(n_frames)}
+    clouds = {id(pc.clouds[k].points) for k in range(n_frames)}
     assert sorted(args[0] for args in overlaps) == list(range(n_frames))
     assert len(graphs) == len(clouds)
     assert sorted(args[0] for args in features) == list(range(n_frames))

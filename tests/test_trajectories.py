@@ -208,11 +208,10 @@ def test_align_matches_per_frame_oracle():
     assert cases == 180
 
 
-def _orbit_session(n, radius=2.0, clouds=None):
+def _orbit_session(n, radius=2.0):
     a = 2 * math.pi * np.arange(n) / n
     x = np.stack([radius * np.cos(a), np.zeros(n), radius * np.sin(a)], axis=1)
     return SessionDataset(
-        content_id="orbit",
         fps=30.0,
         users=("u",),
         x=x[None],
@@ -220,7 +219,6 @@ def _orbit_session(n, radius=2.0, clouds=None):
         p=np.full((1, n, 3), np.nan),
         r=np.full((1, n), np.nan),
         off=np.zeros((1, n), dtype=bool),
-        clouds=clouds,
     )
 
 

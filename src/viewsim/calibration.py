@@ -122,9 +122,8 @@ def pair_samples(matrices: list, overlaps: list, o_th: float = DEFAULT_OVERLAP_L
     for m, o in zip(matrices, overlaps):
         if m.users != o.users:
             raise InvalidParamsError("metric and overlap matrices must share users")
-        both = m.valid & o.valid
         iu = pair_indices(m.n)
-        keep = both[iu]
+        keep = m.valid[iu] & o.valid[iu]
         values.append(m.values[iu][keep])
         labels.append(o.values[iu][keep] >= o_th)
     if values:

@@ -30,7 +30,7 @@ from .pipeline import (
     calibrate_contents,
     cluster_content,
     evaluate_content,
-    feature_tables,
+    lookup_tables,
     metric_matrices,
     overlap_matrices,
     prepare,
@@ -101,8 +101,7 @@ def cmd_metrics(args) -> int:
     metrics = [_parse_metric(m) for m in args.metric] if args.metric else list(PROXY_METRICS)
     pcs = _contents(args)
     for pc, frames in zip(pcs, [_parse_frames(args.frames, pc.dataset.n_frames) for pc in pcs]):
-        if not all(m.is_overlap for m in metrics):  # one pass reads each cloud for every proxy's tables
-            feature_tables(pc, need_geodesic=any(m.needs_geodesic for m in metrics), frames=frames)
+        lookup_tables(pc, metrics, frames=frames)  # one pass reads each cloud for every metric's tables
         mats = [m for metric in metrics for m in metric_matrices(pc, metric, frames=frames)]
         path = _out_path(args, f"metrics_{safe_name(pc.content_id)}.csv")
         write_matrices_csv(path, mats)
@@ -257,6 +256,7 @@ def cmd_evaluate(args) -> int:
     for pc in _contents(args, clique_searched=True):
         if thresholds:
             pc = pc.with_thresholds(thresholds)
+        lookup_tables(pc, [*requested, MetricId.OVERLAP])
         for metric in requested:
             _, perfs, summary = evaluate_content(pc, metric, mode=args.mode)
             per_metric_contents[metric][pc.content_id] = summary

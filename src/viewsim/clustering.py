@@ -113,19 +113,17 @@ class ChunkSpec:
 
 
 def build_adjacency(matrix: SimilarityMatrix, config: MetricConfig) -> SimilarityGraph:
-    """Edge iff the pair is valid and its similarity >= threshold."""
+    """Edge iff the pair's similarity >= threshold: a NaN (invalid) pair compares False."""
     if config.metric is not matrix.metric:
         raise InvalidParamsError(
             f"config is for {config.metric.value}, matrix holds {matrix.metric.value}"
         )
-    with np.errstate(invalid="ignore"):
-        adj = matrix.valid & (matrix.values >= config.threshold)
-    adj &= ~np.eye(matrix.n, dtype=bool)
+    adj = (matrix.values >= config.threshold) & ~np.eye(matrix.n, dtype=bool)
     return SimilarityGraph(ident=matrix.frame, users=matrix.users, adjacency=adj)
 
 
 def mean_matrix(matrices: list) -> SimilarityMatrix:
-    """Per-pair mean over the frames where the pair is valid; invalid where none is."""
+    """Per-pair mean over the frames where the pair is valid (not NaN); NaN where none is."""
     if not matrices:
         raise PreconditionError("mean over an empty frame window")
     users = matrices[0].users
@@ -134,21 +132,14 @@ def mean_matrix(matrices: list) -> SimilarityMatrix:
         if m.users != users or m.metric is not metric:
             raise InvalidParamsError("all matrices in a window must share users and metric")
     vals = np.stack([m.values for m in matrices])
-    valid = np.stack([m.valid for m in matrices])
-    count = valid.sum(axis=0)
-    sums = np.where(valid, np.nan_to_num(vals, nan=0.0), 0.0).sum(axis=0)
-    n = len(users)
-    out = np.full((n, n), np.nan)
-    ok = count > 0
-    out[ok] = sums[ok] / count[ok]
-    return SimilarityMatrix(
-        frame=matrices[0].frame, users=users, metric=metric, values=out, valid=ok
-    )
+    count = np.count_nonzero(~np.isnan(vals), axis=0)
+    mean = np.divide(np.nansum(vals, axis=0), count, out=np.full(count.shape, np.nan), where=count > 0)
+    return SimilarityMatrix(frame=matrices[0].frame, users=users, metric=metric, values=mean)
 
 
 def persistence_scores(matrices: list, threshold: float) -> SimilarityMatrix:
-    """Fraction of a pair's valid frames whose value is >= threshold: the mean of 0/1 indicators."""
-    return mean_matrix([replace(m, values=(m.values >= threshold).astype(np.float64)) for m in matrices])
+    """Fraction of a pair's valid frames whose value is >= threshold: the mean of 0/1 indicators, NaN kept."""
+    return mean_matrix([replace(m, values=np.where(np.isnan(m.values), np.nan, m.values >= threshold)) for m in matrices])
 
 
 def chunk_adjacency(

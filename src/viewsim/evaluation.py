@@ -60,8 +60,8 @@ def overlap_per_cluster(cluster: Cluster, overlap: SimilarityMatrix) -> float:
     except KeyError as e:
         raise PreconditionError(f"cluster member {e} missing from overlap matrix")
     a, b = pair_indices(len(idx))  # row-major a < b, as a pair loop
-    i, j = idx[a], idx[b]
-    vals = overlap.values[i, j][overlap.valid[i, j]]
+    vals = overlap.values[idx[a], idx[b]]
+    vals = vals[~np.isnan(vals)]
     return float(np.mean(vals)) if vals.size else math.nan
 
 

@@ -20,6 +20,7 @@ from .clustering import ChunkSpec
 from .errors import InvalidParamsError, ManifestError
 from .geometry import DEFAULT_CONE_HALF_ANGLE, DEFAULT_SURFACE_KNN, FrustumParams
 from .metrics import MetricConfig, MetricId, RegulatorSet, default_configs
+from .store import safe_name
 
 _CONTENT_KEYS = {
     "content_id",
@@ -216,8 +217,10 @@ def load_manifest(path) -> list:
         parsed = [_parse_content(doc, base_dir, "manifest")]
     else:
         raise ManifestError("manifest must be a JSON object")
-    ids = [c.content_id for c in parsed]
-    _require(len(set(ids)) == len(ids), "duplicate content_id in manifest")
+    names = [safe_name(c.content_id) for c in parsed]  # a content's outputs and stored tables are named by it
+    for c, name in zip(parsed, names):
+        first = parsed[names.index(name)]
+        _require(first is c, f"duplicate content_id in manifest: {first.content_id!r} and {c.content_id!r} name the same files")
     return parsed
 
 

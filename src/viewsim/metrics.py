@@ -12,8 +12,9 @@ proxy metrics (w1..w8) combine up to three pose-level features instead:
 
 Features enter through the exponential kernel ``exp(-a*d)`` with
 non-negative regulators, so every proxy except w7/w8 lives in [0, 1];
-w7/w8 live in [0, 2*beta].  Pairs missing a required feature (a user
-off-content, no surface graph) are invalid, not zero.
+w7/w8 live in [0, 2*beta].  A pair missing a required feature (a user
+off-content or without a gaze target) is invalid: its value is NaN, not
+zero.  A geodesic metric without a surface graph raises MissingGraphError.
 """
 
 from __future__ import annotations
@@ -123,32 +124,31 @@ def exp_kernel(alpha: float, d: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SimilarityMatrix:
-    """Symmetric per-frame (or per-chunk) pair values with a validity mask.
-
-    Diagonal and invalid entries hold NaN; ``valid`` is False there.
-    """
+    """Symmetric per-frame (or per-chunk) pair values; NaN marks the diagonal and every invalid pair."""
 
     frame: int
     users: tuple
     metric: MetricId
     values: np.ndarray
-    valid: np.ndarray
 
     def __post_init__(self):
-        n = len(self.users)
-        if self.values.shape != (n, n) or self.valid.shape != (n, n):
-            raise ValueError("matrix shapes must be (n_users, n_users)")
+        if self.values.shape != (self.n, self.n):
+            raise ValueError("matrix shape must be (n_users, n_users)")
 
     @property
     def n(self) -> int:
         return len(self.users)
 
+    @property
+    def valid(self) -> np.ndarray:
+        """Where a pair has a value: ``~np.isnan(values)``, computed on each access."""
+        return ~np.isnan(self.values)
+
     def pairs(self):
         """Upper-triangle iterator: (i, j, value, valid)."""
-        n = self.n
-        for i in range(n):
-            for j in range(i + 1, n):
-                yield i, j, float(self.values[i, j]), bool(self.valid[i, j])
+        for i, row in enumerate(self.values.tolist()):
+            for j in range(i + 1, len(row)):
+                yield i, j, row[j], not math.isnan(row[j])
 
 
 @dataclass
@@ -156,8 +156,10 @@ class PairFeatures:
     """Per-frame pair feature matrices shared by all proxy metrics.
 
     Regulators factor out of the features, so a parameter sweep computes
-    this once per frame and reapplies kernels per grid point.  ``gaze_geo``
-    is None when no surface graph was supplied.
+    this once per frame and reapplies kernels per grid point.  A feature is
+    NaN for every pair it does not exist for: ``pos_dist`` where either user
+    is off content, the others also where either user has no gaze target.
+    ``gaze_geo`` is None when no surface graph was supplied.
     """
 
     frame: int
@@ -166,56 +168,46 @@ class PairFeatures:
     range_diff: np.ndarray
     gaze_euc: np.ndarray
     eta_sum: np.ndarray
-    pos_valid: np.ndarray
-    pr_valid: np.ndarray
     gaze_geo: np.ndarray | None = None
 
-    @property
-    def n(self) -> int:
-        return len(self.users)
-
     def metric_matrix(self, metric: MetricId, reg: RegulatorSet) -> SimilarityMatrix:
-        """Apply one metric's kernels to the precomputed features."""
+        """Apply one metric's kernels to the precomputed features; NaN features give NaN values."""
         if metric.is_overlap:
             raise InvalidParamsError("overlap is not derived from pair features")
-        n = self.n
         if metric.needs_geodesic and self.gaze_geo is None:
             raise MissingGraphError(f"{metric.value} needs a surface graph")
+        gaze = self.gaze_geo if metric.needs_geodesic else self.gaze_euc
         if metric is MetricId.W1:
             values = exp_kernel(reg.alpha, self.pos_dist)
-            valid = self.pos_valid & ~np.eye(n, dtype=bool)
+        elif metric is MetricId.W2:
+            values = exp_kernel(reg.alpha, self.range_diff)
+        elif metric in (MetricId.W3, MetricId.W4):
+            values = exp_kernel(reg.alpha, gaze)
+        elif metric in (MetricId.W5, MetricId.W6):
+            values = (
+                exp_kernel(reg.alpha, self.pos_dist)
+                * exp_kernel(reg.beta, self.range_diff)
+                * exp_kernel(reg.gamma, gaze)
+            )
+        elif metric in (MetricId.W7, MetricId.W8):
+            values = (
+                exp_kernel(reg.alpha, self.pos_dist)
+                * (reg.beta * self.eta_sum)
+                * exp_kernel(reg.gamma, gaze)
+            )
         else:
-            gaze = self.gaze_geo if metric.needs_geodesic else self.gaze_euc
-            if metric is MetricId.W2:
-                values = exp_kernel(reg.alpha, self.range_diff)
-            elif metric in (MetricId.W3, MetricId.W4):
-                values = exp_kernel(reg.alpha, gaze)
-            elif metric in (MetricId.W5, MetricId.W6):
-                values = (
-                    exp_kernel(reg.alpha, self.pos_dist)
-                    * exp_kernel(reg.beta, self.range_diff)
-                    * exp_kernel(reg.gamma, gaze)
-                )
-            elif metric in (MetricId.W7, MetricId.W8):
-                values = (
-                    exp_kernel(reg.alpha, self.pos_dist)
-                    * (reg.beta * self.eta_sum)
-                    * exp_kernel(reg.gamma, gaze)
-                )
-            else:
-                raise InvalidParamsError(f"unknown metric {metric}")
-            valid = self.pr_valid & ~np.eye(n, dtype=bool)
-        values = values.copy()
-        values[~valid] = np.nan
-        return SimilarityMatrix(frame=self.frame, users=self.users, metric=metric, values=values, valid=valid)
+            raise InvalidParamsError(f"unknown metric {metric}")
+        np.fill_diagonal(values, np.nan)
+        return SimilarityMatrix(frame=self.frame, users=self.users, metric=metric, values=values)
 
 
 def compute_pair_features(frame_index: int, users: tuple, x, p, r, off, graph: SurfaceGraph | None = None) -> PairFeatures:
     """Build the feature matrices for one aligned frame.
 
     ``x`` and ``p`` are n×3, ``r`` and ``off`` length n, one row per user;
-    p and r are NaN for a user without a gaze target.  With a ``graph``,
-    ``gaze_geo`` is ``geodesic_gaze(p, r, graph)``.
+    p and r are NaN for a user without a gaze target.  An off-content
+    user's x, p and r are taken as NaN.  With a ``graph``, ``gaze_geo`` is
+    ``geodesic_gaze(p, r, graph)``.
     """
     n = len(users)
     # contiguous, like stacked rows: numpy may pick another (SIMD) loop, with other rounding, for strided input
@@ -223,16 +215,15 @@ def compute_pair_features(frame_index: int, users: tuple, x, p, r, off, graph: S
     present = ~np.asarray(off, dtype=bool)
     if xs.shape != (n, 3) or ps.shape != (n, 3) or rs.shape != (n,) or present.shape != (n,):
         raise ValueError("one row per user required")
+    xs, ps = (np.where(present[:, None], a, np.nan) for a in (xs, ps))
+    rs = np.where(present, rs, np.nan)
     diff = xs[:, None, :] - xs[None, :, :]
     pos_dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    on = ~np.isnan(rs)
     range_diff = np.abs(rs[:, None] - rs[None, :])
     pdiff = ps[:, None, :] - ps[None, :, :]
     gaze_euc = np.sqrt(np.einsum("ijk,ijk->ij", pdiff, pdiff))
     eta = np.tanh(rs)
     eta_sum = eta[:, None] + eta[None, :]
-    pos_valid = present[:, None] & present[None, :]
-    pr_valid = pos_valid & on[:, None] & on[None, :]
     return PairFeatures(
         frame=frame_index,
         users=users,
@@ -240,8 +231,6 @@ def compute_pair_features(frame_index: int, users: tuple, x, p, r, off, graph: S
         range_diff=range_diff,
         gaze_euc=gaze_euc,
         eta_sum=eta_sum,
-        pos_valid=pos_valid,
-        pr_valid=pr_valid,
         gaze_geo=None if graph is None else geodesic_gaze(ps, rs, graph),
     )
 
@@ -290,9 +279,7 @@ def overlap_matrix(frame_index: int, users: tuple, x, view, off, cloud, params: 
     valid = (union > 0) & present[:, None] & present[None, :] & ~np.eye(n, dtype=bool)
     values = np.full((n, n), np.nan)
     values[valid] = inter[valid] / union[valid]
-    return SimilarityMatrix(
-        frame=frame_index, users=users, metric=MetricId.OVERLAP, values=values, valid=valid
-    )
+    return SimilarityMatrix(frame=frame_index, users=users, metric=MetricId.OVERLAP, values=values)
 
 
 def _fmt(v: float) -> str:

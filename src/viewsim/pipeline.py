@@ -185,19 +185,37 @@ def gaze_targets(pc: PreparedContent, k: int) -> tuple:
     )
 
 
+def _overlap(pc: PreparedContent, k: int):
+    ds = pc.dataset
+    view, _, _, off = gaze_targets(pc, k)
+    return _table(
+        pc, "overlap", k,
+        lambda: overlap_matrix(k, ds.users, ds.x[:, k], view, off, pc.cloud(k), pc.frustum),
+        lambda: (pc.cloud_digest(k), ds.x[:, k], view, off, pc.frustum),
+    )
+
+
+def _features(pc: PreparedContent, k: int, need_geodesic: bool):
+    ds = pc.dataset
+    _, p, r, off = gaze_targets(pc, k)
+    plain = _table(
+        pc, "features", k,
+        lambda: compute_pair_features(k, ds.users, ds.x[:, k], p, r, off),
+        lambda: (ds.x[:, k], p, r, off),
+    )
+    if not need_geodesic:
+        return plain
+    geo = _table(
+        pc, "geodesic", k,
+        lambda: geodesic_gaze(p, r, pc.surface_graph(k)),
+        lambda: (pc.cloud_digest(k), p, r, pc.knn),
+    )
+    return replace(plain, gaze_geo=geo)
+
+
 def overlap_matrices(pc: PreparedContent, frames=None) -> list:
     """Exact ground-truth matrices, one per requested frame."""
-    ds = pc.dataset
-
-    def matrix(k):
-        view, _, _, off = gaze_targets(pc, k)
-        return _table(
-            pc, "overlap", k,
-            lambda: overlap_matrix(k, ds.users, ds.x[:, k], view, off, pc.cloud(k), pc.frustum),
-            lambda: (pc.cloud_digest(k), ds.x[:, k], view, off, pc.frustum),
-        )
-
-    return _pass(pc, frames, matrix)
+    return _pass(pc, frames, lambda k: _overlap(pc, k))
 
 
 def feature_tables(pc: PreparedContent, need_geodesic: bool = True, frames=None) -> list:
@@ -205,25 +223,21 @@ def feature_tables(pc: PreparedContent, need_geodesic: bool = True, frames=None)
 
     Both tables of a frame are looked up before the next frame's, so they share one cloud read.
     """
-    ds = pc.dataset
+    return _pass(pc, frames, lambda k: _features(pc, k, need_geodesic))
 
-    def features(k):
-        _, p, r, off = gaze_targets(pc, k)
-        plain = _table(
-            pc, "features", k,
-            lambda: compute_pair_features(k, ds.users, ds.x[:, k], p, r, off),
-            lambda: (ds.x[:, k], p, r, off),
-        )
-        if not need_geodesic:
-            return plain
-        geo = _table(
-            pc, "geodesic", k,
-            lambda: geodesic_gaze(p, r, pc.surface_graph(k)),
-            lambda: (pc.cloud_digest(k), p, r, pc.knn),
-        )
-        return replace(plain, gaze_geo=geo)
 
-    return _pass(pc, frames, features)
+def lookup_tables(pc: PreparedContent, metrics, frames=None) -> None:
+    """Look up every table ``metrics`` read, all of a frame's before the next frame's, so they share one cloud read."""
+    proxies = [m for m in metrics if not m.is_overlap]
+    geodesic = any(m.needs_geodesic for m in proxies)
+
+    def tables(k):
+        if len(proxies) < len(metrics):
+            _overlap(pc, k)
+        if proxies:
+            _features(pc, k, geodesic)
+
+    _pass(pc, frames, tables)
 
 
 def metric_matrices(
@@ -272,6 +286,7 @@ def evaluate_content(
     are persistence scores thresholded exactly like chunk adjacency, so an
     OVERLAP-driven clustering scores precision 1.0 identically.
     """
+    lookup_tables(pc, [metric, MetricId.OVERLAP])
     results = cluster_content(pc, metric, mode=mode)
     ovs = overlap_matrices(pc)
     perfs = []
@@ -304,7 +319,8 @@ def calibrate_contents(
     """ROC-select a threshold per metric over all given contents' pairs.
 
     ``target_tpr`` and label balance are checked, the latter on the exact
-    overlaps, before any surface graph or feature table is built.  Returns
+    overlaps, before any surface graph or feature table is built, so a
+    geodesic metric's pass reads the clouds again.  Returns
     {metric: {"threshold", "tpr", "fpr", "fpr_ok", "roc"}}; the FPR ceiling
     (0.4) is advisory and only reported.
     """

@@ -30,15 +30,8 @@ _KEY = "key"
 
 _F8, _BOOL = np.dtype(np.float64), np.dtype(bool)
 _FIELDS = {
-    "overlap": {"values": _F8, "valid": _BOOL},
-    "features": {
-        "pos_dist": _F8,
-        "range_diff": _F8,
-        "gaze_euc": _F8,
-        "eta_sum": _F8,
-        "pos_valid": _BOOL,
-        "pr_valid": _BOOL,
-    },
+    "overlap": {"values": _F8},
+    "features": {"pos_dist": _F8, "range_diff": _F8, "gaze_euc": _F8, "eta_sum": _F8},
     "geodesic": {"gaze_geo": _F8},
     "pr": {"view": _F8, "p": _F8, "r": _F8, "off": _BOOL},
 }

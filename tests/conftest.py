@@ -87,11 +87,9 @@ def square_matrix(values, users=None, metric=MetricId.W1, frame=0):
     n = vals.shape[0]
     if users is None:
         users = tuple(f"u{k:02d}" for k in range(n))
-    valid = ~np.isnan(vals)
-    np.fill_diagonal(valid, False)
     out = vals.copy()
-    out[~valid] = np.nan
-    return SimilarityMatrix(frame=frame, users=tuple(users), metric=metric, values=out, valid=valid)
+    np.fill_diagonal(out, np.nan)
+    return SimilarityMatrix(frame=frame, users=tuple(users), metric=metric, values=out)
 
 
 @pytest.fixture(scope="session")

@@ -220,7 +220,6 @@ def clique_clustering_oracle(graph, tie_matrix=None):
                 users=sub_users,
                 metric=tie_matrix.metric,
                 values=tie_matrix.values[np.ix_(remaining, remaining)],
-                valid=tie_matrix.valid[np.ix_(remaining, remaining)],
             )
         clique = max_clique(sub_graph, sub_tie)
         clusters.append(clique)
@@ -345,6 +344,34 @@ def metric_value(metric, reg, si, sj, graph=None):
     raise ValueError(f"no scalar form for {metric}")
 
 
+def feature_validity_oracle(r, off):
+    """``(pos_valid, pr_valid)``: the pair masks pair features were once stored with.
+
+    A pair has a position feature when both users are on content, and a
+    gaze feature when, in addition, both have a viewing distance r.
+    """
+    present = ~np.asarray(off, dtype=bool)
+    on = ~np.isnan(np.asarray(r, dtype=np.float64))
+    pos_valid = present[:, None] & present[None, :]
+    return pos_valid, pos_valid & on[:, None] & on[None, :]
+
+
+def metric_validity_oracle(metric, r, off):
+    """Where a proxy metric's matrix holds a value: w1 reads positions only, every other proxy p/r too."""
+    pos_valid, pr_valid = feature_validity_oracle(r, off)
+    valid = pos_valid if metric is MetricId.W1 else pr_valid
+    return valid & ~np.eye(len(valid), dtype=bool)
+
+
+def overlap_validity_oracle(viewports, off):
+    """Where an overlap matrix holds a value: two distinct on-content users whose viewport sets are not both empty."""
+    n = len(viewports)
+    return np.array([
+        [i != j and not off[i] and not off[j] and bool(viewports[i] | viewports[j]) for j in range(n)]
+        for i in range(n)
+    ])
+
+
 def persistence_scores_oracle(matrices: list, threshold: float) -> SimilarityMatrix:
     """Fraction of a pair's valid frames whose value is >= threshold, counted as hits over valid frames.
 
@@ -366,9 +393,7 @@ def persistence_scores_oracle(matrices: list, threshold: float) -> SimilarityMat
     out = np.full((n, n), np.nan)
     ok = count > 0
     out[ok] = hits[ok] / count[ok]
-    return SimilarityMatrix(
-        frame=matrices[0].frame, users=users, metric=metric, values=out, valid=ok
-    )
+    return SimilarityMatrix(frame=matrices[0].frame, users=users, metric=metric, values=out)
 
 
 def chunk_adjacency_oracle(matrices: list, config, spec, chunk_id: int) -> SimilarityGraph:

@@ -512,7 +512,7 @@ def test_cold_metrics_reads_each_cloud_once(deforming_manifest, tmp_path, capsys
 
 @pytest.mark.parametrize("metrics, kinds, n_reads", [
     (["overlap"], ["overlap", "pr"], 4),
-    (["w1", "overlap"], ["features", "overlap", "pr"], 8),  # the feature pass, then the overlap pass
+    (["w1", "overlap"], ["features", "overlap", "pr"], 4),  # one pass looks up a frame's overlap and features
     (["w1", "w3"], ["features", "geodesic", "pr"], 4),
 ], ids=["overlap", "plain", "geodesic"])
 def test_metrics_computes_only_the_tables_its_metrics_read(deforming_manifest, tmp_path, capsys, monkeypatch,
@@ -521,6 +521,19 @@ def test_metrics_computes_only_the_tables_its_metrics_read(deforming_manifest, t
     run_in(capsys, deforming_manifest, tmp_path, ["metrics", *(a for m in metrics for a in ("--metric", m))])
     assert sorted({p.name.split("-")[0] for p in (tmp_path / ".viewsim-store").glob("*/*.npz")}) == kinds
     assert len(reads) == n_reads
+
+
+@pytest.mark.parametrize("argv, n_reads", [
+    (["evaluate", "--mode", "chunk"], 4),
+    (["ablate", "--metric", "w7", "--fix", "beta=0.5", "--grid", "0.25,1"], 4),
+    # label balance is checked on the overlaps before any feature table: the geodesic pass reads the clouds again
+    (["calibrate"], 8),
+], ids=["evaluate", "ablate", "calibrate"])
+def test_cold_commands_read_each_cloud_once_per_pass_over_all_their_tables(deforming_manifest, tmp_path, capsys,
+                                                                          monkeypatch, argv, n_reads):
+    reads, _ = _count_geometry(monkeypatch)
+    run_in(capsys, deforming_manifest, tmp_path, argv)
+    assert len(reads) == n_reads and set(reads) == {f"frame_{k:06d}.ply" for k in range(4)}
 
 
 def _count_geometry(monkeypatch):

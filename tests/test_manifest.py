@@ -229,9 +229,11 @@ def test_contents_list_parses_in_order(dataset):
 
 def test_duplicate_content_ids_rejected(dataset):
     base = {"cloud_dir": "clouds", "trajectory_csv": "trajectories.csv"}
-    doc = {"contents": [dict(base, content_id="a"), dict(base, content_id="a")]}
-    with pytest.raises(ManifestError, match="duplicate"):
-        load_manifest(_write(dataset, doc))
+    # "x y" and "x-y" would both write overlap_x-y.csv and share one store directory
+    for ids in (("a", "a"), ("x y", "x-y")):
+        doc = {"contents": [dict(base, content_id=cid) for cid in ids]}
+        with pytest.raises(ManifestError, match="duplicate"):
+            load_manifest(_write(dataset, doc))
 
 
 def test_contents_must_be_nonempty_and_sole_key(dataset):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -17,11 +18,11 @@ from viewsim import (
     overlap_matrix,
 )
 from viewsim.errors import MissingGraphError
-from viewsim.metrics import PROXY_METRICS, exp_kernel, write_matrices_csv
+from viewsim.metrics import PROXY_METRICS, PairFeatures, SimilarityMatrix, exp_kernel, write_matrices_csv
 from viewsim.synth import _fibonacci_sphere
 
-from conftest import assert_close, feature_columns, make_sample, overlap_columns
-from oracles import metric_value
+from conftest import Sample, assert_close, feature_columns, make_sample, overlap_columns
+from oracles import metric_validity_oracle, metric_value, overlap_validity_oracle
 
 TABLE = {
     MetricId.W1: ((1.0, 0.0, 0.0), 0.64),
@@ -258,6 +259,61 @@ def test_off_content_user_invalid_everywhere():
     feats = compute_pair_features(0, users, *feature_columns(samples), graph=graph)
     w1 = feats.metric_matrix(MetricId.W1, RegulatorSet(1.0, 0.0, 0.0))
     assert not w1.valid[0, 1] and not w1.valid[1, 2]
+
+
+def test_no_validity_mask_is_stored():
+    # NaN in the values is the only record of an invalid pair
+    assert [f.name for f in dataclasses.fields(SimilarityMatrix)] == ["frame", "users", "metric", "values"]
+    assert [f.name for f in dataclasses.fields(PairFeatures)] == [
+        "frame", "users", "pos_dist", "range_diff", "gaze_euc", "eta_sum", "gaze_geo"
+    ]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_nan_marks_exactly_the_pairs_the_mask_formulas_invalidate(seed, default_params):
+    """Validity and values of every proxy and of the overlap against the former mask formulas and the scalar oracle.
+
+    The users mix on-content users with and without a gaze target, off-content
+    users that still carry a finite p and r (a direct caller may pass them;
+    they must not count), and gaze targets on two far-apart blobs, whose
+    geodesic distance is infinite.
+    """
+    rng = np.random.default_rng(seed)
+    blob = rng.uniform(-0.5, 0.5, (60, 3))
+    cloud = PointCloudFrame(0.0, np.vstack([blob, blob + 50.0]))
+    graph = build_surface_graph(cloud, k=4)
+    n = 9
+    users = tuple(f"u{k:02d}" for k in range(n))
+    kind = rng.permutation(["off-with-target", "off", "no-target"] + ["on"] * (n - 3))
+    x = rng.uniform(-1.0, 1.0, (n, 3)) + np.where(rng.random((n, 1)) < 0.5, 0.0, 50.0) + [0.0, 0.0, 2.0]
+    p = cloud.points[rng.integers(0, len(cloud.points), n)]
+    r = rng.uniform(0.5, 3.0, n)
+    no_target = np.isin(kind, ["off", "no-target"])
+    p[no_target], r[no_target] = np.nan, np.nan
+    off = np.isin(kind, ["off-with-target", "off"])
+    feats = compute_pair_features(0, users, x, p, r, off, graph=graph)
+    samples = [Sample(x[i], np.array([0.0, 0.0, -1.0]), None if np.isnan(r[i]) else p[i],
+                      None if np.isnan(r[i]) else r[i], bool(off[i])) for i in range(n)]
+    for metric in PROXY_METRICS:
+        reg = RegulatorSet(*TABLE[metric][0])
+        mat = feats.metric_matrix(metric, reg)
+        want = metric_validity_oracle(metric, r, off)
+        np.testing.assert_array_equal(mat.valid, want, err_msg=metric.value)
+        assert want.any() and not want.all()
+        for i, j in zip(*np.nonzero(want)):
+            assert_close(mat.values[i, j], metric_value(metric, reg, samples[i], samples[j], graph=graph), rel=True)
+    # the overlap: users near the blobs look at them or away from them
+    view = np.where(rng.random((n, 1)) < 0.7, [0.0, 0.0, -1.0], [0.0, 0.0, 1.0])
+    ov = overlap_matrix(0, users, x, view, off, cloud, default_params)
+    from viewsim import contains_points, frustum_planes
+
+    viewports = [set(np.flatnonzero(contains_points(frustum_planes(x[i], view[i], default_params), cloud.points)).tolist())
+                 for i in range(n)]
+    want = overlap_validity_oracle(viewports, off)
+    np.testing.assert_array_equal(ov.valid, want)
+    for i, j in zip(*np.nonzero(want)):
+        frac = Fraction(len(viewports[i] & viewports[j]), len(viewports[i] | viewports[j]))
+        assert ov.values[i, j] == frac.numerator / frac.denominator
 
 
 def test_disconnected_gaze_kernel_zero():

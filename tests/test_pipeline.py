@@ -22,6 +22,7 @@ from viewsim.pipeline import (
     evaluate_content,
     feature_tables,
     gaze_targets,
+    lookup_tables,
     metric_matrices,
     overlap_matrices,
     prepare,
@@ -251,6 +252,22 @@ def test_disk_store_round_trips_and_upgrades_to_geodesics(narrow_content, tmp_pa
     for a, b in zip(served, feature_tables(memory, need_geodesic=True)):
         _same_bytes(a, b)
     assert not list(tmp_path.glob("**/*.tmp"))
+
+
+def test_stored_tables_hold_only_their_arrays(narrow_content, tmp_path):
+    pc = replace(narrow_content, tables={}, store_dir=str(tmp_path))
+    lookup_tables(pc, [MetricId.OVERLAP, MetricId.W3], frames=[0])
+    members = {}
+    for path in tmp_path.glob("**/*.npz"):
+        with np.load(path) as npz:
+            members[path.name] = set(npz.files)
+    # NaN in the values marks an invalid pair: no mask is stored beside them
+    assert members == {
+        "pr-000000.npz": {"key", "view", "p", "r", "off"},
+        "overlap-000000.npz": {"key", "values"},
+        "features-000000.npz": {"key", "pos_dist", "range_diff", "gaze_euc", "eta_sum"},
+        "geodesic-000000.npz": {"key", "gaze_geo"},
+    }
 
 
 def test_cold_overlap_pass_reads_each_cloud_once(disk_content, tmp_path, monkeypatch):

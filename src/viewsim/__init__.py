@@ -68,7 +68,6 @@ from .pipeline import (
     evaluate_content,
     gaze_targets,
     metric_matrices,
-    overlap_matrices,
     prepare,
     prepare_scenario,
     run_ablation,

@@ -30,9 +30,7 @@ from .pipeline import (
     calibrate_contents,
     cluster_content,
     evaluate_content,
-    lookup_tables,
     metric_matrices,
-    overlap_matrices,
     prepare,
     run_ablation,
     summarize_across_contents,
@@ -44,6 +42,13 @@ from .synth import scenario_from_json, three_orbit_groups, write_scenario
 def _out_path(args, name: str) -> str:
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
+
+
+def _write_csv(path: str, header: list, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _contents(args, clique_searched: bool = False) -> list:
@@ -89,7 +94,7 @@ def cmd_overlap(args) -> int:
     pcs = _contents(args)
     # every content's range is checked before any output is written
     for pc, frames in zip(pcs, [_parse_frames(args.frames, pc.dataset.n_frames) for pc in pcs]):
-        mats = overlap_matrices(pc, frames=frames)
+        mats = metric_matrices(pc, [MetricId.OVERLAP], frames)[MetricId.OVERLAP]
         path = _out_path(args, f"overlap_{safe_name(pc.content_id)}.csv")
         write_matrices_csv(path, mats)
         pairs = sum(m.n * (m.n - 1) // 2 for m in mats)
@@ -101,8 +106,8 @@ def cmd_metrics(args) -> int:
     metrics = [_parse_metric(m) for m in args.metric] if args.metric else list(PROXY_METRICS)
     pcs = _contents(args)
     for pc, frames in zip(pcs, [_parse_frames(args.frames, pc.dataset.n_frames) for pc in pcs]):
-        lookup_tables(pc, metrics, frames=frames)  # one pass reads each cloud for every metric's tables
-        mats = [m for metric in metrics for m in metric_matrices(pc, metric, frames=frames)]
+        by_metric = metric_matrices(pc, metrics, frames)
+        mats = [m for metric in metrics for m in by_metric[metric]]
         path = _out_path(args, f"metrics_{safe_name(pc.content_id)}.csv")
         write_matrices_csv(path, mats)
         print(f"{pc.content_id}: wrote {path} ({len(metrics)} metrics x {len(mats) // len(metrics)} frames)")
@@ -118,12 +123,10 @@ def cmd_calibrate(args) -> int:
     pcs = _contents(args)
     report = calibrate_contents(pcs, metrics, target_tpr=args.target_tpr)
     roc_path = _out_path(args, "roc.csv")
-    with open(roc_path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["metric", "threshold", "tpr", "fpr"])
-        for metric in metrics:
-            for pt in report[metric]["roc"]:
-                w.writerow([metric.value, _fmt(pt.threshold), _fmt(pt.tpr), _fmt(pt.fpr)])
+    _write_csv(roc_path, ["metric", "threshold", "tpr", "fpr"], (
+        [metric.value, _fmt(pt.threshold), _fmt(pt.tpr), _fmt(pt.fpr)]
+        for metric in metrics for pt in report[metric]["roc"]
+    ))
     payload = {
         "target_tpr": args.target_tpr,
         "o_th": pcs[0].o_th,
@@ -176,15 +179,10 @@ def cmd_ablate(args) -> int:
         reference_only=not args.all_contents,
     )
     csv_path = _out_path(args, f"ablation_{metric.value}.csv")
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["metric", "alpha", "beta", "gamma", *FIGURES])
-        for r in records:
-            w.writerow(
-                [metric.value]
-                + [_fmt(v) for v in r.regulators.as_tuple()]
-                + [_fmt(getattr(r, f)) for f in FIGURES]
-            )
+    _write_csv(csv_path, ["metric", "alpha", "beta", "gamma", *FIGURES], (
+        [metric.value] + [_fmt(v) for v in r.regulators.as_tuple()] + [_fmt(getattr(r, f)) for f in FIGURES]
+        for r in records
+    ))
     sets = select_parameter_sets(records)
     payload = {
         "metric": metric.value,
@@ -214,13 +212,10 @@ def cmd_cluster(args) -> int:
             pc = pc.with_thresholds(thresholds)
         results = cluster_content(pc, metric, mode=args.mode)
         csv_path = _out_path(args, f"clusters_{safe_name(pc.content_id)}.csv")
-        with open(csv_path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["chunk_or_frame", "user_id", "cluster_id", "cluster_size"])
-            for res in results:
-                for cid, cluster in enumerate(res.clusters):
-                    for user in cluster.members:
-                        w.writerow([res.ident, user, cid, cluster.size])
+        _write_csv(csv_path, ["chunk_or_frame", "user_id", "cluster_id", "cluster_size"], (
+            [res.ident, user, cid, cluster.size]
+            for res in results for cid, cluster in enumerate(res.clusters) for user in cluster.members
+        ))
         payload = {
             "content_id": pc.content_id,
             "mode": args.mode,
@@ -256,35 +251,24 @@ def cmd_evaluate(args) -> int:
     for pc in _contents(args, clique_searched=True):
         if thresholds:
             pc = pc.with_thresholds(thresholds)
-        lookup_tables(pc, [*requested, MetricId.OVERLAP])
+        # each evaluate_content pass looks up one metric's tables; one pass over all of them first reads
+        # each cloud once, where the first geodesic metric's own pass would read every cloud again
+        metric_matrices(pc, [*requested, MetricId.OVERLAP])
         for metric in requested:
             _, perfs, summary = evaluate_content(pc, metric, mode=args.mode)
             per_metric_contents[metric][pc.content_id] = summary
             rows.append((pc.content_id, metric, summary, len(perfs)))
+    table = [[cid, metric.value, args.mode] + _summary_cells(summary) + [n] for cid, metric, summary, n in rows]
+    for metric in requested:  # a metric asked for twice gets two rows, like its content rows
+        per_content = per_metric_contents[metric]
+        if len(per_content) >= 2:
+            overall = summarize_across_contents(per_content)
+            table.append(["ALL", metric.value, args.mode] + _summary_cells(overall) + [len(per_content)])
     path = _out_path(args, "evaluation.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(
-            [
-                "content_id",
-                "metric",
-                "mode",
-                "overlap_mean",
-                "overlap_std",
-                "relevant_population_mean",
-                "relevant_population_std",
-                "precision_mean",
-                "precision_std",
-                "n_windows",
-            ]
-        )
-        for content_id, metric, summary, n_windows in rows:
-            w.writerow([content_id, metric.value, args.mode] + _summary_cells(summary) + [n_windows])
-        for metric in requested:  # a metric asked for twice gets two rows, like its content rows
-            per_content = per_metric_contents[metric]
-            if len(per_content) >= 2:
-                overall = summarize_across_contents(per_content)
-                w.writerow(["ALL", metric.value, args.mode] + _summary_cells(overall) + [len(per_content)])
+    _write_csv(path, [
+        "content_id", "metric", "mode", "overlap_mean", "overlap_std", "relevant_population_mean",
+        "relevant_population_std", "precision_mean", "precision_std", "n_windows",
+    ], table)
     for content_id, metric, summary, _ in rows:
         print(
             f"{content_id} {metric.value}: "

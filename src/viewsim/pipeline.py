@@ -3,9 +3,10 @@
 Everything here operates on PreparedContent: one content item's aligned
 dataset plus its processing parameters.  Every per-frame table (gaze
 targets, exact overlap, pair features, geodesic gaze distances) is looked
-up or computed on the calling thread, one frame at a time in the order
-asked: one cloud and at most one surface graph are alive at once, and no
-pass reads a cloud twice.
+up or computed on the calling thread by one table pass, ``metric_matrices``:
+it visits the frames in the order asked and makes every requested metric's
+matrix from a frame's tables before the next frame's, so one cloud and at
+most one surface graph are alive at once, and no pass reads a cloud twice.
 """
 
 from __future__ import annotations
@@ -160,15 +161,6 @@ def _table(pc: PreparedContent, kind: str, k: int, compute, reads):
     return pc.tables[(kind, k)]
 
 
-def _pass(pc: PreparedContent, frames, frame_tables) -> list:
-    """``frame_tables(k)`` for each requested frame in the order asked; then drops the last cloud and graph."""
-    frames = range(pc.dataset.n_frames) if frames is None else frames
-    out = [frame_tables(k) for k in frames]
-    pc.tables.pop("cloud", None)
-    pc.tables.pop("graph", None)
-    return out
-
-
 def gaze_targets(pc: PreparedContent, k: int) -> tuple:
     """Frame ``k``'s ``(view, p, r, off)``, one row per user.
 
@@ -213,43 +205,39 @@ def _features(pc: PreparedContent, k: int, need_geodesic: bool):
     return replace(plain, gaze_geo=geo)
 
 
-def overlap_matrices(pc: PreparedContent, frames=None) -> list:
-    """Exact ground-truth matrices, one per requested frame."""
-    return _pass(pc, frames, lambda k: _overlap(pc, k))
+def metric_matrices(pc: PreparedContent, metrics, frames=None) -> dict:
+    """``{metric: [SimilarityMatrix per requested frame]}`` for proxies and the exact ground truth.
 
-
-def feature_tables(pc: PreparedContent, need_geodesic: bool = True, frames=None) -> list:
-    """Per-frame pair features, each with its frame's geodesic gaze distances when asked for.
-
-    Both tables of a frame are looked up before the next frame's, so they share one cloud read.
+    Each frame's tables are looked up and every metric's matrix made from
+    them before the next frame's, so they share one cloud read; the pass
+    then drops the last cloud and graph.
     """
-    return _pass(pc, frames, lambda k: _features(pc, k, need_geodesic))
-
-
-def lookup_tables(pc: PreparedContent, metrics, frames=None) -> None:
-    """Look up every table ``metrics`` read, all of a frame's before the next frame's, so they share one cloud read."""
-    proxies = [m for m in metrics if not m.is_overlap]
+    out = {metric: [] for metric in metrics}
+    proxies = [m for m in out if not m.is_overlap]
     geodesic = any(m.needs_geodesic for m in proxies)
-
-    def tables(k):
-        if len(proxies) < len(metrics):
-            _overlap(pc, k)
+    for k in range(pc.dataset.n_frames) if frames is None else frames:
+        if MetricId.OVERLAP in out:
+            out[MetricId.OVERLAP].append(_overlap(pc, k))
         if proxies:
-            _features(pc, k, geodesic)
+            features = _features(pc, k, geodesic)
+            for m in proxies:
+                out[m].append(features.metric_matrix(m, pc.configs[m].regulators))
+    pc.tables.pop("cloud", None)
+    pc.tables.pop("graph", None)
+    return out
 
-    _pass(pc, frames, tables)
 
-
-def metric_matrices(
-    pc: PreparedContent,
-    metric: MetricId,
-    frames=None,
-) -> list:
-    """Per-frame matrices for one proxy metric (or the exact ground truth)."""
-    if metric.is_overlap:
-        return overlap_matrices(pc, frames=frames)
-    features = feature_tables(pc, need_geodesic=metric.needs_geodesic, frames=frames)
-    return [f.metric_matrix(metric, pc.configs[metric].regulators) for f in features]
+def _cluster(pc: PreparedContent, metric: MetricId, mats: list, mode: str) -> list:
+    config = pc.configs[metric]
+    if mode == "frame":
+        return [clique_clustering(build_adjacency(m, config), tie_matrix=m) for m in mats]
+    ranges = chunk_frame_ranges(len(mats), pc.chunk.frames_per_chunk(pc.dataset.fps))
+    out = []
+    for ci, rng in enumerate(ranges):
+        window = [mats[k] for k in rng]
+        graph = chunk_adjacency(window, config, pc.chunk, ci)
+        out.append(clique_clustering(graph, tie_matrix=mean_matrix(window)))
+    return out
 
 
 def cluster_content(
@@ -261,17 +249,7 @@ def cluster_content(
     if mode not in ("frame", "chunk"):
         raise InvalidParamsError(f"mode must be frame|chunk, got '{mode}'")
     check_clique_size(len(pc.dataset.users))
-    config = pc.configs[metric]
-    mats = metric_matrices(pc, metric)
-    if mode == "frame":
-        return [clique_clustering(build_adjacency(m, config), tie_matrix=m) for m in mats]
-    ranges = chunk_frame_ranges(len(mats), pc.chunk.frames_per_chunk(pc.dataset.fps))
-    out = []
-    for ci, rng in enumerate(ranges):
-        window = [mats[k] for k in rng]
-        graph = chunk_adjacency(window, config, pc.chunk, ci)
-        out.append(clique_clustering(graph, tie_matrix=mean_matrix(window)))
-    return out
+    return _cluster(pc, metric, metric_matrices(pc, [metric])[metric], mode)
 
 
 def evaluate_content(
@@ -286,9 +264,12 @@ def evaluate_content(
     are persistence scores thresholded exactly like chunk adjacency, so an
     OVERLAP-driven clustering scores precision 1.0 identically.
     """
-    lookup_tables(pc, [metric, MetricId.OVERLAP])
-    results = cluster_content(pc, metric, mode=mode)
-    ovs = overlap_matrices(pc)
+    if mode not in ("frame", "chunk"):
+        raise InvalidParamsError(f"mode must be frame|chunk, got '{mode}'")
+    check_clique_size(len(pc.dataset.users))
+    mats = metric_matrices(pc, [metric, MetricId.OVERLAP])
+    results = _cluster(pc, metric, mats[metric], mode)
+    ovs = mats[MetricId.OVERLAP]
     perfs = []
     if mode == "frame":
         for result, ov in zip(results, ovs):
@@ -318,25 +299,31 @@ def calibrate_contents(
 ) -> dict:
     """ROC-select a threshold per metric over all given contents' pairs.
 
-    ``target_tpr`` and label balance are checked, the latter on the exact
-    overlaps, before any surface graph or feature table is built, so a
-    geodesic metric's pass reads the clouds again.  Returns
+    Every pair is labelled at one ``o_th``, so contents whose ``o_th``
+    differ are refused.  That and ``target_tpr`` are checked before any
+    table work, and label balance on the exact overlaps before any surface
+    graph or feature table is built, so a geodesic metric's pass reads the
+    clouds again.  Each metric then has a pass of its own, so one metric's
+    matrices are alive at a time.  Returns
     {metric: {"threshold", "tpr", "fpr", "fpr_ok", "roc"}}; the FPR ceiling
     (0.4) is advisory and only reported.
     """
     if not target_tpr > 0:
         raise InvalidParamsError(f"target_tpr must be > 0, got {target_tpr}")
+    if len({pc.o_th for pc in pcs}) > 1:
+        named = ", ".join(f"'{pc.content_id}' {pc.o_th}" for pc in pcs)
+        raise InvalidParamsError(f"calibrate labels every content at one overlap_threshold; the contents have {named}")
     if metrics is None:
         metrics = [m for m in MetricId if not m.is_overlap]
     o_th = pcs[0].o_th
-    ovs = [ov for pc in pcs for ov in overlap_matrices(pc)]
+    ovs = [ov for pc in pcs for ov in metric_matrices(pc, [MetricId.OVERLAP])[MetricId.OVERLAP]]
     _, labels = pair_samples(ovs, ovs, o_th)
     for kind, count in (("positive", labels.sum()), ("negative", labels.size - labels.sum())):
         if count == 0:
             raise DegenerateLabelsError(f"0 {kind} labels out of {labels.size} valid pair-frames at o_th={o_th}")
     out = {}
     for metric in metrics:
-        mats = [m for pc in pcs for m in metric_matrices(pc, metric)]
+        mats = [m for pc in pcs for m in metric_matrices(pc, [metric])[metric]]
         roc, point = calibrate_threshold(mats, ovs, target_tpr=target_tpr, o_th=o_th)
         out[metric] = {
             "threshold": point.threshold,

@@ -143,8 +143,16 @@ def _skip_ascii_element(fh, elem, path):
             raise ParseError(f"file truncated inside element '{elem.name}'", path=path)
 
 
+def _checked(coords, path) -> np.ndarray:
+    if len(coords) == 0:
+        raise ParseError("no vertices", path=path)
+    if not np.isfinite(coords).all():
+        raise ParseError("non-finite vertex coordinate", path=path)
+    return coords
+
+
 def read_ply(path) -> np.ndarray:
-    """Vertex coordinates as an (N, 3) float64 array."""
+    """Vertex coordinates as an (N, 3) float64 array; a file with no vertex or a non-finite coordinate is refused."""
     with open(path, "rb") as fh:
         fmt, elements = _parse_header(fh, path)
         vertex = next((e for e in elements if e.name == "vertex"), None)
@@ -156,8 +164,7 @@ def read_ply(path) -> np.ndarray:
         if fmt == "ascii":
             for elem in elements:
                 if elem is vertex:
-                    coords = _read_ascii_element(fh, elem, path, want_xyz=True)
-                    return coords
+                    return _checked(_read_ascii_element(fh, elem, path, want_xyz=True), path)
                 _skip_ascii_element(fh, elem, path)
         # binary_little_endian: read elements in declared order up to vertex
         for elem in elements:
@@ -173,9 +180,7 @@ def read_ply(path) -> np.ndarray:
                         path=path,
                     )
                 rec = np.frombuffer(buf, dtype=dtype)
-                return np.column_stack(
-                    [rec["x"].astype(np.float64), rec["y"].astype(np.float64), rec["z"].astype(np.float64)]
-                )
+                return _checked(np.column_stack([rec[c].astype(np.float64) for c in "xyz"]), path)
             if any(p.is_list for p in elem.props):
                 raise ParseError(
                     f"list property in element '{elem.name}' before vertex is unsupported",

@@ -92,6 +92,13 @@ def square_matrix(values, users=None, metric=MetricId.W1, frame=0):
     return SimilarityMatrix(frame=frame, users=tuple(users), metric=metric, values=out)
 
 
+def overlaps(pc, frames=None):
+    """A content's exact overlap matrices, one per requested frame."""
+    from viewsim.pipeline import metric_matrices
+
+    return metric_matrices(pc, [MetricId.OVERLAP], frames)[MetricId.OVERLAP]
+
+
 @pytest.fixture(scope="session")
 def unit_sphere_cloud():
     from viewsim.synth import _fibonacci_sphere

@@ -28,9 +28,9 @@ from viewsim.errors import (
     UnattainableTargetError,
 )
 from viewsim.metrics import MetricId, RegulatorSet
-from viewsim.pipeline import calibrate_contents, feature_tables, overlap_matrices, run_ablation
+from viewsim.pipeline import calibrate_contents, metric_matrices, run_ablation
 
-from conftest import assert_close, square_matrix
+from conftest import assert_close, overlaps, square_matrix
 from oracles import roc_oracle
 
 
@@ -211,9 +211,8 @@ def test_pair_samples_empty():
 
 def test_calibrate_threshold_meets_target_on_content(narrow_content):
     pc = narrow_content
-    features = feature_tables(pc, need_geodesic=False)
-    mats = [f.metric_matrix(MetricId.W1, pc.configs[MetricId.W1].regulators) for f in features]
-    ovs = overlap_matrices(pc)
+    mats = metric_matrices(pc, [MetricId.W1])[MetricId.W1]
+    ovs = overlaps(pc)
     roc, point = calibrate_threshold(mats, ovs, target_tpr=0.75)
     assert point.tpr >= 0.75
     assert any(pt.threshold == point.threshold for pt in roc)

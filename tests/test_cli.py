@@ -256,6 +256,45 @@ def test_calibrate_degenerate_labels_exit_4(tmp_path):
     assert "compute error" in proc.stderr
 
 
+def _two_contents(dataset, name, thresholds):
+    """A manifest beside the dataset naming it twice, as contents 'a' and 'b' with these overlap thresholds."""
+    doc = json.loads((dataset / "manifest.json").read_text())
+    doc["frustum"] = {"hfov": 0.5, "vfov": 0.5}
+    contents = [dict(doc, content_id=cid, overlap_threshold=th) for cid, th in zip("ab", thresholds)]
+    path = dataset / name
+    path.write_text(json.dumps({"contents": contents}))
+    return path
+
+
+def test_calibrate_refuses_contents_with_different_overlap_thresholds(dataset, tmp_path, monkeypatch, capsys):
+    from viewsim.cli import main
+
+    reads, _ = _count_geometry(monkeypatch)
+    manifest = _two_contents(dataset, "two-thresholds.json", (0.5, 0.9))
+    assert main(["--manifest", str(manifest), "--out", str(tmp_path), "calibrate"]) == 4
+    err = capsys.readouterr().err
+    assert "compute error" in err and "'a' 0.5" in err and "'b' 0.9" in err
+    # refused before any table work: no cloud read, no store file
+    assert reads == [] and list(tmp_path.iterdir()) == []
+
+
+def test_calibrate_two_contents_at_one_overlap_threshold(dataset, tmp_path, capsys):
+    from viewsim.cli import main
+
+    manifest = _two_contents(dataset, "one-threshold.json", (0.7, 0.7))
+    assert main(["--manifest", str(manifest), "--out", str(tmp_path / "two"), "calibrate", "--metric", "w1"]) == 0
+    doc = json.loads((dataset / "manifest.json").read_text())
+    doc.update(frustum={"hfov": 0.5, "vfov": 0.5}, overlap_threshold=0.7)
+    (dataset / "one-content.json").write_text(json.dumps(doc))
+    assert main(["--manifest", str(dataset / "one-content.json"), "--out", str(tmp_path / "one"),
+                 "calibrate", "--metric", "w1"]) == 0
+    capsys.readouterr()
+    # the same content twice: every pair-frame counted twice, so the same ROC and threshold
+    two, one = (json.loads((tmp_path / d / "calibration.json").read_text()) for d in ("two", "one"))
+    assert two["o_th"] == 0.7 and two == one
+    assert (tmp_path / "two" / "roc.csv").read_bytes() == (tmp_path / "one" / "roc.csv").read_bytes()
+
+
 def test_calibrate_checks_label_balance_before_graphs(dataset, tmp_path, monkeypatch, capsys):
     # the default 90-degree frustum sees the whole small sphere from every
     # orbit, so no valid pair overlaps below o_th
@@ -555,6 +594,23 @@ def test_cold_overlap_reads_each_cloud_once(narrow_manifest, tmp_path, capsys, m
     # one read serves the frame's digest, its gaze rays and its matrix
     assert sorted(reads) == [f"frame_{k:06d}.ply" for k in range(4)]
     assert sorted(set(casts)) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("points, message", [
+    ([], "no vertices"),
+    ([[0.0, 0.0, 1.0], [float("nan"), 0.0, 0.0]], "non-finite vertex coordinate"),
+], ids=["empty", "nan"])
+def test_malformed_cloud_exits_3_naming_the_file(own_dataset, tmp_path, capsys, points, message):
+    import numpy as np
+
+    from viewsim.cli import main
+    from viewsim.ply import write_ply
+
+    path = own_dataset / "clouds" / "frame_000001.ply"
+    write_ply(path, np.array(points, dtype=np.float64).reshape(-1, 3))
+    assert main(["--manifest", str(own_dataset / "manifest.json"), "--out", str(tmp_path / "out"), "overlap"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and message in err and str(path) in err
 
 
 def test_frame_range_casts_only_its_frames(narrow_manifest, tmp_path, capsys, monkeypatch):

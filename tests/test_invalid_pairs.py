@@ -17,9 +17,11 @@ import pytest
 
 from viewsim.cli import main
 from viewsim.manifest import load_manifest
-from viewsim.pipeline import gaze_targets, overlap_matrices, prepare
+from viewsim.pipeline import gaze_targets, prepare
 from viewsim.synth import scenario_from_json, write_scenario
 from viewsim.trajectories import write_trajectories
+
+from conftest import overlaps
 
 SCENARIO = {
     "seed": 5,
@@ -117,7 +119,7 @@ def test_content_has_every_kind_of_invalid_pair(invalid_manifest):
         assert offs[4:8].all()  # the group looking away
         assert not offs[1:4].any() and offs[8:].any() and not offs[8:].all()
         # beyond the far plane: rays hit, but a pair's viewport union is empty
-        ov = overlap_matrices(pc, frames=[0])[0]
+        ov = overlaps(pc, frames=[0])[0]
         assert not offs[8, 0] and not offs[10, 0] and np.isnan(ov.values[8, 10])
 
 

@@ -15,21 +15,20 @@ from viewsim.errors import InvalidParamsError
 from viewsim.evaluation import adjusted_rand_index
 from viewsim.geometry import PointCloudFrame
 from viewsim.manifest import load_manifest
-from viewsim.metrics import MetricId, compute_pair_features
+from viewsim.metrics import MetricId, compute_pair_features, overlap_matrix
 from viewsim.pipeline import (
     calibrate_contents,
     cluster_content,
     evaluate_content,
-    feature_tables,
     gaze_targets,
-    lookup_tables,
     metric_matrices,
-    overlap_matrices,
     prepare,
     prepare_scenario,
     run_ablation,
 )
 from viewsim.synth import planted_labels, three_orbit_groups, write_scenario
+
+from conftest import overlaps
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +82,9 @@ def test_disk_and_memory_preparation_agree(disk_content):
     # precision: identical validity, near-identical values
     sc = three_orbit_groups(seed=5, users_per_group=2, n_frames=4, points_per_frame=300)
     mem = prepare_scenario(sc, frustum=disk_content.frustum)  # the manifest's
-    for route in (overlap_matrices, lambda pc: metric_matrices(pc, MetricId.W7)):
-        for ma, mb in zip(route(disk_content), route(mem)):
+    got, want = (metric_matrices(pc, [MetricId.OVERLAP, MetricId.W7]) for pc in (disk_content, mem))
+    for metric in (MetricId.OVERLAP, MetricId.W7):
+        for ma, mb in zip(got[metric], want[metric]):
             assert ma.users == mb.users and ma.frame == mb.frame
             np.testing.assert_array_equal(ma.valid, mb.valid)
             np.testing.assert_allclose(
@@ -125,7 +125,7 @@ def test_prepare_scenario_overrides_take_effect():
     # the viewing model reaches the tables: each setting alone changes what it feeds
     default = prepare_scenario(sc)
     narrow = prepare_scenario(sc, frustum=settings["frustum"])
-    assert not np.array_equal(overlap_matrices(narrow)[0].values, overlap_matrices(default)[0].values)
+    assert not np.array_equal(overlaps(narrow)[0].values, overlaps(default)[0].values)
     for name in ("cone_half_angle", "r_mode"):
         one = prepare_scenario(sc, **{name: settings[name]})
         assert gaze_targets(one, 0)[2].tobytes() != gaze_targets(default, 0)[2].tobytes(), name
@@ -135,7 +135,7 @@ def test_prepare_scenario_overrides_take_effect():
 
 
 def test_matrix_shapes_and_frame_indexing(narrow_content):
-    ovs = overlap_matrices(narrow_content)
+    ovs = overlaps(narrow_content)
     assert len(ovs) == 6
     for k, m in enumerate(ovs):
         assert m.frame == k
@@ -144,14 +144,14 @@ def test_matrix_shapes_and_frame_indexing(narrow_content):
 
 
 def test_frame_subset_selects_frames(narrow_content):
-    mats = metric_matrices(narrow_content, MetricId.W1, frames=[2, 4])
+    mats = metric_matrices(narrow_content, [MetricId.W1], frames=[2, 4])[MetricId.W1]
     assert [m.frame for m in mats] == [2, 4]
 
 
 def test_geodesic_graphs_cached_per_distinct_cloud(narrow_content, monkeypatch):
     builds = _count_calls(monkeypatch, "build_surface_graph")
     pc = replace(narrow_content, tables={})
-    feature_tables(pc, need_geodesic=True)
+    metric_matrices(pc, [MetricId.W3])
     # rigid content: one shared coordinate array, one build
     assert len(builds) == 1
     g = pc.surface_graph(0)
@@ -162,7 +162,7 @@ def test_geodesic_graphs_cached_per_distinct_cloud(narrow_content, monkeypatch):
     clouds[3] = PointCloudFrame(3, clouds[3].points * 1.01)
     pc = replace(narrow_content, tables={}, clouds=clouds)
     builds.clear()
-    feature_tables(pc, need_geodesic=True)
+    metric_matrices(pc, [MetricId.W3])
     assert len(builds) == 3
     assert pc.surface_graph(0) is pc.surface_graph(5) is not pc.surface_graph(3)
 
@@ -183,7 +183,7 @@ def test_one_surface_graph_alive_at_a_time(narrow_content, monkeypatch):
     scale = [1.0, 1.01, 1.0, 1.02, 1.01, 1.03]
     clouds = [PointCloudFrame(k, narrow_content.clouds[k].points * s) for k, s in enumerate(scale)]
     pc = replace(narrow_content, tables={}, clouds=clouds)
-    metric_matrices(pc, MetricId.W7)
+    metric_matrices(pc, [MetricId.W7])
     assert len(alive) == 6
     assert [ref for ref in alive if ref() is not None] == [], "the pass kept its last graph"
     # the same values as one graph per frame, built afresh
@@ -198,20 +198,28 @@ def test_feature_tables_add_geodesics_only_when_asked(narrow_content, monkeypatc
     builds = _count_calls(monkeypatch, "build_surface_graph")
     computed = _count_calls(monkeypatch, "compute_pair_features")
     pc = replace(narrow_content, tables={})
-    plain = feature_tables(pc, need_geodesic=False)
-    assert all(f.gaze_geo is None for f in plain)
+    plain = metric_matrices(pc, [MetricId.W1, MetricId.W8])
+    assert _stored(pc, "geodesic") == [] and all(f.gaze_geo is None for f in _stored(pc, "features"))
     assert builds == [] and len(computed) == 6
-    geo = feature_tables(pc, need_geodesic=True)
-    assert all(f.gaze_geo is not None for f in geo)
+    features = _stored(pc, "features")
+    geo = metric_matrices(pc, [MetricId.W1, MetricId.W8, MetricId.W3])
+    assert len(_stored(pc, "geodesic")) == 6
     # the geodesic request reuses the plain tables: no feature table is computed again
     assert len(computed) == 6
-    assert all(a is b for a, b in zip(plain, feature_tables(pc, need_geodesic=False)))
-    for a, b in zip(plain, geo):
-        np.testing.assert_array_equal(a.pos_dist, b.pos_dist)
-        np.testing.assert_array_equal(a.eta_sum, b.eta_sum)
+    assert all(a is b for a, b in zip(features, _stored(pc, "features")))
+    for metric in (MetricId.W1, MetricId.W8):  # pos_dist, eta_sum and gaze_euc as before
+        assert [m.values.tobytes() for m in plain[metric]] == [m.values.tobytes() for m in geo[metric]]
+
+
+def _stored(pc, kind):
+    """The content's stored tables of one kind, in frame order."""
+    return [pc.tables[(kind, k)] for k in range(pc.dataset.n_frames) if (kind, k) in pc.tables]
 
 
 def _same_bytes(a, b):
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        return
     for name, value in vars(a).items():
         if isinstance(value, np.ndarray):
             assert value.dtype == getattr(b, name).dtype and value.tobytes() == getattr(b, name).tobytes(), name
@@ -226,37 +234,41 @@ def test_disk_store_round_trips_and_upgrades_to_geodesics(narrow_content, tmp_pa
     builds = _count_calls(monkeypatch, "build_surface_graph")
 
     memory = fresh(None)
-    assert feature_tables(fresh(), need_geodesic=False) and overlap_matrices(fresh())
+    plain = [MetricId.OVERLAP, MetricId.W1]
+    assert metric_matrices(fresh(), plain)[MetricId.W1]
     # a later process reads the tables back byte for byte and builds no graph
     pc = fresh()
-    for a, b in zip(overlap_matrices(pc), overlap_matrices(memory)):
-        _same_bytes(a, b)
-    plain = feature_tables(pc, need_geodesic=False)
-    for a, b in zip(plain, feature_tables(memory, need_geodesic=False)):
-        _same_bytes(a, b)
+    metric_matrices(pc, plain)
+    metric_matrices(memory, plain)
+    for kind in ("overlap", "features"):
+        assert len(_stored(pc, kind)) == 6
+        for a, b in zip(_stored(pc, kind), _stored(memory, kind)):
+            _same_bytes(a, b)
     assert builds == []
     # the first geodesic request writes geodesic files and leaves every features file as it was
     features_files = {p: p.read_bytes() for p in tmp_path.glob("**/features-*.npz")}
     assert len(features_files) == 6 and not list(tmp_path.glob("**/geodesic-*.npz"))
-    assert all(f.gaze_geo is not None for f in feature_tables(pc, need_geodesic=True))
+    metric_matrices(pc, [MetricId.W3])
+    assert len(_stored(pc, "geodesic")) == 6
     assert len(list(tmp_path.glob("**/geodesic-*.npz"))) == 6
     assert {p: p.read_bytes() for p in tmp_path.glob("**/features-*.npz")} == features_files
     # a later process serves both kinds without building a graph
     pc = fresh()
     builds.clear()
-    plain = feature_tables(pc, need_geodesic=False)
-    served = feature_tables(pc, need_geodesic=True)
+    metric_matrices(pc, [MetricId.W1])
+    metric_matrices(pc, [MetricId.W3])
     assert builds == []
-    for a, b in zip(plain, feature_tables(memory, need_geodesic=False)):
-        _same_bytes(a, b)
-    for a, b in zip(served, feature_tables(memory, need_geodesic=True)):
-        _same_bytes(a, b)
+    metric_matrices(memory, [MetricId.W3])
+    for kind in ("features", "geodesic"):
+        assert len(_stored(pc, kind)) == 6
+        for a, b in zip(_stored(pc, kind), _stored(memory, kind)):
+            _same_bytes(a, b)
     assert not list(tmp_path.glob("**/*.tmp"))
 
 
 def test_stored_tables_hold_only_their_arrays(narrow_content, tmp_path):
     pc = replace(narrow_content, tables={}, store_dir=str(tmp_path))
-    lookup_tables(pc, [MetricId.OVERLAP, MetricId.W3], frames=[0])
+    metric_matrices(pc, [MetricId.OVERLAP, MetricId.W3], frames=[0])
     members = {}
     for path in tmp_path.glob("**/*.npz"):
         with np.load(path) as npz:
@@ -275,7 +287,7 @@ def test_cold_overlap_pass_reads_each_cloud_once(disk_content, tmp_path, monkeyp
     real = viewsim.ply.read_ply
     monkeypatch.setattr(viewsim.ply, "read_ply", lambda path: reads.append(path) or real(path))
     # one read serves the frame's store key and its matrix
-    overlap_matrices(replace(disk_content, tables={}, store_dir=str(tmp_path)))
+    overlaps(replace(disk_content, tables={}, store_dir=str(tmp_path)))
     assert sorted(reads) == disk_content.clouds.paths
 
 
@@ -291,24 +303,26 @@ def test_geodesic_pass_reads_each_distinct_cloud_once(tmp_path, monkeypatch):
     real = viewsim.ply.read_ply
     monkeypatch.setattr(viewsim.ply, "read_ply", lambda path: reads.append(path) or real(path))
     builds = _count_calls(monkeypatch, "build_surface_graph")
-    for store_dir in (None, str(tmp_path / "out")):
-        reads.clear()
-        builds.clear()
-        # one read serves the frame's digest, its store key and its graph
-        feature_tables(replace(pc, tables={}, store_dir=store_dir), need_geodesic=True)
-        assert sorted(reads) == pc.clouds.paths
-        assert len(builds) == 4
+    for metrics in ([MetricId.W3], [MetricId.W1, MetricId.W3, MetricId.OVERLAP]):
+        for store_dir in (None, str(tmp_path / "out" / str(len(metrics)))):
+            reads.clear()
+            builds.clear()
+            # one read serves the frame's digest, its store keys, its rays, its overlap and its graph
+            metric_matrices(replace(pc, tables={}, store_dir=store_dir), metrics)
+            assert sorted(reads) == pc.clouds.paths
+            assert len(builds) == 4
 
 
 @pytest.mark.parametrize("run", [
-    lambda pc: overlap_matrices(pc),
-    lambda pc: overlap_matrices(pc, frames=[2]),
-    lambda pc: feature_tables(pc, need_geodesic=False),
-    lambda pc: feature_tables(pc, need_geodesic=True),
-    lambda pc: metric_matrices(pc, MetricId.W7),
+    lambda pc: overlaps(pc),
+    lambda pc: overlaps(pc, frames=[2]),
+    lambda pc: metric_matrices(pc, [MetricId.W1]),
+    lambda pc: metric_matrices(pc, [MetricId.W3]),
+    lambda pc: metric_matrices(pc, [MetricId.W7]),
+    lambda pc: metric_matrices(pc, list(MetricId), frames=[3, 1]),
     lambda pc: evaluate_content(pc, MetricId.W5, mode="chunk"),
     lambda pc: calibrate_contents([pc]),
-], ids=["overlap", "overlap-frame", "features", "geodesic", "w7", "evaluate", "calibrate"])
+], ids=["overlap", "overlap-frame", "features", "geodesic", "w7", "all", "evaluate", "calibrate"])
 def test_no_pass_keeps_a_cloud_or_graph(disk_content, tmp_path, run):
     for store_dir in (None, str(tmp_path)):
         pc = replace(disk_content, tables={}, store_dir=store_dir)
@@ -329,7 +343,7 @@ def test_overlap_pass_memory_is_one_frame_deep(large_disk_content):
         pc = replace(large_disk_content, tables={})
         tracemalloc.start()
         try:
-            overlap_matrices(pc, frames=frames)
+            overlaps(pc, frames=frames)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -339,9 +353,49 @@ def test_overlap_pass_memory_is_one_frame_deep(large_disk_content):
 
 
 def test_overlap_route_via_metric_matrices(narrow_content):
-    _matrices_equal(
-        metric_matrices(narrow_content, MetricId.OVERLAP), overlap_matrices(narrow_content)
-    )
+    pc, ds = narrow_content, narrow_content.dataset
+    direct = []
+    for k in range(ds.n_frames):
+        view, _, _, off = gaze_targets(pc, k)
+        direct.append(overlap_matrix(k, ds.users, ds.x[:, k], view, off, pc.clouds[k], pc.frustum))
+    _matrices_equal(metric_matrices(replace(pc, tables={}), [MetricId.OVERLAP])[MetricId.OVERLAP], direct)
+
+
+def _same_matrices(a, b):
+    assert [(m.frame, m.users, m.metric, m.values.tobytes()) for m in a] == [
+        (m.frame, m.users, m.metric, m.values.tobytes()) for m in b
+    ]
+
+
+@pytest.mark.parametrize("metrics, frames", [
+    (list(MetricId), None),
+    ([MetricId.W7, MetricId.OVERLAP, MetricId.W1, MetricId.W3], None),
+    ([MetricId.W2, MetricId.OVERLAP, MetricId.W2], None),
+    ([MetricId.W5, MetricId.OVERLAP, MetricId.W8], [4, 1, 2]),
+], ids=["all", "reordered", "repeated", "frames"])
+def test_one_pass_over_several_metrics_matches_one_pass_per_metric(narrow_content, metrics, frames):
+    together = metric_matrices(replace(narrow_content, tables={}), metrics, frames)
+    assert list(together) == list(dict.fromkeys(metrics))
+    for metric in metrics:
+        alone = metric_matrices(replace(narrow_content, tables={}), [metric], frames)[metric]
+        assert [m.frame for m in alone] == (list(frames) if frames else list(range(6)))
+        _same_matrices(together[metric], alone)
+
+
+def test_evaluate_content_applies_each_frames_kernels_once(narrow_content, monkeypatch):
+    from viewsim.metrics import PairFeatures
+
+    applied = []
+    real = PairFeatures.metric_matrix
+    monkeypatch.setattr(PairFeatures, "metric_matrix", lambda f, m, reg: applied.append((f.frame, m)) or real(f, m, reg))
+    pc = replace(narrow_content, tables={})
+    for mode in ("frame", "chunk", "frame"):  # cold, then from the stored tables
+        applied.clear()
+        evaluate_content(pc, MetricId.W7, mode=mode)
+        assert applied == [(k, MetricId.W7) for k in range(6)], mode
+    applied.clear()
+    evaluate_content(pc, MetricId.OVERLAP, mode="chunk")
+    assert applied == []
 
 
 # ---------------------------------------------------------------- clustering
@@ -448,16 +502,26 @@ def test_run_ablation_matches_ablate_oracle(sweep_contents, metric, grid, fixed,
 
     swept = [pc for pc in sweep_contents if pc.reference or not reference_only]
     first = swept[0]  # manifest order: zeta, whose id sorts last
-    tables = {
-        pc.content_id: list(zip(feature_tables(pc, need_geodesic=metric.needs_geodesic), overlap_matrices(pc)))
-        for pc in swept
-    }
+    tables = {pc.content_id: list(zip(_frame_features(pc, metric.needs_geodesic), overlaps(pc))) for pc in swept}
     want = ablate_oracle(tables, metric, grid=grid, fixed=fixed,
                          threshold=first.configs[metric].threshold if threshold is None else threshold,
                          o_th=first.o_th, min_size=first.min_size)
     got = run_ablation(sweep_contents, metric, grid=grid, fixed=fixed, threshold=threshold,
                        reference_only=reference_only)
     assert repr(got) == repr(want)
+
+
+def _frame_features(pc, geodesic):
+    """Each frame's pair features from the frame functions, with a graph built afresh when asked for."""
+    from viewsim.geometry import build_surface_graph
+
+    ds = pc.dataset
+    out = []
+    for k in range(ds.n_frames):
+        _, p, r, off = gaze_targets(pc, k)
+        graph = build_surface_graph(pc.clouds[k], k=pc.knn) if geodesic else None
+        out.append(compute_pair_features(k, ds.users, ds.x[:, k], p, r, off, graph=graph))
+    return out
 
 
 def test_run_ablation_averages_in_content_id_order(sweep_contents, monkeypatch):
@@ -489,15 +553,16 @@ def test_run_ablation_refuses_before_any_table_work(narrow_content):
 
 def test_stored_tables_match_direct_run(narrow_content):
     pc = replace(narrow_content, tables={})
-    features = feature_tables(pc, need_geodesic=False)
-    overlaps = overlap_matrices(pc)
-    assert len(features) == len(overlaps) == 6
+    ovs = metric_matrices(pc, [MetricId.OVERLAP, MetricId.W1])[MetricId.OVERLAP]
+    features = _stored(pc, "features")
+    assert len(features) == len(ovs) == 6
     # later requests, whole or partial, get the stored objects back
-    assert all(a is b for a, b in zip(features, feature_tables(pc, need_geodesic=False)))
-    assert overlap_matrices(pc, frames=[4])[0] is overlaps[4]
+    metric_matrices(pc, [MetricId.W2])
+    assert all(a is b for a, b in zip(features, _stored(pc, "features")))
+    assert overlaps(pc, frames=[4])[0] is ovs[4]
     np.testing.assert_array_equal(
         features[0].metric_matrix(MetricId.W1, pc.configs[MetricId.W1].regulators).values,
-        metric_matrices(replace(pc, tables={}), MetricId.W1, frames=[0])[0].values,
+        metric_matrices(replace(pc, tables={}), [MetricId.W1], frames=[0])[MetricId.W1][0].values,
     )
 
 

@@ -132,6 +132,20 @@ def test_row_token_count_checked(tmp_path):
         read_ply(path)
 
 
+@pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
+@pytest.mark.parametrize("points, message", [
+    (np.zeros((0, 3)), "no vertices"),
+    (np.array([[0.0, 1.0, 2.0], [np.nan, 0.0, 0.0]]), "non-finite"),
+    (np.array([[0.0, 1.0, 2.0], [0.0, 0.0, -np.inf]]), "non-finite"),
+], ids=["empty", "nan", "inf"])
+def test_empty_or_non_finite_cloud_rejected_with_its_path(tmp_path, points, message, binary):
+    path = tmp_path / "m.ply"
+    write_ply(path, points, binary=binary)
+    with pytest.raises(ParseError, match=message) as err:
+        read_ply(path)
+    assert err.value.path == path and "m.ply" in str(err.value)
+
+
 def _write_frames(root, names):
     rng = np.random.default_rng(1)
     for name in names:

@@ -10,7 +10,7 @@ import pytest
 
 from viewsim.errors import DataError, InvalidParamsError
 from viewsim.metrics import MetricId
-from viewsim.pipeline import overlap_matrices, prepare_scenario
+from viewsim.pipeline import prepare_scenario
 from viewsim.synth import (
     GAZES,
     MOTIONS,
@@ -34,7 +34,7 @@ from viewsim.synth import (
     write_scenario,
 )
 
-from conftest import assert_close
+from conftest import assert_close, overlaps
 from oracles import orbit_position
 
 
@@ -423,7 +423,7 @@ def test_identical_static_users_reach_full_overlap():
         ),
     )
     pc = prepare_scenario(sc)
-    for m in overlap_matrices(pc):
+    for m in overlaps(pc):
         assert m.valid.sum() == 6  # all off-diagonal pairs
         np.testing.assert_array_equal(m.values[m.valid], 1.0)
 
@@ -431,7 +431,7 @@ def test_identical_static_users_reach_full_overlap():
 def test_narrow_frustum_separates_planted_groups(narrow_content):
     labels = planted_labels(three_orbit_groups(seed=11, users_per_group=3, n_frames=6, points_per_frame=2500))
     intra, inter = [], []
-    for m in overlap_matrices(narrow_content):
+    for m in overlaps(narrow_content):
         for i in range(m.n):
             for j in range(i + 1, m.n):
                 if not m.valid[i, j]:

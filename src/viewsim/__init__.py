@@ -32,7 +32,6 @@ from .errors import ComputeError, DataError, ToolError, UsageError
 from .evaluation import (
     AggregateStats,
     ClusterPerformance,
-    adjusted_rand_index,
     aggregate,
     evaluate_result,
     overlap_per_cluster,
@@ -46,7 +45,6 @@ from .geometry import (
     build_surface_graph,
     contains_points,
     frustum_planes,
-    geodesic_distance,
     ray_cast_center,
     view_basis,
 )

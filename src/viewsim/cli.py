@@ -27,9 +27,9 @@ from .evaluation import FIGURES
 from .manifest import load_manifest, load_thresholds, read_json, write_json
 from .metrics import MetricId, PROXY_METRICS, _fmt, write_matrices_csv
 from .pipeline import (
+    _evaluate,
     calibrate_contents,
     cluster_content,
-    evaluate_content,
     metric_matrices,
     prepare,
     run_ablation,
@@ -251,11 +251,10 @@ def cmd_evaluate(args) -> int:
     for pc in _contents(args, clique_searched=True):
         if thresholds:
             pc = pc.with_thresholds(thresholds)
-        # each evaluate_content pass looks up one metric's tables; one pass over all of them first reads
-        # each cloud once, where the first geodesic metric's own pass would read every cloud again
-        metric_matrices(pc, [*requested, MetricId.OVERLAP])
+        # one table pass for every metric reads each cloud once and applies each kernel once
+        mats = metric_matrices(pc, [*requested, MetricId.OVERLAP])
         for metric in requested:
-            _, perfs, summary = evaluate_content(pc, metric, mode=args.mode)
+            _, perfs, summary = _evaluate(pc, metric, mats, args.mode)
             per_metric_contents[metric][pc.content_id] = summary
             rows.append((pc.content_id, metric, summary, len(perfs)))
     table = [[cid, metric.value, args.mode] + _summary_cells(summary) + [n] for cid, metric, summary, n in rows]

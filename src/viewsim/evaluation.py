@@ -136,36 +136,3 @@ def aggregate(values) -> AggregateStats:
 def summarize_performance(perfs: list) -> dict:
     """AggregateStats for each of the FIGURES across frames or chunks."""
     return {f: aggregate([getattr(p, f) for p in perfs]) for f in FIGURES}
-
-
-def adjusted_rand_index(labels_a: dict, labels_b: dict) -> float:
-    """Chance-corrected agreement between two partitions of the same users.
-
-    1.0 for identical partitions (including the all-singletons edge case
-    where the correction denominator vanishes).
-    """
-    if set(labels_a) != set(labels_b):
-        raise PreconditionError("partitions must cover the same users")
-    users = sorted(labels_a)
-    n = len(users)
-    if n == 0:
-        raise PreconditionError("adjusted rand index of zero users is undefined")
-    pairs: dict = {}
-    count_a: dict = {}
-    count_b: dict = {}
-    for u in users:
-        a, b = labels_a[u], labels_b[u]
-        pairs[(a, b)] = pairs.get((a, b), 0) + 1
-        count_a[a] = count_a.get(a, 0) + 1
-        count_b[b] = count_b.get(b, 0) + 1
-    sum_pairs = sum(math.comb(c, 2) for c in pairs.values())
-    sum_a = sum(math.comb(c, 2) for c in count_a.values())
-    sum_b = sum(math.comb(c, 2) for c in count_b.values())
-    total = math.comb(n, 2)
-    if total == 0:
-        return 1.0
-    expected = sum_a * sum_b / total
-    maximum = (sum_a + sum_b) / 2.0
-    if maximum == expected:
-        return 1.0
-    return (sum_pairs - expected) / (maximum - expected)

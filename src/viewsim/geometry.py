@@ -57,25 +57,30 @@ def unit(v) -> np.ndarray:
 
 
 def unit_rows(v: np.ndarray) -> np.ndarray:
-    """``unit`` of every 3-vector along the last axis, one row at a time.
+    """``unit`` of every vector along the last axis, bit for bit.
 
-    Deliberately not ``v / np.linalg.norm(v, axis=-1)``: the batched norm
-    rounds differently from the per-vector one in the last bit.
+    The norm is a per-row dot product, ``v[..., None, :] @ v[..., :, None]``,
+    because matmul runs the one-vector ``np.linalg.norm``'s dot kernel on each row;
+    ``norm(axis=-1)``, ``einsum`` and ``(v * v).sum(-1)`` round differently in the last bit.
     """
-    v = np.asarray(v, dtype=np.float64)
-    return np.array([unit(row) for row in v.reshape(-1, 3)]).reshape(v.shape)
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    n = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+    if not (np.all(np.isfinite(v)) and np.all(n)):
+        raise ValueError("cannot normalize a zero or non-finite vector")
+    return v / n
 
 
 def quat_to_matrix(q) -> np.ndarray:
-    """Rotation matrix of a unit quaternion (w, x, y, z)."""
-    w, x, y, z = (float(c) for c in np.asarray(q, dtype=np.float64).reshape(4))
-    return np.array(
+    """Rotation matrices of unit quaternions (w, x, y, z) along the last axis: (..., 4) to (..., 3, 3)."""
+    w, x, y, z = np.moveaxis(np.asarray(q, dtype=np.float64), -1, 0)
+    return np.stack(
         [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+        ],
+        axis=-1,
+    ).reshape(np.shape(w) + (3, 3))
 
 
 def quat_from_matrix(rot: np.ndarray) -> np.ndarray:
@@ -263,20 +268,6 @@ def build_surface_graph(cloud: PointCloudFrame, k: int = DEFAULT_SURFACE_KNN) ->
     union.sort_indices()
     adj = csr_matrix((w[union.data - 1], union.indices, union.indptr), shape=(n, n))
     return SurfaceGraph(points=pts, k=k, adjacency=adj, _tree=tree)
-
-
-def geodesic_distance(graph: SurfaceGraph, a, b) -> float:
-    """Shortest-path length between the vertices nearest a and b.
-
-    Returns +inf when the two snapped vertices lie in different connected
-    components.
-    """
-    if graph is None:
-        raise MissingGraphError("geodesic distance requested without a surface graph")
-    ia, ib = graph.nearest_index(a), graph.nearest_index(b)
-    if ia == ib:
-        return 0.0
-    return float(geodesic_rows(graph, [ia], [ib])[0, 0])
 
 
 def geodesic_rows(graph: SurfaceGraph, sources, targets) -> np.ndarray:

@@ -267,7 +267,11 @@ def evaluate_content(
     if mode not in ("frame", "chunk"):
         raise InvalidParamsError(f"mode must be frame|chunk, got '{mode}'")
     check_clique_size(len(pc.dataset.users))
-    mats = metric_matrices(pc, [metric, MetricId.OVERLAP])
+    return _evaluate(pc, metric, metric_matrices(pc, [metric, MetricId.OVERLAP]), mode)
+
+
+def _evaluate(pc: PreparedContent, metric: MetricId, mats: dict, mode: str):
+    """``evaluate_content`` from a table pass's ``mats``, which hold ``metric`` and the overlap."""
     results = _cluster(pc, metric, mats[metric], mode)
     ovs = mats[MetricId.OVERLAP]
     perfs = []

@@ -12,6 +12,7 @@ supply them (``derive_pr`` casts them for one frame).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -41,7 +42,6 @@ _BASE_COLUMNS = [
 ]
 _PR_COLUMNS = ["p_x", "p_y", "p_z", "r"]
 COLUMNS = ("x", "view", "p", "r", "off")
-_NO_PR = (np.full(3, np.nan), np.nan)
 
 
 class Trace(NamedTuple):
@@ -103,7 +103,7 @@ def _parse_float(tok, path, line, col):
         v = float(tok)
     except ValueError:
         raise ParseError(f"bad float '{tok}' in column {col}", path=path, line=line)
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ParseError(f"non-finite value in column {col}", path=path, line=line)
     return v
 
@@ -117,7 +117,7 @@ def load_trajectories(path) -> dict:
     normalized on load (zero-norm rows are rejected).  Empty p/r fields on a
     row with the optional columns present mark that sample off-content.
     """
-    rows_by_user: dict = {}
+    uids, rows = [], []
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -136,7 +136,7 @@ def load_trajectories(path) -> dict:
             )
         with_pr = bool(extra)
         ncols = len(header)
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(reader, start=2):  # checks and collects floats; arrays come after
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != ncols:
@@ -147,37 +147,35 @@ def load_trajectories(path) -> dict:
             t = _parse_float(row[1], path, lineno, "t")
             if t < 0.0:
                 raise ParseError(f"negative timestamp {t}", path=path, line=lineno)
-            x = np.array([_parse_float(row[i], path, lineno, header[i]) for i in (2, 3, 4)])
-            q = np.array([_parse_float(row[i], path, lineno, header[i]) for i in (5, 6, 7, 8)])
-            qn = float(np.linalg.norm(q))
-            if qn == 0.0:
+            vals = [t] + [_parse_float(row[i], path, lineno, header[i]) for i in range(2, 9)]
+            if not any(c * c for c in vals[4:]):  # exactly np.linalg.norm(q) == 0, underflow included
                 raise ParseError("zero-norm quaternion", path=path, line=lineno)
-            q = q / qn
-            p, r = _NO_PR
-            off = False
             if with_pr:
                 pr = [row[i].strip() for i in range(9, 13)]
                 if all(pr):
-                    p = np.array([_parse_float(v, path, lineno, c) for v, c in zip(pr[:3], _PR_COLUMNS)])
-                    r = _parse_float(pr[3], path, lineno, "r")
-                    if r < 0.0:
-                        raise ParseError(f"negative r {r}", path=path, line=lineno)
+                    vals += [_parse_float(v, path, lineno, c) for v, c in zip(pr, _PR_COLUMNS)]
+                    if vals[-1] < 0.0:
+                        raise ParseError(f"negative r {vals[-1]}", path=path, line=lineno)
                 elif any(pr):
                     raise ParseError("p_x,p_y,p_z,r must be all present or all empty", path=path, line=lineno)
-                else:
-                    off = True
-            view = quat_to_matrix(q) @ np.array([0.0, 0.0, -1.0])
-            rows_by_user.setdefault(uid, []).append((t, x, view, p, r, off))
-    if not rows_by_user:
+            uids.append(uid)
+            rows.append(vals + [math.nan] * (12 - len(vals)))  # p/r NaN where not given
+    if not rows:
         raise ParseError("trajectory file has no data rows", path=path)
-    traces = {}
-    for uid in sorted(rows_by_user):
-        rows = sorted(rows_by_user[uid], key=lambda r: r[0])
-        t, x, view, p, r, off = (np.array(col) for col in zip(*rows))
-        if np.any(t[1:] == t[:-1]):  # t is sorted
-            raise ParseError(f"duplicate timestamps for user '{uid}'", path=path)
-        traces[uid] = Trace(t=t, x=x, view=unit_rows(view), p=p, r=r, off=off)
-    return traces
+    users = sorted(set(uids))
+    rank = dict(zip(users, range(len(users))))
+    a, g = np.array(rows), np.array([rank[u] for u in uids])
+    order = np.lexsort((a[:, 0], g))  # by user, then by time
+    a, g = a[order], g[order]
+    t, r = a[:, 0], a[:, 11]
+    same_user = g[1:] == g[:-1]
+    dup = same_user & (t[1:] == t[:-1])
+    if dup.any():
+        raise ParseError(f"duplicate timestamps for user '{users[g[np.argmax(dup)]]}'", path=path)
+    view = unit_rows(quat_to_matrix(unit_rows(a[:, 4:8])) @ np.array([0.0, 0.0, -1.0]))
+    columns = (t, a[:, 1:4], view, a[:, 8:11], r, np.isnan(r) & with_pr)
+    splits = [np.split(np.ascontiguousarray(c), np.flatnonzero(~same_user) + 1) for c in columns]
+    return {uid: Trace(*fields) for uid, fields in zip(users, zip(*splits))}
 
 
 def align_to_frames(traces: dict, fps: float, n_frames: int | None = None) -> SessionDataset:

@@ -2,18 +2,23 @@
 
 Everything here is deliberately written the slow, obvious way (pure Python
 loops, Fractions, exhaustive enumeration) and shares no code with the
-package beyond reading its public data structures.  Two exceptions:
-``metric_value`` measures graph distances with the package's
-``geodesic_distance`` (checked against closed forms by criterion 4), and
-``clique_clustering_oracle`` searches each sub-graph with the package's
-``max_clique`` (checked against exhaustive enumeration by criterion 5).
-``align_to_frames_oracle`` normalises views with the package's ``unit``,
-once per aligned sample, as a per-sample loader did.  ``ablate_oracle`` is
-the regulator sweep's former separate loop: it checks what the sweep
-averages, in which order and with which parameters, and clusters and scores
-with the package's functions (checked by criteria 5 and 6 and their oracles).
+package beyond reading its public data structures.  The exceptions:
+``geodesic_distance`` snaps with ``SurfaceGraph.nearest_index`` and
+measures with the package's ``geodesic_rows`` (checked against closed
+forms by criterion 4 and against ``dijkstra_oracle``), and ``metric_value``
+measures graph distances with it; ``clique_clustering_oracle`` searches
+each sub-graph with the package's ``max_clique`` (checked against
+exhaustive enumeration by criterion 5).  ``align_to_frames_oracle`` and
+``load_trajectories_oracle`` normalise views with the package's ``unit``,
+once per sample, as a per-sample loader did.  ``ablate_oracle`` is the
+regulator sweep's former separate loop: it checks what the sweep averages,
+in which order and with which parameters, and clusters and scores with the
+package's functions (checked by criteria 5 and 6 and their oracles).
+``adjusted_rand_index`` scores recovered partitions for criterion 6 and is
+itself checked against ``ari_oracle``.
 """
 
+import csv
 import heapq
 import itertools
 import math
@@ -37,8 +42,43 @@ from viewsim.clustering import (
 )
 from viewsim.errors import InvalidParamsError, MissingGraphError, PreconditionError
 from viewsim.evaluation import aggregate, evaluate_result
-from viewsim.geometry import geodesic_distance, unit
+from viewsim.geometry import geodesic_rows, unit
 from viewsim.metrics import MetricConfig, MetricId, SimilarityMatrix
+from viewsim.trajectories import Trace
+
+
+def load_trajectories_oracle(path):
+    """``{user_id: Trace}`` of a well-formed trajectory CSV, one row at a time.
+
+    Each quaternion is divided by its ``np.linalg.norm``, its rotation matrix
+    is built from Python floats, and the matrix's -Z image is normalised with
+    ``unit``.  Users come out sorted and each user's rows in time order.
+    """
+    by_user = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        with_pr = len(next(reader)) > 9
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            t, *x = (float(v) for v in row[1:5])
+            q = np.array([float(v) for v in row[5:9]])
+            w, qx, qy, qz = (float(c) for c in q / np.linalg.norm(q))
+            rot = np.array([
+                [1 - 2 * (qy * qy + qz * qz), 2 * (qx * qy - w * qz), 2 * (qx * qz + w * qy)],
+                [2 * (qx * qy + w * qz), 1 - 2 * (qx * qx + qz * qz), 2 * (qy * qz - w * qx)],
+                [2 * (qx * qz - w * qy), 2 * (qy * qz + w * qx), 1 - 2 * (qx * qx + qy * qy)],
+            ])
+            view = unit(rot @ np.array([0.0, 0.0, -1.0]))
+            given = with_pr and bool(row[9].strip())
+            p = np.array([float(v) for v in row[9:12]]) if given else np.full(3, np.nan)
+            r = float(row[12]) if given else math.nan
+            by_user.setdefault(row[0].strip(), []).append((t, x, view, p, r, with_pr and not given))
+    out = {}
+    for uid in sorted(by_user):
+        samples = sorted(by_user[uid], key=lambda s: s[0])
+        out[uid] = Trace(*(np.array(col) for col in zip(*samples)))
+    return out
 
 
 def align_to_frames_oracle(traces, fps, n_frames=None):
@@ -162,6 +202,12 @@ def dijkstra_oracle(n_vertices, edges, source):
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return dist
+
+
+def geodesic_distance(graph, a, b) -> float:
+    """Shortest-path length between the vertices nearest a and b; +inf across components."""
+    ia, ib = graph.nearest_index(a), graph.nearest_index(b)
+    return 0.0 if ia == ib else float(geodesic_rows(graph, [ia], [ib])[0, 0])
 
 
 def max_cliques_oracle(adj):
@@ -298,6 +344,39 @@ def ari_oracle(labels_a, labels_b):
     if max_index == expected:
         return 1.0
     return float((sum_ij - expected) / (max_index - expected))
+
+
+def adjusted_rand_index(labels_a: dict, labels_b: dict) -> float:
+    """Chance-corrected agreement between two partitions of the same users.
+
+    1.0 for identical partitions (including the all-singletons edge case
+    where the correction denominator vanishes).
+    """
+    if set(labels_a) != set(labels_b):
+        raise PreconditionError("partitions must cover the same users")
+    users = sorted(labels_a)
+    n = len(users)
+    if n == 0:
+        raise PreconditionError("adjusted rand index of zero users is undefined")
+    pairs: dict = {}
+    count_a: dict = {}
+    count_b: dict = {}
+    for u in users:
+        a, b = labels_a[u], labels_b[u]
+        pairs[(a, b)] = pairs.get((a, b), 0) + 1
+        count_a[a] = count_a.get(a, 0) + 1
+        count_b[b] = count_b.get(b, 0) + 1
+    sum_pairs = sum(math.comb(c, 2) for c in pairs.values())
+    sum_a = sum(math.comb(c, 2) for c in count_a.values())
+    sum_b = sum(math.comb(c, 2) for c in count_b.values())
+    total = math.comb(n, 2)
+    if total == 0:
+        return 1.0
+    expected = sum_a * sum_b / total
+    maximum = (sum_a + sum_b) / 2.0
+    if maximum == expected:
+        return 1.0
+    return (sum_pairs - expected) / (maximum - expected)
 
 
 def orbit_position(radius, angular_speed, phase, height, t):

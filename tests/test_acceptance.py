@@ -15,14 +15,12 @@ import pytest
 
 from viewsim.calibration import DEFAULT_GRID, roc_curve, select_parameter_sets, select_threshold
 from viewsim.clustering import SimilarityGraph, clique_clustering, max_clique
-from viewsim.evaluation import adjusted_rand_index
 from viewsim.geometry import (
     FrustumParams,
     PointCloudFrame,
     build_surface_graph,
     contains_points,
     frustum_planes,
-    geodesic_distance,
 )
 from viewsim.metrics import (
     MetricId,
@@ -36,6 +34,8 @@ from viewsim.synth import _fibonacci_sphere, planted_labels, three_orbit_groups
 
 from conftest import feature_columns, make_sample, overlap_columns, random_viewer, record_criterion, square_matrix
 from oracles import (
+    adjusted_rand_index,
+    geodesic_distance,
     jaccard_fraction,
     max_cliques_oracle,
     metric_value,

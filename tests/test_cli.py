@@ -521,6 +521,22 @@ def test_cold_evaluate_computes_and_writes_each_table_once(narrow_manifest, tmp_
     assert sorted(saved) == [f"{kind}-{k:06d}.npz" for kind in ("features", "geodesic", "overlap", "pr") for k in range(4)]
 
 
+@pytest.mark.parametrize("metrics, applied", [
+    ([], [f"w{i}" for i in range(1, 9)] * 4),  # the default: every metric, overlap included
+    (["w1", "w3", "w1", "overlap"], ["w1", "w3"] * 4),
+], ids=["all", "repeated"])
+def test_evaluate_applies_each_kernel_once(narrow_manifest, tmp_path, capsys, monkeypatch, metrics, applied):
+    from viewsim.metrics import PairFeatures
+
+    calls = []
+    real = PairFeatures.metric_matrix
+    monkeypatch.setattr(PairFeatures, "metric_matrix", lambda f, m, reg: calls.append(m.value) or real(f, m, reg))
+    for _ in ("cold", "warm"):
+        calls.clear()
+        run_in(capsys, narrow_manifest, tmp_path, ["evaluate", *(a for m in metrics for a in ("--metric", m))])
+        assert sorted(calls) == sorted(applied)
+
+
 def test_cold_plain_metric_reads_each_cloud_once(narrow_manifest, tmp_path, capsys, monkeypatch):
     import viewsim.ply
 

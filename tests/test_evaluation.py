@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from viewsim.clustering import Cluster, ClusteringResult
 from viewsim.errors import PreconditionError
 from viewsim.evaluation import (
-    adjusted_rand_index,
     aggregate,
     evaluate_result,
     overlap_per_cluster,
@@ -22,7 +21,7 @@ from viewsim.metrics import MetricId
 from viewsim.pipeline import evaluate_content
 
 from conftest import assert_close, square_matrix
-from oracles import ari_oracle, overlap_per_cluster_oracle, precision_oracle
+from oracles import adjusted_rand_index, ari_oracle, overlap_per_cluster_oracle, precision_oracle
 
 NAN = float("nan")
 

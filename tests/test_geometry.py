@@ -9,7 +9,6 @@ from viewsim import (
     build_surface_graph,
     contains_points,
     frustum_planes,
-    geodesic_distance,
     ray_cast_center,
     view_basis,
 )
@@ -19,11 +18,12 @@ from viewsim.geometry import (
     quat_from_matrix,
     quat_to_matrix,
     unit,
+    unit_rows,
     view_quaternion,
 )
 
 from conftest import assert_close, random_viewer
-from oracles import dijkstra_oracle, graph_edges, surface_adjacency_oracle, viewport_set_oracle
+from oracles import dijkstra_oracle, geodesic_distance, graph_edges, surface_adjacency_oracle, viewport_set_oracle
 
 MINUS_Z = np.array([0.0, 0.0, -1.0])
 
@@ -82,6 +82,36 @@ def test_quaternion_matrix_round_trip():
         np.testing.assert_allclose(q, q2, atol=1e-12)
         np.testing.assert_allclose(rot @ rot.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(rot) > 0
+
+
+def test_quaternion_matrices_batch_over_leading_axes():
+    rng = np.random.default_rng(4)
+    qs = rng.normal(size=(5, 7, 4))
+    rot = quat_to_matrix(qs)
+    assert rot.shape == (5, 7, 3, 3) and quat_to_matrix(qs[2, 3]).shape == (3, 3)
+    for i, j in np.ndindex(5, 7):
+        assert rot[i, j].tobytes() == quat_to_matrix(qs[i, j]).tobytes()
+
+
+def test_unit_rows_matches_unit_row_by_row():
+    # bit equality rests on matmul running the one-vector norm's dot kernel on each row
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(120_000, 3)) * np.exp(rng.uniform(-30.0, 30.0, (120_000, 1)))
+    rows[:20_000] = rng.normal(size=(20_000, 3)) * 1e-150
+    rows[20_000:40_000] = rng.normal(size=(20_000, 3)) * 1e150
+    stack = rng.normal(size=(40, 500, 3))
+    for v in (rows, stack, stack[:, 7], stack[:, ::3], stack[..., ::-1]):
+        want = np.array([unit(row) for row in v.reshape(-1, 3)]).reshape(v.shape)
+        got = unit_rows(v)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [1.0, np.nan, 0.0], [0.0, 0.0, -np.inf]])
+def test_unit_rows_rejects_zero_and_non_finite_rows(bad):
+    v = np.ones((4, 6, 3))
+    v[2, 5] = bad
+    with pytest.raises(ValueError):
+        unit_rows(v)
 
 
 def _origin_planes(params=FrustumParams()):

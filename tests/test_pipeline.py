@@ -12,7 +12,6 @@ import pytest
 import viewsim.pipeline
 import viewsim.ply
 from viewsim.errors import InvalidParamsError
-from viewsim.evaluation import adjusted_rand_index
 from viewsim.geometry import PointCloudFrame
 from viewsim.manifest import load_manifest
 from viewsim.metrics import MetricId, compute_pair_features, overlap_matrix
@@ -29,6 +28,7 @@ from viewsim.pipeline import (
 from viewsim.synth import planted_labels, three_orbit_groups, write_scenario
 
 from conftest import overlaps
+from oracles import adjusted_rand_index
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ from viewsim.geometry import unit_rows
 from viewsim.synth import _fibonacci_sphere
 from viewsim.trajectories import Trace, write_trajectories
 
-from oracles import align_to_frames_oracle
+from oracles import align_to_frames_oracle, load_trajectories_oracle
 
 HEADER = "user_id,t,pos_x,pos_y,pos_z,quat_w,quat_x,quat_y,quat_z"
 
@@ -100,6 +100,109 @@ def test_duplicate_timestamps_rejected(tmp_path):
     body = "a,0.0,0,0,0,1,0,0,0\na,0.0,1,1,1,1,0,0,0\n"
     with pytest.raises(ParseError):
         load_trajectories(_write(tmp_path, body))
+
+
+def _messy_rows(rng, with_pr, n_users=12, n_rows=250):
+    """Shuffled rows of shuffled users: axis-aligned, 180-degree, tiny, huge and overflowing quaternions."""
+    special = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1], [-1, 0, 0, 0]]
+    rows = []
+    for u in rng.permutation(n_users):
+        for t in rng.permutation(n_rows) / 30.0 + rng.uniform(0.0, 0.01):
+            kind = int(rng.integers(0, 10))
+            if kind < len(special):
+                q = special[kind]
+            else:
+                q = rng.normal(size=4) * [1.0, 1e-150, 1e150, 1e-160, 1e160][kind - len(special)]
+            row = [f"u{u:02d}", repr(float(t)), *map(repr, rng.normal(size=3).tolist()), *map(repr, map(float, q))]
+            if with_pr:
+                given = rng.uniform() < 0.7
+                row += [*map(repr, rng.normal(size=3).tolist()), repr(float(rng.uniform(0.0, 5.0)))] if given else [""] * 4
+            rows.append(",".join(row))
+    rng.shuffle(rows)
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # the 1e160 quaternions' norms overflow to inf
+@pytest.mark.parametrize("with_pr", [False, True])
+def test_load_matches_per_row_oracle(tmp_path, with_pr):
+    header = HEADER + (",p_x,p_y,p_z,r" if with_pr else "")
+    path = _write(tmp_path, _messy_rows(np.random.default_rng(6 + with_pr), with_pr), header)
+    got, want = load_trajectories(path), load_trajectories_oracle(path)
+    assert list(got) == list(want) == sorted(want)
+    for uid in want:
+        for name, a, b in zip(Trace._fields, got[uid], want[uid]):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (uid, name)
+    assert with_pr == any(tr.off.any() for tr in got.values())
+
+
+@pytest.mark.parametrize("q, ok", [
+    ("1e-170,1e-170,1e-170,1e-170", False),  # every square underflows to zero
+    ("1e-150,1e-150,1e-150,1e-150", True),
+    ("1e-170,1e-170,1e-170,1e-150", True),
+    ("0,0,0,-0.0", False),
+])
+def test_zero_norm_quaternion_boundary(tmp_path, q, ok):
+    path = _write(tmp_path, f"a,0,0,0,0,{q}\n")
+    if ok:
+        assert load_trajectories(path)["a"].view.tobytes() == load_trajectories_oracle(path)["a"].view.tobytes()
+    else:
+        with pytest.raises(ParseError, match=r"^zero-norm quaternion \[.*traj\.csv:2\]$"):
+            load_trajectories(path)
+
+
+@pytest.mark.parametrize("fields, want", [
+    ("1_0,0,0", 10.0),
+    (" 1.5 ,0,0", 1.5),
+    ("nan,0,0", "non-finite value in column pos_x"),
+    ("inf,0,0", "non-finite value in column pos_x"),
+    ("1e400,0,0", "non-finite value in column pos_x"),
+    (" x ,0,0", "bad float ' x ' in column pos_x"),
+])
+def test_position_tokens(tmp_path, fields, want):
+    path = _write(tmp_path, f"a,0,{fields},1,0,0,0\n")
+    if isinstance(want, float):
+        assert load_trajectories(path)["a"].x.tolist() == [[want, 0.0, 0.0]]
+    else:
+        with pytest.raises(ParseError) as err:
+            load_trajectories(path)
+        assert str(err.value) == f"{want} [{path}:2]" and err.value.line == 2
+
+
+@pytest.mark.parametrize("pr, want", [
+    (" x ,1,1,1", "bad float 'x' in column p_x"),  # p/r tokens are reported stripped
+    ("1_0, 1.5 ,1,1e400", "non-finite value in column r"),
+    ("1,1,1, -0.5 ", "negative r -0.5"),
+    ("1,,1,", "p_x,p_y,p_z,r must be all present or all empty"),
+])
+def test_pr_tokens(tmp_path, pr, want):
+    path = _write(tmp_path, f"a,0,0,0,0,1,0,0,0,{pr}\n", HEADER + ",p_x,p_y,p_z,r")
+    with pytest.raises(ParseError) as err:
+        load_trajectories(path)
+    assert str(err.value) == f"{want} [{path}:2]" and err.value.line == 2
+
+
+def test_first_fault_in_row_order_is_reported(tmp_path):
+    body = (
+        "b,0,0,0,0,1,0,0,0,1,1,1,1\n"
+        "b,0,0,0,0,1,0,0,0,1,1,1,1\n"  # a duplicate timestamp, reported only for a file without row faults
+        "a,0.1,0,bad,0,0,0,0,0,1,2,3,-1\n"  # bad pos_y, zero quaternion and negative r: pos_y comes first
+        "c,-1,0,0,0,1,0,0,0\n"
+    )
+    path = _write(tmp_path, body, HEADER + ",p_x,p_y,p_z,r")
+    with pytest.raises(ParseError) as err:
+        load_trajectories(path)
+    assert str(err.value) == f"bad float 'bad' in column pos_y [{path}:4]" and err.value.line == 4
+    path.write_text(path.read_text().replace("0,bad,0,0,0,0,0", "0,0,0,1,0,0,0").replace("3,-1", "3,1"))
+    with pytest.raises(ParseError) as err:
+        load_trajectories(path)
+    assert str(err.value) == f"expected 13 fields, got 9 [{path}:5]"
+
+
+def test_duplicate_timestamp_names_the_first_user_in_order(tmp_path):
+    body = "b,0,0,0,0,1,0,0,0\nb,0,0,0,0,1,0,0,0\na,1,0,0,0,1,0,0,0\na,1,0,0,0,1,0,0,0\na,-0.0,0,0,0,1,0,0,0\n"
+    with pytest.raises(ParseError) as err:
+        load_trajectories(_write(tmp_path, body))
+    assert str(err.value) == f"duplicate timestamps for user 'a' [{tmp_path / 'traj.csv'}]" and err.value.line is None
 
 
 def _trace(times, xs=None, off=None):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calibration import DEFAULT_OVERLAP_LABEL_THRESHOLD
 from .clustering import DEFAULT_RELEVANT_MIN_SIZE, Cluster, ClusteringResult, pair_indices
 from .errors import PreconditionError
 from .metrics import SimilarityMatrix
@@ -97,7 +98,7 @@ def evaluate_result(
     overlap: SimilarityMatrix,
     labels: SimilarityMatrix | None = None,
     *,
-    label_threshold: float = 0.75,
+    label_threshold: float = DEFAULT_OVERLAP_LABEL_THRESHOLD,
     min_size: int = DEFAULT_RELEVANT_MIN_SIZE,
 ) -> ClusterPerformance:
     """All three performance figures for one frame or chunk.

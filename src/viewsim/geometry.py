@@ -50,23 +50,31 @@ def as_vec3(v) -> np.ndarray:
 
 def unit(v) -> np.ndarray:
     a = as_vec3(v)
-    n = float(np.linalg.norm(a))
-    if n == 0.0:
-        raise ValueError("cannot normalize a zero vector")
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        n = float(np.linalg.norm(a))
+    if not 0.0 < n < math.inf:
+        raise ValueError("cannot normalize a zero vector or one whose norm overflows")
     return a / n
 
 
-def unit_rows(v: np.ndarray) -> np.ndarray:
-    """``unit`` of every vector along the last axis, bit for bit.
+def norms(v) -> np.ndarray:
+    """The norm of every vector along the last axis, kept as a length-1 axis, bit for bit.
 
     The norm is a per-row dot product, ``v[..., None, :] @ v[..., :, None]``,
     because matmul runs the one-vector ``np.linalg.norm``'s dot kernel on each row;
     ``norm(axis=-1)``, ``einsum`` and ``(v * v).sum(-1)`` round differently in the last bit.
+    A norm whose square overflows is ``inf``, without a warning.
     """
     v = np.ascontiguousarray(v, dtype=np.float64)
-    n = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
-    if not (np.all(np.isfinite(v)) and np.all(n)):
-        raise ValueError("cannot normalize a zero or non-finite vector")
+    with np.errstate(over="ignore"):
+        return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+
+
+def unit_rows(v: np.ndarray) -> np.ndarray:
+    """``unit`` of every vector along the last axis, bit for bit (see ``norms``)."""
+    n = norms(v)
+    if not np.all((n > 0.0) & (n < math.inf)):  # a NaN or infinite row has a NaN or infinite norm
+        raise ValueError("cannot normalize a zero or non-finite vector or one whose norm overflows")
     return v / n
 
 

@@ -1,45 +1,30 @@
-"""JSON inputs: run manifests, calibration thresholds, and their checkers.
+"""JSON inputs: run manifests, calibration thresholds, and the one object reader.
 
 A manifest is either one content object or ``{"contents": [...]}``.  Keys
 are validated strictly (unknown keys are rejected, referenced paths must
 exist) so a typo cannot silently fall back to a default.  Relative paths
-resolve against the manifest file's directory.  The checkers below also
-read ``synth --scenario`` files; every malformed value is a ManifestError
-that names its key.
+resolve against the manifest file's directory.  Every JSON object, the
+``synth --scenario`` file's included, is read by ``read_object`` into the
+dataclass whose fields are its keys; every malformed value is a
+ManifestError that names its key.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+import typing
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
-from .clustering import ChunkSpec
+from .calibration import DEFAULT_OVERLAP_LABEL_THRESHOLD
+from .clustering import DEFAULT_RELEVANT_MIN_SIZE, ChunkSpec
 from .errors import InvalidParamsError, ManifestError
 from .geometry import DEFAULT_CONE_HALF_ANGLE, DEFAULT_SURFACE_KNN, FrustumParams
-from .metrics import MetricConfig, MetricId, RegulatorSet, default_configs
+from .metrics import MetricId, RegulatorSet, default_configs
 from .store import safe_name
-
-_CONTENT_KEYS = {
-    "content_id",
-    "cloud_dir",
-    "trajectory_csv",
-    "fps",
-    "reference",
-    "frustum",
-    "cone_half_angle",
-    "r_mode",
-    "relevant_min_size",
-    "overlap_threshold",
-    "surface_knn",
-    "chunk",
-    "metrics",
-}
-_FRUSTUM_KEYS = {"hfov", "vfov", "near", "far"}
-_CHUNK_KEYS = {"window", "persistence"}
-_METRIC_KEYS = {"alpha", "beta", "gamma", "threshold"}
 
 
 @dataclass
@@ -52,11 +37,23 @@ class ContentManifest:
     frustum: FrustumParams = field(default_factory=FrustumParams)
     cone_half_angle: float = DEFAULT_CONE_HALF_ANGLE
     r_mode: str = "viewport"
-    relevant_min_size: int = 3
-    overlap_threshold: float = 0.75
+    relevant_min_size: int = DEFAULT_RELEVANT_MIN_SIZE
+    overlap_threshold: float = DEFAULT_OVERLAP_LABEL_THRESHOLD
     surface_knn: int = DEFAULT_SURFACE_KNN
     chunk: ChunkSpec = field(default_factory=ChunkSpec)
     metrics: dict = field(default_factory=default_configs)
+
+    def __post_init__(self):
+        for ok, msg in (
+            (self.fps > 0.0, f"fps must be > 0, got {self.fps}"),
+            (0.0 < self.cone_half_angle <= math.pi / 4.0, f"cone_half_angle must lie in (0, pi/4], got {self.cone_half_angle}"),
+            (self.r_mode in ("viewport", "centroid"), f"r_mode must be viewport|centroid, got {self.r_mode!r}"),
+            (self.relevant_min_size >= 2, f"relevant_min_size must be >= 2, got {self.relevant_min_size}"),
+            (0.0 <= self.overlap_threshold <= 1.0, f"overlap_threshold must lie in [0, 1], got {self.overlap_threshold}"),
+            (self.surface_knn >= 1, f"surface_knn must be >= 1, got {self.surface_knn}"),
+        ):
+            if not ok:
+                raise InvalidParamsError(msg)
 
 
 def _require(cond: bool, msg: str):
@@ -87,23 +84,33 @@ def _number(v) -> bool:
     return not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
 
 
-def read_float(d, key, default, where):
-    v = d.get(key, default)
-    _require(_number(v), f"{where}.{key} must be a finite number, got {v!r}")
+def read_float(v, at: str) -> float:
+    _require(_number(v), f"{at} must be a finite number, got {v!r}")
     return float(v)
 
 
-def read_int(d, key, default, where):
-    v = d.get(key, default)
-    _require(not isinstance(v, bool) and isinstance(v, int), f"{where}.{key} must be an integer, got {v!r}")
+def read_int(v, at: str) -> int:
+    _require(not isinstance(v, bool) and isinstance(v, int), f"{at} must be an integer, got {v!r}")
     return v
 
 
-def read_vec3(d, key, default, where):
-    v = d.get(key, default)
+def read_bool(v, at: str) -> bool:
+    _require(isinstance(v, bool), f"{at} must be a boolean, got {v!r}")
+    return v
+
+
+def read_str(v, at: str) -> str:
+    _require(isinstance(v, str) and v != "", f"{at} must be a non-empty string, got {v!r}")
+    return v
+
+
+def read_vec3(v, at: str) -> tuple:
     ok = isinstance(v, (list, tuple)) and len(v) == 3 and all(_number(c) for c in v)
-    _require(ok, f"{where}.{key} must be a list of 3 finite numbers, got {v!r}")
+    _require(ok, f"{at} must be a list of 3 finite numbers, got {v!r}")
     return tuple(float(c) for c in v)
+
+
+_READERS = {float: read_float, int: read_int, bool: read_bool, str: read_str, tuple: read_vec3}
 
 
 def check_keys(d, allowed, where):
@@ -127,79 +134,56 @@ def valid_params(where: str):
         raise ManifestError(f"{where}: {e}") from None
 
 
-def _parse_metrics(d: dict, where: str) -> dict:
+def read_object(cls, d, where: str, base=None, **readers):
+    """The ``cls`` that JSON object ``d`` describes, its keys being ``cls``'s fields.
+
+    Unknown keys are refused, then keys whose field has no default are
+    required (a ``base`` gives every field).  Each present key is read in
+    field order by ``readers[name](value, at)`` if given, where ``at`` is
+    the key's path ``<where>.<name>`` that errors name; else as a nested
+    object for a dataclass-typed field; else by its type's reader.  An
+    absent key takes ``base``'s value, else the field default, and ``cls``
+    checks its own domain: its InvalidParamsError is reported at ``where``.
+    """
+    params = fields(cls)
+    check_keys(d, [f.name for f in params], where)
+    if base is None:
+        require_keys(d, [f.name for f in params if f.default is MISSING and f.default_factory is MISSING], where)
+    types = typing.get_type_hints(cls)  # the annotations are strings
+    values = {}
+    for f in params:
+        if f.name in d:
+            t = types[f.name]
+            read = readers.get(f.name) or (functools.partial(read_object, t) if is_dataclass(t) else _READERS[t])
+            values[f.name] = read(d[f.name], f"{where}.{f.name}")
+    with valid_params(where):
+        return cls(**values) if base is None else replace(base, **values)
+
+
+def _parse_metrics(d, where: str) -> dict:
     configs = default_configs()
     check_keys(d, {m.value for m in MetricId}, where)
     for name, override in d.items():
         metric, at = MetricId(name), f"{where}.{name}"
-        check_keys(override, {"threshold"} if metric.is_overlap else _METRIC_KEYS, at)
         base = configs[metric]
-        regulators = None
-        if not metric.is_overlap:
-            reg = base.regulators
-            with valid_params(at):
-                regulators = RegulatorSet(
-                    alpha=read_float(override, "alpha", reg.alpha, at),
-                    beta=read_float(override, "beta", reg.beta, at),
-                    gamma=read_float(override, "gamma", reg.gamma, at),
-                )
-        configs[metric] = MetricConfig(metric, regulators, read_float(override, "threshold", base.threshold, at))
+        regulator_keys = () if metric.is_overlap else [f.name for f in fields(RegulatorSet)]
+        check_keys(override, {"threshold", *regulator_keys}, at)
+        regulators = {k: v for k, v in override.items() if k != "threshold"}
+        configs[metric] = replace(
+            base,
+            regulators=None if metric.is_overlap else read_object(RegulatorSet, regulators, at, base.regulators),
+            threshold=read_float(override.get("threshold", base.threshold), f"{at}.threshold"),
+        )
     return configs
 
 
-def _parse_content(d: dict, base_dir: str, where: str) -> ContentManifest:
-    check_keys(d, _CONTENT_KEYS, where)
-    for key in ("content_id", "cloud_dir", "trajectory_csv"):
-        _require(isinstance(d.get(key), str) and d[key], f"{where}.{key} is required")
-    cloud_dir = os.path.join(base_dir, d["cloud_dir"])
-    trajectory_csv = os.path.join(base_dir, d["trajectory_csv"])
-    _require(os.path.isdir(cloud_dir), f"{where}: cloud_dir not found: {cloud_dir}")
-    _require(os.path.isfile(trajectory_csv), f"{where}: trajectory_csv not found: {trajectory_csv}")
-    fr = d.get("frustum", {})
-    check_keys(fr, _FRUSTUM_KEYS, f"{where}.frustum")
-    with valid_params(f"{where}.frustum"):
-        frustum = FrustumParams(
-            hfov=read_float(fr, "hfov", FrustumParams().hfov, f"{where}.frustum"),
-            vfov=read_float(fr, "vfov", FrustumParams().vfov, f"{where}.frustum"),
-            near=read_float(fr, "near", FrustumParams().near, f"{where}.frustum"),
-            far=read_float(fr, "far", FrustumParams().far, f"{where}.frustum"),
-        )
-    ch = d.get("chunk", {})
-    check_keys(ch, _CHUNK_KEYS, f"{where}.chunk")
-    with valid_params(f"{where}.chunk"):
-        chunk = ChunkSpec(
-            window=read_float(ch, "window", 1.0, f"{where}.chunk"),
-            persistence=read_float(ch, "persistence", 0.8, f"{where}.chunk"),
-        )
-    r_mode = d.get("r_mode", "viewport")
-    _require(r_mode in ("viewport", "centroid"), f"{where}.r_mode must be viewport|centroid")
-    reference = d.get("reference", True)
-    _require(isinstance(reference, bool), f"{where}.reference must be a boolean")
-    surface_knn = read_int(d, "surface_knn", DEFAULT_SURFACE_KNN, where)
-    _require(surface_knn >= 1, f"{where}.surface_knn must be >= 1, got {surface_knn}")
-    fps = read_float(d, "fps", 30.0, where)
-    _require(fps > 0.0, f"{where}.fps must be > 0, got {fps}")
-    cone = read_float(d, "cone_half_angle", DEFAULT_CONE_HALF_ANGLE, where)
-    _require(0.0 < cone <= math.pi / 4.0, f"{where}.cone_half_angle must lie in (0, pi/4], got {cone}")
-    min_size = read_int(d, "relevant_min_size", 3, where)
-    _require(min_size >= 2, f"{where}.relevant_min_size must be >= 2, got {min_size}")
-    o_th = read_float(d, "overlap_threshold", 0.75, where)
-    _require(0.0 <= o_th <= 1.0, f"{where}.overlap_threshold must lie in [0, 1], got {o_th}")
-    return ContentManifest(
-        content_id=d["content_id"],
-        cloud_dir=cloud_dir,
-        trajectory_csv=trajectory_csv,
-        fps=fps,
-        reference=reference,
-        frustum=frustum,
-        cone_half_angle=cone,
-        r_mode=r_mode,
-        relevant_min_size=min_size,
-        overlap_threshold=o_th,
-        surface_knn=surface_knn,
-        chunk=chunk,
-        metrics=_parse_metrics(d.get("metrics", {}), f"{where}.metrics"),
-    )
+def _parse_content(d, base_dir: str, where: str) -> ContentManifest:
+    cm = read_object(ContentManifest, d, where, metrics=_parse_metrics)
+    for key, exists in (("cloud_dir", os.path.isdir), ("trajectory_csv", os.path.isfile)):
+        path = os.path.join(base_dir, getattr(cm, key))
+        _require(exists(path), f"{where}: {key} not found: {path}")
+        setattr(cm, key, path)
+    return cm
 
 
 def load_manifest(path) -> list:
@@ -232,5 +216,5 @@ def load_thresholds(path) -> dict:
     thresholds = {}
     for name, entry in doc["metrics"].items():
         require_keys(entry, ("threshold",), f"calibration.metrics.{name}")
-        thresholds[MetricId(name)] = read_float(entry, "threshold", None, f"calibration.metrics.{name}")
+        thresholds[MetricId(name)] = read_float(entry["threshold"], f"calibration.metrics.{name}.threshold")
     return thresholds

@@ -23,6 +23,7 @@ from .calibration import (
     pair_samples,
 )
 from .clustering import (
+    DEFAULT_RELEVANT_MIN_SIZE,
     ChunkSpec,
     build_adjacency,
     check_clique_size,
@@ -34,7 +35,7 @@ from .clustering import (
 )
 from .errors import DegenerateLabelsError, InvalidParamsError
 from .evaluation import FIGURES, aggregate, evaluate_result, summarize_performance
-from .geometry import DEFAULT_CONE_HALF_ANGLE, FrustumParams, build_surface_graph
+from .geometry import DEFAULT_CONE_HALF_ANGLE, DEFAULT_SURFACE_KNN, FrustumParams, build_surface_graph
 from .manifest import ContentManifest
 from .metrics import (
     MetricConfig,
@@ -73,9 +74,9 @@ class PreparedContent:
     dataset: SessionDataset
     clouds: object
     configs: dict = field(default_factory=default_configs)
-    knn: int = 8
+    knn: int = DEFAULT_SURFACE_KNN
     o_th: float = DEFAULT_OVERLAP_LABEL_THRESHOLD
-    min_size: int = 3
+    min_size: int = DEFAULT_RELEVANT_MIN_SIZE
     chunk: ChunkSpec = field(default_factory=ChunkSpec)
     reference: bool = True
     frustum: FrustumParams = field(default_factory=FrustumParams)

@@ -14,15 +14,16 @@ recovered clusters.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .errors import InvalidParamsError, ManifestError
-from .geometry import PointCloudFrame, unit, unit_rows
-from .manifest import check_keys, read_float, read_int, read_vec3, require_keys, valid_params, write_json
+from .geometry import PointCloudFrame, norms, unit, unit_rows
+from .manifest import read_object, require_keys, write_json
 from .ply import write_ply
 from .trajectories import SessionDataset, write_trajectories
 
@@ -162,8 +163,8 @@ class FixedDirectionGaze:
     direction: tuple
 
     def __post_init__(self):
-        if not np.linalg.norm(self.direction) > 0.0:
-            raise InvalidParamsError(f"direction must be a non-zero vector, got {self.direction}")
+        if not 0.0 < norms(self.direction)[0] < math.inf:  # the norm ``aim``'s ``unit`` divides by
+            raise InvalidParamsError(f"direction must be a non-zero vector with a finite norm, got {self.direction}")
 
     def aim(self, x: np.ndarray, centroid: np.ndarray, rng: SplitMix64) -> np.ndarray:
         return unit(np.asarray(self.direction, dtype=np.float64))
@@ -355,54 +356,25 @@ def scenario_to_json(value):
     return [scenario_to_json(v) for v in value] if isinstance(value, tuple) else value
 
 
-_READERS = {"float": read_float, "tuple": read_vec3}
-
-
 def _primitive_from_json(registry: dict, d, where: str):
-    """The registered primitive ``d`` names by kind, each field read under its own key."""
+    """The registered primitive ``d`` names by kind, each other key read as one of its fields."""
     require_keys(d, ("kind",), where)
     cls = registry.get(str(d["kind"]))
     if cls is None:
         raise ManifestError(f"{where}.kind must be one of {sorted(registry)}, got {d['kind']!r}")
-    params = fields(cls)
-    check_keys(d, {"kind", *(f.name for f in params)}, where)
-    require_keys(d, [f.name for f in params if f.default is MISSING], where)
-    with valid_params(where):
-        return cls(**{f.name: _READERS[f.type](d, f.name, f.default, where) for f in params})
+    return read_object(cls, {k: v for k, v in d.items() if k != "kind"}, where)
+
+
+def _groups_from_json(groups, where: str) -> tuple:
+    if not (isinstance(groups, list) and groups):
+        raise ManifestError(f"{where} must be a non-empty list, got {groups!r}")
+    motion, gaze = functools.partial(_primitive_from_json, MOTIONS), functools.partial(_primitive_from_json, GAZES)
+    return tuple(read_object(GroupSpec, g, f"{where}[{i}]", motion=motion, gaze=gaze) for i, g in enumerate(groups))
 
 
 def scenario_from_json(d) -> SynthScenario:
     """The scenario a JSON document describes; a malformed value is a ManifestError naming its key."""
-    keys = ("seed", "cloud_kind", "points_per_frame", "n_frames", "fps", "groups")
-    check_keys(d, set(keys), "scenario")
-    require_keys(d, keys, "scenario")
-    if not (isinstance(d["groups"], list) and d["groups"]):
-        raise ManifestError(f"scenario.groups must be a non-empty list, got {d['groups']!r}")
-    groups = []
-    for i, g in enumerate(d["groups"]):
-        where = f"scenario.groups[{i}]"
-        check_keys(g, {"size", "motion", "gaze", "jitter"}, where)
-        require_keys(g, ("size", "motion", "gaze"), where)
-        motion = _primitive_from_json(MOTIONS, g["motion"], f"{where}.motion")
-        gaze = _primitive_from_json(GAZES, g["gaze"], f"{where}.gaze")
-        with valid_params(where):
-            groups.append(
-                GroupSpec(
-                    size=read_int(g, "size", None, where),
-                    motion=motion,
-                    gaze=gaze,
-                    jitter=read_float(g, "jitter", 0.0, where),
-                )
-            )
-    with valid_params("scenario"):
-        return SynthScenario(
-            seed=read_int(d, "seed", None, "scenario"),
-            cloud_kind=d["cloud_kind"],
-            points_per_frame=read_int(d, "points_per_frame", None, "scenario"),
-            n_frames=read_int(d, "n_frames", None, "scenario"),
-            fps=read_float(d, "fps", None, "scenario"),
-            groups=tuple(groups),
-        )
+    return read_object(SynthScenario, d, "scenario", groups=_groups_from_json)
 
 
 def three_orbit_groups(

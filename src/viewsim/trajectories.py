@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DataError, EmptyTrajectoryError, InvalidParamsError, ParseError
 from .geometry import (
     DEFAULT_CONE_HALF_ANGLE,
+    norms,
     quat_to_matrix,
     ray_cast_center,
     unit_rows,
@@ -114,10 +115,11 @@ def load_trajectories(path) -> dict:
     Columns: ``user_id,t,pos_x,pos_y,pos_z,quat_w,quat_x,quat_y,quat_z`` with
     optional trailing ``p_x,p_y,p_z,r``.  Rows are grouped by user and sorted
     by time; duplicate (user, t) pairs are rejected.  Quaternions are
-    normalized on load (zero-norm rows are rejected).  Empty p/r fields on a
-    row with the optional columns present mark that sample off-content.
+    normalized on load; a row whose quaternion norm is zero or overflows is
+    rejected.  Empty p/r fields on a row with the optional columns present
+    mark that sample off-content.
     """
-    uids, rows = [], []
+    uids, rows, lines = [], [], []
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -159,12 +161,16 @@ def load_trajectories(path) -> dict:
                 elif any(pr):
                     raise ParseError("p_x,p_y,p_z,r must be all present or all empty", path=path, line=lineno)
             uids.append(uid)
+            lines.append(lineno)
             rows.append(vals + [math.nan] * (12 - len(vals)))  # p/r NaN where not given
     if not rows:
         raise ParseError("trajectory file has no data rows", path=path)
     users = sorted(set(uids))
     rank = dict(zip(users, range(len(users))))
     a, g = np.array(rows), np.array([rank[u] for u in uids])
+    overflow = np.isinf(norms(a[:, 4:8]))[:, 0]  # checked once all rows are read, like duplicate timestamps
+    if overflow.any():
+        raise ParseError("quaternion norm overflows", path=path, line=lines[np.argmax(overflow)])
     order = np.lexsort((a[:, 0], g))  # by user, then by time
     a, g = a[order], g[order]
     t, r = a[:, 0], a[:, 11]

@@ -132,6 +132,26 @@ def test_readme_scenario_example_runs(tmp_path, capsys):
     assert any(r[5] == "1" and float(r[4]) > 0.5 for r in rows)
 
 
+def test_readme_run_manifest_example_runs(dataset, tmp_path, capsys):
+    from viewsim.cli import main
+    from viewsim.manifest import load_manifest
+    from viewsim.metrics import MetricId, RegulatorSet
+
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = text.split("## Run manifests", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = dataset / "lab.json"  # beside the synth dataset's clouds and trajectories
+    path.write_text(example)
+    (cm,) = load_manifest(path)
+    assert cm.content_id == "lab-capture-01" and cm.fps == 30.0
+    assert (cm.frustum.hfov, cm.frustum.vfov) == (0.5, 0.5)
+    assert (cm.chunk.window, cm.chunk.persistence) == (1.0, 0.8)
+    assert cm.metrics[MetricId.W7].regulators == RegulatorSet(0.25, 0.5, 0.5)
+    assert cm.metrics[MetricId.W7].threshold == 0.6
+    assert main(["--manifest", str(path), "--out", str(tmp_path), "overlap"]) == 0
+    rows = read_csv(tmp_path / "overlap_lab-capture-01.csv")[1:]
+    assert len(rows) == 4 * 36  # frames x unordered pairs of the 9 users
+
+
 @pytest.mark.parametrize("path, value, message", MALFORMED_SCENARIOS)
 def test_malformed_scenario_file_exits_3(tmp_path, capsys, path, value, message):
     from viewsim.cli import main

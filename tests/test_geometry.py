@@ -106,12 +106,33 @@ def test_unit_rows_matches_unit_row_by_row():
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [1.0, np.nan, 0.0], [0.0, 0.0, -np.inf]])
+@pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [1.0, np.nan, 0.0], [0.0, 0.0, -np.inf], [1e200, 0.0, 0.0]])
 def test_unit_rows_rejects_zero_and_non_finite_rows(bad):
     v = np.ones((4, 6, 3))
     v[2, 5] = bad
     with pytest.raises(ValueError):
         unit_rows(v)
+
+
+def test_unit_refuses_a_norm_that_overflows_exactly_where_np_linalg_norm_does():
+    for k in (1, 2, 3):
+        c = math.sqrt(np.finfo(np.float64).max / k)
+        for _ in range(4):
+            c = math.nextafter(c, 0.0)
+        seen = set()
+        for _ in range(9):
+            v = np.array([c] * k + [0.0] * (3 - k))
+            with np.errstate(over="ignore"):
+                ok = bool(np.isfinite(np.linalg.norm(v)))
+            if ok:
+                assert unit_rows(v[None]).tobytes() == unit(v)[None].tobytes()
+            else:
+                for f in (unit, unit_rows):
+                    with pytest.raises(ValueError, match="overflows"):
+                        f(v)
+            seen.add(ok)
+            c = math.nextafter(c, math.inf)
+        assert seen == {True, False}, k
 
 
 def _origin_planes(params=FrustumParams()):

@@ -1,15 +1,37 @@
 """Strict manifest parsing: defaults, overrides, and path checks."""
 
+import copy
+import functools
 import json
 import math
+import operator
+import re
+from dataclasses import MISSING, fields
 
 import pytest
+from test_synth import all_kinds_scenario
 
+from viewsim.clustering import ChunkSpec
 from viewsim.errors import ManifestError
-from viewsim.geometry import DEFAULT_SURFACE_KNN
+from viewsim.geometry import DEFAULT_SURFACE_KNN, FrustumParams
 from viewsim.manifest import ContentManifest, load_manifest
-from viewsim.metrics import MetricId, default_configs
-from viewsim.synth import three_orbit_groups, write_scenario
+from viewsim.metrics import MetricId, RegulatorSet, default_configs
+from viewsim.pipeline import PreparedContent, prepare
+from viewsim.synth import (
+    GAZES,
+    MOTIONS,
+    FixedDirectionGaze,
+    GroupSpec,
+    JitteredGaze,
+    OrbitMotion,
+    RandomWalkMotion,
+    StaticMotion,
+    SynthScenario,
+    scenario_from_json,
+    scenario_to_json,
+    three_orbit_groups,
+    write_scenario,
+)
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +81,15 @@ def test_defaults_fill_optional_fields(dataset):
     assert cm.chunk.persistence == 0.8
     assert cm.metrics == default_configs()
     assert cm.frustum.near < cm.frustum.far
+
+
+def test_manifest_defaults_are_the_library_defaults(dataset):
+    # a setting the manifest leaves out gets the value PreparedContent has without a manifest
+    pc = prepare(load_manifest(_minimal(dataset))[0])
+    declared = {f.name: f for f in fields(PreparedContent)}
+    for name in ("configs", "knn", "o_th", "min_size", "chunk", "reference", "frustum", "cone_half_angle", "r_mode"):
+        f = declared[name]
+        assert getattr(pc, name) == (f.default_factory() if f.default is MISSING else f.default), name
 
 
 def test_relative_paths_resolve_against_manifest_dir(dataset, tmp_path):
@@ -248,3 +279,75 @@ def test_error_names_offending_content_index(dataset):
     doc = {"contents": [dict(base, content_id="a"), {"content_id": "b", "cloud_dir": "clouds"}]}
     with pytest.raises(ManifestError, match=r"contents\[1\]"):
         load_manifest(_write(dataset, doc))
+
+
+# ------------------------------------------------------- every field is read
+
+FULL_MANIFEST = {
+    "content_id": "demo",
+    "cloud_dir": "clouds",
+    "trajectory_csv": "trajectories.csv",
+    "fps": 25.0,
+    "reference": False,
+    "frustum": {"hfov": 0.5, "vfov": 0.4, "near": 0.1, "far": 50.0},
+    "cone_half_angle": 0.05,
+    "r_mode": "centroid",
+    "relevant_min_size": 4,
+    "overlap_threshold": 0.6,
+    "surface_knn": 12,
+    "chunk": {"window": 2.0, "persistence": 0.5},
+    "metrics": {"w7": {"alpha": 0.1, "beta": 0.2, "gamma": 0.3, "threshold": 0.5}},
+}
+
+# (class, which document holds an object of it, the object's path in that document, the
+# object's value in what the document loads into); every optional key of both documents
+# differs from its default. all_kinds_scenario's group 0 is orbit/at-centroid,
+# 1 static/fixed-direction, 2 random_walk/jittered.
+READ_OBJECTS = [
+    (ContentManifest, "manifest", (), lambda cm: cm),
+    (FrustumParams, "manifest", ("frustum",), lambda cm: cm.frustum),
+    (ChunkSpec, "manifest", ("chunk",), lambda cm: cm.chunk),
+    (RegulatorSet, "manifest", ("metrics", "w7"), lambda cm: cm.metrics[MetricId.W7].regulators),
+    (SynthScenario, "scenario", (), lambda sc: sc),
+    (GroupSpec, "scenario", ("groups", 0), lambda sc: sc.groups[0]),
+    (OrbitMotion, "scenario", ("groups", 0, "motion"), lambda sc: sc.groups[0].motion),
+    (StaticMotion, "scenario", ("groups", 1, "motion"), lambda sc: sc.groups[1].motion),
+    (FixedDirectionGaze, "scenario", ("groups", 1, "gaze"), lambda sc: sc.groups[1].gaze),
+    (RandomWalkMotion, "scenario", ("groups", 2, "motion"), lambda sc: sc.groups[2].motion),
+    (JitteredGaze, "scenario", ("groups", 2, "gaze"), lambda sc: sc.groups[2].gaze),
+]
+
+
+def test_read_objects_list_every_registered_kind_with_fields():
+    listed = {cls for cls, *_ in READ_OBJECTS}
+    assert {cls for cls in [*MOTIONS.values(), *GAZES.values()] if fields(cls)} <= listed
+
+
+@pytest.mark.parametrize("cls, root, path, loaded, name", [
+    pytest.param(*obj, f.name, id=f"{obj[0].__name__}.{f.name}") for obj in READ_OBJECTS for f in fields(obj[0])
+])
+def test_reader_covers_every_field(dataset, cls, root, path, loaded, name):
+    where = root + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+    def load(edit):
+        doc = copy.deepcopy(FULL_MANIFEST if root == "manifest" else scenario_to_json(all_kinds_scenario()))
+        edit(functools.reduce(operator.getitem, path, doc))
+        return loaded(load_manifest(_write(dataset, doc))[0] if root == "manifest" else scenario_from_json(doc))
+
+    f = next(f for f in fields(cls) if f.name == name)
+    wrong = 5 if f.type == "str" else "5"  # a number where a string belongs, else a string
+    with pytest.raises(ManifestError, match=re.escape(f"{where}.{name} ")) as err:
+        load(lambda node: node.update({name: wrong}))
+    assert err.value.exit_code == 3
+    with pytest.raises(ManifestError, match=re.escape(f"unknown keys ['{name}_'] in {where}")):
+        load(lambda node: node.update({f"{name}_": 1}))
+    if cls is RegulatorSet:  # a metric override's absent regulator keeps the metric's default
+        default = getattr(default_configs()[MetricId.W7].regulators, name)
+    elif f.default is not MISSING or f.default_factory is not MISSING:
+        default = f.default_factory() if f.default is MISSING else f.default
+    else:
+        with pytest.raises(ManifestError, match=re.escape(f"missing keys ['{name}'] in {where}")):
+            load(lambda node: node.pop(name))
+        return
+    assert getattr(load(lambda node: None), name) != default
+    assert getattr(load(lambda node: node.pop(name)), name) == default

@@ -315,6 +315,7 @@ MALFORMED_SCENARIOS = [
     (("groups", 1, "gaze", "direction"), [1.0, 0.0], r"gaze.direction"),
     (("groups", 2, "gaze", "sigma"), -0.1, r"groups\[2\].gaze.*sigma"),
     (("groups", 2, "gaze", "sigma"), float("inf"), r"gaze.sigma"),
+    (("groups", 1, "gaze", "direction"), [0.0, 0.0, -1e200], r"scenario.groups\[1\].gaze: direction"),  # norm overflows
 ]
 
 

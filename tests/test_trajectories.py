@@ -103,16 +103,16 @@ def test_duplicate_timestamps_rejected(tmp_path):
 
 
 def _messy_rows(rng, with_pr, n_users=12, n_rows=250):
-    """Shuffled rows of shuffled users: axis-aligned, 180-degree, tiny, huge and overflowing quaternions."""
+    """Shuffled rows of shuffled users: axis-aligned, 180-degree, tiny and huge quaternions."""
     special = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1], [-1, 0, 0, 0]]
     rows = []
     for u in rng.permutation(n_users):
         for t in rng.permutation(n_rows) / 30.0 + rng.uniform(0.0, 0.01):
-            kind = int(rng.integers(0, 10))
+            kind = int(rng.integers(0, 9))
             if kind < len(special):
                 q = special[kind]
             else:
-                q = rng.normal(size=4) * [1.0, 1e-150, 1e150, 1e-160, 1e160][kind - len(special)]
+                q = rng.normal(size=4) * [1.0, 1e-150, 1e150, 1e-160][kind - len(special)]
             row = [f"u{u:02d}", repr(float(t)), *map(repr, rng.normal(size=3).tolist()), *map(repr, map(float, q))]
             if with_pr:
                 given = rng.uniform() < 0.7
@@ -122,7 +122,6 @@ def _messy_rows(rng, with_pr, n_users=12, n_rows=250):
     return "\n".join(rows) + "\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")  # the 1e160 quaternions' norms overflow to inf
 @pytest.mark.parametrize("with_pr", [False, True])
 def test_load_matches_per_row_oracle(tmp_path, with_pr):
     header = HEADER + (",p_x,p_y,p_z,r" if with_pr else "")
@@ -148,6 +147,38 @@ def test_zero_norm_quaternion_boundary(tmp_path, q, ok):
     else:
         with pytest.raises(ParseError, match=r"^zero-norm quaternion \[.*traj\.csv:2\]$"):
             load_trajectories(path)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_quaternion_norm_overflow_boundary(tmp_path, k):
+    # k equal components stepped an ulp at a time across the point where np.linalg.norm overflows
+    c = math.sqrt(np.finfo(np.float64).max / k)
+    for _ in range(4):
+        c = math.nextafter(c, 0.0)
+    seen = set()
+    for _ in range(9):
+        q = [c] * k + [0.0] * (4 - k)
+        path = _write(tmp_path, f"a,0,0,0,0,{','.join(map(repr, q))}\n")
+        with np.errstate(over="ignore"):
+            ok = bool(np.isfinite(np.linalg.norm(q)))
+        if ok:
+            assert load_trajectories(path)["a"].view.tobytes() == load_trajectories_oracle(path)["a"].view.tobytes()
+        else:
+            with pytest.raises(ParseError, match=r"^quaternion norm overflows \[.*traj\.csv:2\]$"):
+                load_trajectories(path)
+        seen.add(ok)
+        c = math.nextafter(c, math.inf)
+    assert seen == {True, False}
+
+
+def test_overflowing_quaternion_names_its_first_line(tmp_path):
+    # user b's line comes first in the file, user a's first once rows are grouped by user
+    path = _write(tmp_path, "a,0,0,0,0,0,0,1e150,0\nb,0,0,0,0,0,0,1e160,0\na,1,0,0,0,1e200,0,0,0\n")
+    with pytest.raises(ParseError) as err:
+        load_trajectories(path)
+    assert str(err.value) == f"quaternion norm overflows [{path}:3]" and err.value.exit_code == 3
+    path = _write(tmp_path, "a,0,0,0,0,0,0,1e150,0\n")  # a 180-degree yaw, well inside the range
+    assert load_trajectories(path)["a"].view.tolist() == [[0.0, 0.0, 1.0]]
 
 
 @pytest.mark.parametrize("fields, want", [

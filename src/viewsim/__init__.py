@@ -48,7 +48,7 @@ from .geometry import (
     ray_cast_center,
     view_basis,
 )
-from .manifest import ContentManifest, load_manifest
+from .manifest import ContentManifest, ContentSettings, load_manifest
 from .metrics import (
     MetricConfig,
     MetricId,

@@ -106,7 +106,6 @@ def run_bench(
     naive_pairs: int = 6,
     repeats: int = 3,
     seed: int = 0,
-    knn: int = 8,
     amortize_frames: int = 300,
 ) -> dict:
     """Time the oracle and each proxy; returns a JSON-ready report."""
@@ -170,7 +169,7 @@ def run_bench(
     report["rows"].append({"label": "overlap_vectorized", "per_pair_s": m, "cv": cv})
 
     t0 = time.perf_counter()
-    graph = build_surface_graph(cloud, k=knn)
+    graph = build_surface_graph(cloud)
     graph_build_s = time.perf_counter() - t0
     report["graph_build_s"] = graph_build_s
     graph_share = graph_build_s / amortize_frames / n_pairs

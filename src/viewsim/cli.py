@@ -17,10 +17,10 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .bench import run_bench
-from .calibration import DEFAULT_GRID, DEFAULT_TARGET_TPR, regulator_grid, select_parameter_sets
+from .calibration import DEFAULT_GRID, DEFAULT_TARGET_TPR, FPR_ADVISORY_CEILING, regulator_grid, select_parameter_sets
 from .clustering import check_clique_size
 from .errors import InvalidParamsError, ToolError, UsageError
 from .evaluation import FIGURES
@@ -125,27 +125,21 @@ def cmd_calibrate(args) -> int:
     roc_path = _out_path(args, "roc.csv")
     _write_csv(roc_path, ["metric", "threshold", "tpr", "fpr"], (
         [metric.value, _fmt(pt.threshold), _fmt(pt.tpr), _fmt(pt.fpr)]
-        for metric in metrics for pt in report[metric]["roc"]
+        for metric in metrics for pt in report[metric][0]
     ))
     payload = {
         "target_tpr": args.target_tpr,
-        "o_th": pcs[0].o_th,
+        "o_th": pcs[0].overlap_threshold,
         "metrics": {
-            m.value: {
-                "threshold": report[m]["threshold"],
-                "tpr": report[m]["tpr"],
-                "fpr": report[m]["fpr"],
-                "fpr_ok": report[m]["fpr_ok"],
-            }
-            for m in metrics
+            m.value: {**asdict(pt), "fpr_ok": pt.fpr < FPR_ADVISORY_CEILING} for m, (_, pt) in report.items()
         },
     }
     json_path = _out_path(args, "calibration.json")
     write_json(json_path, payload)
     for m in metrics:
-        e = report[m]
-        flag = "" if e["fpr_ok"] else "  [fpr above 0.4]"
-        print(f"{m.value}: threshold={e['threshold']:.6g} tpr={e['tpr']:.4f} fpr={e['fpr']:.4f}{flag}")
+        _, pt = report[m]
+        flag = "" if pt.fpr < FPR_ADVISORY_CEILING else "  [fpr above 0.4]"
+        print(f"{m.value}: threshold={pt.threshold:.6g} tpr={pt.tpr:.4f} fpr={pt.fpr:.4f}{flag}")
     print(f"wrote {roc_path} and {json_path}")
     return 0
 
@@ -231,7 +225,7 @@ def cmd_cluster(args) -> int:
             ],
         }
         write_json(_out_path(args, f"clusters_{safe_name(pc.content_id)}.json"), payload)
-        n_rel = sum(len(r.relevant_clusters(pc.min_size)) for r in results)
+        n_rel = sum(len(r.relevant_clusters(pc.relevant_min_size)) for r in results)
         print(
             f"{pc.content_id}: {len(results)} {args.mode}s, {n_rel} relevant clusters -> {csv_path}"
         )
@@ -289,7 +283,6 @@ def cmd_synth(args) -> int:
             n_frames=args.frames,
             points_per_frame=args.points,
         )
-    os.makedirs(args.out, exist_ok=True)
     write_scenario(scenario, args.out)
     print(
         f"wrote scenario '{scenario.content_id}' to {args.out} "

@@ -27,12 +27,10 @@ from .metrics import MetricId, RegulatorSet, default_configs
 from .store import safe_name
 
 
-@dataclass
-class ContentManifest:
-    content_id: str
-    cloud_dir: str
-    trajectory_csv: str
-    fps: float = 30.0
+@dataclass(kw_only=True)
+class ContentSettings:
+    """A content's processing settings, each with its manifest key, default and domain."""
+
     reference: bool = True
     frustum: FrustumParams = field(default_factory=FrustumParams)
     cone_half_angle: float = DEFAULT_CONE_HALF_ANGLE
@@ -45,7 +43,6 @@ class ContentManifest:
 
     def __post_init__(self):
         for ok, msg in (
-            (self.fps > 0.0, f"fps must be > 0, got {self.fps}"),
             (0.0 < self.cone_half_angle <= math.pi / 4.0, f"cone_half_angle must lie in (0, pi/4], got {self.cone_half_angle}"),
             (self.r_mode in ("viewport", "centroid"), f"r_mode must be viewport|centroid, got {self.r_mode!r}"),
             (self.relevant_min_size >= 2, f"relevant_min_size must be >= 2, got {self.relevant_min_size}"),
@@ -54,6 +51,19 @@ class ContentManifest:
         ):
             if not ok:
                 raise InvalidParamsError(msg)
+
+
+@dataclass
+class ContentManifest(ContentSettings):
+    content_id: str
+    cloud_dir: str
+    trajectory_csv: str
+    fps: float = 30.0
+
+    def __post_init__(self):
+        if not self.fps > 0.0:
+            raise InvalidParamsError(f"fps must be > 0, got {self.fps}")
+        super().__post_init__()
 
 
 def _require(cond: bool, msg: str):

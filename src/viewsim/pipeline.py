@@ -11,20 +11,11 @@ most one surface graph are alive at once, and no pass reads a cloud twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import store
-from .calibration import (
-    DEFAULT_OVERLAP_LABEL_THRESHOLD,
-    DEFAULT_TARGET_TPR,
-    FPR_ADVISORY_CEILING,
-    ablate,
-    calibrate_threshold,
-    pair_samples,
-)
+from .calibration import DEFAULT_TARGET_TPR, ablate, calibrate_threshold, pair_samples
 from .clustering import (
-    DEFAULT_RELEVANT_MIN_SIZE,
-    ChunkSpec,
     build_adjacency,
     check_clique_size,
     chunk_adjacency,
@@ -35,35 +26,30 @@ from .clustering import (
 )
 from .errors import DegenerateLabelsError, InvalidParamsError
 from .evaluation import FIGURES, aggregate, evaluate_result, summarize_performance
-from .geometry import DEFAULT_CONE_HALF_ANGLE, DEFAULT_SURFACE_KNN, FrustumParams, build_surface_graph
-from .manifest import ContentManifest
-from .metrics import (
-    MetricConfig,
-    MetricId,
-    compute_pair_features,
-    default_configs,
-    geodesic_gaze,
-    overlap_matrix,
-)
+from .geometry import build_surface_graph
+from .manifest import ContentManifest, ContentSettings
+from .metrics import MetricConfig, MetricId, compute_pair_features, geodesic_gaze, overlap_matrix
 from .ply import DirectoryCloudSequence
 from .synth import SynthScenario, generate_cloud, generate_trajectories
 from .trajectories import COLUMNS, SessionDataset, align_to_frames, derive_pr, load_trajectories
 
 
 @dataclass
-class PreparedContent:
+class PreparedContent(ContentSettings):
     """One content item ready for batch processing.
 
-    ``dataset`` holds the aligned poses and ``clouds`` the frames' clouds;
-    with the viewing model (``frustum``, ``cone_half_angle``, ``r_mode``)
-    they are all a frame's tables are computed from.  ``tables`` is the
-    per-content store: each frame's gaze targets (``gaze_targets``), overlap
-    matrix, feature table and geodesic gaze distance matrix is computed on
-    first request and shared afterwards by every metric, every command and
-    every ``with_thresholds`` copy, and so is each frame's cloud digest.
-    During a pass it also holds the latest cloud read and the latest surface
-    graph built, one of each, so consecutive frames with equal points share
-    one graph; the pass drops both when it ends.
+    Its settings are the manifest's (``ContentSettings``), checked as a
+    manifest checks them.  ``dataset`` holds the aligned poses and
+    ``clouds`` the frames' clouds; with the viewing model (``frustum``,
+    ``cone_half_angle``, ``r_mode``) they are all a frame's tables are
+    computed from.  ``tables`` is the per-content store: each frame's gaze
+    targets (``gaze_targets``), overlap matrix, feature table and geodesic
+    gaze distance matrix is computed on first request and shared afterwards
+    by every metric, every command and every ``with_thresholds`` copy, and
+    so is each frame's cloud digest.  During a pass it also holds the latest
+    cloud read and the latest surface graph built, one of each, so
+    consecutive frames with equal points share one graph; the pass drops
+    both when it ends.
 
     With a ``store_dir``, every table also persists on disk
     (``viewsim.store``), so later processes read it back instead of
@@ -73,24 +59,15 @@ class PreparedContent:
     content_id: str
     dataset: SessionDataset
     clouds: object
-    configs: dict = field(default_factory=default_configs)
-    knn: int = DEFAULT_SURFACE_KNN
-    o_th: float = DEFAULT_OVERLAP_LABEL_THRESHOLD
-    min_size: int = DEFAULT_RELEVANT_MIN_SIZE
-    chunk: ChunkSpec = field(default_factory=ChunkSpec)
-    reference: bool = True
-    frustum: FrustumParams = field(default_factory=FrustumParams)
-    cone_half_angle: float = DEFAULT_CONE_HALF_ANGLE
-    r_mode: str = "viewport"
     tables: dict = field(default_factory=dict, repr=False, compare=False)
     store_dir: str | None = None
 
     def with_thresholds(self, thresholds: dict) -> "PreparedContent":
         """Copy with per-metric thresholds replaced (calibration output)."""
-        configs = dict(self.configs)
+        metrics = dict(self.metrics)
         for metric, th in thresholds.items():
-            configs[metric] = replace(configs[metric], threshold=float(th))
-        return replace(self, configs=configs)
+            metrics[metric] = replace(metrics[metric], threshold=float(th))
+        return replace(self, metrics=metrics)
 
     def cloud(self, frame: int):
         """One frame's cloud; only the latest is kept, and it is dropped before the next is read."""
@@ -108,10 +85,10 @@ class PreparedContent:
 
     def surface_graph(self, frame: int):
         """Graph for one frame; only the latest is kept, and it is dropped before the next is built."""
-        key = (self.cloud_digest(frame), self.knn)
+        key = (self.cloud_digest(frame), self.surface_knn)
         if self.tables.get("graph", (None,))[0] != key:
             self.tables.pop("graph", None)
-            self.tables["graph"] = (key, build_surface_graph(self.cloud(frame), k=self.knn))
+            self.tables["graph"] = (key, build_surface_graph(self.cloud(frame), k=self.surface_knn))
         return self.tables["graph"][1]
 
 
@@ -124,20 +101,12 @@ def prepare(cm: ContentManifest) -> PreparedContent:
         content_id=cm.content_id,
         dataset=replace(aligned, **{name: getattr(aligned, name)[:, :n] for name in COLUMNS}),
         clouds=clouds,
-        configs=dict(cm.metrics),
-        knn=cm.surface_knn,
-        o_th=cm.overlap_threshold,
-        min_size=cm.relevant_min_size,
-        chunk=cm.chunk,
-        reference=cm.reference,
-        frustum=cm.frustum,
-        cone_half_angle=cm.cone_half_angle,
-        r_mode=cm.r_mode,
+        **{f.name: getattr(cm, f.name) for f in fields(ContentSettings)},
     )
 
 
 def prepare_scenario(scenario: SynthScenario, **settings) -> PreparedContent:
-    """In-memory PreparedContent from a synthetic scenario; ``settings`` set any other of its fields."""
+    """In-memory PreparedContent from a synthetic scenario; ``settings`` are ContentSettings keywords."""
     clouds = generate_cloud(scenario)
     return PreparedContent(scenario.content_id, generate_trajectories(scenario, clouds), clouds, **settings)
 
@@ -201,7 +170,7 @@ def _features(pc: PreparedContent, k: int, need_geodesic: bool):
     geo = _table(
         pc, "geodesic", k,
         lambda: geodesic_gaze(p, r, pc.surface_graph(k)),
-        lambda: (pc.cloud_digest(k), p, r, pc.knn),
+        lambda: (pc.cloud_digest(k), p, r, pc.surface_knn),
     )
     return replace(plain, gaze_geo=geo)
 
@@ -222,14 +191,14 @@ def metric_matrices(pc: PreparedContent, metrics, frames=None) -> dict:
         if proxies:
             features = _features(pc, k, geodesic)
             for m in proxies:
-                out[m].append(features.metric_matrix(m, pc.configs[m].regulators))
+                out[m].append(features.metric_matrix(m, pc.metrics[m].regulators))
     pc.tables.pop("cloud", None)
     pc.tables.pop("graph", None)
     return out
 
 
 def _cluster(pc: PreparedContent, metric: MetricId, mats: list, mode: str) -> list:
-    config = pc.configs[metric]
+    config = pc.metrics[metric]
     if mode == "frame":
         return [clique_clustering(build_adjacency(m, config), tie_matrix=m) for m in mats]
     ranges = chunk_frame_ranges(len(mats), pc.chunk.frames_per_chunk(pc.dataset.fps))
@@ -279,7 +248,9 @@ def _evaluate(pc: PreparedContent, metric: MetricId, mats: dict, mode: str):
     if mode == "frame":
         for result, ov in zip(results, ovs):
             perfs.append(
-                evaluate_result(result, ov, label_threshold=pc.o_th, min_size=pc.min_size)
+                evaluate_result(
+                    result, ov, label_threshold=pc.overlap_threshold, min_size=pc.relevant_min_size
+                )
             )
     else:
         ranges = chunk_frame_ranges(len(ovs), pc.chunk.frames_per_chunk(pc.dataset.fps))
@@ -289,9 +260,9 @@ def _evaluate(pc: PreparedContent, metric: MetricId, mats: dict, mode: str):
                 evaluate_result(
                     result,
                     mean_matrix(window),
-                    labels=persistence_scores(window, pc.o_th),
+                    labels=persistence_scores(window, pc.overlap_threshold),
                     label_threshold=pc.chunk.persistence,
-                    min_size=pc.min_size,
+                    min_size=pc.relevant_min_size,
                 )
             )
     return results, perfs, summarize_performance(perfs)
@@ -304,23 +275,22 @@ def calibrate_contents(
 ) -> dict:
     """ROC-select a threshold per metric over all given contents' pairs.
 
-    Every pair is labelled at one ``o_th``, so contents whose ``o_th``
-    differ are refused.  That and ``target_tpr`` are checked before any
-    table work, and label balance on the exact overlaps before any surface
-    graph or feature table is built, so a geodesic metric's pass reads the
-    clouds again.  Each metric then has a pass of its own, so one metric's
-    matrices are alive at a time.  Returns
-    {metric: {"threshold", "tpr", "fpr", "fpr_ok", "roc"}}; the FPR ceiling
-    (0.4) is advisory and only reported.
+    Every pair is labelled at one ``overlap_threshold``, so contents whose
+    ``overlap_threshold`` differ are refused.  That and ``target_tpr`` are
+    checked before any table work, and label balance on the exact overlaps
+    before any surface graph or feature table is built, so a geodesic
+    metric's pass reads the clouds again.  Each metric then has a pass of its own, so one metric's
+    matrices are alive at a time.  Returns ``{metric: (roc, RocPoint)}``
+    as ``calibrate_threshold`` gives them.
     """
     if not target_tpr > 0:
         raise InvalidParamsError(f"target_tpr must be > 0, got {target_tpr}")
-    if len({pc.o_th for pc in pcs}) > 1:
-        named = ", ".join(f"'{pc.content_id}' {pc.o_th}" for pc in pcs)
+    if len({pc.overlap_threshold for pc in pcs}) > 1:
+        named = ", ".join(f"'{pc.content_id}' {pc.overlap_threshold}" for pc in pcs)
         raise InvalidParamsError(f"calibrate labels every content at one overlap_threshold; the contents have {named}")
     if metrics is None:
         metrics = [m for m in MetricId if not m.is_overlap]
-    o_th = pcs[0].o_th
+    o_th = pcs[0].overlap_threshold
     ovs = [ov for pc in pcs for ov in metric_matrices(pc, [MetricId.OVERLAP])[MetricId.OVERLAP]]
     _, labels = pair_samples(ovs, ovs, o_th)
     for kind, count in (("positive", labels.sum()), ("negative", labels.size - labels.sum())):
@@ -329,14 +299,7 @@ def calibrate_contents(
     out = {}
     for metric in metrics:
         mats = [m for pc in pcs for m in metric_matrices(pc, [metric])[metric]]
-        roc, point = calibrate_threshold(mats, ovs, target_tpr=target_tpr, o_th=o_th)
-        out[metric] = {
-            "threshold": point.threshold,
-            "tpr": point.tpr,
-            "fpr": point.fpr,
-            "fpr_ok": point.fpr < FPR_ADVISORY_CEILING,
-            "roc": roc,
-        }
+        out[metric] = calibrate_threshold(mats, ovs, target_tpr=target_tpr, o_th=o_th)
     return out
 
 
@@ -351,24 +314,25 @@ def run_ablation(
     """Regulator sweep: frame-mode evaluation at a fixed threshold, one AblationRecord per grid combination.
 
     Sweeps the reference contents (all, if none is marked).  The threshold
-    (unless given), o_th and min_size come from the first swept content in
-    manifest order; per-content summaries are averaged in content-id order.
-    Records come out in grid order.
+    (unless given), overlap_threshold and relevant_min_size come from the
+    first swept content in manifest order; per-content summaries are
+    averaged in content-id order.  Records come out in grid order.
     """
     chosen = ([pc for pc in pcs if pc.reference] if reference_only else []) or list(pcs)
     check_clique_size(max(len(pc.dataset.users) for pc in chosen))
     first = chosen[0]
     # private copies sharing each content's tables; a combination swaps only the metric's config
     swept = [
-        replace(pc, configs=dict(pc.configs), o_th=first.o_th, min_size=first.min_size)
+        replace(pc, metrics=dict(pc.metrics), overlap_threshold=first.overlap_threshold,
+                relevant_min_size=first.relevant_min_size)
         for pc in sorted(chosen, key=lambda pc: pc.content_id)
     ]
 
     def score(reg) -> dict:
-        th = threshold if threshold is not None else first.configs[metric].threshold
+        th = threshold if threshold is not None else first.metrics[metric].threshold
         summaries = {}
         for pc in swept:
-            pc.configs[metric] = MetricConfig(metric, reg, th)
+            pc.metrics[metric] = MetricConfig(metric, reg, th)
             summaries[pc.content_id] = evaluate_content(pc, metric, mode="frame")[2]
         overall = summarize_across_contents(summaries)
         return {f: overall[f].mean for f in FIGURES}

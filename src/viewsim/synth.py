@@ -95,7 +95,7 @@ def _register(registry: dict, kind: str):
 
 
 def _nonzero(v: np.ndarray) -> np.ndarray:
-    return v if float(v @ v) != 0.0 else np.array([0.0, 0.0, -1.0])
+    return v if norms(v)[0] != 0.0 else np.array([0.0, 0.0, -1.0])
 
 
 @_register(MOTIONS, "orbit")
@@ -408,16 +408,18 @@ def three_orbit_groups(
 def write_scenario(scenario: SynthScenario, out_dir) -> dict:
     """Materialize clouds (PLY), trajectories (CSV), labels, and a manifest.
 
-    Returns the manifest dictionary (also written as manifest.json).
+    Returns the manifest dictionary (also written as manifest.json).  All
+    is generated before any directory or file is made, so a scenario that
+    fails to generate leaves ``out_dir`` untouched.
     """
+    clouds = generate_cloud(scenario)
+    dataset = generate_trajectories(scenario, clouds)
     out_dir = os.fspath(out_dir)
     cloud_dir = os.path.join(out_dir, "clouds")
     os.makedirs(cloud_dir, exist_ok=True)
-    clouds = generate_cloud(scenario)
     for c in clouds:
         write_ply(os.path.join(cloud_dir, f"frame_{c.frame_index:06d}.ply"), c.points)
-    traj_path = os.path.join(out_dir, "trajectories.csv")
-    write_trajectories(traj_path, generate_trajectories(scenario, clouds))
+    write_trajectories(os.path.join(out_dir, "trajectories.csv"), dataset)
     write_json(os.path.join(out_dir, "labels.json"), {"groups": planted_labels(scenario)})
     write_json(os.path.join(out_dir, "scenario.json"), scenario_to_json(scenario))
     manifest = {

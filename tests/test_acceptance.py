@@ -413,7 +413,7 @@ def test_criterion_10_external_dataset_pipeline():
     configs = default_configs()
     lines = []
     for metric in PROXY_METRICS:
-        got = report[metric]["threshold"]
+        got = report[metric][1].threshold
         ref = configs[metric].threshold
         flag = "ok" if abs(got - ref) <= 0.05 else "OUTSIDE +-0.05"
         lines.append(f"{metric.value}: calibrated {got:.3f} vs published {ref:.2f} [{flag}]")

@@ -221,10 +221,9 @@ def test_calibrate_threshold_meets_target_on_content(narrow_content):
 def test_calibrate_contents_reports_all_requested_metrics(narrow_content):
     out = calibrate_contents([narrow_content], metrics=[MetricId.W1, MetricId.W2])
     assert set(out) == {MetricId.W1, MetricId.W2}
-    for info in out.values():
-        assert info["tpr"] >= 0.75
-        assert info["fpr_ok"] == (info["fpr"] < 0.4)
-        assert isinstance(info["roc"][0], RocPoint)
+    for roc, point in out.values():
+        assert point.tpr >= 0.75
+        assert isinstance(point, RocPoint) and isinstance(roc[0], RocPoint)
 
 
 # ------------------------------------------------------------ regulator_grid

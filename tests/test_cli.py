@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -164,6 +165,20 @@ def test_malformed_scenario_file_exits_3(tmp_path, capsys, path, value, message)
     assert not (tmp_path / "ds").exists()
 
 
+@pytest.mark.parametrize("path", [("groups", 2, "gaze", "sigma"), ("groups", 0, "motion", "radius")])
+def test_overflowing_scenario_fails_before_writing(tmp_path, capsys, path):
+    from viewsim.cli import main
+
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(mutated_scenario(path, 1e200)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would fail the run
+        assert main(["--out", str(tmp_path / "ds"), "synth", "--scenario", str(scen)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "ds").exists()
+
+
 # -------------------------------------------------------------- overlap
 
 
@@ -246,6 +261,7 @@ def test_calibrate_writes_thresholds(narrow_manifest, tmp_path):
     for entry in doc["metrics"].values():
         assert entry["tpr"] >= doc["target_tpr"]
         assert 0.0 <= entry["threshold"] <= 1.0
+        assert entry["fpr_ok"] == (entry["fpr"] < 0.4)
     rows = read_csv(tmp_path / "roc.csv")
     assert rows[0] == ["metric", "threshold", "tpr", "fpr"]
     assert {r[0] for r in rows[1:]} == {"w1", "w7"}

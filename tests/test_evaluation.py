@@ -309,7 +309,7 @@ def test_overlap_clustering_scores_perfect_precision_per_frame(narrow_content):
     for p in perfs:
         assert math.isnan(p.precision) or p.precision == 1.0
         # clique edges require overlap >= threshold, so the cluster mean does too
-        assert math.isnan(p.overlap_ratio) or p.overlap_ratio >= narrow_content.o_th
+        assert math.isnan(p.overlap_ratio) or p.overlap_ratio >= narrow_content.overlap_threshold
     assert summary["precision"].mean == 1.0
 
 

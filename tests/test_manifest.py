@@ -6,17 +6,17 @@ import json
 import math
 import operator
 import re
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 
 import pytest
 from test_synth import all_kinds_scenario
 
 from viewsim.clustering import ChunkSpec
-from viewsim.errors import ManifestError
+from viewsim.errors import InvalidParamsError, ManifestError
 from viewsim.geometry import DEFAULT_SURFACE_KNN, FrustumParams
-from viewsim.manifest import ContentManifest, load_manifest
+from viewsim.manifest import ContentManifest, ContentSettings, load_manifest
 from viewsim.metrics import MetricId, RegulatorSet, default_configs
-from viewsim.pipeline import PreparedContent, prepare
+from viewsim.pipeline import PreparedContent, prepare, prepare_scenario
 from viewsim.synth import (
     GAZES,
     MOTIONS,
@@ -86,10 +86,32 @@ def test_defaults_fill_optional_fields(dataset):
 def test_manifest_defaults_are_the_library_defaults(dataset):
     # a setting the manifest leaves out gets the value PreparedContent has without a manifest
     pc = prepare(load_manifest(_minimal(dataset))[0])
-    declared = {f.name: f for f in fields(PreparedContent)}
-    for name in ("configs", "knn", "o_th", "min_size", "chunk", "reference", "frustum", "cone_half_angle", "r_mode"):
-        f = declared[name]
-        assert getattr(pc, name) == (f.default_factory() if f.default is MISSING else f.default), name
+    for f in fields(ContentSettings):
+        assert getattr(pc, f.name) == (f.default_factory() if f.default is MISSING else f.default), f.name
+    # the settings are declared once: PreparedContent adds only what is not a setting
+    assert [f.name for f in fields(PreparedContent)] == [f.name for f in fields(ContentSettings)] + [
+        "content_id", "dataset", "clouds", "tables", "store_dir",
+    ]
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("cone_half_angle", 0.0),
+    ("cone_half_angle", math.pi / 4 + 0.01),
+    ("r_mode", "auto"),
+    ("relevant_min_size", 1),
+    ("overlap_threshold", -0.1),
+    ("overlap_threshold", 1.5),
+    ("surface_knn", 0),
+])
+def test_library_refuses_what_a_manifest_refuses(dataset, name, bad):
+    with pytest.raises(ManifestError) as refused:
+        load_manifest(_minimal(dataset, **{name: bad}))
+    sc = three_orbit_groups(n_frames=1, points_per_frame=50)
+    with pytest.raises(InvalidParamsError) as e:
+        prepare_scenario(sc, **{name: bad})
+    assert str(refused.value) == f"manifest: {e.value}"
+    with pytest.raises(InvalidParamsError, match=re.escape(str(e.value))):
+        replace(prepare_scenario(sc), **{name: bad})
 
 
 def test_relative_paths_resolve_against_manifest_dir(dataset, tmp_path):

@@ -116,12 +116,12 @@ def test_prepare_scenario_overrides_take_effect():
     sc = three_orbit_groups(n_frames=2, points_per_frame=300)
     configs = default_configs()
     settings = {
-        "frustum": FrustumParams(hfov=0.4, vfov=0.3), "o_th": 0.5, "min_size": 4, "knn": 6,
-        "cone_half_angle": 0.2, "r_mode": "centroid", "chunk": ChunkSpec(window=0.5, persistence=0.6),
-        "configs": configs, "reference": False,
+        "frustum": FrustumParams(hfov=0.4, vfov=0.3), "overlap_threshold": 0.5, "relevant_min_size": 4,
+        "surface_knn": 6, "cone_half_angle": 0.2, "r_mode": "centroid",
+        "chunk": ChunkSpec(window=0.5, persistence=0.6), "metrics": configs, "reference": False,
     }
     pc = prepare_scenario(sc, **settings)
-    assert {name: getattr(pc, name) for name in settings} == settings and pc.configs is configs
+    assert {name: getattr(pc, name) for name in settings} == settings and pc.metrics is configs
     # the viewing model reaches the tables: each setting alone changes what it feeds
     default = prepare_scenario(sc)
     narrow = prepare_scenario(sc, frustum=settings["frustum"])
@@ -188,7 +188,7 @@ def test_one_surface_graph_alive_at_a_time(narrow_content, monkeypatch):
     assert [ref for ref in alive if ref() is not None] == [], "the pass kept its last graph"
     # the same values as one graph per frame, built afresh
     for k, cloud in enumerate(clouds):
-        graph = real(cloud, pc.knn)
+        graph = real(cloud, pc.surface_knn)
         _, p, r, off = gaze_targets(pc, k)
         want = compute_pair_features(k, ds.users, ds.x[:, k], p, r, off, graph=graph)
         assert want.gaze_geo.tobytes() == pc.tables[("geodesic", k)].tobytes()
@@ -473,15 +473,16 @@ def test_run_ablation_default_threshold_comes_from_config(narrow_content):
 
 @pytest.fixture(scope="module")
 def sweep_contents(narrow_content):
-    """Three contents in manifest order zeta, mid, alpha: ids out of order, o_th, min_size and thresholds differ."""
+    """Three contents in manifest order zeta, mid, alpha: ids out of order, overlap_threshold, relevant_min_size and thresholds differ."""
     from viewsim.geometry import FrustumParams
 
     narrow = FrustumParams(hfov=0.5, vfov=0.5)
     mid = prepare_scenario(three_orbit_groups(seed=41, users_per_group=3, n_frames=5, points_per_frame=1500),
-                           frustum=narrow, o_th=0.6, min_size=2, reference=False)
+                           frustum=narrow, overlap_threshold=0.6, relevant_min_size=2, reference=False)
     alpha = prepare_scenario(three_orbit_groups(seed=42, users_per_group=3, n_frames=4, points_per_frame=1500),
-                             frustum=FrustumParams(hfov=0.7, vfov=0.6), o_th=0.7, min_size=3)
-    zeta = replace(narrow_content, content_id="zeta", o_th=0.2, min_size=2)
+                             frustum=FrustumParams(hfov=0.7, vfov=0.6), overlap_threshold=0.7,
+                             relevant_min_size=3)
+    zeta = replace(narrow_content, content_id="zeta", overlap_threshold=0.2, relevant_min_size=2)
     thresholds = {MetricId.W2: 0.7, MetricId.W3: 0.5, MetricId.W7: 0.45}
     return [zeta.with_thresholds(thresholds), replace(mid, content_id="mid"), replace(alpha, content_id="alpha")]
 
@@ -504,8 +505,8 @@ def test_run_ablation_matches_ablate_oracle(sweep_contents, metric, grid, fixed,
     first = swept[0]  # manifest order: zeta, whose id sorts last
     tables = {pc.content_id: list(zip(_frame_features(pc, metric.needs_geodesic), overlaps(pc))) for pc in swept}
     want = ablate_oracle(tables, metric, grid=grid, fixed=fixed,
-                         threshold=first.configs[metric].threshold if threshold is None else threshold,
-                         o_th=first.o_th, min_size=first.min_size)
+                         threshold=first.metrics[metric].threshold if threshold is None else threshold,
+                         o_th=first.overlap_threshold, min_size=first.relevant_min_size)
     got = run_ablation(sweep_contents, metric, grid=grid, fixed=fixed, threshold=threshold,
                        reference_only=reference_only)
     assert repr(got) == repr(want)
@@ -519,7 +520,7 @@ def _frame_features(pc, geodesic):
     out = []
     for k in range(ds.n_frames):
         _, p, r, off = gaze_targets(pc, k)
-        graph = build_surface_graph(pc.clouds[k], k=pc.knn) if geodesic else None
+        graph = build_surface_graph(pc.clouds[k], k=pc.surface_knn) if geodesic else None
         out.append(compute_pair_features(k, ds.users, ds.x[:, k], p, r, off, graph=graph))
     return out
 
@@ -532,13 +533,13 @@ def test_run_ablation_averages_in_content_id_order(sweep_contents, monkeypatch):
     seen = []
 
     def evaluate(pc, metric, mode):
-        seen.append((pc.content_id, pc.o_th, pc.min_size, pc.configs[metric].threshold, mode))
+        seen.append((pc.content_id, pc.overlap_threshold, pc.relevant_min_size, pc.metrics[metric].threshold, mode))
         return [], [], {f: AggregateStats(figures[pc.content_id], 0.0, 1, 0) for f in FIGURES}
 
     monkeypatch.setattr(viewsim.pipeline, "evaluate_content", evaluate)
     (record,) = run_ablation(sweep_contents, MetricId.W2, grid=(0.5,), reference_only=False)
     assert record.overlap_ratio == record.precision == np.mean([0.1, 0.2, 0.3]) != np.mean([0.3, 0.2, 0.1])
-    # threshold, o_th and min_size of zeta, the first content in manifest order
+    # threshold, overlap_threshold and relevant_min_size of zeta, the first content in manifest order
     assert seen == [(cid, 0.2, 2, 0.7, "frame") for cid in ("alpha", "mid", "zeta")]
 
 
@@ -561,16 +562,16 @@ def test_stored_tables_match_direct_run(narrow_content):
     assert all(a is b for a, b in zip(features, _stored(pc, "features")))
     assert overlaps(pc, frames=[4])[0] is ovs[4]
     np.testing.assert_array_equal(
-        features[0].metric_matrix(MetricId.W1, pc.configs[MetricId.W1].regulators).values,
+        features[0].metric_matrix(MetricId.W1, pc.metrics[MetricId.W1].regulators).values,
         metric_matrices(replace(pc, tables={}), [MetricId.W1], frames=[0])[MetricId.W1][0].values,
     )
 
 
 def test_with_thresholds_clones_configs(narrow_content):
     clone = narrow_content.with_thresholds({MetricId.W1: 0.5})
-    assert clone.configs[MetricId.W1].threshold == 0.5
-    assert narrow_content.configs[MetricId.W1].threshold != 0.5
-    assert clone.configs[MetricId.W2] == narrow_content.configs[MetricId.W2]
+    assert clone.metrics[MetricId.W1].threshold == 0.5
+    assert narrow_content.metrics[MetricId.W1].threshold != 0.5
+    assert clone.metrics[MetricId.W2] == narrow_content.metrics[MetricId.W2]
     # the table store (graphs included) is shared, not rebuilt
     assert clone.tables is narrow_content.tables
 

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .geometry import FrustumParams, build_surface_graph, frustum_planes
-from .metrics import MetricId, compute_pair_features, default_configs, overlap_matrix
+from .metrics import PROXY_METRICS, compute_pair_features, default_configs, overlap_matrix
 from .synth import (
     AtCentroidGaze,
     GroupSpec,
@@ -175,7 +175,7 @@ def run_bench(
     graph_share = graph_build_s / amortize_frames / n_pairs
 
     configs = default_configs()
-    for metric in (m for m in MetricId if not m.is_overlap):
+    for metric in PROXY_METRICS:
         needs_geo = metric.needs_geodesic
         reg = configs[metric].regulators
         times = []

@@ -146,24 +146,23 @@ def calibrate_threshold(
 def regulator_grid(metric: MetricId, grid, fixed: dict | None = None) -> list:
     """All regulator combinations for a metric over a value grid.
 
-    Multi-feature metrics sweep (alpha, beta, gamma) as a full product;
-    single-feature metrics sweep alpha only.  ``fixed`` pins named
+    A metric sweeps the regulators its terms read
+    (``MetricId.regulator_names``) as a full product.  ``fixed`` pins named
     regulators to a single value (partial sweeps, e.g. a published slice).
+    The ground-truth metric has no regulators and is refused.
     """
+    if metric.is_overlap:
+        raise InvalidParamsError("the ground-truth metric is not subject to ablation")
     pts = tuple(float(g) for g in grid)
     if not pts:
         raise PreconditionError("regulator grid must be non-empty")
     fixed = dict(fixed or {})
-    names = ("alpha", "beta", "gamma") if metric.multi_feature else ("alpha",)
+    names = metric.regulator_names
     for name in fixed:
         if name not in names:
             raise InvalidParamsError(f"{metric.value} does not sweep '{name}'")
     axes = [(fixed[name],) if name in fixed else pts for name in names]
-    out = []
-    for combo in itertools.product(*axes):
-        kwargs = dict(zip(names, combo))
-        out.append(RegulatorSet(**kwargs))
-    return out
+    return [RegulatorSet(**dict(zip(names, combo))) for combo in itertools.product(*axes)]
 
 
 def ablate(metric: MetricId, grid, score, fixed: dict | None = None) -> list:
@@ -173,8 +172,6 @@ def ablate(metric: MetricId, grid, score, fixed: dict | None = None) -> list:
     as a mapping of ``evaluation.FIGURES`` to floats.  The ground-truth
     metric and an invalid grid are refused before anything is scored.
     """
-    if metric.is_overlap:
-        raise InvalidParamsError("the ground-truth metric is not subject to ablation")
     return [AblationRecord(metric, reg, **score(reg)) for reg in regulator_grid(metric, grid, fixed)]
 
 

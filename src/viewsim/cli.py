@@ -68,6 +68,11 @@ def _parse_metric(name: str) -> MetricId:
         raise UsageError(f"unknown metric '{name}' (choose from {[m.value for m in MetricId]})")
 
 
+def _parse_metrics(names, default) -> list:
+    """The metrics ``--metric`` names, each once in first-seen order; ``default`` when none is named."""
+    return list(dict.fromkeys(map(_parse_metric, names))) if names else list(default)
+
+
 def _parse_frames(spec: str | None, n_frames: int):
     if spec is None:
         return None
@@ -103,7 +108,7 @@ def cmd_overlap(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    metrics = [_parse_metric(m) for m in args.metric] if args.metric else list(PROXY_METRICS)
+    metrics = _parse_metrics(args.metric, PROXY_METRICS)
     pcs = _contents(args)
     for pc, frames in zip(pcs, [_parse_frames(args.frames, pc.dataset.n_frames) for pc in pcs]):
         by_metric = metric_matrices(pc, metrics, frames)
@@ -115,7 +120,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    metrics = [_parse_metric(m) for m in args.metric] if args.metric else list(PROXY_METRICS)
+    metrics = _parse_metrics(args.metric, PROXY_METRICS)
     if any(m.is_overlap for m in metrics):
         raise UsageError("calibrate applies to proxy metrics only")
     if not 0 < args.target_tpr <= 1:
@@ -238,10 +243,9 @@ def _summary_cells(summary: dict) -> list:
 
 
 def cmd_evaluate(args) -> int:
-    requested = [_parse_metric(m) for m in args.metric] if args.metric else list(MetricId)
+    requested = _parse_metrics(args.metric, MetricId)
     thresholds = load_thresholds(args.calibration) if args.calibration else None
     rows = []
-    per_metric_contents: dict = {m: {} for m in requested}
     for pc in _contents(args, clique_searched=True):
         if thresholds:
             pc = pc.with_thresholds(thresholds)
@@ -249,11 +253,10 @@ def cmd_evaluate(args) -> int:
         mats = metric_matrices(pc, [*requested, MetricId.OVERLAP])
         for metric in requested:
             _, perfs, summary = _evaluate(pc, metric, mats, args.mode)
-            per_metric_contents[metric][pc.content_id] = summary
             rows.append((pc.content_id, metric, summary, len(perfs)))
     table = [[cid, metric.value, args.mode] + _summary_cells(summary) + [n] for cid, metric, summary, n in rows]
-    for metric in requested:  # a metric asked for twice gets two rows, like its content rows
-        per_content = per_metric_contents[metric]
+    for metric in requested:
+        per_content = {cid: summary for cid, m, summary, _ in rows if m is metric}
         if len(per_content) >= 2:
             overall = summarize_across_contents(per_content)
             table.append(["ALL", metric.value, args.mode] + _summary_cells(overall) + [len(per_content)])

@@ -176,12 +176,11 @@ def _parse_metrics(d, where: str) -> dict:
     for name, override in d.items():
         metric, at = MetricId(name), f"{where}.{name}"
         base = configs[metric]
-        regulator_keys = () if metric.is_overlap else [f.name for f in fields(RegulatorSet)]
-        check_keys(override, {"threshold", *regulator_keys}, at)
+        check_keys(override, {"threshold", *metric.regulator_names}, at)
         regulators = {k: v for k, v in override.items() if k != "threshold"}
         configs[metric] = replace(
             base,
-            regulators=None if metric.is_overlap else read_object(RegulatorSet, regulators, at, base.regulators),
+            regulators=read_object(RegulatorSet, regulators, at, base.regulators) if regulators else base.regulators,
             threshold=read_float(override.get("threshold", base.threshold), f"{at}.threshold"),
         )
     return configs

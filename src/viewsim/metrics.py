@@ -10,6 +10,9 @@ proxy metrics (w1..w8) combine up to three pose-level features instead:
 * gaze  distance between viewport centres, geodesic on the content surface
         (w3, w5, w7) or Euclidean (w4, w6, w8).
 
+``METRICS`` is where a metric is declared; what else the code knows of a
+metric (its regulators, its surface-graph need, its matrix) derives from its row.
+
 Features enter through the exponential kernel ``exp(-a*d)`` with
 non-negative regulators, so every proxy except w7/w8 lives in [0, 1];
 w7/w8 live in [0, 2*beta].  A pair missing a required feature (a user
@@ -46,12 +49,18 @@ class MetricId(str, Enum):
         return self is MetricId.OVERLAP
 
     @property
-    def multi_feature(self) -> bool:
-        return self in (MetricId.W5, MetricId.W6, MetricId.W7, MetricId.W8)
+    def terms(self) -> tuple:
+        """The metric's factors from ``METRICS``: (PairFeatures field, RegulatorSet field, KERNELS key) each."""
+        return METRICS[self][0]
+
+    @property
+    def regulator_names(self) -> tuple:
+        """The regulators the metric's terms read, in term order; none for overlap."""
+        return tuple(name for _, name, _ in self.terms)
 
     @property
     def needs_geodesic(self) -> bool:
-        return self in (MetricId.W3, MetricId.W5, MetricId.W7)
+        return any(feature == "gaze_geo" for feature, _, _ in self.terms)
 
 
 PROXY_METRICS = tuple(m for m in MetricId if m is not MetricId.OVERLAP)
@@ -59,7 +68,7 @@ PROXY_METRICS = tuple(m for m in MetricId if m is not MetricId.OVERLAP)
 
 @dataclass(frozen=True)
 class RegulatorSet:
-    """Non-negative kernel regulators; beta/gamma unused by w1..w4."""
+    """Non-negative kernel regulators; a metric reads those its ``METRICS`` terms name."""
 
     alpha: float
     beta: float = 0.0
@@ -93,20 +102,28 @@ class MetricConfig:
             raise InvalidParamsError(f"{self.metric.value} needs regulators")
 
 
+# Each metric's terms, default regulators and default threshold.  The terms multiply
+# left to right from the first term's array: their order fixes the rounding.
+METRICS = {
+    MetricId.W1: ((("pos_dist", "alpha", "exp"),), RegulatorSet(1.0), 0.64),
+    MetricId.W2: ((("range_diff", "alpha", "exp"),), RegulatorSet(1.0), 0.80),
+    MetricId.W3: ((("gaze_geo", "alpha", "exp"),), RegulatorSet(1.0), 0.63),
+    MetricId.W4: ((("gaze_euc", "alpha", "exp"),), RegulatorSet(1.0), 0.84),
+    MetricId.W5: ((("pos_dist", "alpha", "exp"), ("range_diff", "beta", "exp"), ("gaze_geo", "gamma", "exp")),
+                  RegulatorSet(0.1, 0.5, 1.0), 0.54),
+    MetricId.W6: ((("pos_dist", "alpha", "exp"), ("range_diff", "beta", "exp"), ("gaze_euc", "gamma", "exp")),
+                  RegulatorSet(0.1, 0.125, 0.2), 0.87),
+    MetricId.W7: ((("pos_dist", "alpha", "exp"), ("eta_sum", "beta", "linear"), ("gaze_geo", "gamma", "exp")),
+                  RegulatorSet(0.25, 0.5, 0.5), 0.60),
+    MetricId.W8: ((("pos_dist", "alpha", "exp"), ("eta_sum", "beta", "linear"), ("gaze_euc", "gamma", "exp")),
+                  RegulatorSet(0.5, 0.5, 0.5), 0.62),
+    MetricId.OVERLAP: ((), None, 0.75),
+}
+
+
 def default_configs() -> dict:
-    """Per-metric regulators and thresholds used when a run overrides nothing."""
-    r = RegulatorSet
-    return {
-        MetricId.W1: MetricConfig(MetricId.W1, r(1.0), 0.64),
-        MetricId.W2: MetricConfig(MetricId.W2, r(1.0), 0.80),
-        MetricId.W3: MetricConfig(MetricId.W3, r(1.0), 0.63),
-        MetricId.W4: MetricConfig(MetricId.W4, r(1.0), 0.84),
-        MetricId.W5: MetricConfig(MetricId.W5, r(0.1, 0.5, 1.0), 0.54),
-        MetricId.W6: MetricConfig(MetricId.W6, r(0.1, 0.125, 0.2), 0.87),
-        MetricId.W7: MetricConfig(MetricId.W7, r(0.25, 0.5, 0.5), 0.60),
-        MetricId.W8: MetricConfig(MetricId.W8, r(0.5, 0.5, 0.5), 0.62),
-        MetricId.OVERLAP: MetricConfig(MetricId.OVERLAP, None, 0.75),
-    }
+    """Per-metric regulators and thresholds used when a run overrides nothing: ``METRICS``'s defaults."""
+    return {m: MetricConfig(m, regulators, threshold) for m, (_, regulators, threshold) in METRICS.items()}
 
 
 def exp_kernel(alpha: float, d: np.ndarray) -> np.ndarray:
@@ -120,6 +137,9 @@ def exp_kernel(alpha: float, d: np.ndarray) -> np.ndarray:
     out = np.exp(-alpha * np.where(inf, 0.0, d))
     out[inf] = 0.0
     return out
+
+
+KERNELS = {"exp": exp_kernel, "linear": np.multiply}  # a term's factor from (regulator, feature)
 
 
 @dataclass
@@ -171,32 +191,15 @@ class PairFeatures:
     gaze_geo: np.ndarray | None = None
 
     def metric_matrix(self, metric: MetricId, reg: RegulatorSet) -> SimilarityMatrix:
-        """Apply one metric's kernels to the precomputed features; NaN features give NaN values."""
+        """Multiply one metric's terms over the precomputed features; NaN features give NaN values."""
         if metric.is_overlap:
             raise InvalidParamsError("overlap is not derived from pair features")
         if metric.needs_geodesic and self.gaze_geo is None:
             raise MissingGraphError(f"{metric.value} needs a surface graph")
-        gaze = self.gaze_geo if metric.needs_geodesic else self.gaze_euc
-        if metric is MetricId.W1:
-            values = exp_kernel(reg.alpha, self.pos_dist)
-        elif metric is MetricId.W2:
-            values = exp_kernel(reg.alpha, self.range_diff)
-        elif metric in (MetricId.W3, MetricId.W4):
-            values = exp_kernel(reg.alpha, gaze)
-        elif metric in (MetricId.W5, MetricId.W6):
-            values = (
-                exp_kernel(reg.alpha, self.pos_dist)
-                * exp_kernel(reg.beta, self.range_diff)
-                * exp_kernel(reg.gamma, gaze)
-            )
-        elif metric in (MetricId.W7, MetricId.W8):
-            values = (
-                exp_kernel(reg.alpha, self.pos_dist)
-                * (reg.beta * self.eta_sum)
-                * exp_kernel(reg.gamma, gaze)
-            )
-        else:
-            raise InvalidParamsError(f"unknown metric {metric}")
+        factors = (KERNELS[k](getattr(reg, r), getattr(self, f)) for f, r, k in metric.terms)
+        values = next(factors)  # a fresh array each term, so the product is taken in place
+        for factor in factors:
+            values *= factor
         np.fill_diagonal(values, np.nan)
         return SimilarityMatrix(frame=self.frame, users=self.users, metric=metric, values=values)
 

@@ -28,7 +28,7 @@ from .errors import DegenerateLabelsError, InvalidParamsError
 from .evaluation import FIGURES, aggregate, evaluate_result, summarize_performance
 from .geometry import build_surface_graph
 from .manifest import ContentManifest, ContentSettings
-from .metrics import MetricConfig, MetricId, compute_pair_features, geodesic_gaze, overlap_matrix
+from .metrics import PROXY_METRICS, MetricConfig, MetricId, compute_pair_features, geodesic_gaze, overlap_matrix
 from .ply import DirectoryCloudSequence
 from .synth import SynthScenario, generate_cloud, generate_trajectories
 from .trajectories import COLUMNS, SessionDataset, align_to_frames, derive_pr, load_trajectories
@@ -270,7 +270,7 @@ def _evaluate(pc: PreparedContent, metric: MetricId, mats: dict, mode: str):
 
 def calibrate_contents(
     pcs: list,
-    metrics=None,
+    metrics=PROXY_METRICS,
     target_tpr: float = DEFAULT_TARGET_TPR,
 ) -> dict:
     """ROC-select a threshold per metric over all given contents' pairs.
@@ -288,8 +288,6 @@ def calibrate_contents(
     if len({pc.overlap_threshold for pc in pcs}) > 1:
         named = ", ".join(f"'{pc.content_id}' {pc.overlap_threshold}" for pc in pcs)
         raise InvalidParamsError(f"calibrate labels every content at one overlap_threshold; the contents have {named}")
-    if metrics is None:
-        metrics = [m for m in MetricId if not m.is_overlap]
     o_th = pcs[0].overlap_threshold
     ovs = [ov for pc in pcs for ov in metric_matrices(pc, [MetricId.OVERLAP])[MetricId.OVERLAP]]
     _, labels = pair_samples(ovs, ovs, o_th)

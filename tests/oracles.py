@@ -404,13 +404,14 @@ def metric_value(metric, reg, si, sj, graph=None):
     pos_kernel = _kernel(reg.alpha, _euclid(si.x, sj.x))
     if metric is MetricId.W1:
         return pos_kernel
-    if metric.needs_geodesic and graph is None:
+    geodesic = metric in (MetricId.W3, MetricId.W5, MetricId.W7)  # written out, not read from metrics.METRICS
+    if geodesic and graph is None:
         raise MissingGraphError(f"{metric.value} needs a surface graph")
     if si.p is None or sj.p is None:
         return math.nan
     if metric is MetricId.W2:
         return _kernel(reg.alpha, abs(si.r - sj.r))
-    if metric.needs_geodesic:
+    if geodesic:
         gaze = geodesic_distance(graph, si.p, sj.p)
     else:
         gaze = _euclid(si.p, sj.p)

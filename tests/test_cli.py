@@ -458,6 +458,15 @@ def test_warm_session_matches_cold_commands(narrow_manifest, tmp_path, capsys, t
     ]
 
 
+@pytest.mark.parametrize("command", ["metrics", "calibrate", "evaluate"])
+def test_a_metric_named_twice_counts_once(narrow_manifest, tmp_path, capsys, command):
+    argv = [command, "--metric", "w7", "--metric", "w1"]
+    once = run_in(capsys, narrow_manifest, tmp_path / "once", argv)
+    twice = run_in(capsys, narrow_manifest, tmp_path / "twice", [*argv, "--metric", "w7"])
+    assert twice == once
+    assert outputs(tmp_path / "twice") == outputs(tmp_path / "once")
+
+
 @pytest.fixture
 def own_dataset(dataset, tmp_path):
     """A private copy of the narrow-frustum dataset that a test may edit."""

@@ -252,10 +252,11 @@ def test_type_errors_rejected(dataset):
     ({"chunk": {"persistence": 0}}, r"manifest.chunk: persistence"),
     ({"chunk": {"persistence": 1.5}}, r"manifest.chunk: persistence"),
     ({"metrics": {"w7": {"alpha": -1}}}, r"manifest.metrics.w7: alpha"),
-    ({"metrics": {"w1": {"beta": -0.5}}}, r"manifest.metrics.w1: beta"),
+    ({"metrics": {"w5": {"beta": -0.5}}}, r"manifest.metrics.w5: beta"),
     ({"metrics": {"w1": {"threshold": "high"}}}, r"manifest.metrics.w1.threshold"),
     ({"metrics": {"w1": 0.5}}, r"manifest.metrics.w1 must be an object"),
     ({"metrics": []}, r"manifest.metrics must be an object"),
+    ({"metrics": {"w1": {"beta": 0.5}}}, r"unknown keys \['beta'\] in manifest.metrics.w1"),  # w1 reads alpha only
 ])
 def test_meaningless_values_rejected(dataset, extra, key):
     with pytest.raises(ManifestError, match=key):

@@ -24,25 +24,29 @@ from viewsim.synth import _fibonacci_sphere
 from conftest import Sample, assert_close, feature_columns, make_sample, overlap_columns
 from oracles import metric_validity_oracle, metric_value, overlap_validity_oracle
 
+# metric: (default regulators, default threshold, regulators it reads, needs a surface graph)
 TABLE = {
-    MetricId.W1: ((1.0, 0.0, 0.0), 0.64),
-    MetricId.W2: ((1.0, 0.0, 0.0), 0.80),
-    MetricId.W3: ((1.0, 0.0, 0.0), 0.63),
-    MetricId.W4: ((1.0, 0.0, 0.0), 0.84),
-    MetricId.W5: ((0.1, 0.5, 1.0), 0.54),
-    MetricId.W6: ((0.1, 0.125, 0.2), 0.87),
-    MetricId.W7: ((0.25, 0.5, 0.5), 0.60),
-    MetricId.W8: ((0.5, 0.5, 0.5), 0.62),
+    MetricId.W1: ((1.0, 0.0, 0.0), 0.64, ("alpha",), False),
+    MetricId.W2: ((1.0, 0.0, 0.0), 0.80, ("alpha",), False),
+    MetricId.W3: ((1.0, 0.0, 0.0), 0.63, ("alpha",), True),
+    MetricId.W4: ((1.0, 0.0, 0.0), 0.84, ("alpha",), False),
+    MetricId.W5: ((0.1, 0.5, 1.0), 0.54, ("alpha", "beta", "gamma"), True),
+    MetricId.W6: ((0.1, 0.125, 0.2), 0.87, ("alpha", "beta", "gamma"), False),
+    MetricId.W7: ((0.25, 0.5, 0.5), 0.60, ("alpha", "beta", "gamma"), True),
+    MetricId.W8: ((0.5, 0.5, 0.5), 0.62, ("alpha", "beta", "gamma"), False),
 }
 
 
 def test_default_configs_frozen_table():
     configs = default_configs()
-    for metric, (regs, th) in TABLE.items():
+    for metric, (regs, th, names, geodesic) in TABLE.items():
         cfg = configs[metric]
         assert cfg.regulators.as_tuple() == regs
         assert cfg.threshold == th
+        assert metric.regulator_names == names
+        assert metric.needs_geodesic is geodesic
     assert configs[MetricId.OVERLAP].threshold == 0.75
+    assert MetricId.OVERLAP.regulator_names == () and not MetricId.OVERLAP.needs_geodesic
 
 
 def _kernel(alpha, d) -> float:
@@ -157,11 +161,20 @@ def test_symmetry_scalar_route():
                 assert_close(vij, vji, tol=1e-12)
 
 
-def test_matrix_route_matches_scalar_route():
+# distinct values, so a term reading the wrong regulator shows, and zeros;
+# w7/w8's defaults have beta == gamma
+@pytest.mark.parametrize("regs", [
+    pytest.param(None, id="defaults"),
+    pytest.param((0.7, 0.3, 1.9), id="distinct"),
+    pytest.param((0.0, 1.1, 0.4), id="alpha0"),
+    pytest.param((1.3, 0.0, 0.6), id="beta0"),
+    pytest.param((0.4, 2.0, 0.0), id="gamma0"),
+])
+def test_matrix_route_matches_scalar_route(regs):
     users, samples, graph = _scene(seed=5)
     feats = compute_pair_features(0, users, *feature_columns(samples), graph=graph)
     for metric in PROXY_METRICS:
-        reg = RegulatorSet(*TABLE[metric][0])
+        reg = RegulatorSet(*(TABLE[metric][0] if regs is None else regs))
         mat = feats.metric_matrix(metric, reg)
         for i in range(len(users)):
             for j in range(len(users)):

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import pair_indices
 from .errors import (
     DegenerateLabelsError,
     InvalidParamsError,
     PreconditionError,
     UnattainableTargetError,
 )
-from .metrics import MetricId, RegulatorSet
+from .metrics import MetricId, RegulatorSet, pair_indices
 
 DEFAULT_GRID = (0.0, 0.05, 0.1, 0.125, 0.2, 0.25, 0.5, 1.0, 2.0)
 DEFAULT_TARGET_TPR = 0.75

@@ -12,7 +12,6 @@ Randomness (synth, bench scenarios) flows exclusively from --seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import re
@@ -25,7 +24,7 @@ from .clustering import check_clique_size
 from .errors import InvalidParamsError, ToolError, UsageError
 from .evaluation import FIGURES
 from .manifest import load_manifest, load_thresholds, read_json, write_json
-from .metrics import MetricId, PROXY_METRICS, _fmt, write_matrices_csv
+from .metrics import MetricId, PROXY_METRICS, _fmt, write_csv, write_matrices_csv
 from .pipeline import (
     _evaluate,
     calibrate_contents,
@@ -44,18 +43,13 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
-def _write_csv(path: str, header: list, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def _contents(args, clique_searched: bool = False) -> list:
+    # a --calibration file is read, and refused, before the manifest
+    thresholds = load_thresholds(args.calibration) if getattr(args, "calibration", None) else {}
     if not args.manifest:
         raise UsageError("this command requires --manifest PATH")
     # per-frame tables persist in --out and serve later commands there
-    pcs = [replace(prepare(cm), store_dir=args.out) for cm in load_manifest(args.manifest)]
+    pcs = [replace(prepare(cm), store_dir=args.out).with_thresholds(thresholds) for cm in load_manifest(args.manifest)]
     if clique_searched:  # refuse a content too large for the clique search before any cloud is read
         check_clique_size(max(len(pc.dataset.users) for pc in pcs))
     return pcs
@@ -128,7 +122,7 @@ def cmd_calibrate(args) -> int:
     pcs = _contents(args)
     report = calibrate_contents(pcs, metrics, target_tpr=args.target_tpr)
     roc_path = _out_path(args, "roc.csv")
-    _write_csv(roc_path, ["metric", "threshold", "tpr", "fpr"], (
+    write_csv(roc_path, ["metric", "threshold", "tpr", "fpr"], (
         [metric.value, _fmt(pt.threshold), _fmt(pt.tpr), _fmt(pt.fpr)]
         for metric in metrics for pt in report[metric][0]
     ))
@@ -178,7 +172,7 @@ def cmd_ablate(args) -> int:
         reference_only=not args.all_contents,
     )
     csv_path = _out_path(args, f"ablation_{metric.value}.csv")
-    _write_csv(csv_path, ["metric", "alpha", "beta", "gamma", *FIGURES], (
+    write_csv(csv_path, ["metric", "alpha", "beta", "gamma", *FIGURES], (
         [metric.value] + [_fmt(v) for v in r.regulators.as_tuple()] + [_fmt(getattr(r, f)) for f in FIGURES]
         for r in records
     ))
@@ -205,13 +199,10 @@ def cmd_ablate(args) -> int:
 
 def cmd_cluster(args) -> int:
     metric = _parse_metric(args.metric)
-    thresholds = load_thresholds(args.calibration) if args.calibration else None
     for pc in _contents(args, clique_searched=True):
-        if thresholds:
-            pc = pc.with_thresholds(thresholds)
         results = cluster_content(pc, metric, mode=args.mode)
         csv_path = _out_path(args, f"clusters_{safe_name(pc.content_id)}.csv")
-        _write_csv(csv_path, ["chunk_or_frame", "user_id", "cluster_id", "cluster_size"], (
+        write_csv(csv_path, ["chunk_or_frame", "user_id", "cluster_id", "cluster_size"], (
             [res.ident, user, cid, cluster.size]
             for res in results for cid, cluster in enumerate(res.clusters) for user in cluster.members
         ))
@@ -244,11 +235,8 @@ def _summary_cells(summary: dict) -> list:
 
 def cmd_evaluate(args) -> int:
     requested = _parse_metrics(args.metric, MetricId)
-    thresholds = load_thresholds(args.calibration) if args.calibration else None
     rows = []
     for pc in _contents(args, clique_searched=True):
-        if thresholds:
-            pc = pc.with_thresholds(thresholds)
         # one table pass for every metric reads each cloud once and applies each kernel once
         mats = metric_matrices(pc, [*requested, MetricId.OVERLAP])
         for metric in requested:
@@ -261,7 +249,7 @@ def cmd_evaluate(args) -> int:
             overall = summarize_across_contents(per_content)
             table.append(["ALL", metric.value, args.mode] + _summary_cells(overall) + [len(per_content)])
     path = _out_path(args, "evaluation.csv")
-    _write_csv(path, [
+    write_csv(path, [
         "content_id", "metric", "mode", "overlap_mean", "overlap_std", "relevant_population_mean",
         "relevant_population_std", "precision_mean", "precision_std", "n_windows",
     ], table)

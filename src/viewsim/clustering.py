@@ -16,14 +16,13 @@ where the pair is valid.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidParamsError, PreconditionError, SizeLimitError
-from .metrics import MetricConfig, SimilarityMatrix
+from .metrics import MetricConfig, SimilarityMatrix, pair_indices
 
 MAX_CLIQUE_USERS = 64
 DEFAULT_RELEVANT_MIN_SIZE = 3
@@ -154,14 +153,6 @@ def check_clique_size(n: int) -> None:
     """Raise SizeLimitError when n users exceed the exact search's bitset width."""
     if n > MAX_CLIQUE_USERS:
         raise SizeLimitError(f"exact clique search supports up to {MAX_CLIQUE_USERS} users, got {n}")
-
-
-@functools.lru_cache(maxsize=MAX_CLIQUE_USERS + 1)
-def pair_indices(k: int) -> tuple:
-    """Read-only index arrays (a, b) of the pairs a < b of k items, in row-major order."""
-    a, b = np.triu_indices(k, 1)
-    a.flags.writeable = b.flags.writeable = False
-    return a, b
 
 
 def _neighbor_masks(adj: np.ndarray) -> list:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import DEFAULT_OVERLAP_LABEL_THRESHOLD
-from .clustering import DEFAULT_RELEVANT_MIN_SIZE, Cluster, ClusteringResult, pair_indices
+from .clustering import DEFAULT_RELEVANT_MIN_SIZE, Cluster, ClusteringResult
 from .errors import PreconditionError
-from .metrics import SimilarityMatrix
+from .metrics import SimilarityMatrix, pair_indices
 
 FIGURES = ("overlap_ratio", "relevant_population", "precision")
 

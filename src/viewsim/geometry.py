@@ -49,12 +49,8 @@ def as_vec3(v) -> np.ndarray:
 
 
 def unit(v) -> np.ndarray:
-    a = as_vec3(v)
-    with np.errstate(over="ignore"):  # an overflowing norm is refused below
-        n = float(np.linalg.norm(a))
-    if not 0.0 < n < math.inf:
-        raise ValueError("cannot normalize a zero vector or one whose norm overflows")
-    return a / n
+    """A 3-vector divided by its norm: ``unit_rows`` of ``as_vec3(v)``."""
+    return unit_rows(as_vec3(v))
 
 
 def norms(v) -> np.ndarray:
@@ -71,7 +67,7 @@ def norms(v) -> np.ndarray:
 
 
 def unit_rows(v: np.ndarray) -> np.ndarray:
-    """``unit`` of every vector along the last axis, bit for bit (see ``norms``)."""
+    """Every vector along the last axis divided by its ``norms``; a zero, non-finite or overflowing norm is refused."""
     n = norms(v)
     if not np.all((n > 0.0) & (n < math.inf)):  # a NaN or infinite row has a NaN or infinite norm
         raise ValueError("cannot normalize a zero or non-finite vector or one whose norm overflows")
@@ -111,7 +107,7 @@ def quat_from_matrix(rot: np.ndarray) -> np.ndarray:
         q[1 + k] = (m[k, i] + m[i, k]) / s
     if q[0] < 0.0:
         q = -q
-    return q / np.linalg.norm(q)
+    return unit_rows(q)
 
 
 def view_basis(view) -> tuple:
@@ -235,7 +231,6 @@ class SurfaceGraph:
     """k-NN graph over one cloud frame for geodesic distance queries."""
 
     points: np.ndarray
-    k: int
     adjacency: csr_matrix
     _tree: cKDTree
 
@@ -275,7 +270,7 @@ def build_surface_graph(cloud: PointCloudFrame, k: int = DEFAULT_SURFACE_KNN) ->
     union = ids.maximum(ids.T.tocsr())
     union.sort_indices()
     adj = csr_matrix((w[union.data - 1], union.indices, union.indptr), shape=(n, n))
-    return SurfaceGraph(points=pts, k=k, adjacency=adj, _tree=tree)
+    return SurfaceGraph(points=pts, adjacency=adj, _tree=tree)
 
 
 def geodesic_rows(graph: SurfaceGraph, sources, targets) -> np.ndarray:

@@ -23,6 +23,7 @@ zero.  A geodesic metric without a surface graph raises MissingGraphError.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -164,11 +165,13 @@ class SimilarityMatrix:
         """Where a pair has a value: ``~np.isnan(values)``, computed on each access."""
         return ~np.isnan(self.values)
 
-    def pairs(self):
-        """Upper-triangle iterator: (i, j, value, valid)."""
-        for i, row in enumerate(self.values.tolist()):
-            for j in range(i + 1, len(row)):
-                yield i, j, row[j], not math.isnan(row[j])
+
+@functools.lru_cache
+def pair_indices(k: int) -> tuple:
+    """Read-only index arrays (a, b) of the pairs a < b of k items, in row-major order."""
+    a, b = np.triu_indices(k, 1)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
 
 
 @dataclass
@@ -290,11 +293,20 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def write_matrices_csv(path, matrices: list) -> None:
-    """Long-form pair rows: frame,user_i,user_j,metric,value,valid."""
+def write_csv(path, header: list, rows) -> None:
+    """The header row, then ``rows``, each line ending in ``\\n``: how every CSV output is written."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["frame", "user_i", "user_j", "metric", "value", "valid"])
-        for m in matrices:
-            for i, j, value, ok in m.pairs():
-                w.writerow([m.frame, m.users[i], m.users[j], m.metric.value, _fmt(value), int(ok)])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_matrices_csv(path, matrices: list) -> None:
+    """Long-form pair rows: frame,user_i,user_j,metric,value,valid, one per pair a < b of each matrix."""
+
+    def rows(m: SimilarityMatrix):
+        a, b = pair_indices(m.n)
+        for i, j, value in zip(a.tolist(), b.tolist(), m.values[a, b].tolist()):
+            yield [m.frame, m.users[i], m.users[j], m.metric.value, _fmt(value), int(not math.isnan(value))]
+
+    write_csv(path, ["frame", "user_i", "user_j", "metric", "value", "valid"], (r for m in matrices for r in rows(m)))

@@ -210,15 +210,20 @@ def _cluster(pc: PreparedContent, metric: MetricId, mats: list, mode: str) -> li
     return out
 
 
+def _check_clustering(pc: PreparedContent, mode: str) -> None:
+    """Refuse an unknown mode, then a content too large for the clique search, before any table is read."""
+    if mode not in ("frame", "chunk"):
+        raise InvalidParamsError(f"mode must be frame|chunk, got '{mode}'")
+    check_clique_size(len(pc.dataset.users))
+
+
 def cluster_content(
     pc: PreparedContent,
     metric: MetricId,
     mode: str = "frame",
 ) -> list:
     """ClusteringResults per frame, or per chunk when mode='chunk'."""
-    if mode not in ("frame", "chunk"):
-        raise InvalidParamsError(f"mode must be frame|chunk, got '{mode}'")
-    check_clique_size(len(pc.dataset.users))
+    _check_clustering(pc, mode)
     return _cluster(pc, metric, metric_matrices(pc, [metric])[metric], mode)
 
 
@@ -234,9 +239,7 @@ def evaluate_content(
     are persistence scores thresholded exactly like chunk adjacency, so an
     OVERLAP-driven clustering scores precision 1.0 identically.
     """
-    if mode not in ("frame", "chunk"):
-        raise InvalidParamsError(f"mode must be frame|chunk, got '{mode}'")
-    check_clique_size(len(pc.dataset.users))
+    _check_clustering(pc, mode)
     return _evaluate(pc, metric, metric_matrices(pc, [metric, MetricId.OVERLAP]), mode)
 
 

@@ -107,34 +107,31 @@ def _parse_header(fh, path):
     return fmt, elements
 
 
-def _read_ascii_element(fh, elem, path, want_xyz):
-    cols = None
-    if want_xyz:
-        names = [p.name for p in elem.props]
-        cols = [names.index(c) for c in ("x", "y", "z")]
-        out = np.empty((elem.count, 3), dtype=np.float64)
+def _read_ascii_element(fh, elem, path):
+    names = [p.name for p in elem.props]
+    cols = [names.index(c) for c in ("x", "y", "z")]
+    out = np.empty((elem.count, 3), dtype=np.float64)
     for i in range(elem.count):
         raw = fh.readline()
         if not raw:
             raise ParseError(
                 f"file truncated inside element '{elem.name}' ({i}/{elem.count} rows)", path=path
             )
-        if want_xyz:
-            toks = raw.split()
-            if any(p.is_list for p in elem.props):
-                # List properties make column positions data dependent;
-                # vertex elements never carry them in practice.
-                raise ParseError("vertex element with list property is unsupported", path=path)
-            if len(toks) != len(elem.props):
-                raise ParseError(
-                    f"vertex row {i} has {len(toks)} values, expected {len(elem.props)}", path=path
-                )
-            try:
-                for j, c in enumerate(cols):
-                    out[i, j] = float(toks[c])
-            except ValueError:
-                raise ParseError(f"bad vertex row '{raw.strip().decode(errors='replace')}'", path=path)
-    return out if want_xyz else None
+        toks = raw.split()
+        if any(p.is_list for p in elem.props):
+            # List properties make column positions data dependent;
+            # vertex elements never carry them in practice.
+            raise ParseError("vertex element with list property is unsupported", path=path)
+        if len(toks) != len(elem.props):
+            raise ParseError(
+                f"vertex row {i} has {len(toks)} values, expected {len(elem.props)}", path=path
+            )
+        try:
+            for j, c in enumerate(cols):
+                out[i, j] = float(toks[c])
+        except ValueError:
+            raise ParseError(f"bad vertex row '{raw.strip().decode(errors='replace')}'", path=path)
+    return out
 
 
 def _skip_ascii_element(fh, elem, path):
@@ -164,7 +161,7 @@ def read_ply(path) -> np.ndarray:
         if fmt == "ascii":
             for elem in elements:
                 if elem is vertex:
-                    return _checked(_read_ascii_element(fh, elem, path, want_xyz=True), path)
+                    return _checked(_read_ascii_element(fh, elem, path), path)
                 _skip_ascii_element(fh, elem, path)
         # binary_little_endian: read elements in declared order up to vertex
         for elem in elements:

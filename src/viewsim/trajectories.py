@@ -28,7 +28,7 @@ from .geometry import (
     unit_rows,
     view_quaternion,
 )
-from .metrics import _fmt
+from .metrics import _fmt, write_csv
 
 _BASE_COLUMNS = [
     "user_id",
@@ -243,17 +243,13 @@ def derive_pr(x, view, off, cloud, cone: float = DEFAULT_CONE_HALF_ANGLE, r_mode
 
 def write_trajectories(path, ds: SessionDataset, with_pr: bool = False) -> None:
     """Write a session back to CSV (inverse of load, quaternions roll-free)."""
-    cols = _BASE_COLUMNS + (_PR_COLUMNS if with_pr else [])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(cols)
-        for i, uid in enumerate(ds.users):
-            for k in range(ds.n_frames):
-                q = view_quaternion(ds.view[i, k])
-                row = [uid, _fmt(k / ds.fps)] + [_fmt(v) for v in ds.x[i, k]] + [_fmt(v) for v in q]
-                if with_pr:
-                    if np.isnan(ds.r[i, k]):
-                        row += ["", "", "", ""]
-                    else:
-                        row += [_fmt(v) for v in ds.p[i, k]] + [_fmt(ds.r[i, k])]
-                w.writerow(row)
+
+    def row(i: int, k: int) -> list:
+        q = view_quaternion(ds.view[i, k])
+        out = [ds.users[i], _fmt(k / ds.fps)] + [_fmt(v) for v in ds.x[i, k]] + [_fmt(v) for v in q]
+        if with_pr:
+            out += ["", "", "", ""] if np.isnan(ds.r[i, k]) else [_fmt(v) for v in ds.p[i, k]] + [_fmt(ds.r[i, k])]
+        return out
+
+    rows = (row(i, k) for i in range(len(ds.users)) for k in range(ds.n_frames))
+    write_csv(path, _BASE_COLUMNS + (_PR_COLUMNS if with_pr else []), rows)

@@ -8,9 +8,7 @@ measures with the package's ``geodesic_rows`` (checked against closed
 forms by criterion 4 and against ``dijkstra_oracle``), and ``metric_value``
 measures graph distances with it; ``clique_clustering_oracle`` searches
 each sub-graph with the package's ``max_clique`` (checked against
-exhaustive enumeration by criterion 5).  ``align_to_frames_oracle`` and
-``load_trajectories_oracle`` normalise views with the package's ``unit``,
-once per sample, as a per-sample loader did.  ``ablate_oracle`` is the
+exhaustive enumeration by criterion 5).  ``ablate_oracle`` is the
 regulator sweep's former separate loop: it checks what the sweep averages,
 in which order and with which parameters, and clusters and scores with the
 package's functions (checked by criteria 5 and 6 and their oracles).
@@ -42,9 +40,19 @@ from viewsim.clustering import (
 )
 from viewsim.errors import InvalidParamsError, MissingGraphError, PreconditionError
 from viewsim.evaluation import aggregate, evaluate_result
-from viewsim.geometry import geodesic_rows, unit
+from viewsim.geometry import geodesic_rows
 from viewsim.metrics import MetricConfig, MetricId, SimilarityMatrix
 from viewsim.trajectories import Trace
+
+
+def unit_oracle(v) -> np.ndarray:
+    """A vector divided by its ``np.linalg.norm``; a zero norm, or one that overflows, is refused."""
+    a = np.asarray(v, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        n = float(np.linalg.norm(a))
+    if not 0.0 < n < math.inf:
+        raise ValueError("cannot normalize a zero vector or one whose norm overflows")
+    return a / n
 
 
 def load_trajectories_oracle(path):
@@ -52,7 +60,7 @@ def load_trajectories_oracle(path):
 
     Each quaternion is divided by its ``np.linalg.norm``, its rotation matrix
     is built from Python floats, and the matrix's -Z image is normalised with
-    ``unit``.  Users come out sorted and each user's rows in time order.
+    ``unit_oracle``.  Users come out sorted and each user's rows in time order.
     """
     by_user = {}
     with open(path, newline="") as fh:
@@ -69,7 +77,7 @@ def load_trajectories_oracle(path):
                 [2 * (qx * qy + w * qz), 1 - 2 * (qx * qx + qz * qz), 2 * (qy * qz - w * qx)],
                 [2 * (qx * qz - w * qy), 2 * (qy * qz + w * qx), 1 - 2 * (qx * qx + qy * qy)],
             ])
-            view = unit(rot @ np.array([0.0, 0.0, -1.0]))
+            view = unit_oracle(rot @ np.array([0.0, 0.0, -1.0]))
             given = with_pr and bool(row[9].strip())
             p = np.array([float(v) for v in row[9:12]]) if given else np.full(3, np.nan)
             r = float(row[12]) if given else math.nan
@@ -102,7 +110,7 @@ def align_to_frames_oracle(traces, fps, n_frames=None):
                 j -= 1  # earlier sample on exact ties
             off = bool(abs(times[j] - tk) > half + 1e-12 or tr.off[j])
             rows["x"].append(tr.x[j].copy())
-            rows["view"].append(unit(tr.view[j]))
+            rows["view"].append(unit_oracle(tr.view[j]))
             rows["p"].append(np.full(3, np.nan) if off else tr.p[j].copy())
             rows["r"].append(math.nan if off else float(tr.r[j]))
             rows["off"].append(off)

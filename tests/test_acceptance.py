@@ -28,6 +28,7 @@ from viewsim.metrics import (
     compute_pair_features,
     default_configs,
     overlap_matrix,
+    pair_indices,
 )
 from viewsim.pipeline import evaluate_content, prepare, prepare_scenario, run_ablation
 from viewsim.synth import _fibonacci_sphere, planted_labels, three_orbit_groups
@@ -98,7 +99,9 @@ def test_criterion_2_overlap_is_exact_rational_jaccard():
         params = FrustumParams(hfov=float(rng.uniform(0.3, 1.2)), vfov=float(rng.uniform(0.3, 1.2)))
         mat = overlap_matrix(0, users, x, view, np.zeros(n, dtype=bool), cloud, params)
         sets = [viewport_set_oracle(frustum_planes(x[k], view[k], params), cloud.points) for k in range(n)]
-        for i, j, value, ok in mat.pairs():
+        for i, j in zip(*pair_indices(n)):
+            value = float(mat.values[i, j])
+            ok = not math.isnan(value)
             if not (sets[i] | sets[j]):
                 bad += ok
             elif checked < 1000:

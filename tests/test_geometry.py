@@ -23,7 +23,14 @@ from viewsim.geometry import (
 )
 
 from conftest import assert_close, random_viewer
-from oracles import dijkstra_oracle, geodesic_distance, graph_edges, surface_adjacency_oracle, viewport_set_oracle
+from oracles import (
+    dijkstra_oracle,
+    geodesic_distance,
+    graph_edges,
+    surface_adjacency_oracle,
+    unit_oracle,
+    viewport_set_oracle,
+)
 
 MINUS_Z = np.array([0.0, 0.0, -1.0])
 
@@ -94,6 +101,7 @@ def test_quaternion_matrices_batch_over_leading_axes():
 
 
 def test_unit_rows_matches_unit_row_by_row():
+    # both against the np.linalg.norm form, since unit is unit_rows of one row;
     # bit equality rests on matmul running the one-vector norm's dot kernel on each row
     rng = np.random.default_rng(5)
     rows = rng.normal(size=(120_000, 3)) * np.exp(rng.uniform(-30.0, 30.0, (120_000, 1)))
@@ -101,9 +109,11 @@ def test_unit_rows_matches_unit_row_by_row():
     rows[20_000:40_000] = rng.normal(size=(20_000, 3)) * 1e150
     stack = rng.normal(size=(40, 500, 3))
     for v in (rows, stack, stack[:, 7], stack[:, ::3], stack[..., ::-1]):
-        want = np.array([unit(row) for row in v.reshape(-1, 3)]).reshape(v.shape)
+        flat = v.reshape(-1, 3)
+        want = np.array([unit_oracle(row) for row in flat]).reshape(v.shape)
         got = unit_rows(v)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.array([unit(row) for row in flat]).reshape(v.shape).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [1.0, np.nan, 0.0], [0.0, 0.0, -np.inf], [1e200, 0.0, 0.0]])
@@ -125,9 +135,9 @@ def test_unit_refuses_a_norm_that_overflows_exactly_where_np_linalg_norm_does():
             with np.errstate(over="ignore"):
                 ok = bool(np.isfinite(np.linalg.norm(v)))
             if ok:
-                assert unit_rows(v[None]).tobytes() == unit(v)[None].tobytes()
+                assert unit_rows(v[None]).tobytes() == unit(v)[None].tobytes() == unit_oracle(v)[None].tobytes()
             else:
-                for f in (unit, unit_rows):
+                for f in (unit, unit_rows, unit_oracle):
                     with pytest.raises(ValueError, match="overflows"):
                         f(v)
             seen.add(ok)

@@ -47,6 +47,8 @@ COMMANDS = [
     ["evaluate", "--mode", "chunk"],
     ["cluster", "--metric", "w7"],
     ["cluster", "--metric", "w3", "--mode", "frame"],
+    ["calibrate"],
+    ["ablate", "--metric", "w7", "--fix", "beta=0.5"],
 ]
 
 # sha256 of each command's outputs, taken while validity masks were still
@@ -78,6 +80,15 @@ PINNED = {
         "clusters_invalid-cast.json": "958e2da27f30cee82ad21722c39bd86f38614e515d88c92f5c1c1e5022407cdc",
         "clusters_invalid-given.csv": "2b34e098e83c30efb3c09cc33d76fb4c230ec5e0549dcb07495b71e5cd343b9c",
         "clusters_invalid-given.json": "f626ff862b28e562d92a9148e9b65861434b4dc31dd26a87e21cfc7aa61cbe9f",
+    },
+    # calibrate and ablate: taken before every CSV was written through metrics.write_csv
+    "calibrate": {
+        "calibration.json": "60d25d5c93ecd489c6de2819d2faddb7f3a2c1c785953ada5c58b96d4c07f184",
+        "roc.csv": "c501da1dd97e7cda55af17fceae8204807d69093daea036af09c03a9ca1cf1ca",
+    },
+    "ablate --metric w7 --fix beta=0.5": {
+        "ablation_w7.csv": "cf4f5d5a54bf2edb262877fed19bc4d20c608ad3d941c1223d86b2082c6cfc5d",
+        "parameter_sets_w7.json": "e1f53bfe0f71c594373b83d1bcc4b1a97dfa2cef955fdcfaf3b1e90e8604e53d",
     },
 }
 

@@ -387,13 +387,25 @@ def test_overlap_matrix_off_content_user_invalid(default_params):
     assert mat.valid[0, 2]
 
 
-def test_pairs_iterator_covers_upper_triangle():
-    users, samples, graph = _scene(seed=14, n_users=5)
-    feats = compute_pair_features(0, users, *feature_columns(samples), graph=graph)
-    mat = feats.metric_matrix(MetricId.W1, RegulatorSet(1.0, 0, 0))
-    pairs = list(mat.pairs())
-    assert len(pairs) == 10
-    assert all(i < j for i, j, _, _ in pairs)
+def test_matrices_csv_rows_follow_a_pair_loop(tmp_path):
+    # asymmetric values, so a row read from the lower triangle would show
+    values = np.random.default_rng(14).uniform(size=(5, 5))
+    values[1, 3] = np.nan
+    np.fill_diagonal(values, np.nan)
+    users = tuple(f"u{k}" for k in range(5))
+    mats = [SimilarityMatrix(3, users, MetricId.W1, values), SimilarityMatrix(4, users, MetricId.OVERLAP, values.T.copy())]
+    want = ["frame,user_i,user_j,metric,value,valid"]
+    for m in mats:
+        for i in range(m.n):
+            for j in range(i + 1, m.n):
+                v = float(m.values[i, j])
+                want.append(f"{m.frame},{m.users[i]},{m.users[j]},{m.metric.value},{v!r},{int(not math.isnan(v))}")
+    write_matrices_csv(tmp_path / "m.csv", mats)
+    assert (tmp_path / "m.csv").read_text() == "\n".join(want) + "\n"
+    assert "3,u1,u3,w1,nan,0" in want and len(want) == 21
+    solo = SimilarityMatrix(0, ("u0",), MetricId.W1, np.full((1, 1), np.nan))
+    write_matrices_csv(tmp_path / "solo.csv", [solo])
+    assert (tmp_path / "solo.csv").read_bytes() == b"frame,user_i,user_j,metric,value,valid\n"
 
 
 def test_matrices_csv_round_trip(tmp_path):

@@ -20,14 +20,7 @@ import numpy as np
 
 from .geometry import FrustumParams, build_surface_graph, frustum_planes
 from .metrics import PROXY_METRICS, compute_pair_features, default_configs, overlap_matrix
-from .synth import (
-    AtCentroidGaze,
-    GroupSpec,
-    OrbitMotion,
-    SynthScenario,
-    generate_cloud,
-    generate_trajectories,
-)
+from .synth import SynthScenario, generate_cloud, generate_trajectories, orbit_groups
 from .errors import InvalidParamsError
 from .trajectories import derive_pr
 
@@ -67,29 +60,10 @@ def naive_pair_overlap(points, viewer_i, viewer_j, params: FrustumParams) -> flo
 
 
 def _bench_scenario(n_users: int, n_points: int, seed: int) -> SynthScenario:
-    sizes = []
-    remaining = n_users
-    while remaining > 0:
-        sizes.append(min(4, remaining))
-        remaining -= sizes[-1]
-    groups = []
-    for g, size in enumerate(sizes):
-        # distinct anchors keep every user's gaze hit a distinct graph source
-        groups.append(
-            GroupSpec(
-                size=size,
-                motion=OrbitMotion(radius=2.0, angular_speed=0.25, phase=g * 2.0 * math.pi / len(sizes)),
-                gaze=AtCentroidGaze(),
-                jitter=0.05,
-            )
-        )
-    return SynthScenario(
-        seed=seed,
-        cloud_kind="sphere",
-        points_per_frame=n_points,
-        n_frames=1,
-        fps=30.0,
-        groups=tuple(groups),
+    # groups of four at distinct anchors keep every user's gaze hit a distinct graph source
+    return orbit_groups(
+        [min(4, n_users - k) for k in range(0, n_users, 4)], 0.05,
+        seed=seed, cloud_kind="sphere", points_per_frame=n_points, n_frames=1, fps=30.0,
     )
 
 

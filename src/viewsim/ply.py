@@ -2,14 +2,17 @@
 
 Reads ``ascii`` and ``binary_little_endian`` files, keeping only the x, y, z
 properties of the ``vertex`` element; every other property and element is
-skipped.  Writes the same subset back out (binary by default).  This is not
-a general PLY library; it covers the layouts produced by common volumetric
-datasets and by :mod:`viewsim.synth`.
+skipped.  ASCII vertex rows are parsed whole by numpy's text reader, so
+each of their values must be a number.  Writes the same subset back out
+(binary by default).  This is not a general PLY library; it covers the
+layouts produced by common volumetric datasets and by :mod:`viewsim.synth`.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,21 +33,10 @@ _SCALAR_TYPES = {
 
 
 @dataclass
-class _Prop:
-    name: str
-    dtype: str
-    count_dtype: str | None = None  # set for list properties
-
-    @property
-    def is_list(self) -> bool:
-        return self.count_dtype is not None
-
-
-@dataclass
 class _Element:
     name: str
     count: int
-    props: list
+    props: dict  # property name -> scalar dtype code, None for a list property
 
 
 def _parse_header(fh, path):
@@ -81,23 +73,19 @@ def _parse_header(fh, path):
                 raise ParseError(f"bad element count '{parts[2]}'", path=path, line=lineno)
             if count < 0:
                 raise ParseError("negative element count", path=path, line=lineno)
-            elements.append(_Element(parts[1], count, []))
+            elements.append(_Element(parts[1], count, {}))
         elif parts[0] == "property":
             if not elements:
                 raise ParseError("property before any element", path=path, line=lineno)
             if len(parts) == 3 and parts[1] in _SCALAR_TYPES:
-                elements[-1].props.append(_Prop(parts[2], _SCALAR_TYPES[parts[1]]))
-            elif (
-                len(parts) == 5
-                and parts[1] == "list"
-                and parts[2] in _SCALAR_TYPES
-                and parts[3] in _SCALAR_TYPES
-            ):
-                elements[-1].props.append(
-                    _Prop(parts[4], _SCALAR_TYPES[parts[3]], count_dtype=_SCALAR_TYPES[parts[2]])
-                )
+                dtype = _SCALAR_TYPES[parts[1]]
+            elif len(parts) == 5 and parts[1] == "list" and parts[2] in _SCALAR_TYPES and parts[3] in _SCALAR_TYPES:
+                dtype = None
             else:
                 raise ParseError(f"malformed property line '{line}'", path=path, line=lineno)
+            if parts[-1] in elements[-1].props:
+                raise ParseError(f"duplicate property '{parts[-1]}'", path=path, line=lineno)
+            elements[-1].props[parts[-1]] = dtype
         elif parts[0] == "end_header":
             break
         else:
@@ -107,37 +95,38 @@ def _parse_header(fh, path):
     return fmt, elements
 
 
-def _read_ascii_element(fh, elem, path):
-    names = [p.name for p in elem.props]
-    cols = [names.index(c) for c in ("x", "y", "z")]
-    out = np.empty((elem.count, 3), dtype=np.float64)
-    for i in range(elem.count):
-        raw = fh.readline()
-        if not raw:
-            raise ParseError(
-                f"file truncated inside element '{elem.name}' ({i}/{elem.count} rows)", path=path
-            )
-        toks = raw.split()
-        if any(p.is_list for p in elem.props):
-            # List properties make column positions data dependent;
-            # vertex elements never carry them in practice.
-            raise ParseError("vertex element with list property is unsupported", path=path)
-        if len(toks) != len(elem.props):
-            raise ParseError(
-                f"vertex row {i} has {len(toks)} values, expected {len(elem.props)}", path=path
-            )
+def _binary_records(fh, elem, path) -> np.ndarray:
+    """The element's fixed-size records; its declared bytes are checked against those left in the file."""
+    if None in elem.props.values():
+        raise ParseError(f"list property in element '{elem.name}' before vertex is unsupported", path=path)
+    dtype = np.dtype([(name, "<" + code) for name, code in elem.props.items()])
+    size = dtype.itemsize * elem.count
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise ParseError(f"file truncated inside element '{elem.name}' ({left}/{size} bytes)", path=path)
+    return np.frombuffer(fh.read(size), dtype=dtype)
+
+
+def _ascii_rows(fh, elem, path) -> np.ndarray:
+    """The element's rows as a (count, properties) float64 array; a row is one line of numbers."""
+    shape = (elem.count, len(elem.props))
+    if elem.count == 0:  # the text reader warns on empty input
+        return np.empty(shape)
+    with warnings.catch_warnings():
+        # no line left: the shape check below refuses it as truncation
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            for j, c in enumerate(cols):
-                out[i, j] = float(toks[c])
-        except ValueError:
-            raise ParseError(f"bad vertex row '{raw.strip().decode(errors='replace')}'", path=path)
-    return out
-
-
-def _skip_ascii_element(fh, elem, path):
-    for _ in range(elem.count):
-        if not fh.readline():
-            raise ParseError(f"file truncated inside element '{elem.name}'", path=path)
+            rows = np.loadtxt(itertools.islice(fh, elem.count), dtype=np.float64, comments=None, ndmin=2)
+        except ValueError as err:
+            raise ParseError(f"bad row in element '{elem.name}': {err}", path=path)
+    if rows.shape != shape:
+        raise ParseError(
+            f"file truncated inside element '{elem.name}' ({len(rows)}/{elem.count} non-blank rows)"
+            if len(rows) < elem.count
+            else f"element '{elem.name}' rows have {rows.shape[1]} values, expected {shape[1]}",
+            path=path,
+        )
+    return rows
 
 
 def _checked(coords, path) -> np.ndarray:
@@ -152,41 +141,27 @@ def read_ply(path) -> np.ndarray:
     """Vertex coordinates as an (N, 3) float64 array; a file with no vertex or a non-finite coordinate is refused."""
     with open(path, "rb") as fh:
         fmt, elements = _parse_header(fh, path)
-        vertex = next((e for e in elements if e.name == "vertex"), None)
-        if vertex is None:
+        k = next((k for k, e in enumerate(elements) if e.name == "vertex"), None)
+        if k is None:
             raise ParseError("no vertex element", path=path)
-        names = [p.name for p in vertex.props]
-        if any(c not in names for c in ("x", "y", "z")):
+        vertex = elements[k]
+        names = list(vertex.props)
+        if any(c not in names for c in "xyz"):
             raise ParseError(f"vertex element lacks x/y/z (has {names})", path=path)
-        if fmt == "ascii":
-            for elem in elements:
-                if elem is vertex:
-                    return _checked(_read_ascii_element(fh, elem, path), path)
-                _skip_ascii_element(fh, elem, path)
-        # binary_little_endian: read elements in declared order up to vertex
-        for elem in elements:
-            if elem is vertex:
-                if any(p.is_list for p in elem.props):
-                    raise ParseError("vertex element with list property is unsupported", path=path)
-                dtype = np.dtype([(p.name, "<" + p.dtype) for p in elem.props])
-                buf = fh.read(dtype.itemsize * elem.count)
-                if len(buf) != dtype.itemsize * elem.count:
-                    raise ParseError(
-                        f"file truncated inside element 'vertex' "
-                        f"({len(buf)}/{dtype.itemsize * elem.count} bytes)",
-                        path=path,
-                    )
-                rec = np.frombuffer(buf, dtype=dtype)
-                return _checked(np.column_stack([rec[c].astype(np.float64) for c in "xyz"]), path)
-            if any(p.is_list for p in elem.props):
-                raise ParseError(
-                    f"list property in element '{elem.name}' before vertex is unsupported",
-                    path=path,
-                )
-            size = sum(np.dtype("<" + p.dtype).itemsize for p in elem.props) * elem.count
-            if len(fh.read(size)) != size:
+        if None in vertex.props.values():
+            # List properties make column positions data dependent;
+            # vertex elements never carry them in practice.
+            raise ParseError("vertex element with list property is unsupported", path=path)
+        for elem in elements[:k]:
+            if fmt == "binary_little_endian":
+                _binary_records(fh, elem, path)
+            elif sum(1 for _ in itertools.islice(fh, elem.count)) < elem.count:
                 raise ParseError(f"file truncated inside element '{elem.name}'", path=path)
-    raise ParseError("no vertex element", path=path)
+        if fmt == "binary_little_endian":
+            rec = _binary_records(fh, vertex, path)
+            return _checked(np.column_stack([rec[c].astype(np.float64) for c in "xyz"]), path)
+        rows = _ascii_rows(fh, vertex, path)
+        return _checked(np.column_stack([rows[:, names.index(c)] for c in "xyz"]), path)
 
 
 def write_ply(path, points, binary: bool = True) -> None:

@@ -218,7 +218,7 @@ class SynthScenario:
     groups: tuple
 
     def __post_init__(self):
-        if self.cloud_kind not in ("sphere", "cylinder", "humanoid-blocks"):
+        if self.cloud_kind not in CLOUDS:
             raise InvalidParamsError(f"unknown cloud_kind '{self.cloud_kind}'")
         if self.points_per_frame < 1 or self.n_frames < 1:
             raise InvalidParamsError("points_per_frame and n_frames must be >= 1")
@@ -294,15 +294,16 @@ def _humanoid_blocks(n: int) -> np.ndarray:
     return pts[:n]
 
 
+CLOUDS = {  # scenario cloud_kind -> the content's points, given their number
+    "sphere": lambda n: _fibonacci_sphere(n, _BODY_RADIUS),
+    "cylinder": lambda n: _cylinder(n, 0.3, _BODY_RADIUS),
+    "humanoid-blocks": _humanoid_blocks,
+}
+
+
 def generate_cloud(scenario: SynthScenario) -> list:
     """Rigid content repeated across frames (one shared coordinate array)."""
-    n = scenario.points_per_frame
-    if scenario.cloud_kind == "sphere":
-        pts = _fibonacci_sphere(n, _BODY_RADIUS)
-    elif scenario.cloud_kind == "cylinder":
-        pts = _cylinder(n, 0.3, _BODY_RADIUS)
-    else:
-        pts = _humanoid_blocks(n)
+    pts = CLOUDS[scenario.cloud_kind](scenario.points_per_frame)
     return [PointCloudFrame(frame_index=k, points=pts) for k in range(scenario.n_frames)]
 
 
@@ -377,6 +378,22 @@ def scenario_from_json(d) -> SynthScenario:
     return read_object(SynthScenario, d, "scenario", groups=_groups_from_json)
 
 
+def orbit_groups(sizes, jitter: float, **scenario) -> SynthScenario:
+    """Groups of the given sizes orbiting the content at evenly spaced phases,
+    each member offset within ``jitter``; ``scenario`` gives the other
+    ``SynthScenario`` fields."""
+    groups = tuple(
+        GroupSpec(
+            size=size,
+            motion=OrbitMotion(radius=2.0, angular_speed=0.25, phase=g * 2.0 * math.pi / len(sizes)),
+            gaze=AtCentroidGaze(),
+            jitter=jitter,
+        )
+        for g, size in enumerate(sizes)
+    )
+    return SynthScenario(groups=groups, **scenario)
+
+
 def three_orbit_groups(
     seed: int = 7,
     users_per_group: int = 4,
@@ -386,22 +403,9 @@ def three_orbit_groups(
     cloud_kind: str = "sphere",
 ) -> SynthScenario:
     """Three well-separated orbiting groups; the standard planted scenario."""
-    groups = tuple(
-        GroupSpec(
-            size=users_per_group,
-            motion=OrbitMotion(radius=2.0, angular_speed=0.25, phase=g * 2.0 * math.pi / 3.0),
-            gaze=AtCentroidGaze(),
-            jitter=0.02,
-        )
-        for g in range(3)
-    )
-    return SynthScenario(
-        seed=seed,
-        cloud_kind=cloud_kind,
-        points_per_frame=points_per_frame,
-        n_frames=n_frames,
-        fps=fps,
-        groups=groups,
+    return orbit_groups(
+        (users_per_group,) * 3, 0.02,
+        seed=seed, cloud_kind=cloud_kind, points_per_frame=points_per_frame, n_frames=n_frames, fps=fps,
     )
 
 

@@ -55,6 +55,39 @@ def unit_oracle(v) -> np.ndarray:
     return a / n
 
 
+def read_ascii_ply_oracle(path) -> np.ndarray:
+    """x, y, z of a well-formed ASCII PLY's vertex rows, one ``float()`` per coordinate token.
+
+    Each element before ``vertex`` is skipped a line per row; each vertex
+    row must hold one token per property, and only its coordinate tokens
+    are parsed.
+    """
+    with open(path, "rb") as fh:
+        elements = []  # (name, count, property names), in declared order
+        for raw in fh:
+            parts = raw.split()
+            if parts[0] == b"end_header":
+                break
+            if parts[0] == b"element":
+                elements.append((parts[1], int(parts[2]), []))
+            elif parts[0] == b"property":
+                elements[-1][2].append(parts[-1])
+        for name, count, props in elements:
+            rows = [fh.readline() for _ in range(count)]
+            if name != b"vertex":
+                continue
+            cols = [props.index(c) for c in (b"x", b"y", b"z")]
+            out = np.empty((count, 3), dtype=np.float64)
+            for i, raw in enumerate(rows):
+                toks = raw.split()
+                if len(toks) != len(props):
+                    raise ValueError(f"vertex row {i} has {len(toks)} values, expected {len(props)}")
+                for j, c in enumerate(cols):
+                    out[i, j] = float(toks[c])
+            return out
+    raise ValueError("no vertex element")
+
+
 def load_trajectories_oracle(path):
     """``{user_id: Trace}`` of a well-formed trajectory CSV, one row at a time.
 

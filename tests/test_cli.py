@@ -674,6 +674,23 @@ def test_malformed_cloud_exits_3_naming_the_file(own_dataset, tmp_path, capsys, 
     assert err.startswith("data error: ") and message in err and str(path) in err
 
 
+@pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
+def test_cloud_declaring_more_vertices_than_it_holds_exits_3(own_dataset, tmp_path, capsys, binary):
+    import numpy as np
+
+    from viewsim.cli import main
+    from viewsim.ply import write_ply
+
+    # 10**11 vertices: the file's size refuses the count before anything that large is allocated
+    path = own_dataset / "clouds" / "frame_000001.ply"
+    write_ply(path, np.zeros((2, 3)), binary=binary)
+    path.write_bytes(path.read_bytes().replace(b"element vertex 2\n", b"element vertex 100000000000\n", 1))
+    assert main(["--manifest", str(own_dataset / "manifest.json"), "--out", str(tmp_path / "out"), "overlap"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "file truncated inside element 'vertex'" in err and str(path) in err
+    assert "Traceback" not in err
+
+
 def test_frame_range_casts_only_its_frames(narrow_manifest, tmp_path, capsys, monkeypatch):
     reads, casts = _count_geometry(monkeypatch)
     run_in(capsys, narrow_manifest, tmp_path, ["overlap", "--frames", "1:3"])

@@ -114,8 +114,40 @@ def test_cloud_kinds_generate(kind):
 
 
 def test_unknown_cloud_kind_rejected():
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(InvalidParamsError, match="^unknown cloud_kind 'torus'$"):
         three_orbit_groups(cloud_kind="torus")
+
+
+def _orbit_group(g, size, n_groups, jitter):
+    return GroupSpec(
+        size=size,
+        motion=OrbitMotion(radius=2.0, angular_speed=0.25, phase=g * 2.0 * math.pi / n_groups),
+        gaze=AtCentroidGaze(),
+        jitter=jitter,
+    )
+
+
+@pytest.mark.parametrize("n_users", [1, 4, 5, 13, 40])
+def test_bench_scenario_is_the_former_hand_built_one(n_users):
+    from viewsim.bench import _bench_scenario
+
+    sizes, remaining = [], n_users  # the bench's former group split, as it was written
+    while remaining > 0:
+        sizes.append(min(4, remaining))
+        remaining -= sizes[-1]
+    groups = tuple(_orbit_group(g, size, len(sizes), 0.05) for g, size in enumerate(sizes))
+    want = SynthScenario(seed=5, cloud_kind="sphere", points_per_frame=300, n_frames=1, fps=30.0, groups=groups)
+    assert _bench_scenario(n_users, 300, 5) == want
+
+
+@pytest.mark.parametrize("users_per_group", [1, 4, 5])
+def test_orbit_preset_is_the_former_hand_built_one(users_per_group):
+    groups = tuple(_orbit_group(g, users_per_group, 3.0, 0.02) for g in range(3))
+    want = SynthScenario(seed=7, cloud_kind="sphere", points_per_frame=4000, n_frames=60, fps=30.0, groups=groups)
+    assert three_orbit_groups(users_per_group=users_per_group) == want
+    assert three_orbit_groups(9, users_per_group, 6, 50, 24.0, "cylinder") == replace(
+        want, seed=9, n_frames=6, points_per_frame=50, fps=24.0, cloud_kind="cylinder"
+    )
 
 
 # --------------------------------------------------------------------- motion

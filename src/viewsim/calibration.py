@@ -3,9 +3,10 @@
 Calibration builds an exact empirical ROC over all valid pair-frames:
 ground-truth labels are "overlap >= o_th", predictions are "metric >=
 threshold", and candidate thresholds are every distinct observed value plus
-0 and 1.  The selected threshold is the largest one whose TPR still reaches
-the target: among thresholds meeting the TPR floor, the largest has the
-lowest FPR.
+0 and 1.  The ROC is three parallel float64 arrays, ``(threshold, tpr,
+fpr)``, thresholds ascending.  The selected threshold is the largest one
+whose TPR still reaches the target: among thresholds meeting the TPR floor,
+the largest has the lowest FPR.  It alone becomes a ``RocPoint``.
 
 The regulator sweep (``ablate``) yields one AblationRecord per regulator
 combination; ``pipeline.run_ablation`` scores each one by frame-mode
@@ -63,8 +64,8 @@ class ParameterSets:
     set3: AblationRecord
 
 
-def roc_curve(values, labels) -> list:
-    """Exact empirical ROC, one point per candidate threshold (ascending).
+def roc_curve(values, labels) -> tuple:
+    """Exact empirical ROC as ``(threshold, tpr, fpr)`` arrays, thresholds ascending.
 
     ``values`` are metric similarities over valid pair-frames, ``labels``
     their boolean ground truth.  Needs both classes present.
@@ -89,25 +90,21 @@ def roc_curve(values, labels) -> list:
     # predictions at threshold t are "value >= t"
     tp = n_pos - np.searchsorted(pos_sorted, candidates, side="left")
     fp = n_neg - np.searchsorted(neg_sorted, candidates, side="left")
-    return [
-        RocPoint(threshold=float(t), tpr=int(a) / n_pos, fpr=int(b) / n_neg)
-        for t, a, b in zip(candidates, tp, fp)
-    ]
+    return candidates, tp / n_pos, fp / n_neg
 
 
-def select_threshold(roc: list, target_tpr: float = DEFAULT_TARGET_TPR) -> RocPoint:
-    """Largest-threshold ROC point whose TPR is at least the target."""
+def select_threshold(roc: tuple, target_tpr: float = DEFAULT_TARGET_TPR) -> RocPoint:
+    """The largest-threshold point of ``roc_curve``'s arrays whose TPR is at least the target."""
     if not target_tpr > 0:
         raise InvalidParamsError(f"target_tpr must be > 0, got {target_tpr}")
-    if not roc:
+    threshold, tpr, fpr = roc
+    if not len(threshold):
         raise PreconditionError("cannot select a threshold from an empty ROC")
-    eligible = [pt for pt in roc if pt.tpr >= target_tpr]
-    if not eligible:
-        best = max(pt.tpr for pt in roc)
-        raise UnattainableTargetError(
-            f"no threshold reaches TPR {target_tpr} (best achievable {best:.4f})"
-        )
-    return max(eligible, key=lambda pt: pt.threshold)
+    eligible = np.flatnonzero(tpr >= target_tpr)
+    if not eligible.size:
+        raise UnattainableTargetError(f"no threshold reaches TPR {target_tpr} (best achievable {tpr.max():.4f})")
+    i = eligible[np.argmax(threshold[eligible])]
+    return RocPoint(threshold=float(threshold[i]), tpr=float(tpr[i]), fpr=float(fpr[i]))
 
 
 def pair_samples(matrices: list, overlaps: list, o_th: float = DEFAULT_OVERLAP_LABEL_THRESHOLD):
@@ -128,18 +125,6 @@ def pair_samples(matrices: list, overlaps: list, o_th: float = DEFAULT_OVERLAP_L
     if values:
         return np.concatenate(values), np.concatenate(labels)
     return np.empty(0), np.empty(0, dtype=bool)
-
-
-def calibrate_threshold(
-    matrices: list,
-    overlaps: list,
-    target_tpr: float = DEFAULT_TARGET_TPR,
-    o_th: float = DEFAULT_OVERLAP_LABEL_THRESHOLD,
-):
-    """ROC plus the selected operating point for one metric."""
-    values, labels = pair_samples(matrices, overlaps, o_th)
-    roc = roc_curve(values, labels)
-    return roc, select_threshold(roc, target_tpr)
 
 
 def regulator_grid(metric: MetricId, grid, fixed: dict | None = None) -> list:

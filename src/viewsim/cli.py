@@ -123,8 +123,8 @@ def cmd_calibrate(args) -> int:
     report = calibrate_contents(pcs, metrics, target_tpr=args.target_tpr)
     roc_path = _out_path(args, "roc.csv")
     write_csv(roc_path, ["metric", "threshold", "tpr", "fpr"], (
-        [metric.value, _fmt(pt.threshold), _fmt(pt.tpr), _fmt(pt.fpr)]
-        for metric in metrics for pt in report[metric][0]
+        [metric.value, *map(_fmt, row)]
+        for metric in metrics for row in zip(*(a.tolist() for a in report[metric][0]))
     ))
     payload = {
         "target_tpr": args.target_tpr,

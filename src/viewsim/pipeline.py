@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 
 from . import store
-from .calibration import DEFAULT_TARGET_TPR, ablate, calibrate_threshold, pair_samples
+from .calibration import DEFAULT_TARGET_TPR, ablate, pair_samples, roc_curve, select_threshold
 from .clustering import (
     build_adjacency,
     check_clique_size,
@@ -283,8 +283,9 @@ def calibrate_contents(
     checked before any table work, and label balance on the exact overlaps
     before any surface graph or feature table is built, so a geodesic
     metric's pass reads the clouds again.  Each metric then has a pass of its own, so one metric's
-    matrices are alive at a time.  Returns ``{metric: (roc, RocPoint)}``
-    as ``calibrate_threshold`` gives them.
+    matrices are alive at a time.  Returns ``{metric: (roc, RocPoint)}``:
+    ``roc_curve``'s ``(threshold, tpr, fpr)`` arrays and the point
+    ``select_threshold`` picks from them.
     """
     if not target_tpr > 0:
         raise InvalidParamsError(f"target_tpr must be > 0, got {target_tpr}")
@@ -300,7 +301,8 @@ def calibrate_contents(
     out = {}
     for metric in metrics:
         mats = [m for pc in pcs for m in metric_matrices(pc, [metric])[metric]]
-        out[metric] = calibrate_threshold(mats, ovs, target_tpr=target_tpr, o_th=o_th)
+        roc = roc_curve(*pair_samples(mats, ovs, o_th))
+        out[metric] = roc, select_threshold(roc, target_tpr)
     return out
 
 

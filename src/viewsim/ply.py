@@ -3,7 +3,8 @@
 Reads ``ascii`` and ``binary_little_endian`` files, keeping only the x, y, z
 properties of the ``vertex`` element; every other property and element is
 skipped.  ASCII vertex rows are parsed whole by numpy's text reader, so
-each of their values must be a number.  Writes the same subset back out
+each of their values must be a number; a bad row is named by its 1-based
+number within the element.  Writes the same subset back out
 (binary by default).  This is not a general PLY library; it covers the
 layouts produced by common volumetric datasets and by :mod:`viewsim.synth`.
 """
@@ -107,25 +108,34 @@ def _binary_records(fh, elem, path) -> np.ndarray:
     return np.frombuffer(fh.read(size), dtype=dtype)
 
 
+def _is_row(line, width) -> bool:
+    """Whether a text line is blank or ``width`` numbers to numpy's text reader."""
+    try:
+        return not line.strip() or np.loadtxt([line], dtype=np.float64, comments=None, ndmin=2).shape == (1, width)
+    except ValueError:
+        return False
+
+
 def _ascii_rows(fh, elem, path) -> np.ndarray:
     """The element's rows as a (count, properties) float64 array; a row is one line of numbers."""
     shape = (elem.count, len(elem.props))
     if elem.count == 0:  # the text reader warns on empty input
         return np.empty(shape)
+    start = fh.tell()
     with warnings.catch_warnings():
-        # no line left: the shape check below refuses it as truncation
+        # no line left: the count check below refuses it as truncation
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
             rows = np.loadtxt(itertools.islice(fh, elem.count), dtype=np.float64, comments=None, ndmin=2)
-        except ValueError as err:
-            raise ParseError(f"bad row in element '{elem.name}': {err}", path=path)
-    if rows.shape != shape:
-        raise ParseError(
-            f"file truncated inside element '{elem.name}' ({len(rows)}/{elem.count} non-blank rows)"
-            if len(rows) < elem.count
-            else f"element '{elem.name}' rows have {rows.shape[1]} values, expected {shape[1]}",
-            path=path,
-        )
+        except ValueError:
+            rows = None
+    if rows is None or (len(rows) and rows.shape[1] != shape[1]):
+        fh.seek(start)  # the reader refuses an element only where a line is refused alone or has another width
+        row = next(n for n, line in enumerate(itertools.islice(fh, elem.count), 1) if not _is_row(line, shape[1]))
+        raise ParseError(f"bad row {row} in element '{elem.name}': expected {shape[1]} numbers", path=path)
+    if len(rows) < elem.count:
+        raise ParseError(f"file truncated inside element '{elem.name}' ({len(rows)}/{elem.count} non-blank rows)",
+                         path=path)
     return rows
 
 

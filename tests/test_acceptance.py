@@ -332,11 +332,11 @@ def test_criterion_7_roc_self_consistency_and_monotonicity():
         y = r2.random(300) < 0.5
         y[0], y[1] = True, False
         curves.append(roc_curve(v, y))
-    mono_ok = True
-    for curve in curves:
-        for a, b in zip(curve, curve[1:]):
-            if b.threshold <= a.threshold or b.tpr > a.tpr or b.fpr > a.fpr:
-                mono_ok = False
+    # thresholds strictly ascending, both rates non-increasing
+    mono_ok = all(
+        np.all(np.diff(ths) > 0) and np.all(np.diff(tpr) <= 0) and np.all(np.diff(fpr) <= 0)
+        for ths, tpr, fpr in curves
+    )
 
     ok = self_ok and mono_ok
     record_criterion(

@@ -14,7 +14,6 @@ from viewsim.calibration import (
     AblationRecord,
     ParameterSets,
     RocPoint,
-    calibrate_threshold,
     pair_samples,
     regulator_grid,
     roc_curve,
@@ -48,42 +47,59 @@ def _labelled(seed, n=200, ties=True):
 # ---------------------------------------------------------------- roc_curve
 
 
+def _rows(roc):
+    """The ROC arrays as (threshold, tpr, fpr) rows of Python floats."""
+    return list(zip(*(a.tolist() for a in roc)))
+
+
+def _roc(rows):
+    """Three float64 arrays from (threshold, tpr, fpr) rows."""
+    return tuple(np.array(col, dtype=np.float64) for col in zip(*rows))
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_roc_matches_oracle(seed):
     values, labels = _labelled(seed)
-    pts = roc_curve(values, labels)
-    rows = roc_oracle(values, labels)
-    assert len(pts) == len(rows)
-    for pt, (th, tpr, fpr) in zip(pts, rows):
-        assert pt.threshold == th
-        assert pt.tpr == tpr
-        assert pt.fpr == fpr
+    roc = roc_curve(values, labels)
+    assert len(roc) == 3
+    for a in roc:
+        assert isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == roc[0].shape
+    assert _rows(roc) == roc_oracle(values, labels)
+
+
+@pytest.mark.parametrize("values, labels", [
+    (np.round(np.random.default_rng(0).random(500), 1), np.random.default_rng(1).random(500) < 0.3),
+    (np.random.default_rng(2).random(300) * 2.0, np.random.default_rng(3).random(300) < 0.5),
+    (np.full(50, 0.4), np.arange(50) < 20),
+    (np.random.default_rng(4).random(60), np.arange(60) == 17),
+], ids=["heavy-ties", "above-one", "all-equal", "single-positive"])
+def test_roc_matches_oracle_bit_for_bit(values, labels):
+    # w7/w8 reach 2*beta, so values above 1 must keep their own candidates
+    got = [tuple(np.float64(x).tobytes() for x in row) for row in _rows(roc_curve(values, labels))]
+    want = [tuple(np.float64(x).tobytes() for x in row) for row in roc_oracle(values, labels)]
+    assert got == want
 
 
 def test_roc_thresholds_are_sorted_unique_with_endpoints():
     values, labels = _labelled(3)
-    pts = roc_curve(values, labels)
-    ths = [pt.threshold for pt in pts]
-    assert ths == sorted(set(ths))
+    ths = roc_curve(values, labels)[0]
+    assert np.all(np.diff(ths) > 0)
     assert 0.0 in ths and 1.0 in ths
 
 
 def test_roc_rates_monotone_in_threshold():
     values, labels = _labelled(5, n=400)
-    pts = roc_curve(values, labels)
-    for a, b in zip(pts, pts[1:]):
-        assert b.tpr <= a.tpr
-        assert b.fpr <= a.fpr
-    assert pts[0].tpr == 1.0 and pts[0].fpr == 1.0  # threshold 0 accepts all
+    _, tpr, fpr = roc_curve(values, labels)
+    assert np.all(np.diff(tpr) <= 0) and np.all(np.diff(fpr) <= 0)
+    assert tpr[0] == 1.0 and fpr[0] == 1.0  # threshold 0 accepts all
 
 
 def test_roc_tie_values_counted_together():
     values = [0.5, 0.5, 0.5, 0.2]
     labels = [True, True, False, False]
-    by_th = {pt.threshold: pt for pt in roc_curve(values, labels)}
-    assert by_th[0.5].tpr == 1.0
-    assert by_th[0.5].fpr == 0.5
-    assert by_th[1.0].tpr == 0.0
+    by_th = {th: (tpr, fpr) for th, tpr, fpr in _rows(roc_curve(values, labels))}
+    assert by_th[0.5] == (1.0, 0.5)
+    assert by_th[1.0][0] == 0.0
 
 
 def test_roc_rejects_single_class():
@@ -109,36 +125,33 @@ def test_roc_oracle_agreement_property(vals, flips):
     labels = [i < flips % len(vals) for i in range(len(vals))]
     if all(labels) or not any(labels):
         labels[0] = not labels[0]
-    pts = roc_curve(vals, labels)
-    rows = roc_oracle(vals, labels)
-    assert [(p.threshold, p.tpr, p.fpr) for p in pts] == rows
+    assert _rows(roc_curve(vals, labels)) == roc_oracle(vals, labels)
 
 
 # ---------------------------------------------------------- select_threshold
 
 
 def test_select_largest_threshold_meeting_target():
-    pts = [
-        RocPoint(threshold=0.0, tpr=1.0, fpr=1.0),
-        RocPoint(threshold=0.3, tpr=0.9, fpr=0.5),
-        RocPoint(threshold=0.6, tpr=0.8, fpr=0.2),
-        RocPoint(threshold=0.9, tpr=0.4, fpr=0.0),
-    ]
-    assert select_threshold(pts, target_tpr=0.75).threshold == 0.6
-    assert select_threshold(pts, target_tpr=0.95).threshold == 0.0
-    assert select_threshold(pts, target_tpr=0.4).threshold == 0.9
+    roc = _roc([(0.0, 1.0, 1.0), (0.3, 0.9, 0.5), (0.6, 0.8, 0.2), (0.9, 0.4, 0.0)])
+    assert select_threshold(roc, target_tpr=0.75) == RocPoint(threshold=0.6, tpr=0.8, fpr=0.2)
+    assert select_threshold(roc, target_tpr=0.95).threshold == 0.0
+    assert select_threshold(roc, target_tpr=0.4).threshold == 0.9
+    # the point holds Python floats, so a JSON writer takes its fields and comparisons
+    point = select_threshold(roc, target_tpr=0.75)
+    assert all(type(v) is float for v in (point.threshold, point.tpr, point.fpr))
+    assert type(point.fpr < 0.4) is bool
 
 
 def test_select_unattainable_target():
-    pts = [RocPoint(threshold=0.5, tpr=0.7, fpr=0.1)]
-    with pytest.raises(UnattainableTargetError):
-        select_threshold(pts, target_tpr=1.1)
+    roc = _roc([(0.5, 0.7, 0.1)])
+    with pytest.raises(UnattainableTargetError, match=r"no threshold reaches TPR 1.1 \(best achievable 0.7000\)"):
+        select_threshold(roc, target_tpr=1.1)
 
 
 @pytest.mark.parametrize("target", [-0.5, 0.0, math.nan])
 def test_non_positive_target_tpr_refused_before_any_table(narrow_content, target):
     with pytest.raises(InvalidParamsError, match="target_tpr"):
-        select_threshold([RocPoint(threshold=0.5, tpr=0.7, fpr=0.1)], target_tpr=target)
+        select_threshold(_roc([(0.5, 0.7, 0.1)]), target_tpr=target)
     pc = replace(narrow_content, tables={})
     with pytest.raises(InvalidParamsError, match="target_tpr"):
         calibrate_contents([pc], target_tpr=target)
@@ -146,8 +159,8 @@ def test_non_positive_target_tpr_refused_before_any_table(narrow_content, target
 
 
 def test_select_empty_roc():
-    with pytest.raises(PreconditionError):
-        select_threshold([])
+    with pytest.raises(PreconditionError, match="empty ROC"):
+        select_threshold((np.empty(0), np.empty(0), np.empty(0)))
 
 
 def test_select_self_consistent_labels():
@@ -211,11 +224,13 @@ def test_pair_samples_empty():
 
 def test_calibrate_threshold_meets_target_on_content(narrow_content):
     pc = narrow_content
-    mats = metric_matrices(pc, [MetricId.W1])[MetricId.W1]
-    ovs = overlaps(pc)
-    roc, point = calibrate_threshold(mats, ovs, target_tpr=0.75)
+    roc, point = calibrate_contents([pc], [MetricId.W1], target_tpr=0.75)[MetricId.W1]
     assert point.tpr >= 0.75
-    assert any(pt.threshold == point.threshold for pt in roc)
+    # the point is the ROC's largest threshold reaching the target, and it matches the oracle's row
+    ths, tpr, fpr = roc
+    assert point.threshold == ths[tpr >= 0.75].max()
+    values, labels = pair_samples(metric_matrices(pc, [MetricId.W1])[MetricId.W1], overlaps(pc), pc.overlap_threshold)
+    assert (point.threshold, point.tpr, point.fpr) in roc_oracle(values, labels)
 
 
 def test_calibrate_contents_reports_all_requested_metrics(narrow_content):
@@ -223,7 +238,24 @@ def test_calibrate_contents_reports_all_requested_metrics(narrow_content):
     assert set(out) == {MetricId.W1, MetricId.W2}
     for roc, point in out.values():
         assert point.tpr >= 0.75
-        assert isinstance(point, RocPoint) and isinstance(roc[0], RocPoint)
+        assert isinstance(point, RocPoint)
+        assert len(roc) == 3 and all(isinstance(a, np.ndarray) and a.dtype == np.float64 for a in roc)
+
+
+def test_calibrate_contents_builds_one_point_per_metric(narrow_content, monkeypatch):
+    import viewsim.calibration as calibration
+
+    built = []
+
+    def counting(**fields):
+        built.append(fields)
+        return RocPoint(**fields)
+
+    monkeypatch.setattr(calibration, "RocPoint", counting)
+    metrics = [MetricId.W1, MetricId.W2, MetricId.W7]
+    out = calibrate_contents([narrow_content], metrics)
+    # one per selected threshold, none per candidate
+    assert len(built) == len(metrics) and all(len(roc[0]) > 2 for roc, _ in out.values())
 
 
 # ------------------------------------------------------------ regulator_grid

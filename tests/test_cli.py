@@ -11,6 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from test_ply import _HEADER, BAD_THIRD_ROW
 from test_synth import MALFORMED_SCENARIOS, mutated_scenario
 
 
@@ -689,6 +690,18 @@ def test_cloud_declaring_more_vertices_than_it_holds_exits_3(own_dataset, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and "file truncated inside element 'vertex'" in err and str(path) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("variant", BAD_THIRD_ROW)
+def test_bad_ascii_cloud_row_exits_3_naming_its_row(own_dataset, tmp_path, capsys, variant):
+    from viewsim.cli import main
+
+    extra, body = BAD_THIRD_ROW[variant]
+    path = own_dataset / "clouds" / "frame_000001.ply"
+    path.write_text(_HEADER.format(n=3) + extra + "end_header\n" + body)
+    assert main(["--manifest", str(own_dataset / "manifest.json"), "--out", str(tmp_path / "out"), "overlap"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: bad row 3 in element 'vertex'") and str(path) in err
 
 
 def test_frame_range_casts_only_its_frames(narrow_manifest, tmp_path, capsys, monkeypatch):

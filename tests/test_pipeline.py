@@ -619,6 +619,8 @@ def test_readme_library_snippet_runs_verbatim(capsys):
     stored_ov, stored_feats = namespace["pc"].tables[("overlap", 0)], namespace["pc"].tables[("features", 0)]
     np.testing.assert_array_equal(namespace["ov"].values, stored_ov.values)
     np.testing.assert_array_equal(namespace["feats"].pos_dist, stored_feats.pos_dist)
+    # the ROC snippet selects the point calibrate selects
+    assert namespace["point"] == calibrate_contents([namespace["narrow"]], [MetricId.W7])[MetricId.W7][1]
 
 
 def test_readme_entry_points_import_from_package():

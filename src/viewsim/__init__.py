@@ -10,7 +10,7 @@ synthetic scenarios and a CLI driving the whole pipeline.
 from .calibration import (
     AblationRecord,
     DEFAULT_GRID,
-    ParameterSets,
+    FIGURES,
     RocPoint,
     roc_curve,
     select_parameter_sets,
@@ -18,7 +18,6 @@ from .calibration import (
 )
 from .clustering import (
     ChunkSpec,
-    Cluster,
     ClusteringResult,
     SimilarityGraph,
     build_adjacency,
@@ -31,10 +30,9 @@ from .clustering import (
 from .errors import ComputeError, DataError, ToolError, UsageError
 from .evaluation import (
     AggregateStats,
-    ClusterPerformance,
     aggregate,
     evaluate_result,
-    overlap_per_cluster,
+    overlap_ratio,
     precision,
     relevant_population,
 )

@@ -10,9 +10,10 @@ the largest has the lowest FPR.  It alone becomes a ``RocPoint``.
 
 The regulator sweep (``ablate``) yields one AblationRecord per regulator
 combination; ``pipeline.run_ablation`` scores each one by frame-mode
-evaluation at a fixed threshold.  Three named selections come out of the
-records: set 1 maximizes overlap ratio, set 2 relevant population, set 3
-precision.
+evaluation at a fixed threshold.  ``FIGURES`` names the three figures
+evaluation scores, once.  Three named selections come out of the records:
+set k maximizes ``FIGURES[k-1]`` (overlap ratio, relevant population,
+precision).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .metrics import MetricId, RegulatorSet, pair_indices
 DEFAULT_GRID = (0.0, 0.05, 0.1, 0.125, 0.2, 0.25, 0.5, 1.0, 2.0)
 DEFAULT_TARGET_TPR = 0.75
 DEFAULT_OVERLAP_LABEL_THRESHOLD = 0.75
+FIGURES = ("overlap_ratio", "relevant_population", "precision")
 FPR_ADVISORY_CEILING = 0.4
 
 
@@ -46,22 +48,10 @@ class RocPoint:
 
 @dataclass(frozen=True)
 class AblationRecord:
-    """Averaged clustering performance of one regulator combination."""
+    """Averaged clustering performance of one regulator combination, ``{figure: value}`` in FIGURES order."""
 
-    metric: MetricId
     regulators: RegulatorSet
-    overlap_ratio: float
-    relevant_population: float
-    precision: float
-
-
-@dataclass(frozen=True)
-class ParameterSets:
-    """Argmax selections: set1 overlap, set2 population, set3 precision."""
-
-    set1: AblationRecord
-    set2: AblationRecord
-    set3: AblationRecord
+    figures: dict
 
 
 def roc_curve(values, labels) -> tuple:
@@ -153,27 +143,23 @@ def ablate(metric: MetricId, grid, score, fixed: dict | None = None) -> list:
     """One AblationRecord per regulator combination, in grid order.
 
     ``score(regulators)`` returns the averaged figures of one combination
-    as a mapping of ``evaluation.FIGURES`` to floats.  The ground-truth
+    as a mapping of ``FIGURES`` to floats.  The ground-truth
     metric and an invalid grid are refused before anything is scored.
     """
-    return [AblationRecord(metric, reg, **score(reg)) for reg in regulator_grid(metric, grid, fixed)]
+    return [AblationRecord(reg, score(reg)) for reg in regulator_grid(metric, grid, fixed)]
 
 
-def _argmax_record(records: list, field: str) -> AblationRecord:
-    defined = [r for r in records if not math.isnan(getattr(r, field))]
+def _argmax_record(records: list, figure: str) -> AblationRecord:
+    defined = [r for r in records if not math.isnan(r.figures[figure])]
     if not defined:
-        raise PreconditionError(f"no record defines {field}; cannot select a parameter set")
-    best = max(getattr(r, field) for r in defined)
-    tied = [r for r in defined if getattr(r, field) == best]
+        raise PreconditionError(f"no record defines {figure}; cannot select a parameter set")
+    best = max(r.figures[figure] for r in defined)
+    tied = [r for r in defined if r.figures[figure] == best]
     return min(tied, key=lambda r: r.regulators.as_tuple())
 
 
-def select_parameter_sets(records: list) -> ParameterSets:
-    """Per-criterion argmax with the lexicographic regulator tie-break."""
+def select_parameter_sets(records: list) -> dict:
+    """``{"set1": …, "set2": …, "set3": …}``: set k is the argmax of ``FIGURES[k-1]``, ties to the least regulators."""
     if not records:
         raise PreconditionError("cannot select parameter sets from zero records")
-    return ParameterSets(
-        set1=_argmax_record(records, "overlap_ratio"),
-        set2=_argmax_record(records, "relevant_population"),
-        set3=_argmax_record(records, "precision"),
-    )
+    return {f"set{k}": _argmax_record(records, figure) for k, figure in enumerate(FIGURES, 1)}

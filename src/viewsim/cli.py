@@ -19,10 +19,9 @@ import sys
 from dataclasses import asdict, replace
 
 from .bench import run_bench
-from .calibration import DEFAULT_GRID, DEFAULT_TARGET_TPR, FPR_ADVISORY_CEILING, regulator_grid, select_parameter_sets
+from .calibration import DEFAULT_GRID, DEFAULT_TARGET_TPR, FIGURES, FPR_ADVISORY_CEILING, regulator_grid, select_parameter_sets
 from .clustering import check_clique_size
 from .errors import InvalidParamsError, ToolError, UsageError
-from .evaluation import FIGURES
 from .manifest import load_manifest, load_thresholds, read_json, write_json
 from .metrics import MetricId, PROXY_METRICS, _fmt, write_csv, write_matrices_csv
 from .pipeline import (
@@ -173,26 +172,19 @@ def cmd_ablate(args) -> int:
     )
     csv_path = _out_path(args, f"ablation_{metric.value}.csv")
     write_csv(csv_path, ["metric", "alpha", "beta", "gamma", *FIGURES], (
-        [metric.value] + [_fmt(v) for v in r.regulators.as_tuple()] + [_fmt(getattr(r, f)) for f in FIGURES]
+        [metric.value] + [_fmt(v) for v in r.regulators.as_tuple()] + [_fmt(r.figures[f]) for f in FIGURES]
         for r in records
     ))
     sets = select_parameter_sets(records)
     payload = {
         "metric": metric.value,
         "grid": grid,
-        "sets": {
-            name: {
-                "regulators": list(getattr(sets, name).regulators.as_tuple()),
-                **{f: getattr(getattr(sets, name), f) for f in FIGURES},
-            }
-            for name in ("set1", "set2", "set3")
-        },
+        "sets": {name: {"regulators": list(rec.regulators.as_tuple()), **rec.figures} for name, rec in sets.items()},
     }
     json_path = _out_path(args, f"parameter_sets_{metric.value}.json")
     write_json(json_path, payload)
     print(f"{metric.value}: {len(records)} records -> {csv_path}")
-    for name in ("set1", "set2", "set3"):
-        rec = getattr(sets, name)
+    for name, rec in sets.items():
         print(f"  {name}: regulators={list(rec.regulators.as_tuple())}")
     return 0
 
@@ -203,8 +195,8 @@ def cmd_cluster(args) -> int:
         results = cluster_content(pc, metric, mode=args.mode)
         csv_path = _out_path(args, f"clusters_{safe_name(pc.content_id)}.csv")
         write_csv(csv_path, ["chunk_or_frame", "user_id", "cluster_id", "cluster_size"], (
-            [res.ident, user, cid, cluster.size]
-            for res in results for cid, cluster in enumerate(res.clusters) for user in cluster.members
+            [res.ident, user, cid, len(members)]
+            for res in results for cid, members in enumerate(res.clusters) for user in members
         ))
         payload = {
             "content_id": pc.content_id,
@@ -212,16 +204,13 @@ def cmd_cluster(args) -> int:
             "results": [
                 {
                     "id": res.ident,
-                    "clusters": [
-                        {"cluster_id": cid, "members": list(c.members)}
-                        for cid, c in enumerate(res.clusters)
-                    ],
+                    "clusters": [{"cluster_id": cid, "members": list(m)} for cid, m in enumerate(res.clusters)],
                 }
                 for res in results
             ],
         }
         write_json(_out_path(args, f"clusters_{safe_name(pc.content_id)}.json"), payload)
-        n_rel = sum(len(r.relevant_clusters(pc.relevant_min_size)) for r in results)
+        n_rel = sum(int((r.sizes >= pc.relevant_min_size).sum()) for r in results)
         print(
             f"{pc.content_id}: {len(results)} {args.mode}s, {n_rel} relevant clusters -> {csv_path}"
         )
@@ -230,7 +219,7 @@ def cmd_cluster(args) -> int:
 
 def _summary_cells(summary: dict) -> list:
     """Mean and std of each of the FIGURES, as evaluation.csv writes them."""
-    return [_fmt(getattr(summary[f], stat)) for f in FIGURES for stat in ("mean", "std")]
+    return [_fmt(v) for f in FIGURES for v in (summary[f].mean, summary[f].std)]
 
 
 def cmd_evaluate(args) -> int:

@@ -3,7 +3,8 @@
 Per frame (or per chunk) the similarity matrix becomes an undirected graph:
 an edge joins two users whose similarity is valid and at least the metric's
 threshold.  Clustering repeatedly extracts an exact maximum clique until no
-edges remain; leftover users become singletons.  The search runs on 64-bit
+edges remain; leftover users become singletons.  The partition is one
+integer label row (``ClusteringResult``).  The search runs on 64-bit
 neighbour bitsets built once per graph (San Segundo et al., 2011); each
 extraction clears the chosen clique's bits.  Ties between maximum cliques are
 broken by higher mean pairwise similarity, then by the lexicographically
@@ -52,46 +53,39 @@ class SimilarityGraph:
         return len(self.users)
 
 
-@dataclass(frozen=True)
-class Cluster:
-    members: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def is_relevant(self, min_size: int = DEFAULT_RELEVANT_MIN_SIZE) -> bool:
-        return self.size >= min_size
-
-
 @dataclass
 class ClusteringResult:
-    """Partition of the users of one frame or chunk.
+    """Partition of the users of one frame or chunk as one label row.
 
-    Clusters appear in extraction order (largest first by construction),
-    then singletons in user-id order.
+    ``labels[i]`` is the cluster of ``users[i]``.  Clusters are numbered in
+    extraction order (largest first by construction), then each leftover
+    user is a singleton, numbered in user order.
     """
 
     ident: int
     users: tuple
-    clusters: list
+    labels: np.ndarray
 
     def __post_init__(self):
-        seen: list = []
-        for c in self.clusters:
-            seen.extend(c.members)
-        if sorted(seen) != sorted(self.users):
-            raise ValueError("clusters must partition the user set")
+        a = np.asarray(self.labels)
+        if a.shape != (len(self.users),) or (a.size and a.dtype.kind not in "iu"):
+            raise ValueError(f"labels must hold one integer per user, {len(self.users)} in all")
+        a = a.astype(np.intp)
+        if a.size and (a.min() < 0 or not np.bincount(a).all()):
+            raise ValueError("labels must number the clusters 0..k-1, none of them empty")
+        a.flags.writeable = False
+        self.labels = a
 
-    def relevant_clusters(self, min_size: int = DEFAULT_RELEVANT_MIN_SIZE) -> list:
-        return [c for c in self.clusters if c.is_relevant(min_size)]
+    @property
+    def sizes(self) -> np.ndarray:
+        """Member count of each cluster, in cluster order."""
+        return np.bincount(self.labels)
 
-    def labels(self) -> dict:
-        """user id -> cluster index (extraction order)."""
-        return {u: k for k, c in enumerate(self.clusters) for u in c.members}
+    @property
+    def clusters(self) -> list:
+        """Each cluster's member ids, sorted, in cluster order."""
+        labels = self.labels.tolist()
+        return [tuple(sorted(u for u, c in zip(self.users, labels) if c == k)) for k in range(len(self.sizes))]
 
 
 @dataclass(frozen=True)
@@ -230,8 +224,8 @@ def _rank_cliques(users: tuple, masks: list, tie_matrix: SimilarityMatrix | None
     return sorted(masks, key=key)
 
 
-def max_clique(graph: SimilarityGraph, tie_matrix: SimilarityMatrix | None = None) -> Cluster:
-    """Exact maximum clique with deterministic tie-breaking.
+def max_clique(graph: SimilarityGraph, tie_matrix: SimilarityMatrix | None = None) -> tuple:
+    """Exact maximum clique, as its sorted member ids, with deterministic tie-breaking.
 
     Among maximum cliques, prefers the highest mean pairwise value in
     ``tie_matrix`` (0 when absent or for singletons), then the smallest
@@ -243,7 +237,7 @@ def max_clique(graph: SimilarityGraph, tie_matrix: SimilarityMatrix | None = Non
     check_clique_size(n)
     masks = _maximum_clique_masks(_neighbor_masks(graph.adjacency), (1 << n) - 1)
     chosen = _rank_cliques(graph.users, masks, tie_matrix)[0]
-    return Cluster(members=tuple(graph.users[i] for i in _mask_members(chosen)))
+    return tuple(sorted(graph.users[i] for i in _mask_members(chosen)))
 
 
 def clique_clustering(
@@ -254,16 +248,18 @@ def clique_clustering(
     users = graph.users
     nbr = _neighbor_masks(graph.adjacency)
     remaining = (1 << graph.n) - 1
-    clusters, ranked = [], []
+    labels = np.empty(graph.n, dtype=np.intp)
+    k, ranked = 0, []
     while ranked or any(nbr[i] & remaining for i in _mask_members(remaining)):
         # maximum cliques the last extraction left intact are still maximum
         ranked = ranked or _rank_cliques(users, _maximum_clique_masks(nbr, remaining), tie_matrix)
         chosen = ranked.pop(0)
-        clusters.append(Cluster(members=tuple(users[i] for i in _mask_members(chosen))))
+        labels[_mask_members(chosen)] = k
+        k += 1
         remaining &= ~chosen
         ranked = [m for m in ranked if not m & chosen]
-    clusters.extend(Cluster(members=(users[i],)) for i in _mask_members(remaining))
-    return ClusteringResult(ident=graph.ident, users=users, clusters=clusters)
+    labels[_mask_members(remaining)] = np.arange(k, k + remaining.bit_count())  # singletons, in user order
+    return ClusteringResult(ident=graph.ident, users=users, labels=labels)
 
 
 def chunk_frame_ranges(n_frames: int, frames_per_chunk: int) -> list:

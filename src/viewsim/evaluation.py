@@ -8,6 +8,9 @@ Three figures per frame or chunk:
 * precision: among same-cluster pairs, the fraction whose ground-truth
   label is positive (overlap at least the ground-truth threshold).
 
+Each is read off a clustering's label row: the matrix values at its
+same-cluster pairs, in ``metrics.pair_indices`` order, and the cluster
+sizes.  ``evaluate_result`` returns them keyed by their ``FIGURES`` name.
 Undefined values are NaN and are excluded (but counted) by aggregation;
 they are never coerced to zero.
 """
@@ -19,12 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import DEFAULT_OVERLAP_LABEL_THRESHOLD
-from .clustering import DEFAULT_RELEVANT_MIN_SIZE, Cluster, ClusteringResult
+from .calibration import DEFAULT_OVERLAP_LABEL_THRESHOLD, FIGURES
+from .clustering import DEFAULT_RELEVANT_MIN_SIZE, ClusteringResult
 from .errors import PreconditionError
 from .metrics import SimilarityMatrix, pair_indices
-
-FIGURES = ("overlap_ratio", "relevant_population", "precision")
 
 
 @dataclass(frozen=True)
@@ -37,33 +38,30 @@ class AggregateStats:
     n_invalid: int
 
 
-@dataclass(frozen=True)
-class ClusterPerformance:
-    """Evaluation of one clustering result; NaN marks undefined fields."""
-
-    ident: int
-    overlap_ratio: float
-    relevant_population: float
-    precision: float
-    n_relevant: int
+def _same_cluster_pairs(result: ClusteringResult, matrix: SimilarityMatrix) -> tuple:
+    """``matrix``'s valid values at the same-cluster pairs a < b, in ``pair_indices`` order, and each pair's cluster."""
+    if result.users != matrix.users:
+        raise PreconditionError("the clustering and the matrix must share users, in the same order")
+    a, b = pair_indices(len(result.users))
+    keep = (result.labels[a] == result.labels[b]) & matrix.valid[a, b]
+    return matrix.values[a[keep], b[keep]], result.labels[a[keep]]
 
 
-def overlap_per_cluster(cluster: Cluster, overlap: SimilarityMatrix) -> float:
-    """Mean pairwise ground-truth overlap inside one cluster.
+def overlap_ratio(
+    result: ClusteringResult, overlap: SimilarityMatrix, min_size: int = DEFAULT_RELEVANT_MIN_SIZE
+) -> float:
+    """Mean over the relevant clusters of each one's mean valid pairwise overlap.
 
-    NaN when every member pair is invalid in the overlap matrix.
+    A cluster whose member pairs are all invalid is left out; NaN when no
+    relevant cluster is left.
     """
-    if cluster.size < 2:
-        raise PreconditionError("per-cluster overlap needs at least two members")
-    index = {u: i for i, u in enumerate(overlap.users)}
-    try:
-        idx = np.array([index[u] for u in cluster.members])
-    except KeyError as e:
-        raise PreconditionError(f"cluster member {e} missing from overlap matrix")
-    a, b = pair_indices(len(idx))  # row-major a < b, as a pair loop
-    vals = overlap.values[idx[a], idx[b]]
-    vals = vals[~np.isnan(vals)]
-    return float(np.mean(vals)) if vals.size else math.nan
+    if min_size < 2:
+        raise PreconditionError(f"overlap ratio needs clusters of at least two members, got min_size={min_size}")
+    values, cluster = _same_cluster_pairs(result, overlap)
+    # one np.mean per cluster, then one over the clusters: a single weighted sum rounds differently
+    relevant = np.flatnonzero(result.sizes >= min_size)
+    means = [float(np.mean(v)) for k in relevant if (v := values[cluster == k]).size]
+    return float(np.mean(means)) if means else math.nan
 
 
 def relevant_population(
@@ -72,8 +70,8 @@ def relevant_population(
     """Fraction of users belonging to a cluster of at least min_size."""
     if not result.users:
         raise PreconditionError("relevant population of an empty user set is undefined")
-    members = sum(c.size for c in result.relevant_clusters(min_size))
-    return members / len(result.users)
+    sizes = result.sizes
+    return int(sizes[sizes >= min_size].sum()) / len(result.users)
 
 
 def precision(result: ClusteringResult, reference: SimilarityMatrix, threshold: float) -> float:
@@ -82,44 +80,31 @@ def precision(result: ClusteringResult, reference: SimilarityMatrix, threshold: 
     Pairs invalid in the reference matrix are excluded.  NaN when no valid
     same-cluster pair exists.
     """
-    owner = result.labels()
-    if not owner.keys() <= set(reference.users):
-        raise PreconditionError("cluster members missing from reference matrix")
-    label = np.array([owner.get(u, -1) for u in reference.users])
-    a, b = pair_indices(len(label))
-    same = (label[a] == label[b]) & (label[a] >= 0) & reference.valid[a, b]
-    total = int(np.count_nonzero(same))
-    tp = int(np.count_nonzero(reference.values[a[same], b[same]] >= threshold))
-    return tp / total if total else math.nan
+    values, _ = _same_cluster_pairs(result, reference)
+    return int(np.count_nonzero(values >= threshold)) / values.size if values.size else math.nan
 
 
 def evaluate_result(
     result: ClusteringResult,
     overlap: SimilarityMatrix,
-    labels: SimilarityMatrix | None = None,
+    reference: SimilarityMatrix | None = None,
     *,
     label_threshold: float = DEFAULT_OVERLAP_LABEL_THRESHOLD,
     min_size: int = DEFAULT_RELEVANT_MIN_SIZE,
-) -> ClusterPerformance:
-    """All three performance figures for one frame or chunk.
+) -> dict:
+    """All three performance figures for one frame or chunk, ``{figure: value}`` in FIGURES order.
 
     ``overlap`` supplies the per-pair ground truth values (per-frame matrix,
-    or the per-pair mean over a chunk).  ``labels`` supplies the matrix that
-    precision thresholds; it defaults to ``overlap`` itself with
+    or the per-pair mean over a chunk).  ``reference`` supplies the matrix
+    that precision thresholds; it defaults to ``overlap`` itself with
     ``label_threshold`` (per-chunk callers pass persistence scores instead).
+    NaN marks an undefined figure.
     """
-    relevant = result.relevant_clusters(min_size)
-    per_cluster = [overlap_per_cluster(c, overlap) for c in relevant]
-    defined = [v for v in per_cluster if not math.isnan(v)]
-    mean_overlap = float(np.mean(defined)) if defined else math.nan
-    ref = labels if labels is not None else overlap
-    return ClusterPerformance(
-        ident=result.ident,
-        overlap_ratio=mean_overlap,
-        relevant_population=relevant_population(result, min_size),
-        precision=precision(result, ref, label_threshold),
-        n_relevant=len(relevant),
-    )
+    return dict(zip(FIGURES, (
+        overlap_ratio(result, overlap, min_size),
+        relevant_population(result, min_size),
+        precision(result, overlap if reference is None else reference, label_threshold),
+    )))
 
 
 def aggregate(values) -> AggregateStats:
@@ -136,4 +121,4 @@ def aggregate(values) -> AggregateStats:
 
 def summarize_performance(perfs: list) -> dict:
     """AggregateStats for each of the FIGURES across frames or chunks."""
-    return {f: aggregate([getattr(p, f) for p in perfs]) for f in FIGURES}
+    return {f: aggregate([p[f] for p in perfs]) for f in FIGURES}

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 
 from . import store
-from .calibration import DEFAULT_TARGET_TPR, ablate, pair_samples, roc_curve, select_threshold
+from .calibration import DEFAULT_TARGET_TPR, FIGURES, ablate, pair_samples, roc_curve, select_threshold
 from .clustering import (
     build_adjacency,
     check_clique_size,
@@ -25,7 +25,7 @@ from .clustering import (
     persistence_scores,
 )
 from .errors import DegenerateLabelsError, InvalidParamsError
-from .evaluation import FIGURES, aggregate, evaluate_result, summarize_performance
+from .evaluation import aggregate, evaluate_result, summarize_performance
 from .geometry import build_surface_graph
 from .manifest import ContentManifest, ContentSettings
 from .metrics import PROXY_METRICS, MetricConfig, MetricId, compute_pair_features, geodesic_gaze, overlap_matrix
@@ -222,7 +222,7 @@ def cluster_content(
     metric: MetricId,
     mode: str = "frame",
 ) -> list:
-    """ClusteringResults per frame, or per chunk when mode='chunk'."""
+    """ClusteringResults (label rows) per frame, or per chunk when mode='chunk'."""
     _check_clustering(pc, mode)
     return _cluster(pc, metric, metric_matrices(pc, [metric])[metric], mode)
 
@@ -234,10 +234,12 @@ def evaluate_content(
 ):
     """Cluster with a metric and score against the exact ground truth.
 
-    Returns (results, performances, summary).  In chunk mode the per-pair
-    ground truth is the mean overlap over the chunk, and precision labels
-    are persistence scores thresholded exactly like chunk adjacency, so an
-    OVERLAP-driven clustering scores precision 1.0 identically.
+    Returns (results, performances, summary): one ClusteringResult (a label
+    row) and one ``{figure: value}`` dict keyed by ``FIGURES`` per frame or
+    chunk, and ``summarize_performance`` of the dicts.  In chunk mode the
+    per-pair ground truth is the mean overlap over the chunk, and precision
+    labels are persistence scores thresholded exactly like chunk adjacency,
+    so an OVERLAP-driven clustering scores precision 1.0 identically.
     """
     _check_clustering(pc, mode)
     return _evaluate(pc, metric, metric_matrices(pc, [metric, MetricId.OVERLAP]), mode)
@@ -247,27 +249,17 @@ def _evaluate(pc: PreparedContent, metric: MetricId, mats: dict, mode: str):
     """``evaluate_content`` from a table pass's ``mats``, which hold ``metric`` and the overlap."""
     results = _cluster(pc, metric, mats[metric], mode)
     ovs = mats[MetricId.OVERLAP]
-    perfs = []
+    # per result: ground truth, the matrix precision thresholds, and its threshold
     if mode == "frame":
-        for result, ov in zip(results, ovs):
-            perfs.append(
-                evaluate_result(
-                    result, ov, label_threshold=pc.overlap_threshold, min_size=pc.relevant_min_size
-                )
-            )
+        truths = [(ov, ov, pc.overlap_threshold) for ov in ovs]
     else:
         ranges = chunk_frame_ranges(len(ovs), pc.chunk.frames_per_chunk(pc.dataset.fps))
-        for result, rng in zip(results, ranges):
-            window = [ovs[k] for k in rng]
-            perfs.append(
-                evaluate_result(
-                    result,
-                    mean_matrix(window),
-                    labels=persistence_scores(window, pc.overlap_threshold),
-                    label_threshold=pc.chunk.persistence,
-                    min_size=pc.relevant_min_size,
-                )
-            )
+        windows = [[ovs[k] for k in rng] for rng in ranges]
+        truths = [(mean_matrix(w), persistence_scores(w, pc.overlap_threshold), pc.chunk.persistence) for w in windows]
+    perfs = [
+        evaluate_result(r, ov, ref, label_threshold=th, min_size=pc.relevant_min_size)
+        for r, (ov, ref, th) in zip(results, truths)
+    ]
     return results, perfs, summarize_performance(perfs)
 
 

@@ -31,8 +31,6 @@ from viewsim.calibration import (
     regulator_grid,
 )
 from viewsim.clustering import (
-    Cluster,
-    ClusteringResult,
     SimilarityGraph,
     build_adjacency,
     clique_clustering,
@@ -289,11 +287,16 @@ def pick_clique_oracle(cliques, tie_values, users):
 
 
 def clique_clustering_oracle(graph, tie_matrix=None):
-    """Repeated extraction on rebuilt sub-graphs, one max_clique per step."""
+    """Repeated extraction on rebuilt sub-graphs, one max_clique per step, as a label row.
+
+    ``labels[i]`` is the cluster of ``graph.users[i]``: cliques numbered in
+    extraction order, then each leftover user a singleton, in user order.
+    """
     users = graph.users
     index = {u: i for i, u in enumerate(users)}
     remaining = list(range(len(users)))
-    clusters = []
+    labels = [None] * len(users)
+    n_clusters = 0
     while remaining:
         sub_adj = graph.adjacency[np.ix_(remaining, remaining)]
         if not sub_adj.any():
@@ -308,19 +311,21 @@ def clique_clustering_oracle(graph, tie_matrix=None):
                 metric=tie_matrix.metric,
                 values=tie_matrix.values[np.ix_(remaining, remaining)],
             )
-        clique = max_clique(sub_graph, sub_tie)
-        clusters.append(clique)
-        taken = {index[u] for u in clique.members}
+        taken = {index[u] for u in max_clique(sub_graph, sub_tie)}
+        for i in taken:
+            labels[i] = n_clusters
+        n_clusters += 1
         remaining = [i for i in remaining if i not in taken]
     for i in remaining:
-        clusters.append(Cluster(members=(users[i],)))
-    return ClusteringResult(ident=graph.ident, users=users, clusters=clusters)
+        labels[i] = n_clusters
+        n_clusters += 1
+    return labels
 
 
-def overlap_per_cluster_oracle(cluster, overlap):
-    """Mean over the valid member pairs, visited a < b in member order."""
+def overlap_per_cluster_oracle(members, overlap):
+    """Mean over the valid member pairs, visited a < b in the matrix's index order."""
     index = {u: i for i, u in enumerate(overlap.users)}
-    idx = [index[u] for u in cluster.members]
+    idx = sorted(index[u] for u in members)
     vals = []
     for a in range(len(idx)):
         for b in range(a + 1, len(idx)):
@@ -335,8 +340,8 @@ def precision_oracle(result, reference, threshold):
     index = {u: i for i, u in enumerate(reference.users)}
     tp = 0
     total = 0
-    for cluster in result.clusters:
-        idx = [index[u] for u in cluster.members]
+    for members in result.clusters:
+        idx = [index[u] for u in members]
         for a in range(len(idx)):
             for b in range(a + 1, len(idx)):
                 i, j = idx[a], idx[b]
@@ -564,19 +569,11 @@ def ablate_oracle(
                     )
                 )
             for field in content_means:
-                stats = aggregate([getattr(p, field) for p in perfs])
+                stats = aggregate([p[field] for p in perfs])
                 content_means[field].append(stats.mean)
         finals = {
             field: aggregate(vals).mean
             for field, vals in content_means.items()
         }
-        records.append(
-            AblationRecord(
-                metric=metric,
-                regulators=reg,
-                overlap_ratio=finals["overlap_ratio"],
-                relevant_population=finals["relevant_population"],
-                precision=finals["precision"],
-            )
-        )
+        records.append(AblationRecord(reg, finals))
     return records

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from viewsim.calibration import (
     DEFAULT_GRID,
+    FIGURES,
     AblationRecord,
-    ParameterSets,
     RocPoint,
     pair_samples,
     regulator_grid,
@@ -301,7 +301,7 @@ def test_ablate_records_in_grid_order(narrow_content):
     grid = (0.1, 0.5)
     records = run_ablation([narrow_content], MetricId.W2, grid=grid, threshold=0.8)
     assert [r.regulators.alpha for r in records] == [0.1, 0.5]
-    assert all(r.metric is MetricId.W2 for r in records)
+    assert all(tuple(r.figures) == FIGURES for r in records)
 
 
 def test_ablate_deterministic(narrow_content):
@@ -315,7 +315,7 @@ def test_ablate_deterministic(narrow_content):
 def test_ablate_fields_in_unit_range(narrow_content):
     for r in run_ablation([narrow_content], MetricId.W4, grid=(0.0, 1.0), threshold=0.84):
         for field in ("overlap_ratio", "relevant_population", "precision"):
-            v = getattr(r, field)
+            v = r.figures[field]
             assert math.isnan(v) or 0.0 <= v <= 1.0
 
 
@@ -329,11 +329,8 @@ def test_ablate_refuses_ground_truth_metric(narrow_content):
 
 def _rec(alpha, ov, pop, prec, beta=0.0, gamma=0.0):
     return AblationRecord(
-        metric=MetricId.W7,
         regulators=RegulatorSet(alpha, beta, gamma),
-        overlap_ratio=ov,
-        relevant_population=pop,
-        precision=prec,
+        figures={"overlap_ratio": ov, "relevant_population": pop, "precision": prec},
     )
 
 
@@ -344,9 +341,10 @@ def test_sets_argmax_per_field():
         _rec(1.0, ov=0.2, pop=0.4, prec=0.9),
     ]
     sets = select_parameter_sets(records)
-    assert sets.set1.regulators.alpha == 0.5
-    assert sets.set2.regulators.alpha == 0.1
-    assert sets.set3.regulators.alpha == 1.0
+    assert list(sets) == ["set1", "set2", "set3"]
+    assert sets["set1"].regulators.alpha == 0.5
+    assert sets["set2"].regulators.alpha == 0.1
+    assert sets["set3"].regulators.alpha == 1.0
 
 
 def test_sets_tie_breaks_lexicographically():
@@ -356,7 +354,7 @@ def test_sets_tie_breaks_lexicographically():
         _rec(0.1, ov=0.8, pop=0.5, prec=0.5, beta=2.0),
     ]
     sets = select_parameter_sets(records)
-    assert sets.set1.regulators.as_tuple() == (0.1, 2.0, 0.0)
+    assert sets["set1"].regulators.as_tuple() == (0.1, 2.0, 0.0)
 
 
 def test_sets_skip_nan_fields():
@@ -365,8 +363,8 @@ def test_sets_skip_nan_fields():
         _rec(0.5, ov=0.3, pop=float("nan"), prec=0.1),
     ]
     sets = select_parameter_sets(records)
-    assert sets.set1.regulators.alpha == 0.5
-    assert sets.set2.regulators.alpha == 0.1
+    assert sets["set1"].regulators.alpha == 0.5
+    assert sets["set2"].regulators.alpha == 0.1
 
 
 def test_sets_all_nan_field_rejected():
@@ -384,6 +382,6 @@ def test_superset_grid_never_selects_worse(narrow_content):
     small = run_ablation([narrow_content], MetricId.W3, grid=(0.1, 1.0), threshold=0.63)
     big = run_ablation([narrow_content], MetricId.W3, grid=(0.1, 0.5, 1.0), threshold=0.63)
     s, b = select_parameter_sets(small), select_parameter_sets(big)
-    assert b.set1.overlap_ratio >= s.set1.overlap_ratio
-    assert b.set2.relevant_population >= s.set2.relevant_population
-    assert b.set3.precision >= s.set3.precision
+    assert b["set1"].figures["overlap_ratio"] >= s["set1"].figures["overlap_ratio"]
+    assert b["set2"].figures["relevant_population"] >= s["set2"].figures["relevant_population"]
+    assert b["set3"].figures["precision"] >= s["set3"].figures["precision"]

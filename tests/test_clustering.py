@@ -16,7 +16,7 @@ from viewsim import (
     mean_matrix,
     persistence_scores,
 )
-from viewsim.clustering import chunk_frame_ranges
+from viewsim.clustering import ClusteringResult, chunk_frame_ranges
 from viewsim.errors import InvalidParamsError, PreconditionError, SizeLimitError
 
 from conftest import square_matrix
@@ -95,7 +95,7 @@ def test_max_clique_triangle_plus_pendant():
     for i, j in [(0, 1), (0, 2), (1, 2), (2, 3)]:
         adj[i, j] = adj[j, i] = True
     clique = max_clique(_graph(adj))
-    assert clique.members == ("u00", "u01", "u02")
+    assert clique == ("u00", "u01", "u02")
 
 
 def test_max_clique_matches_exhaustive_enumeration():
@@ -112,8 +112,8 @@ def test_max_clique_matches_exhaustive_enumeration():
         users = tuple(f"u{k:02d}" for k in range(n))
         size, cliques = max_cliques_oracle(adj)
         got = max_clique(_graph(adj, users), tie_matrix=square_matrix(tie, users=users))
-        assert got.size == size
-        got_idx = tuple(users.index(u) for u in got.members)
+        assert len(got) == size
+        got_idx = tuple(users.index(u) for u in got)
         assert got_idx in cliques
         want = pick_clique_oracle(cliques, tie, users)
         assert got_idx == want, f"trial {trial}: {got_idx} vs {want}"
@@ -130,12 +130,12 @@ def test_tie_breaks_by_mean_then_lex():
     for i, j in [(3, 4), (3, 5), (4, 5)]:
         vals[i, j] = vals[j, i] = 0.9
     clique = max_clique(_graph(adj), tie_matrix=square_matrix(vals))
-    assert clique.members == ("u03", "u04", "u05")
+    assert clique == ("u03", "u04", "u05")
     # equal means: lexicographically smaller member tuple wins
     for i, j in [(3, 4), (3, 5), (4, 5)]:
         vals[i, j] = vals[j, i] = 0.7
     clique = max_clique(_graph(adj), tie_matrix=square_matrix(vals))
-    assert clique.members == ("u00", "u01", "u02")
+    assert clique == ("u00", "u01", "u02")
 
 
 def test_max_clique_without_tie_matrix_is_lexicographic():
@@ -143,7 +143,7 @@ def test_max_clique_without_tie_matrix_is_lexicographic():
     for i, j in [(0, 5), (1, 4)]:
         adj[i, j] = adj[j, i] = True
     clique = max_clique(_graph(adj))
-    assert clique.members == ("u00", "u05")
+    assert clique == ("u00", "u05")
 
 
 def test_clique_clustering_partitions_and_orders():
@@ -155,14 +155,13 @@ def test_clique_clustering_partitions_and_orders():
     for i, j in quads + tris + [(7, 8)]:
         adj[i, j] = adj[j, i] = True
     result = clique_clustering(_graph(adj))
-    sizes = [c.size for c in result.clusters]
-    assert sizes == [4, 3, 2, 1]
-    assert result.clusters[0].members == ("u00", "u01", "u02", "u03")
-    assert result.clusters[1].members == ("u04", "u05", "u06")
-    assert result.clusters[2].members == ("u07", "u08")
-    assert result.clusters[3].members == ("u09",)
-    labels = result.labels()
-    assert len(labels) == n
+    assert result.sizes.tolist() == [4, 3, 2, 1]
+    assert result.clusters[0] == ("u00", "u01", "u02", "u03")
+    assert result.clusters[1] == ("u04", "u05", "u06")
+    assert result.clusters[2] == ("u07", "u08")
+    assert result.clusters[3] == ("u09",)
+    assert result.labels.tolist() == [0, 0, 0, 0, 1, 1, 1, 2, 2, 3]
+    assert not result.labels.flags.writeable
 
 
 def test_clique_clustering_clusters_are_cliques():
@@ -176,15 +175,15 @@ def test_clique_clustering_clusters_are_cliques():
         seen = []
         prev_size = None
         for c in result.clusters:
-            idx = [int(u[1:]) for u in c.members]
+            idx = [int(u[1:]) for u in c]
             seen.extend(idx)
             for a in range(len(idx)):
                 for b in range(a + 1, len(idx)):
                     assert adj[idx[a], idx[b]]
-            if c.size > 1:
+            if len(c) > 1:
                 if prev_size is not None:
-                    assert c.size <= prev_size  # extraction can only shrink
-                prev_size = c.size
+                    assert len(c) <= prev_size  # extraction can only shrink
+                prev_size = len(c)
         assert sorted(seen) == list(range(n))
 
 
@@ -211,19 +210,32 @@ def test_clique_clustering_matches_subgraph_oracle():
         tie_m = square_matrix(tie, users=users) if trial % 3 else None
         want = clique_clustering_oracle(graph, tie_m)
         got = clique_clustering(graph, tie_matrix=tie_m)
-        assert [c.members for c in got.clusters] == [c.members for c in want.clusters], trial
+        assert got.labels.tolist() == want, trial
 
 
 def test_singletons_come_last_in_id_order():
     adj = np.zeros((5, 5), dtype=bool)
     adj[2, 4] = adj[4, 2] = True
     result = clique_clustering(_graph(adj))
-    assert [c.members for c in result.clusters] == [
+    assert result.clusters == [
         ("u02", "u04"),
         ("u00",),
         ("u01",),
         ("u03",),
     ]
+
+
+def test_clustering_result_refuses_a_malformed_label_row():
+    users = ("a", "b", "c")
+    for labels in ([0, 0], [0, 0, 0, 1], [[0, 1, 2]], [0, -1, 1], [0, 2, 2], [1, 1, 1], [0.0, 1.0, 1.0]):
+        with pytest.raises(ValueError):
+            ClusteringResult(ident=0, users=users, labels=labels)
+    given = np.array([1, 0, 1])
+    result = ClusteringResult(ident=0, users=users, labels=given)
+    assert result.sizes.tolist() == [1, 2] and result.clusters == [("b",), ("a", "c")]
+    with pytest.raises(ValueError):
+        result.labels[0] = 0  # the row is read-only; the caller's array is not
+    given[0] = 0
 
 
 def test_size_limit_enforced():

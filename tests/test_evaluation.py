@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viewsim.clustering import Cluster, ClusteringResult
+from viewsim.clustering import ClusteringResult
 from viewsim.errors import PreconditionError
 from viewsim.evaluation import (
+    FIGURES,
     aggregate,
     evaluate_result,
-    overlap_per_cluster,
+    overlap_ratio,
     precision,
     relevant_population,
     summarize_performance,
@@ -26,45 +27,53 @@ from oracles import adjusted_rand_index, ari_oracle, overlap_per_cluster_oracle,
 NAN = float("nan")
 
 
-def _result(groups, ident=0):
-    clusters = [Cluster(tuple(g)) for g in groups]
-    users = tuple(sorted(u for g in groups for u in g))
-    return ClusteringResult(ident=ident, users=users, clusters=clusters)
+def _result(groups, ident=0, users=None):
+    """A clustering of ``groups`` (cluster k is ``groups[k]``) over ``users``, default sorted ids."""
+    users = tuple(sorted(u for g in groups for u in g)) if users is None else users
+    cluster = {u: k for k, g in enumerate(groups) for u in g}
+    return ClusteringResult(ident=ident, users=users, labels=np.array([cluster[u] for u in users], dtype=int))
 
 
-# --------------------------------------------------------- overlap_per_cluster
+# ------------------------------------------------------------- overlap_ratio
 
 
 def test_cluster_overlap_is_pair_mean():
     o = square_matrix(
         [[NAN, 0.9, 0.5], [0.9, NAN, 0.7], [0.5, 0.7, NAN]], metric=MetricId.OVERLAP
     )
-    c = Cluster(("u00", "u01", "u02"))
-    assert_close(overlap_per_cluster(c, o), (0.9 + 0.5 + 0.7) / 3)
+    c = _result([("u00", "u01", "u02")])
+    assert_close(overlap_ratio(c, o, min_size=2), (0.9 + 0.5 + 0.7) / 3)
 
 
 def test_cluster_overlap_skips_invalid_pairs():
     o = square_matrix(
         [[NAN, 0.9, NAN], [0.9, NAN, 0.7], [NAN, 0.7, NAN]], metric=MetricId.OVERLAP
     )
-    assert_close(overlap_per_cluster(Cluster(("u00", "u01", "u02")), o), 0.8)
+    assert_close(overlap_ratio(_result([("u00", "u01", "u02")]), o, min_size=2), 0.8)
 
 
 def test_cluster_overlap_all_invalid_is_nan():
     o = square_matrix([[NAN, NAN], [NAN, NAN]], metric=MetricId.OVERLAP)
-    assert math.isnan(overlap_per_cluster(Cluster(("u00", "u01")), o))
+    assert math.isnan(overlap_ratio(_result([("u00", "u01")]), o, min_size=2))
 
 
 def test_cluster_overlap_needs_two_members():
     o = square_matrix([[NAN, 0.5], [0.5, NAN]], metric=MetricId.OVERLAP)
     with pytest.raises(PreconditionError):
-        overlap_per_cluster(Cluster(("u00",)), o)
+        overlap_ratio(_result([("u00",), ("u01",)]), o, min_size=1)
+
+
+def test_overlap_ratio_refuses_min_size_below_two_without_a_singleton():
+    o = square_matrix([[NAN, 0.5], [0.5, NAN]], metric=MetricId.OVERLAP)
+    for min_size in (1, 0):
+        with pytest.raises(PreconditionError):
+            overlap_ratio(_result([("u00", "u01")]), o, min_size=min_size)
 
 
 def test_cluster_overlap_unknown_member():
     o = square_matrix([[NAN, 0.5], [0.5, NAN]], metric=MetricId.OVERLAP)
     with pytest.raises(PreconditionError):
-        overlap_per_cluster(Cluster(("u00", "zz")), o)
+        overlap_ratio(_result([("u00", "zz")]), o, min_size=2)
 
 
 # -------------------------------------------------------- relevant_population
@@ -83,7 +92,7 @@ def test_population_zero_when_all_small():
 
 
 def test_population_empty_rejected():
-    r = ClusteringResult(ident=0, users=(), clusters=[])
+    r = ClusteringResult(ident=0, users=(), labels=[])
     with pytest.raises(PreconditionError):
         relevant_population(r)
 
@@ -146,14 +155,17 @@ def test_scoring_matches_pair_loop_oracles():
         ref = square_matrix(vals, users=users, metric=MetricId.OVERLAP)
         labels = rng.integers(-1 if trial % 2 else 0, max(1, n // 3), n)  # -1: not clustered
         groups = [[u for u, g in zip(users, labels) if g == k] for k in sorted(set(labels) - {-1})]
-        result = _result(groups, ident=trial)
+        groups += [[u] for u, g in zip(users, labels) if g == -1]  # a user not clustered is a singleton
+        result = _result(groups, ident=trial, users=users)
         th = float(rng.choice([0.25, 0.5, 0.75]))
         got, want = precision(result, ref, th), precision_oracle(result, ref, th)
         assert got == want or (math.isnan(got) and math.isnan(want)), trial
-        for c in result.clusters:
-            if c.size >= 2:
-                got, want = overlap_per_cluster(c, ref), overlap_per_cluster_oracle(c, ref)
-                assert got == want or (math.isnan(got) and math.isnan(want)), trial
+        for min_size in (2, 3):
+            per_cluster = [overlap_per_cluster_oracle(c, ref) for c in result.clusters if len(c) >= min_size]
+            defined = [v for v in per_cluster if not math.isnan(v)]
+            want = float(np.mean(defined)) if defined else math.nan
+            got = overlap_ratio(result, ref, min_size)
+            assert got == want or (math.isnan(got) and math.isnan(want)), trial
 
 
 # ------------------------------------------------------------ evaluate_result
@@ -175,11 +187,10 @@ def _demo_overlap():
 def test_evaluate_result_defaults_labels_to_overlap():
     r = _result([("a", "b", "c"), ("d",)])
     perf = evaluate_result(r, _demo_overlap(), label_threshold=0.75, min_size=3)
-    assert perf.n_relevant == 1
-    assert_close(perf.overlap_ratio, (0.9 + 0.8 + 0.85) / 3)
-    assert_close(perf.relevant_population, 0.75)
-    assert perf.precision == 1.0
-    assert perf.ident == r.ident
+    assert tuple(perf) == FIGURES
+    assert_close(perf["overlap_ratio"], (0.9 + 0.8 + 0.85) / 3)
+    assert_close(perf["relevant_population"], 0.75)
+    assert perf["precision"] == 1.0
 
 
 def test_evaluate_result_separate_label_matrix():
@@ -194,20 +205,29 @@ def test_evaluate_result_separate_label_matrix():
         metric=MetricId.OVERLAP,
     )
     r = _result([("a", "b", "c"), ("d",)])
-    perf = evaluate_result(r, _demo_overlap(), labels=labels, label_threshold=0.5, min_size=3)
+    perf = evaluate_result(r, _demo_overlap(), reference=labels, label_threshold=0.5, min_size=3)
     # overlap ratio still from the overlap matrix, precision from labels
-    assert_close(perf.overlap_ratio, (0.9 + 0.8 + 0.85) / 3)
-    assert_close(perf.precision, 1 / 3)
+    assert_close(perf["overlap_ratio"], (0.9 + 0.8 + 0.85) / 3)
+    assert_close(perf["precision"], 1 / 3)
 
 
 def test_evaluate_result_no_relevant_clusters():
     r = _result([("a", "b"), ("c", "d")])
     perf = evaluate_result(r, _demo_overlap(), min_size=3)
-    assert math.isnan(perf.overlap_ratio)
-    assert perf.relevant_population == 0.0
-    assert perf.n_relevant == 0
+    assert math.isnan(perf["overlap_ratio"])
+    assert perf["relevant_population"] == 0.0
     # precision still ranges over same-cluster pairs of every size
-    assert_close(perf.precision, 0.5)
+    assert_close(perf["precision"], 0.5)
+
+
+def test_evaluate_result_refuses_users_that_differ_from_the_matrix():
+    # a user missing, a user extra, and the matrix's users in another order
+    for users in (("a", "b", "c"), ("a", "b", "c", "d", "e"), ("b", "a", "c", "d")):
+        with pytest.raises(PreconditionError):
+            evaluate_result(_result([users], users=users), _demo_overlap(), min_size=3)
+    other = square_matrix(np.full((3, 3), 0.5), users=("a", "b", "c"), metric=MetricId.OVERLAP)
+    with pytest.raises(PreconditionError):
+        evaluate_result(_result([("a", "b", "c"), ("d",)]), _demo_overlap(), reference=other, min_size=3)
 
 
 # ------------------------------------------------------------------ aggregate
@@ -305,11 +325,11 @@ def test_ari_permutation_invariance(la, shift):
 def test_overlap_clustering_scores_perfect_precision_per_frame(narrow_content):
     results, perfs, summary = evaluate_content(narrow_content, MetricId.OVERLAP, mode="frame")
     assert len(results) == len(perfs) == 6
-    assert any(p.n_relevant > 0 for p in perfs)
+    assert any((r.sizes >= narrow_content.relevant_min_size).any() for r in results)
     for p in perfs:
-        assert math.isnan(p.precision) or p.precision == 1.0
+        assert math.isnan(p["precision"]) or p["precision"] == 1.0
         # clique edges require overlap >= threshold, so the cluster mean does too
-        assert math.isnan(p.overlap_ratio) or p.overlap_ratio >= narrow_content.overlap_threshold
+        assert math.isnan(p["overlap_ratio"]) or p["overlap_ratio"] >= narrow_content.overlap_threshold
     assert summary["precision"].mean == 1.0
 
 
@@ -317,5 +337,5 @@ def test_overlap_clustering_scores_perfect_precision_per_chunk(narrow_content):
     results, perfs, summary = evaluate_content(narrow_content, MetricId.OVERLAP, mode="chunk")
     assert len(results) == len(perfs) >= 1
     for p in perfs:
-        assert math.isnan(p.precision) or p.precision == 1.0
+        assert math.isnan(p["precision"]) or p["precision"] == 1.0
     assert summary["precision"].mean == 1.0

@@ -90,8 +90,8 @@ def run_bench(
     clouds = generate_cloud(scenario)
     cloud = clouds[0]
     ds = generate_trajectories(scenario, clouds)
-    users, x = ds.users, ds.x[:, 0]
-    view, p, r, off = derive_pr(x, ds.view[:, 0], ds.off[:, 0], cloud)
+    users, x, view = ds.users, ds.x[:, 0], ds.view[:, 0]
+    p, r, off = derive_pr(x, view, ds.off[:, 0], cloud)
     n = len(users)
     n_pairs = n * (n - 1) // 2
     report: dict = {

@@ -28,7 +28,9 @@ from .errors import DegenerateLabelsError, InvalidParamsError
 from .evaluation import aggregate, evaluate_result, summarize_performance
 from .geometry import build_surface_graph
 from .manifest import ContentManifest, ContentSettings
-from .metrics import PROXY_METRICS, MetricConfig, MetricId, compute_pair_features, geodesic_gaze, overlap_matrix
+from .metrics import (
+    PROXY_METRICS, MetricConfig, MetricId, SimilarityMatrix, compute_pair_features, geodesic_gaze, overlap_matrix,
+)
 from .ply import DirectoryCloudSequence
 from .synth import SynthScenario, generate_cloud, generate_trajectories
 from .trajectories import COLUMNS, SessionDataset, align_to_frames, derive_pr, load_trajectories
@@ -46,28 +48,33 @@ class PreparedContent(ContentSettings):
     targets (``gaze_targets``), overlap matrix, feature table and geodesic
     gaze distance matrix is computed on first request and shared afterwards
     by every metric, every command and every ``with_thresholds`` copy, and
-    so is each frame's cloud digest.  During a pass it also holds the latest
-    cloud read and the latest surface graph built, one of each, so
-    consecutive frames with equal points share one graph; the pass drops
-    both when it ends.
+    so is each frame's cloud digest; a ``replace`` copy starts empty.  During
+    a pass it also holds the latest cloud read and the latest surface graph
+    built, one of each, so consecutive frames with equal points share one
+    graph; the pass drops both when it ends.
 
-    With a ``store_dir``, every table also persists on disk
-    (``viewsim.store``), so later processes read it back instead of
+    With a ``store_dir``, the tables that read the cloud also persist on
+    disk (``viewsim.store``), so later processes read them back instead of
     recomputing; ``None`` keeps everything in memory.
     """
 
     content_id: str
     dataset: SessionDataset
     clouds: object
-    tables: dict = field(default_factory=dict, repr=False, compare=False)
+    tables: dict = field(init=False, default_factory=dict, repr=False, compare=False)
     store_dir: str | None = None
 
+    def _sharing(self, **changes) -> "PreparedContent":
+        copy = replace(self, **changes)  # only for changes that no table reads: the copy shares the store
+        copy.tables = self.tables
+        return copy
+
     def with_thresholds(self, thresholds: dict) -> "PreparedContent":
-        """Copy with per-metric thresholds replaced (calibration output)."""
+        """Copy with per-metric thresholds replaced (calibration output), sharing the store."""
         metrics = dict(self.metrics)
         for metric, th in thresholds.items():
             metrics[metric] = replace(metrics[metric], threshold=float(th))
-        return replace(self, metrics=metrics)
+        return self._sharing(metrics=metrics)
 
     def cloud(self, frame: int):
         """One frame's cloud; only the latest is kept, and it is dropped before the next is read."""
@@ -111,35 +118,36 @@ def prepare_scenario(scenario: SynthScenario, **settings) -> PreparedContent:
     return PreparedContent(scenario.content_id, generate_trajectories(scenario, clouds), clouds, **settings)
 
 
-def _table(pc: PreparedContent, kind: str, k: int, compute, reads):
+def _table(pc: PreparedContent, kind: str, k: int, compute, reads=None):
     """Frame ``k``'s table from memory, else from the disk tier, else ``compute()`` and saved.
 
     ``reads()`` is what ``compute()`` reads beside the user ids: the
-    table's store key.
+    table's store key.  Without ``reads``, the table is kept in memory only.
     """
     if (kind, k) not in pc.tables:
         table = None
-        if pc.store_dir is not None:
+        on_disk = pc.store_dir is not None and reads is not None
+        if on_disk:
             path = store.table_path(pc.store_dir, pc.content_id, kind, k)
             key = store.table_key(kind, pc.dataset.users, *reads())
-            table = store.load(path, key, kind, k, pc.dataset.users)
+            table = store.load(path, key, kind, len(pc.dataset.users))
         if table is None:
             table = compute()
-            if pc.store_dir is not None:
+            if on_disk:
                 store.save(path, key, kind, table)
         pc.tables[(kind, k)] = table
     return pc.tables[(kind, k)]
 
 
 def gaze_targets(pc: PreparedContent, k: int) -> tuple:
-    """Frame ``k``'s ``(view, p, r, off)``, one row per user.
+    """Frame ``k``'s ``(p, r, off)``, one row per user.
 
     A trajectory CSV that supplies p/r is used as given; otherwise the
     targets are ray cast (``derive_pr``) and kept as the frame's "pr" table.
     """
     ds = pc.dataset
     if ds.pr_given:
-        return ds.view[:, k], ds.p[:, k], ds.r[:, k], ds.off[:, k]
+        return ds.p[:, k], ds.r[:, k], ds.off[:, k]
     return _table(
         pc, "pr", k,
         lambda: derive_pr(ds.x[:, k], ds.view[:, k], ds.off[:, k], pc.cloud(k), pc.cone_half_angle, pc.r_mode),
@@ -147,29 +155,25 @@ def gaze_targets(pc: PreparedContent, k: int) -> tuple:
     )
 
 
-def _overlap(pc: PreparedContent, k: int):
-    ds = pc.dataset
-    view, _, _, off = gaze_targets(pc, k)
-    return _table(
+def _overlap(pc: PreparedContent, k: int) -> SimilarityMatrix:
+    ds, off = pc.dataset, gaze_targets(pc, k)[2]
+    values, = _table(
         pc, "overlap", k,
-        lambda: overlap_matrix(k, ds.users, ds.x[:, k], view, off, pc.cloud(k), pc.frustum),
-        lambda: (pc.cloud_digest(k), ds.x[:, k], view, off, pc.frustum),
+        lambda: (overlap_matrix(k, ds.users, ds.x[:, k], ds.view[:, k], off, pc.cloud(k), pc.frustum).values,),
+        lambda: (pc.cloud_digest(k), ds.x[:, k], ds.view[:, k], off, pc.frustum),
     )
+    return SimilarityMatrix(frame=k, users=ds.users, metric=MetricId.OVERLAP, values=values)
 
 
 def _features(pc: PreparedContent, k: int, need_geodesic: bool):
     ds = pc.dataset
-    _, p, r, off = gaze_targets(pc, k)
-    plain = _table(
-        pc, "features", k,
-        lambda: compute_pair_features(k, ds.users, ds.x[:, k], p, r, off),
-        lambda: (ds.x[:, k], p, r, off),
-    )
+    p, r, off = gaze_targets(pc, k)
+    plain = _table(pc, "features", k, lambda: compute_pair_features(k, ds.users, ds.x[:, k], p, r, off))
     if not need_geodesic:
         return plain
-    geo = _table(
+    geo, = _table(
         pc, "geodesic", k,
-        lambda: geodesic_gaze(p, r, pc.surface_graph(k)),
+        lambda: (geodesic_gaze(p, r, pc.surface_graph(k)),),
         lambda: (pc.cloud_digest(k), p, r, pc.surface_knn),
     )
     return replace(plain, gaze_geo=geo)
@@ -318,8 +322,8 @@ def run_ablation(
     first = chosen[0]
     # private copies sharing each content's tables; a combination swaps only the metric's config
     swept = [
-        replace(pc, metrics=dict(pc.metrics), overlap_threshold=first.overlap_threshold,
-                relevant_min_size=first.relevant_min_size)
+        pc._sharing(metrics=dict(pc.metrics), overlap_threshold=first.overlap_threshold,
+                    relevant_min_size=first.relevant_min_size)
         for pc in sorted(chosen, key=lambda pc: pc.content_id)
     ]
 

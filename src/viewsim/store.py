@@ -1,8 +1,8 @@
 """Disk tier of the per-content table store: one ``.npz`` file per table.
 
 A ``PreparedContent`` with a ``store_dir`` (the CLI sets it to ``--out``)
-keeps each frame's ray-cast gaze targets, exact overlap matrix, pair-feature
-table and geodesic gaze distance matrix in
+keeps each frame's tables that read the cloud (ray-cast gaze targets, exact
+overlap matrix, geodesic gaze distance matrix) in
 ``<store_dir>/.viewsim-store/<content>/<kind>-<frame>.npz``.
 Each file holds exactly its kind's arrays and a sha256 key over everything
 the table was computed from: the frame's inputs, viewsim's own sources and
@@ -23,27 +23,25 @@ import zipfile
 
 import numpy as np
 
-from .metrics import MetricId, PairFeatures, SimilarityMatrix
-
 _DIRNAME = ".viewsim-store"
 _KEY = "key"
 
 _F8, _BOOL = np.dtype(np.float64), np.dtype(bool)
 _FIELDS = {
     "overlap": {"values": _F8},
-    "features": {"pos_dist": _F8, "range_diff": _F8, "gaze_euc": _F8, "eta_sum": _F8},
     "geodesic": {"gaze_geo": _F8},
-    "pr": {"view": _F8, "p": _F8, "r": _F8, "off": _BOOL},
+    "pr": {"p": _F8, "r": _F8, "off": _BOOL},
 }
 # each array is n_users x the trailing shape named here, else n_users x n_users
-_TRAILING = {"view": (3,), "p": (3,), "r": (), "off": ()}
+_TRAILING = {"p": (3,), "r": (), "off": ()}
 # what np.load and reading an npz member raise on a missing, truncated or foreign file
 _MISS = (OSError, ValueError, EOFError, zipfile.BadZipFile)
 
 
 def safe_name(name: str) -> str:
-    """``name`` with every run of characters unsafe in a file name replaced by '-'."""
-    return re.sub(r"[^A-Za-z0-9._-]+", "-", name)
+    """``name`` with every run of characters unsafe in a file name, and every dot of a dots-only name, made '-'."""
+    safe = re.sub(r"[^A-Za-z0-9._-]+", "-", name)
+    return safe if safe.strip(".") else "-" * len(safe)
 
 
 def digest(*parts) -> str:
@@ -93,11 +91,8 @@ def table_path(store_dir, content_id: str, kind: str, frame: int) -> str:
     return os.path.join(store_dir, _DIRNAME, safe_name(content_id), f"{kind}-{frame:06d}.npz")
 
 
-def load(path: str, key: str, kind: str, frame: int, users: tuple):
-    """The ``kind`` table stored at ``path`` under ``key``, or None on a miss.
-
-    A geodesic table is its ``gaze_geo`` array, a "pr" table the tuple of its arrays.
-    """
+def load(path: str, key: str, kind: str, n: int):
+    """The ``kind`` table of ``n`` users at ``path`` under ``key``, its arrays in ``_FIELDS`` order; None on a miss."""
     fields = _FIELDS[kind]
     try:
         npz = np.load(path, allow_pickle=False)
@@ -112,21 +107,14 @@ def load(path: str, key: str, kind: str, frame: int, users: tuple):
             arrays = {name: npz[name] for name in fields}
     except _MISS:
         return None
-    n = len(users)
     if any(a.shape != (n, *_TRAILING.get(name, (n,))) or a.dtype != fields[name] for name, a in arrays.items()):
         return None
-    if kind == "overlap":
-        return SimilarityMatrix(frame=frame, users=users, metric=MetricId.OVERLAP, **arrays)
-    if kind == "features":
-        return PairFeatures(frame=frame, users=users, **arrays)
-    return arrays["gaze_geo"] if kind == "geodesic" else tuple(arrays.values())
+    return tuple(arrays.values())
 
 
-def save(path: str, key: str, kind: str, table) -> None:
-    """Write ``table`` with its key to a temporary file, then rename it to ``path``."""
-    fields = _FIELDS[kind]
-    values = (table,) if kind == "geodesic" else table if kind == "pr" else [getattr(table, name) for name in fields]
-    arrays = dict(zip(fields, values))
+def save(path: str, key: str, kind: str, table: tuple) -> None:
+    """Write ``table``'s arrays with its key to a temporary file, then rename it to ``path``."""
+    arrays = dict(zip(_FIELDS[kind], table))
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"  # one writer per name: each process writes on one thread
     try:

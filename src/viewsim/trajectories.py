@@ -220,12 +220,12 @@ def align_to_frames(traces: dict, fps: float, n_frames: int | None = None) -> Se
 
 
 def derive_pr(x, view, off, cloud, cone: float = DEFAULT_CONE_HALF_ANGLE, r_mode: str = "viewport") -> tuple:
-    """One frame's gaze targets ``(view, p, r, off)``, casting every on-content user's gaze ray into ``cloud``.
+    """One frame's gaze targets ``(p, r, off)``, casting every on-content user's gaze ray into ``cloud``.
 
     ``x``, ``view`` and ``off`` hold one row per user.  ``r_mode='viewport'``
     sets r = |x - p|; ``'centroid'`` measures to the cloud centroid instead
     (p is still the ray hit).  A ray that misses the cone marks the user
-    off-content.  The returned view is ``unit_rows(view)``.
+    off-content.
     """
     if r_mode not in ("viewport", "centroid"):
         raise InvalidParamsError(f"unknown r_mode '{r_mode}'")
@@ -238,7 +238,7 @@ def derive_pr(x, view, off, cloud, cone: float = DEFAULT_CONE_HALF_ANGLE, r_mode
         p[i], r[i] = hit
         if r_mode == "centroid":
             r[i] = float(np.linalg.norm(x[i] - cloud.centroid))
-    return unit_rows(view), p, r, off
+    return p, r, off
 
 
 def write_trajectories(path, ds: SessionDataset, with_pr: bool = False) -> None:

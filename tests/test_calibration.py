@@ -152,7 +152,7 @@ def test_select_unattainable_target():
 def test_non_positive_target_tpr_refused_before_any_table(narrow_content, target):
     with pytest.raises(InvalidParamsError, match="target_tpr"):
         select_threshold(_roc([(0.5, 0.7, 0.1)]), target_tpr=target)
-    pc = replace(narrow_content, tables={})
+    pc = replace(narrow_content)
     with pytest.raises(InvalidParamsError, match="target_tpr"):
         calibrate_contents([pc], target_tpr=target)
     assert pc.tables == {}

@@ -455,7 +455,7 @@ def test_warm_session_matches_cold_commands(narrow_manifest, tmp_path, capsys, t
         written = outputs(cold)
         assert written and {name: after[name] for name in written} == written, argv
     assert sorted(p.name for p in (warm / ".viewsim-store" / "synth-sphere-11").iterdir()) == [
-        f"{kind}-{k:06d}.npz" for kind in ("features", "geodesic", "overlap", "pr") for k in range(4)
+        f"{kind}-{k:06d}.npz" for kind in ("geodesic", "overlap", "pr") for k in range(4)
     ]
 
 
@@ -564,7 +564,8 @@ def test_cold_evaluate_computes_and_writes_each_table_once(narrow_manifest, tmp_
     monkeypatch.setattr(viewsim.store, "save", lambda path, *a: saved.append(Path(path).name) or real_save(path, *a))
     run_in(capsys, narrow_manifest, tmp_path, ["evaluate", "--mode", "chunk"])
     assert sorted(computed) == list(range(4))
-    assert sorted(saved) == [f"{kind}-{k:06d}.npz" for kind in ("features", "geodesic", "overlap", "pr") for k in range(4)]
+    # feature tables are kept in memory only
+    assert sorted(saved) == [f"{kind}-{k:06d}.npz" for kind in ("geodesic", "overlap", "pr") for k in range(4)]
 
 
 @pytest.mark.parametrize("metrics, applied", [
@@ -590,7 +591,7 @@ def test_cold_plain_metric_reads_each_cloud_once(narrow_manifest, tmp_path, caps
     real = viewsim.ply.read_ply
     monkeypatch.setattr(viewsim.ply, "read_ply", lambda path: reads.append(Path(path).name) or real(path))
     run_in(capsys, narrow_manifest, tmp_path, ["cluster", "--metric", "w1"])
-    # ray casting reads each cloud once; the store key of a plain feature table reads none
+    # ray casting reads each cloud once; a plain feature table reads none
     assert sorted(reads) == sorted(p.name for p in (narrow_manifest.parent / "clouds").glob("*.ply"))
 
 
@@ -613,8 +614,8 @@ def test_cold_metrics_reads_each_cloud_once(deforming_manifest, tmp_path, capsys
 
 @pytest.mark.parametrize("metrics, kinds, n_reads", [
     (["overlap"], ["overlap", "pr"], 4),
-    (["w1", "overlap"], ["features", "overlap", "pr"], 4),  # one pass looks up a frame's overlap and features
-    (["w1", "w3"], ["features", "geodesic", "pr"], 4),
+    (["w1", "overlap"], ["overlap", "pr"], 4),  # one pass looks up a frame's overlap and features
+    (["w1", "w3"], ["geodesic", "pr"], 4),  # feature tables are kept in memory only
 ], ids=["overlap", "plain", "geodesic"])
 def test_metrics_computes_only_the_tables_its_metrics_read(deforming_manifest, tmp_path, capsys, monkeypatch,
                                                            metrics, kinds, n_reads):
@@ -739,8 +740,8 @@ def test_trajectories_with_pr_are_used_as_given(narrow_manifest, tmp_path, capsy
     (cm,) = load_manifest(narrow_manifest)
     pc = prepare(cm)
     targets = [gaze_targets(pc, k) for k in range(pc.dataset.n_frames)]
-    view, p, r, off = (np.stack(column, axis=1) for column in zip(*targets))
-    ds = replace(pc.dataset, view=view, p=p, r=r, off=off)
+    p, r, off = (np.stack(column, axis=1) for column in zip(*targets))
+    ds = replace(pc.dataset, p=p, r=r, off=off)
     write_trajectories(tmp_path / "with_pr.csv", ds, with_pr=True)
     doc = json.loads(narrow_manifest.read_text())
     doc.update(trajectory_csv=str(tmp_path / "with_pr.csv"), cloud_dir=str(narrow_manifest.parent / doc["cloud_dir"]))
@@ -756,7 +757,7 @@ def test_trajectories_with_pr_are_used_as_given(narrow_manifest, tmp_path, capsy
     # the frame functions get the CSV's own p
     (cm,) = load_manifest(manifest)
     given = prepare(cm)
-    assert gaze_targets(given, 0)[1].tobytes() == given.dataset.p[:, 0].tobytes()
+    assert gaze_targets(given, 0)[0].tobytes() == given.dataset.p[:, 0].tobytes()
     np.testing.assert_array_equal(given.dataset.p[:, 0][~off[:, 0]], p[:, 0][~off[:, 0]])
 
 
@@ -769,18 +770,42 @@ def test_store_misses_when_sources_change(narrow_manifest, tmp_path, capsys, mon
         run_in(capsys, narrow_manifest, warm, argv)
     before = outputs(warm)
     calls = []
-    for name in ("overlap_matrix", "compute_pair_features"):
+    for name in ("overlap_matrix", "derive_pr"):
         real = getattr(viewsim.pipeline, name)
         counted = lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)  # noqa: E731
         monkeypatch.setattr(viewsim.pipeline, name, counted)
     monkeypatch.setattr(viewsim.store, "environment_digest", lambda: "edited sources")
     for argv in (["overlap"], ["metrics"]):
         run_in(capsys, narrow_manifest, warm, argv)
-    assert sorted(calls) == ["compute_pair_features"] * 4 + ["overlap_matrix"] * 4
+    assert sorted(calls) == ["derive_pr"] * 4 + ["overlap_matrix"] * 4
     assert outputs(warm) == before
     calls.clear()
     run_in(capsys, narrow_manifest, warm, ["calibrate"])  # the rewritten files now hit
     assert calls == []
+
+
+@pytest.mark.parametrize("content_id", ["..", "."])
+def test_dots_only_content_id_keeps_its_tables_in_its_store_directory(narrow_manifest, tmp_path, capsys, content_id):
+    doc = json.loads(narrow_manifest.read_text())
+    doc.update(content_id=content_id, cloud_dir=str(narrow_manifest.parent / doc["cloud_dir"]),
+               trajectory_csv=str(narrow_manifest.parent / doc["trajectory_csv"]))
+    manifest = tmp_path / "dots.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    for argv in (["overlap"], ["metrics", "--metric", "w3"]):
+        run_in(capsys, manifest, out, argv)
+    name = "-" * len(content_id)
+    written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    stored = {f for f in written if f.startswith(f".viewsim-store/{name}/")}
+    assert written - stored == {f"overlap_{name}.csv", f"metrics_{name}.csv"}
+    assert {f.split("/")[-1].split("-")[0] for f in stored} == {"geodesic", "overlap", "pr"}
+
+
+def test_readme_store_section_names_every_stored_kind():
+    from viewsim import store
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert set(re.findall(r"`(\w+)-<frame>\.npz`", readme)) == set(store._FIELDS)
 
 
 def test_damaged_store_files_are_misses(narrow_manifest, tmp_path, capsys):
@@ -790,9 +815,9 @@ def test_damaged_store_files_are_misses(narrow_manifest, tmp_path, capsys):
     for argv in (["overlap"], ["metrics"]):
         run_in(capsys, narrow_manifest, warm, argv)
     store = warm / ".viewsim-store" / "synth-sphere-11"
-    truncated = store / "features-000000.npz"
+    truncated = store / "geodesic-000000.npz"
     truncated.write_bytes(truncated.read_bytes()[: truncated.stat().st_size // 2])
-    (store / "features-000001.npz").write_bytes(b"\x93NUMPY garbage" * 40)
+    (store / "geodesic-000001.npz").write_bytes(b"\x93NUMPY garbage" * 40)
     (store / "overlap-000002.npz").write_bytes(b"")
     (store / "pr-000003.npz").write_bytes(b"")
 
@@ -805,7 +830,7 @@ def test_damaged_store_files_are_misses(narrow_manifest, tmp_path, capsys):
 
     # right key, wrong shape or dtype
     values = rekeyed(store / "overlap-000000.npz", values=np.zeros((3, 3)))["values"]
-    rekeyed(store / "features-000002.npz", pos_dist=np.zeros(values.shape, dtype=np.float32))
+    rekeyed(store / "geodesic-000002.npz", gaze_geo=np.zeros(values.shape, dtype=np.float32))
     rekeyed(store / "pr-000000.npz", p=np.zeros((9, 2)))
     rekeyed(store / "pr-000001.npz", off=np.zeros(9))
     # a member saved as an object array: loading it must not run its unpickling
@@ -837,10 +862,12 @@ class _Unpickles:
 def test_warm_commands_compute_no_tables_and_never_import_scipy(narrow_manifest, tmp_path, capsys):
     for argv in (["overlap"], ["metrics"]):
         run_in(capsys, narrow_manifest, tmp_path, argv)
+    # no stored table is recomputed: no ray, overlap, surface graph or geodesic
+    # (feature tables are computed in memory by every command)
     code = (
         "import sys, viewsim.cli, viewsim.pipeline\n"
         "called = []\n"
-        "for name in ('overlap_matrix', 'compute_pair_features', 'build_surface_graph'):\n"
+        "for name in ('derive_pr', 'overlap_matrix', 'build_surface_graph', 'geodesic_gaze'):\n"
         "    setattr(viewsim.pipeline, name, lambda *a, name=name, **k: called.append(name))\n"
         "base = ['--manifest', sys.argv[1], '--out', sys.argv[2]]\n"
         "for argv in (['calibrate'], ['evaluate', '--mode', 'chunk'],\n"

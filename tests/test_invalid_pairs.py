@@ -115,8 +115,8 @@ def invalid_manifest(tmp_path_factory):
     (root / "cast.json").write_text(json.dumps(cast))
     # the same session with its gaze targets written out: used as given
     pc = prepare(*load_manifest(root / "cast.json"))
-    view, p, r, off = (np.stack(col, axis=1) for col in zip(*(gaze_targets(pc, k) for k in range(pc.dataset.n_frames))))
-    write_trajectories(root / "trajectories_pr.csv", replace(pc.dataset, view=view, p=p, r=r, off=off), with_pr=True)
+    p, r, off = (np.stack(col, axis=1) for col in zip(*(gaze_targets(pc, k) for k in range(pc.dataset.n_frames))))
+    write_trajectories(root / "trajectories_pr.csv", replace(pc.dataset, p=p, r=r, off=off), with_pr=True)
     given = dict(cast, content_id="invalid-given", trajectory_csv="trajectories_pr.csv")
     (root / "manifest.json").write_text(json.dumps({"contents": [cast, given]}))
     return root / "manifest.json"
@@ -125,7 +125,7 @@ def invalid_manifest(tmp_path_factory):
 def test_content_has_every_kind_of_invalid_pair(invalid_manifest):
     for cm in load_manifest(invalid_manifest):
         pc = prepare(cm)
-        offs = np.stack([gaze_targets(pc, k)[3] for k in range(pc.dataset.n_frames)], axis=1)
+        offs = np.stack([gaze_targets(pc, k)[2] for k in range(pc.dataset.n_frames)], axis=1)
         assert offs[0, list(GAP_FRAMES)].all() and not offs[0, :2].any()  # the capture gap
         assert offs[4:8].all()  # the group looking away
         assert not offs[1:4].any() and offs[8:].any() and not offs[8:].all()

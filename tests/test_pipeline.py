@@ -13,7 +13,7 @@ import viewsim.pipeline
 import viewsim.ply
 from viewsim.calibration import pair_samples
 from viewsim.errors import InvalidParamsError
-from viewsim.geometry import PointCloudFrame
+from viewsim.geometry import FrustumParams, PointCloudFrame
 from viewsim.manifest import load_manifest
 from viewsim.metrics import MetricId, compute_pair_features, overlap_matrix
 from viewsim.pipeline import (
@@ -61,7 +61,7 @@ def test_prepare_from_disk_round_trips_scenario(disk_content):
     assert ds.fps == 30.0
     # the CSV supplies no p/r: a frame's targets are cast when first asked for
     assert np.isnan(ds.r).all()
-    _, p, r, _ = gaze_targets(replace(disk_content, tables={}), 0)
+    p, r, _ = gaze_targets(replace(disk_content), 0)
     assert not np.isnan(p[0]).any() and r[0] > 0
 
 
@@ -129,7 +129,7 @@ def test_prepare_scenario_overrides_take_effect():
     assert not np.array_equal(overlaps(narrow)[0].values, overlaps(default)[0].values)
     for name in ("cone_half_angle", "r_mode"):
         one = prepare_scenario(sc, **{name: settings[name]})
-        assert gaze_targets(one, 0)[2].tobytes() != gaze_targets(default, 0)[2].tobytes(), name
+        assert gaze_targets(one, 0)[1].tobytes() != gaze_targets(default, 0)[1].tobytes(), name
 
 
 # ------------------------------------------------------------------ matrices
@@ -151,7 +151,7 @@ def test_frame_subset_selects_frames(narrow_content):
 
 def test_geodesic_graphs_cached_per_distinct_cloud(narrow_content, monkeypatch):
     builds = _count_calls(monkeypatch, "build_surface_graph")
-    pc = replace(narrow_content, tables={})
+    pc = replace(narrow_content)
     metric_matrices(pc, [MetricId.W3])
     # rigid content: one shared coordinate array, one build
     assert len(builds) == 1
@@ -161,7 +161,7 @@ def test_geodesic_graphs_cached_per_distinct_cloud(narrow_content, monkeypatch):
     # get their own, and a cloud that comes back after another is built again (A A A B A A)
     clouds = [PointCloudFrame(k, c.points.copy()) for k, c in enumerate(narrow_content.clouds)]
     clouds[3] = PointCloudFrame(3, clouds[3].points * 1.01)
-    pc = replace(narrow_content, tables={}, clouds=clouds)
+    pc = replace(narrow_content, clouds=clouds)
     builds.clear()
     metric_matrices(pc, [MetricId.W3])
     assert len(builds) == 3
@@ -183,22 +183,22 @@ def test_one_surface_graph_alive_at_a_time(narrow_content, monkeypatch):
     # four distinct clouds over six frames, equal ones not adjacent: A B A C B D, one build per frame
     scale = [1.0, 1.01, 1.0, 1.02, 1.01, 1.03]
     clouds = [PointCloudFrame(k, narrow_content.clouds[k].points * s) for k, s in enumerate(scale)]
-    pc = replace(narrow_content, tables={}, clouds=clouds)
+    pc = replace(narrow_content, clouds=clouds)
     metric_matrices(pc, [MetricId.W7])
     assert len(alive) == 6
     assert [ref for ref in alive if ref() is not None] == [], "the pass kept its last graph"
     # the same values as one graph per frame, built afresh
     for k, cloud in enumerate(clouds):
         graph = real(cloud, pc.surface_knn)
-        _, p, r, off = gaze_targets(pc, k)
+        p, r, off = gaze_targets(pc, k)
         want = compute_pair_features(k, ds.users, ds.x[:, k], p, r, off, graph=graph)
-        assert want.gaze_geo.tobytes() == pc.tables[("geodesic", k)].tobytes()
+        assert want.gaze_geo.tobytes() == pc.tables[("geodesic", k)][0].tobytes()
 
 
 def test_feature_tables_add_geodesics_only_when_asked(narrow_content, monkeypatch):
     builds = _count_calls(monkeypatch, "build_surface_graph")
     computed = _count_calls(monkeypatch, "compute_pair_features")
-    pc = replace(narrow_content, tables={})
+    pc = replace(narrow_content)
     plain = metric_matrices(pc, [MetricId.W1, MetricId.W8])
     assert _stored(pc, "geodesic") == [] and all(f.gaze_geo is None for f in _stored(pc, "features"))
     assert builds == [] and len(computed) == 6
@@ -218,19 +218,18 @@ def _stored(pc, kind):
 
 
 def _same_bytes(a, b):
-    if isinstance(a, np.ndarray):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        return
-    for name, value in vars(a).items():
+    """Two tables hold the same arrays, byte for byte: a stored kind's array tuples, or feature tables."""
+    pairs = zip(a, b) if isinstance(a, tuple) else ((value, getattr(b, name)) for name, value in vars(a).items())
+    for value, other in pairs:
         if isinstance(value, np.ndarray):
-            assert value.dtype == getattr(b, name).dtype and value.tobytes() == getattr(b, name).tobytes(), name
+            assert value.dtype == other.dtype and value.tobytes() == other.tobytes()
         else:
-            assert value == getattr(b, name), name
+            assert value == other
 
 
 def test_disk_store_round_trips_and_upgrades_to_geodesics(narrow_content, tmp_path, monkeypatch):
     def fresh(store_dir=str(tmp_path)):
-        return replace(narrow_content, tables={}, store_dir=store_dir)
+        return replace(narrow_content, store_dir=store_dir)
 
     builds = _count_calls(monkeypatch, "build_surface_graph")
 
@@ -241,26 +240,28 @@ def test_disk_store_round_trips_and_upgrades_to_geodesics(narrow_content, tmp_pa
     pc = fresh()
     metric_matrices(pc, plain)
     metric_matrices(memory, plain)
-    for kind in ("overlap", "features"):
+    for kind in ("pr", "overlap", "features"):
         assert len(_stored(pc, kind)) == 6
         for a, b in zip(_stored(pc, kind), _stored(memory, kind)):
             _same_bytes(a, b)
     assert builds == []
-    # the first geodesic request writes geodesic files and leaves every features file as it was
-    features_files = {p: p.read_bytes() for p in tmp_path.glob("**/features-*.npz")}
-    assert len(features_files) == 6 and not list(tmp_path.glob("**/geodesic-*.npz"))
+    # feature tables are kept in memory only; the first geodesic request writes
+    # geodesic files and leaves every stored file as it was
+    stored_files = {p: p.read_bytes() for p in tmp_path.glob("**/*.npz")}
+    assert sorted({p.name.split("-")[0] for p in stored_files}) == ["overlap", "pr"] and len(stored_files) == 12
     metric_matrices(pc, [MetricId.W3])
     assert len(_stored(pc, "geodesic")) == 6
     assert len(list(tmp_path.glob("**/geodesic-*.npz"))) == 6
-    assert {p: p.read_bytes() for p in tmp_path.glob("**/features-*.npz")} == features_files
-    # a later process serves both kinds without building a graph
+    assert {p: p.read_bytes() for p in stored_files} == stored_files
+    assert not list(tmp_path.glob("**/features-*.npz"))
+    # a later process serves the gaze targets and geodesics without building a graph
     pc = fresh()
     builds.clear()
     metric_matrices(pc, [MetricId.W1])
     metric_matrices(pc, [MetricId.W3])
     assert builds == []
     metric_matrices(memory, [MetricId.W3])
-    for kind in ("features", "geodesic"):
+    for kind in ("pr", "features", "geodesic"):
         assert len(_stored(pc, kind)) == 6
         for a, b in zip(_stored(pc, kind), _stored(memory, kind)):
             _same_bytes(a, b)
@@ -268,7 +269,7 @@ def test_disk_store_round_trips_and_upgrades_to_geodesics(narrow_content, tmp_pa
 
 
 def test_stored_tables_hold_only_their_arrays(narrow_content, tmp_path):
-    pc = replace(narrow_content, tables={}, store_dir=str(tmp_path))
+    pc = replace(narrow_content, store_dir=str(tmp_path))
     metric_matrices(pc, [MetricId.OVERLAP, MetricId.W3], frames=[0])
     members = {}
     for path in tmp_path.glob("**/*.npz"):
@@ -276,9 +277,8 @@ def test_stored_tables_hold_only_their_arrays(narrow_content, tmp_path):
             members[path.name] = set(npz.files)
     # NaN in the values marks an invalid pair: no mask is stored beside them
     assert members == {
-        "pr-000000.npz": {"key", "view", "p", "r", "off"},
+        "pr-000000.npz": {"key", "p", "r", "off"},
         "overlap-000000.npz": {"key", "values"},
-        "features-000000.npz": {"key", "pos_dist", "range_diff", "gaze_euc", "eta_sum"},
         "geodesic-000000.npz": {"key", "gaze_geo"},
     }
 
@@ -288,7 +288,7 @@ def test_cold_overlap_pass_reads_each_cloud_once(disk_content, tmp_path, monkeyp
     real = viewsim.ply.read_ply
     monkeypatch.setattr(viewsim.ply, "read_ply", lambda path: reads.append(path) or real(path))
     # one read serves the frame's store key and its matrix
-    overlaps(replace(disk_content, tables={}, store_dir=str(tmp_path)))
+    overlaps(replace(disk_content, store_dir=str(tmp_path)))
     assert sorted(reads) == disk_content.clouds.paths
 
 
@@ -309,7 +309,7 @@ def test_geodesic_pass_reads_each_distinct_cloud_once(tmp_path, monkeypatch):
             reads.clear()
             builds.clear()
             # one read serves the frame's digest, its store keys, its rays, its overlap and its graph
-            metric_matrices(replace(pc, tables={}, store_dir=store_dir), metrics)
+            metric_matrices(replace(pc, store_dir=store_dir), metrics)
             assert sorted(reads) == pc.clouds.paths
             assert len(builds) == 4
 
@@ -326,7 +326,7 @@ def test_geodesic_pass_reads_each_distinct_cloud_once(tmp_path, monkeypatch):
 ], ids=["overlap", "overlap-frame", "features", "geodesic", "w7", "all", "evaluate", "calibrate"])
 def test_no_pass_keeps_a_cloud_or_graph(disk_content, tmp_path, run):
     for store_dir in (None, str(tmp_path)):
-        pc = replace(disk_content, tables={}, store_dir=store_dir)
+        pc = replace(disk_content, store_dir=store_dir)
         run(pc)
         assert "cloud" not in pc.tables and "graph" not in pc.tables
 
@@ -341,7 +341,7 @@ def large_disk_content(tmp_path_factory):
 
 def test_overlap_pass_memory_is_one_frame_deep(large_disk_content):
     def peak(frames) -> int:
-        pc = replace(large_disk_content, tables={})
+        pc = replace(large_disk_content)
         tracemalloc.start()
         try:
             overlaps(pc, frames=frames)
@@ -357,9 +357,9 @@ def test_overlap_route_via_metric_matrices(narrow_content):
     pc, ds = narrow_content, narrow_content.dataset
     direct = []
     for k in range(ds.n_frames):
-        view, _, _, off = gaze_targets(pc, k)
-        direct.append(overlap_matrix(k, ds.users, ds.x[:, k], view, off, pc.clouds[k], pc.frustum))
-    _matrices_equal(metric_matrices(replace(pc, tables={}), [MetricId.OVERLAP])[MetricId.OVERLAP], direct)
+        off = gaze_targets(pc, k)[2]
+        direct.append(overlap_matrix(k, ds.users, ds.x[:, k], ds.view[:, k], off, pc.clouds[k], pc.frustum))
+    _matrices_equal(metric_matrices(replace(pc), [MetricId.OVERLAP])[MetricId.OVERLAP], direct)
 
 
 def _same_matrices(a, b):
@@ -375,10 +375,10 @@ def _same_matrices(a, b):
     ([MetricId.W5, MetricId.OVERLAP, MetricId.W8], [4, 1, 2]),
 ], ids=["all", "reordered", "repeated", "frames"])
 def test_one_pass_over_several_metrics_matches_one_pass_per_metric(narrow_content, metrics, frames):
-    together = metric_matrices(replace(narrow_content, tables={}), metrics, frames)
+    together = metric_matrices(replace(narrow_content), metrics, frames)
     assert list(together) == list(dict.fromkeys(metrics))
     for metric in metrics:
-        alone = metric_matrices(replace(narrow_content, tables={}), [metric], frames)[metric]
+        alone = metric_matrices(replace(narrow_content), [metric], frames)[metric]
         assert [m.frame for m in alone] == (list(frames) if frames else list(range(6)))
         _same_matrices(together[metric], alone)
 
@@ -389,7 +389,7 @@ def test_evaluate_content_applies_each_frames_kernels_once(narrow_content, monke
     applied = []
     real = PairFeatures.metric_matrix
     monkeypatch.setattr(PairFeatures, "metric_matrix", lambda f, m, reg: applied.append((f.frame, m)) or real(f, m, reg))
-    pc = replace(narrow_content, tables={})
+    pc = replace(narrow_content)
     for mode in ("frame", "chunk", "frame"):  # cold, then from the stored tables
         applied.clear()
         evaluate_content(pc, MetricId.W7, mode=mode)
@@ -520,7 +520,7 @@ def _frame_features(pc, geodesic):
     ds = pc.dataset
     out = []
     for k in range(ds.n_frames):
-        _, p, r, off = gaze_targets(pc, k)
+        p, r, off = gaze_targets(pc, k)
         graph = build_surface_graph(pc.clouds[k], k=pc.surface_knn) if geodesic else None
         out.append(compute_pair_features(k, ds.users, ds.x[:, k], p, r, off, graph=graph))
     return out
@@ -545,7 +545,7 @@ def test_run_ablation_averages_in_content_id_order(sweep_contents, monkeypatch):
 
 
 def test_run_ablation_refuses_before_any_table_work(narrow_content):
-    pc = replace(narrow_content, tables={})
+    pc = replace(narrow_content)
     with pytest.raises(InvalidParamsError):
         run_ablation([pc], MetricId.OVERLAP, grid=(0.1,))
     with pytest.raises(InvalidParamsError):
@@ -554,17 +554,17 @@ def test_run_ablation_refuses_before_any_table_work(narrow_content):
 
 
 def test_stored_tables_match_direct_run(narrow_content):
-    pc = replace(narrow_content, tables={})
+    pc = replace(narrow_content)
     ovs = metric_matrices(pc, [MetricId.OVERLAP, MetricId.W1])[MetricId.OVERLAP]
     features = _stored(pc, "features")
     assert len(features) == len(ovs) == 6
-    # later requests, whole or partial, get the stored objects back
+    # later requests, whole or partial, get the stored feature tables and overlap arrays back
     metric_matrices(pc, [MetricId.W2])
     assert all(a is b for a, b in zip(features, _stored(pc, "features")))
-    assert overlaps(pc, frames=[4])[0] is ovs[4]
+    assert overlaps(pc, frames=[4])[0].values is ovs[4].values
     np.testing.assert_array_equal(
         features[0].metric_matrix(MetricId.W1, pc.metrics[MetricId.W1].regulators).values,
-        metric_matrices(replace(pc, tables={}), [MetricId.W1], frames=[0])[MetricId.W1][0].values,
+        metric_matrices(replace(pc), [MetricId.W1], frames=[0])[MetricId.W1][0].values,
     )
 
 
@@ -575,6 +575,19 @@ def test_with_thresholds_clones_configs(narrow_content):
     assert clone.metrics[MetricId.W2] == narrow_content.metrics[MetricId.W2]
     # the table store (graphs included) is shared, not rebuilt
     assert clone.tables is narrow_content.tables
+
+
+def test_a_copy_with_other_viewing_settings_computes_its_own_tables():
+    sc = three_orbit_groups(seed=3, users_per_group=2, n_frames=3, points_per_frame=800)
+    narrow, wide = FrustumParams(hfov=0.5, vfov=0.5), FrustumParams()
+    pc = prepare_scenario(sc, frustum=narrow)
+    before = overlaps(pc)
+    # a replace copy starts with an empty store: its overlaps are its own frustum's
+    copy = replace(pc, frustum=wide)
+    assert copy.tables == {}
+    _matrices_equal(overlaps(copy), overlaps(prepare_scenario(sc, frustum=wide)))
+    assert not all(np.array_equal(a.values, b.values, equal_nan=True) for a, b in zip(overlaps(copy), before))
+    _matrices_equal(overlaps(pc), before)
 
 
 def _count_calls(monkeypatch, name):
@@ -590,7 +603,7 @@ def _count_calls(monkeypatch, name):
 
 
 def test_each_table_computed_once_across_metrics(narrow_content, monkeypatch):
-    pc = replace(narrow_content, tables={})
+    pc = replace(narrow_content)
     overlaps = _count_calls(monkeypatch, "overlap_matrix")
     graphs = _count_calls(monkeypatch, "build_surface_graph")
     features = _count_calls(monkeypatch, "compute_pair_features")
@@ -623,8 +636,8 @@ def test_readme_library_snippet_runs_verbatim(capsys):
     assert 0 < labels.sum() < labels.size
     assert evaluate_content(pc, MetricId.W2, mode="chunk")[2]["precision"].mean < 1.0
     # the frame-function snippet reproduces the stored frame-0 tables
-    stored_ov, stored_feats = pc.tables[("overlap", 0)], pc.tables[("features", 0)]
-    np.testing.assert_array_equal(namespace["ov"].values, stored_ov.values)
+    (stored_ov,), stored_feats = pc.tables[("overlap", 0)], pc.tables[("features", 0)]
+    np.testing.assert_array_equal(namespace["ov"].values, stored_ov)
     np.testing.assert_array_equal(namespace["feats"].pos_dist, stored_feats.pos_dist)
     # the ROC snippet selects the point calibrate selects
     assert namespace["point"] == calibrate_contents([pc], [MetricId.W7])[MetricId.W7][1]

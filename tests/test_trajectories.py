@@ -12,7 +12,6 @@ from viewsim import (
     load_trajectories,
 )
 from viewsim.errors import EmptyTrajectoryError, InvalidParamsError, ParseError
-from viewsim.geometry import unit_rows
 from viewsim.synth import _fibonacci_sphere
 from viewsim.trajectories import Trace, write_trajectories
 
@@ -365,16 +364,15 @@ def _ring(n, radius=2.0):
 def test_derive_pr_unit_sphere_orbit():
     cloud = PointCloudFrame(0.0, _fibonacci_sphere(4000, 1.0))
     x, view, off = _ring(12)
-    got_view, p, r, got_off = derive_pr(x, view, off, cloud)
+    p, r, got_off = derive_pr(x, view, off, cloud)
     assert not got_off.any()
     np.testing.assert_array_less(np.abs(r - 1.0), 0.01)
     np.testing.assert_array_less(np.abs(np.linalg.norm(p, axis=1) - 1.0), 0.01)
-    assert got_view.tobytes() == unit_rows(view).tobytes()
 
 
 def test_derive_pr_centroid_mode():
     cloud = PointCloudFrame(0.0, _fibonacci_sphere(4000, 1.0))
-    _, _, r, _ = derive_pr(*_ring(6), cloud, r_mode="centroid")
+    _, r, _ = derive_pr(*_ring(6), cloud, r_mode="centroid")
     # distance to the cloud centroid, not to the hit point
     np.testing.assert_array_less(np.abs(r - 2.0), 0.01)
 
@@ -383,7 +381,7 @@ def test_derive_pr_miss_marks_off_content():
     cloud = PointCloudFrame(0.0, _fibonacci_sphere(500, 1.0))
     x, view, off = _ring(2, radius=3.0)
     view[0] = -view[0]  # looking away
-    _, p, r, got_off = derive_pr(x, view, off, cloud)
+    p, r, got_off = derive_pr(x, view, off, cloud)
     assert got_off.tolist() == [True, False] and not off.any()
     assert np.isnan(p[0]).all() and np.isnan(r[0]) and r[1] > 0
 
@@ -396,7 +394,7 @@ def test_derive_pr_casts_no_ray_for_an_off_content_user(monkeypatch):
     monkeypatch.setattr(viewsim.trajectories, "ray_cast_center", lambda x, *a, **k: cast.append(x) or real(x, *a, **k))
     x, view, off = _ring(3)
     off[1] = True
-    _, p, r, got_off = derive_pr(x, view, off, PointCloudFrame(0.0, _fibonacci_sphere(500, 1.0)))
+    p, r, got_off = derive_pr(x, view, off, PointCloudFrame(0.0, _fibonacci_sphere(500, 1.0)))
     assert [c.tolist() for c in cast] == [x[0].tolist(), x[2].tolist()]
     assert got_off.tolist() == [False, True, False] and np.isnan(p[1]).all() and np.isnan(r[1])
 
@@ -410,8 +408,8 @@ def test_write_then_load_round_trip(tmp_path):
     cloud = PointCloudFrame(0.0, _fibonacci_sphere(3000, 1.0))
     ds = _orbit_session(8)
     frames = [derive_pr(ds.x[:, k], ds.view[:, k], ds.off[:, k], cloud) for k in range(8)]
-    view, p, r, off = (np.stack(column, axis=1) for column in zip(*frames))
-    ds = replace(ds, view=view, p=p, r=r, off=off)
+    p, r, off = (np.stack(column, axis=1) for column in zip(*frames))
+    ds = replace(ds, p=p, r=r, off=off)
     path = tmp_path / "out.csv"
     write_trajectories(path, ds, with_pr=True)
     back = load_trajectories(path)["u"]

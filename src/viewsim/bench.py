@@ -9,12 +9,15 @@ frame serves, plus the kernel application.  The one-off surface graph build
 is amortized over a configurable frame horizon and reported separately.
 Timings are machine-dependent; counts and ratios are what the report is
 for.  Repeats expose run-to-run variance as a coefficient of variation.
+Memory peaks are ``tracemalloc`` peaks of one further, untimed call, so
+tracing moves no timing.
 """
 
 from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -67,6 +70,16 @@ def _bench_scenario(n_users: int, n_points: int, seed: int) -> SynthScenario:
     )
 
 
+def _peak_mb(fn) -> float:
+    """The ``tracemalloc`` peak of one call of ``fn``, in MB of 2**20 bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def _stats(samples) -> tuple:
     arr = np.asarray(samples, dtype=np.float64)
     mean = float(arr.mean())
@@ -102,6 +115,7 @@ def run_bench(
         "amortize_frames": amortize_frames,
         "rows": [],
         "speedups": {},
+        "speedup_vs_vectorized": {},
         "accounting": (
             "naive oracle: fresh pure-python frustum tests per pair; "
             "proxies: per-frame feature build divided by pairs served, plus kernels; "
@@ -139,13 +153,15 @@ def run_bench(
         t0 = time.perf_counter()
         overlap_matrix(0, users, x, view, off, cloud, params)
         vec.append((time.perf_counter() - t0) / n_pairs)
-    m, cv = _stats(vec)
-    report["rows"].append({"label": "overlap_vectorized", "per_pair_s": m, "cv": cv})
+    vec_per_pair, cv = _stats(vec)
+    peak = _peak_mb(lambda: overlap_matrix(0, users, x, view, off, cloud, params))
+    report["rows"].append({"label": "overlap_vectorized", "per_pair_s": vec_per_pair, "cv": cv, "peak_mb": peak})
 
     t0 = time.perf_counter()
     graph = build_surface_graph(cloud)
     graph_build_s = time.perf_counter() - t0
     report["graph_build_s"] = graph_build_s
+    report["graph_build_peak_mb"] = _peak_mb(lambda: build_surface_graph(cloud))
     graph_share = graph_build_s / amortize_frames / n_pairs
 
     configs = default_configs()
@@ -161,8 +177,10 @@ def run_bench(
         m, cv = _stats(times)
         row = {"label": metric.value, "per_pair_s": m, "cv": cv}
         report["rows"].append(row)
-        if naive_per_pair is not None and m > 0:
-            report["speedups"][metric.value] = naive_per_pair / m
+        if m > 0:
+            report["speedup_vs_vectorized"][metric.value] = vec_per_pair / m
+            if naive_per_pair is not None:
+                report["speedups"][metric.value] = naive_per_pair / m
     if report["speedups"]:
         report["min_speedup"] = min(report["speedups"].values())
     return report

@@ -36,6 +36,8 @@ DEFAULT_SURFACE_KNN = 8
 _WORLD_UP = np.array([0.0, 1.0, 0.0])
 _WORLD_UP_FALLBACK = np.array([0.0, 0.0, 1.0])
 _SWEEP_CELLS = 1 << 20  # distances one batch of shortest-path sweeps may hold
+_SCAN_BLOCK = 1 << 16  # cloud points one per-frame scan holds per user at once
+_ZERO = 5e-324  # a zero edge weight while scipy's maximum, which prunes zeros, runs; a distance is 0 or >= 2e-162
 
 
 def as_vec3(v) -> np.ndarray:
@@ -171,6 +173,11 @@ def frustum_planes(position, view, params: FrustumParams = FrustumParams()) -> t
     return normals, offsets
 
 
+def point_blocks(n: int):
+    """Consecutive slices covering ``range(n)``, each of at most ``_SCAN_BLOCK`` points: how every cloud scan walks a cloud."""
+    return (slice(lo, min(lo + _SCAN_BLOCK, n)) for lo in range(0, n, _SCAN_BLOCK))
+
+
 def contains_points(planes: tuple, points: np.ndarray) -> np.ndarray:
     """Closed-boundary containment mask of an (N, 3) array in ``(normals, offsets)``."""
     normals, offsets = planes
@@ -207,21 +214,26 @@ def ray_cast_center(
     Among cloud points lying within ``cone_half_angle`` of the forward ray,
     picks the one with the smallest depth along the ray (first index on
     exact ties) and returns ``(p, r)`` with ``r = |p - position|``.  The
-    ray starts at ``position`` and runs along ``unit(view)``.
+    ray starts at ``position`` and runs along ``unit(view)``.  The cloud is
+    scanned in ``point_blocks``, so at most one block's temporaries are held.
     """
     if not (0.0 < cone_half_angle <= math.pi / 4.0):
         raise InvalidParamsError(f"cone_half_angle must lie in (0, pi/4], got {cone_half_angle}")
     pos = as_vec3(position)
     f = unit(view)
-    rel = cloud.points - pos
-    depth = rel @ f
-    norm = np.linalg.norm(rel, axis=1)
-    # angle <= half_angle  <=>  depth >= |rel| * cos(half_angle), depth > 0
-    mask = (depth > 0.0) & (depth >= norm * math.cos(cone_half_angle))
-    if not np.any(mask):
+    cos = math.cos(cone_half_angle)
+    best, best_depth = -1, math.inf
+    for s in point_blocks(len(cloud)):
+        rel = cloud.points[s] - pos
+        depth = rel @ f
+        # angle <= half_angle  <=>  depth >= |rel| * cos(half_angle), depth > 0
+        hits = np.flatnonzero((depth > 0.0) & (depth >= np.linalg.norm(rel, axis=1) * cos))
+        if hits.size:
+            i = hits[int(np.argmin(depth[hits]))]
+            if depth[i] < best_depth:  # strict, so an earlier block keeps an equal depth
+                best, best_depth = s.start + int(i), depth[i]
+    if best < 0:
         return None
-    hits = np.flatnonzero(mask)
-    best = hits[int(np.argmin(depth[hits]))]
     p = cloud.points[best].copy()
     return p, float(np.linalg.norm(p - pos))
 
@@ -248,7 +260,10 @@ def build_surface_graph(cloud: PointCloudFrame, k: int = DEFAULT_SURFACE_KNN) ->
     """Union-symmetrized k-nearest-neighbour graph with Euclidean weights.
 
     Duplicate points produce explicit zero-weight edges, which the sparse
-    shortest-path backend honours as true zero-length links.
+    shortest-path backend honours as true zero-length links.  The tree is
+    queried in ``point_blocks``; besides the tree, at most the directed kNN
+    edges, their transpose and scipy's union buffer are held at once, and the
+    stored arrays hold exactly the graph's entries.
     """
     from scipy.sparse import csr_matrix
     from scipy.spatial import cKDTree
@@ -258,18 +273,30 @@ def build_surface_graph(cloud: PointCloudFrame, k: int = DEFAULT_SURFACE_KNN) ->
     pts = cloud.points
     n = pts.shape[0]
     tree = cKDTree(pts)
-    dist, idx = tree.query(pts, k=min(k + 1, n))
-    dist, idx = dist.reshape(n, -1)[:, 1:], idx.reshape(n, -1)[:, 1:]
-    # Drop self pairs that sneak in when duplicates outnumber k.
-    keep = idx != np.arange(n)[:, None]
-    w = dist[keep]
-    # Directed edges carry ids 1..E; the union keeps either id of a pair (both name bit-equal
-    # weights), and no id is zero, so no edge is pruned, zero-weight ones included.
-    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    ids = csr_matrix((np.arange(1, w.size + 1), idx[keep], indptr), shape=(n, n))
-    union = ids.maximum(ids.T.tocsr())
+    itype = np.int32 if 2 * n * k <= np.iinfo(np.int32).max else np.int64  # scipy's index type for the union's buffer
+    indptr = np.zeros(n + 1, dtype=itype)
+    weights, cols = [], []
+    for s in point_blocks(n):
+        dist, idx = tree.query(pts[s], k=min(k + 1, n))
+        dist, idx = dist.reshape(s.stop - s.start, -1)[:, 1:], idx.reshape(s.stop - s.start, -1)[:, 1:]
+        # Drop self pairs that sneak in when duplicates outnumber k.
+        keep = idx != np.arange(s.start, s.stop)[:, None]
+        indptr[s.start + 1:s.stop + 1] = keep.sum(axis=1)
+        weights.append(dist[keep])
+        cols.append(idx[keep].astype(itype))
+        del dist, idx, keep  # this block's query buffers are not held through the union
+    w = np.concatenate(weights)
+    del weights
+    w[w == 0.0] = _ZERO  # kept through the union: scipy's maximum prunes explicit zeros
+    directed = csr_matrix((w, np.concatenate(cols), np.cumsum(indptr, out=indptr)), shape=(n, n))
+    del w, cols
+    # A pair found from both ends carries bit-equal weights, so the union's maximum is either.
+    union = directed.maximum(directed.T.tocsr())
+    del directed
     union.sort_indices()
-    adj = csr_matrix((w[union.data - 1], union.indices, union.indptr), shape=(n, n))
+    data = union.data.copy()  # exact-size: scipy's union buffer is sized for both operands
+    data[data == _ZERO] = 0.0
+    adj = csr_matrix((data, union.indices.copy(), union.indptr), shape=(n, n))
     return SurfaceGraph(points=pts, adjacency=adj, _tree=tree)
 
 

@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidParamsError, MissingGraphError
-from .geometry import FrustumParams, SurfaceGraph, contains_points, frustum_planes, geodesic_rows
+from .geometry import FrustumParams, SurfaceGraph, contains_points, frustum_planes, geodesic_rows, point_blocks
 
 
 class MetricId(str, Enum):
@@ -268,18 +268,25 @@ def overlap_matrix(frame_index: int, users: tuple, x, view, off, cloud, params: 
     """Exact pairwise viewport overlap for one frame.
 
     ``x`` and ``view`` are n×3 and ``off`` length n, one row per user.  Each
-    user's viewport set is computed once; intersection counts come from one
-    integer-exact matrix product.  A pair is invalid when its union is
-    empty or either user is off-content for the frame.
+    user's frustum is built once; the cloud is scanned in ``point_blocks``,
+    and intersection counts add up one integer-exact product per block.  It
+    holds one reused n × block float64 mask buffer, plus the n × n counts.
+    A pair is invalid when its union is empty or either user is off-content
+    for the frame.
     """
     n = len(users)
     present = ~np.asarray(off, dtype=bool)
     if np.shape(x) != (n, 3) or np.shape(view) != (n, 3) or present.shape != (n,):
         raise ValueError("one row per user required")
-    masks = np.zeros((n, cloud.points.shape[0]), dtype=np.float64)
-    for k in np.flatnonzero(present):
-        masks[k] = contains_points(frustum_planes(x[k], view[k], params), cloud.points)
-    inter = masks @ masks.T  # exact: counts < 2**53
+    planes = [(k, frustum_planes(x[k], view[k], params)) for k in np.flatnonzero(present)]
+    blocks = list(point_blocks(cloud.points.shape[0]))
+    buffer = np.zeros((n, blocks[0].stop))  # the first block is the longest; absent users' rows stay 0
+    inter = np.zeros((n, n))
+    for s in blocks:
+        masks, points = buffer[:, :s.stop - s.start], cloud.points[s]
+        for k, planes_k in planes:
+            masks[k] = contains_points(planes_k, points)
+        inter += masks @ masks.T  # exact in any order: counts < 2**53
     sizes = np.diag(inter).copy()
     union = sizes[:, None] + sizes[None, :] - inter
     valid = (union > 0) & present[:, None] & present[None, :] & ~np.eye(n, dtype=bool)

@@ -225,7 +225,8 @@ def derive_pr(x, view, off, cloud, cone: float = DEFAULT_CONE_HALF_ANGLE, r_mode
     ``x``, ``view`` and ``off`` hold one row per user.  ``r_mode='viewport'``
     sets r = |x - p|; ``'centroid'`` measures to the cloud centroid instead
     (p is still the ray hit).  A ray that misses the cone marks the user
-    off-content.
+    off-content.  Rays are cast one user at a time, each scanning the cloud
+    in ``point_blocks``, so at once it holds one block's temporaries.
     """
     if r_mode not in ("viewport", "centroid"):
         raise InvalidParamsError(f"unknown r_mode '{r_mode}'")

@@ -13,7 +13,11 @@ regulator sweep's former separate loop: it checks what the sweep averages,
 in which order and with which parameters, and clusters and scores with the
 package's functions (checked by criteria 5 and 6 and their oracles).
 ``adjusted_rand_index`` scores recovered partitions for criterion 6 and is
-itself checked against ``ari_oracle``.
+itself checked against ``ari_oracle``.  ``overlap_product_oracle`` is the
+unchunked overlap: one n × N mask product over the package's
+``frustum_planes`` and ``contains_points`` (checked against
+``viewport_set_oracle`` by criterion 1), the reference for the point-blocked
+``overlap_matrix``.
 """
 
 import csv
@@ -38,7 +42,7 @@ from viewsim.clustering import (
 )
 from viewsim.errors import InvalidParamsError, MissingGraphError, PreconditionError
 from viewsim.evaluation import aggregate, evaluate_result
-from viewsim.geometry import geodesic_rows
+from viewsim.geometry import contains_points, frustum_planes, geodesic_rows
 from viewsim.metrics import MetricConfig, MetricId, SimilarityMatrix
 from viewsim.trajectories import Trace
 
@@ -166,6 +170,22 @@ def viewport_set_oracle(planes, points):
         if inside:
             out.add(idx)
     return out
+
+
+def overlap_product_oracle(x, view, off, cloud, params) -> np.ndarray:
+    """Overlap values of one frame from a whole n × N float64 mask and one product, NaN where invalid."""
+    n = len(off)
+    present = ~np.asarray(off, dtype=bool)
+    masks = np.zeros((n, cloud.points.shape[0]), dtype=np.float64)
+    for k in np.flatnonzero(present):
+        masks[k] = contains_points(frustum_planes(x[k], view[k], params), cloud.points)
+    inter = masks @ masks.T
+    sizes = np.diag(inter).copy()
+    union = sizes[:, None] + sizes[None, :] - inter
+    valid = (union > 0) & present[:, None] & present[None, :] & ~np.eye(n, dtype=bool)
+    values = np.full((n, n), np.nan)
+    values[valid] = inter[valid] / union[valid]
+    return values
 
 
 def jaccard_fraction(set_i, set_j) -> Fraction:

@@ -18,6 +18,17 @@ def test_bench_looks_up_regulators_outside_the_timed_region(monkeypatch):
     assert set(report["speedups"]) == {m.value for m in PROXY_METRICS}
 
 
+def test_bench_reports_speedup_vs_vectorized_and_memory_peaks():
+    report = viewsim.bench.run_bench(n_users=4, n_points=300, naive_pairs=0, repeats=1, seed=1)
+    per_pair = {row["label"]: row["per_pair_s"] for row in report["rows"]}
+    assert report["speedups"] == {}  # no naive pair timed
+    assert report["speedup_vs_vectorized"] == {
+        m.value: per_pair["overlap_vectorized"] / per_pair[m.value] for m in PROXY_METRICS
+    }
+    (vectorized,) = [row for row in report["rows"] if row["label"] == "overlap_vectorized"]
+    assert vectorized["peak_mb"] > 0.0 and report["graph_build_peak_mb"] > 0.0
+
+
 def test_perfbench_trace_targets_resolve():
     # the tracer skips a name it cannot resolve, so a renamed function would silently read 0
     spec = importlib.util.spec_from_file_location("perfbench_child", Path(__file__).parents[1] / "perfbench" / "child.py")

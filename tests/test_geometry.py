@@ -239,6 +239,24 @@ def test_ray_cast_picks_nearest_on_ray():
     assert_close(r, 1.0)
 
 
+# viewer at the origin looking along -Z: three points at depth exactly 1 tie inside the cone
+_TIE_CLOUD = np.array([
+    [0.0, 0.0, 1.0], [0.5, 0.0, -0.5], [0.0, 0.0, -3.0], [0.2, 0.2, -2.0], [0.01, 0.0, -1.0],
+    [0.0, 0.0, -2.0], [1.0, 1.0, 1.0], [-0.01, 0.0, -1.0], [0.0, 0.01, -1.0], [0.0, 0.0, -1.5],
+])
+
+
+@pytest.mark.parametrize("block", [1, 3, 4, 5, None])
+@pytest.mark.parametrize("points, first", [(_TIE_CLOUD, 4), (_TIE_CLOUD[::-1], 1)], ids=["forward", "reversed"])
+def test_ray_cast_tie_across_blocks_returns_the_first_index(monkeypatch, points, first, block):
+    import viewsim.geometry
+
+    if block is not None:
+        monkeypatch.setattr(viewsim.geometry, "_SCAN_BLOCK", block)
+    p, r = ray_cast_center(np.zeros(3), MINUS_Z, PointCloudFrame(0, points))
+    assert p.tobytes() == points[first].tobytes() and r == float(np.linalg.norm(points[first]))
+
+
 def test_ray_cast_miss_is_none():
     cloud = PointCloudFrame(0.0, np.array([[0.0, 0.0, -1.0]]))
     assert ray_cast_center(np.zeros(3), -MINUS_Z, cloud) is None
@@ -293,11 +311,43 @@ def test_surface_graph_matches_sorted_dedupe_oracle(name, k):
     for attr in ("indptr", "indices", "data"):
         a, b = getattr(got, attr), getattr(want, attr)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+        assert a.base is None or a.base.nbytes == a.nbytes, attr  # no over-allocated buffer behind it
     if name == "duplicates":
         assert (got.data == 0.0).any()
     sources = np.arange(0, points.shape[0], max(1, points.shape[0] // 7))
     directed = geodesic_rows(graph, sources, np.arange(graph.n_points))
     assert directed.tobytes() == np.atleast_2d(dijkstra(want, directed=False, indices=sources)).tobytes()
+
+
+@pytest.mark.parametrize("k", [3, 8])
+@pytest.mark.parametrize("block", [1, 7, 50, 129, 130, 131])
+def test_surface_graph_is_the_oracle_when_a_block_boundary_splits_duplicates(monkeypatch, block, k):
+    import viewsim.geometry
+
+    points = np.random.default_rng(22).uniform(-1.0, 1.0, (130, 3))
+    points[45:57] = points[45]  # twelve copies, more than k, split by a boundary at 49 and 50
+    monkeypatch.setattr(viewsim.geometry, "_SCAN_BLOCK", block)
+    got, want = build_surface_graph(PointCloudFrame(0, points), k=k).adjacency, surface_adjacency_oracle(points, k)
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+    assert (got.data == 0.0).any()
+
+
+def test_surface_graph_build_peaks_under_45_mb_at_100k_points():
+    import tracemalloc
+
+    import scipy.spatial  # noqa: F401  imported before tracing, as a warm process has it
+
+    rng = np.random.default_rng(23)
+    cloud = PointCloudFrame(0, unit_rows(rng.normal(size=(100_000, 3))))
+    tracemalloc.start()
+    try:
+        build_surface_graph(cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 45 * 2**20, peak / 2**20
 
 
 def test_geodesic_rows_sweep_in_batches_within_one_full_row_sweep(monkeypatch):

@@ -14,7 +14,9 @@ from viewsim import (
     RegulatorSet,
     build_surface_graph,
     compute_pair_features,
+    contains_points,
     default_configs,
+    frustum_planes,
     overlap_matrix,
 )
 from viewsim.errors import MissingGraphError
@@ -22,7 +24,7 @@ from viewsim.metrics import PROXY_METRICS, PairFeatures, SimilarityMatrix, exp_k
 from viewsim.synth import _fibonacci_sphere
 
 from conftest import Sample, assert_close, feature_columns, make_sample, overlap_columns
-from oracles import metric_validity_oracle, metric_value, overlap_validity_oracle
+from oracles import metric_validity_oracle, metric_value, overlap_product_oracle, overlap_validity_oracle
 
 # metric: (default regulators, default threshold, regulators it reads, needs a surface graph)
 TABLE = {
@@ -362,6 +364,36 @@ def test_overlap_matrix_against_sets(default_params):
                 assert mat.valid[i, j]
             else:
                 assert not mat.valid[i, j]
+
+
+def _blocks_cloud(n_points: int):
+    """A cloud whose points 7..13 lie beyond every far plane, and a frame of six users round it."""
+    rng = np.random.default_rng(24)
+    points = rng.uniform(-1.0, 1.0, (n_points, 3))
+    points[7:14] = 500.0 + rng.uniform(0.0, 1.0, (7, 3))
+    x = np.array([[0, 0, 2.5], [0.3, 0, 2.5], [2.5, 0, 0], [0, 0, -2.5], [0, 2.5, 0], [0, 0, 3.0]], dtype=float)
+    view = -x
+    view[4] = -view[4]  # looking away: an empty viewport
+    off = np.array([False, False, False, False, False, True])
+    return PointCloudFrame(0, points), x, view, off
+
+
+@pytest.mark.parametrize("n_points, block", [(60, 1), (60, 7), (60, 59), (60, 60), (60, 61), (2**16 + 2**15 + 3, None)])
+def test_overlap_matches_the_unblocked_product_at_every_block_size(monkeypatch, n_points, block):
+    import viewsim.geometry
+
+    cloud, x, view, off = _blocks_cloud(n_points)
+    params = FrustumParams(0.5, 0.5)
+    seen = np.zeros(n_points, dtype=bool)
+    for k in np.flatnonzero(~off):
+        seen |= contains_points(frustum_planes(x[k], view[k], params), cloud.points)
+    assert not seen[7:14].any()  # the second block of 7 holds no visible point
+    if block is not None:
+        monkeypatch.setattr(viewsim.geometry, "_SCAN_BLOCK", block)
+    got = overlap_matrix(0, tuple("abcdef"), x, view, off, cloud, params).values
+    want = overlap_product_oracle(x, view, off, cloud, params)
+    assert got.tobytes() == want.tobytes()
+    assert np.isfinite(got).any() and (got[~np.isnan(got)] < 1.0).any()
 
 
 def test_overlap_matrix_empty_pair_invalid(default_params):

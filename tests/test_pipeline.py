@@ -27,6 +27,7 @@ from viewsim.pipeline import (
     run_ablation,
 )
 from viewsim.synth import planted_labels, three_orbit_groups, write_scenario
+from viewsim.trajectories import derive_pr
 
 from conftest import overlaps
 from oracles import adjusted_rand_index
@@ -351,6 +352,28 @@ def test_overlap_pass_memory_is_one_frame_deep(large_disk_content):
 
     one = peak([0])
     assert peak(range(4)) <= 1.25 * one
+
+
+@pytest.mark.parametrize("scan", ["overlap_matrix", "derive_pr"])
+def test_frame_scan_memory_is_one_block_deep(scan):
+    def peak(n_points) -> int:
+        rng = np.random.default_rng(25)
+        cloud = PointCloudFrame(0, rng.uniform(-1.0, 1.0, (n_points, 3)))
+        a = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+        x = 2.5 * np.stack([np.cos(a), np.zeros(8), np.sin(a)], axis=1)
+        view, off = -x, np.zeros(8, dtype=bool)
+        tracemalloc.start()
+        try:
+            if scan == "overlap_matrix":
+                overlap_matrix(0, tuple("abcdefgh"), x, view, off, cloud, FrustumParams(0.5, 0.5))
+            else:
+                derive_pr(x, view, off, cloud)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(2**16)
+    assert peak(2**18) <= 1.25 * one
 
 
 def test_overlap_route_via_metric_matrices(narrow_content):

@@ -42,6 +42,7 @@ from .geometry import (
     SurfaceGraph,
     build_surface_graph,
     contains_points,
+    frusta,
     frustum_planes,
     ray_cast_center,
     view_basis,

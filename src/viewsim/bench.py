@@ -9,8 +9,10 @@ frame serves, plus the kernel application.  The one-off surface graph build
 is amortized over a configurable frame horizon and reported separately.
 Timings are machine-dependent; counts and ratios are what the report is
 for.  Repeats expose run-to-run variance as a coefficient of variation.
-Memory peaks are ``tracemalloc`` peaks of one further, untimed call, so
-tracing moves no timing.
+The gaze ray cast (``derive_pr``) is timed apart from the per-pair rows,
+per user and frame, as the median of the repeats.  Memory peaks are
+``tracemalloc`` peaks of one further, untimed call, so tracing moves no
+timing.
 """
 
 from __future__ import annotations
@@ -122,6 +124,14 @@ def run_bench(
             "surface graph build amortized over amortize_frames"
         ),
     }
+
+    cast = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        derive_pr(x, view, ds.off[:, 0], cloud)
+        cast.append((time.perf_counter() - t0) / n)
+    peak = _peak_mb(lambda: derive_pr(x, view, ds.off[:, 0], cloud))
+    report["derive_pr"] = {"per_user_frame_s": float(np.median(cast)), "cv": _stats(cast)[1], "peak_mb": peak}
     if n_pairs == 0:
         report["note"] = "fewer than two users: nothing to compare"
         return report

@@ -113,14 +113,15 @@ def quat_from_matrix(rot: np.ndarray) -> np.ndarray:
 
 
 def view_basis(view) -> tuple:
-    """Roll-free camera axes ``(forward, right, up)`` of a viewing direction.
+    """Roll-free camera axes ``(forward, right, up)`` of a viewing direction, or of each row of an (n, 3) array.
 
-    ``forward`` is ``unit(view)``.  ``right`` is horizontal under world up
-    +Y; +Z stands in for world up when the view is parallel to +Y.
+    ``forward`` is ``unit(view)`` (``unit_rows`` for rows).  ``right`` is
+    horizontal under world up +Y; +Z stands in for world up when ``forward``
+    is within 1e-9 of parallel to +Y (its y component is ``forward · +Y``, bit for bit).
     """
-    f = unit(view)
-    hint = _WORLD_UP if abs(float(np.dot(f, _WORLD_UP))) <= 1.0 - 1e-9 else _WORLD_UP_FALLBACK
-    r = unit(np.cross(f, hint))
+    f = unit(view) if np.ndim(view) == 1 else unit_rows(view)
+    vertical = np.abs(f[..., 1:2]) > 1.0 - 1e-9
+    r = unit_rows(np.cross(f, np.where(vertical, _WORLD_UP_FALLBACK, _WORLD_UP)))
     return f, r, np.cross(r, f)
 
 
@@ -149,16 +150,24 @@ class FrustumParams:
             raise InvalidParamsError(f"need 0 < near < far, got near={self.near} far={self.far}")
 
 
-def frustum_planes(position, view, params: FrustumParams = FrustumParams()) -> tuple:
-    """Six inward planes ``(normals, offsets)``: apex at ``position``, opening along ``view``.
+def frusta(x, view, params: FrustumParams = FrustumParams()) -> tuple:
+    """Six inward planes of every viewer at once: (n, 6, 3) ``normals`` and (n, 6) ``offsets``.
 
-    x is inside iff ``normals @ x + offsets >= 0`` for every plane.
+    Row k is the frustum with apex ``x[k]`` opening along ``view[k]``: a point
+    p is inside iff ``normals[k] @ p + offsets[k] >= 0`` for every plane.  A
+    non-finite row is refused with ``as_vec3``'s error for the first viewer
+    holding one, position before view.
     """
-    a = as_vec3(position)
-    f, r, u = view_basis(view)
+    a, v = np.asarray(x, dtype=np.float64), np.asarray(view, dtype=np.float64)
+    bad = ~(np.isfinite(a).all(axis=1) & np.isfinite(v).all(axis=1))
+    if bad.any():  # as_vec3 raises for the first such viewer
+        k = int(np.argmax(bad))
+        as_vec3(a[k])
+        as_vec3(v[k])
+    f, r, u = view_basis(v)
     ch, sh = math.cos(params.hfov / 2.0), math.sin(params.hfov / 2.0)
     cv, sv = math.cos(params.vfov / 2.0), math.sin(params.vfov / 2.0)
-    normals = np.array(
+    normals = np.stack(
         [
             f,                    # near
             -f,                   # far
@@ -166,11 +175,18 @@ def frustum_planes(position, view, params: FrustumParams = FrustumParams()) -> t
             -r * ch + f * sh,     # right
             u * cv + f * sv,      # bottom
             -u * cv + f * sv,     # top
-        ]
+        ],
+        axis=1,
     )
-    anchors = np.array([a + params.near * f, a + params.far * f, a, a, a, a])
-    offsets = -np.einsum("ij,ij->i", normals, anchors)
+    anchors = np.stack([a + params.near * f, a + params.far * f, a, a, a, a], axis=1)
+    offsets = -np.einsum("kij,kij->ki", normals, anchors)
     return normals, offsets
+
+
+def frustum_planes(position, view, params: FrustumParams = FrustumParams()) -> tuple:
+    """One viewer's six inward planes ``(normals, offsets)``: the one-row case of ``frusta``."""
+    normals, offsets = frusta(as_vec3(position)[None], as_vec3(view)[None], params)
+    return normals[0], offsets[0]
 
 
 def point_blocks(n: int):
@@ -179,9 +195,18 @@ def point_blocks(n: int):
 
 
 def contains_points(planes: tuple, points: np.ndarray) -> np.ndarray:
-    """Closed-boundary containment mask of an (N, 3) array in ``(normals, offsets)``."""
+    """Closed-boundary containment mask of an (N, 3) array in ``(normals, offsets)``.
+
+    With ``d = points @ normals.T``, a point is inside iff ``d[:, j] >= -offsets[j]``
+    for every plane j.  That is ``np.all(d + offsets >= 0.0, axis=1)`` bit for bit,
+    since rounding keeps the sign of a sum: fl(d + o) >= 0 iff d >= -o.
+    """
     normals, offsets = planes
-    return np.all(np.asarray(points, dtype=np.float64) @ normals.T + offsets >= 0.0, axis=1)
+    d = np.asarray(points, dtype=np.float64) @ normals.T
+    inside = d[:, 0] >= -offsets[0]
+    for j in range(1, len(offsets)):
+        inside &= d[:, j] >= -offsets[j]
+    return inside
 
 
 @dataclass(frozen=True)
@@ -215,7 +240,11 @@ def ray_cast_center(
     picks the one with the smallest depth along the ray (first index on
     exact ties) and returns ``(p, r)`` with ``r = |p - position|``.  The
     ray starts at ``position`` and runs along ``unit(view)``.  The cloud is
-    scanned in ``point_blocks``, so at most one block's temporaries are held.
+    scanned in ``point_blocks``, so at most one block's temporaries are held:
+    its offsets from ``position``, squared in place, and a few per-point
+    rows.  Each offset's norm is ``np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])``
+    with ``sq = rel * rel``: the sum ``np.linalg.norm(rel, axis=1)`` takes,
+    bit for bit.
     """
     if not (0.0 < cone_half_angle <= math.pi / 4.0):
         raise InvalidParamsError(f"cone_half_angle must lie in (0, pi/4], got {cone_half_angle}")
@@ -223,11 +252,13 @@ def ray_cast_center(
     f = unit(view)
     cos = math.cos(cone_half_angle)
     best, best_depth = -1, math.inf
+    buffer = np.empty((min(len(cloud), _SCAN_BLOCK), 3))  # one block's offsets from pos, then their squares
     for s in point_blocks(len(cloud)):
-        rel = cloud.points[s] - pos
+        rel = np.subtract(cloud.points[s], pos, out=buffer[:s.stop - s.start])
         depth = rel @ f
+        sq = np.multiply(rel, rel, out=rel)  # rel is not read again
         # angle <= half_angle  <=>  depth >= |rel| * cos(half_angle), depth > 0
-        hits = np.flatnonzero((depth > 0.0) & (depth >= np.linalg.norm(rel, axis=1) * cos))
+        hits = np.flatnonzero((depth > 0.0) & (depth >= np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2]) * cos))
         if hits.size:
             i = hits[int(np.argmin(depth[hits]))]
             if depth[i] < best_depth:  # strict, so an earlier block keeps an equal depth

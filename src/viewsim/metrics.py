@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidParamsError, MissingGraphError
-from .geometry import FrustumParams, SurfaceGraph, contains_points, frustum_planes, geodesic_rows, point_blocks
+from .geometry import FrustumParams, SurfaceGraph, contains_points, frusta, geodesic_rows, point_blocks
 
 
 class MetricId(str, Enum):
@@ -267,26 +267,27 @@ def geodesic_gaze(p, r, graph: SurfaceGraph) -> np.ndarray:
 def overlap_matrix(frame_index: int, users: tuple, x, view, off, cloud, params: FrustumParams) -> SimilarityMatrix:
     """Exact pairwise viewport overlap for one frame.
 
-    ``x`` and ``view`` are n×3 and ``off`` length n, one row per user.  Each
-    user's frustum is built once; the cloud is scanned in ``point_blocks``,
-    and intersection counts add up one integer-exact product per block.  It
-    holds one reused n × block float64 mask buffer, plus the n × n counts.
-    A pair is invalid when its union is empty or either user is off-content
-    for the frame.
+    ``x`` and ``view`` are n×3 and ``off`` length n, one row per user.  Every
+    present user's frustum is built in one ``frusta`` call; the cloud is
+    scanned in ``point_blocks``, and intersection counts add up one
+    integer-exact product per block.  It holds one reused n × block float32
+    mask buffer, plus the n × n float64 counts.  A pair is invalid when its
+    union is empty or either user is off-content for the frame.
     """
     n = len(users)
     present = ~np.asarray(off, dtype=bool)
     if np.shape(x) != (n, 3) or np.shape(view) != (n, 3) or present.shape != (n,):
         raise ValueError("one row per user required")
-    planes = [(k, frustum_planes(x[k], view[k], params)) for k in np.flatnonzero(present)]
+    rows = np.flatnonzero(present)
+    planes = list(zip(rows, *frusta(np.asarray(x)[rows], np.asarray(view)[rows], params)))
     blocks = list(point_blocks(cloud.points.shape[0]))
-    buffer = np.zeros((n, blocks[0].stop))  # the first block is the longest; absent users' rows stay 0
+    buffer = np.zeros((n, blocks[0].stop), dtype=np.float32)  # the first block is the longest; absent users' rows stay 0
     inter = np.zeros((n, n))
     for s in blocks:
         masks, points = buffer[:, :s.stop - s.start], cloud.points[s]
-        for k, planes_k in planes:
-            masks[k] = contains_points(planes_k, points)
-        inter += masks @ masks.T  # exact in any order: counts < 2**53
+        for k, normals, offsets in planes:
+            masks[k] = contains_points((normals, offsets), points)
+        inter += masks @ masks.T  # exact in any order: a block's counts are at most 2**16 < 2**24
     sizes = np.diag(inter).copy()
     union = sizes[:, None] + sizes[None, :] - inter
     valid = (union > 0) & present[:, None] & present[None, :] & ~np.eye(n, dtype=bool)

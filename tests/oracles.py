@@ -14,10 +14,14 @@ in which order and with which parameters, and clusters and scores with the
 package's functions (checked by criteria 5 and 6 and their oracles).
 ``adjusted_rand_index`` scores recovered partitions for criterion 6 and is
 itself checked against ``ari_oracle``.  ``overlap_product_oracle`` is the
-unchunked overlap: one n × N mask product over the package's
-``frustum_planes`` and ``contains_points`` (checked against
-``viewport_set_oracle`` by criterion 1), the reference for the point-blocked
-``overlap_matrix``.
+unchunked overlap: one n × N float64 mask product over
+``frustum_planes_oracle`` and ``contains_points_oracle``, sharing no kernel
+with the package, the reference for the point-blocked ``overlap_matrix``.
+``frustum_planes_oracle``, ``contains_points_oracle`` and
+``ray_cast_center_oracle`` build one viewer's frustum alone, test
+containment with one (N, 6) sum and reduction, and cast a gaze ray with
+``np.linalg.norm``; they pin ``frusta``, ``contains_points`` and
+``ray_cast_center`` bit for bit.
 """
 
 import csv
@@ -42,7 +46,7 @@ from viewsim.clustering import (
 )
 from viewsim.errors import InvalidParamsError, MissingGraphError, PreconditionError
 from viewsim.evaluation import aggregate, evaluate_result
-from viewsim.geometry import contains_points, frustum_planes, geodesic_rows
+from viewsim.geometry import DEFAULT_CONE_HALF_ANGLE, geodesic_rows
 from viewsim.metrics import MetricConfig, MetricId, SimilarityMatrix
 from viewsim.trajectories import Trace
 
@@ -172,13 +176,54 @@ def viewport_set_oracle(planes, points):
     return out
 
 
+def frustum_planes_oracle(position, view, params) -> tuple:
+    """One viewer's six inward planes, built alone: a ``unit_oracle`` basis and a 6 × 3 ``einsum`` for the offsets.
+
+    The right axis is horizontal under world up +Y, or under +Z when
+    ``np.dot(forward, +Y)`` is beyond 1 - 1e-9 in magnitude.
+    """
+    a = np.asarray(position, dtype=np.float64)
+    f = unit_oracle(view)
+    up = [0.0, 1.0, 0.0] if abs(float(np.dot(f, [0.0, 1.0, 0.0]))) <= 1.0 - 1e-9 else [0.0, 0.0, 1.0]
+    r = unit_oracle(np.cross(f, up))
+    u = np.cross(r, f)
+    ch, sh = math.cos(params.hfov / 2.0), math.sin(params.hfov / 2.0)
+    cv, sv = math.cos(params.vfov / 2.0), math.sin(params.vfov / 2.0)
+    normals = np.array([f, -f, r * ch + f * sh, -r * ch + f * sh, u * cv + f * sv, -u * cv + f * sv])
+    anchors = np.array([a + params.near * f, a + params.far * f, a, a, a, a])
+    return normals, -np.einsum("ij,ij->i", normals, anchors)
+
+
+def contains_points_oracle(planes, points) -> np.ndarray:
+    """Containment as one (N, 6) sum and reduction: ``np.all(points @ normals.T + offsets >= 0.0, axis=1)``."""
+    normals, offsets = planes
+    return np.all(np.asarray(points, dtype=np.float64) @ normals.T + offsets >= 0.0, axis=1)
+
+
+def ray_cast_center_oracle(position, view, cloud, cone_half_angle=DEFAULT_CONE_HALF_ANGLE):
+    """The gaze ray cast over the whole cloud at once, each offset's norm from ``np.linalg.norm(axis=1)``.
+
+    Returns ``(p, r)`` for the in-cone point of smallest depth, the first
+    index on equal depths, or None when no point is in the cone.
+    """
+    pos = np.asarray(position, dtype=np.float64)
+    f = unit_oracle(view)
+    rel = cloud.points - pos
+    depth = rel @ f
+    hits = np.flatnonzero((depth > 0.0) & (depth >= np.linalg.norm(rel, axis=1) * math.cos(cone_half_angle)))
+    if not hits.size:
+        return None
+    p = cloud.points[hits[int(np.argmin(depth[hits]))]].copy()
+    return p, float(np.linalg.norm(p - pos))
+
+
 def overlap_product_oracle(x, view, off, cloud, params) -> np.ndarray:
     """Overlap values of one frame from a whole n × N float64 mask and one product, NaN where invalid."""
     n = len(off)
     present = ~np.asarray(off, dtype=bool)
     masks = np.zeros((n, cloud.points.shape[0]), dtype=np.float64)
     for k in np.flatnonzero(present):
-        masks[k] = contains_points(frustum_planes(x[k], view[k], params), cloud.points)
+        masks[k] = contains_points_oracle(frustum_planes_oracle(x[k], view[k], params), cloud.points)
     inter = masks @ masks.T
     sizes = np.diag(inter).copy()
     union = sizes[:, None] + sizes[None, :] - inter

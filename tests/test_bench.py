@@ -27,6 +27,9 @@ def test_bench_reports_speedup_vs_vectorized_and_memory_peaks():
     }
     (vectorized,) = [row for row in report["rows"] if row["label"] == "overlap_vectorized"]
     assert vectorized["peak_mb"] > 0.0 and report["graph_build_peak_mb"] > 0.0
+    cast = report["derive_pr"]
+    assert set(cast) == {"per_user_frame_s", "cv", "peak_mb"}
+    assert cast["per_user_frame_s"] > 0.0 and cast["cv"] == 0.0 and cast["peak_mb"] > 0.0  # one repeat: no spread
 
 
 def test_perfbench_trace_targets_resolve():
@@ -41,7 +44,7 @@ def test_perfbench_trace_targets_resolve():
             owner = getattr(owner, part, None)
         if owner is None:
             unresolved.add(name)
-    # pose_from_view no longer exists; the benchmark's next change traces frustum_planes instead
+    # pose_from_view no longer exists; the benchmark's next change traces frusta instead
     assert unresolved <= {"geometry.pose_from_view"}
     # a work counter reads its layer's arguments by name, and a renamed one only counts a work error
     read = {}

@@ -14,6 +14,7 @@ from viewsim import (
 )
 from viewsim.errors import InvalidParamsError
 from viewsim.geometry import (
+    frusta,
     geodesic_rows,
     quat_from_matrix,
     quat_to_matrix,
@@ -24,9 +25,12 @@ from viewsim.geometry import (
 
 from conftest import assert_close, random_viewer
 from oracles import (
+    contains_points_oracle,
     dijkstra_oracle,
+    frustum_planes_oracle,
     geodesic_distance,
     graph_edges,
+    ray_cast_center_oracle,
     surface_adjacency_oracle,
     unit_oracle,
     viewport_set_oracle,
@@ -211,6 +215,168 @@ def test_viewport_set_rigid_invariance():
         dists = cloud.points[sorted(sym)] @ normals.T + offsets
         assert np.abs(dists).min() < 1e-9
     assert len(sym) <= 2
+
+
+def _vertical_views(rng):
+    """Views along +Y and -Y, and views whose unit y component sits within a few ulps of 1 - 1e-9."""
+    y = 1.0 - 1e-9 + np.arange(-4, 5) * np.spacing(1.0)
+    near = np.stack([np.sqrt(1.0 - y * y), y, np.zeros_like(y)], axis=1) * rng.uniform(0.5, 4.0, (y.size, 1))
+    return np.concatenate([[[0.0, 1.0, 0.0], [0.0, -2.5, 0.0]], near, -near])
+
+
+def test_frusta_rows_are_the_per_viewer_build_bit_for_bit():
+    rng = np.random.default_rng(30)
+    special = _vertical_views(rng)
+    cut = np.abs(unit_rows(special)[:, 1]) > 1.0 - 1e-9
+    assert cut.any() and not cut.all()  # both sides of the world-up fallback are exercised
+    for n in range(1, 65):
+        params = FrustumParams(*rng.uniform(0.2, 3.0, 2), 0.05, float(rng.choice([100.0, 1e6])))
+        x = rng.uniform(-3.0, 3.0, (n, 3)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+        view = rng.normal(size=(n, 3))
+        rows = rng.choice(n, size=min(n, special.shape[0]), replace=False)
+        view[rows] = special[rng.choice(special.shape[0], size=rows.size, replace=False)]
+        normals, offsets = frusta(x, view, params)
+        assert normals.shape == (n, 6, 3) and offsets.shape == (n, 6)
+        for k in range(n):
+            want_n, want_o = frustum_planes_oracle(x[k], view[k], params)
+            one_n, one_o = frustum_planes(x[k], view[k], params)
+            assert normals[k].tobytes() == one_n.tobytes() == want_n.tobytes(), (n, k)
+            assert offsets[k].tobytes() == one_o.tobytes() == want_o.tobytes(), (n, k)
+
+
+@pytest.mark.parametrize("row, value, message", [
+    ("x", [np.nan, 0.0, 1.0], "non-finite 3-vector: [nan  0.  1.]"),
+    ("x", [0.0, np.inf, 1.0], "non-finite 3-vector: [ 0. inf  1.]"),
+    ("view", [0.0, 0.0, np.nan], "non-finite 3-vector: [ 0.  0. nan]"),
+    ("view", [-np.inf, 0.0, 0.0], "non-finite 3-vector: [-inf   0.   0.]"),
+    ("view", [0.0, 0.0, 0.0], "cannot normalize a zero or non-finite vector or one whose norm overflows"),
+])
+def test_frusta_refuse_a_bad_viewer_with_frustum_planes_error(row, value, message):
+    rng = np.random.default_rng(31)
+    rows = {"x": rng.uniform(-3.0, 3.0, (5, 3)), "view": rng.normal(size=(5, 3))}
+    rows[row][3] = value
+    for build in (lambda: frusta(rows["x"], rows["view"]), lambda: frustum_planes(rows["x"][3], rows["view"][3])):
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == message
+
+
+def _same_mask(planes, points) -> np.ndarray:
+    with np.errstate(all="ignore"):  # overflowing products are part of what is compared
+        got, want = contains_points(planes, points), contains_points_oracle(planes, points)
+    assert got.dtype == want.dtype == np.bool_ and got.tobytes() == want.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e160, 1e300])
+def test_contains_points_is_the_summed_test_on_random_clouds(scale):
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        position, view = random_viewer(rng)
+        planes = frustum_planes(position * scale, view, FrustumParams(*rng.uniform(0.2, 3.0, 2), 0.05 * scale, 100.0 * scale))
+        mask = _same_mask(planes, (position + rng.normal(size=(400, 3)) * 3.0) * scale)
+        assert mask.any() and not mask.all()
+
+
+def test_contains_points_is_the_summed_test_where_products_overflow():
+    rng = np.random.default_rng(33)
+    points = rng.choice([-1.0, 1.0], size=(500, 3)) * rng.uniform(1.0, 1.79, (500, 3)) * 1e308
+    for _ in range(20):
+        _same_mask(frustum_planes(*random_viewer(rng), FrustumParams(2.5, 2.5)), points)
+
+
+def test_contains_points_on_each_plane_and_one_ulp_either_side():
+    rng = np.random.default_rng(34)
+    for _ in range(10):
+        position, view = random_viewer(rng)
+        normals, offsets = frustum_planes(position, view, FrustumParams(*rng.uniform(0.5, 2.5, 2)))
+        points = position + unit(view) * rng.uniform(0.5, 5.0, (200, 1)) + rng.normal(size=(200, 3)) * 0.3
+        inside = np.flatnonzero(_same_mask((normals, offsets), points))
+        d = points @ normals.T
+        for j in range(6):
+            for i in inside[:5]:
+                # point i exactly on plane j, then the plane moved one ulp either way past it
+                for o, kept in ((-d[i, j], True), (np.nextafter(-d[i, j], np.inf), True), (np.nextafter(-d[i, j], -np.inf), False)):
+                    moved = offsets.copy()
+                    moved[j] = o
+                    assert _same_mask((normals, moved), points)[i] == kept
+                    for towards in (np.inf, -np.inf):
+                        _same_mask((normals, moved), np.nextafter(points, towards))
+
+
+def test_contains_points_at_a_far_plane_of_1e6():
+    rng = np.random.default_rng(35)
+    for _ in range(10):
+        position, view = random_viewer(rng)
+        planes = frustum_planes(position, view, FrustumParams(0.5, 0.5, 0.05, 1e6))
+        depth = 1e6 + np.linspace(-1e-6, 1e-6, 401)
+        points = position + depth[:, None] * unit(view)
+        for nudged in (points, np.nextafter(points, np.inf), np.nextafter(points, -np.inf)):
+            mask = _same_mask(planes, nudged)
+            assert mask.any() and not mask.all()
+
+
+def _same_hit(position, view, cloud, cone=0.035):
+    with np.errstate(all="ignore"):  # squares that overflow are part of what is compared
+        got, want = ray_cast_center(position, view, cloud, cone), ray_cast_center_oracle(position, view, cloud, cone)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+    return got
+
+
+def test_ray_cast_is_the_norm_oracle_on_random_clouds():
+    rng = np.random.default_rng(36)
+    hits = 0
+    for _ in range(40):
+        position, view = random_viewer(rng)
+        cloud = PointCloudFrame(0, position + unit(view) * 2.0 + rng.normal(size=(2000, 3)))
+        if rng.random() < 0.3:
+            view = -view  # the cloud behind the viewer: mostly a miss
+        hits += _same_hit(position, view, cloud, float(rng.uniform(0.01, 0.7))) is not None
+    assert 0 < hits < 40
+
+
+def test_ray_cast_sums_the_squares_in_the_norm_oracle_order():
+    # points on the cone's boundary where the other order of the three squares flips the cone test
+    rng = np.random.default_rng(39)
+    half = 0.3
+    a = rng.uniform(0.0, 2.0 * np.pi, 100_000)
+    rel = np.stack([np.sin(half) * np.cos(a), np.sin(half) * np.sin(a), -np.full_like(a, np.cos(half))], axis=1)
+    rel *= rng.uniform(0.5, 3.0, (a.size, 1))
+    sq = rel * rel
+    in_order = -rel[:, 2] >= np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2]) * math.cos(half)
+    flipped = rel[in_order != (-rel[:, 2] >= np.sqrt(sq[:, 0] + (sq[:, 1] + sq[:, 2])) * math.cos(half))]
+    assert flipped.shape[0] >= 20
+    hits = [_same_hit(np.zeros(3), MINUS_Z, PointCloudFrame(0, p[None]), half) is not None for p in flipped[:20]]
+    assert any(hits) and not all(hits)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64, None])
+def test_ray_cast_ties_across_blocks_are_the_oracle(monkeypatch, block):
+    import viewsim.geometry
+
+    if block is not None:
+        monkeypatch.setattr(viewsim.geometry, "_SCAN_BLOCK", block)
+    rng = np.random.default_rng(37)
+    for _ in range(10):
+        # a few distinct points at one depth, each repeated across the cloud in shuffled order
+        ties = np.column_stack([rng.normal(size=(4, 2)) * 0.01, np.full(4, -1.0)])
+        points = np.concatenate([ties.repeat(5, axis=0), rng.normal(size=(40, 3)) * 3.0])
+        points = points[rng.permutation(points.shape[0])]
+        p, _ = _same_hit(np.zeros(3), MINUS_Z, PointCloudFrame(0, points), 0.1)
+        assert p[2] == -1.0
+
+
+@pytest.mark.parametrize("lo, hi", [(-175.0, -150.0), (150.0, 160.0)], ids=["underflow", "overflow"])
+def test_ray_cast_is_the_norm_oracle_where_squares_underflow_or_overflow(lo, hi):
+    rng = np.random.default_rng(38)
+    for _ in range(10):
+        rows = (np.array([0.0, 0.0, -1.0]) + rng.normal(size=(300, 3)) * 0.02) * 10.0 ** rng.uniform(lo, hi, (300, 1))
+        with np.errstate(all="ignore"):
+            sq = rows * rows
+        assert ((sq == 0.0) | (sq < np.finfo(float).tiny)).any() if lo < 0 else np.isinf(sq).any()
+        assert _same_hit(np.zeros(3), MINUS_Z, PointCloudFrame(0, rows)) is not None
 
 
 def test_invalid_frustum_params_rejected():

@@ -396,6 +396,29 @@ def test_overlap_matches_the_unblocked_product_at_every_block_size(monkeypatch, 
     assert np.isfinite(got).any() and (got[~np.isnan(got)] < 1.0).any()
 
 
+def test_overlap_matrix_is_the_product_oracle_for_64_users_with_absent_rows_unread():
+    rng = np.random.default_rng(26)
+    cloud = PointCloudFrame(0, _fibonacci_sphere(5000, 0.9))
+    x = rng.normal(size=(64, 3))
+    x *= rng.uniform(1.5, 3.0, (64, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+    view = rng.normal(size=(64, 3)) * 0.2 - x
+    off = rng.random(64) < 0.2
+    x[off], view[off] = np.nan, 0.0  # an absent user's row is never built into a frustum
+    params = FrustumParams(0.5, 0.5)
+    got = overlap_matrix(0, tuple(range(64)), x, view, off, cloud, params).values
+    assert got.tobytes() == overlap_product_oracle(x, view, off, cloud, params).tobytes()
+    assert 0 < np.count_nonzero(got > 0) and np.isnan(got[off]).all()
+    x[np.flatnonzero(~off)[5]] = [np.inf, 0.0, 0.0]
+    with pytest.raises(ValueError, match=r"non-finite 3-vector: \[inf  0.  0.\]"):
+        overlap_matrix(0, tuple(range(64)), x, view, off, cloud, params)
+
+
+def test_overlap_matrix_with_every_user_off_content_is_all_nan(default_params):
+    cloud = PointCloudFrame(0.0, _fibonacci_sphere(300, 1.0))
+    values = overlap_matrix(0, ("a", "b", "c"), np.full((3, 3), np.nan), np.zeros((3, 3)), np.ones(3, dtype=bool), cloud, default_params).values
+    assert values.shape == (3, 3) and np.isnan(values).all()
+
+
 def test_overlap_matrix_empty_pair_invalid(default_params):
     cloud = PointCloudFrame(0.0, np.array([[0.0, 0.0, 0.0]]))
     users = ("a", "b")

@@ -88,28 +88,27 @@ def _number(text: str, flag: str) -> float:
         raise UsageError(f"{flag} takes numbers, got '{text}'")
 
 
-def cmd_overlap(args) -> int:
+def _write_matrices(args, metrics: list, prefix: str) -> int:
+    """``<prefix>_<content>.csv`` of each content's ``metrics``, in metric order, over the ``--frames`` range."""
     pcs = _contents(args)
     # every content's range is checked before any output is written
     for pc, frames in zip(pcs, [_parse_frames(args.frames, pc.dataset.n_frames) for pc in pcs]):
-        mats = metric_matrices(pc, [MetricId.OVERLAP], frames)[MetricId.OVERLAP]
-        path = _out_path(args, f"overlap_{safe_name(pc.content_id)}.csv")
+        by_metric = metric_matrices(pc, metrics, frames)
+        mats = [m for metric in metrics for m in by_metric[metric]]
+        path = _out_path(args, f"{prefix}_{safe_name(pc.content_id)}.csv")
         write_matrices_csv(path, mats)
         pairs = sum(m.n * (m.n - 1) // 2 for m in mats)
-        print(f"{pc.content_id}: wrote {path} ({len(mats)} frames, {pairs} pair rows)")
+        print(f"{pc.content_id}: wrote {path} ({len(metrics)} metrics x {len(mats) // len(metrics)} frames, "
+              f"{pairs} pair rows)")
     return 0
+
+
+def cmd_overlap(args) -> int:
+    return _write_matrices(args, [MetricId.OVERLAP], "overlap")
 
 
 def cmd_metrics(args) -> int:
-    metrics = _parse_metrics(args.metric, PROXY_METRICS)
-    pcs = _contents(args)
-    for pc, frames in zip(pcs, [_parse_frames(args.frames, pc.dataset.n_frames) for pc in pcs]):
-        by_metric = metric_matrices(pc, metrics, frames)
-        mats = [m for metric in metrics for m in by_metric[metric]]
-        path = _out_path(args, f"metrics_{safe_name(pc.content_id)}.csv")
-        write_matrices_csv(path, mats)
-        print(f"{pc.content_id}: wrote {path} ({len(metrics)} metrics x {len(mats) // len(metrics)} frames)")
-    return 0
+    return _write_matrices(args, _parse_metrics(args.metric, PROXY_METRICS), "metrics")
 
 
 def cmd_calibrate(args) -> int:

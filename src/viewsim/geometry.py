@@ -273,18 +273,16 @@ def ray_cast_center(
 class SurfaceGraph:
     """k-NN graph over one cloud frame for geodesic distance queries."""
 
-    points: np.ndarray
     adjacency: csr_matrix
     _tree: cKDTree
 
     @property
     def n_points(self) -> int:
-        return self.points.shape[0]
+        return self.adjacency.shape[0]
 
-    def nearest_index(self, point) -> int:
-        """Graph vertex closest to an arbitrary point (snap for queries)."""
-        _, idx = self._tree.query(as_vec3(point))
-        return int(idx)
+    def nearest(self, points) -> np.ndarray:
+        """The graph vertex closest to each row of the m×3 ``points``, from one tree query (snap for queries)."""
+        return self._tree.query(points)[1]
 
 
 def build_surface_graph(cloud: PointCloudFrame, k: int = DEFAULT_SURFACE_KNN) -> SurfaceGraph:
@@ -328,7 +326,7 @@ def build_surface_graph(cloud: PointCloudFrame, k: int = DEFAULT_SURFACE_KNN) ->
     data = union.data.copy()  # exact-size: scipy's union buffer is sized for both operands
     data[data == _ZERO] = 0.0
     adj = csr_matrix((data, union.indices.copy(), union.indptr), shape=(n, n))
-    return SurfaceGraph(points=pts, adjacency=adj, _tree=tree)
+    return SurfaceGraph(adjacency=adj, _tree=tree)
 
 
 def geodesic_rows(graph: SurfaceGraph, sources, targets) -> np.ndarray:

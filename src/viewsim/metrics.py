@@ -182,7 +182,7 @@ class PairFeatures:
     this once per frame and reapplies kernels per grid point.  A feature is
     NaN for every pair it does not exist for: ``pos_dist`` where either user
     is off content, the others also where either user has no gaze target.
-    ``gaze_geo`` is None when no surface graph was supplied.
+    ``gaze_geo`` is None until a caller fills it with ``geodesic_gaze``.
     """
 
     frame: int
@@ -207,13 +207,12 @@ class PairFeatures:
         return SimilarityMatrix(frame=self.frame, users=self.users, metric=metric, values=values)
 
 
-def compute_pair_features(frame_index: int, users: tuple, x, p, r, off, graph: SurfaceGraph | None = None) -> PairFeatures:
-    """Build the feature matrices for one aligned frame.
+def compute_pair_features(frame_index: int, users: tuple, x, p, r, off) -> PairFeatures:
+    """Build the graph-free feature matrices for one aligned frame; ``gaze_geo`` is left None.
 
     ``x`` and ``p`` are n×3, ``r`` and ``off`` length n, one row per user;
     p and r are NaN for a user without a gaze target.  An off-content
-    user's x, p and r are taken as NaN.  With a ``graph``, ``gaze_geo`` is
-    ``geodesic_gaze(p, r, graph)``.
+    user's x, p and r are taken as NaN.
     """
     n = len(users)
     # contiguous, like stacked rows: numpy may pick another (SIMD) loop, with other rounding, for strided input
@@ -237,7 +236,6 @@ def compute_pair_features(frame_index: int, users: tuple, x, p, r, off, graph: S
         range_diff=range_diff,
         gaze_euc=gaze_euc,
         eta_sum=eta_sum,
-        gaze_geo=None if graph is None else geodesic_gaze(ps, rs, graph),
     )
 
 
@@ -246,18 +244,17 @@ def geodesic_gaze(p, r, graph: SurfaceGraph) -> np.ndarray:
 
     ``p`` is n×3 and ``r`` length n, one row per user; a user whose r is
     NaN has no gaze target, and its row and column are NaN.  Distances are
-    taken between graph vertices nearest each p, one shortest-path sweep
-    per distinct source vertex but the largest; the row of the smaller
-    vertex index is used for both orientations so the matrix is symmetric
-    by construction.
+    taken between the graph vertices nearest each p, snapped by one
+    ``graph.nearest`` query, with one shortest-path sweep per distinct
+    source vertex but the largest; the row of the smaller vertex index is
+    used for both orientations so the matrix is symmetric by construction.
     """
     ps, rs = (np.ascontiguousarray(a, dtype=np.float64) for a in (p, r))
     n = len(rs)
     gaze_geo = np.full((n, n), np.nan)
     on_idx = np.flatnonzero(~np.isnan(rs))
     if on_idx.size:
-        snapped = np.array([graph.nearest_index(ps[i]) for i in on_idx])
-        uniq, inv = np.unique(snapped, return_inverse=True)
+        uniq, inv = np.unique(graph.nearest(ps[on_idx]), return_inverse=True)
         dist = np.zeros((uniq.size, uniq.size))
         dist[:-1] = geodesic_rows(graph, uniq[:-1], uniq)  # the largest vertex's row is never read
         gaze_geo[np.ix_(on_idx, on_idx)] = dist[np.minimum.outer(inv, inv), np.maximum.outer(inv, inv)]

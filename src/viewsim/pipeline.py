@@ -77,26 +77,17 @@ class PreparedContent(ContentSettings):
         return self._sharing(metrics=metrics)
 
     def cloud(self, frame: int):
-        """One frame's cloud; only the latest is kept, and it is dropped before the next is read."""
-        if self.tables.get("cloud", (None,))[0] != frame:
-            self.tables.pop("cloud", None)
-            self.tables["cloud"] = (frame, self.clouds[frame])
-        return self.tables["cloud"][1]
+        """One frame's cloud, kept by ``_latest``."""
+        return _latest(self, "cloud", frame, lambda: self.clouds[frame])
 
     def cloud_digest(self, frame: int) -> str:
-        """Digest of one frame's cloud points, computed once per frame."""
-        key = ("digest", frame)
-        if key not in self.tables:
-            self.tables[key] = store.digest(self.cloud(frame).points)
-        return self.tables[key]
+        """Digest of one frame's cloud points, a memory-only table."""
+        return _table(self, "digest", frame, lambda: store.digest(self.cloud(frame).points))
 
     def surface_graph(self, frame: int):
-        """Graph for one frame; only the latest is kept, and it is dropped before the next is built."""
+        """Graph for one frame, kept by ``_latest`` under its cloud digest and ``surface_knn``."""
         key = (self.cloud_digest(frame), self.surface_knn)
-        if self.tables.get("graph", (None,))[0] != key:
-            self.tables.pop("graph", None)
-            self.tables["graph"] = (key, build_surface_graph(self.cloud(frame), k=self.surface_knn))
-        return self.tables["graph"][1]
+        return _latest(self, "graph", key, lambda: build_surface_graph(self.cloud(frame), k=self.surface_knn))
 
 
 def prepare(cm: ContentManifest) -> PreparedContent:
@@ -116,6 +107,14 @@ def prepare_scenario(scenario: SynthScenario, **settings) -> PreparedContent:
     """In-memory PreparedContent from a synthetic scenario; ``settings`` are ContentSettings keywords."""
     clouds = generate_cloud(scenario)
     return PreparedContent(scenario.content_id, generate_trajectories(scenario, clouds), clouds, **settings)
+
+
+def _latest(pc: PreparedContent, slot: str, key, make):
+    """``tables[slot]``'s value if made for ``key``, else ``make()`` in its place, the old value dropped first."""
+    if pc.tables.get(slot, (None,))[0] != key:
+        pc.tables.pop(slot, None)
+        pc.tables[slot] = (key, make())
+    return pc.tables[slot][1]
 
 
 def _table(pc: PreparedContent, kind: str, k: int, compute, reads=None):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from typing import NamedTuple
@@ -14,6 +15,7 @@ from viewsim import (
     SimilarityMatrix,
 )
 from viewsim.geometry import unit
+from viewsim.metrics import compute_pair_features, geodesic_gaze
 
 # One line per acceptance criterion, printed after the run.
 ACCEPTANCE_LINES: list = []
@@ -74,6 +76,15 @@ def feature_columns(samples):
     p = np.stack([np.full(3, np.nan) if s.p is None else s.p for s in samples])
     r = np.array([np.nan if s.r is None else s.r for s in samples])
     return x, p, r, np.array([s.off_content for s in samples])
+
+
+def geodesic_features(frame, users, x, p, r, off, graph):
+    """``compute_pair_features`` with ``gaze_geo`` from ``geodesic_gaze``, joined as the table pass joins them.
+
+    An off-content user's r is taken as NaN, as ``compute_pair_features`` takes it.
+    """
+    feats = compute_pair_features(frame, users, x, p, r, off)
+    return dataclasses.replace(feats, gaze_geo=geodesic_gaze(p, np.where(off, np.nan, r), graph))
 
 
 def overlap_columns(samples):

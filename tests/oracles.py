@@ -3,9 +3,11 @@
 Everything here is deliberately written the slow, obvious way (pure Python
 loops, Fractions, exhaustive enumeration) and shares no code with the
 package beyond reading its public data structures.  The exceptions:
-``geodesic_distance`` snaps with ``SurfaceGraph.nearest_index`` and
-measures with the package's ``geodesic_rows`` (checked against closed
-forms by criterion 4 and against ``dijkstra_oracle``), and ``metric_value``
+``geodesic_distance`` snaps with ``SurfaceGraph.nearest``, the rows form
+``geodesic_gaze`` snaps with too (checked against one ``cKDTree`` query
+per point on tied clouds), and measures with the package's
+``geodesic_rows`` (checked against closed forms by criterion 4 and
+against ``dijkstra_oracle``), and ``metric_value``
 measures graph distances with it; ``clique_clustering_oracle`` searches
 each sub-graph with the package's ``max_clique`` (checked against
 exhaustive enumeration by criterion 5).  ``ablate_oracle`` is the
@@ -310,7 +312,7 @@ def dijkstra_oracle(n_vertices, edges, source):
 
 def geodesic_distance(graph, a, b) -> float:
     """Shortest-path length between the vertices nearest a and b; +inf across components."""
-    ia, ib = graph.nearest_index(a), graph.nearest_index(b)
+    ia, ib = graph.nearest([a, b]).tolist()
     return 0.0 if ia == ib else float(geodesic_rows(graph, [ia], [ib])[0, 0])
 
 

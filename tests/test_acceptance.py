@@ -25,7 +25,6 @@ from viewsim.geometry import (
 from viewsim.metrics import (
     MetricId,
     PROXY_METRICS,
-    compute_pair_features,
     default_configs,
     overlap_matrix,
     pair_indices,
@@ -33,7 +32,9 @@ from viewsim.metrics import (
 from viewsim.pipeline import evaluate_content, prepare, prepare_scenario, run_ablation
 from viewsim.synth import _fibonacci_sphere, planted_labels, three_orbit_groups
 
-from conftest import feature_columns, make_sample, overlap_columns, random_viewer, record_criterion, square_matrix
+from conftest import (
+    feature_columns, geodesic_features, make_sample, overlap_columns, random_viewer, record_criterion, square_matrix,
+)
 from oracles import (
     adjusted_rand_index,
     geodesic_distance,
@@ -148,7 +149,7 @@ def test_criterion_3_kernel_identities_and_symmetry():
     # full src/dst swap of every metric over 10^4 unordered pairs
     users = tuple(f"u{k:03d}" for k in range(142))
     samples = _posed_samples(rng, 142)
-    features = compute_pair_features(0, users, *feature_columns(samples), graph=graph)
+    features = geodesic_features(0, users, *feature_columns(samples), graph)
     worst_sym = 0.0
     for metric in PROXY_METRICS:
         m = features.metric_matrix(metric, configs[metric].regulators)

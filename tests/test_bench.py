@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import inspect
+import time
 from pathlib import Path
 
 import viewsim.bench
@@ -30,6 +31,35 @@ def test_bench_reports_speedup_vs_vectorized_and_memory_peaks():
     cast = report["derive_pr"]
     assert set(cast) == {"per_user_frame_s", "cv", "peak_mb"}
     assert cast["per_user_frame_s"] > 0.0 and cast["cv"] == 0.0 and cast["peak_mb"] > 0.0  # one repeat: no spread
+
+
+def test_bench_times_only_warm_calls(monkeypatch):
+    # each wrapped function's first call sleeps: a row that timed a first call would read the sleep
+    first_calls = []
+
+    def sleeping_first(name, real):
+        def wrapped(*args, **kwargs):
+            if name not in first_calls:
+                first_calls.append(name)
+                time.sleep(0.2)
+            return real(*args, **kwargs)
+        return wrapped
+
+    names = ("derive_pr", "overlap_matrix", "build_surface_graph", "compute_pair_features", "geodesic_gaze")
+    for name in names:
+        real = getattr(viewsim.bench, name, None)  # a bench that never calls one fails on the last assert
+        monkeypatch.setattr(viewsim.bench, name, sleeping_first(name, real), raising=False)
+    report = viewsim.bench.run_bench(n_users=4, n_points=300, naive_pairs=1, repeats=1, seed=1)
+    n_pairs = report["n_pairs_per_frame"]
+    spans = {"derive_pr": report["derive_pr"]["per_user_frame_s"] * report["n_users"],
+             "graph_build_s": report["graph_build_s"]}
+    for row in report["rows"]:
+        spans[row["label"]] = row["per_pair_s"] * row.get("pairs_timed", n_pairs)
+    assert set(spans) == {"derive_pr", "graph_build_s", "overlap_naive", "overlap_vectorized",
+                          *(m.value for m in PROXY_METRICS)}
+    slow = {label: s for label, s in spans.items() if s >= 0.1}
+    assert slow == {}, "these rows timed a first call"
+    assert sorted(first_calls) == sorted(names)
 
 
 def test_perfbench_trace_targets_resolve():

@@ -13,6 +13,7 @@ from viewsim import (
     view_basis,
 )
 from viewsim.errors import InvalidParamsError
+from viewsim.metrics import geodesic_gaze
 from viewsim.geometry import (
     frusta,
     geodesic_rows,
@@ -485,6 +486,31 @@ def test_surface_graph_matches_sorted_dedupe_oracle(name, k):
     assert directed.tobytes() == np.atleast_2d(dijkstra(want, directed=False, indices=sources)).tobytes()
 
 
+@pytest.mark.parametrize("name", ["duplicates", "grid"])
+def test_geodesic_gaze_snaps_ties_as_one_tree_query_per_point(name):
+    from scipy.sparse.csgraph import dijkstra
+    from scipy.spatial import cKDTree
+
+    points = _oracle_clouds()[name]
+    graph = build_surface_graph(PointCloudFrame(0, points), k=8)
+    rng = np.random.default_rng(23)
+    # gazes on cloud points, tied between their copies, and on grid nodes, which the grid cloud ties at equal offsets
+    p = np.vstack([points[rng.integers(0, len(points), 24)], np.round(rng.uniform(-1.0, 1.0, (24, 3)) * 6.0) / 6.0])
+    r = rng.uniform(0.5, 2.0, len(p))
+    r[::7] = np.nan  # users without a gaze target
+    p[np.isnan(r)] = np.nan
+    tree = cKDTree(points)
+    snapped = [None if np.isnan(r[i]) else int(tree.query(p[i])[1]) for i in range(len(p))]
+    on = [i for i, v in enumerate(snapped) if v is not None]
+    assert graph.nearest(p[on]).tolist() == [snapped[i] for i in on]
+    want = np.full((len(p), len(p)), np.nan)
+    for i in on:
+        for j in on:
+            vi, vj = snapped[i], snapped[j]
+            want[i, j] = dijkstra(graph.adjacency, indices=min(vi, vj))[max(vi, vj)]
+    assert geodesic_gaze(p, r, graph).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("k", [3, 8])
 @pytest.mark.parametrize("block", [1, 7, 50, 129, 130, 131])
 def test_surface_graph_is_the_oracle_when_a_block_boundary_splits_duplicates(monkeypatch, block, k):
@@ -613,11 +639,12 @@ def test_duplicate_points_connect_at_zero_cost():
     assert geodesic_distance(graph, pts[0], pts[1]) == 0.0
 
 
-def test_nearest_index_snaps_to_vertex(small_cloud):
+def test_nearest_snaps_each_row_to_its_vertex(small_cloud):
     graph = build_surface_graph(small_cloud)
-    for k in (0, 17, 250):
-        assert graph.nearest_index(small_cloud.points[k]) == k
-        assert graph.nearest_index(small_cloud.points[k] + 1e-6) == k
+    ks = [0, 17, 250]
+    points = small_cloud.points[ks]
+    assert graph.nearest(points).tolist() == ks
+    assert graph.nearest(points + 1e-6).tolist() == ks
 
 
 def test_cloud_points_are_immutable(small_cloud):

@@ -20,10 +20,12 @@ from viewsim import (
     overlap_matrix,
 )
 from viewsim.errors import MissingGraphError
-from viewsim.metrics import PROXY_METRICS, PairFeatures, SimilarityMatrix, exp_kernel, write_matrices_csv
+from viewsim.metrics import (
+    PROXY_METRICS, PairFeatures, SimilarityMatrix, exp_kernel, geodesic_gaze, write_matrices_csv,
+)
 from viewsim.synth import _fibonacci_sphere
 
-from conftest import Sample, assert_close, feature_columns, make_sample, overlap_columns
+from conftest import Sample, assert_close, feature_columns, geodesic_features, make_sample, overlap_columns
 from oracles import metric_validity_oracle, metric_value, overlap_product_oracle, overlap_validity_oracle
 
 # metric: (default regulators, default threshold, regulators it reads, needs a surface graph)
@@ -174,7 +176,7 @@ def test_symmetry_scalar_route():
 ])
 def test_matrix_route_matches_scalar_route(regs):
     users, samples, graph = _scene(seed=5)
-    feats = compute_pair_features(0, users, *feature_columns(samples), graph=graph)
+    feats = geodesic_features(0, users, *feature_columns(samples), graph)
     for metric in PROXY_METRICS:
         reg = RegulatorSet(*(TABLE[metric][0] if regs is None else regs))
         mat = feats.metric_matrix(metric, reg)
@@ -199,8 +201,8 @@ def test_geodesic_features_bit_equal_to_a_pair_loop_and_skip_the_largest_vertex(
     real = viewsim.metrics.geodesic_rows
     monkeypatch.setattr(viewsim.metrics, "geodesic_rows",
                         lambda g, sources, targets: sweeps.append(list(sources)) or real(g, sources, targets))
-    gaze = compute_pair_features(0, users, *feature_columns(samples), graph=graph).gaze_geo
-    snapped = [None if s.p is None else graph.nearest_index(s.p) for s in samples]
+    gaze = geodesic_gaze(*feature_columns(samples)[1:3], graph)
+    snapped = [None if s.p is None else int(graph.nearest([s.p])[0]) for s in samples]
     distinct = sorted({v for v in snapped if v is not None})
     assert sweeps == [distinct[:-1]]
     want = np.full(gaze.shape, np.nan)
@@ -213,7 +215,7 @@ def test_geodesic_features_bit_equal_to_a_pair_loop_and_skip_the_largest_vertex(
 
 def test_product_metric_factorizes():
     users, samples, graph = _scene(seed=6)
-    feats = compute_pair_features(0, users, *feature_columns(samples), graph=graph)
+    feats = geodesic_features(0, users, *feature_columns(samples), graph)
     reg = RegulatorSet(0.3, 0.7, 1.1)
     w5 = feats.metric_matrix(MetricId.W5, reg)
     w1 = feats.metric_matrix(MetricId.W1, RegulatorSet(0.3, 0.0, 0.0))
@@ -230,7 +232,7 @@ def test_product_metric_factorizes():
 
 def test_zero_regulators_degenerate_to_one():
     users, samples, graph = _scene(seed=7)
-    feats = compute_pair_features(0, users, *feature_columns(samples), graph=graph)
+    feats = geodesic_features(0, users, *feature_columns(samples), graph)
     for metric in (MetricId.W5, MetricId.W6):
         mat = feats.metric_matrix(metric, RegulatorSet(0.0, 0.0, 0.0))
         assert np.all(mat.values[mat.valid] == 1.0)
@@ -238,7 +240,7 @@ def test_zero_regulators_degenerate_to_one():
 
 def test_tanh_metric_range_bound():
     users, samples, graph = _scene(seed=8, r_span=(0.1, 40.0))
-    feats = compute_pair_features(0, users, *feature_columns(samples), graph=graph)
+    feats = geodesic_features(0, users, *feature_columns(samples), graph)
     for beta in (0.25, 0.5, 2.0):
         mat = feats.metric_matrix(MetricId.W7, RegulatorSet(0.5, beta, 0.5))
         vals = mat.values[mat.valid]
@@ -248,7 +250,7 @@ def test_tanh_metric_range_bound():
 
 def test_geodesic_metrics_need_graph():
     users, samples, _ = _scene(seed=9)
-    feats = compute_pair_features(0, users, *feature_columns(samples), graph=None)
+    feats = compute_pair_features(0, users, *feature_columns(samples))
     with pytest.raises(MissingGraphError):
         feats.metric_matrix(MetricId.W3, RegulatorSet(1.0, 0.0, 0.0))
     # euclidean variants work without one
@@ -259,7 +261,7 @@ def test_missing_pr_invalidates_pr_metrics_only():
     users, samples, graph = _scene(seed=10, n_users=4)
     bare = make_sample([0.0, 0.0, 2.2], view=[0, 0, -1])  # no p, no r
     samples[2] = bare
-    feats = compute_pair_features(0, users, *feature_columns(samples), graph=graph)
+    feats = geodesic_features(0, users, *feature_columns(samples), graph)
     w1 = feats.metric_matrix(MetricId.W1, RegulatorSet(1.0, 0.0, 0.0))
     w2 = feats.metric_matrix(MetricId.W2, RegulatorSet(1.0, 0.0, 0.0))
     assert w1.valid[0, 2] and w1.valid[2, 3]
@@ -271,7 +273,7 @@ def test_missing_pr_invalidates_pr_metrics_only():
 def test_off_content_user_invalid_everywhere():
     users, samples, graph = _scene(seed=11, n_users=4)
     samples[1] = make_sample([5.0, 0.0, 0.0], view=[0, 0, -1], off_content=True)
-    feats = compute_pair_features(0, users, *feature_columns(samples), graph=graph)
+    feats = geodesic_features(0, users, *feature_columns(samples), graph)
     w1 = feats.metric_matrix(MetricId.W1, RegulatorSet(1.0, 0.0, 0.0))
     assert not w1.valid[0, 1] and not w1.valid[1, 2]
 
@@ -306,7 +308,7 @@ def test_nan_marks_exactly_the_pairs_the_mask_formulas_invalidate(seed, default_
     no_target = np.isin(kind, ["off", "no-target"])
     p[no_target], r[no_target] = np.nan, np.nan
     off = np.isin(kind, ["off-with-target", "off"])
-    feats = compute_pair_features(0, users, x, p, r, off, graph=graph)
+    feats = geodesic_features(0, users, x, p, r, off, graph)
     samples = [Sample(x[i], np.array([0.0, 0.0, -1.0]), None if np.isnan(r[i]) else p[i],
                       None if np.isnan(r[i]) else r[i], bool(off[i])) for i in range(n)]
     for metric in PROXY_METRICS:
@@ -466,7 +468,7 @@ def test_matrices_csv_rows_follow_a_pair_loop(tmp_path):
 def test_matrices_csv_round_trip(tmp_path):
     users, samples, graph = _scene(seed=15, n_users=4)
     samples[3] = make_sample([1.0, 0.5, 2.0], view=[0, 0, -1])  # invalid p/r pairs
-    feats = compute_pair_features(0, users, *feature_columns(samples), graph=graph)
+    feats = geodesic_features(0, users, *feature_columns(samples), graph)
     mats = [feats.metric_matrix(m, RegulatorSet(*TABLE[m][0])) for m in (MetricId.W2, MetricId.W7)]
     path = tmp_path / "m.csv"
     write_matrices_csv(path, mats)

@@ -1,9 +1,10 @@
 """Batch orchestration: loading, matrices, clustering, sweeps."""
 
 import re
+import shutil
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,13 @@ import pytest
 import viewsim.pipeline
 import viewsim.ply
 from viewsim.calibration import pair_samples
+from viewsim.clustering import ChunkSpec
 from viewsim.errors import InvalidParamsError
 from viewsim.geometry import FrustumParams, PointCloudFrame
-from viewsim.manifest import load_manifest
-from viewsim.metrics import MetricId, compute_pair_features, overlap_matrix
+from viewsim.manifest import ContentSettings, load_manifest
+from viewsim.metrics import (
+    MetricConfig, MetricId, RegulatorSet, compute_pair_features, default_configs, geodesic_gaze, overlap_matrix,
+)
 from viewsim.pipeline import (
     calibrate_contents,
     cluster_content,
@@ -29,7 +33,7 @@ from viewsim.pipeline import (
 from viewsim.synth import planted_labels, three_orbit_groups, write_scenario
 from viewsim.trajectories import derive_pr
 
-from conftest import overlaps
+from conftest import geodesic_features, overlaps
 from oracles import adjusted_rand_index
 
 
@@ -180,7 +184,6 @@ def test_one_surface_graph_alive_at_a_time(narrow_content, monkeypatch):
         return graph
 
     monkeypatch.setattr(viewsim.pipeline, "build_surface_graph", watched)
-    ds = narrow_content.dataset
     # four distinct clouds over six frames, equal ones not adjacent: A B A C B D, one build per frame
     scale = [1.0, 1.01, 1.0, 1.02, 1.01, 1.03]
     clouds = [PointCloudFrame(k, narrow_content.clouds[k].points * s) for k, s in enumerate(scale)]
@@ -191,9 +194,8 @@ def test_one_surface_graph_alive_at_a_time(narrow_content, monkeypatch):
     # the same values as one graph per frame, built afresh
     for k, cloud in enumerate(clouds):
         graph = real(cloud, pc.surface_knn)
-        p, r, off = gaze_targets(pc, k)
-        want = compute_pair_features(k, ds.users, ds.x[:, k], p, r, off, graph=graph)
-        assert want.gaze_geo.tobytes() == pc.tables[("geodesic", k)][0].tobytes()
+        p, r, _ = gaze_targets(pc, k)
+        assert geodesic_gaze(p, r, graph).tobytes() == pc.tables[("geodesic", k)][0].tobytes()
 
 
 def test_feature_tables_add_geodesics_only_when_asked(narrow_content, monkeypatch):
@@ -267,6 +269,46 @@ def test_disk_store_round_trips_and_upgrades_to_geodesics(narrow_content, tmp_pa
         for a, b in zip(_stored(pc, kind), _stored(memory, kind)):
             _same_bytes(a, b)
     assert not list(tmp_path.glob("**/*.tmp"))
+
+
+# each content setting: a changed value, and the stored kinds whose key reads the setting
+SETTING_READERS = {
+    "reference": (False, set()),
+    "frustum": (FrustumParams(hfov=0.6, vfov=0.4), {"overlap"}),
+    "cone_half_angle": (0.07, {"pr", "overlap", "geodesic"}),
+    "r_mode": ("centroid", {"pr", "geodesic"}),
+    "relevant_min_size": (3, set()),
+    "overlap_threshold": (0.5, set()),
+    "surface_knn": (4, {"geodesic"}),
+    "chunk": (ChunkSpec(window=0.5, persistence=0.6), set()),
+    "metrics": ({**default_configs(), MetricId.W3: MetricConfig(MetricId.W3, RegulatorSet(2.0), 0.5)}, set()),
+}
+
+
+def test_store_keys_cover_every_setting_each_table_reads(narrow_content, tmp_path, monkeypatch):
+    # a setting a table reads but its key leaves out would be a stale hit: a table unequal to a run without a store
+    assert set(SETTING_READERS) == {f.name for f in fields(ContentSettings)}, "classify each new setting"
+    metrics, frames = [MetricId.OVERLAP, MetricId.W3], [0, 3]
+    metric_matrices(replace(narrow_content, store_dir=str(tmp_path / "seed")), metrics, frames)
+    computed = []
+    for name, kind in (("derive_pr", "pr"), ("overlap_matrix", "overlap"), ("geodesic_gaze", "geodesic")):
+        real = getattr(viewsim.pipeline, name)
+        monkeypatch.setattr(viewsim.pipeline, name,
+                            lambda *a, real=real, kind=kind, **kw: computed.append(kind) or real(*a, **kw))
+    for f in fields(ContentSettings):
+        value, readers = SETTING_READERS[f.name]
+        store_dir = tmp_path / f.name
+        shutil.copytree(tmp_path / "seed", store_dir)
+        stored = replace(narrow_content, store_dir=str(store_dir), **{f.name: value})
+        memory = replace(narrow_content, **{f.name: value})
+        metric_matrices(memory, metrics, frames)
+        computed.clear()
+        metric_matrices(stored, metrics, frames)
+        assert set(computed) <= readers, f.name
+        for kind in ("pr", "overlap", "features", "geodesic"):
+            assert len(_stored(stored, kind)) == len(frames), (f.name, kind)
+            for a, b in zip(_stored(stored, kind), _stored(memory, kind)):
+                _same_bytes(a, b)
 
 
 def test_stored_tables_hold_only_their_arrays(narrow_content, tmp_path):
@@ -544,8 +586,9 @@ def _frame_features(pc, geodesic):
     out = []
     for k in range(ds.n_frames):
         p, r, off = gaze_targets(pc, k)
-        graph = build_surface_graph(pc.clouds[k], k=pc.surface_knn) if geodesic else None
-        out.append(compute_pair_features(k, ds.users, ds.x[:, k], p, r, off, graph=graph))
+        columns = (k, ds.users, ds.x[:, k], p, r, off)
+        out.append(geodesic_features(*columns, build_surface_graph(pc.clouds[k], k=pc.surface_knn)) if geodesic
+                   else compute_pair_features(*columns))
     return out
 
 

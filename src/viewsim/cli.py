@@ -18,7 +18,6 @@ import re
 import sys
 from dataclasses import asdict, replace
 
-from .bench import run_bench
 from .calibration import DEFAULT_GRID, DEFAULT_TARGET_TPR, FIGURES, FPR_ADVISORY_CEILING, regulator_grid, select_parameter_sets
 from .clustering import check_clique_size
 from .errors import InvalidParamsError, ToolError, UsageError
@@ -34,7 +33,6 @@ from .pipeline import (
     summarize_across_contents,
 )
 from .store import safe_name
-from .synth import scenario_from_json, three_orbit_groups, write_scenario
 
 
 def _out_path(args, name: str) -> str:
@@ -253,6 +251,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synth import scenario_from_json, three_orbit_groups, write_scenario
+
     if args.scenario:
         scenario = scenario_from_json(read_json(args.scenario, "scenario file"))
     else:
@@ -273,6 +273,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import run_bench
+
     report = run_bench(
         n_users=args.n_users,
         n_points=args.n_points,

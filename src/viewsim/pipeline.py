@@ -12,6 +12,7 @@ most one surface graph are alive at once, and no pass reads a cloud twice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING
 
 from . import store
 from .calibration import DEFAULT_TARGET_TPR, FIGURES, ablate, pair_samples, roc_curve, select_threshold
@@ -25,15 +26,17 @@ from .clustering import (
     persistence_scores,
 )
 from .errors import DegenerateLabelsError, InvalidParamsError
-from .evaluation import aggregate, evaluate_result, summarize_performance
+from .evaluation import evaluate_result, summarize_performance
 from .geometry import build_surface_graph
 from .manifest import ContentManifest, ContentSettings
 from .metrics import (
     PROXY_METRICS, MetricConfig, MetricId, SimilarityMatrix, compute_pair_features, geodesic_gaze, overlap_matrix,
 )
 from .ply import DirectoryCloudSequence
-from .synth import SynthScenario, generate_cloud, generate_trajectories
 from .trajectories import COLUMNS, SessionDataset, align_to_frames, derive_pr, load_trajectories
+
+if TYPE_CHECKING:  # synth loads only when a scenario is prepared
+    from .synth import SynthScenario
 
 
 @dataclass
@@ -105,6 +108,8 @@ def prepare(cm: ContentManifest) -> PreparedContent:
 
 def prepare_scenario(scenario: SynthScenario, **settings) -> PreparedContent:
     """In-memory PreparedContent from a synthetic scenario; ``settings`` are ContentSettings keywords."""
+    from .synth import generate_cloud, generate_trajectories
+
     clouds = generate_cloud(scenario)
     return PreparedContent(scenario.content_id, generate_trajectories(scenario, clouds), clouds, **settings)
 
@@ -339,8 +344,5 @@ def run_ablation(
 
 
 def summarize_across_contents(per_content: dict) -> dict:
-    """All-content row: aggregate of per-content means, for each of the FIGURES."""
-    return {
-        f: aggregate([summary[f].mean for summary in per_content.values()])
-        for f in FIGURES
-    }
+    """All-content row: ``summarize_performance`` over the per-content means."""
+    return summarize_performance([{f: summary[f].mean for f in FIGURES} for summary in per_content.values()])

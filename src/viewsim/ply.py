@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -202,6 +203,7 @@ def write_ply(path, points, binary: bool = True) -> None:
 class DirectoryCloudSequence:
     """Lazy frame-indexed view over the sorted .ply files in a directory.
 
+    Names must sort in frame order (zero-pad their numbers), or the directory is refused.
     Each access parses its file; nothing is cached here, so a frame asked
     for twice is read twice.  A table pass holds the latest frame it read
     (``PreparedContent.cloud``), so a cloud's digest, its gaze rays and the
@@ -213,13 +215,14 @@ class DirectoryCloudSequence:
         self.directory = os.fspath(directory)
         if not os.path.isdir(self.directory):
             raise DataError(f"cloud directory not found: {self.directory}")
-        self.paths = sorted(
-            os.path.join(self.directory, f)
-            for f in os.listdir(self.directory)
-            if f.lower().endswith(".ply")
-        )
-        if not self.paths:
+        names = sorted(f for f in os.listdir(self.directory) if f.lower().endswith(".ply"))
+        if not names:
             raise DataError(f"no .ply files in {self.directory}")
+        numbered = [[int(t) if k % 2 else t for k, t in enumerate(re.split(r"(\d+)", f))] for f in names]
+        for k in range(1, len(names)):
+            if numbered[k - 1] > numbered[k]:
+                raise DataError(f"{names[k - 1]} sorts before {names[k]} in {self.directory}: zero-pad the frame numbers")
+        self.paths = [os.path.join(self.directory, f) for f in names]
 
     def __len__(self) -> int:
         return len(self.paths)

@@ -8,14 +8,8 @@ import pytest
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 
-from viewsim import (
-    FrustumParams,
-    MetricId,
-    PointCloudFrame,
-    SimilarityMatrix,
-)
-from viewsim.geometry import unit
-from viewsim.metrics import compute_pair_features, geodesic_gaze
+from viewsim.geometry import FrustumParams, PointCloudFrame, unit
+from viewsim.metrics import MetricId, SimilarityMatrix, compute_pair_features, geodesic_gaze
 
 # One line per acceptance criterion, printed after the run.
 ACCEPTANCE_LINES: list = []

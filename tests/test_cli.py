@@ -676,6 +676,43 @@ def test_malformed_cloud_exits_3_naming_the_file(own_dataset, tmp_path, capsys, 
     assert err.startswith("data error: ") and message in err and str(path) in err
 
 
+def _write_clouds(clouds, names):
+    """Replace the clouds by ``names``; the k-th holds frame 0's points but its first k, so sizes tell them apart."""
+    from viewsim.ply import read_ply, write_ply
+
+    paths = sorted(clouds.iterdir())
+    points = read_ply(paths[0])
+    for path in paths:
+        path.unlink()
+    for k, name in enumerate(names):
+        write_ply(clouds / name, points[k:])
+    return len(points)
+
+
+def test_clouds_out_of_frame_order_exit_3_before_any_output(own_dataset, tmp_path, capsys):
+    from viewsim.cli import main
+
+    # as text, frame_10 sorts before frame_2: it would be served as frame 1
+    _write_clouds(own_dataset / "clouds", ["frame_1.ply", "frame_2.ply", "frame_10.ply"])
+    assert main(["--manifest", str(own_dataset / "manifest.json"), "--out", str(tmp_path / "out"), "overlap"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: frame_10.ply sorts before frame_2.ply in ") and "zero-pad" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("names", [
+    ["frame_01.ply", "frame_02.ply", "frame_10.ply"],
+    ["first.ply", "second.ply", "third.ply"],  # no numbers: text order is frame order
+], ids=["zero-padded", "no-digits"])
+def test_clouds_in_frame_order_load_in_name_order(own_dataset, tmp_path, capsys, names):
+    from viewsim.ply import DirectoryCloudSequence
+
+    n = _write_clouds(own_dataset / "clouds", names)
+    seq = DirectoryCloudSequence(own_dataset / "clouds")
+    assert [len(seq[k].points) for k in range(len(seq))] == [n, n - 1, n - 2]
+    run_in(capsys, own_dataset / "manifest.json", tmp_path / "out", ["overlap"])
+
+
 @pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
 def test_cloud_declaring_more_vertices_than_it_holds_exits_3(own_dataset, tmp_path, capsys, binary):
     import numpy as np
@@ -881,6 +918,35 @@ def test_warm_commands_compute_no_tables_and_never_import_scipy(narrow_manifest,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
+
+
+def _viewsim_modules(code, *argv):
+    """The viewsim submodules a fresh process has loaded once it has run ``code``."""
+    code = f"import sys\n{code}\nprint(*sorted(m for m in sys.modules if m.startswith('viewsim.')))\n"
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_each_process_loads_only_the_modules_it_runs(dataset, tmp_path):
+    # the package root re-exports nothing
+    assert _viewsim_modules("import viewsim") == set()
+    # synth and bench load only in the commands that use them
+    command = _viewsim_modules(
+        "import viewsim.cli\n"
+        "assert viewsim.cli.main(['--manifest', sys.argv[1], '--out', sys.argv[2], 'overlap']) == 0",
+        dataset / "manifest.json", tmp_path,
+    )
+    assert "viewsim.cli" in command and not command & {"viewsim.synth", "viewsim.bench"}
+    # a benchmark's setup process: load the manifest and prepare every content
+    setup = _viewsim_modules(
+        "from viewsim.manifest import load_manifest\n"
+        "from viewsim.pipeline import prepare\n"
+        "for cm in load_manifest(sys.argv[1]):\n"
+        "    prepare(cm)",
+        dataset / "manifest.json",
+    )
+    assert "viewsim.pipeline" in setup and "viewsim.synth" not in setup
 
 
 def test_warm_commands_never_import_numpy_ma(narrow_manifest, tmp_path, capsys):
@@ -1148,11 +1214,13 @@ def test_frames_range_past_a_session_exits_2_before_any_output(dataset, tmp_path
     (["bench", "--repeats", "0"], "--repeats must be at least 1, got 0"),
 ])
 def test_out_of_range_size_flag_exits_2_before_any_work(tmp_path, monkeypatch, capsys, argv, message):
-    import viewsim.cli
+    import viewsim.bench
+    import viewsim.synth
     from viewsim.cli import main
 
-    for name in ("run_bench", "write_scenario"):
-        monkeypatch.setattr(viewsim.cli, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    # the commands import these at call time, so they are patched where they are defined
+    for module, name in ((viewsim.bench, "run_bench"), (viewsim.synth, "write_scenario")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
     assert main(["--out", str(tmp_path / "out"), *argv]) == 2
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not (tmp_path / "out").exists()

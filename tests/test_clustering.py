@@ -3,21 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from viewsim import (
+from viewsim.clustering import (
     ChunkSpec,
-    MetricConfig,
-    MetricId,
-    RegulatorSet,
+    ClusteringResult,
     SimilarityGraph,
     build_adjacency,
     chunk_adjacency,
+    chunk_frame_ranges,
     clique_clustering,
     max_clique,
     mean_matrix,
     persistence_scores,
 )
-from viewsim.clustering import ClusteringResult, chunk_frame_ranges
 from viewsim.errors import InvalidParamsError, PreconditionError, SizeLimitError
+from viewsim.metrics import MetricConfig, MetricId, RegulatorSet
 
 from conftest import square_matrix
 from oracles import (

@@ -3,24 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from viewsim import (
+from viewsim.errors import InvalidParamsError
+from viewsim.metrics import geodesic_gaze
+from viewsim.geometry import (
     FrustumParams,
     PointCloudFrame,
     build_surface_graph,
     contains_points,
-    frustum_planes,
-    ray_cast_center,
-    view_basis,
-)
-from viewsim.errors import InvalidParamsError
-from viewsim.metrics import geodesic_gaze
-from viewsim.geometry import (
     frusta,
+    frustum_planes,
     geodesic_rows,
     quat_from_matrix,
     quat_to_matrix,
+    ray_cast_center,
     unit,
     unit_rows,
+    view_basis,
     view_quaternion,
 )
 

@@ -7,21 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viewsim import (
-    FrustumParams,
-    MetricId,
-    PointCloudFrame,
-    RegulatorSet,
-    build_surface_graph,
-    compute_pair_features,
-    contains_points,
-    default_configs,
-    frustum_planes,
-    overlap_matrix,
-)
 from viewsim.errors import MissingGraphError
+from viewsim.geometry import FrustumParams, PointCloudFrame, build_surface_graph, contains_points, frustum_planes
 from viewsim.metrics import (
-    PROXY_METRICS, PairFeatures, SimilarityMatrix, exp_kernel, geodesic_gaze, write_matrices_csv,
+    PROXY_METRICS, MetricId, PairFeatures, RegulatorSet, SimilarityMatrix, compute_pair_features, default_configs,
+    exp_kernel, geodesic_gaze, overlap_matrix, write_matrices_csv,
 )
 from viewsim.synth import _fibonacci_sphere
 
@@ -322,8 +312,6 @@ def test_nan_marks_exactly_the_pairs_the_mask_formulas_invalidate(seed, default_
     # the overlap: users near the blobs look at them or away from them
     view = np.where(rng.random((n, 1)) < 0.7, [0.0, 0.0, -1.0], [0.0, 0.0, 1.0])
     ov = overlap_matrix(0, users, x, view, off, cloud, default_params)
-    from viewsim import contains_points, frustum_planes
-
     viewports = [set(np.flatnonzero(contains_points(frustum_planes(x[i], view[i], default_params), cloud.points)).tolist())
                  for i in range(n)]
     want = overlap_validity_oracle(viewports, off)
@@ -354,8 +342,6 @@ def test_overlap_matrix_against_sets(default_params):
     users = ("a", "b", "c", "d")
     samples = [make_sample(pos) for pos in ([0, 0, 2.5], [0.2, 0, 2.5], [2.5, 0, 0], [0, 0, -2.5])]
     mat = overlap_matrix(0, users, *overlap_columns(samples), cloud, default_params)
-    from viewsim import contains_points, frustum_planes
-
     sets = [set(np.flatnonzero(contains_points(frustum_planes(s.x, s.view, default_params), cloud.points)).tolist()) for s in samples]
     for i in range(4):
         for j in range(i + 1, 4):

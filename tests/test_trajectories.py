@@ -4,16 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from viewsim import (
-    PointCloudFrame,
-    SessionDataset,
-    align_to_frames,
-    derive_pr,
-    load_trajectories,
-)
 from viewsim.errors import EmptyTrajectoryError, InvalidParamsError, ParseError
+from viewsim.geometry import PointCloudFrame
 from viewsim.synth import _fibonacci_sphere
-from viewsim.trajectories import Trace, write_trajectories
+from viewsim.trajectories import SessionDataset, Trace, align_to_frames, derive_pr, load_trajectories, write_trajectories
 
 from oracles import align_to_frames_oracle, load_trajectories_oracle
 

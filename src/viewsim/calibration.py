@@ -97,6 +97,12 @@ def select_threshold(roc: tuple, target_tpr: float = DEFAULT_TARGET_TPR) -> RocP
     return RocPoint(threshold=float(threshold[i]), tpr=float(tpr[i]), fpr=float(fpr[i]))
 
 
+def auc(roc: tuple) -> float:
+    """Area under ``roc_curve``'s ROC: the trapezoid over FPR ascending, from (0, 0) to (1, 1)."""
+    _, tpr, fpr = roc
+    return float(np.trapezoid(np.r_[0.0, tpr[::-1], 1.0], np.r_[0.0, fpr[::-1], 1.0]))
+
+
 def pair_samples(matrices: list, overlaps: list, o_th: float = DEFAULT_OVERLAP_LABEL_THRESHOLD):
     """Flatten per-frame matrices into (values, labels) over valid pairs.
 

@@ -18,15 +18,15 @@ import re
 import sys
 from dataclasses import asdict, replace
 
-from .calibration import DEFAULT_GRID, DEFAULT_TARGET_TPR, FIGURES, FPR_ADVISORY_CEILING, regulator_grid, select_parameter_sets
+from .calibration import DEFAULT_GRID, DEFAULT_TARGET_TPR, FIGURES, FPR_ADVISORY_CEILING, auc, regulator_grid, select_parameter_sets
 from .clustering import check_clique_size
 from .errors import InvalidParamsError, ToolError, UsageError
 from .manifest import load_manifest, load_thresholds, read_json, write_json
 from .metrics import MetricId, PROXY_METRICS, _fmt, write_csv, write_matrices_csv
 from .pipeline import (
-    _evaluate,
     calibrate_contents,
     cluster_content,
+    evaluate_content,
     metric_matrices,
     prepare,
     run_ablation,
@@ -132,9 +132,9 @@ def cmd_calibrate(args) -> int:
     json_path = _out_path(args, "calibration.json")
     write_json(json_path, payload)
     for m in metrics:
-        _, pt = report[m]
+        roc, pt = report[m]
         flag = "" if pt.fpr < FPR_ADVISORY_CEILING else "  [fpr above 0.4]"
-        print(f"{m.value}: threshold={pt.threshold:.6g} tpr={pt.tpr:.4f} fpr={pt.fpr:.4f}{flag}")
+        print(f"{m.value}: threshold={pt.threshold:.6g} tpr={pt.tpr:.4f} fpr={pt.fpr:.4f} auc={auc(roc):.4f}{flag}")
     print(f"wrote {roc_path} and {json_path}")
     return 0
 
@@ -220,14 +220,11 @@ def _summary_cells(summary: dict) -> list:
 
 
 def cmd_evaluate(args) -> int:
-    requested = _parse_metrics(args.metric, MetricId)
+    requested = _parse_metrics(args.metric, [*PROXY_METRICS, MetricId.OVERLAP])
     rows = []
     for pc in _contents(args, clique_searched=True):
-        # one table pass for every metric reads each cloud once and applies each kernel once
-        mats = metric_matrices(pc, [*requested, MetricId.OVERLAP])
-        for metric in requested:
-            _, perfs, summary = _evaluate(pc, metric, mats, args.mode)
-            rows.append((pc.content_id, metric, summary, len(perfs)))
+        scored = evaluate_content(pc, requested, args.mode)
+        rows += [(pc.content_id, metric, summary, len(perfs)) for metric, (_, perfs, summary) in scored.items()]
     table = [[cid, metric.value, args.mode] + _summary_cells(summary) + [n] for cid, metric, summary, n in rows]
     for metric in requested:
         per_content = {cid: summary for cid, m, summary, _ in rows if m is metric}

@@ -197,15 +197,16 @@ def point_blocks(n: int):
 def contains_points(planes: tuple, points: np.ndarray) -> np.ndarray:
     """Closed-boundary containment mask of an (N, 3) array in ``(normals, offsets)``.
 
-    With ``d = points @ normals.T``, a point is inside iff ``d[:, j] >= -offsets[j]``
-    for every plane j.  That is ``np.all(d + offsets >= 0.0, axis=1)`` bit for bit,
-    since rounding keeps the sign of a sum: fl(d + o) >= 0 iff d >= -o.
+    With the (6, N) product ``d = normals @ points.T``, a point is inside iff
+    ``d[j] >= -offsets[j]`` for every plane j, each test reading one contiguous
+    row.  That is ``np.all(d.T + offsets >= 0.0, axis=1)`` bit for bit, since
+    rounding keeps the sign of a sum: fl(d + o) >= 0 iff d >= -o.
     """
     normals, offsets = planes
-    d = np.asarray(points, dtype=np.float64) @ normals.T
-    inside = d[:, 0] >= -offsets[0]
+    d = normals @ np.asarray(points, dtype=np.float64).T
+    inside = d[0] >= -offsets[0]
     for j in range(1, len(offsets)):
-        inside &= d[:, j] >= -offsets[j]
+        inside &= d[j] >= -offsets[j]
     return inside
 
 

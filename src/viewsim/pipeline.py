@@ -235,27 +235,21 @@ def cluster_content(
     return _cluster(pc, metric, metric_matrices(pc, [metric])[metric], mode)
 
 
-def evaluate_content(
-    pc: PreparedContent,
-    metric: MetricId,
-    mode: str = "chunk",
-):
-    """Cluster with a metric and score against the exact ground truth.
+def evaluate_content(pc: PreparedContent, metrics, mode: str = "chunk") -> dict:
+    """Cluster with each metric and score it against the exact ground truth.
 
-    Returns (results, performances, summary): one ClusteringResult (a label
-    row) and one ``{figure: value}`` dict keyed by ``FIGURES`` per frame or
-    chunk, and ``summarize_performance`` of the dicts.  In chunk mode the
-    per-pair ground truth is the mean overlap over the chunk, and precision
-    labels are persistence scores thresholded exactly like chunk adjacency,
-    so an OVERLAP-driven clustering scores precision 1.0 identically.
+    Returns ``{metric: (results, performances, summary)}`` in the order the
+    metrics are given: one ClusteringResult (a label row) and one
+    ``{figure: value}`` dict keyed by ``FIGURES`` per frame or chunk, and
+    ``summarize_performance`` of the dicts.  One table pass serves every
+    metric and the overlap, and the ground truth is built once.  In chunk
+    mode the per-pair ground truth is the mean overlap over the chunk, and
+    precision labels are persistence scores thresholded exactly like chunk
+    adjacency, so an OVERLAP-driven clustering scores precision 1.0
+    identically.
     """
     _check_clustering(pc, mode)
-    return _evaluate(pc, metric, metric_matrices(pc, [metric, MetricId.OVERLAP]), mode)
-
-
-def _evaluate(pc: PreparedContent, metric: MetricId, mats: dict, mode: str):
-    """``evaluate_content`` from a table pass's ``mats``, which hold ``metric`` and the overlap."""
-    results = _cluster(pc, metric, mats[metric], mode)
+    mats = metric_matrices(pc, [*metrics, MetricId.OVERLAP])
     ovs = mats[MetricId.OVERLAP]
     # per result: ground truth, the matrix precision thresholds, and its threshold
     if mode == "frame":
@@ -264,11 +258,15 @@ def _evaluate(pc: PreparedContent, metric: MetricId, mats: dict, mode: str):
         ranges = chunk_frame_ranges(len(ovs), pc.chunk.frames_per_chunk(pc.dataset.fps))
         windows = [[ovs[k] for k in rng] for rng in ranges]
         truths = [(mean_matrix(w), persistence_scores(w, pc.overlap_threshold), pc.chunk.persistence) for w in windows]
-    perfs = [
-        evaluate_result(r, ov, ref, label_threshold=th, min_size=pc.relevant_min_size)
-        for r, (ov, ref, th) in zip(results, truths)
-    ]
-    return results, perfs, summarize_performance(perfs)
+    out = {}
+    for metric in metrics:
+        results = _cluster(pc, metric, mats[metric], mode)
+        perfs = [
+            evaluate_result(r, ov, ref, label_threshold=th, min_size=pc.relevant_min_size)
+            for r, (ov, ref, th) in zip(results, truths)
+        ]
+        out[metric] = results, perfs, summarize_performance(perfs)
+    return out
 
 
 def calibrate_contents(
@@ -336,7 +334,7 @@ def run_ablation(
         summaries = {}
         for pc in swept:
             pc.metrics[metric] = MetricConfig(metric, reg, th)
-            summaries[pc.content_id] = evaluate_content(pc, metric, mode="frame")[2]
+            summaries[pc.content_id] = evaluate_content(pc, [metric], mode="frame")[metric][2]
         overall = summarize_across_contents(summaries)
         return {f: overall[f].mean for f in FIGURES}
 

@@ -435,6 +435,16 @@ def roc_oracle(values, labels):
     return rows
 
 
+def auc_oracle(values, labels) -> float:
+    """The rank statistic: the chance that a positive outranks a negative, a tie counting one half."""
+    from scipy.stats import rankdata
+
+    ranks = rankdata(values)  # tied values share their mean rank
+    y = np.asarray(labels, dtype=bool)
+    n_pos, n_neg = int(y.sum()), int((~y).sum())
+    return float((ranks[y].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+
+
 def ari_oracle(labels_a, labels_b):
     """Adjusted Rand index from the contingency table, comb arithmetic."""
     keys = sorted(labels_a)

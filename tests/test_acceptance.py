@@ -289,7 +289,7 @@ def test_criterion_6_planted_groups_recovered_per_chunk():
     pc = prepare_scenario(scenario)
     labels = planted_labels(scenario)
 
-    results, perfs, _ = evaluate_content(pc, MetricId.W7, mode="chunk")
+    results, perfs, _ = evaluate_content(pc, [MetricId.W7], mode="chunk")[MetricId.W7]
     n_chunks = len(results)
     good = 0
     for res, perf in zip(results, perfs):
@@ -297,7 +297,7 @@ def test_criterion_6_planted_groups_recovered_per_chunk():
         if ari == 1.0 and perf["precision"] >= 0.9 and perf["relevant_population"] >= 0.9:
             good += 1
 
-    _, ov_perfs, ov_summary = evaluate_content(pc, MetricId.OVERLAP, mode="chunk")
+    _, ov_perfs, ov_summary = evaluate_content(pc, [MetricId.OVERLAP], mode="chunk")[MetricId.OVERLAP]
     gt_ok = ov_summary["precision"].mean == 1.0 and all(
         math.isnan(p["precision"]) or p["precision"] == 1.0 for p in ov_perfs
     )
@@ -422,7 +422,7 @@ def test_criterion_10_external_dataset_pipeline():
         flag = "ok" if abs(got - ref) <= 0.05 else "OUTSIDE +-0.05"
         lines.append(f"{metric.value}: calibrated {got:.3f} vs published {ref:.2f} [{flag}]")
     for pc in pcs:
-        _, _, summary = evaluate_content(pc, MetricId.W7, mode="chunk")
+        _, _, summary = evaluate_content(pc, [MetricId.W7], mode="chunk")[MetricId.W7]
         lines.append(
             f"{pc.content_id}: overlap {summary['overlap_ratio'].mean:.3f} "
             f"population {summary['relevant_population'].mean:.3f} "

@@ -14,6 +14,7 @@ from viewsim.calibration import (
     FIGURES,
     AblationRecord,
     RocPoint,
+    auc,
     pair_samples,
     regulator_grid,
     roc_curve,
@@ -30,7 +31,7 @@ from viewsim.metrics import MetricId, RegulatorSet
 from viewsim.pipeline import calibrate_contents, metric_matrices, run_ablation
 
 from conftest import assert_close, overlaps, square_matrix
-from oracles import roc_oracle
+from oracles import auc_oracle, roc_oracle
 
 
 def _labelled(seed, n=200, ties=True):
@@ -67,17 +68,33 @@ def test_roc_matches_oracle(seed):
     assert _rows(roc) == roc_oracle(values, labels)
 
 
-@pytest.mark.parametrize("values, labels", [
+SAMPLES = pytest.mark.parametrize("values, labels", [
     (np.round(np.random.default_rng(0).random(500), 1), np.random.default_rng(1).random(500) < 0.3),
     (np.random.default_rng(2).random(300) * 2.0, np.random.default_rng(3).random(300) < 0.5),
     (np.full(50, 0.4), np.arange(50) < 20),
     (np.random.default_rng(4).random(60), np.arange(60) == 17),
 ], ids=["heavy-ties", "above-one", "all-equal", "single-positive"])
+
+
+@SAMPLES
 def test_roc_matches_oracle_bit_for_bit(values, labels):
     # w7/w8 reach 2*beta, so values above 1 must keep their own candidates
     got = [tuple(np.float64(x).tobytes() for x in row) for row in _rows(roc_curve(values, labels))]
     want = [tuple(np.float64(x).tobytes() for x in row) for row in roc_oracle(values, labels)]
     assert got == want
+
+
+@SAMPLES
+def test_auc_is_the_rank_statistic(values, labels):
+    assert auc(roc_curve(values, labels)) == pytest.approx(auc_oracle(values, labels), rel=0, abs=1e-12)
+
+
+def test_auc_of_a_constant_metric_is_one_half_and_of_a_separating_one_is_one():
+    labels = np.arange(50) < 20
+    for value in (0.0, 0.4, 1.0, 1.7):
+        assert auc(roc_curve(np.full(50, value), labels)) == 0.5
+    assert auc(roc_curve(np.where(labels, 1.5, 0.2), labels)) == 1.0
+    assert auc(roc_curve(np.where(labels, 0.2, 1.5), labels)) == 0.0
 
 
 def test_roc_thresholds_are_sorted_unique_with_endpoints():

@@ -252,6 +252,10 @@ def test_metrics_selected_subset(dataset, tmp_path):
 
 
 def test_calibrate_writes_thresholds(narrow_manifest, tmp_path):
+    import numpy as np
+
+    from viewsim.calibration import auc
+
     proc = run_cli(
         "--manifest", narrow_manifest, "--out", tmp_path,
         "calibrate", "--metric", "w1", "--metric", "w7",
@@ -266,6 +270,10 @@ def test_calibrate_writes_thresholds(narrow_manifest, tmp_path):
     rows = read_csv(tmp_path / "roc.csv")
     assert rows[0] == ["metric", "threshold", "tpr", "fpr"]
     assert {r[0] for r in rows[1:]} == {"w1", "w7"}
+    # stdout gives each metric's AUC, the area under its roc.csv rows
+    for metric in ("w1", "w7"):
+        roc = tuple(np.array([float(r[col]) for r in rows[1:] if r[0] == metric]) for col in (1, 2, 3))
+        assert re.search(rf"^{metric}: threshold=.* auc=(\S+)", proc.stdout, re.M).group(1) == f"{auc(roc):.4f}"
 
 
 def test_calibrate_degenerate_labels_exit_4(tmp_path):
@@ -566,6 +574,21 @@ def test_cold_evaluate_computes_and_writes_each_table_once(narrow_manifest, tmp_
     assert sorted(computed) == list(range(4))
     # feature tables are kept in memory only
     assert sorted(saved) == [f"{kind}-{k:06d}.npz" for kind in ("geodesic", "overlap", "pr") for k in range(4)]
+
+
+def test_evaluate_builds_each_chunks_ground_truth_once(narrow_manifest, tmp_path, capsys, monkeypatch):
+    import viewsim.pipeline
+    from viewsim.metrics import PROXY_METRICS, MetricId
+
+    windows = []
+    real = viewsim.pipeline.persistence_scores
+    monkeypatch.setattr(viewsim.pipeline, "persistence_scores", lambda w, th: windows.append([m.frame for m in w]) or real(w, th))
+    run_in(capsys, narrow_manifest, tmp_path, ["evaluate", "--mode", "chunk"])
+    # the default scores every proxy and then the overlap, all against one ground truth per chunk
+    rows = read_csv(tmp_path / "evaluation.csv")[1:]
+    assert [row[1] for row in rows] == [m.value for m in (*PROXY_METRICS, MetricId.OVERLAP)]
+    assert windows == [[0, 1, 2, 3]]
+    assert {row[-1] for row in rows} == {"1"}
 
 
 @pytest.mark.parametrize("metrics, applied", [

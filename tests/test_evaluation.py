@@ -323,7 +323,7 @@ def test_ari_permutation_invariance(la, shift):
 
 
 def test_overlap_clustering_scores_perfect_precision_per_frame(narrow_content):
-    results, perfs, summary = evaluate_content(narrow_content, MetricId.OVERLAP, mode="frame")
+    results, perfs, summary = evaluate_content(narrow_content, [MetricId.OVERLAP], mode="frame")[MetricId.OVERLAP]
     assert len(results) == len(perfs) == 6
     assert any((r.sizes >= narrow_content.relevant_min_size).any() for r in results)
     for p in perfs:
@@ -334,7 +334,7 @@ def test_overlap_clustering_scores_perfect_precision_per_frame(narrow_content):
 
 
 def test_overlap_clustering_scores_perfect_precision_per_chunk(narrow_content):
-    results, perfs, summary = evaluate_content(narrow_content, MetricId.OVERLAP, mode="chunk")
+    results, perfs, summary = evaluate_content(narrow_content, [MetricId.OVERLAP], mode="chunk")[MetricId.OVERLAP]
     assert len(results) == len(perfs) >= 1
     for p in perfs:
         assert math.isnan(p["precision"]) or p["precision"] == 1.0

@@ -5,7 +5,7 @@ import re
 import shutil
 import tracemalloc
 import weakref
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from viewsim.synth import planted_labels, three_orbit_groups, write_scenario
 from viewsim.trajectories import derive_pr
 
 from conftest import geodesic_features, overlaps
-from oracles import adjusted_rand_index
+from oracles import adjusted_rand_index, auc_oracle
 
 
 @pytest.fixture(scope="module")
@@ -336,17 +336,27 @@ def test_cold_overlap_pass_reads_each_cloud_once(disk_content, tmp_path, monkeyp
     assert sorted(reads) == disk_content.clouds.paths
 
 
-def test_geodesic_pass_reads_each_distinct_cloud_once(tmp_path, monkeypatch):
+def _deforming_disk_content(root):
+    """A 4-frame content on disk whose every frame's points differ."""
     from viewsim.ply import read_ply, write_ply
 
-    write_scenario(three_orbit_groups(seed=5, users_per_group=2, n_frames=4, points_per_frame=300), tmp_path)
-    (cm,) = load_manifest(tmp_path / "manifest.json")
-    for k, path in enumerate(sorted((tmp_path / "clouds").glob("*.ply"))):  # every frame's points differ
+    write_scenario(three_orbit_groups(seed=5, users_per_group=2, n_frames=4, points_per_frame=300), root)
+    (cm,) = load_manifest(root / "manifest.json")
+    for k, path in enumerate(sorted((root / "clouds").glob("*.ply"))):
         write_ply(path, read_ply(path) * (1 + 0.01 * k))
-    pc = prepare(cm)
+    return prepare(cm)
+
+
+def _count_reads(monkeypatch):
     reads = []
     real = viewsim.ply.read_ply
     monkeypatch.setattr(viewsim.ply, "read_ply", lambda path: reads.append(path) or real(path))
+    return reads
+
+
+def test_geodesic_pass_reads_each_distinct_cloud_once(tmp_path, monkeypatch):
+    pc = _deforming_disk_content(tmp_path)
+    reads = _count_reads(monkeypatch)
     builds = _count_calls(monkeypatch, "build_surface_graph")
     for metrics in ([MetricId.W3], [MetricId.W1, MetricId.W3, MetricId.OVERLAP]):
         for store_dir in (None, str(tmp_path / "out" / str(len(metrics)))):
@@ -365,7 +375,7 @@ def test_geodesic_pass_reads_each_distinct_cloud_once(tmp_path, monkeypatch):
     lambda pc: metric_matrices(pc, [MetricId.W3]),
     lambda pc: metric_matrices(pc, [MetricId.W7]),
     lambda pc: metric_matrices(pc, list(MetricId), frames=[3, 1]),
-    lambda pc: evaluate_content(pc, MetricId.W5, mode="chunk"),
+    lambda pc: evaluate_content(pc, [MetricId.W5], mode="chunk"),
     lambda pc: calibrate_contents([pc]),
 ], ids=["overlap", "overlap-frame", "features", "geodesic", "w7", "all", "evaluate", "calibrate"])
 def test_no_pass_keeps_a_cloud_or_graph(disk_content, tmp_path, run):
@@ -458,10 +468,10 @@ def test_evaluate_content_applies_each_frames_kernels_once(narrow_content, monke
     pc = replace(narrow_content)
     for mode in ("frame", "chunk", "frame"):  # cold, then from the stored tables
         applied.clear()
-        evaluate_content(pc, MetricId.W7, mode=mode)
+        evaluate_content(pc, [MetricId.W7], mode=mode)
         assert applied == [(k, MetricId.W7) for k in range(6)], mode
     applied.clear()
-    evaluate_content(pc, MetricId.OVERLAP, mode="chunk")
+    evaluate_content(pc, [MetricId.OVERLAP], mode="chunk")
     assert applied == []
 
 
@@ -481,7 +491,7 @@ def test_cluster_mode_validated(narrow_content):
     with pytest.raises(InvalidParamsError):
         cluster_content(narrow_content, MetricId.W1, mode="video")
     with pytest.raises(InvalidParamsError):
-        evaluate_content(narrow_content, MetricId.W1, mode="video")
+        evaluate_content(narrow_content, [MetricId.W1], mode="video")
 
 
 def test_w7_recovers_planted_groups(narrow_content):
@@ -498,8 +508,29 @@ def test_w7_recovers_planted_groups(narrow_content):
     assert adjusted_rand_index(dict(zip(chunk.users, chunk.labels.tolist())), labels) == 1.0
 
 
+def _scores(triple):
+    """A ``(results, perfs, summary)`` triple as plain values, NaN equal to NaN under ``assert_equal``."""
+    results, perfs, summary = triple
+    return [(r.ident, r.users, r.labels.tolist()) for r in results], perfs, {f: astuple(s) for f, s in summary.items()}
+
+
+@pytest.mark.parametrize("mode", ["chunk", "frame"])
+def test_evaluate_content_scores_several_metrics_from_one_pass(tmp_path, monkeypatch, mode):
+    pc = _deforming_disk_content(tmp_path)
+    metrics = [MetricId.W1, MetricId.W3, MetricId.OVERLAP]
+    reads = _count_reads(monkeypatch)
+    builds = _count_calls(monkeypatch, "build_surface_graph")
+    together = evaluate_content(replace(pc), metrics, mode)
+    # cold: one read of each PLY and one graph per frame serve every metric and the ground truth
+    assert sorted(reads) == pc.clouds.paths
+    assert len(builds) == 4
+    assert list(together) == metrics
+    for metric in metrics:
+        np.testing.assert_equal(_scores(together[metric]), _scores(evaluate_content(replace(pc), [metric], mode)[metric]))
+
+
 def test_evaluate_content_returns_aligned_triples(narrow_content):
-    results, perfs, summary = evaluate_content(narrow_content, MetricId.W7, mode="frame")
+    results, perfs, summary = evaluate_content(narrow_content, [MetricId.W7], mode="frame")[MetricId.W7]
     assert len(results) == len(perfs) == 6
     assert [r.ident for r in results] == list(range(6))
     assert all(tuple(p) == tuple(summary) == ("overlap_ratio", "relevant_population", "precision") for p in perfs)
@@ -600,9 +631,10 @@ def test_run_ablation_averages_in_content_id_order(sweep_contents, monkeypatch):
     figures = {"alpha": 0.1, "mid": 0.2, "zeta": 0.3}
     seen = []
 
-    def evaluate(pc, metric, mode):
+    def evaluate(pc, metrics, mode):
+        (metric,) = metrics
         seen.append((pc.content_id, pc.overlap_threshold, pc.relevant_min_size, pc.metrics[metric].threshold, mode))
-        return [], [], {f: AggregateStats(figures[pc.content_id], 0.0, 1, 0) for f in FIGURES}
+        return {metric: ([], [], {f: AggregateStats(figures[pc.content_id], 0.0, 1, 0) for f in FIGURES})}
 
     monkeypatch.setattr(viewsim.pipeline, "evaluate_content", evaluate)
     (record,) = run_ablation(sweep_contents, MetricId.W2, grid=(0.5,), reference_only=False)
@@ -675,7 +707,7 @@ def test_each_table_computed_once_across_metrics(narrow_content, monkeypatch):
     graphs = _count_calls(monkeypatch, "build_surface_graph")
     features = _count_calls(monkeypatch, "compute_pair_features")
     for metric in MetricId:
-        evaluate_content(pc, metric, mode="chunk")
+        evaluate_content(pc, [metric], mode="chunk")
     n_frames = pc.dataset.n_frames
     clouds = {id(pc.clouds[k].points) for k in range(n_frames)}
     assert sorted(args[0] for args in overlaps) == list(range(n_frames))
@@ -685,7 +717,7 @@ def test_each_table_computed_once_across_metrics(narrow_content, monkeypatch):
     done = (len(overlaps), len(graphs), len(features))
     clone = pc.with_thresholds({MetricId.W7: 0.5})
     for metric in MetricId:
-        evaluate_content(clone, metric, mode="frame")
+        evaluate_content(clone, [metric], mode="frame")
     assert (len(overlaps), len(graphs), len(features)) == done
 
 
@@ -701,13 +733,14 @@ def test_readme_library_snippet_runs_verbatim(capsys):
     ovs = overlaps(pc)
     _, labels = pair_samples(ovs, ovs, pc.overlap_threshold)
     assert 0 < labels.sum() < labels.size
-    assert evaluate_content(pc, MetricId.W2, mode="chunk")[2]["precision"].mean < 1.0
+    assert evaluate_content(pc, [MetricId.W2], mode="chunk")[MetricId.W2][2]["precision"].mean < 1.0
     # the frame-function snippet reproduces the stored frame-0 tables
     (stored_ov,), stored_feats = pc.tables[("overlap", 0)], pc.tables[("features", 0)]
     np.testing.assert_array_equal(namespace["ov"].values, stored_ov)
     np.testing.assert_array_equal(namespace["feats"].pos_dist, stored_feats.pos_dist)
     # the ROC snippet selects the point calibrate selects
     assert namespace["point"] == calibrate_contents([pc], [MetricId.W7])[MetricId.W7][1]
+    assert namespace["area"] == pytest.approx(auc_oracle(namespace["values"], namespace["labels"]), rel=0, abs=1e-12)
 
 
 def test_readme_entry_points_import_from_package():

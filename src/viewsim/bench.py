@@ -150,12 +150,12 @@ def run_bench(
     points_list = [tuple(map(float, p)) for p in cloud.points]
 
     # Exact reference values for the sanity check below.
-    exact = overlap_matrix(0, users, x, view, off, cloud, params)
+    exact = overlap_matrix(users, x, view, off, cloud, params)
 
     def naive():
         for i, j in timed_pairs:
             got = naive_pair_overlap(points_list, (x[i], view[i]), (x[j], view[j]), params)
-            ref = float(exact.values[i, j])
+            ref = float(exact[i, j])
             if not (math.isnan(got) and math.isnan(ref)) and abs(got - ref) > 1e-9:
                 raise AssertionError(f"naive oracle disagrees with production path: {got} vs {ref}")
 
@@ -165,8 +165,8 @@ def run_bench(
         {"label": "overlap_naive", "per_pair_s": naive_per_pair, "cv": naive_cv, "pairs_timed": len(timed_pairs)}
     )
 
-    vec_per_pair, cv = _stats(_times(lambda: overlap_matrix(0, users, x, view, off, cloud, params), repeats, n_pairs))
-    peak = _peak_mb(lambda: overlap_matrix(0, users, x, view, off, cloud, params))
+    vec_per_pair, cv = _stats(_times(lambda: overlap_matrix(users, x, view, off, cloud, params), repeats, n_pairs))
+    peak = _peak_mb(lambda: overlap_matrix(users, x, view, off, cloud, params))
     report["rows"].append({"label": "overlap_vectorized", "per_pair_s": vec_per_pair, "cv": cv, "peak_mb": peak})
 
     graph = build_surface_graph(cloud)  # the proxies' graph; the timed build after it pays no import
@@ -176,7 +176,7 @@ def run_bench(
 
     def features(geodesic: bool):
         # as the table pass builds them: the plain features, plus the geodesic table if asked
-        feats = compute_pair_features(0, users, x, p, r, off)
+        feats = compute_pair_features(users, x, p, r, off, view=view)
         return replace(feats, gaze_geo=geodesic_gaze(p, r, graph)) if geodesic else feats
 
     configs = default_configs()

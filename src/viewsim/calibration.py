@@ -104,20 +104,22 @@ def auc(roc: tuple) -> float:
 
 
 def pair_samples(matrices: list, overlaps: list, o_th: float = DEFAULT_OVERLAP_LABEL_THRESHOLD):
-    """Flatten per-frame matrices into (values, labels) over valid pairs.
+    """Flatten parallel lists of (frames, n, n) stacks, one per content, into (values, labels) over valid pairs.
 
-    A pair-frame enters the sample iff it is valid for both the metric and
-    the ground truth.
+    A pair-frame enters the sample iff it is valid (not NaN) for both the
+    metric and the ground truth; samples run content by content, frame by
+    frame, pair by pair in ``pair_indices`` order.
     """
     values = []
     labels = []
-    for m, o in zip(matrices, overlaps):
-        if m.users != o.users:
-            raise InvalidParamsError("metric and overlap matrices must share users")
-        iu = pair_indices(m.n)
-        keep = m.valid[iu] & o.valid[iu]
-        values.append(m.values[iu][keep])
-        labels.append(o.values[iu][keep] >= o_th)
+    for m, o in zip(matrices, overlaps, strict=True):
+        if m.shape != o.shape or m.ndim != 3:
+            raise InvalidParamsError(f"metric and overlap stacks must share a (frames, n, n) shape: {m.shape} {o.shape}")
+        a, b = pair_indices(m.shape[-1])
+        mv, ov = m[:, a, b], o[:, a, b]
+        keep = ~np.isnan(mv) & ~np.isnan(ov)
+        values.append(mv[keep])
+        labels.append(ov[keep] >= o_th)
     if values:
         return np.concatenate(values), np.concatenate(labels)
     return np.empty(0), np.empty(0, dtype=bool)

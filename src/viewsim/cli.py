@@ -92,12 +92,11 @@ def _write_matrices(args, metrics: list, prefix: str) -> int:
     # every content's range is checked before any output is written
     for pc, frames in zip(pcs, [_parse_frames(args.frames, pc.dataset.n_frames) for pc in pcs]):
         by_metric = metric_matrices(pc, metrics, frames)
-        mats = [m for metric in metrics for m in by_metric[metric]]
         path = _out_path(args, f"{prefix}_{safe_name(pc.content_id)}.csv")
-        write_matrices_csv(path, mats)
-        pairs = sum(m.n * (m.n - 1) // 2 for m in mats)
-        print(f"{pc.content_id}: wrote {path} ({len(metrics)} metrics x {len(mats) // len(metrics)} frames, "
-              f"{pairs} pair rows)")
+        write_matrices_csv(path, [by_metric[metric] for metric in metrics])
+        n_frames, n = by_metric[metrics[0]].values.shape[:2]
+        print(f"{pc.content_id}: wrote {path} ({len(metrics)} metrics x {n_frames} frames, "
+              f"{len(metrics) * n_frames * (n * (n - 1) // 2)} pair rows)")
     return 0
 
 

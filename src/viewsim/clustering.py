@@ -1,56 +1,35 @@
 """Thresholded similarity graphs and exact clique-based clustering.
 
-Per frame (or per chunk) the similarity matrix becomes an undirected graph:
-an edge joins two users whose similarity is valid and at least the metric's
-threshold.  Clustering repeatedly extracts an exact maximum clique until no
-edges remain; leftover users become singletons.  The partition is one
-integer label row (``ClusteringResult``).  The search runs on 64-bit
-neighbour bitsets built once per graph (San Segundo et al., 2011); each
-extraction clears the chosen clique's bits.  Ties between maximum cliques are
-broken by higher mean pairwise similarity, then by the lexicographically
-smallest member list, so results are reproducible across runs and platforms.
+Per frame (or per chunk) the n × n similarity values become a boolean
+adjacency, ``values >= threshold``: an edge joins two users whose
+similarity is valid and at least the metric's threshold, as a NaN
+(invalid) pair compares False.  Clustering repeatedly extracts an exact
+maximum clique until no edges remain; leftover users become singletons.
+The partition is one integer label row (``ClusteringResult``).  The
+search runs on 64-bit neighbour bitsets built once per adjacency (San
+Segundo et al., 2011); each extraction clears the chosen clique's bits.
+Ties between maximum cliques are broken by higher mean pairwise
+similarity, then by the lexicographically smallest member list, so
+results are reproducible across runs and platforms.
 
-Chunk mode aggregates a window of frames first: a pair is connected iff its
-per-frame condition holds in at least a persistence fraction of the frames
-where the pair is valid.
+Chunk mode aggregates a window of frames, one (w, n, n) slice of a
+metric's stack, first: a pair is connected iff its per-frame condition
+holds in at least a persistence fraction of the frames where the pair
+is valid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParamsError, PreconditionError, SizeLimitError
-from .metrics import MetricConfig, SimilarityMatrix, pair_indices
+from .metrics import MetricConfig, pair_indices
 
 MAX_CLIQUE_USERS = 64
 DEFAULT_RELEVANT_MIN_SIZE = 3
-
-
-@dataclass
-class SimilarityGraph:
-    """Boolean adjacency over a fixed user tuple; no self loops."""
-
-    ident: int
-    users: tuple
-    adjacency: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.users)
-        a = np.asarray(self.adjacency, dtype=bool)
-        if a.shape != (n, n):
-            raise ValueError(f"adjacency must be ({n}, {n})")
-        if np.any(a != a.T):
-            raise ValueError("adjacency must be symmetric")
-        if np.any(np.diag(a)):
-            raise ValueError("adjacency must have a zero diagonal")
-        self.adjacency = a
-
-    @property
-    def n(self) -> int:
-        return len(self.users)
 
 
 @dataclass
@@ -105,42 +84,22 @@ class ChunkSpec:
         return max(1, int(round(self.window * fps)))
 
 
-def build_adjacency(matrix: SimilarityMatrix, config: MetricConfig) -> SimilarityGraph:
-    """Edge iff the pair's similarity >= threshold: a NaN (invalid) pair compares False."""
-    if config.metric is not matrix.metric:
-        raise InvalidParamsError(
-            f"config is for {config.metric.value}, matrix holds {matrix.metric.value}"
-        )
-    adj = (matrix.values >= config.threshold) & ~np.eye(matrix.n, dtype=bool)
-    return SimilarityGraph(ident=matrix.frame, users=matrix.users, adjacency=adj)
-
-
-def mean_matrix(matrices: list) -> SimilarityMatrix:
-    """Per-pair mean over the frames where the pair is valid (not NaN); NaN where none is."""
-    if not matrices:
+def mean_matrix(values: np.ndarray) -> np.ndarray:
+    """Per-pair mean over a (w, n, n) window's frames where the pair is valid (not NaN); NaN where none is."""
+    if not len(values):
         raise PreconditionError("mean over an empty frame window")
-    users = matrices[0].users
-    metric = matrices[0].metric
-    for m in matrices:
-        if m.users != users or m.metric is not metric:
-            raise InvalidParamsError("all matrices in a window must share users and metric")
-    vals = np.stack([m.values for m in matrices])
-    count = np.count_nonzero(~np.isnan(vals), axis=0)
-    mean = np.divide(np.nansum(vals, axis=0), count, out=np.full(count.shape, np.nan), where=count > 0)
-    return SimilarityMatrix(frame=matrices[0].frame, users=users, metric=metric, values=mean)
+    count = np.count_nonzero(~np.isnan(values), axis=0)
+    return np.divide(np.nansum(values, axis=0), count, out=np.full(count.shape, np.nan), where=count > 0)
 
 
-def persistence_scores(matrices: list, threshold: float) -> SimilarityMatrix:
+def persistence_scores(values: np.ndarray, threshold: float) -> np.ndarray:
     """Fraction of a pair's valid frames whose value is >= threshold: the mean of 0/1 indicators, NaN kept."""
-    return mean_matrix([replace(m, values=np.where(np.isnan(m.values), np.nan, m.values >= threshold)) for m in matrices])
+    return mean_matrix(np.where(np.isnan(values), np.nan, values >= threshold))
 
 
-def chunk_adjacency(
-    matrices: list, config: MetricConfig, spec: ChunkSpec, chunk_id: int
-) -> SimilarityGraph:
-    """Persistence-filtered adjacency over one window of frame matrices."""
-    scores = replace(persistence_scores(matrices, config.threshold), frame=chunk_id)
-    return build_adjacency(scores, replace(config, threshold=spec.persistence))
+def chunk_adjacency(values: np.ndarray, config: MetricConfig, spec: ChunkSpec) -> np.ndarray:
+    """Persistence-filtered adjacency over one (w, n, n) window of a metric's frames."""
+    return persistence_scores(values, config.threshold) >= spec.persistence
 
 
 def check_clique_size(n: int) -> None:
@@ -206,17 +165,30 @@ def _maximum_clique_masks(nbr: list, p_mask: int) -> list:
     return best
 
 
-def _rank_cliques(users: tuple, masks: list, tie_matrix: SimilarityMatrix | None) -> list:
+def _check_adjacency(adjacency, users: tuple) -> np.ndarray:
+    """``adjacency`` as a boolean n × n array over ``users``: symmetric, with a zero diagonal."""
+    n = len(users)
+    a = np.asarray(adjacency, dtype=bool)
+    if a.shape != (n, n):
+        raise ValueError(f"adjacency must be ({n}, {n})")
+    if np.any(a != a.T):
+        raise ValueError("adjacency must be symmetric")
+    if np.any(np.diag(a)):
+        raise ValueError("adjacency must have a zero diagonal")
+    return a
+
+
+def _rank_cliques(users: tuple, masks: list, tie: np.ndarray | None) -> list:
     """Maximum cliques best first: highest mean tie value, then smallest member ids."""
     if len(masks) == 1:
         return masks
 
     def key(mask: int):
         idx = _mask_members(mask)
-        if tie_matrix is not None and len(idx) >= 2:
+        if tie is not None and len(idx) >= 2:
             a, b = pair_indices(len(idx))
             members = np.array(idx)
-            mean = float(np.mean(tie_matrix.values[members[a], members[b]]))
+            mean = float(np.mean(tie[members[a], members[b]]))
         else:
             mean = 0.0
         return (-mean, tuple(users[i] for i in idx))
@@ -224,42 +196,46 @@ def _rank_cliques(users: tuple, masks: list, tie_matrix: SimilarityMatrix | None
     return sorted(masks, key=key)
 
 
-def max_clique(graph: SimilarityGraph, tie_matrix: SimilarityMatrix | None = None) -> tuple:
-    """Exact maximum clique, as its sorted member ids, with deterministic tie-breaking.
+def max_clique(adjacency, users: tuple, tie: np.ndarray | None = None) -> tuple:
+    """Exact maximum clique of a boolean n × n adjacency over ``users``, as its sorted member ids.
 
-    Among maximum cliques, prefers the highest mean pairwise value in
-    ``tie_matrix`` (0 when absent or for singletons), then the smallest
-    member-id list.  Limited to 64 users.
+    Among maximum cliques, prefers the highest mean pairwise value in the
+    n × n ``tie`` values (0 when absent or for singletons), then the
+    smallest member-id list.  Limited to 64 users.
     """
-    n = graph.n
+    adjacency = _check_adjacency(adjacency, users)
+    n = len(users)
     if n == 0:
         raise PreconditionError("maximum clique of an empty graph is undefined")
     check_clique_size(n)
-    masks = _maximum_clique_masks(_neighbor_masks(graph.adjacency), (1 << n) - 1)
-    chosen = _rank_cliques(graph.users, masks, tie_matrix)[0]
-    return tuple(sorted(graph.users[i] for i in _mask_members(chosen)))
+    masks = _maximum_clique_masks(_neighbor_masks(adjacency), (1 << n) - 1)
+    chosen = _rank_cliques(users, masks, tie)[0]
+    return tuple(sorted(users[i] for i in _mask_members(chosen)))
 
 
-def clique_clustering(
-    graph: SimilarityGraph, tie_matrix: SimilarityMatrix | None = None
-) -> ClusteringResult:
-    """Partition by repeated maximum-clique extraction; users left without an edge become singletons."""
-    check_clique_size(graph.n)
-    users = graph.users
-    nbr = _neighbor_masks(graph.adjacency)
-    remaining = (1 << graph.n) - 1
-    labels = np.empty(graph.n, dtype=np.intp)
+def clique_clustering(adjacency, users: tuple, ident: int = 0, tie: np.ndarray | None = None) -> ClusteringResult:
+    """Partition a boolean n × n adjacency over ``users`` by repeated maximum-clique extraction.
+
+    Users left without an edge become singletons; ``tie`` breaks ties as in
+    ``max_clique``, and ``ident`` names the frame or chunk in the result.
+    """
+    adjacency = _check_adjacency(adjacency, users)
+    n = len(users)
+    check_clique_size(n)
+    nbr = _neighbor_masks(adjacency)
+    remaining = (1 << n) - 1
+    labels = np.empty(n, dtype=np.intp)
     k, ranked = 0, []
     while ranked or any(nbr[i] & remaining for i in _mask_members(remaining)):
         # maximum cliques the last extraction left intact are still maximum
-        ranked = ranked or _rank_cliques(users, _maximum_clique_masks(nbr, remaining), tie_matrix)
+        ranked = ranked or _rank_cliques(users, _maximum_clique_masks(nbr, remaining), tie)
         chosen = ranked.pop(0)
         labels[_mask_members(chosen)] = k
         k += 1
         remaining &= ~chosen
         ranked = [m for m in ranked if not m & chosen]
     labels[_mask_members(remaining)] = np.arange(k, k + remaining.bit_count())  # singletons, in user order
-    return ClusteringResult(ident=graph.ident, users=users, labels=labels)
+    return ClusteringResult(ident=ident, users=users, labels=labels)
 
 
 def chunk_frame_ranges(n_frames: int, frames_per_chunk: int) -> list:

@@ -8,7 +8,7 @@ Three figures per frame or chunk:
 * precision: among same-cluster pairs, the fraction whose ground-truth
   label is positive (overlap at least the ground-truth threshold).
 
-Each is read off a clustering's label row: the matrix values at its
+Each is read off a clustering's label row: an n × n array's values at its
 same-cluster pairs, in ``metrics.pair_indices`` order, and the cluster
 sizes.  ``evaluate_result`` returns them keyed by their ``FIGURES`` name.
 Undefined values are NaN and are excluded (but counted) by aggregation;
@@ -25,7 +25,7 @@ import numpy as np
 from .calibration import DEFAULT_OVERLAP_LABEL_THRESHOLD, FIGURES
 from .clustering import DEFAULT_RELEVANT_MIN_SIZE, ClusteringResult
 from .errors import PreconditionError
-from .metrics import SimilarityMatrix, pair_indices
+from .metrics import pair_indices
 
 
 @dataclass(frozen=True)
@@ -38,17 +38,19 @@ class AggregateStats:
     n_invalid: int
 
 
-def _same_cluster_pairs(result: ClusteringResult, matrix: SimilarityMatrix) -> tuple:
+def _same_cluster_pairs(result: ClusteringResult, matrix: np.ndarray) -> tuple:
     """``matrix``'s valid values at the same-cluster pairs a < b, in ``pair_indices`` order, and each pair's cluster."""
-    if result.users != matrix.users:
-        raise PreconditionError("the clustering and the matrix must share users, in the same order")
-    a, b = pair_indices(len(result.users))
-    keep = (result.labels[a] == result.labels[b]) & matrix.valid[a, b]
-    return matrix.values[a[keep], b[keep]], result.labels[a[keep]]
+    n = len(result.users)
+    if np.shape(matrix) != (n, n):
+        raise PreconditionError(f"the matrix must be ({n}, {n}), one row and column per clustered user")
+    a, b = pair_indices(n)
+    values = matrix[a, b]
+    keep = (result.labels[a] == result.labels[b]) & ~np.isnan(values)
+    return values[keep], result.labels[a[keep]]
 
 
 def overlap_ratio(
-    result: ClusteringResult, overlap: SimilarityMatrix, min_size: int = DEFAULT_RELEVANT_MIN_SIZE
+    result: ClusteringResult, overlap: np.ndarray, min_size: int = DEFAULT_RELEVANT_MIN_SIZE
 ) -> float:
     """Mean over the relevant clusters of each one's mean valid pairwise overlap.
 
@@ -74,10 +76,10 @@ def relevant_population(
     return int(sizes[sizes >= min_size].sum()) / len(result.users)
 
 
-def precision(result: ClusteringResult, reference: SimilarityMatrix, threshold: float) -> float:
-    """Fraction of same-cluster pairs whose reference value is >= threshold.
+def precision(result: ClusteringResult, reference: np.ndarray, threshold: float) -> float:
+    """Fraction of same-cluster pairs whose n × n reference value is >= threshold.
 
-    Pairs invalid in the reference matrix are excluded.  NaN when no valid
+    Pairs invalid (NaN) in the reference are excluded.  NaN when no valid
     same-cluster pair exists.
     """
     values, _ = _same_cluster_pairs(result, reference)
@@ -86,17 +88,17 @@ def precision(result: ClusteringResult, reference: SimilarityMatrix, threshold: 
 
 def evaluate_result(
     result: ClusteringResult,
-    overlap: SimilarityMatrix,
-    reference: SimilarityMatrix | None = None,
+    overlap: np.ndarray,
+    reference: np.ndarray | None = None,
     *,
     label_threshold: float = DEFAULT_OVERLAP_LABEL_THRESHOLD,
     min_size: int = DEFAULT_RELEVANT_MIN_SIZE,
 ) -> dict:
     """All three performance figures for one frame or chunk, ``{figure: value}`` in FIGURES order.
 
-    ``overlap`` supplies the per-pair ground truth values (per-frame matrix,
-    or the per-pair mean over a chunk).  ``reference`` supplies the matrix
-    that precision thresholds; it defaults to ``overlap`` itself with
+    ``overlap`` supplies the n × n per-pair ground truth values (a frame's
+    overlap, or the per-pair mean over a chunk).  ``reference`` supplies the
+    values that precision thresholds; it defaults to ``overlap`` itself with
     ``label_threshold`` (per-chunk callers pass persistence scores instead).
     NaN marks an undefined figure.
     """

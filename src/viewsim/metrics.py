@@ -10,6 +10,10 @@ proxy metrics (w1..w8) combine up to three pose-level features instead:
 * gaze  distance between viewport centres, geodesic on the content surface
         (w3, w5, w7) or Euclidean (w4, w6, w8).
 
+The opt-in 3-DoF baseline (``3dof``) reads the angle between the users'
+view directions alone, as 3-DoF clustering of 360° video does; it is not
+one of ``PROXY_METRICS``, so no default run computes it.
+
 ``METRICS`` is where a metric is declared; what else the code knows of a
 metric (its regulators, its surface-graph need, its matrix) derives from its row.
 
@@ -43,6 +47,7 @@ class MetricId(str, Enum):
     W6 = "w6"
     W7 = "w7"
     W8 = "w8"
+    DOF3 = "3dof"
     OVERLAP = "overlap"
 
     @property
@@ -64,7 +69,9 @@ class MetricId(str, Enum):
         return any(feature == "gaze_geo" for feature, _, _ in self.terms)
 
 
-PROXY_METRICS = tuple(m for m in MetricId if m is not MetricId.OVERLAP)
+PROXY_METRICS = (
+    MetricId.W1, MetricId.W2, MetricId.W3, MetricId.W4, MetricId.W5, MetricId.W6, MetricId.W7, MetricId.W8,
+)
 
 
 @dataclass(frozen=True)
@@ -118,6 +125,9 @@ METRICS = {
                   RegulatorSet(0.25, 0.5, 0.5), 0.60),
     MetricId.W8: ((("pos_dist", "alpha", "exp"), ("eta_sum", "beta", "linear"), ("gaze_euc", "gamma", "exp")),
                   RegulatorSet(0.5, 0.5, 0.5), 0.62),
+    # exp(-hfov / 7) at the default 90° hfov: two co-located frusta turned by hfov / 7
+    # share an angular Jaccard of (hfov - a) / (hfov + a) = 0.75, the default overlap_threshold
+    MetricId.DOF3: ((("view_angle", "alpha", "exp"),), RegulatorSet(1.0), 0.80),
     MetricId.OVERLAP: ((), None, 0.75),
 }
 
@@ -145,25 +155,21 @@ KERNELS = {"exp": exp_kernel, "linear": np.multiply}  # a term's factor from (re
 
 @dataclass
 class SimilarityMatrix:
-    """Symmetric per-frame (or per-chunk) pair values; NaN marks the diagonal and every invalid pair."""
+    """One metric's pair values over a run of frames.
 
-    frame: int
+    ``values[i]`` is frame ``frames[i]``'s symmetric n × n table over
+    ``users``, NaN on the diagonal and at every invalid pair.
+    """
+
+    frames: tuple
     users: tuple
     metric: MetricId
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != (self.n, self.n):
-            raise ValueError("matrix shape must be (n_users, n_users)")
-
-    @property
-    def n(self) -> int:
-        return len(self.users)
-
-    @property
-    def valid(self) -> np.ndarray:
-        """Where a pair has a value: ``~np.isnan(values)``, computed on each access."""
-        return ~np.isnan(self.values)
+        n = len(self.users)
+        if self.values.shape != (len(self.frames), n, n):
+            raise ValueError("values must be (n_frames, n_users, n_users)")
 
 
 @functools.lru_cache
@@ -180,21 +186,21 @@ class PairFeatures:
 
     Regulators factor out of the features, so a parameter sweep computes
     this once per frame and reapplies kernels per grid point.  A feature is
-    NaN for every pair it does not exist for: ``pos_dist`` where either user
-    is off content, the others also where either user has no gaze target.
-    ``gaze_geo`` is None until a caller fills it with ``geodesic_gaze``.
+    NaN for every pair it does not exist for: ``pos_dist`` and
+    ``view_angle`` where either user is off content, the others also where
+    either user has no gaze target.  ``gaze_geo`` is None until a caller
+    fills it with ``geodesic_gaze``.
     """
 
-    frame: int
-    users: tuple
     pos_dist: np.ndarray
     range_diff: np.ndarray
     gaze_euc: np.ndarray
     eta_sum: np.ndarray
+    view_angle: np.ndarray
     gaze_geo: np.ndarray | None = None
 
-    def metric_matrix(self, metric: MetricId, reg: RegulatorSet) -> SimilarityMatrix:
-        """Multiply one metric's terms over the precomputed features; NaN features give NaN values."""
+    def metric_matrix(self, metric: MetricId, reg: RegulatorSet) -> np.ndarray:
+        """One metric's n × n values: its terms multiplied over the features; NaN features give NaN values."""
         if metric.is_overlap:
             raise InvalidParamsError("overlap is not derived from pair features")
         if metric.needs_geodesic and self.gaze_geo is None:
@@ -204,23 +210,23 @@ class PairFeatures:
         for factor in factors:
             values *= factor
         np.fill_diagonal(values, np.nan)
-        return SimilarityMatrix(frame=self.frame, users=self.users, metric=metric, values=values)
+        return values
 
 
-def compute_pair_features(frame_index: int, users: tuple, x, p, r, off) -> PairFeatures:
+def compute_pair_features(users: tuple, x, p, r, off, *, view) -> PairFeatures:
     """Build the graph-free feature matrices for one aligned frame; ``gaze_geo`` is left None.
 
-    ``x`` and ``p`` are n×3, ``r`` and ``off`` length n, one row per user;
-    p and r are NaN for a user without a gaze target.  An off-content
-    user's x, p and r are taken as NaN.
+    ``x``, ``p`` and ``view`` are n×3, ``r`` and ``off`` length n, one row
+    per user; p and r are NaN for a user without a gaze target.  An
+    off-content user's x, p, r and view are taken as NaN.
     """
     n = len(users)
     # contiguous, like stacked rows: numpy may pick another (SIMD) loop, with other rounding, for strided input
-    xs, ps, rs = (np.ascontiguousarray(a, dtype=np.float64) for a in (x, p, r))
+    xs, ps, rs, vs = (np.ascontiguousarray(a, dtype=np.float64) for a in (x, p, r, view))
     present = ~np.asarray(off, dtype=bool)
-    if xs.shape != (n, 3) or ps.shape != (n, 3) or rs.shape != (n,) or present.shape != (n,):
+    if xs.shape != (n, 3) or ps.shape != (n, 3) or vs.shape != (n, 3) or rs.shape != (n,) or present.shape != (n,):
         raise ValueError("one row per user required")
-    xs, ps = (np.where(present[:, None], a, np.nan) for a in (xs, ps))
+    xs, ps, vs = (np.where(present[:, None], a, np.nan) for a in (xs, ps, vs))
     rs = np.where(present, rs, np.nan)
     diff = xs[:, None, :] - xs[None, :, :]
     pos_dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
@@ -229,13 +235,17 @@ def compute_pair_features(frame_index: int, users: tuple, x, p, r, off) -> PairF
     gaze_euc = np.sqrt(np.einsum("ijk,ijk->ij", pdiff, pdiff))
     eta = np.tanh(rs)
     eta_sum = eta[:, None] + eta[None, :]
+    # atan2(|a×b|, a·b) component by component: a cross component is c - c.T for the outer product c,
+    # exactly antisymmetric, and the dot sums symmetric outer products, so the angle is symmetric bit for bit
+    v0, v1, v2 = vs.T
+    cross_sq = sum((c - c.T) ** 2 for c in (np.multiply.outer(a, b) for a, b in ((v1, v2), (v2, v0), (v0, v1))))
+    view_angle = np.arctan2(np.sqrt(cross_sq), sum(np.multiply.outer(a, a) for a in (v0, v1, v2)))
     return PairFeatures(
-        frame=frame_index,
-        users=users,
         pos_dist=pos_dist,
         range_diff=range_diff,
         gaze_euc=gaze_euc,
         eta_sum=eta_sum,
+        view_angle=view_angle,
     )
 
 
@@ -261,8 +271,8 @@ def geodesic_gaze(p, r, graph: SurfaceGraph) -> np.ndarray:
     return gaze_geo
 
 
-def overlap_matrix(frame_index: int, users: tuple, x, view, off, cloud, params: FrustumParams) -> SimilarityMatrix:
-    """Exact pairwise viewport overlap for one frame.
+def overlap_matrix(users: tuple, x, view, off, cloud, params: FrustumParams) -> np.ndarray:
+    """Exact pairwise viewport overlap for one frame, as an n × n array.
 
     ``x`` and ``view`` are n×3 and ``off`` length n, one row per user.  Every
     present user's frustum is built in one ``frusta`` call; the cloud is
@@ -290,7 +300,7 @@ def overlap_matrix(frame_index: int, users: tuple, x, view, off, cloud, params: 
     valid = (union > 0) & present[:, None] & present[None, :] & ~np.eye(n, dtype=bool)
     values = np.full((n, n), np.nan)
     values[valid] = inter[valid] / union[valid]
-    return SimilarityMatrix(frame=frame_index, users=users, metric=MetricId.OVERLAP, values=values)
+    return values
 
 
 def _fmt(v: float) -> str:
@@ -307,11 +317,13 @@ def write_csv(path, header: list, rows) -> None:
 
 
 def write_matrices_csv(path, matrices: list) -> None:
-    """Long-form pair rows: frame,user_i,user_j,metric,value,valid, one per pair a < b of each matrix."""
+    """Long-form pair rows: frame,user_i,user_j,metric,value,valid, one per pair a < b of each record's frames."""
 
     def rows(m: SimilarityMatrix):
-        a, b = pair_indices(m.n)
-        for i, j, value in zip(a.tolist(), b.tolist(), m.values[a, b].tolist()):
-            yield [m.frame, m.users[i], m.users[j], m.metric.value, _fmt(value), int(not math.isnan(value))]
+        a, b = pair_indices(len(m.users))
+        pairs = list(zip(a.tolist(), b.tolist()))
+        for frame, values in zip(m.frames, m.values[:, a, b].tolist()):
+            for (i, j), value in zip(pairs, values):
+                yield [frame, m.users[i], m.users[j], m.metric.value, _fmt(value), int(not math.isnan(value))]
 
     write_csv(path, ["frame", "user_i", "user_j", "metric", "value", "valid"], (r for m in matrices for r in rows(m)))

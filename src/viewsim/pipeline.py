@@ -4,9 +4,11 @@ Everything here operates on PreparedContent: one content item's aligned
 dataset plus its processing parameters.  Every per-frame table (gaze
 targets, exact overlap, pair features, geodesic gaze distances) is looked
 up or computed on the calling thread by one table pass, ``metric_matrices``:
-it visits the frames in the order asked and makes every requested metric's
-matrix from a frame's tables before the next frame's, so one cloud and at
+it visits the frames in the order asked and fills every requested metric's
+frame from a frame's tables before the next frame's, so one cloud and at
 most one surface graph are alive at once, and no pass reads a cloud twice.
+Each metric's frames come out as one ``(frames, n, n)`` stack, and
+clustering, scoring and the ROC read that stack and its slices.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from . import store
 from .calibration import DEFAULT_TARGET_TPR, FIGURES, ablate, pair_samples, roc_curve, select_threshold
 from .clustering import (
-    build_adjacency,
     check_clique_size,
     chunk_adjacency,
     chunk_frame_ranges,
@@ -159,20 +162,21 @@ def gaze_targets(pc: PreparedContent, k: int) -> tuple:
     )
 
 
-def _overlap(pc: PreparedContent, k: int) -> SimilarityMatrix:
+def _overlap(pc: PreparedContent, k: int):
     ds, off = pc.dataset, gaze_targets(pc, k)[2]
-    values, = _table(
+    return _table(
         pc, "overlap", k,
-        lambda: (overlap_matrix(k, ds.users, ds.x[:, k], ds.view[:, k], off, pc.cloud(k), pc.frustum).values,),
+        lambda: (overlap_matrix(ds.users, ds.x[:, k], ds.view[:, k], off, pc.cloud(k), pc.frustum),),
         lambda: (pc.cloud_digest(k), ds.x[:, k], ds.view[:, k], off, pc.frustum),
-    )
-    return SimilarityMatrix(frame=k, users=ds.users, metric=MetricId.OVERLAP, values=values)
+    )[0]
 
 
 def _features(pc: PreparedContent, k: int, need_geodesic: bool):
     ds = pc.dataset
     p, r, off = gaze_targets(pc, k)
-    plain = _table(pc, "features", k, lambda: compute_pair_features(k, ds.users, ds.x[:, k], p, r, off))
+    plain = _table(
+        pc, "features", k, lambda: compute_pair_features(ds.users, ds.x[:, k], p, r, off, view=ds.view[:, k])
+    )
     if not need_geodesic:
         return plain
     geo, = _table(
@@ -183,39 +187,52 @@ def _features(pc: PreparedContent, k: int, need_geodesic: bool):
     return replace(plain, gaze_geo=geo)
 
 
-def metric_matrices(pc: PreparedContent, metrics, frames=None) -> dict:
-    """``{metric: [SimilarityMatrix per requested frame]}`` for proxies and the exact ground truth.
+def _refuse_bare_metric(metrics) -> None:
+    """A bare ``MetricId`` is a str: iterating it would yield its characters, not one metric."""
+    if isinstance(metrics, str):
+        raise TypeError(f"metrics must be a list such as [MetricId.W7], not the bare metric {metrics!r}")
 
-    Each frame's tables are looked up and every metric's matrix made from
-    them before the next frame's, so they share one cloud read; the pass
-    then drops the last cloud and graph.
+
+def metric_matrices(pc: PreparedContent, metrics, frames=None) -> dict:
+    """``{metric: SimilarityMatrix}`` over the requested frames, for proxies and the exact ground truth.
+
+    Each record's ``values`` is one ``(len(frames), n, n)`` stack.  Each
+    frame's tables are looked up and every metric's frame filled from them
+    before the next frame's, so they share one cloud read; the pass then
+    drops the last cloud and graph.
     """
-    out = {metric: [] for metric in metrics}
+    _refuse_bare_metric(metrics)
+    ds = pc.dataset
+    frames = tuple(range(ds.n_frames) if frames is None else frames)
+    n = len(ds.users)
+    out = {m: SimilarityMatrix(frames, ds.users, m, np.empty((len(frames), n, n))) for m in metrics}
     proxies = [m for m in out if not m.is_overlap]
     geodesic = any(m.needs_geodesic for m in proxies)
-    for k in range(pc.dataset.n_frames) if frames is None else frames:
+    for i, k in enumerate(frames):
         if MetricId.OVERLAP in out:
-            out[MetricId.OVERLAP].append(_overlap(pc, k))
+            out[MetricId.OVERLAP].values[i] = _overlap(pc, k)
         if proxies:
             features = _features(pc, k, geodesic)
             for m in proxies:
-                out[m].append(features.metric_matrix(m, pc.metrics[m].regulators))
+                out[m].values[i] = features.metric_matrix(m, pc.metrics[m].regulators)
     pc.tables.pop("cloud", None)
     pc.tables.pop("graph", None)
     return out
 
 
-def _cluster(pc: PreparedContent, metric: MetricId, mats: list, mode: str) -> list:
-    config = pc.metrics[metric]
+def _windows(pc: PreparedContent, values):
+    """The (w, n, n) chunk windows of a stack, as views."""
+    return [values[r.start:r.stop] for r in chunk_frame_ranges(len(values), pc.chunk.frames_per_chunk(pc.dataset.fps))]
+
+
+def _cluster(pc: PreparedContent, mat: SimilarityMatrix, mode: str) -> list:
+    config, users = pc.metrics[mat.metric], mat.users
     if mode == "frame":
-        return [clique_clustering(build_adjacency(m, config), tie_matrix=m) for m in mats]
-    ranges = chunk_frame_ranges(len(mats), pc.chunk.frames_per_chunk(pc.dataset.fps))
-    out = []
-    for ci, rng in enumerate(ranges):
-        window = [mats[k] for k in rng]
-        graph = chunk_adjacency(window, config, pc.chunk, ci)
-        out.append(clique_clustering(graph, tie_matrix=mean_matrix(window)))
-    return out
+        return [clique_clustering(v >= config.threshold, users, k, tie=v) for k, v in zip(mat.frames, mat.values)]
+    return [
+        clique_clustering(chunk_adjacency(w, config, pc.chunk), users, ci, tie=mean_matrix(w))
+        for ci, w in enumerate(_windows(pc, mat.values))
+    ]
 
 
 def _check_clustering(pc: PreparedContent, mode: str) -> None:
@@ -232,7 +249,7 @@ def cluster_content(
 ) -> list:
     """ClusteringResults (label rows) per frame, or per chunk when mode='chunk'."""
     _check_clustering(pc, mode)
-    return _cluster(pc, metric, metric_matrices(pc, [metric])[metric], mode)
+    return _cluster(pc, metric_matrices(pc, [metric])[metric], mode)
 
 
 def evaluate_content(pc: PreparedContent, metrics, mode: str = "chunk") -> dict:
@@ -248,19 +265,19 @@ def evaluate_content(pc: PreparedContent, metrics, mode: str = "chunk") -> dict:
     adjacency, so an OVERLAP-driven clustering scores precision 1.0
     identically.
     """
+    _refuse_bare_metric(metrics)
     _check_clustering(pc, mode)
     mats = metric_matrices(pc, [*metrics, MetricId.OVERLAP])
-    ovs = mats[MetricId.OVERLAP]
-    # per result: ground truth, the matrix precision thresholds, and its threshold
+    ovs = mats[MetricId.OVERLAP].values
+    # per result: ground truth, the values precision thresholds, and its threshold
     if mode == "frame":
         truths = [(ov, ov, pc.overlap_threshold) for ov in ovs]
     else:
-        ranges = chunk_frame_ranges(len(ovs), pc.chunk.frames_per_chunk(pc.dataset.fps))
-        windows = [[ovs[k] for k in rng] for rng in ranges]
-        truths = [(mean_matrix(w), persistence_scores(w, pc.overlap_threshold), pc.chunk.persistence) for w in windows]
+        truths = [(mean_matrix(w), persistence_scores(w, pc.overlap_threshold), pc.chunk.persistence)
+                  for w in _windows(pc, ovs)]
     out = {}
     for metric in metrics:
-        results = _cluster(pc, metric, mats[metric], mode)
+        results = _cluster(pc, mats[metric], mode)
         perfs = [
             evaluate_result(r, ov, ref, label_threshold=th, min_size=pc.relevant_min_size)
             for r, (ov, ref, th) in zip(results, truths)
@@ -285,20 +302,21 @@ def calibrate_contents(
     ``roc_curve``'s ``(threshold, tpr, fpr)`` arrays and the point
     ``select_threshold`` picks from them.
     """
+    _refuse_bare_metric(metrics)
     if not target_tpr > 0:
         raise InvalidParamsError(f"target_tpr must be > 0, got {target_tpr}")
     if len({pc.overlap_threshold for pc in pcs}) > 1:
         named = ", ".join(f"'{pc.content_id}' {pc.overlap_threshold}" for pc in pcs)
         raise InvalidParamsError(f"calibrate labels every content at one overlap_threshold; the contents have {named}")
     o_th = pcs[0].overlap_threshold
-    ovs = [ov for pc in pcs for ov in metric_matrices(pc, [MetricId.OVERLAP])[MetricId.OVERLAP]]
+    ovs = [metric_matrices(pc, [MetricId.OVERLAP])[MetricId.OVERLAP].values for pc in pcs]
     _, labels = pair_samples(ovs, ovs, o_th)
     for kind, count in (("positive", labels.sum()), ("negative", labels.size - labels.sum())):
         if count == 0:
             raise DegenerateLabelsError(f"0 {kind} labels out of {labels.size} valid pair-frames at o_th={o_th}")
     out = {}
     for metric in metrics:
-        mats = [m for pc in pcs for m in metric_matrices(pc, [metric])[metric]]
+        mats = [metric_matrices(pc, [metric])[metric].values for pc in pcs]
         roc = roc_curve(*pair_samples(mats, ovs, o_th))
         out[metric] = roc, select_threshold(roc, target_tpr)
     return out

@@ -9,7 +9,7 @@ import pytest
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 
 from viewsim.geometry import FrustumParams, PointCloudFrame, unit
-from viewsim.metrics import MetricId, SimilarityMatrix, compute_pair_features, geodesic_gaze
+from viewsim.metrics import MetricId, compute_pair_features, geodesic_gaze
 
 # One line per acceptance criterion, printed after the run.
 ACCEPTANCE_LINES: list = []
@@ -65,19 +65,19 @@ def make_sample(x, view=None, p=None, r=None, off_content=False):
 
 
 def feature_columns(samples):
-    """(x, p, r, off) frame arrays for compute_pair_features, NaN where p/r is absent."""
+    """(x, p, r, off, view) frame arrays for compute_pair_features, NaN where p/r is absent."""
     x = np.stack([s.x for s in samples])
     p = np.stack([np.full(3, np.nan) if s.p is None else s.p for s in samples])
     r = np.array([np.nan if s.r is None else s.r for s in samples])
-    return x, p, r, np.array([s.off_content for s in samples])
+    return x, p, r, np.array([s.off_content for s in samples]), np.stack([s.view for s in samples])
 
 
-def geodesic_features(frame, users, x, p, r, off, graph):
+def geodesic_features(users, x, p, r, off, view, graph):
     """``compute_pair_features`` with ``gaze_geo`` from ``geodesic_gaze``, joined as the table pass joins them.
 
     An off-content user's r is taken as NaN, as ``compute_pair_features`` takes it.
     """
-    feats = compute_pair_features(frame, users, x, p, r, off)
+    feats = compute_pair_features(users, x, p, r, off, view=view)
     return dataclasses.replace(feats, gaze_geo=geodesic_gaze(p, np.where(off, np.nan, r), graph))
 
 
@@ -86,22 +86,23 @@ def overlap_columns(samples):
     return np.stack([s.x for s in samples]), np.stack([s.view for s in samples]), np.array([s.off_content for s in samples])
 
 
-def square_matrix(values, users=None, metric=MetricId.W1, frame=0):
-    """SimilarityMatrix from a plain value grid; NaN marks invalid."""
-    vals = np.asarray(values, dtype=np.float64)
-    n = vals.shape[0]
-    if users is None:
-        users = tuple(f"u{k:02d}" for k in range(n))
-    out = vals.copy()
+def square_matrix(values):
+    """A float64 copy of a plain value grid with a NaN diagonal; NaN marks invalid."""
+    out = np.array(values, dtype=np.float64)
     np.fill_diagonal(out, np.nan)
-    return SimilarityMatrix(frame=frame, users=tuple(users), metric=metric, values=out)
+    return out
+
+
+def valid(values):
+    """Where an array of pair values holds a value: ``~np.isnan``."""
+    return ~np.isnan(values)
 
 
 def overlaps(pc, frames=None):
-    """A content's exact overlap matrices, one per requested frame."""
+    """A content's exact overlap stack, one (n, n) table per requested frame."""
     from viewsim.pipeline import metric_matrices
 
-    return metric_matrices(pc, [MetricId.OVERLAP], frames)[MetricId.OVERLAP]
+    return metric_matrices(pc, [MetricId.OVERLAP], frames)[MetricId.OVERLAP].values
 
 
 @pytest.fixture(scope="session")

@@ -40,16 +40,11 @@ from viewsim.calibration import (
     AblationRecord,
     regulator_grid,
 )
-from viewsim.clustering import (
-    SimilarityGraph,
-    build_adjacency,
-    clique_clustering,
-    max_clique,
-)
+from viewsim.clustering import clique_clustering, max_clique
 from viewsim.errors import InvalidParamsError, MissingGraphError, PreconditionError
 from viewsim.evaluation import aggregate, evaluate_result
 from viewsim.geometry import DEFAULT_CONE_HALF_ANGLE, geodesic_rows
-from viewsim.metrics import MetricConfig, MetricId, SimilarityMatrix
+from viewsim.metrics import MetricConfig, MetricId
 from viewsim.trajectories import Trace
 
 
@@ -353,32 +348,23 @@ def pick_clique_oracle(cliques, tie_values, users):
     return min(cliques, key=key)
 
 
-def clique_clustering_oracle(graph, tie_matrix=None):
+def clique_clustering_oracle(adjacency, users, tie=None):
     """Repeated extraction on rebuilt sub-graphs, one max_clique per step, as a label row.
 
-    ``labels[i]`` is the cluster of ``graph.users[i]``: cliques numbered in
+    ``labels[i]`` is the cluster of ``users[i]``: cliques numbered in
     extraction order, then each leftover user a singleton, in user order.
     """
-    users = graph.users
     index = {u: i for i, u in enumerate(users)}
     remaining = list(range(len(users)))
     labels = [None] * len(users)
     n_clusters = 0
     while remaining:
-        sub_adj = graph.adjacency[np.ix_(remaining, remaining)]
+        sub_adj = adjacency[np.ix_(remaining, remaining)]
         if not sub_adj.any():
             break
         sub_users = tuple(users[i] for i in remaining)
-        sub_graph = SimilarityGraph(ident=graph.ident, users=sub_users, adjacency=sub_adj)
-        sub_tie = None
-        if tie_matrix is not None:
-            sub_tie = SimilarityMatrix(
-                frame=tie_matrix.frame,
-                users=sub_users,
-                metric=tie_matrix.metric,
-                values=tie_matrix.values[np.ix_(remaining, remaining)],
-            )
-        taken = {index[u] for u in max_clique(sub_graph, sub_tie)}
+        sub_tie = None if tie is None else tie[np.ix_(remaining, remaining)]
+        taken = {index[u] for u in max_clique(sub_adj, sub_users, sub_tie)}
         for i in taken:
             labels[i] = n_clusters
         n_clusters += 1
@@ -389,22 +375,22 @@ def clique_clustering_oracle(graph, tie_matrix=None):
     return labels
 
 
-def overlap_per_cluster_oracle(members, overlap):
-    """Mean over the valid member pairs, visited a < b in the matrix's index order."""
-    index = {u: i for i, u in enumerate(overlap.users)}
+def overlap_per_cluster_oracle(members, users, overlap):
+    """Mean over the valid member pairs, visited a < b in the index order of ``users``, the matrix's rows."""
+    index = {u: i for i, u in enumerate(users)}
     idx = sorted(index[u] for u in members)
     vals = []
     for a in range(len(idx)):
         for b in range(a + 1, len(idx)):
             i, j = idx[a], idx[b]
-            if overlap.valid[i, j]:
-                vals.append(float(overlap.values[i, j]))
+            if not math.isnan(overlap[i, j]):
+                vals.append(float(overlap[i, j]))
     return float(np.mean(vals)) if vals else math.nan
 
 
 def precision_oracle(result, reference, threshold):
-    """Hits over valid same-cluster pairs, counted pair by pair."""
-    index = {u: i for i, u in enumerate(reference.users)}
+    """Hits over valid same-cluster pairs, counted pair by pair; the reference's rows follow ``result.users``."""
+    index = {u: i for i, u in enumerate(result.users)}
     tp = 0
     total = 0
     for members in result.clusters:
@@ -412,10 +398,10 @@ def precision_oracle(result, reference, threshold):
         for a in range(len(idx)):
             for b in range(a + 1, len(idx)):
                 i, j = idx[a], idx[b]
-                if not reference.valid[i, j]:
+                if math.isnan(reference[i, j]):
                     continue
                 total += 1
-                if reference.values[i, j] >= threshold:
+                if reference[i, j] >= threshold:
                     tp += 1
     return tp / total if total else math.nan
 
@@ -575,37 +561,32 @@ def overlap_validity_oracle(viewports, off):
     ])
 
 
-def persistence_scores_oracle(matrices: list, threshold: float) -> SimilarityMatrix:
+def persistence_scores_oracle(matrices: list, threshold: float) -> np.ndarray:
     """Fraction of a pair's valid frames whose value is >= threshold, counted as hits over valid frames.
 
-    NaN (invalid) for pairs valid in no frame of the window.
+    ``matrices`` is a list of n × n frame arrays; NaN (invalid) for pairs
+    valid in no frame of the window.
     """
     if not matrices:
         raise PreconditionError("persistence over an empty frame window")
-    users = matrices[0].users
-    metric = matrices[0].metric
-    for m in matrices:
-        if m.users != users or m.metric is not metric:
-            raise InvalidParamsError("all matrices in a chunk must share users and metric")
-    vals = np.stack([m.values for m in matrices])
-    valid = np.stack([m.valid for m in matrices])
+    vals = np.stack(matrices)
+    valid = ~np.isnan(vals)
     with np.errstate(invalid="ignore"):
         hits = ((vals >= threshold) & valid).sum(axis=0)
     count = valid.sum(axis=0)
-    n = len(users)
-    out = np.full((n, n), np.nan)
+    out = np.full(vals.shape[1:], np.nan)
     ok = count > 0
     out[ok] = hits[ok] / count[ok]
-    return SimilarityMatrix(frame=matrices[0].frame, users=users, metric=metric, values=out)
+    return out
 
 
-def chunk_adjacency_oracle(matrices: list, config, spec, chunk_id: int) -> SimilarityGraph:
-    """Persistence-filtered adjacency over one window of frame matrices."""
+def chunk_adjacency_oracle(matrices: list, config, spec) -> np.ndarray:
+    """Persistence-filtered adjacency over one window of n × n frame arrays."""
     scores = persistence_scores_oracle(matrices, config.threshold)
     with np.errstate(invalid="ignore"):
-        adj = scores.valid & (scores.values >= spec.persistence)
-    adj &= ~np.eye(scores.n, dtype=bool)
-    return SimilarityGraph(ident=chunk_id, users=scores.users, adjacency=adj)
+        adj = ~np.isnan(scores) & (scores >= spec.persistence)
+    adj &= ~np.eye(len(scores), dtype=bool)
+    return adj
 
 
 def ablate_oracle(
@@ -620,8 +601,8 @@ def ablate_oracle(
 ) -> list:
     """One AblationRecord per regulator combination.
 
-    ``content_tables`` maps content id to a list of per-frame pairs
-    ``(features, overlap_matrix)``; features are reused across the whole
+    ``content_tables`` maps content id to its ``(users, frames)``, ``frames``
+    a list of per-frame pairs ``(features, overlap values)``; features are reused across the whole
     grid since regulators factor out of them.  Each combination runs
     frame-based clustering at the metric's fixed ``threshold``; the three
     performance figures are averaged over frames per content, then across
@@ -636,10 +617,10 @@ def ablate_oracle(
         content_means: dict = {"overlap_ratio": [], "relevant_population": [], "precision": []}
         for cid in sorted(content_tables):
             perfs = []
-            for features, overlap in content_tables[cid]:
+            users, frames = content_tables[cid]
+            for features, overlap in frames:
                 matrix = features.metric_matrix(metric, reg)
-                graph = build_adjacency(matrix, config)
-                result = clique_clustering(graph, tie_matrix=matrix)
+                result = clique_clustering(matrix >= config.threshold, users, tie=matrix)
                 perfs.append(
                     evaluate_result(
                         result, overlap, label_threshold=o_th, min_size=min_size

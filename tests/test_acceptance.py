@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from viewsim.calibration import DEFAULT_GRID, roc_curve, select_parameter_sets, select_threshold
-from viewsim.clustering import SimilarityGraph, clique_clustering, max_clique
+from viewsim.clustering import clique_clustering, max_clique
 from viewsim.geometry import (
     FrustumParams,
     PointCloudFrame,
@@ -34,6 +34,7 @@ from viewsim.synth import _fibonacci_sphere, planted_labels, three_orbit_groups
 
 from conftest import (
     feature_columns, geodesic_features, make_sample, overlap_columns, random_viewer, record_criterion, square_matrix,
+    valid,
 )
 from oracles import (
     adjusted_rand_index,
@@ -98,10 +99,10 @@ def test_criterion_2_overlap_is_exact_rational_jaccard():
         x *= rng.uniform(1.5, 3.0, (n, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
         view = -x + rng.normal(0.0, 0.5, (n, 3))
         params = FrustumParams(hfov=float(rng.uniform(0.3, 1.2)), vfov=float(rng.uniform(0.3, 1.2)))
-        mat = overlap_matrix(0, users, x, view, np.zeros(n, dtype=bool), cloud, params)
+        mat = overlap_matrix(users, x, view, np.zeros(n, dtype=bool), cloud, params)
         sets = [viewport_set_oracle(frustum_planes(x[k], view[k], params), cloud.points) for k in range(n)]
         for i, j in zip(*pair_indices(n)):
-            value = float(mat.values[i, j])
+            value = float(mat[i, j])
             ok = not math.isnan(value)
             if not (sets[i] | sets[j]):
                 bad += ok
@@ -149,17 +150,17 @@ def test_criterion_3_kernel_identities_and_symmetry():
     # full src/dst swap of every metric over 10^4 unordered pairs
     users = tuple(f"u{k:03d}" for k in range(142))
     samples = _posed_samples(rng, 142)
-    features = geodesic_features(0, users, *feature_columns(samples), graph)
+    features = geodesic_features(users, *feature_columns(samples), graph)
     worst_sym = 0.0
     for metric in PROXY_METRICS:
         m = features.metric_matrix(metric, configs[metric].regulators)
-        assert np.array_equal(m.valid, m.valid.T)
-        diff = np.abs(np.where(m.valid, m.values, 0.0) - np.where(m.valid, m.values, 0.0).T)
+        assert np.array_equal(valid(m), valid(m).T)
+        diff = np.abs(np.where(valid(m), m, 0.0) - np.where(valid(m), m, 0.0).T)
         worst_sym = max(worst_sym, float(diff.max()))
-    ov = overlap_matrix(0, users, *overlap_columns(samples), cloud, FrustumParams())
+    ov = overlap_matrix(users, *overlap_columns(samples), cloud, FrustumParams())
     worst_sym = max(
         worst_sym,
-        float(np.abs(np.where(ov.valid, ov.values, 0.0) - np.where(ov.valid, ov.values, 0.0).T).max()),
+        float(np.abs(np.where(valid(ov), ov, 0.0) - np.where(valid(ov), ov, 0.0).T).max()),
     )
 
     # argument-order symmetry on the scalar route as well
@@ -251,18 +252,17 @@ def test_criterion_5_cliques_match_exhaustive_enumeration():
         tie = rng.random((n, n))
         tie = (tie + tie.T) / 2.0
         np.fill_diagonal(tie, np.nan)
-        graph = SimilarityGraph(ident=trial, users=users, adjacency=adj)
-        tie_m = square_matrix(tie, users=users)
+        tie_m = square_matrix(tie)
 
         best_size, cliques = max_cliques_oracle(adj)
-        got = max_clique(graph, tie_matrix=tie_m)
+        got = max_clique(adj, users, tie=tie_m)
         if len(got) != best_size:
             bad_size += 1
         expect_pick = pick_clique_oracle(cliques, tie, users)
         if got != tuple(users[i] for i in expect_pick):
             bad_pick += 1
 
-        result = clique_clustering(graph, tie_matrix=tie_m)
+        result = clique_clustering(adj, users, trial, tie=tie_m)
         seen = sorted(u for c in result.clusters for u in c)
         if seen != sorted(users):
             bad_partition += 1

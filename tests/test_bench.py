@@ -91,3 +91,37 @@ def test_perfbench_trace_targets_resolve():
             fn = getattr(fn, part)
         assert read[name] in inspect.signature(fn).parameters, name
     assert set(read.values()) == {"path", "points", "cloud", "sources", "users", "matrices", "labels"}
+
+
+def test_perfbench_tracer_counts_every_layer_on_a_real_session(tmp_path):
+    # perfbench counts a work counter's error as a failed op; run its five commands under the tracer
+    import json
+    import os
+    import subprocess
+    import sys
+
+    from viewsim.cli import main
+
+    root = Path(__file__).parents[1]
+    data = tmp_path / "data"
+    assert main(["--seed", "3", "--out", str(data), "synth", "--users-per-group", "2", "--frames", "4",
+                 "--points", "400"]) == 0
+    src = str(root / "src")
+    env = dict(os.environ, PERFBENCH_SRC=src, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    base = ["--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "out"), "--threads", "2"]
+    counted = set()
+    for command in (["overlap"], ["metrics"], ["calibrate"], ["evaluate", "--mode", "chunk"],
+                    ["ablate", "--metric", "w7", "--fix", "beta=0.5"]):
+        spans = tmp_path / f"{command[0]}.spans.json"
+        proc = subprocess.run([sys.executable, str(root / "perfbench" / "child.py"), "trace", str(spans), "--",
+                               *base, *command], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        layers = json.loads(spans.read_text())["layers"]
+        assert [name for name, agg in layers.items() if "work_errors" in agg] == [], command
+        counted |= {name for name, agg in layers.items() if set(agg) - {"calls", "incl_s", "self_s"}}
+    # every counter ran on real arguments at least once
+    assert counted == {
+        "ply.read_ply", "geometry.contains_points", "geometry.build_surface_graph", "geometry.geodesic_rows",
+        "metrics.overlap_matrix", "metrics.compute_pair_features", "metrics.write_matrices_csv",
+        "calibration.roc_curve", "calibration.ablate",
+    }

@@ -199,8 +199,8 @@ def test_select_self_consistent_labels():
 def test_pair_samples_filters_to_jointly_valid():
     nan = float("nan")
     m = square_matrix([[nan, 0.9, nan], [0.9, nan, 0.4], [nan, 0.4, nan]])
-    o = square_matrix([[nan, 0.8, 0.5], [0.8, nan, nan], [0.5, nan, nan]], metric=MetricId.OVERLAP)
-    values, labels = pair_samples([m], [o], o_th=0.75)
+    o = square_matrix([[nan, 0.8, 0.5], [0.8, nan, nan], [0.5, nan, nan]])
+    values, labels = pair_samples([m[None]], [o[None]], o_th=0.75)
     # only (0,1) is valid in both matrices
     assert values.tolist() == [0.9]
     assert labels.tolist() == [True]
@@ -208,27 +208,32 @@ def test_pair_samples_filters_to_jointly_valid():
 
 def test_pair_samples_labels_threshold_inclusive():
     m = square_matrix([[float("nan"), 0.5], [0.5, float("nan")]])
-    o = square_matrix([[float("nan"), 0.75], [0.75, float("nan")]], metric=MetricId.OVERLAP)
-    _, labels = pair_samples([m], [o], o_th=0.75)
+    o = square_matrix([[float("nan"), 0.75], [0.75, float("nan")]])
+    _, labels = pair_samples([m[None]], [o[None]], o_th=0.75)
     assert labels.tolist() == [True]
 
 
 def test_pair_samples_concatenates_frames():
-    m0 = square_matrix([[float("nan"), 0.2], [0.2, float("nan")]], frame=0)
-    m1 = square_matrix([[float("nan"), 0.7], [0.7, float("nan")]], frame=1)
-    o0 = square_matrix([[float("nan"), 0.1], [0.1, float("nan")]], frame=0, metric=MetricId.OVERLAP)
-    o1 = square_matrix([[float("nan"), 0.9], [0.9, float("nan")]], frame=1, metric=MetricId.OVERLAP)
-    values, labels = pair_samples([m0, m1], [o0, o1])
+    m0 = square_matrix([[float("nan"), 0.2], [0.2, float("nan")]])
+    m1 = square_matrix([[float("nan"), 0.7], [0.7, float("nan")]])
+    o0 = square_matrix([[float("nan"), 0.1], [0.1, float("nan")]])
+    o1 = square_matrix([[float("nan"), 0.9], [0.9, float("nan")]])
+    values, labels = pair_samples([np.stack([m0, m1])], [np.stack([o0, o1])])
     assert values.tolist() == [0.2, 0.7]
     assert labels.tolist() == [False, True]
+    # one stack per content: content by content, then frame by frame
+    values, labels = pair_samples([m1[None], np.stack([m0, m1])], [o1[None], np.stack([o0, o1])])
+    assert values.tolist() == [0.7, 0.2, 0.7]
+    assert labels.tolist() == [True, False, True]
 
 
 def test_pair_samples_user_mismatch():
-    m = square_matrix([[float("nan"), 0.5], [0.5, float("nan")]], users=("a", "b"))
-    o = square_matrix([[float("nan"), 0.5], [0.5, float("nan")]], users=("a", "c"),
-                      metric=MetricId.OVERLAP)
-    with pytest.raises(InvalidParamsError):
-        pair_samples([m], [o])
+    # the metric's stack and the ground truth's must have one shape: users and frames alike
+    m = square_matrix([[float("nan"), 0.5], [0.5, float("nan")]])
+    o = square_matrix(np.full((3, 3), 0.5))
+    for ms, os_ in (([m[None]], [o[None]]), ([m[None]], [np.stack([m, m])]), ([m], [m])):
+        with pytest.raises(InvalidParamsError):
+            pair_samples(ms, os_)
 
 
 def test_pair_samples_empty():
@@ -246,7 +251,8 @@ def test_calibrate_threshold_meets_target_on_content(narrow_content):
     # the point is the ROC's largest threshold reaching the target, and it matches the oracle's row
     ths, tpr, fpr = roc
     assert point.threshold == ths[tpr >= 0.75].max()
-    values, labels = pair_samples(metric_matrices(pc, [MetricId.W1])[MetricId.W1], overlaps(pc), pc.overlap_threshold)
+    values, labels = pair_samples([metric_matrices(pc, [MetricId.W1])[MetricId.W1].values], [overlaps(pc)],
+                                  pc.overlap_threshold)
     assert (point.threshold, point.tpr, point.fpr) in roc_oracle(values, labels)
 
 
@@ -402,3 +408,25 @@ def test_superset_grid_never_selects_worse(narrow_content):
     assert b["set1"].figures["overlap_ratio"] >= s["set1"].figures["overlap_ratio"]
     assert b["set2"].figures["relevant_population"] >= s["set2"].figures["relevant_population"]
     assert b["set3"].figures["precision"] >= s["set3"].figures["precision"]
+
+
+def test_3dof_scores_users_who_look_the_same_way_alike_and_reads_auc_one_half():
+    # users side by side, all looking down -z at the sphere: the exact overlap tells near
+    # pairs from far ones, the view angle is 0 for every pair (6-DoF against 3-DoF)
+    from viewsim.geometry import FrustumParams
+    from viewsim.pipeline import prepare_scenario
+    from viewsim.synth import FixedDirectionGaze, GroupSpec, StaticMotion, SynthScenario
+
+    groups = tuple(
+        GroupSpec(size=1, motion=StaticMotion((x, 0.0, 2.5)), gaze=FixedDirectionGaze((0.0, 0.0, -1.0)))
+        for x in (-0.6, -0.45, -0.3, -0.15, 0.0, 0.15, 0.3, 0.45, 0.6)
+    )
+    sc = SynthScenario(seed=4, cloud_kind="sphere", points_per_frame=3000, n_frames=2, fps=10.0, groups=groups)
+    pc = prepare_scenario(sc, frustum=FrustumParams(hfov=0.5, vfov=0.5))
+    mats = metric_matrices(pc, [MetricId.DOF3, MetricId.OVERLAP])
+    values, labels = pair_samples([mats[MetricId.DOF3].values], [mats[MetricId.OVERLAP].values], pc.overlap_threshold)
+    assert values.size == 2 * 36 and 0 < labels.sum() < labels.size
+    assert set(values.tolist()) == {1.0}
+    report = calibrate_contents([pc], [MetricId.DOF3, MetricId.W1])
+    assert auc(report[MetricId.DOF3][0]) == 0.5
+    assert auc(report[MetricId.W1][0]) > 0.9  # where the users stand tells them apart

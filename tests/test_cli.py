@@ -568,10 +568,11 @@ def test_cold_evaluate_computes_and_writes_each_table_once(narrow_manifest, tmp_
     computed, saved = [], []
     real_features, real_save = viewsim.pipeline.compute_pair_features, viewsim.store.save
     monkeypatch.setattr(viewsim.pipeline, "compute_pair_features",
-                        lambda k, *a, **kw: computed.append(k) or real_features(k, *a, **kw))
+                        lambda users, x, *a, **kw: computed.append(x.tobytes()) or real_features(users, x, *a, **kw))
     monkeypatch.setattr(viewsim.store, "save", lambda path, *a: saved.append(Path(path).name) or real_save(path, *a))
     run_in(capsys, narrow_manifest, tmp_path, ["evaluate", "--mode", "chunk"])
-    assert sorted(computed) == list(range(4))
+    # one call per frame: the 4 frames' positions, each once
+    assert len(computed) == len(set(computed)) == 4
     # feature tables are kept in memory only
     assert sorted(saved) == [f"{kind}-{k:06d}.npz" for kind in ("geodesic", "overlap", "pr") for k in range(4)]
 
@@ -582,12 +583,12 @@ def test_evaluate_builds_each_chunks_ground_truth_once(narrow_manifest, tmp_path
 
     windows = []
     real = viewsim.pipeline.persistence_scores
-    monkeypatch.setattr(viewsim.pipeline, "persistence_scores", lambda w, th: windows.append([m.frame for m in w]) or real(w, th))
+    monkeypatch.setattr(viewsim.pipeline, "persistence_scores", lambda w, th: windows.append(len(w)) or real(w, th))
     run_in(capsys, narrow_manifest, tmp_path, ["evaluate", "--mode", "chunk"])
     # the default scores every proxy and then the overlap, all against one ground truth per chunk
     rows = read_csv(tmp_path / "evaluation.csv")[1:]
     assert [row[1] for row in rows] == [m.value for m in (*PROXY_METRICS, MetricId.OVERLAP)]
-    assert windows == [[0, 1, 2, 3]]
+    assert windows == [4]  # one window of the session's 4 frames
     assert {row[-1] for row in rows} == {"1"}
 
 
@@ -1370,3 +1371,14 @@ def test_help_exits_0():
     proc = run_cli("--help")
     assert proc.returncode == 0
     assert "viewsim" in proc.stdout
+
+
+def test_metrics_writes_the_opt_in_3dof_rows(narrow_manifest, tmp_path, capsys):
+    out = run_in(capsys, narrow_manifest, tmp_path, ["metrics", "--metric", "3dof"])
+    rows = read_csv(tmp_path / "metrics_synth-sphere-11.csv")
+    assert rows[0] == ["frame", "user_i", "user_j", "metric", "value", "valid"]
+    assert len(rows) == 1 + 4 * 36 and {row[3] for row in rows[1:]} == {"3dof"}
+    assert [row[0] for row in rows[1::36]] == ["0", "1", "2", "3"]
+    values = [float(row[4]) for row in rows[1:] if row[5] == "1"]
+    assert values and all(0.0 < v <= 1.0 for v in values)
+    assert "(1 metrics x 4 frames, 144 pair rows)" in out

@@ -6,8 +6,6 @@ import pytest
 from viewsim.clustering import (
     ChunkSpec,
     ClusteringResult,
-    SimilarityGraph,
-    build_adjacency,
     chunk_adjacency,
     chunk_frame_ranges,
     clique_clustering,
@@ -18,7 +16,7 @@ from viewsim.clustering import (
 from viewsim.errors import InvalidParamsError, PreconditionError, SizeLimitError
 from viewsim.metrics import MetricConfig, MetricId, RegulatorSet
 
-from conftest import square_matrix
+from conftest import square_matrix, valid
 from oracles import (
     chunk_adjacency_oracle,
     clique_clustering_oracle,
@@ -32,11 +30,8 @@ def _config(threshold, metric=MetricId.W1):
     return MetricConfig(metric=metric, regulators=RegulatorSet(1.0, 0.0, 0.0), threshold=threshold)
 
 
-def _graph(adj, users=None):
-    adj = np.asarray(adj, dtype=bool)
-    if users is None:
-        users = tuple(f"u{k:02d}" for k in range(adj.shape[0]))
-    return SimilarityGraph(ident=0, users=users, adjacency=adj)
+def _users(n):
+    return tuple(f"u{k:02d}" for k in range(n))
 
 
 def test_adjacency_thresholding_inclusive():
@@ -48,7 +43,7 @@ def test_adjacency_thresholding_inclusive():
             [np.nan, 0.10, 0.80, np.nan],
         ]
     )
-    g = build_adjacency(mat, _config(0.80))
+    g = mat >= _config(0.80).threshold  # frame mode's adjacency
     want = np.array(
         [
             [0, 1, 0, 0],
@@ -59,13 +54,14 @@ def test_adjacency_thresholding_inclusive():
         dtype=bool,
     )
     want[3, 3] = False
-    np.testing.assert_array_equal(g.adjacency, want)
+    np.testing.assert_array_equal(g, want)
+    clique_clustering(g, _users(4))  # the NaN diagonal compares False: a valid adjacency
 
 
 def test_adjacency_invalid_pairs_never_edge():
     mat = square_matrix([[np.nan, np.nan], [np.nan, np.nan]])
-    g = build_adjacency(mat, _config(0.0))
-    assert not g.adjacency.any()
+    g = mat >= _config(0.0).threshold
+    assert not g.any()
 
 
 def test_adjacency_monotone_in_threshold():
@@ -76,24 +72,27 @@ def test_adjacency_monotone_in_threshold():
     mat = square_matrix(vals)
     prev = None
     for th in (0.1, 0.3, 0.5, 0.7, 0.9):
-        adj = build_adjacency(mat, _config(th)).adjacency
+        adj = mat >= _config(th).threshold
         if prev is not None:
             assert np.all(adj <= prev)  # raising the bar only removes edges
         prev = adj
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        _graph([[0, 1], [0, 0]])  # asymmetric
-    with pytest.raises(ValueError):
-        _graph([[1, 1], [1, 0]])  # self loop
+    for fn in (clique_clustering, max_clique):
+        with pytest.raises(ValueError):
+            fn([[0, 1], [0, 0]], _users(2))  # asymmetric
+        with pytest.raises(ValueError):
+            fn([[1, 1], [1, 0]], _users(2))  # self loop
+        with pytest.raises(ValueError):
+            fn(np.zeros((2, 2), dtype=bool), _users(3))  # not one row per user
 
 
 def test_max_clique_triangle_plus_pendant():
     adj = np.zeros((4, 4), dtype=bool)
     for i, j in [(0, 1), (0, 2), (1, 2), (2, 3)]:
         adj[i, j] = adj[j, i] = True
-    clique = max_clique(_graph(adj))
+    clique = max_clique(adj, _users(4))
     assert clique == ("u00", "u01", "u02")
 
 
@@ -110,7 +109,7 @@ def test_max_clique_matches_exhaustive_enumeration():
         np.fill_diagonal(tie, np.nan)
         users = tuple(f"u{k:02d}" for k in range(n))
         size, cliques = max_cliques_oracle(adj)
-        got = max_clique(_graph(adj, users), tie_matrix=square_matrix(tie, users=users))
+        got = max_clique(adj, users, tie=square_matrix(tie))
         assert len(got) == size
         got_idx = tuple(users.index(u) for u in got)
         assert got_idx in cliques
@@ -128,12 +127,12 @@ def test_tie_breaks_by_mean_then_lex():
         vals[i, j] = vals[j, i] = 0.7
     for i, j in [(3, 4), (3, 5), (4, 5)]:
         vals[i, j] = vals[j, i] = 0.9
-    clique = max_clique(_graph(adj), tie_matrix=square_matrix(vals))
+    clique = max_clique(adj, _users(6), tie=square_matrix(vals))
     assert clique == ("u03", "u04", "u05")
     # equal means: lexicographically smaller member tuple wins
     for i, j in [(3, 4), (3, 5), (4, 5)]:
         vals[i, j] = vals[j, i] = 0.7
-    clique = max_clique(_graph(adj), tie_matrix=square_matrix(vals))
+    clique = max_clique(adj, _users(6), tie=square_matrix(vals))
     assert clique == ("u00", "u01", "u02")
 
 
@@ -141,7 +140,7 @@ def test_max_clique_without_tie_matrix_is_lexicographic():
     adj = np.zeros((6, 6), dtype=bool)
     for i, j in [(0, 5), (1, 4)]:
         adj[i, j] = adj[j, i] = True
-    clique = max_clique(_graph(adj))
+    clique = max_clique(adj, _users(6))
     assert clique == ("u00", "u05")
 
 
@@ -153,7 +152,7 @@ def test_clique_clustering_partitions_and_orders():
     tris = [(4, 5), (4, 6), (5, 6)]
     for i, j in quads + tris + [(7, 8)]:
         adj[i, j] = adj[j, i] = True
-    result = clique_clustering(_graph(adj))
+    result = clique_clustering(adj, _users(n))
     assert result.sizes.tolist() == [4, 3, 2, 1]
     assert result.clusters[0] == ("u00", "u01", "u02", "u03")
     assert result.clusters[1] == ("u04", "u05", "u06")
@@ -170,7 +169,7 @@ def test_clique_clustering_clusters_are_cliques():
         adj = rng.random((n, n)) < 0.4
         adj = np.triu(adj, 1)
         adj = adj | adj.T
-        result = clique_clustering(_graph(adj))
+        result = clique_clustering(adj, _users(n))
         seen = []
         prev_size = None
         for c in result.clusters:
@@ -205,17 +204,16 @@ def test_clique_clustering_matches_subgraph_oracle():
         np.fill_diagonal(tie, np.nan)
         ids = rng.permutation(n) if trial % 2 else np.arange(n)  # index order != id order
         users = tuple(f"u{k:02d}" for k in ids)
-        graph = _graph(adj, users)
-        tie_m = square_matrix(tie, users=users) if trial % 3 else None
-        want = clique_clustering_oracle(graph, tie_m)
-        got = clique_clustering(graph, tie_matrix=tie_m)
+        tie_m = square_matrix(tie) if trial % 3 else None
+        want = clique_clustering_oracle(adj, users, tie_m)
+        got = clique_clustering(adj, users, tie=tie_m)
         assert got.labels.tolist() == want, trial
 
 
 def test_singletons_come_last_in_id_order():
     adj = np.zeros((5, 5), dtype=bool)
     adj[2, 4] = adj[4, 2] = True
-    result = clique_clustering(_graph(adj))
+    result = clique_clustering(adj, _users(5))
     assert result.clusters == [
         ("u02", "u04"),
         ("u00",),
@@ -240,9 +238,9 @@ def test_clustering_result_refuses_a_malformed_label_row():
 def test_size_limit_enforced():
     n = 65
     with pytest.raises(SizeLimitError):
-        clique_clustering(_graph(np.zeros((n, n), dtype=bool)))
+        clique_clustering(np.zeros((n, n), dtype=bool), _users(n))
     # 64 users is still fine
-    clique_clustering(_graph(np.zeros((64, 64), dtype=bool)))
+    clique_clustering(np.zeros((64, 64), dtype=bool), _users(64))
 
 
 def test_persistence_fraction_counts_valid_frames_only():
@@ -253,23 +251,23 @@ def test_persistence_fraction_counts_valid_frames_only():
         return square_matrix(vals)
 
     # 24 hits of 30 valid frames is exactly the 0.8 default
-    mats = [frame(0.9)] * 24 + [frame(0.1)] * 6
+    mats = np.stack([frame(0.9)] * 24 + [frame(0.1)] * 6)
     scores = persistence_scores(mats, threshold=0.8)
-    assert scores.values[0, 1] == 24 / 30
+    assert scores[0, 1] == 24 / 30
     assert 24 / 30 >= 0.8  # binary-exact boundary
-    g = chunk_adjacency(mats, _config(0.8), ChunkSpec(), chunk_id=0)
-    assert g.adjacency[0, 1]
+    g = chunk_adjacency(mats, _config(0.8), ChunkSpec())
+    assert g[0, 1]
     # one hit fewer and the edge disappears
-    mats = [frame(0.9)] * 23 + [frame(0.1)] * 7
-    assert not chunk_adjacency(mats, _config(0.8), ChunkSpec(), chunk_id=0).adjacency[0, 1]
+    mats = np.stack([frame(0.9)] * 23 + [frame(0.1)] * 7)
+    assert not chunk_adjacency(mats, _config(0.8), ChunkSpec())[0, 1]
     # invalid frames leave the denominator
-    mats = [frame(0.9)] * 8 + [frame(0.0, valid=False)] * 20 + [frame(0.1)] * 2
+    mats = np.stack([frame(0.9)] * 8 + [frame(0.0, valid=False)] * 20 + [frame(0.1)] * 2)
     scores = persistence_scores(mats, threshold=0.8)
-    assert scores.values[0, 1] == 0.8
+    assert scores[0, 1] == 0.8
     # a pair with no valid frame at all is invalid
-    mats = [frame(0.0, valid=False)] * 5
+    mats = np.stack([frame(0.0, valid=False)] * 5)
     scores = persistence_scores(mats, threshold=0.8)
-    assert not scores.valid[0, 1]
+    assert not valid(scores)[0, 1]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -286,29 +284,20 @@ def test_persistence_and_chunk_adjacency_match_oracle(seed):
         drop |= drop.T
         drop[0, 1] = drop[1, 0] = True
         vals[drop] = np.nan
-        mats.append(square_matrix(vals, frame=10 + k))
+        mats.append(square_matrix(vals))
     config, spec = _config(0.5), ChunkSpec(persistence=float(rng.choice([0.5, 0.75, 1.0])))
-    got, want = persistence_scores(mats, 0.5), persistence_scores_oracle(mats, 0.5)
-    assert (got.frame, got.users, got.metric) == (want.frame, want.users, want.metric)
-    assert got.values.tobytes() == want.values.tobytes() and got.valid.tobytes() == want.valid.tobytes()
-    assert not got.valid[0, 1] and np.isnan(got.values[0, 1])
-    g, w = chunk_adjacency(mats, config, spec, chunk_id=3), chunk_adjacency_oracle(mats, config, spec, 3)
-    assert g.ident == w.ident == 3 and g.users == w.users
-    np.testing.assert_array_equal(g.adjacency, w.adjacency)
-
-
-def test_window_mean_rejects_mixed_users_or_metrics():
-    a = square_matrix(np.full((2, 2), 0.5))
-    for other in (square_matrix(np.full((2, 2), 0.5), users=("x", "y")),
-                  square_matrix(np.full((2, 2), 0.5), metric=MetricId.W2)):
-        for fn in (mean_matrix, lambda ms: persistence_scores(ms, 0.5)):
-            with pytest.raises(InvalidParamsError):
-                fn([a, other])
+    window = np.stack(mats)
+    got, want = persistence_scores(window, 0.5), persistence_scores_oracle(mats, 0.5)
+    assert got.tobytes() == want.tobytes() and valid(got).tobytes() == valid(want).tobytes()
+    assert not valid(got)[0, 1] and np.isnan(got[0, 1])
+    g, w = chunk_adjacency(window, config, spec), chunk_adjacency_oracle(mats, config, spec)
+    np.testing.assert_array_equal(g, w)
 
 
 def test_persistence_empty_window_rejected():
-    with pytest.raises(PreconditionError):
-        persistence_scores([], threshold=0.8)
+    for fn in (mean_matrix, lambda w: persistence_scores(w, threshold=0.8)):
+        with pytest.raises(PreconditionError):
+            fn(np.empty((0, 2, 2)))
 
 
 def test_mean_matrix_ignores_invalid_frames():
@@ -318,10 +307,10 @@ def test_mean_matrix_ignores_invalid_frames():
             vals[0, 1] = vals[1, 0] = v
         return square_matrix(vals)
 
-    mats = [frame(0.2), frame(0.6), frame(0.0, valid=False)]
+    mats = np.stack([frame(0.2), frame(0.6), frame(0.0, valid=False)])
     mm = mean_matrix(mats)
-    assert mm.values[0, 1] == pytest.approx(0.4)
-    assert mm.valid[0, 1]
+    assert mm[0, 1] == pytest.approx(0.4)
+    assert valid(mm)[0, 1]
 
 
 def test_chunk_spec_validation_and_frame_count():

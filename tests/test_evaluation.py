@@ -39,7 +39,7 @@ def _result(groups, ident=0, users=None):
 
 def test_cluster_overlap_is_pair_mean():
     o = square_matrix(
-        [[NAN, 0.9, 0.5], [0.9, NAN, 0.7], [0.5, 0.7, NAN]], metric=MetricId.OVERLAP
+        [[NAN, 0.9, 0.5], [0.9, NAN, 0.7], [0.5, 0.7, NAN]]
     )
     c = _result([("u00", "u01", "u02")])
     assert_close(overlap_ratio(c, o, min_size=2), (0.9 + 0.5 + 0.7) / 3)
@@ -47,33 +47,33 @@ def test_cluster_overlap_is_pair_mean():
 
 def test_cluster_overlap_skips_invalid_pairs():
     o = square_matrix(
-        [[NAN, 0.9, NAN], [0.9, NAN, 0.7], [NAN, 0.7, NAN]], metric=MetricId.OVERLAP
+        [[NAN, 0.9, NAN], [0.9, NAN, 0.7], [NAN, 0.7, NAN]]
     )
     assert_close(overlap_ratio(_result([("u00", "u01", "u02")]), o, min_size=2), 0.8)
 
 
 def test_cluster_overlap_all_invalid_is_nan():
-    o = square_matrix([[NAN, NAN], [NAN, NAN]], metric=MetricId.OVERLAP)
+    o = square_matrix([[NAN, NAN], [NAN, NAN]])
     assert math.isnan(overlap_ratio(_result([("u00", "u01")]), o, min_size=2))
 
 
 def test_cluster_overlap_needs_two_members():
-    o = square_matrix([[NAN, 0.5], [0.5, NAN]], metric=MetricId.OVERLAP)
+    o = square_matrix([[NAN, 0.5], [0.5, NAN]])
     with pytest.raises(PreconditionError):
         overlap_ratio(_result([("u00",), ("u01",)]), o, min_size=1)
 
 
 def test_overlap_ratio_refuses_min_size_below_two_without_a_singleton():
-    o = square_matrix([[NAN, 0.5], [0.5, NAN]], metric=MetricId.OVERLAP)
+    o = square_matrix([[NAN, 0.5], [0.5, NAN]])
     for min_size in (1, 0):
         with pytest.raises(PreconditionError):
             overlap_ratio(_result([("u00", "u01")]), o, min_size=min_size)
 
 
 def test_cluster_overlap_unknown_member():
-    o = square_matrix([[NAN, 0.5], [0.5, NAN]], metric=MetricId.OVERLAP)
+    o = square_matrix([[NAN, 0.5], [0.5, NAN]])
     with pytest.raises(PreconditionError):
-        overlap_ratio(_result([("u00", "zz")]), o, min_size=2)
+        overlap_ratio(_result([("u00", "u01", "zz")]), o, min_size=2)  # three users, a 2 × 2 matrix
 
 
 # -------------------------------------------------------- relevant_population
@@ -108,8 +108,6 @@ def test_precision_counts_same_cluster_hits():
             [0.2, 0.8, NAN, NAN],
             [NAN, NAN, NAN, NAN],
         ],
-        users=("a", "b", "c", "d"),
-        metric=MetricId.OVERLAP,
     )
     r = _result([("a", "b", "c"), ("d",)])
     assert_close(precision(r, ref, threshold=0.75), 2 / 3)
@@ -119,25 +117,23 @@ def test_precision_counts_same_cluster_hits():
 def test_precision_excludes_invalid_pairs_from_denominator():
     ref = square_matrix(
         [[NAN, 0.9, NAN], [0.9, NAN, NAN], [NAN, NAN, NAN]],
-        users=("a", "b", "c"),
-        metric=MetricId.OVERLAP,
     )
     r = _result([("a", "b", "c")])
     assert_close(precision(r, ref, threshold=0.75), 1.0)
 
 
 def test_precision_nan_without_valid_pairs():
-    ref = square_matrix([[NAN, NAN], [NAN, NAN]], users=("a", "b"), metric=MetricId.OVERLAP)
+    ref = square_matrix([[NAN, NAN], [NAN, NAN]])
     assert math.isnan(precision(_result([("a", "b")]), ref, threshold=0.5))
 
 
 def test_precision_threshold_inclusive():
-    ref = square_matrix([[NAN, 0.75], [0.75, NAN]], users=("a", "b"), metric=MetricId.OVERLAP)
+    ref = square_matrix([[NAN, 0.75], [0.75, NAN]])
     assert precision(_result([("a", "b")]), ref, threshold=0.75) == 1.0
 
 
 def test_precision_missing_member_rejected():
-    ref = square_matrix([[NAN, 0.9], [0.9, NAN]], users=("a", "b"), metric=MetricId.OVERLAP)
+    ref = square_matrix([[NAN, 0.9], [0.9, NAN]])
     with pytest.raises(PreconditionError):
         precision(_result([("a", "b", "c")]), ref, threshold=0.5)
 
@@ -152,7 +148,7 @@ def test_scoring_matches_pair_loop_oracles():
         vals[np.triu(rng.random((n, n)) < 0.2, 1)] = NAN
         vals = np.minimum(vals, vals.T)  # keep invalid pairs symmetric
         users = tuple(f"u{k:02d}" for k in rng.permutation(n))  # index order != id order
-        ref = square_matrix(vals, users=users, metric=MetricId.OVERLAP)
+        ref = square_matrix(vals)
         labels = rng.integers(-1 if trial % 2 else 0, max(1, n // 3), n)  # -1: not clustered
         groups = [[u for u, g in zip(users, labels) if g == k] for k in sorted(set(labels) - {-1})]
         groups += [[u] for u, g in zip(users, labels) if g == -1]  # a user not clustered is a singleton
@@ -161,7 +157,7 @@ def test_scoring_matches_pair_loop_oracles():
         got, want = precision(result, ref, th), precision_oracle(result, ref, th)
         assert got == want or (math.isnan(got) and math.isnan(want)), trial
         for min_size in (2, 3):
-            per_cluster = [overlap_per_cluster_oracle(c, ref) for c in result.clusters if len(c) >= min_size]
+            per_cluster = [overlap_per_cluster_oracle(c, users, ref) for c in result.clusters if len(c) >= min_size]
             defined = [v for v in per_cluster if not math.isnan(v)]
             want = float(np.mean(defined)) if defined else math.nan
             got = overlap_ratio(result, ref, min_size)
@@ -179,8 +175,6 @@ def _demo_overlap():
             [0.8, 0.85, NAN, 0.1],
             [0.1, 0.1, 0.1, NAN],
         ],
-        users=("a", "b", "c", "d"),
-        metric=MetricId.OVERLAP,
     )
 
 
@@ -201,8 +195,6 @@ def test_evaluate_result_separate_label_matrix():
             [0.0, 0.0, NAN, 0.0],
             [0.0, 0.0, 0.0, NAN],
         ],
-        users=("a", "b", "c", "d"),
-        metric=MetricId.OVERLAP,
     )
     r = _result([("a", "b", "c"), ("d",)])
     perf = evaluate_result(r, _demo_overlap(), reference=labels, label_threshold=0.5, min_size=3)
@@ -221,11 +213,11 @@ def test_evaluate_result_no_relevant_clusters():
 
 
 def test_evaluate_result_refuses_users_that_differ_from_the_matrix():
-    # a user missing, a user extra, and the matrix's users in another order
-    for users in (("a", "b", "c"), ("a", "b", "c", "d", "e"), ("b", "a", "c", "d")):
+    # a user missing and a user extra: the 4 × 4 matrix has no row for each clustered user
+    for users in (("a", "b", "c"), ("a", "b", "c", "d", "e")):
         with pytest.raises(PreconditionError):
             evaluate_result(_result([users], users=users), _demo_overlap(), min_size=3)
-    other = square_matrix(np.full((3, 3), 0.5), users=("a", "b", "c"), metric=MetricId.OVERLAP)
+    other = square_matrix(np.full((3, 3), 0.5))
     with pytest.raises(PreconditionError):
         evaluate_result(_result([("a", "b", "c"), ("d",)]), _demo_overlap(), reference=other, min_size=3)
 

@@ -131,7 +131,7 @@ def test_content_has_every_kind_of_invalid_pair(invalid_manifest):
         assert not offs[1:4].any() and offs[8:].any() and not offs[8:].all()
         # beyond the far plane: rays hit, but a pair's viewport union is empty
         ov = overlaps(pc, frames=[0])[0]
-        assert not offs[8, 0] and not offs[10, 0] and np.isnan(ov.values[8, 10])
+        assert not offs[8, 0] and not offs[10, 0] and np.isnan(ov[8, 10])
 
 
 def test_invalid_pair_outputs_match_pinned_digests(invalid_manifest, tmp_path, capsys):

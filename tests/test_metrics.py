@@ -15,7 +15,7 @@ from viewsim.metrics import (
 )
 from viewsim.synth import _fibonacci_sphere
 
-from conftest import Sample, assert_close, feature_columns, geodesic_features, make_sample, overlap_columns
+from conftest import Sample, assert_close, feature_columns, geodesic_features, make_sample, overlap_columns, valid
 from oracles import metric_validity_oracle, metric_value, overlap_product_oracle, overlap_validity_oracle
 
 # metric: (default regulators, default threshold, regulators it reads, needs a surface graph)
@@ -80,8 +80,8 @@ def _set_overlap(si, sj) -> float:
     pts = [where[(k in si, k in sj)] for k in sorted(set(si) | set(sj))] + [[0.0, 0.0, 5.0]]
     x = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
     view = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, -1.0]])
-    mat = overlap_matrix(0, ("a", "b"), x, view, np.zeros(2, dtype=bool), PointCloudFrame(0.0, np.array(pts)), FrustumParams())
-    return mat.values[0, 1] if mat.valid[0, 1] else None
+    mat = overlap_matrix(("a", "b"), x, view, np.zeros(2, dtype=bool), PointCloudFrame(0.0, np.array(pts)), FrustumParams())
+    return mat[0, 1] if valid(mat)[0, 1] else None
 
 
 def test_overlap_ratio_examples():
@@ -166,17 +166,17 @@ def test_symmetry_scalar_route():
 ])
 def test_matrix_route_matches_scalar_route(regs):
     users, samples, graph = _scene(seed=5)
-    feats = geodesic_features(0, users, *feature_columns(samples), graph)
+    feats = geodesic_features(users, *feature_columns(samples), graph)
     for metric in PROXY_METRICS:
         reg = RegulatorSet(*(TABLE[metric][0] if regs is None else regs))
         mat = feats.metric_matrix(metric, reg)
         for i in range(len(users)):
             for j in range(len(users)):
                 if i == j:
-                    assert math.isnan(mat.values[i, j])
+                    assert math.isnan(mat[i, j])
                     continue
                 want = metric_value(metric, reg, samples[i], samples[j], graph=graph)
-                assert_close(mat.values[i, j], want, tol=1e-12, rel=True)
+                assert_close(mat[i, j], want, tol=1e-12, rel=True)
 
 
 def test_geodesic_features_bit_equal_to_a_pair_loop_and_skip_the_largest_vertex(monkeypatch):
@@ -205,42 +205,43 @@ def test_geodesic_features_bit_equal_to_a_pair_loop_and_skip_the_largest_vertex(
 
 def test_product_metric_factorizes():
     users, samples, graph = _scene(seed=6)
-    feats = geodesic_features(0, users, *feature_columns(samples), graph)
+    feats = geodesic_features(users, *feature_columns(samples), graph)
     reg = RegulatorSet(0.3, 0.7, 1.1)
     w5 = feats.metric_matrix(MetricId.W5, reg)
     w1 = feats.metric_matrix(MetricId.W1, RegulatorSet(0.3, 0.0, 0.0))
     w2 = feats.metric_matrix(MetricId.W2, RegulatorSet(0.7, 0.0, 0.0))
     w3 = feats.metric_matrix(MetricId.W3, RegulatorSet(1.1, 0.0, 0.0))
-    mask = w5.valid
-    product = w1.values[mask] * w2.values[mask] * w3.values[mask]
-    np.testing.assert_array_equal(w5.values[mask], product)
+    mask = valid(w5)
+    product = w1[mask] * w2[mask] * w3[mask]
+    np.testing.assert_array_equal(w5[mask], product)
     # the euclidean-gaze variant factorizes the same way
     w6 = feats.metric_matrix(MetricId.W6, reg)
     w4 = feats.metric_matrix(MetricId.W4, RegulatorSet(1.1, 0.0, 0.0))
-    np.testing.assert_array_equal(w6.values[mask], w1.values[mask] * w2.values[mask] * w4.values[mask])
+    np.testing.assert_array_equal(w6[mask], w1[mask] * w2[mask] * w4[mask])
 
 
 def test_zero_regulators_degenerate_to_one():
     users, samples, graph = _scene(seed=7)
-    feats = geodesic_features(0, users, *feature_columns(samples), graph)
+    feats = geodesic_features(users, *feature_columns(samples), graph)
     for metric in (MetricId.W5, MetricId.W6):
         mat = feats.metric_matrix(metric, RegulatorSet(0.0, 0.0, 0.0))
-        assert np.all(mat.values[mat.valid] == 1.0)
+        assert np.all(mat[valid(mat)] == 1.0)
 
 
 def test_tanh_metric_range_bound():
     users, samples, graph = _scene(seed=8, r_span=(0.1, 40.0))
-    feats = geodesic_features(0, users, *feature_columns(samples), graph)
+    feats = geodesic_features(users, *feature_columns(samples), graph)
     for beta in (0.25, 0.5, 2.0):
         mat = feats.metric_matrix(MetricId.W7, RegulatorSet(0.5, beta, 0.5))
-        vals = mat.values[mat.valid]
+        vals = mat[valid(mat)]
         assert np.all(vals >= 0.0)
         assert np.all(vals <= 2.0 * beta)
 
 
 def test_geodesic_metrics_need_graph():
     users, samples, _ = _scene(seed=9)
-    feats = compute_pair_features(0, users, *feature_columns(samples))
+    x, p, r, off, view = feature_columns(samples)
+    feats = compute_pair_features(users, x, p, r, off, view=view)
     with pytest.raises(MissingGraphError):
         feats.metric_matrix(MetricId.W3, RegulatorSet(1.0, 0.0, 0.0))
     # euclidean variants work without one
@@ -251,28 +252,28 @@ def test_missing_pr_invalidates_pr_metrics_only():
     users, samples, graph = _scene(seed=10, n_users=4)
     bare = make_sample([0.0, 0.0, 2.2], view=[0, 0, -1])  # no p, no r
     samples[2] = bare
-    feats = geodesic_features(0, users, *feature_columns(samples), graph)
+    feats = geodesic_features(users, *feature_columns(samples), graph)
     w1 = feats.metric_matrix(MetricId.W1, RegulatorSet(1.0, 0.0, 0.0))
     w2 = feats.metric_matrix(MetricId.W2, RegulatorSet(1.0, 0.0, 0.0))
-    assert w1.valid[0, 2] and w1.valid[2, 3]
-    assert not w2.valid[0, 2] and not w2.valid[2, 3]
-    assert w2.valid[0, 1]
-    assert math.isnan(w2.values[0, 2])
+    assert valid(w1)[0, 2] and valid(w1)[2, 3]
+    assert not valid(w2)[0, 2] and not valid(w2)[2, 3]
+    assert valid(w2)[0, 1]
+    assert math.isnan(w2[0, 2])
 
 
 def test_off_content_user_invalid_everywhere():
     users, samples, graph = _scene(seed=11, n_users=4)
     samples[1] = make_sample([5.0, 0.0, 0.0], view=[0, 0, -1], off_content=True)
-    feats = geodesic_features(0, users, *feature_columns(samples), graph)
+    feats = geodesic_features(users, *feature_columns(samples), graph)
     w1 = feats.metric_matrix(MetricId.W1, RegulatorSet(1.0, 0.0, 0.0))
-    assert not w1.valid[0, 1] and not w1.valid[1, 2]
+    assert not valid(w1)[0, 1] and not valid(w1)[1, 2]
 
 
 def test_no_validity_mask_is_stored():
     # NaN in the values is the only record of an invalid pair
-    assert [f.name for f in dataclasses.fields(SimilarityMatrix)] == ["frame", "users", "metric", "values"]
+    assert [f.name for f in dataclasses.fields(SimilarityMatrix)] == ["frames", "users", "metric", "values"]
     assert [f.name for f in dataclasses.fields(PairFeatures)] == [
-        "frame", "users", "pos_dist", "range_diff", "gaze_euc", "eta_sum", "gaze_geo"
+        "pos_dist", "range_diff", "gaze_euc", "eta_sum", "view_angle", "gaze_geo"
     ]
 
 
@@ -298,27 +299,27 @@ def test_nan_marks_exactly_the_pairs_the_mask_formulas_invalidate(seed, default_
     no_target = np.isin(kind, ["off", "no-target"])
     p[no_target], r[no_target] = np.nan, np.nan
     off = np.isin(kind, ["off-with-target", "off"])
-    feats = geodesic_features(0, users, x, p, r, off, graph)
+    feats = geodesic_features(users, x, p, r, off, np.tile([0.0, 0.0, -1.0], (n, 1)), graph)
     samples = [Sample(x[i], np.array([0.0, 0.0, -1.0]), None if np.isnan(r[i]) else p[i],
                       None if np.isnan(r[i]) else r[i], bool(off[i])) for i in range(n)]
     for metric in PROXY_METRICS:
         reg = RegulatorSet(*TABLE[metric][0])
         mat = feats.metric_matrix(metric, reg)
         want = metric_validity_oracle(metric, r, off)
-        np.testing.assert_array_equal(mat.valid, want, err_msg=metric.value)
+        np.testing.assert_array_equal(valid(mat), want, err_msg=metric.value)
         assert want.any() and not want.all()
         for i, j in zip(*np.nonzero(want)):
-            assert_close(mat.values[i, j], metric_value(metric, reg, samples[i], samples[j], graph=graph), rel=True)
+            assert_close(mat[i, j], metric_value(metric, reg, samples[i], samples[j], graph=graph), rel=True)
     # the overlap: users near the blobs look at them or away from them
     view = np.where(rng.random((n, 1)) < 0.7, [0.0, 0.0, -1.0], [0.0, 0.0, 1.0])
-    ov = overlap_matrix(0, users, x, view, off, cloud, default_params)
+    ov = overlap_matrix(users, x, view, off, cloud, default_params)
     viewports = [set(np.flatnonzero(contains_points(frustum_planes(x[i], view[i], default_params), cloud.points)).tolist())
                  for i in range(n)]
     want = overlap_validity_oracle(viewports, off)
-    np.testing.assert_array_equal(ov.valid, want)
+    np.testing.assert_array_equal(valid(ov), want)
     for i, j in zip(*np.nonzero(want)):
         frac = Fraction(len(viewports[i] & viewports[j]), len(viewports[i] | viewports[j]))
-        assert ov.values[i, j] == frac.numerator / frac.denominator
+        assert ov[i, j] == frac.numerator / frac.denominator
 
 
 def test_disconnected_gaze_kernel_zero():
@@ -341,17 +342,17 @@ def test_overlap_matrix_against_sets(default_params):
     cloud = PointCloudFrame(0.0, rng.uniform(-1, 1, (800, 3)))
     users = ("a", "b", "c", "d")
     samples = [make_sample(pos) for pos in ([0, 0, 2.5], [0.2, 0, 2.5], [2.5, 0, 0], [0, 0, -2.5])]
-    mat = overlap_matrix(0, users, *overlap_columns(samples), cloud, default_params)
+    mat = overlap_matrix(users, *overlap_columns(samples), cloud, default_params)
     sets = [set(np.flatnonzero(contains_points(frustum_planes(s.x, s.view, default_params), cloud.points)).tolist()) for s in samples]
     for i in range(4):
         for j in range(i + 1, 4):
             union = sets[i] | sets[j]
             if union:
                 want = len(sets[i] & sets[j]) / len(union)
-                assert mat.values[i, j] == want
-                assert mat.valid[i, j]
+                assert mat[i, j] == want
+                assert valid(mat)[i, j]
             else:
-                assert not mat.valid[i, j]
+                assert not valid(mat)[i, j]
 
 
 def _blocks_cloud(n_points: int):
@@ -378,7 +379,7 @@ def test_overlap_matches_the_unblocked_product_at_every_block_size(monkeypatch, 
     assert not seen[7:14].any()  # the second block of 7 holds no visible point
     if block is not None:
         monkeypatch.setattr(viewsim.geometry, "_SCAN_BLOCK", block)
-    got = overlap_matrix(0, tuple("abcdef"), x, view, off, cloud, params).values
+    got = overlap_matrix(tuple("abcdef"), x, view, off, cloud, params)
     want = overlap_product_oracle(x, view, off, cloud, params)
     assert got.tobytes() == want.tobytes()
     assert np.isfinite(got).any() and (got[~np.isnan(got)] < 1.0).any()
@@ -393,17 +394,17 @@ def test_overlap_matrix_is_the_product_oracle_for_64_users_with_absent_rows_unre
     off = rng.random(64) < 0.2
     x[off], view[off] = np.nan, 0.0  # an absent user's row is never built into a frustum
     params = FrustumParams(0.5, 0.5)
-    got = overlap_matrix(0, tuple(range(64)), x, view, off, cloud, params).values
+    got = overlap_matrix(tuple(range(64)), x, view, off, cloud, params)
     assert got.tobytes() == overlap_product_oracle(x, view, off, cloud, params).tobytes()
     assert 0 < np.count_nonzero(got > 0) and np.isnan(got[off]).all()
     x[np.flatnonzero(~off)[5]] = [np.inf, 0.0, 0.0]
     with pytest.raises(ValueError, match=r"non-finite 3-vector: \[inf  0.  0.\]"):
-        overlap_matrix(0, tuple(range(64)), x, view, off, cloud, params)
+        overlap_matrix(tuple(range(64)), x, view, off, cloud, params)
 
 
 def test_overlap_matrix_with_every_user_off_content_is_all_nan(default_params):
     cloud = PointCloudFrame(0.0, _fibonacci_sphere(300, 1.0))
-    values = overlap_matrix(0, ("a", "b", "c"), np.full((3, 3), np.nan), np.zeros((3, 3)), np.ones(3, dtype=bool), cloud, default_params).values
+    values = overlap_matrix(("a", "b", "c"), np.full((3, 3), np.nan), np.zeros((3, 3)), np.ones(3, dtype=bool), cloud, default_params)
     assert values.shape == (3, 3) and np.isnan(values).all()
 
 
@@ -412,9 +413,9 @@ def test_overlap_matrix_empty_pair_invalid(default_params):
     users = ("a", "b")
     # both users look away from the only point
     samples = [make_sample([0, 0, z], view=[0, 0, 1]) for z in (0.5, 0.7)]
-    mat = overlap_matrix(0, users, *overlap_columns(samples), cloud, default_params)
-    assert not mat.valid[0, 1]
-    assert math.isnan(mat.values[0, 1])
+    mat = overlap_matrix(users, *overlap_columns(samples), cloud, default_params)
+    assert not valid(mat)[0, 1]
+    assert math.isnan(mat[0, 1])
 
 
 def test_overlap_matrix_off_content_user_invalid(default_params):
@@ -425,9 +426,9 @@ def test_overlap_matrix_off_content_user_invalid(default_params):
         make_sample([0, 0, 2.5], off_content=True),
         make_sample([2.5, 0, 0]),
     ]
-    mat = overlap_matrix(0, users, *overlap_columns(samples), cloud, default_params)
-    assert not mat.valid[0, 1] and not mat.valid[1, 2]
-    assert mat.valid[0, 2]
+    mat = overlap_matrix(users, *overlap_columns(samples), cloud, default_params)
+    assert not valid(mat)[0, 1] and not valid(mat)[1, 2]
+    assert valid(mat)[0, 2]
 
 
 def test_matrices_csv_rows_follow_a_pair_loop(tmp_path):
@@ -436,17 +437,19 @@ def test_matrices_csv_rows_follow_a_pair_loop(tmp_path):
     values[1, 3] = np.nan
     np.fill_diagonal(values, np.nan)
     users = tuple(f"u{k}" for k in range(5))
-    mats = [SimilarityMatrix(3, users, MetricId.W1, values), SimilarityMatrix(4, users, MetricId.OVERLAP, values.T.copy())]
+    mats = [SimilarityMatrix((3,), users, MetricId.W1, values[None]),
+            SimilarityMatrix((6, 4), users, MetricId.OVERLAP, np.stack([values.T, values]))]
     want = ["frame,user_i,user_j,metric,value,valid"]
     for m in mats:
-        for i in range(m.n):
-            for j in range(i + 1, m.n):
-                v = float(m.values[i, j])
-                want.append(f"{m.frame},{m.users[i]},{m.users[j]},{m.metric.value},{v!r},{int(not math.isnan(v))}")
+        for frame, table in zip(m.frames, m.values):
+            for i in range(len(m.users)):
+                for j in range(i + 1, len(m.users)):
+                    v = float(table[i, j])
+                    want.append(f"{frame},{m.users[i]},{m.users[j]},{m.metric.value},{v!r},{int(not math.isnan(v))}")
     write_matrices_csv(tmp_path / "m.csv", mats)
     assert (tmp_path / "m.csv").read_text() == "\n".join(want) + "\n"
-    assert "3,u1,u3,w1,nan,0" in want and len(want) == 21
-    solo = SimilarityMatrix(0, ("u0",), MetricId.W1, np.full((1, 1), np.nan))
+    assert "3,u1,u3,w1,nan,0" in want and "4,u1,u3,overlap,nan,0" in want and len(want) == 31
+    solo = SimilarityMatrix((0,), ("u0",), MetricId.W1, np.full((1, 1, 1), np.nan))
     write_matrices_csv(tmp_path / "solo.csv", [solo])
     assert (tmp_path / "solo.csv").read_bytes() == b"frame,user_i,user_j,metric,value,valid\n"
 
@@ -454,19 +457,54 @@ def test_matrices_csv_rows_follow_a_pair_loop(tmp_path):
 def test_matrices_csv_round_trip(tmp_path):
     users, samples, graph = _scene(seed=15, n_users=4)
     samples[3] = make_sample([1.0, 0.5, 2.0], view=[0, 0, -1])  # invalid p/r pairs
-    feats = geodesic_features(0, users, *feature_columns(samples), graph)
-    mats = [feats.metric_matrix(m, RegulatorSet(*TABLE[m][0])) for m in (MetricId.W2, MetricId.W7)]
+    feats = geodesic_features(users, *feature_columns(samples), graph)
+    mats = [SimilarityMatrix((0,), users, m, feats.metric_matrix(m, RegulatorSet(*TABLE[m][0]))[None])
+            for m in (MetricId.W2, MetricId.W7)]
     path = tmp_path / "m.csv"
     write_matrices_csv(path, mats)
     rows = path.read_text().splitlines()
     assert rows[0] == "frame,user_i,user_j,metric,value,valid"
     body = iter(row.split(",") for row in rows[1:])
     for m in mats:
-        assert not m.valid[0, 3] and m.valid[0, 1]  # both kinds of row are written
-        for i, j in zip(*np.triu_indices(m.n, 1)):
+        table = m.values[0]
+        assert not valid(table)[0, 3] and valid(table)[0, 1]  # both kinds of row are written
+        for i, j in zip(*np.triu_indices(len(m.users), 1)):
             frame, ui, uj, metric, value, ok = next(body)
-            assert (int(frame), ui, uj, metric, ok) == (m.frame, m.users[i], m.users[j], m.metric.value, str(int(m.valid[i, j])))
-            np.testing.assert_array_equal(float(value), m.values[i, j])  # exact, NaN where invalid
+            assert (int(frame), ui, uj, metric, ok) == (m.frames[0], m.users[i], m.users[j], m.metric.value, str(int(valid(table)[i, j])))
+            np.testing.assert_array_equal(float(value), table[i, j])  # exact, NaN where invalid
     assert next(body, None) is None
     write_matrices_csv(tmp_path / "m2.csv", mats)
     assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "m2.csv").read_bytes()
+
+
+def test_view_angle_is_exactly_symmetric_zero_pi_and_nan_off_content():
+    rng = np.random.default_rng(28)
+    n = 9
+    users = tuple(f"u{k}" for k in range(n))
+    view = rng.normal(size=(n, 3))
+    view[1] = view[0]  # the same view
+    view[2] = -view[0]  # the opposite view
+    view[3] = 2.0 * view[0]  # the same direction at another length, scaled exactly
+    off = np.zeros(n, dtype=bool)
+    off[4] = True
+    x, p, r = rng.normal(size=(n, 3)), np.full((n, 3), np.nan), np.full(n, np.nan)
+    angle = compute_pair_features(users, x, p, r, off, view=view).view_angle
+    np.testing.assert_array_equal(angle, angle.T)  # exact, NaN where NaN
+    assert angle[0, 1] == angle[1, 0] == angle[0, 3] == 0.0 and angle[1, 3] == 0.0
+    assert angle[0, 2] == angle[2, 0] == np.pi
+    assert np.isnan(angle[4]).all() and np.isnan(angle[:, 4]).all()
+    present = np.flatnonzero(~off)
+    assert (np.diag(angle)[present] == 0.0).all()
+    # the angle between the unit views, to arccos's precision near 0 and pi
+    u = view / np.linalg.norm(view, axis=1, keepdims=True)
+    want = np.arccos(np.clip(u @ u.T, -1.0, 1.0))
+    ok = np.ix_(present, present)
+    np.testing.assert_allclose(angle[ok], want[ok], rtol=0.0, atol=1e-7)
+    # the opt-in 3-DoF metric reads it through exp(-alpha * angle), and no default lists it
+    feats = compute_pair_features(users, x, p, r, off, view=view)
+    values = feats.metric_matrix(MetricId.DOF3, RegulatorSet(0.5))
+    want = np.exp(-0.5 * angle)
+    np.fill_diagonal(want, np.nan)
+    assert values.tobytes() == want.tobytes()
+    assert MetricId.DOF3 not in PROXY_METRICS and PROXY_METRICS == tuple(MetricId)[:8]
+    assert not MetricId.DOF3.needs_geodesic and MetricId.DOF3.regulator_names == ("alpha",)

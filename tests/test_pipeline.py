@@ -16,10 +16,11 @@ import viewsim.ply
 from viewsim.calibration import pair_samples
 from viewsim.clustering import ChunkSpec
 from viewsim.errors import InvalidParamsError
-from viewsim.geometry import FrustumParams, PointCloudFrame
+from viewsim.geometry import FrustumParams, PointCloudFrame, build_surface_graph
 from viewsim.manifest import ContentSettings, load_manifest
 from viewsim.metrics import (
-    MetricConfig, MetricId, RegulatorSet, compute_pair_features, default_configs, geodesic_gaze, overlap_matrix,
+    PROXY_METRICS, MetricConfig, MetricId, RegulatorSet, compute_pair_features, default_configs, geodesic_gaze,
+    overlap_matrix,
 )
 from viewsim.pipeline import (
     calibrate_contents,
@@ -34,7 +35,7 @@ from viewsim.pipeline import (
 from viewsim.synth import planted_labels, three_orbit_groups, write_scenario
 from viewsim.trajectories import derive_pr
 
-from conftest import geodesic_features, overlaps
+from conftest import geodesic_features, overlaps, valid
 from oracles import adjusted_rand_index, auc_oracle
 
 
@@ -48,13 +49,10 @@ def disk_content(tmp_path_factory):
 
 
 def _matrices_equal(a, b):
-    assert len(a) == len(b)
-    for ma, mb in zip(a, b):
-        assert ma.users == mb.users and ma.frame == mb.frame and ma.metric is mb.metric
-        np.testing.assert_array_equal(ma.valid, mb.valid)
-        np.testing.assert_array_equal(
-            np.where(ma.valid, ma.values, 0.0), np.where(mb.valid, mb.values, 0.0)
-        )
+    """Two (frames, n, n) stacks hold the same values, NaN at the same pairs."""
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(valid(a), valid(b))
+    np.testing.assert_array_equal(np.where(valid(a), a, 0.0), np.where(valid(b), b, 0.0))
 
 
 # ------------------------------------------------------------------- loading
@@ -91,14 +89,14 @@ def test_disk_and_memory_preparation_agree(disk_content):
     mem = prepare_scenario(sc, frustum=disk_content.frustum)  # the manifest's
     got, want = (metric_matrices(pc, [MetricId.OVERLAP, MetricId.W7]) for pc in (disk_content, mem))
     for metric in (MetricId.OVERLAP, MetricId.W7):
-        for ma, mb in zip(got[metric], want[metric]):
-            assert ma.users == mb.users and ma.frame == mb.frame
-            np.testing.assert_array_equal(ma.valid, mb.valid)
-            np.testing.assert_allclose(
-                np.where(ma.valid, ma.values, 0.0),
-                np.where(mb.valid, mb.values, 0.0),
-                atol=0.02,
-            )
+        ma, mb = got[metric], want[metric]
+        assert ma.users == mb.users and ma.frames == mb.frames
+        np.testing.assert_array_equal(valid(ma.values), valid(mb.values))
+        np.testing.assert_allclose(
+            np.where(valid(ma.values), ma.values, 0.0),
+            np.where(valid(mb.values), mb.values, 0.0),
+            atol=0.02,
+        )
 
 
 def test_session_dataset_is_only_the_aligned_table():
@@ -132,7 +130,7 @@ def test_prepare_scenario_overrides_take_effect():
     # the viewing model reaches the tables: each setting alone changes what it feeds
     default = prepare_scenario(sc)
     narrow = prepare_scenario(sc, frustum=settings["frustum"])
-    assert not np.array_equal(overlaps(narrow)[0].values, overlaps(default)[0].values)
+    assert not np.array_equal(overlaps(narrow)[0], overlaps(default)[0])
     for name in ("cone_half_angle", "r_mode"):
         one = prepare_scenario(sc, **{name: settings[name]})
         assert gaze_targets(one, 0)[1].tobytes() != gaze_targets(default, 0)[1].tobytes(), name
@@ -142,17 +140,16 @@ def test_prepare_scenario_overrides_take_effect():
 
 
 def test_matrix_shapes_and_frame_indexing(narrow_content):
-    ovs = overlaps(narrow_content)
-    assert len(ovs) == 6
-    for k, m in enumerate(ovs):
-        assert m.frame == k
-        assert m.values.shape == (9, 9)
-        assert m.users == narrow_content.dataset.users
+    ovs = metric_matrices(narrow_content, [MetricId.OVERLAP])[MetricId.OVERLAP]
+    assert len(ovs.values) == 6
+    assert ovs.frames == tuple(range(6))
+    assert ovs.values.shape == (6, 9, 9) and ovs.values.dtype == np.float64
+    assert ovs.users == narrow_content.dataset.users and ovs.metric is MetricId.OVERLAP
 
 
 def test_frame_subset_selects_frames(narrow_content):
     mats = metric_matrices(narrow_content, [MetricId.W1], frames=[2, 4])[MetricId.W1]
-    assert [m.frame for m in mats] == [2, 4]
+    assert mats.frames == (2, 4) and mats.values.shape == (2, 9, 9)
 
 
 def test_geodesic_graphs_cached_per_distinct_cloud(narrow_content, monkeypatch):
@@ -213,7 +210,7 @@ def test_feature_tables_add_geodesics_only_when_asked(narrow_content, monkeypatc
     assert len(computed) == 6
     assert all(a is b for a, b in zip(features, _stored(pc, "features")))
     for metric in (MetricId.W1, MetricId.W8):  # pos_dist, eta_sum and gaze_euc as before
-        assert [m.values.tobytes() for m in plain[metric]] == [m.values.tobytes() for m in geo[metric]]
+        assert plain[metric].values.tobytes() == geo[metric].values.tobytes()
 
 
 def _stored(pc, kind):
@@ -418,7 +415,7 @@ def test_frame_scan_memory_is_one_block_deep(scan):
         tracemalloc.start()
         try:
             if scan == "overlap_matrix":
-                overlap_matrix(0, tuple("abcdefgh"), x, view, off, cloud, FrustumParams(0.5, 0.5))
+                overlap_matrix(tuple("abcdefgh"), x, view, off, cloud, FrustumParams(0.5, 0.5))
             else:
                 derive_pr(x, view, off, cloud)
             return tracemalloc.get_traced_memory()[1]
@@ -434,14 +431,33 @@ def test_overlap_route_via_metric_matrices(narrow_content):
     direct = []
     for k in range(ds.n_frames):
         off = gaze_targets(pc, k)[2]
-        direct.append(overlap_matrix(k, ds.users, ds.x[:, k], ds.view[:, k], off, pc.clouds[k], pc.frustum))
-    _matrices_equal(metric_matrices(replace(pc), [MetricId.OVERLAP])[MetricId.OVERLAP], direct)
+        direct.append(overlap_matrix(ds.users, ds.x[:, k], ds.view[:, k], off, pc.clouds[k], pc.frustum))
+    _matrices_equal(metric_matrices(replace(pc), [MetricId.OVERLAP])[MetricId.OVERLAP].values, np.stack(direct))
+
+
+@pytest.mark.parametrize("frames", [None, [4, 1, 2]])
+def test_each_stack_is_the_frame_functions_results_bit_for_bit(narrow_content, frames):
+    pc, ds = narrow_content, narrow_content.dataset
+    metrics = [*MetricId]
+    got = metric_matrices(replace(pc), metrics, frames)
+    ks = list(range(ds.n_frames)) if frames is None else frames
+    for metric in metrics:
+        m = got[metric]
+        assert (m.frames, m.users, m.metric) == (tuple(ks), ds.users, metric)
+        assert m.values.shape == (len(ks), len(ds.users), len(ds.users))
+    for i, k in enumerate(ks):
+        p, r, off = gaze_targets(pc, k)
+        ov = overlap_matrix(ds.users, ds.x[:, k], ds.view[:, k], off, pc.clouds[k], pc.frustum)
+        assert got[MetricId.OVERLAP].values[i].tobytes() == ov.tobytes()
+        feats = geodesic_features(ds.users, ds.x[:, k], p, r, off, ds.view[:, k],
+                                  build_surface_graph(pc.clouds[k], k=pc.surface_knn))
+        for metric in PROXY_METRICS + (MetricId.DOF3,):
+            want = feats.metric_matrix(metric, pc.metrics[metric].regulators)
+            assert got[metric].values[i].tobytes() == want.tobytes(), (k, metric)
 
 
 def _same_matrices(a, b):
-    assert [(m.frame, m.users, m.metric, m.values.tobytes()) for m in a] == [
-        (m.frame, m.users, m.metric, m.values.tobytes()) for m in b
-    ]
+    assert (a.frames, a.users, a.metric, a.values.tobytes()) == (b.frames, b.users, b.metric, b.values.tobytes())
 
 
 @pytest.mark.parametrize("metrics, frames", [
@@ -455,7 +471,7 @@ def test_one_pass_over_several_metrics_matches_one_pass_per_metric(narrow_conten
     assert list(together) == list(dict.fromkeys(metrics))
     for metric in metrics:
         alone = metric_matrices(replace(narrow_content), [metric], frames)[metric]
-        assert [m.frame for m in alone] == (list(frames) if frames else list(range(6)))
+        assert alone.frames == (tuple(frames) if frames else tuple(range(6)))
         _same_matrices(together[metric], alone)
 
 
@@ -464,8 +480,12 @@ def test_evaluate_content_applies_each_frames_kernels_once(narrow_content, monke
 
     applied = []
     real = PairFeatures.metric_matrix
-    monkeypatch.setattr(PairFeatures, "metric_matrix", lambda f, m, reg: applied.append((f.frame, m)) or real(f, m, reg))
     pc = replace(narrow_content)
+
+    def frame_of(f):  # the stored feature table whose arrays f carries
+        return next(k for k in range(6) if pc.tables[("features", k)].pos_dist is f.pos_dist)
+
+    monkeypatch.setattr(PairFeatures, "metric_matrix", lambda f, m, reg: applied.append((frame_of(f), m)) or real(f, m, reg))
     for mode in ("frame", "chunk", "frame"):  # cold, then from the stored tables
         applied.clear()
         evaluate_content(pc, [MetricId.W7], mode=mode)
@@ -601,7 +621,8 @@ def test_run_ablation_matches_ablate_oracle(sweep_contents, metric, grid, fixed,
 
     swept = [pc for pc in sweep_contents if pc.reference or not reference_only]
     first = swept[0]  # manifest order: zeta, whose id sorts last
-    tables = {pc.content_id: list(zip(_frame_features(pc, metric.needs_geodesic), overlaps(pc))) for pc in swept}
+    tables = {pc.content_id: (pc.dataset.users, list(zip(_frame_features(pc, metric.needs_geodesic), overlaps(pc))))
+              for pc in swept}
     want = ablate_oracle(tables, metric, grid=grid, fixed=fixed,
                          threshold=first.metrics[metric].threshold if threshold is None else threshold,
                          o_th=first.overlap_threshold, min_size=first.relevant_min_size)
@@ -618,9 +639,9 @@ def _frame_features(pc, geodesic):
     out = []
     for k in range(ds.n_frames):
         p, r, off = gaze_targets(pc, k)
-        columns = (k, ds.users, ds.x[:, k], p, r, off)
-        out.append(geodesic_features(*columns, build_surface_graph(pc.clouds[k], k=pc.surface_knn)) if geodesic
-                   else compute_pair_features(*columns))
+        columns = (ds.users, ds.x[:, k], p, r, off)
+        out.append(geodesic_features(*columns, ds.view[:, k], build_surface_graph(pc.clouds[k], k=pc.surface_knn))
+                   if geodesic else compute_pair_features(*columns, view=ds.view[:, k]))
     return out
 
 
@@ -656,14 +677,15 @@ def test_stored_tables_match_direct_run(narrow_content):
     pc = replace(narrow_content)
     ovs = metric_matrices(pc, [MetricId.OVERLAP, MetricId.W1])[MetricId.OVERLAP]
     features = _stored(pc, "features")
-    assert len(features) == len(ovs) == 6
+    assert len(features) == len(ovs.values) == 6
     # later requests, whole or partial, get the stored feature tables and overlap arrays back
     metric_matrices(pc, [MetricId.W2])
     assert all(a is b for a, b in zip(features, _stored(pc, "features")))
-    assert overlaps(pc, frames=[4])[0].values is ovs[4].values
+    stored = pc.tables[("overlap", 4)][0]
+    assert overlaps(pc, frames=[4])[0].tobytes() == ovs.values[4].tobytes() and pc.tables[("overlap", 4)][0] is stored
     np.testing.assert_array_equal(
-        features[0].metric_matrix(MetricId.W1, pc.metrics[MetricId.W1].regulators).values,
-        metric_matrices(replace(pc), [MetricId.W1], frames=[0])[MetricId.W1][0].values,
+        features[0].metric_matrix(MetricId.W1, pc.metrics[MetricId.W1].regulators),
+        metric_matrices(replace(pc), [MetricId.W1], frames=[0])[MetricId.W1].values[0],
     )
 
 
@@ -685,7 +707,7 @@ def test_a_copy_with_other_viewing_settings_computes_its_own_tables():
     copy = replace(pc, frustum=wide)
     assert copy.tables == {}
     _matrices_equal(overlaps(copy), overlaps(prepare_scenario(sc, frustum=wide)))
-    assert not all(np.array_equal(a.values, b.values, equal_nan=True) for a, b in zip(overlaps(copy), before))
+    assert not all(np.array_equal(a, b, equal_nan=True) for a, b in zip(overlaps(copy), before))
     _matrices_equal(overlaps(pc), before)
 
 
@@ -710,9 +732,13 @@ def test_each_table_computed_once_across_metrics(narrow_content, monkeypatch):
         evaluate_content(pc, [metric], mode="chunk")
     n_frames = pc.dataset.n_frames
     clouds = {id(pc.clouds[k].points) for k in range(n_frames)}
-    assert sorted(args[0] for args in overlaps) == list(range(n_frames))
+
+    def frame_of(x):  # the frame whose positions a frame function was given (args[1]); no two frames share them
+        return next(k for k in range(n_frames) if np.array_equal(x, pc.dataset.x[:, k]))
+
+    assert sorted(frame_of(args[1]) for args in overlaps) == list(range(n_frames))
     assert len(graphs) == len(clouds)
-    assert sorted(args[0] for args in features) == list(range(n_frames))
+    assert sorted(frame_of(args[1]) for args in features) == list(range(n_frames))
     # a calibrated copy shares the store: evaluating again computes nothing
     done = (len(overlaps), len(graphs), len(features))
     clone = pc.with_thresholds({MetricId.W7: 0.5})
@@ -731,12 +757,12 @@ def test_readme_library_snippet_runs_verbatim(capsys):
     pc = namespace["pc"]
     # the printed precision could fail: the content has both label classes, and a weaker metric scores below 1
     ovs = overlaps(pc)
-    _, labels = pair_samples(ovs, ovs, pc.overlap_threshold)
+    _, labels = pair_samples([ovs], [ovs], pc.overlap_threshold)
     assert 0 < labels.sum() < labels.size
     assert evaluate_content(pc, [MetricId.W2], mode="chunk")[MetricId.W2][2]["precision"].mean < 1.0
     # the frame-function snippet reproduces the stored frame-0 tables
     (stored_ov,), stored_feats = pc.tables[("overlap", 0)], pc.tables[("features", 0)]
-    np.testing.assert_array_equal(namespace["ov"].values, stored_ov)
+    np.testing.assert_array_equal(namespace["ov"], stored_ov)
     np.testing.assert_array_equal(namespace["feats"].pos_dist, stored_feats.pos_dist)
     # the ROC snippet selects the point calibrate selects
     assert namespace["point"] == calibrate_contents([pc], [MetricId.W7])[MetricId.W7][1]
@@ -752,3 +778,14 @@ def test_readme_entry_points_import_from_package():
     in_module = [(m, n) for m, group in re.findall(r"`(viewsim\.\w+)`:([^;]*)", listed) for n in re.findall(r"`(\w+)`", group)]
     assert [n for _, n in in_module] == names
     assert [f"{m}.{n}" for m, n in in_module if not hasattr(importlib.import_module(m), n)] == []
+
+
+@pytest.mark.parametrize("bare", [MetricId.W7, "w7"], ids=["MetricId", "str"])
+def test_a_bare_metric_is_refused_before_any_table_work(narrow_content, bare):
+    # a MetricId is a str: iterated, it would be its characters
+    pc = replace(narrow_content)
+    for call in (lambda: metric_matrices(pc, bare), lambda: evaluate_content(pc, bare),
+                 lambda: calibrate_contents([pc], bare)):
+        with pytest.raises(TypeError, match="a list such as"):
+            call()
+    assert pc.tables == {}

@@ -34,7 +34,7 @@ from viewsim.synth import (
     write_scenario,
 )
 
-from conftest import assert_close, overlaps
+from conftest import assert_close, overlaps, valid
 from oracles import orbit_position
 
 
@@ -457,19 +457,20 @@ def test_identical_static_users_reach_full_overlap():
     )
     pc = prepare_scenario(sc)
     for m in overlaps(pc):
-        assert m.valid.sum() == 6  # all off-diagonal pairs
-        np.testing.assert_array_equal(m.values[m.valid], 1.0)
+        assert valid(m).sum() == 6  # all off-diagonal pairs
+        np.testing.assert_array_equal(m[valid(m)], 1.0)
 
 
 def test_narrow_frustum_separates_planted_groups(narrow_content):
     labels = planted_labels(three_orbit_groups(seed=11, users_per_group=3, n_frames=6, points_per_frame=2500))
     intra, inter = [], []
+    users = narrow_content.dataset.users
     for m in overlaps(narrow_content):
-        for i in range(m.n):
-            for j in range(i + 1, m.n):
-                if not m.valid[i, j]:
+        for i in range(len(users)):
+            for j in range(i + 1, len(users)):
+                if not valid(m)[i, j]:
                     continue
-                same = labels[m.users[i]] == labels[m.users[j]]
-                (intra if same else inter).append(float(m.values[i, j]))
+                same = labels[users[i]] == labels[users[j]]
+                (intra if same else inter).append(float(m[i, j]))
     assert np.mean(intra) > 0.8
     assert np.mean(inter) < 0.2
